@@ -350,7 +350,10 @@ tracedIteration(const Workload& w, uint64_t seed, const Measurement& m,
     t.admissions = obs::counter("serve.pool.admissions").value();
     t.evictions = obs::counter("serve.pool.evictions").value();
     t.predictions = obs::counter("serve.predictions").value();
-    const obs::TimingHistogram& turns = obs::timingHistogram("serve.turn.ns");
+    // The engine's own per-turn histogram: a serve turn, or a sweep
+    // cell (the sweep's unit of scheduling).
+    const obs::TimingHistogram& turns = obs::timingHistogram(
+        w.kind == WorkloadKind::Sweep ? "sweep.cell.ns" : "serve.turn.ns");
     t.turnP50Ns = turns.quantile(0.50);
     t.turnP99Ns = turns.quantile(0.99);
     t.turnSamples = turns.count();
@@ -435,9 +438,9 @@ layerMetrics(const Workload& w, const Measurement& m, const TracedPass& t)
                    perKiloBranch(static_cast<double>(t.evictions),
                                  predictions),
                    "evict/kbranch"});
-    out.push_back({"serve.turn_p50_us", t.turnP50Ns / 1e3, "us"});
-    out.push_back({"serve.turn_p99_us", t.turnP99Ns / 1e3, "us"});
-    out.push_back({"serve.turn_samples", static_cast<double>(t.turnSamples),
+    out.push_back({"engine.turn_p50_us", t.turnP50Ns / 1e3, "us"});
+    out.push_back({"engine.turn_p99_us", t.turnP99Ns / 1e3, "us"});
+    out.push_back({"engine.turn_samples", static_cast<double>(t.turnSamples),
                    "count"});
     out.push_back({"serve.parked_mib_peak",
                    static_cast<double>(t.replay.parkedPeakBytes) /

@@ -60,7 +60,7 @@ class TracedRun(unittest.TestCase):
             self.assertGreater(value(result, "serve.evictions_per_kbranch"), 0)
         for name in ("tage.allocs_per_kbranch", "serve.admissions_per_kbranch",
                      "serve.evictions_per_kbranch", "tage.snapshot_bytes",
-                     "serve.turn_samples"):
+                     "engine.turn_samples"):
             self.assertEqual(value(runs[0][1], name), value(runs[1][1], name),
                              name)
         self.assertEqual(runs[0][1]["digest"], runs[1][1]["digest"])
