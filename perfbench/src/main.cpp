@@ -6,9 +6,11 @@
  *                     [--trace=1 --trace-out=PATH]
  *
  * The timed phase repeats set-up + one runSweep() / serve() call in
- * short rounds until --seconds have passed and reports medians over
- * the rounds. Every round's results must equal the first round's, and
- * a sample of cells or streams is re-run through the scalar oracle.
+ * short rounds until --seconds have passed, with the host-speed
+ * calibration before the first round and after every round, and
+ * reports medians over the rounds in reference seconds. Every round's
+ * results must equal the first round's, and a sample of cells or
+ * streams is re-run through the scalar oracle.
  * With --trace=1, three traced iterations follow: the same call with
  * the obs counters, histograms and spans on, the work replayed through
  * the layers' functions, and the output check.
@@ -32,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "calibrate.hpp"
 #include "layer_split.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_trace.hpp"
@@ -172,12 +175,18 @@ struct Metric {
     std::string unit;
 };
 
-/** The timed phase's outcome: per-round samples and the failures. */
+/**
+ * The timed phase's outcome: per-round samples and the failures.
+ * setupSeconds and branchesPerSecond are in reference seconds (see
+ * calibrate.hpp); the other timings are wall time.
+ */
 struct Measurement {
     std::vector<double> setupSeconds;
     std::vector<double> validateSeconds;
     std::vector<double> wallSeconds;
     std::vector<double> branchesPerSecond;
+    std::vector<double> wallBranchesPerSecond;
+    std::vector<double> slowdowns;
     uint64_t branches = 0;
     Usage usage;
 
@@ -194,28 +203,42 @@ measure(const Workload& w, uint64_t seed, double seconds, Measurement& m,
         std::string& error)
 {
     const uint64_t start = wallclock::monotonicNanos();
+    Calibration before = calibrate();
     for (size_t round = 0;; ++round) {
         const double elapsed =
             wallclock::secondsBetween(start, wallclock::monotonicNanos());
         if (round >= kMinRounds && elapsed >= seconds)
             break;
         Prepared p;
+        std::vector<double> setups;
         for (size_t k = 0; k < kSetupsPerRound; ++k) {
             p = Prepared{};
             if (!prepare(w, seed, p, error))
                 return false;
-            m.setupSeconds.push_back(p.setupSeconds);
+            setups.push_back(p.setupSeconds);
             m.validateSeconds.push_back(p.validateSeconds);
         }
         RoundResult r;
-        const Usage before = Usage::now();
+        const Usage usage = Usage::now();
         if (!runRound(w, p, r, error))
             return false;
-        m.usage += Usage::now() - before;
+        m.usage += Usage::now() - usage;
 
+        const Calibration after = calibrate();
+        if (after.checksum != before.checksum) {
+            std::cerr << "perfbench: the calibration kernel's checksum "
+                         "changed\n";
+            ++m.failed;
+        }
+        const double slow = slowdown(before.seconds, after.seconds);
+        before = after;
+        for (const double s : setups)
+            m.setupSeconds.push_back(s / slow);
+        const double rate = static_cast<double>(r.branches) / r.wallSeconds;
+        m.slowdowns.push_back(slow);
         m.wallSeconds.push_back(r.wallSeconds);
-        m.branchesPerSecond.push_back(static_cast<double>(r.branches) /
-                                      r.wallSeconds);
+        m.wallBranchesPerSecond.push_back(rate);
+        m.branchesPerSecond.push_back(rate * slow);
         m.branches += r.branches;
         m.attempted += r.units.size();
         m.failed += r.failedUnits;
@@ -498,6 +521,9 @@ layerMetrics(const Workload& w, const Measurement& m, const TracedPass& t)
     out.push_back({"bench.trace_overhead",
                    share(t.engine.wallSeconds, median(m.wallSeconds)) - 1.0,
                    "ratio"});
+    out.push_back({"bench.wall_branches_per_s",
+                   median(m.wallBranchesPerSecond), "branches/s"});
+    out.push_back({"bench.host_slowdown", median(m.slowdowns), "ratio"});
     return out;
 }
 
@@ -615,6 +641,9 @@ main(int argc, char** argv)
        << ",\"rounds_branches_per_s\":[";
     for (size_t i = 0; i < m.branchesPerSecond.size(); ++i)
         os << (i == 0 ? "" : ",") << number(m.branchesPerSecond[i]);
+    os << "],\"rounds_slowdown\":[";
+    for (size_t i = 0; i < m.slowdowns.size(); ++i)
+        os << (i == 0 ? "" : ",") << number(m.slowdowns[i]);
     os << "],\"rounds_setup_s\":[";
     for (size_t i = 0; i < m.setupSeconds.size(); ++i)
         os << (i == 0 ? "" : ",") << number(m.setupSeconds[i]);

@@ -2,8 +2,8 @@
  * @file
  * Tests of the benchmark's own logic: the replay must reproduce the
  * engine unit for unit, spans must be per chunk, and the metric math
- * (medians, per-1000-branch and share bases, self time) must hold on
- * hand-made inputs.
+ * (medians, per-1000-branch and share bases, self time, the host
+ * slowdown) must hold on hand-made inputs.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <regex>
 
+#include "calibrate.hpp"
 #include "layer_split.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_trace.hpp"
@@ -186,6 +187,26 @@ TEST(MetricMath, PerKiloBranchAndShareBases)
     EXPECT_DOUBLE_EQ(perKiloBranch(5.0, 0.0), 0.0);
     EXPECT_DOUBLE_EQ(share(1.0, 4.0), 0.25);
     EXPECT_DOUBLE_EQ(share(1.0, 0.0), 0.0);
+}
+
+TEST(MetricMath, SlowdownIsTheMeanCalibrationOverTheReference)
+{
+    const double ref = kReferenceSeconds;
+    EXPECT_DOUBLE_EQ(slowdown(ref, ref), 1.0);
+    EXPECT_DOUBLE_EQ(slowdown(ref, 2.0 * ref), 1.5);
+    // A round at half the reference speed takes twice the wall time;
+    // in reference seconds it is as long as at full speed.
+    EXPECT_DOUBLE_EQ(2.0 / slowdown(2.0 * ref, 2.0 * ref), 1.0);
+}
+
+TEST(Calibration, EveryCallDoesTheSameWork)
+{
+    const Calibration a = calibrate();
+    const Calibration b = calibrate();
+    EXPECT_EQ(a.checksum, b.checksum);
+    EXPECT_NE(a.checksum, 0u);
+    EXPECT_GT(a.seconds, 0.0);
+    EXPECT_GT(b.seconds, 0.0);
 }
 
 TEST(MetricMath, SelfTimeSubtractsDirectChildrenOnly)
