@@ -47,8 +47,7 @@ struct BenchOptions {
     /**
      * Run-analysis observers to attach (--analysis=spec,spec,...),
      * e.g. --analysis=histogram,perbranch:top=8. Empty (default)
-     * keeps the bench on the zero-overhead loop and its historical
-     * byte-stable output.
+     * keeps the bench's historical byte-stable output.
      */
     AnalysisConfig analysis;
 

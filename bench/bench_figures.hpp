@@ -113,8 +113,8 @@ addDistributionPanels(Report& r, const SweepRow& row,
 /**
  * Pooled per-set statistics of one row of a two-set grid: merge the
  * slice of perTrace cells belonging to the first (when @p first) or
- * second set, and the mean of their per-trace MPKIs — exactly the
- * fold runBenchmarkSet() historically produced.
+ * second set, and the mean of their per-trace MPKIs — the paper's
+ * per-set figures.
  */
 struct SetSlice {
     ClassStats aggregate;

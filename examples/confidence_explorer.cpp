@@ -16,9 +16,9 @@
 
 #include <iostream>
 
-#include "sim/experiment.hpp"
 #include "sim/registry.hpp"
 #include "sim/reporting.hpp"
+#include "sim/sweep.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
 
@@ -51,19 +51,21 @@ main(int argc, char** argv)
     }
     auto probe = makePredictor(spec);
 
-    const SetResult result = runBenchmarkSet(set, spec, branches);
+    const auto rows =
+        runSweepRows(SweepPlan::over({spec}, traceNames(set), branches));
+    const SweepRow& result = rows.front();
 
     std::cout << "benchmark set: " << benchmarkSetName(set)
               << "   predictor: " << probe->name() << " ("
               << probe->storageBits() / 1024 << " Kbit)"
               << "\n\nPrediction coverage per class (%):\n";
-    coverageTable(result).render(std::cout);
+    coverageTable(result.perTrace, result.aggregate).render(std::cout);
 
     std::cout << "\nMisprediction contribution per class (misp/KI):\n";
-    mpkiBreakdownTable(result).render(std::cout);
+    mpkiBreakdownTable(result.perTrace, result.aggregate).render(std::cout);
 
     std::cout << "\nMisprediction rate per class (MKP):\n";
-    mprateTable(result, traceNames(set)).render(std::cout);
+    mprateTable(result.perTrace, traceNames(set)).render(std::cout);
 
     std::cout << "\nThree-level split (Sec. 6.1):\n";
     TextTable three = threeClassTable();

@@ -215,8 +215,7 @@ struct WarmupAnalysis {
 
 /**
  * The extensible analysis bag carried by RunResult. Absent observers
- * leave their slot disengaged; empty() is true for plain runs, which
- * stay on the original zero-overhead loop.
+ * leave their slot disengaged; empty() is true for plain runs.
  */
 struct RunAnalysis {
     std::optional<IntervalAnalysis> intervals;

@@ -5,10 +5,13 @@
  * observer accumulates its own view and writes it into the run's
  * RunAnalysis bag when the trace ends.
  *
- * Observers see the stream *after* grading but *before* the
- * predictor's update for that branch — the same point the run's
- * ClassStats are recorded at — so every observer total is consistent
- * with the whole-trace statistics by construction.
+ * The drive kernel (driveBranches(), sim/experiment.hpp) hands each
+ * element of a predictMany() chunk to the observers, in stream order,
+ * after the run's ClassStats have recorded it and after the chunk has
+ * trained the predictor. That is equivalent to observing each branch
+ * between its predict and its update, because observers see only the
+ * stream — never the predictor — and every observer total stays
+ * consistent with the whole-trace statistics by construction.
  *
  * Built-in observers live in analysis/observers.hpp; selection and
  * construction go through AnalysisConfig (analysis/analysis_config.hpp)

@@ -9,16 +9,17 @@
 #ifndef TAGECON_BASELINE_BIMODAL_PREDICTOR_HPP
 #define TAGECON_BASELINE_BIMODAL_PREDICTOR_HPP
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
-#include "baseline/predictor.hpp"
 #include "util/saturating_counter.hpp"
 #include "util/state_io.hpp"
 
 namespace tagecon {
 
 /** Stand-alone bimodal predictor with Smith-style self-confidence. */
-class BimodalPredictor : public ConditionalPredictor
+class BimodalPredictor
 {
   public:
     /**
@@ -27,10 +28,9 @@ class BimodalPredictor : public ConditionalPredictor
      */
     explicit BimodalPredictor(int log_entries, int ctr_bits = 2);
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "bimodal"; }
-    uint64_t storageBits() const override;
+    bool predict(uint64_t pc);
+    void update(uint64_t pc, bool taken);
+    uint64_t storageBits() const;
 
     /**
      * Smith self-confidence for the branch at @p pc: high confidence

@@ -9,16 +9,17 @@
 #ifndef TAGECON_BASELINE_GSHARE_PREDICTOR_HPP
 #define TAGECON_BASELINE_GSHARE_PREDICTOR_HPP
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
-#include "baseline/predictor.hpp"
 #include "util/saturating_counter.hpp"
 #include "util/state_io.hpp"
 
 namespace tagecon {
 
 /** Classic gshare predictor. */
-class GsharePredictor : public ConditionalPredictor
+class GsharePredictor
 {
   public:
     /**
@@ -31,10 +32,9 @@ class GsharePredictor : public ConditionalPredictor
      */
     GsharePredictor(int log_entries, int history_bits, int ctr_bits = 2);
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "gshare"; }
-    uint64_t storageBits() const override;
+    bool predict(uint64_t pc);
+    void update(uint64_t pc, bool taken);
+    uint64_t storageBits() const;
 
     /** Current global history register value. */
     uint64_t history() const { return history_; }

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/predictor.hpp"
 #include "util/global_history.hpp"
 #include "util/state_io.hpp"
 
@@ -29,7 +28,7 @@ namespace tagecon {
  * geometrically increasing history lengths; the prediction is the
  * sign of the counter sum.
  */
-class OgehlPredictor : public ConditionalPredictor
+class OgehlPredictor
 {
   public:
     struct Config {
@@ -58,10 +57,9 @@ class OgehlPredictor : public ConditionalPredictor
     OgehlPredictor();
     explicit OgehlPredictor(Config cfg);
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "ogehl"; }
-    uint64_t storageBits() const override;
+    bool predict(uint64_t pc);
+    void update(uint64_t pc, bool taken);
+    uint64_t storageBits() const;
 
     /**
      * Self-confidence of the last predict(): high iff |sum| >= theta

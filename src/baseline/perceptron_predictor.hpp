@@ -14,13 +14,12 @@
 #include <string>
 #include <vector>
 
-#include "baseline/predictor.hpp"
 #include "util/state_io.hpp"
 
 namespace tagecon {
 
 /** Global-history perceptron predictor with self-confidence. */
-class PerceptronPredictor : public ConditionalPredictor
+class PerceptronPredictor
 {
   public:
     /**
@@ -30,10 +29,9 @@ class PerceptronPredictor : public ConditionalPredictor
      */
     PerceptronPredictor(int log_perceptrons, int history_bits);
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "perceptron"; }
-    uint64_t storageBits() const override;
+    bool predict(uint64_t pc);
+    void update(uint64_t pc, bool taken);
+    uint64_t storageBits() const;
 
     /**
      * Self-confidence of the last predict(): high when |sum| is above

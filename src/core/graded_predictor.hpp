@@ -119,22 +119,6 @@ class GradedPredictor
         }
     }
 
-    /**
-     * Batched replay training: update(pcs[k], preds[k], taken[k]) for
-     * every element, prefetched where the family supports it. Only
-     * valid where the equivalent scalar update() sequence would be —
-     * families that route per-lookup state through Prediction::payload
-     * still require each update to follow its own predict.
-     */
-    virtual void
-    updateMany(std::span<const uint64_t> pcs,
-               std::span<const Prediction> preds,
-               std::span<const uint8_t> taken)
-    {
-        for (size_t k = 0; k < pcs.size(); ++k)
-            update(pcs[k], preds[k], taken[k] != 0);
-    }
-
     /** Total storage in bits, including any attached estimator. */
     virtual uint64_t storageBits() const = 0;
 

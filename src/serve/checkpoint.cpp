@@ -95,19 +95,6 @@ encodePredictorCheckpoint(const GradedPredictor& predictor,
                             0, "", 0, out);
 }
 
-bool
-encodePredictorCheckpoint(const GradedPredictor& predictor,
-                          const std::string& spec,
-                          std::vector<uint8_t>& out, std::string& error)
-{
-    if (Err e = encodePredictorCheckpoint(predictor, spec, out);
-        e.failed()) {
-        error = e.detail;
-        return false;
-    }
-    return true;
-}
-
 Err
 encodeStreamCheckpoint(const GradedPredictor& predictor,
                        const std::string& spec, uint64_t stream_id,
@@ -116,21 +103,6 @@ encodeStreamCheckpoint(const GradedPredictor& predictor,
 {
     return encodeCheckpoint(predictor, spec, Checkpoint::Kind::Stream,
                             stream_id, trace, consumed, out);
-}
-
-bool
-encodeStreamCheckpoint(const GradedPredictor& predictor,
-                       const std::string& spec, uint64_t stream_id,
-                       const std::string& trace, uint64_t consumed,
-                       std::vector<uint8_t>& out, std::string& error)
-{
-    if (Err e = encodeStreamCheckpoint(predictor, spec, stream_id, trace,
-                                       consumed, out);
-        e.failed()) {
-        error = e.detail;
-        return false;
-    }
-    return true;
 }
 
 Err
@@ -204,24 +176,6 @@ decodeCheckpoint(const std::vector<uint8_t>& blob, Checkpoint& out)
     return decodeCheckpoint(blob.data(), blob.size(), out);
 }
 
-bool
-decodeCheckpoint(const uint8_t* data, size_t size, Checkpoint& out,
-                 std::string& error)
-{
-    if (Err e = decodeCheckpoint(data, size, out); e.failed()) {
-        error = e.detail;
-        return false;
-    }
-    return true;
-}
-
-bool
-decodeCheckpoint(const std::vector<uint8_t>& blob, Checkpoint& out,
-                 std::string& error)
-{
-    return decodeCheckpoint(blob.data(), blob.size(), out, error);
-}
-
 Err
 restoreFromCheckpoint(const Checkpoint& ck, GradedPredictor& predictor,
                       const std::string& spec)
@@ -245,17 +199,6 @@ restoreFromCheckpoint(const Checkpoint& ck, GradedPredictor& predictor,
                    "checkpoint payload has trailing bytes");
     }
     return {};
-}
-
-bool
-restoreFromCheckpoint(const Checkpoint& ck, GradedPredictor& predictor,
-                      const std::string& spec, std::string& error)
-{
-    if (Err e = restoreFromCheckpoint(ck, predictor, spec); e.failed()) {
-        error = e.detail;
-        return false;
-    }
-    return true;
 }
 
 uint64_t
@@ -322,17 +265,6 @@ writeCheckpointFile(const std::string& path,
     return {};
 }
 
-bool
-writeCheckpointFile(const std::string& path,
-                    const std::vector<uint8_t>& blob, std::string& error)
-{
-    if (Err e = writeCheckpointFile(path, blob); e.failed()) {
-        error = e.detail;
-        return false;
-    }
-    return true;
-}
-
 Err
 readCheckpointFile(const std::string& path, std::vector<uint8_t>& out)
 {
@@ -358,17 +290,6 @@ readCheckpointFile(const std::string& path, std::vector<uint8_t>& out)
     ckptMetrics().reads.add();
     ckptMetrics().bytesRead.add(out.size());
     return {};
-}
-
-bool
-readCheckpointFile(const std::string& path, std::vector<uint8_t>& out,
-                   std::string& error)
-{
-    if (Err e = readCheckpointFile(path, out); e.failed()) {
-        error = e.detail;
-        return false;
-    }
-    return true;
 }
 
 bool

@@ -17,13 +17,11 @@
  * target predictor's spec matches and that the payload is consumed to
  * the last byte.
  *
- * Every operation has a typed primary returning Err (site names match
- * the failpoint sites: "ckpt.encode", "ckpt.decode", "ckpt.read",
- * "ckpt.write"); the bool+string overloads are thin shims kept for
- * existing callers. File writes are crash-safe: the blob lands in
- * "<path>.tmp", is flushed to disk, and is renamed over the final name
- * only once complete — a crash mid-write leaves a stale .tmp, never a
- * torn .tcsp.
+ * Every operation returns a typed Err (site names match the failpoint
+ * sites: "ckpt.encode", "ckpt.decode", "ckpt.read", "ckpt.write").
+ * File writes are crash-safe: the blob lands in "<path>.tmp", is
+ * flushed to disk, and is renamed over the final name only once
+ * complete — a crash mid-write leaves a stale .tmp, never a torn .tcsp.
  */
 
 #ifndef TAGECON_SERVE_CHECKPOINT_HPP
@@ -88,12 +86,6 @@ Err encodePredictorCheckpoint(const GradedPredictor& predictor,
                               const std::string& spec,
                               std::vector<uint8_t>& out);
 
-/** Legacy bool+string shim. */
-[[nodiscard]] bool encodePredictorCheckpoint(const GradedPredictor& predictor,
-                               const std::string& spec,
-                               std::vector<uint8_t>& out,
-                               std::string& error);
-
 /**
  * Snapshot @p predictor into a Kind::Stream blob carrying the serving
  * position (@p stream_id, @p trace, @p consumed records served).
@@ -103,13 +95,6 @@ Err encodeStreamCheckpoint(const GradedPredictor& predictor,
                            const std::string& spec, uint64_t stream_id,
                            const std::string& trace, uint64_t consumed,
                            std::vector<uint8_t>& out);
-
-/** Legacy bool+string shim. */
-[[nodiscard]] bool encodeStreamCheckpoint(const GradedPredictor& predictor,
-                            const std::string& spec, uint64_t stream_id,
-                            const std::string& trace, uint64_t consumed,
-                            std::vector<uint8_t>& out,
-                            std::string& error);
 
 /**
  * Decode @p size bytes at @p data into @p out. Validates magic,
@@ -122,12 +107,6 @@ Err decodeCheckpoint(const uint8_t* data, size_t size, Checkpoint& out);
 /** Overload over a whole vector. */
 Err decodeCheckpoint(const std::vector<uint8_t>& blob, Checkpoint& out);
 
-/** Legacy bool+string shims. */
-[[nodiscard]] bool decodeCheckpoint(const uint8_t* data, size_t size, Checkpoint& out,
-                      std::string& error);
-[[nodiscard]] bool decodeCheckpoint(const std::vector<uint8_t>& blob, Checkpoint& out,
-                      std::string& error);
-
 /**
  * Restore @p predictor (built from canonical @p spec) from the decoded
  * @p ck. Rejects a spec mismatch (Mismatch); on any failure the
@@ -137,11 +116,6 @@ Err decodeCheckpoint(const std::vector<uint8_t>& blob, Checkpoint& out);
 Err restoreFromCheckpoint(const Checkpoint& ck,
                           GradedPredictor& predictor,
                           const std::string& spec);
-
-/** Legacy bool+string shim. */
-[[nodiscard]] bool restoreFromCheckpoint(const Checkpoint& ck,
-                           GradedPredictor& predictor,
-                           const std::string& spec, std::string& error);
 
 /**
  * FNV-1a-64 over the whole encoded blob — the state-hash fingerprint
@@ -162,11 +136,6 @@ uint64_t checkpointDigest(const std::vector<uint8_t>& blob);
 Err writeCheckpointFile(const std::string& path,
                         const std::vector<uint8_t>& blob);
 
-/** Legacy bool+string shim. */
-[[nodiscard]] bool writeCheckpointFile(const std::string& path,
-                         const std::vector<uint8_t>& blob,
-                         std::string& error);
-
 /**
  * Read @p path into @p out. A missing file is NotFound — callers
  * treating absence as "cold start" should check checkpointFileExists()
@@ -174,10 +143,6 @@ Err writeCheckpointFile(const std::string& path,
  */
 Err readCheckpointFile(const std::string& path,
                        std::vector<uint8_t>& out);
-
-/** Legacy bool+string shim. */
-[[nodiscard]] bool readCheckpointFile(const std::string& path,
-                        std::vector<uint8_t>& out, std::string& error);
 
 /** True when @p path exists and is openable for reading. */
 [[nodiscard]] bool checkpointFileExists(const std::string& path);

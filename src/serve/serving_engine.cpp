@@ -4,7 +4,6 @@
 #include <atomic>
 #include <deque>
 #include <memory>
-#include <span>
 #include <thread>
 #include <unordered_set>
 
@@ -12,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span_trace.hpp"
 #include "serve/checkpoint.hpp"
+#include "sim/experiment.hpp"
 #include "sim/registry.hpp"
 #include "sim/trace_registry.hpp"
 #include "trace/trace_source.hpp"
@@ -312,9 +312,6 @@ quarantineStream(StreamState& st, Err e)
  * Serve every stream of one shard round-robin to exhaustion. Single
  * worker per shard, so no locking on stream state.
  */
-/** predictMany() chunk size of a scheduling turn (batch may be huge). */
-constexpr size_t kServeChunk = 512;
-
 void
 serveShard(ServeShared& sh, size_t shard_index,
            const std::vector<size_t>& members)
@@ -343,15 +340,9 @@ serveShard(ServeShared& sh, size_t shard_index,
         return true;
     };
 
-    // Reused per-turn predictMany buffers.
-    const size_t chunk = std::min<size_t>(kServeChunk, opts.batch);
-    std::vector<uint64_t> pcs;
-    std::vector<uint8_t> taken;
-    std::vector<uint64_t> insns;
-    std::vector<Prediction> preds(chunk);
-    pcs.reserve(chunk);
-    taken.reserve(chunk);
-    insns.reserve(chunk);
+    // Reused per-turn chunk buffers; driveBranches() caps each turn's
+    // chunks at its batch.
+    DriveChunk chunk;
 
     size_t remaining = members.size();
     while (remaining > 0) {
@@ -405,60 +396,9 @@ serveShard(ServeShared& sh, size_t shard_index,
             }
 
             const uint64_t start_ns = wallclock::monotonicNanos();
-            BranchRecord rec;
-            uint64_t n = 0;
-            GradedPredictor& predictor = *st.predictor;
-            ClassStats& stats = st.result.stats;
-            BinaryConfidenceMetrics& confusion = st.result.confusion;
-            if (opts.forceScalar) {
-                while (n < opts.batch && st.trace->next(rec)) {
-                    const Prediction p = predictor.predict(rec.pc);
-                    const bool mispredicted = p.taken != rec.taken;
-                    stats.record(p.cls, mispredicted,
-                                 uint64_t{rec.instructionsBefore} + 1);
-                    confusion.record(p.confidence ==
-                                         ConfidenceLevel::High,
-                                     !mispredicted);
-                    predictor.update(rec.pc, p, rec.taken);
-                    ++n;
-                }
-            } else {
-                // Route the turn through the fused batched step in
-                // chunks; the base-class fallback makes this the
-                // scalar loop above for non-batched families, and
-                // batched ones (TAGE) are bit-identical by contract.
-                bool more = true;
-                while (more && n < opts.batch) {
-                    pcs.clear();
-                    taken.clear();
-                    insns.clear();
-                    while (pcs.size() < chunk &&
-                           n + pcs.size() < opts.batch &&
-                           (more = st.trace->next(rec))) {
-                        pcs.push_back(rec.pc);
-                        taken.push_back(rec.taken ? 1 : 0);
-                        insns.push_back(
-                            uint64_t{rec.instructionsBefore} + 1);
-                    }
-                    const size_t filled = pcs.size();
-                    if (filled == 0)
-                        break;
-                    predictor.predictMany(
-                        std::span<const uint64_t>(pcs.data(), filled),
-                        std::span<const uint8_t>(taken.data(), filled),
-                        std::span<Prediction>(preds.data(), filled));
-                    for (size_t k = 0; k < filled; ++k) {
-                        const bool mispredicted =
-                            preds[k].taken != (taken[k] != 0);
-                        stats.record(preds[k].cls, mispredicted,
-                                     insns[k]);
-                        confusion.record(preds[k].confidence ==
-                                             ConfidenceLevel::High,
-                                         !mispredicted);
-                    }
-                    n += filled;
-                }
-            }
+            const uint64_t n =
+                driveBranches(*st.trace, *st.predictor, opts.batch, chunk,
+                              st.result.stats, st.result.confusion);
             st.consumed += n;
             st.result.branchesServed += n;
             metrics.turns.add();

@@ -8,8 +8,10 @@
  * i % shards, one worker owns a whole shard at a time (workers pull
  * shards off an atomic counter), so stream state needs no locking.
  * Within a shard, streams advance round-robin in batches of
- * ServeOptions::batch predictions. Predictor state is pooled per
- * shard: at most poolPerShard predictors are resident; the rest are
+ * ServeOptions::batch predictions, each turn stepped by the drive
+ * kernel runTrace() uses too (sim/experiment.hpp). Predictor state is
+ * pooled per shard: at most poolPerShard predictors are resident; the
+ * rest are
  * parked as snapshot() blobs and restored on re-admission — the
  * checkpoint layer doubles as the eviction format, so a 10k-stream
  * serve stays within a bounded memory footprint.
@@ -115,14 +117,6 @@ struct ServeOptions {
      * (StreamResult::stateDigest) even when not writing files.
      */
     bool computeDigests = false;
-
-    /**
-     * Serve with the scalar predict/update loop instead of routing
-     * each scheduling turn through predictMany(). The two paths are
-     * bit-identical by contract; CI diffs their outputs. Debug /
-     * verification knob ("tagecon_serve --scalar").
-     */
-    bool forceScalar = false;
 
     /**
      * Fail fast: the first stream error aborts the whole serve (the

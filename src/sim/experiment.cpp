@@ -1,249 +1,94 @@
 #include "sim/experiment.hpp"
 
+#include <limits>
 #include <span>
-#include <vector>
-
-#include "sim/registry.hpp"
-#include "tage/graded_tage.hpp"
-#include "util/logging.hpp"
 
 namespace tagecon {
 
 namespace {
 
-/** Accumulate one trace run into a set-level result. */
-void
-foldIntoSet(SetResult& sr, RunResult&& rr, double& mpki_sum)
-{
-    sr.aggregate.merge(rr.stats);
-    sr.confusion.merge(rr.confusion);
-    // ordered-reduction: callers fold traces serially in set order.
-    mpki_sum += rr.stats.mpki();
-    sr.perTrace.push_back(std::move(rr));
-}
-
-void
-finishSet(SetResult& sr, double mpki_sum)
-{
-    sr.meanMpki = sr.perTrace.empty()
-                      ? 0.0
-                      : mpki_sum / static_cast<double>(sr.perTrace.size());
-}
+/** predictMany() chunk size; a serve turn's batch caps it further. */
+constexpr size_t kChunk = 512;
 
 } // namespace
 
-namespace {
-
-/** Internal batch size of runTrace()'s predictMany() fast path. */
-constexpr size_t kTraceBatch = 512;
-
-} // namespace
-
-RunResult
-runTrace(TraceSource& trace, GradedPredictor& predictor)
+DriveChunk::DriveChunk() : preds(kChunk)
 {
-    RunResult result;
-    result.traceName = trace.name();
-    result.configName = predictor.name();
+    pcs.reserve(kChunk);
+    taken.reserve(kChunk);
+    insns.reserve(kChunk);
+}
 
+uint64_t
+driveBranches(TraceSource& trace, GradedPredictor& predictor,
+              uint64_t max_branches, DriveChunk& chunk, ClassStats& stats,
+              BinaryConfidenceMetrics& confusion,
+              const ObserverList& observers)
+{
     BranchRecord rec;
-    if (predictor.hasBatchedPredict()) {
-        // Batched inner loop: buffer up to kTraceBatch resolved
-        // branches and run them through the fused batched step, which
-        // is bit-identical to the scalar loop below. Stats are folded
-        // in the same element order, so the result is unchanged.
-        std::vector<uint64_t> pcs;
-        std::vector<uint8_t> taken;
-        std::vector<uint64_t> insns;
-        std::vector<Prediction> preds(kTraceBatch);
-        pcs.reserve(kTraceBatch);
-        taken.reserve(kTraceBatch);
-        insns.reserve(kTraceBatch);
-        bool more = true;
-        while (more) {
-            pcs.clear();
-            taken.clear();
-            insns.clear();
-            while (pcs.size() < kTraceBatch && (more = trace.next(rec))) {
-                pcs.push_back(rec.pc);
-                taken.push_back(rec.taken ? 1 : 0);
-                insns.push_back(uint64_t{rec.instructionsBefore} + 1);
-            }
-            const size_t n = pcs.size();
-            if (n == 0)
-                break;
-            predictor.predictMany(
-                std::span<const uint64_t>(pcs.data(), n),
-                std::span<const uint8_t>(taken.data(), n),
-                std::span<Prediction>(preds.data(), n));
+    uint64_t consumed = 0;
+    bool more = true;
+    while (more && consumed < max_branches) {
+        chunk.pcs.clear();
+        chunk.taken.clear();
+        chunk.insns.clear();
+        while (chunk.pcs.size() < kChunk &&
+               consumed + chunk.pcs.size() < max_branches &&
+               (more = trace.next(rec))) {
+            chunk.pcs.push_back(rec.pc);
+            chunk.taken.push_back(rec.taken ? 1 : 0);
+            chunk.insns.push_back(uint64_t{rec.instructionsBefore} + 1);
+        }
+        const size_t n = chunk.pcs.size();
+        if (n == 0)
+            break;
+        predictor.predictMany(
+            std::span<const uint64_t>(chunk.pcs.data(), n),
+            std::span<const uint8_t>(chunk.taken.data(), n),
+            std::span<Prediction>(chunk.preds.data(), n));
+        for (size_t k = 0; k < n; ++k) {
+            const Prediction& p = chunk.preds[k];
+            const bool mispredicted = p.taken != (chunk.taken[k] != 0);
+            stats.record(p.cls, mispredicted, chunk.insns[k]);
+            confusion.record(p.confidence == ConfidenceLevel::High,
+                             !mispredicted);
+        }
+        if (!observers.empty()) {
             for (size_t k = 0; k < n; ++k) {
-                const bool mispredicted =
-                    preds[k].taken != (taken[k] != 0);
-                result.stats.record(preds[k].cls, mispredicted,
-                                    insns[k]);
-                result.confusion.record(preds[k].confidence ==
-                                            ConfidenceLevel::High,
-                                        !mispredicted);
+                const Prediction& p = chunk.preds[k];
+                const bool taken = chunk.taken[k] != 0;
+                const ObservedPrediction observed{
+                    chunk.pcs[k],   p, taken, p.taken != taken,
+                    chunk.insns[k], consumed + k};
+                for (const auto& observer : observers)
+                    observer->onPrediction(observed);
             }
         }
-    } else {
-        while (trace.next(rec)) {
-            const Prediction p = predictor.predict(rec.pc);
-            const bool mispredicted = p.taken != rec.taken;
-
-            result.stats.record(p.cls, mispredicted,
-                                uint64_t{rec.instructionsBefore} + 1);
-            result.confusion.record(
-                p.confidence == ConfidenceLevel::High, !mispredicted);
-
-            predictor.update(rec.pc, p, rec.taken);
-        }
+        consumed += n;
     }
-
-    result.finalLog2Prob = predictor.satLog2Prob();
-    result.allocations = predictor.allocations();
-    result.storageBits = predictor.storageBits();
-    return result;
-}
-
-RunResult
-runTrace(TraceSource& trace, GradedPredictor& predictor,
-         ObserverList& observers)
-{
-    // Zero-cost when absent: the plain loop carries no observer
-    // dispatch at all, and the micro-bench gate holds trivially.
-    if (observers.empty())
-        return runTrace(trace, predictor);
-
-    RunResult result;
-    result.traceName = trace.name();
-    result.configName = predictor.name();
-
-    BranchRecord rec;
-    uint64_t index = 0;
-    while (trace.next(rec)) {
-        const Prediction p = predictor.predict(rec.pc);
-        const bool mispredicted = p.taken != rec.taken;
-        const uint64_t instructions =
-            uint64_t{rec.instructionsBefore} + 1;
-
-        result.stats.record(p.cls, mispredicted, instructions);
-        result.confusion.record(
-            p.confidence == ConfidenceLevel::High, !mispredicted);
-
-        const ObservedPrediction observed{
-            rec.pc, p, rec.taken, mispredicted, instructions, index};
-        for (auto& observer : observers)
-            observer->onPrediction(observed);
-
-        predictor.update(rec.pc, p, rec.taken);
-        ++index;
-    }
-
-    for (auto& observer : observers)
-        observer->finish(result.analysis);
-
-    result.finalLog2Prob = predictor.satLog2Prob();
-    result.allocations = predictor.allocations();
-    result.storageBits = predictor.storageBits();
-    return result;
+    return consumed;
 }
 
 RunResult
 runTrace(TraceSource& trace, GradedPredictor& predictor,
          const AnalysisConfig& analysis)
 {
-    if (!analysis.enabled())
-        return runTrace(trace, predictor);
-    ObserverList observers = buildObservers(analysis);
-    return runTrace(trace, predictor, observers);
-}
+    RunResult result;
+    result.traceName = trace.name();
+    result.configName = predictor.name();
 
-SetResult
-runBenchmarkSet(BenchmarkSet set, const std::string& spec,
-                uint64_t branches_per_trace, uint64_t seed_salt)
-{
-    SetResult sr;
-    sr.set = set;
-    double mpki_sum = 0.0;
-    for (const auto& name : traceNames(set)) {
-        SyntheticTrace trace =
-            makeTrace(name, branches_per_trace, seed_salt);
-        auto predictor = makePredictor(spec);
-        foldIntoSet(sr, runTrace(trace, *predictor), mpki_sum);
-    }
-    finishSet(sr, mpki_sum);
-    return sr;
-}
+    // A fresh observer pipeline per run (empty for plain runs).
+    const ObserverList observers = buildObservers(analysis);
+    DriveChunk chunk;
+    driveBranches(trace, predictor, std::numeric_limits<uint64_t>::max(),
+                  chunk, result.stats, result.confusion, observers);
+    for (const auto& observer : observers)
+        observer->finish(result.analysis);
 
-RunResult
-runNamedTrace(const std::string& trace_name, const std::string& spec,
-              uint64_t branches, uint64_t seed_salt)
-{
-    SyntheticTrace trace = makeTrace(trace_name, branches, seed_salt);
-    auto predictor = makePredictor(spec);
-    return runTrace(trace, *predictor);
-}
-
-RunResult
-runSets(const std::vector<BenchmarkSet>& sets, const std::string& spec,
-        uint64_t branches_per_trace, uint64_t seed_salt)
-{
-    RunResult pooled;
-    pooled.configName = canonicalizeSpec(spec);
-    std::string names;
-    for (const BenchmarkSet set : sets) {
-        names += (names.empty() ? "" : "+") + benchmarkSetName(set);
-        const SetResult sr =
-            runBenchmarkSet(set, spec, branches_per_trace, seed_salt);
-        pooled.stats.merge(sr.aggregate);
-        pooled.confusion.merge(sr.confusion);
-        if (!sr.perTrace.empty())
-            pooled.storageBits = sr.perTrace.back().storageBits;
-    }
-    pooled.traceName = names;
-    return pooled;
-}
-
-RunResult
-runTrace(TraceSource& trace, const RunConfig& cfg)
-{
-    if (cfg.adaptive && !cfg.predictor.probabilisticSaturation)
-        fatal("adaptive runs require probabilisticSaturation");
-
-    GradedTageOptions opt;
-    opt.bimWindow = cfg.bimWindow;
-    opt.adaptive = cfg.adaptive;
-    opt.adaptiveConfig = cfg.adaptiveConfig;
-    GradedTage predictor(cfg.predictor, opt);
-
-    RunResult result = runTrace(trace, predictor);
-    result.configName = cfg.predictor.name;
+    result.finalLog2Prob = predictor.satLog2Prob();
+    result.allocations = predictor.allocations();
+    result.storageBits = predictor.storageBits();
     return result;
-}
-
-SetResult
-runBenchmarkSet(BenchmarkSet set, const RunConfig& cfg,
-                uint64_t branches_per_trace, uint64_t seed_salt)
-{
-    SetResult sr;
-    sr.set = set;
-    double mpki_sum = 0.0;
-    for (const auto& name : traceNames(set)) {
-        SyntheticTrace trace =
-            makeTrace(name, branches_per_trace, seed_salt);
-        foldIntoSet(sr, runTrace(trace, cfg), mpki_sum);
-    }
-    finishSet(sr, mpki_sum);
-    return sr;
-}
-
-RunResult
-runNamedTrace(const std::string& trace_name, const RunConfig& cfg,
-              uint64_t branches, uint64_t seed_salt)
-{
-    SyntheticTrace trace = makeTrace(trace_name, branches, seed_salt);
-    return runTrace(trace, cfg);
 }
 
 } // namespace tagecon

@@ -1,52 +1,31 @@
 /**
  * @file
- * Trace-driven experiment driver. One generic loop — runTrace(trace,
- * predictor) — drives any GradedPredictor built by hand or through the
- * registry (sim/registry.hpp) over any TraceSource, producing the
- * per-class statistics every table and figure of the paper is built
- * from plus the binary (high/low) confidence confusion the comparison
- * benches score with.
- *
- * The original TAGE-specific entry points (RunConfig overloads) are
- * kept and are now thin shims over the generic loop.
+ * Trace-driven experiment driver. One drive kernel — driveBranches() —
+ * steps any GradedPredictor built by hand or through the registry
+ * (sim/registry.hpp) over any TraceSource in predictMany() chunks,
+ * folding the per-class statistics every table and figure of the paper
+ * is built from plus the binary (high/low) confidence confusion the
+ * comparison benches score with. runTrace() and the serving engine's
+ * scheduling turn are its only callers.
  */
 
 #ifndef TAGECON_SIM_EXPERIMENT_HPP
 #define TAGECON_SIM_EXPERIMENT_HPP
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "analysis/analysis_config.hpp"
 #include "analysis/run_analysis.hpp"
 #include "analysis/run_observer.hpp"
-#include "core/adaptive_probability.hpp"
 #include "core/binary_metrics.hpp"
 #include "core/class_stats.hpp"
 #include "core/graded_predictor.hpp"
-#include "tage/tage_config.hpp"
 #include "trace/profiles.hpp"
 #include "trace/trace_source.hpp"
 
 namespace tagecon {
-
-/** Everything that parameterizes one TAGE simulation run (legacy). */
-struct RunConfig {
-    /** Predictor configuration (Sec. 4 sizes or custom). */
-    TageConfig predictor;
-
-    /** medium-conf-bim burst window (Sec. 5.1.2); paper uses 8. */
-    int bimWindow = 8;
-
-    /**
-     * Drive the saturation probability with the adaptive controller of
-     * Sec. 6.2. Requires predictor.probabilisticSaturation.
-     */
-    bool adaptive = false;
-
-    /** Controller parameters when adaptive is set. */
-    AdaptiveProbabilityController::Config adaptiveConfig{};
-};
 
 /** Outcome of simulating one trace. */
 struct RunResult {
@@ -75,99 +54,49 @@ struct RunResult {
 
     /**
      * Results of the run-analysis observers attached to the run
-     * (empty for plain runs, which stay on the zero-overhead loop).
+     * (empty for plain runs).
      */
     RunAnalysis analysis;
 };
 
-/** Outcome of simulating a whole benchmark set. */
-struct SetResult {
-    BenchmarkSet set;
+/** Reusable buffers of one driveBranches() chunk (512 branches). */
+struct DriveChunk {
+    DriveChunk();
 
-    /** One result per trace, in the set's canonical order. */
-    std::vector<RunResult> perTrace;
-
-    /** Pooled statistics over all branches of the set. */
-    ClassStats aggregate;
-
-    /** Pooled binary confidence confusion over the set. */
-    BinaryConfidenceMetrics confusion;
-
-    /** Arithmetic mean of per-trace MPKI (the paper's misp/KI rows). */
-    double meanMpki = 0.0;
+    std::vector<uint64_t> pcs;
+    std::vector<uint8_t> taken;
+    std::vector<uint64_t> insns;
+    std::vector<Prediction> preds;
 };
 
-// ------------------------------------------------- generic drive loop
-
 /**
- * Simulate @p trace (from its current position) on @p predictor — the
- * single generic loop every experiment goes through.
+ * The drive kernel: fill @p chunk from @p trace, step the chunk through
+ * predictor.predictMany() (bit-identical to the scalar predict/update
+ * loop by contract), fold each element into @p stats and @p confusion,
+ * then hand the elements, in order, to @p observers — repeated until
+ * @p max_branches branches were consumed or the trace ended. Observers
+ * thus see each element after its chunk has trained, which is
+ * equivalent because they see only the stream; their index counts from
+ * 0 at this call.
+ *
+ * Returns the branches consumed. A short count means the trace ended —
+ * cleanly or not: the caller checks trace.lastError().
  */
-RunResult runTrace(TraceSource& trace, GradedPredictor& predictor);
+uint64_t driveBranches(TraceSource& trace, GradedPredictor& predictor,
+                       uint64_t max_branches, DriveChunk& chunk,
+                       ClassStats& stats, BinaryConfidenceMetrics& confusion,
+                       const ObserverList& observers = {});
 
 /**
- * Like runTrace() but with a run-analysis pipeline attached: every
- * graded, resolved prediction is fed to @p observers (in list order,
- * after the run statistics are recorded, before the predictor's
- * update), and each observer's results land in RunResult::analysis.
- * An empty list delegates to the plain zero-overhead loop.
+ * Simulate @p trace (from its current position) on @p predictor with
+ * the run-analysis pipeline described by @p analysis built fresh for
+ * this run; each observer's results land in RunResult::analysis.
+ *
+ * A trace that fails mid-stream ends the run early: callers check
+ * trace.lastError() afterwards.
  */
 RunResult runTrace(TraceSource& trace, GradedPredictor& predictor,
-                   ObserverList& observers);
-
-/**
- * Like runTrace() but building the observer pipeline described by
- * @p analysis fresh for this run. A disabled config delegates to the
- * plain zero-overhead loop.
- */
-RunResult runTrace(TraceSource& trace, GradedPredictor& predictor,
-                   const AnalysisConfig& analysis);
-
-/**
- * Simulate every trace of @p set on a fresh registry-built @p spec
- * predictor per trace, generating each trace synthetically with
- * @p branches_per_trace branches. @p seed_salt perturbs every trace's
- * profile seed (0 = the profiles' canonical streams).
- */
-SetResult runBenchmarkSet(BenchmarkSet set, const std::string& spec,
-                          uint64_t branches_per_trace,
-                          uint64_t seed_salt = 0);
-
-/**
- * Simulate one named synthetic trace of @p branches branches on a
- * fresh registry-built @p spec predictor.
- */
-RunResult runNamedTrace(const std::string& trace_name,
-                        const std::string& spec, uint64_t branches,
-                        uint64_t seed_salt = 0);
-
-/**
- * Simulate @p spec over every trace of several benchmark sets (fresh
- * predictor per trace) and pool everything into one RunResult — the
- * shape of the cross-set comparison benches.
- */
-RunResult runSets(const std::vector<BenchmarkSet>& sets,
-                  const std::string& spec, uint64_t branches_per_trace,
-                  uint64_t seed_salt = 0);
-
-// ------------------------------------------- legacy TAGE entry points
-
-/** Simulate @p trace (from its current position) under @p cfg. */
-RunResult runTrace(TraceSource& trace, const RunConfig& cfg);
-
-/**
- * Simulate every trace of @p set, generating each synthetically with
- * @p branches_per_trace branches.
- */
-SetResult runBenchmarkSet(BenchmarkSet set, const RunConfig& cfg,
-                          uint64_t branches_per_trace,
-                          uint64_t seed_salt = 0);
-
-/**
- * Simulate one named trace generated with @p branches branches.
- */
-RunResult runNamedTrace(const std::string& trace_name, const RunConfig& cfg,
-                        uint64_t branches, uint64_t seed_salt = 0);
+                   const AnalysisConfig& analysis = {});
 
 } // namespace tagecon
 

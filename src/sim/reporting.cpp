@@ -69,12 +69,6 @@ coverageTable(const std::vector<RunResult>& per_trace,
 }
 
 TextTable
-coverageTable(const SetResult& result)
-{
-    return coverageTable(result.perTrace, result.aggregate);
-}
-
-TextTable
 mpkiBreakdownTable(const std::vector<RunResult>& per_trace,
                    const ClassStats& aggregate)
 {
@@ -97,12 +91,6 @@ mpkiBreakdownTable(const std::vector<RunResult>& per_trace,
     t.addSeparator();
     t.addRow(std::move(agg));
     return t;
-}
-
-TextTable
-mpkiBreakdownTable(const SetResult& result)
-{
-    return mpkiBreakdownTable(result.perTrace, result.aggregate);
 }
 
 TextTable
@@ -132,13 +120,6 @@ mprateTable(const std::vector<RunResult>& per_trace,
         t.addRow(std::move(row));
     }
     return t;
-}
-
-TextTable
-mprateTable(const SetResult& result,
-            const std::vector<std::string>& traces)
-{
-    return mprateTable(result.perTrace, traces);
 }
 
 TextTable

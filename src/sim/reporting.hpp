@@ -8,7 +8,7 @@
  * Figures are printed as aligned text tables (one row per trace, one
  * column per class) — the same numbers the paper plots as stacked
  * bars. The per-trace renderers take any (perTrace, aggregate) pair,
- * so legacy SetResults and sweep SweepRows feed the same code.
+ * such as a SweepRow's.
  */
 
 #ifndef TAGECON_SIM_REPORTING_HPP
@@ -55,7 +55,6 @@ BimSplit bimSplit(const ClassStats& stats);
  */
 TextTable coverageTable(const std::vector<RunResult>& per_trace,
                         const ClassStats& aggregate);
-TextTable coverageTable(const SetResult& result);
 
 /**
  * Figure 2/3/5-right style: per-trace misprediction contribution in
@@ -64,15 +63,12 @@ TextTable coverageTable(const SetResult& result);
  */
 TextTable mpkiBreakdownTable(const std::vector<RunResult>& per_trace,
                              const ClassStats& aggregate);
-TextTable mpkiBreakdownTable(const SetResult& result);
 
 /**
  * Figure 4/6 style: per-trace misprediction rate (MKP) of each class,
  * with an average column, for the named subset of traces.
  */
 TextTable mprateTable(const std::vector<RunResult>& per_trace,
-                      const std::vector<std::string>& traces);
-TextTable mprateTable(const SetResult& result,
                       const std::vector<std::string>& traces);
 
 /**

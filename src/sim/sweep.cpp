@@ -143,7 +143,12 @@ runSweepCell(const SweepCell& cell)
     auto predictor = makePredictor(cell.spec);
     // A fresh observer pipeline per cell: analysis output is a pure
     // function of the cell, whatever thread runs it.
-    return runTrace(*trace, *predictor, cell.analysis);
+    RunResult result = runTrace(*trace, *predictor, cell.analysis);
+    // A stream that fails mid-file fails the cell like one that never
+    // opened, rather than passing off its prefix as the whole trace.
+    if (const Err* e = trace->lastError())
+        fatal("runSweepCell: " + e->message());
+    return result;
 }
 
 std::vector<RunResult>

@@ -261,7 +261,11 @@ struct SweepOptions {
     SweepExecStats* stats = nullptr;
 };
 
-/** Run one cell: fresh trace + fresh predictor through runTrace(). */
+/**
+ * Run one cell: fresh trace + fresh predictor through runTrace().
+ * fatal()s with the trace's error when it fails to open or fails
+ * mid-stream (a malformed record is named by file and line).
+ */
 [[nodiscard]] RunResult runSweepCell(const SweepCell& cell);
 
 /**

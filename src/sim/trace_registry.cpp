@@ -113,9 +113,13 @@ validateTraceSpec(const TraceSpec& spec, std::string* error)
             *error = err;
         return false;
     }
-    const bool ok = format == TraceFileFormat::Tcbt
-                        ? probeTraceFile(spec.key, nullptr, &err)
-                        : probeCbpAsciiFile(spec.key, &err);
+    bool ok = true;
+    if (format == TraceFileFormat::Ascii) {
+        ok = probeCbpAsciiFile(spec.key, &err);
+    } else if (auto probed = probeTrace(spec.key); !probed.ok()) {
+        ok = false;
+        err = probed.error().detail;
+    }
     if (!ok && error)
         *error = err;
     return ok;
@@ -263,37 +267,13 @@ openTraceSource(const std::string& spec, uint64_t branches,
 }
 
 std::unique_ptr<TraceSource>
-tryMakeTraceSource(const TraceSpec& spec, uint64_t branches,
-                   uint64_t seed_salt, std::string* error)
-{
-    auto opened = openTraceSource(spec, branches, seed_salt);
-    if (!opened.ok()) {
-        if (error)
-            *error = opened.error().detail;
-        return nullptr;
-    }
-    return opened.take();
-}
-
-std::unique_ptr<TraceSource>
-tryMakeTraceSource(const std::string& spec, uint64_t branches,
-                   uint64_t seed_salt, std::string* error)
-{
-    TraceSpec parsed;
-    if (!parseTraceSpec(spec, parsed, error))
-        return nullptr;
-    return tryMakeTraceSource(parsed, branches, seed_salt, error);
-}
-
-std::unique_ptr<TraceSource>
 makeTraceSource(const std::string& spec, uint64_t branches,
                 uint64_t seed_salt)
 {
-    std::string error;
-    auto src = tryMakeTraceSource(spec, branches, seed_salt, &error);
-    if (!src)
-        fatal("makeTraceSource: " + error);
-    return src;
+    auto opened = openTraceSource(spec, branches, seed_salt);
+    if (!opened.ok())
+        fatal("makeTraceSource: " + opened.error().detail);
+    return opened.take();
 }
 
 } // namespace tagecon

@@ -128,20 +128,7 @@ Expected<std::unique_ptr<TraceSource>>
 openTraceSource(const std::string& spec, uint64_t branches,
                 uint64_t seed_salt = 0);
 
-/**
- * Legacy shim over openTraceSource(): returns nullptr with the reason
- * in @p error (when non-null) on a bad spec.
- */
-std::unique_ptr<TraceSource>
-tryMakeTraceSource(const std::string& spec, uint64_t branches,
-                   uint64_t seed_salt = 0, std::string* error = nullptr);
-
-/** Overload taking an already-parsed spec. */
-std::unique_ptr<TraceSource>
-tryMakeTraceSource(const TraceSpec& spec, uint64_t branches,
-                   uint64_t seed_salt = 0, std::string* error = nullptr);
-
-/** Like tryMakeTraceSource() but fatal()s on a bad spec. */
+/** Like openTraceSource() but fatal()s on a bad spec. */
 std::unique_ptr<TraceSource>
 makeTraceSource(const std::string& spec, uint64_t branches,
                 uint64_t seed_salt = 0);

@@ -114,21 +114,6 @@ probeTrace(const std::string& path)
     return info;
 }
 
-bool
-probeTraceFile(const std::string& path, TraceFileInfo* info,
-               std::string* error)
-{
-    auto probed = probeTrace(path);
-    if (!probed.ok()) {
-        if (error)
-            *error = probed.error().detail;
-        return false;
-    }
-    if (info)
-        *info = probed.take();
-    return true;
-}
-
 TraceWriter::TraceWriter(const std::string& path,
                          const std::string& trace_name)
     : path_(path), out_(path, std::ios::binary | std::ios::trunc)

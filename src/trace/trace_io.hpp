@@ -30,7 +30,7 @@ inline constexpr uint32_t kTraceFormatVersion = 1;
 inline constexpr uint64_t kTraceRecordBytes = 13;
 
 /**
- * Parsed header of a trace file, as returned by probeTraceFile().
+ * Parsed header of a trace file, as returned by probeTrace().
  */
 struct TraceFileInfo {
     /** Display name embedded in the header. */
@@ -56,10 +56,6 @@ struct TraceFileInfo {
  * a sweep starts.
  */
 Expected<TraceFileInfo> probeTrace(const std::string& path);
-
-/** Legacy bool+string shim over probeTrace(). */
-[[nodiscard]] bool probeTraceFile(const std::string& path, TraceFileInfo* info,
-                    std::string* error);
 
 /**
  * Streaming writer for the binary trace format. The record count is

@@ -3,8 +3,8 @@
  * Tests for the run-analysis observer subsystem: interval boundary
  * handling, histogram/ClassStats consistency, per-branch top-N
  * tie-breaking determinism, warmup detection, the analysis spec
- * grammar and the custom-observer registry, and the zero-observer
- * equivalence of the observer-enabled runTrace loop.
+ * grammar and the custom-observer registry, and every observer of a
+ * (now batched) analysis run against a scalar reference loop.
  */
 
 #include <gtest/gtest.h>
@@ -444,6 +444,195 @@ TEST(RunTraceObservers, AttachedObserversDoNotPerturbTheRun)
     ASSERT_TRUE(with.analysis.perBranch.has_value());
     EXPECT_GT(with.analysis.perBranch->distinctBranches, 0u);
     ASSERT_TRUE(with.analysis.warmup.has_value());
+}
+
+/**
+ * Registered observer that folds every field of every element, in
+ * order, into one FNV-style digest (split into two exact doubles), so
+ * a dropped, repeated, reordered or altered element shows.
+ */
+class FingerprintObserver : public RunObserver
+{
+  public:
+    std::string name() const override { return "fingerprint"; }
+
+    void
+    onPrediction(const ObservedPrediction& o) override
+    {
+        const uint64_t fields[] = {
+            o.index,
+            o.pc,
+            o.instructions,
+            uint64_t{o.taken},
+            uint64_t{o.mispredicted},
+            uint64_t{o.prediction.taken},
+            static_cast<uint64_t>(o.prediction.cls),
+            static_cast<uint64_t>(o.prediction.confidence)};
+        for (const uint64_t f : fields)
+            digest_ = (digest_ ^ f) * 0x100000001B3ULL;
+    }
+
+    void
+    finish(RunAnalysis& out) override
+    {
+        out.custom["fingerprint/lo"] =
+            static_cast<double>(digest_ & 0xFFFFFFFFu);
+        out.custom["fingerprint/hi"] = static_cast<double>(digest_ >> 32);
+    }
+
+  private:
+    uint64_t digest_ = 0xCBF29CE484222325ULL;
+};
+
+/** Every built-in observer plus the fingerprint observer. */
+AnalysisConfig
+everyObserver()
+{
+    registerRunObserver(
+        "fingerprint",
+        [](const SpecParams&,
+           std::string&) -> std::unique_ptr<RunObserver> {
+            return std::make_unique<FingerprintObserver>();
+        });
+    AnalysisConfig cfg;
+    std::string error;
+    EXPECT_TRUE(parseAnalysisSpecs(
+        {"intervals:len=1000", "histogram", "burst:max=8",
+         "perbranch:top=8", "warmup:len=500,mkp=40", "fingerprint"},
+        cfg, error))
+        << error;
+    return cfg;
+}
+
+/**
+ * The scalar reference for analysis runs: predict, record, observe,
+ * update — one branch at a time through a pipeline built from @p cfg.
+ */
+RunResult
+scalarAnalysisRun(const std::string& spec, TraceSource& trace,
+                  const AnalysisConfig& cfg)
+{
+    RunResult r;
+    auto predictor = makePredictor(spec);
+    const ObserverList observers = buildObservers(cfg);
+    BranchRecord rec;
+    for (uint64_t index = 0; trace.next(rec); ++index) {
+        const Prediction p = predictor->predict(rec.pc);
+        const bool mispredicted = p.taken != rec.taken;
+        const uint64_t instructions =
+            uint64_t{rec.instructionsBefore} + 1;
+        r.stats.record(p.cls, mispredicted, instructions);
+        r.confusion.record(p.confidence == ConfidenceLevel::High,
+                           !mispredicted);
+        const ObservedPrediction o{rec.pc,       p,    rec.taken,
+                                   mispredicted, instructions, index};
+        for (const auto& observer : observers)
+            observer->onPrediction(o);
+        predictor->update(rec.pc, p, rec.taken);
+    }
+    for (const auto& observer : observers)
+        observer->finish(r.analysis);
+    r.finalLog2Prob = predictor->satLog2Prob();
+    r.allocations = predictor->allocations();
+    return r;
+}
+
+void
+expectStatsEqual(const ClassStats& a, const ClassStats& b)
+{
+    for (const auto c : kAllPredictionClasses) {
+        EXPECT_EQ(a.predictions(c), b.predictions(c));
+        EXPECT_EQ(a.mispredictions(c), b.mispredictions(c));
+    }
+    EXPECT_EQ(a.instructions(), b.instructions());
+}
+
+/** Every slot of two analysis bags, exactly. */
+void
+expectAnalysisEqual(const RunAnalysis& a, const RunAnalysis& b)
+{
+    ASSERT_TRUE(a.intervals && b.intervals);
+    EXPECT_EQ(a.intervals->intervalLength, b.intervals->intervalLength);
+    EXPECT_EQ(a.intervals->completeIntervals,
+              b.intervals->completeIntervals);
+    ASSERT_EQ(a.intervals->intervals.size(),
+              b.intervals->intervals.size());
+    for (size_t i = 0; i < a.intervals->intervals.size(); ++i)
+        expectStatsEqual(a.intervals->intervals[i],
+                         b.intervals->intervals[i]);
+
+    ASSERT_TRUE(a.histogram && b.histogram);
+    EXPECT_EQ(a.histogram->predictions, b.histogram->predictions);
+    EXPECT_EQ(a.histogram->mispredictions, b.histogram->mispredictions);
+    EXPECT_EQ(a.histogram->takenPredictions,
+              b.histogram->takenPredictions);
+    EXPECT_EQ(a.histogram->takenMispredictions,
+              b.histogram->takenMispredictions);
+    EXPECT_EQ(a.histogram->levelPredictions,
+              b.histogram->levelPredictions);
+    EXPECT_EQ(a.histogram->levelMispredictions,
+              b.histogram->levelMispredictions);
+
+    ASSERT_TRUE(a.burst && b.burst);
+    EXPECT_EQ(a.burst->maxDistance, b.burst->maxDistance);
+    EXPECT_EQ(a.burst->predictions, b.burst->predictions);
+    EXPECT_EQ(a.burst->mispredictions, b.burst->mispredictions);
+
+    ASSERT_TRUE(a.perBranch && b.perBranch);
+    EXPECT_EQ(a.perBranch->distinctBranches,
+              b.perBranch->distinctBranches);
+    EXPECT_EQ(a.perBranch->requestedTopN, b.perBranch->requestedTopN);
+    ASSERT_EQ(a.perBranch->top.size(), b.perBranch->top.size());
+    for (size_t i = 0; i < a.perBranch->top.size(); ++i) {
+        EXPECT_EQ(a.perBranch->top[i].pc, b.perBranch->top[i].pc);
+        EXPECT_EQ(a.perBranch->top[i].predictions,
+                  b.perBranch->top[i].predictions);
+        EXPECT_EQ(a.perBranch->top[i].mispredictions,
+                  b.perBranch->top[i].mispredictions);
+    }
+
+    ASSERT_TRUE(a.warmup && b.warmup);
+    EXPECT_EQ(a.warmup->intervalLength, b.warmup->intervalLength);
+    EXPECT_EQ(a.warmup->thresholdMkp, b.warmup->thresholdMkp);
+    EXPECT_EQ(a.warmup->converged, b.warmup->converged);
+    EXPECT_EQ(a.warmup->warmupIntervals, b.warmup->warmupIntervals);
+    EXPECT_EQ(a.warmup->warmupBranches, b.warmup->warmupBranches);
+    EXPECT_EQ(a.warmup->firstIntervalMkp, b.warmup->firstIntervalMkp);
+    EXPECT_EQ(a.warmup->convergedIntervalMkp,
+              b.warmup->convergedIntervalMkp);
+
+    ASSERT_EQ(a.custom.size(), 2u);
+    EXPECT_EQ(a.custom, b.custom);
+}
+
+// runTrace() hands observers each element after its predictMany()
+// chunk has trained; the scalar loop hands it over before the update.
+// Observers see only the stream, so every slot must agree — on a
+// batched stack and on the adaptive one, which takes the base-class
+// fallback, and over a partial last chunk (5037 = 9 * 512 + 429).
+TEST(RunTraceObservers, BatchedRunMatchesScalarReferenceLoop)
+{
+    const AnalysisConfig cfg = everyObserver();
+    for (const std::string spec :
+         {"tage64k+sfc", "tage64k+prob7+adaptive+sfc"}) {
+        SCOPED_TRACE(spec);
+        SyntheticTrace t1 = makeTrace("SERV-3", 5037);
+        const RunResult want = scalarAnalysisRun(spec, t1, cfg);
+
+        SyntheticTrace t2 = makeTrace("SERV-3", 5037);
+        auto predictor = makePredictor(spec);
+        const RunResult got = runTrace(t2, *predictor, cfg);
+
+        EXPECT_EQ(got.stats.totalPredictions(), 5037u);
+        expectStatsEqual(got.stats, want.stats);
+        EXPECT_EQ(got.confusion.highCorrect(), want.confusion.highCorrect());
+        EXPECT_EQ(got.confusion.highWrong(), want.confusion.highWrong());
+        EXPECT_EQ(got.confusion.lowCorrect(), want.confusion.lowCorrect());
+        EXPECT_EQ(got.confusion.lowWrong(), want.confusion.lowWrong());
+        EXPECT_EQ(got.finalLog2Prob, want.finalLog2Prob);
+        EXPECT_EQ(got.allocations, want.allocations);
+        expectAnalysisEqual(got.analysis, want.analysis);
+    }
 }
 
 } // namespace

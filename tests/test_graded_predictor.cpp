@@ -11,6 +11,8 @@
 #include "core/confidence_observer.hpp"
 #include "core/estimators.hpp"
 #include "sim/experiment.hpp"
+#include "sim/registry.hpp"
+#include "sim/sweep.hpp"
 #include "tage/graded_tage.hpp"
 #include "tage/tage_predictor.hpp"
 
@@ -51,16 +53,20 @@ TEST(GradedTage, MatchesHandWiredPipeline)
     }
 }
 
-TEST(GradedTage, LegacyRunConfigAndSpecRunsAgree)
+TEST(GradedTage, HandBuiltAndSpecRunsAgree)
 {
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    const RunResult legacy = runNamedTrace("SERV-2", rc, 15000);
-    const RunResult spec = runNamedTrace("SERV-2", "tage16k+sfc", 15000);
-    EXPECT_EQ(legacy.stats.totalMispredictions(),
+    GradedTage hand(TageConfig::small16K());
+    SyntheticTrace t1 = makeTrace("SERV-2", 15000);
+    const RunResult built = runTrace(t1, hand);
+
+    auto registry = makePredictor("tage16k+sfc");
+    SyntheticTrace t2 = makeTrace("SERV-2", 15000);
+    const RunResult spec = runTrace(t2, *registry);
+
+    EXPECT_EQ(built.stats.totalMispredictions(),
               spec.stats.totalMispredictions());
     for (const auto c : kAllPredictionClasses)
-        EXPECT_EQ(legacy.stats.predictions(c), spec.stats.predictions(c));
+        EXPECT_EQ(built.stats.predictions(c), spec.stats.predictions(c));
 }
 
 TEST(GradedTage, StalePredictionIsFatal)
@@ -175,18 +181,28 @@ TEST(GenericRunTrace, FillsConfusionAndIdentity)
     EXPECT_EQ(r.storageBits, ogehl.storageBits());
 }
 
-TEST(GenericRunTrace, SpecSetRunMatchesLegacySetRun)
+TEST(GenericRunTrace, SpecSweepRowMatchesHandBuiltRuns)
 {
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    const SetResult legacy =
-        runBenchmarkSet(BenchmarkSet::Cbp1, rc, 2000);
-    const SetResult spec =
-        runBenchmarkSet(BenchmarkSet::Cbp1, "tage16k+sfc", 2000);
-    ASSERT_EQ(legacy.perTrace.size(), spec.perTrace.size());
-    EXPECT_EQ(legacy.aggregate.totalMispredictions(),
+    const auto& names = traceNames(BenchmarkSet::Cbp1);
+    ClassStats hand_pooled;
+    double mpki_sum = 0.0;
+    for (const auto& name : names) {
+        GradedTage hand(TageConfig::small16K());
+        SyntheticTrace trace = makeTrace(name, 2000);
+        const RunResult r = runTrace(trace, hand);
+        hand_pooled.merge(r.stats);
+        mpki_sum += r.stats.mpki();
+    }
+
+    const auto rows = runSweepRows(
+        SweepPlan::over({"tage16k+sfc"}, names, 2000));
+    ASSERT_EQ(rows.size(), 1u);
+    const SweepRow& spec = rows[0];
+    ASSERT_EQ(spec.perTrace.size(), names.size());
+    EXPECT_EQ(hand_pooled.totalMispredictions(),
               spec.aggregate.totalMispredictions());
-    EXPECT_NEAR(legacy.meanMpki, spec.meanMpki, 1e-12);
+    EXPECT_NEAR(mpki_sum / static_cast<double>(names.size()),
+                spec.meanMpki, 1e-12);
     EXPECT_EQ(spec.confusion.total(),
               spec.aggregate.totalPredictions());
 }

@@ -10,33 +10,60 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hpp"
+#include "tage/graded_tage.hpp"
+#include "trace/profiles.hpp"
 
 namespace tagecon {
 namespace {
 
 constexpr uint64_t kBranches = 150000;
 
+/** Simulate synthetic trace @p name on a fresh GradedTage(cfg, opt). */
+RunResult
+runGraded(const std::string& name, const TageConfig& cfg,
+          uint64_t branches, const GradedTageOptions& opt = {})
+{
+    GradedTage predictor(cfg, opt);
+    SyntheticTrace trace = makeTrace(name, branches);
+    return runTrace(trace, predictor);
+}
+
+/** Pooled statistics of one configuration over a benchmark set. */
+struct SetRun {
+    ClassStats aggregate;
+    double meanMpki = 0.0;
+};
+
+/** Every CBP-1 trace at 60k branches, a fresh predictor per trace. */
+SetRun
+runCbp1(const TageConfig& cfg, const GradedTageOptions& opt = {})
+{
+    SetRun r;
+    const auto& names = traceNames(BenchmarkSet::Cbp1);
+    for (const auto& name : names) {
+        const RunResult rr = runGraded(name, cfg, 60000, opt);
+        r.aggregate.merge(rr.stats);
+        r.meanMpki += rr.stats.mpki();
+    }
+    r.meanMpki /= static_cast<double>(names.size());
+    return r;
+}
+
 /** A moderately hard trace where all classes are populated. */
 const RunResult&
 baselineGzip64K()
 {
-    static const RunResult r = [] {
-        RunConfig rc;
-        rc.predictor = TageConfig::medium64K();
-        return runNamedTrace("164.gzip", rc, kBranches);
-    }();
+    static const RunResult r =
+        runGraded("164.gzip", TageConfig::medium64K(), kBranches);
     return r;
 }
 
 const RunResult&
 modifiedGzip64K()
 {
-    static const RunResult r = [] {
-        RunConfig rc;
-        rc.predictor =
-            TageConfig::medium64K().withProbabilisticSaturation(7);
-        return runNamedTrace("164.gzip", rc, kBranches);
-    }();
+    static const RunResult r = runGraded(
+        "164.gzip", TageConfig::medium64K().withProbabilisticSaturation(7),
+        kBranches);
     return r;
 }
 
@@ -132,10 +159,8 @@ TEST(Integration, ThreeLevelSplitMatchesPaperShape)
     //  - medium and low together cover the vast majority of
     //    mispredictions;
     //  - MPrate(low) > 150 MKP.
-    RunConfig rc;
-    rc.predictor =
-        TageConfig::medium64K().withProbabilisticSaturation(7);
-    const SetResult r = runBenchmarkSet(BenchmarkSet::Cbp1, rc, 60000);
+    const SetRun r =
+        runCbp1(TageConfig::medium64K().withProbabilisticSaturation(7));
     const ClassStats& s = r.aggregate;
 
     EXPECT_GT(s.pcov(ConfidenceLevel::High), 0.5);
@@ -154,18 +179,15 @@ TEST(Integration, AdaptiveControllerHoldsTarget)
 {
     // Table 3: the controller keeps the measured high-confidence rate
     // near the 10 MKP target while maximizing coverage.
-    RunConfig fixed;
-    fixed.predictor =
+    const TageConfig cfg =
         TageConfig::small16K().withProbabilisticSaturation(7);
-    const SetResult r_fixed =
-        runBenchmarkSet(BenchmarkSet::Cbp1, fixed, 60000);
+    const SetRun r_fixed = runCbp1(cfg);
 
-    RunConfig adaptive = fixed;
+    GradedTageOptions adaptive;
     adaptive.adaptive = true;
     adaptive.adaptiveConfig.targetMkp = 10.0;
     adaptive.adaptiveConfig.epochLength = 16384;
-    const SetResult r_adapt =
-        runBenchmarkSet(BenchmarkSet::Cbp1, adaptive, 60000);
+    const SetRun r_adapt = runCbp1(cfg, adaptive);
 
     // Held near the target (50% slack for measurement noise).
     EXPECT_LT(r_adapt.aggregate.mprateMkp(ConfidenceLevel::High), 15.0);
@@ -177,13 +199,8 @@ TEST(Integration, AdaptiveControllerHoldsTarget)
 TEST(Integration, LargerPredictorsAreMoreAccurate)
 {
     // Table 1 shape.
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    const double small =
-        runBenchmarkSet(BenchmarkSet::Cbp1, rc, 60000).meanMpki;
-    rc.predictor = TageConfig::large256K();
-    const double large =
-        runBenchmarkSet(BenchmarkSet::Cbp1, rc, 60000).meanMpki;
+    const double small = runCbp1(TageConfig::small16K()).meanMpki;
+    const double large = runCbp1(TageConfig::large256K()).meanMpki;
     EXPECT_LT(large, small);
 }
 
@@ -192,13 +209,8 @@ TEST(Integration, BimClassesVanishOnLargePredictor)
     // Sec. 5.1: "the medium confidence and low confidence predictions
     // provided by the bimodal component nearly vanish on the large
     // predictor" — compare 16K vs 256K coverage.
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    const SetResult small =
-        runBenchmarkSet(BenchmarkSet::Cbp1, rc, 60000);
-    rc.predictor = TageConfig::large256K();
-    const SetResult large =
-        runBenchmarkSet(BenchmarkSet::Cbp1, rc, 60000);
+    const SetRun small = runCbp1(TageConfig::small16K());
+    const SetRun large = runCbp1(TageConfig::large256K());
 
     const double small_mlb =
         small.aggregate.pcov(PredictionClass::MediumConfBim) +

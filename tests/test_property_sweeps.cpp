@@ -12,10 +12,24 @@
 
 #include "core/confidence_observer.hpp"
 #include "sim/experiment.hpp"
+#include "tage/graded_tage.hpp"
 #include "tage/tage_predictor.hpp"
+#include "trace/profiles.hpp"
 
 namespace tagecon {
 namespace {
+
+/** Simulate synthetic trace @p name on a fresh GradedTage. */
+RunResult
+runGraded(const std::string& name, const TageConfig& cfg,
+          uint64_t branches, int bim_window = 8)
+{
+    GradedTageOptions opt;
+    opt.bimWindow = bim_window;
+    GradedTage predictor(cfg, opt);
+    SyntheticTrace trace = makeTrace(name, branches);
+    return runTrace(trace, predictor);
+}
 
 /** (config index, modified automaton, trace name) */
 using SweepParam = std::tuple<int, bool, std::string>;
@@ -131,9 +145,7 @@ TEST_P(CustomGeometry, BuildsAndRuns)
         cfg.tagged.push_back(TageTableConfig{
             log_entries, 9, lengths[static_cast<size_t>(i)]});
 
-    RunConfig rc;
-    rc.predictor = cfg;
-    const RunResult r = runNamedTrace("INT-1", rc, 20000);
+    const RunResult r = runGraded("INT-1", cfg, 20000);
     EXPECT_EQ(r.stats.totalPredictions(), 20000u);
     EXPECT_LT(r.stats.totalMkp(), 300.0);
 }
@@ -154,10 +166,8 @@ class WindowSweep : public ::testing::TestWithParam<int>
 
 TEST_P(WindowSweep, MediumConfBimScalesWithWindow)
 {
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    rc.bimWindow = GetParam();
-    const RunResult r = runNamedTrace("SERV-2", rc, 60000);
+    const RunResult r =
+        runGraded("SERV-2", TageConfig::small16K(), 60000, GetParam());
     if (GetParam() == 0) {
         // Window 0 disables the class entirely.
         EXPECT_EQ(r.stats.predictions(PredictionClass::MediumConfBim),
@@ -175,10 +185,8 @@ TEST(WindowMonotonicity, LargerWindowsNeverShrinkMediumCoverage)
 {
     double prev = -1.0;
     for (const int w : {1, 4, 8, 32}) {
-        RunConfig rc;
-        rc.predictor = TageConfig::small16K();
-        rc.bimWindow = w;
-        const RunResult r = runNamedTrace("SERV-2", rc, 60000);
+        const RunResult r =
+            runGraded("SERV-2", TageConfig::small16K(), 60000, w);
         const double cov =
             r.stats.pcov(PredictionClass::MediumConfBim);
         EXPECT_GE(cov, prev) << "window " << w;
@@ -191,10 +199,10 @@ TEST(ProbabilityMonotonicity, StagCoverageShrinksWithSelectivity)
 {
     double prev = 2.0;
     for (const unsigned log2p : {0u, 3u, 6u, 9u}) {
-        RunConfig rc;
-        rc.predictor =
-            TageConfig::medium64K().withProbabilisticSaturation(log2p);
-        const RunResult r = runNamedTrace("164.gzip", rc, 80000);
+        const RunResult r = runGraded(
+            "164.gzip",
+            TageConfig::medium64K().withProbabilisticSaturation(log2p),
+            80000);
         const double cov = r.stats.pcov(PredictionClass::Stag);
         EXPECT_LE(cov, prev * 1.05) << "log2p " << log2p;
         prev = cov;

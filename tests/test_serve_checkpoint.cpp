@@ -198,6 +198,23 @@ INSTANTIATE_TEST_SUITE_P(
         return n;
     });
 
+/** Success of a typed checkpoint call, with its message on failure. */
+::testing::AssertionResult
+succeeded(const Err& e)
+{
+    if (e.ok())
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << e.message();
+}
+
+/** The detail of a typed call expected to fail ("" if it succeeded). */
+std::string
+failureDetail(const Err& e)
+{
+    EXPECT_TRUE(e.failed()) << "expected a failure";
+    return e.detail;
+}
+
 /**
  * Drive @p spec halfway through a trace, checkpoint it, restore into a
  * fresh instance, and run both to the end in lockstep: every
@@ -219,20 +236,19 @@ expectRoundTripContinuesBitIdentically(const std::string& spec_arg)
     }
 
     std::vector<uint8_t> blob;
-    std::string error;
-    ASSERT_TRUE(encodePredictorCheckpoint(*p, spec, blob, error))
-        << error;
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob)));
 
     // Encoding is a pure function of predictor state.
     std::vector<uint8_t> blob_again;
-    ASSERT_TRUE(encodePredictorCheckpoint(*p, spec, blob_again, error));
+    ASSERT_TRUE(
+        succeeded(encodePredictorCheckpoint(*p, spec, blob_again)));
     EXPECT_EQ(blob, blob_again);
 
     Checkpoint ck;
-    ASSERT_TRUE(decodeCheckpoint(blob, ck, error)) << error;
+    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
     EXPECT_EQ(ck.kind, Checkpoint::Kind::Predictor);
     EXPECT_EQ(ck.spec, spec);
-    ASSERT_TRUE(restoreFromCheckpoint(ck, *q, spec, error)) << error;
+    ASSERT_TRUE(succeeded(restoreFromCheckpoint(ck, *q, spec)));
 
     while (trace->next(rec)) {
         const Prediction pa = p->predict(rec.pc);
@@ -245,8 +261,8 @@ expectRoundTripContinuesBitIdentically(const std::string& spec_arg)
     }
 
     std::vector<uint8_t> final_p, final_q;
-    ASSERT_TRUE(encodePredictorCheckpoint(*p, spec, final_p, error));
-    ASSERT_TRUE(encodePredictorCheckpoint(*q, spec, final_q, error));
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, final_p)));
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*q, spec, final_q)));
     EXPECT_EQ(final_p, final_q);
 }
 
@@ -277,12 +293,10 @@ TEST(CheckpointRoundTrip, StreamKindCarriesServingPosition)
     const std::string spec = canonicalizeSpec("bimodal");
     auto p = makePredictor(spec);
     std::vector<uint8_t> blob;
-    std::string error;
-    ASSERT_TRUE(encodeStreamCheckpoint(*p, spec, 42, "FP-1", 1234,
-                                       blob, error))
-        << error;
+    ASSERT_TRUE(succeeded(
+        encodeStreamCheckpoint(*p, spec, 42, "FP-1", 1234, blob)));
     Checkpoint ck;
-    ASSERT_TRUE(decodeCheckpoint(blob, ck, error)) << error;
+    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
     EXPECT_EQ(ck.kind, Checkpoint::Kind::Stream);
     EXPECT_EQ(ck.spec, spec);
     EXPECT_EQ(ck.streamId, 42u);
@@ -309,9 +323,7 @@ someValidBlob()
     const std::string spec = canonicalizeSpec("bimodal");
     auto p = makePredictor(spec);
     std::vector<uint8_t> blob;
-    std::string error;
-    EXPECT_TRUE(encodePredictorCheckpoint(*p, spec, blob, error))
-        << error;
+    EXPECT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob)));
     return blob;
 }
 
@@ -319,15 +331,13 @@ TEST(CheckpointRejection, TruncatedBlobs)
 {
     std::vector<uint8_t> blob = someValidBlob();
     Checkpoint ck;
-    std::string error;
 
     std::vector<uint8_t> tiny(blob.begin(), blob.begin() + 4);
-    EXPECT_FALSE(decodeCheckpoint(tiny, ck, error));
+    std::string error = failureDetail(decodeCheckpoint(tiny, ck));
     EXPECT_NE(error.find("truncated"), std::string::npos) << error;
 
     blob.resize(blob.size() - 3);
-    error.clear();
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
+    error = failureDetail(decodeCheckpoint(blob, ck));
     EXPECT_NE(error.find("truncated"), std::string::npos) << error;
 }
 
@@ -336,8 +346,7 @@ TEST(CheckpointRejection, CorruptedByteFailsTheDigest)
     std::vector<uint8_t> blob = someValidBlob();
     blob[blob.size() / 2] ^= 0x40;
     Checkpoint ck;
-    std::string error;
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
+    const std::string error = failureDetail(decodeCheckpoint(blob, ck));
     EXPECT_NE(error.find("digest mismatch"), std::string::npos)
         << error;
 }
@@ -348,8 +357,7 @@ TEST(CheckpointRejection, WrongMagic)
     blob[0] ^= 0xFF; // patch the magic, then re-sign the blob
     refreshDigest(blob);
     Checkpoint ck;
-    std::string error;
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
+    const std::string error = failureDetail(decodeCheckpoint(blob, ck));
     EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
 }
 
@@ -359,8 +367,7 @@ TEST(CheckpointRejection, UnknownVersion)
     blob[4] = 99; // version field follows the u32 magic
     refreshDigest(blob);
     Checkpoint ck;
-    std::string error;
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
+    const std::string error = failureDetail(decodeCheckpoint(blob, ck));
     EXPECT_NE(error.find("unsupported checkpoint version 99"),
               std::string::npos)
         << error;
@@ -375,8 +382,7 @@ TEST(CheckpointRejection, Version1BlobsAreRejectedOutright)
     blob[4] = 1;
     refreshDigest(blob);
     Checkpoint ck;
-    std::string error;
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
+    const std::string error = failureDetail(decodeCheckpoint(blob, ck));
     EXPECT_NE(error.find("unsupported checkpoint version 1"),
               std::string::npos)
         << error;
@@ -388,8 +394,7 @@ TEST(CheckpointRejection, UnknownKind)
     blob[8] = 7; // kind field follows magic + version
     refreshDigest(blob);
     Checkpoint ck;
-    std::string error;
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
+    const std::string error = failureDetail(decodeCheckpoint(blob, ck));
     EXPECT_NE(error.find("unknown checkpoint kind 7"),
               std::string::npos)
         << error;
@@ -403,12 +408,13 @@ TEST(CheckpointRejection, SpecMismatchLeavesTargetReset)
     auto dst = makePredictor(dst_spec);
 
     std::vector<uint8_t> blob;
-    std::string error;
-    ASSERT_TRUE(encodePredictorCheckpoint(*src, src_spec, blob, error));
+    ASSERT_TRUE(
+        succeeded(encodePredictorCheckpoint(*src, src_spec, blob)));
     Checkpoint ck;
-    ASSERT_TRUE(decodeCheckpoint(blob, ck, error));
+    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
 
-    EXPECT_FALSE(restoreFromCheckpoint(ck, *dst, dst_spec, error));
+    const std::string error =
+        failureDetail(restoreFromCheckpoint(ck, *dst, dst_spec));
     EXPECT_NE(error.find("was written for spec"), std::string::npos)
         << error;
 
@@ -422,14 +428,14 @@ TEST(CheckpointRejection, TrailingPayloadBytes)
     const std::string spec = canonicalizeSpec("bimodal");
     auto p = makePredictor(spec);
     std::vector<uint8_t> blob;
-    std::string error;
-    ASSERT_TRUE(encodePredictorCheckpoint(*p, spec, blob, error));
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob)));
     Checkpoint ck;
-    ASSERT_TRUE(decodeCheckpoint(blob, ck, error));
+    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
 
     ck.payload.push_back(0xAB);
     auto q = makePredictor(spec);
-    EXPECT_FALSE(restoreFromCheckpoint(ck, *q, spec, error));
+    const std::string error =
+        failureDetail(restoreFromCheckpoint(ck, *q, spec));
     EXPECT_NE(error.find("trailing bytes"), std::string::npos)
         << error;
 }
@@ -442,8 +448,8 @@ TEST(CheckpointUnsupported, StatefulEstimatorBlocksTheWrapper)
     auto p = tryMakePredictor("gshare+jrs", &error);
     ASSERT_NE(p, nullptr) << error;
     std::vector<uint8_t> blob;
-    EXPECT_FALSE(encodePredictorCheckpoint(
-        *p, canonicalizeSpec("gshare+jrs"), blob, error));
+    error = failureDetail(encodePredictorCheckpoint(
+        *p, canonicalizeSpec("gshare+jrs"), blob));
     EXPECT_NE(error.find("not supported"), std::string::npos) << error;
 }
 
@@ -458,18 +464,17 @@ TEST(CheckpointFiles, WriteReadRoundTripAndNaming)
     const std::string path = (dir / "stream-0.tcsp").string();
 
     const std::vector<uint8_t> blob = someValidBlob();
-    std::string error;
     EXPECT_FALSE(checkpointFileExists(path));
-    ASSERT_TRUE(writeCheckpointFile(path, blob, error)) << error;
+    ASSERT_TRUE(succeeded(writeCheckpointFile(path, blob)));
     EXPECT_TRUE(checkpointFileExists(path));
 
     std::vector<uint8_t> back;
-    ASSERT_TRUE(readCheckpointFile(path, back, error)) << error;
+    ASSERT_TRUE(succeeded(readCheckpointFile(path, back)));
     EXPECT_EQ(back, blob);
 
     std::vector<uint8_t> missing;
-    EXPECT_FALSE(readCheckpointFile((dir / "nope.tcsp").string(),
-                                    missing, error));
+    EXPECT_TRUE(
+        readCheckpointFile((dir / "nope.tcsp").string(), missing).failed());
     std::filesystem::remove_all(dir);
 }
 
@@ -502,8 +507,7 @@ TEST(CheckpointFiles, TornWriteNeverYieldsALoadableCheckpoint)
     ASSERT_TRUE(std::filesystem::exists(tmp));
     EXPECT_LT(std::filesystem::file_size(tmp), blob.size());
     std::vector<uint8_t> torn;
-    std::string error;
-    ASSERT_TRUE(readCheckpointFile(tmp, torn, error)) << error;
+    ASSERT_TRUE(succeeded(readCheckpointFile(tmp, torn)));
     Checkpoint ck;
     EXPECT_TRUE(decodeCheckpoint(torn, ck).failed());
 
@@ -515,7 +519,7 @@ TEST(CheckpointFiles, TornWriteNeverYieldsALoadableCheckpoint)
     EXPECT_FALSE(staleCheckpointTempExists(path));
 
     std::vector<uint8_t> back;
-    ASSERT_TRUE(readCheckpointFile(path, back, error)) << error;
+    ASSERT_TRUE(succeeded(readCheckpointFile(path, back)));
     EXPECT_EQ(back, blob);
     std::filesystem::remove_all(dir);
 }

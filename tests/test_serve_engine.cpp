@@ -193,13 +193,10 @@ TEST(ServingEngine, CheckpointResumeMatchesUninterruptedServe)
         const std::string name =
             streamCheckpointFileName(full[i].id);
         std::vector<uint8_t> a, b;
-        std::string error;
-        ASSERT_TRUE(readCheckpointFile(
-            (dir_resumed / name).string(), a, error))
-            << error;
-        ASSERT_TRUE(readCheckpointFile(
-            (dir_control / name).string(), b, error))
-            << error;
+        const Err ea = readCheckpointFile((dir_resumed / name).string(), a);
+        ASSERT_TRUE(ea.ok()) << ea.message();
+        const Err eb = readCheckpointFile((dir_control / name).string(), b);
+        ASSERT_TRUE(eb.ok()) << eb.message();
         EXPECT_EQ(a, b) << name;
     }
 
@@ -208,25 +205,104 @@ TEST(ServingEngine, CheckpointResumeMatchesUninterruptedServe)
     std::filesystem::remove_all(dir_control);
 }
 
-TEST(ServingEngine, ScalarAndBatchedServesAreBitIdentical)
+/**
+ * The scalar oracle for one stream: a plain predict/update loop over a
+ * fresh source, folded exactly as a serve folds it, plus the digest of
+ * the stream checkpoint a serve with digests on would encode.
+ */
+StreamResult
+scalarStream(const StreamDesc& d, const std::string& spec,
+             bool with_digest)
 {
-    // The default path routes every scheduling turn through
-    // predictMany(); forceScalar keeps the plain predict/update loop.
-    // The two must agree on every per-stream statistic and state
-    // digest (the CI serving-CSV diff gate rests on this).
+    StreamResult r;
+    auto opened = openTraceSource(d.trace, d.branches, d.seedSalt);
+    EXPECT_TRUE(opened.ok()) << opened.error().message();
+    if (!opened.ok())
+        return r;
+    const auto trace = opened.take();
+    auto predictor = makePredictor(spec);
+    BranchRecord rec;
+    while (trace->next(rec)) {
+        const Prediction p = predictor->predict(rec.pc);
+        const bool mispredicted = p.taken != rec.taken;
+        r.stats.record(p.cls, mispredicted,
+                       uint64_t{rec.instructionsBefore} + 1);
+        r.confusion.record(p.confidence == ConfidenceLevel::High,
+                           !mispredicted);
+        predictor->update(rec.pc, p, rec.taken);
+        ++r.branchesServed;
+    }
+    r.allocations = predictor->allocations();
+    if (with_digest) {
+        std::vector<uint8_t> blob;
+        const Err e = encodeStreamCheckpoint(
+            *predictor, canonicalizeSpec(spec), d.id, d.trace,
+            r.branchesServed, blob);
+        EXPECT_TRUE(e.ok()) << e.message();
+        r.stateDigest = checkpointDigest(blob);
+    }
+    return r;
+}
+
+/** Serve @p streams and check every stream against scalarStream(). */
+void
+expectServeMatchesScalarOracle(const ServeOptions& opts,
+                               const std::vector<StreamDesc>& streams)
+{
+    const ServeResult served = serveOrDie(opts, streams);
+    ASSERT_EQ(served.perStream.size(), streams.size());
+    for (size_t i = 0; i < streams.size(); ++i) {
+        const StreamResult& got = served.perStream[i];
+        const StreamResult want =
+            scalarStream(streams[i], opts.spec, opts.computeDigests);
+        EXPECT_EQ(got.status, StreamStatus::Ok) << got.fault.message();
+        EXPECT_EQ(got.branchesServed, want.branchesServed);
+        for (const auto c : kAllPredictionClasses) {
+            EXPECT_EQ(got.stats.predictions(c), want.stats.predictions(c))
+                << "stream " << got.id;
+            EXPECT_EQ(got.stats.mispredictions(c),
+                      want.stats.mispredictions(c))
+                << "stream " << got.id;
+        }
+        EXPECT_EQ(got.stats.instructions(), want.stats.instructions());
+        EXPECT_EQ(got.confusion.highCorrect(), want.confusion.highCorrect());
+        EXPECT_EQ(got.confusion.highWrong(), want.confusion.highWrong());
+        EXPECT_EQ(got.confusion.lowCorrect(), want.confusion.lowCorrect());
+        EXPECT_EQ(got.confusion.lowWrong(), want.confusion.lowWrong());
+        EXPECT_EQ(got.allocations, want.allocations) << "stream " << got.id;
+        EXPECT_EQ(got.stateDigest, want.stateDigest) << "stream " << got.id;
+    }
+}
+
+TEST(ServingEngine, EveryStreamMatchesTheScalarOracle)
+{
+    // Turns of 97 end mid-chunk, 13 shards with a pool of 2 park and
+    // restore predictors between turns, and 4 workers interleave the
+    // shards: none of it may move a bit against the plain loop.
     const auto streams =
-        StreamSet::roundRobin(10, twoCbp1Traces(), 1500, 0);
+        StreamSet::roundRobin(60, twoCbp1Traces(), 1500, 0);
+    ServeOptions opts;
+    opts.spec = "tage16k+sfc";
+    opts.jobs = 4;
+    opts.shards = 13;
+    opts.poolPerShard = 2;
+    opts.batch = 97;
+    opts.computeDigests = true;
+    expectServeMatchesScalarOracle(opts, streams);
+}
 
-    ServeOptions batched;
-    batched.spec = "tage16k+sfc";
-    batched.jobs = 2;
-    batched.batch = 200; // turns end mid-chunk: exercises short fills
-    batched.computeDigests = true;
-    const ServeResult via_batches = serveOrDie(batched, streams);
-
-    ServeOptions scalar = batched;
-    scalar.forceScalar = true;
-    expectSameServe(via_batches, serveOrDie(scalar, streams));
+TEST(ServingEngine, NonBatchedFamilyMatchesTheScalarOracle)
+{
+    // JRS counters make the stack take the base-class predictMany()
+    // fallback; it has no snapshot support, so the pool is unbounded.
+    const auto streams =
+        StreamSet::roundRobin(12, twoCbp1Traces(), 1500, 0);
+    ServeOptions opts;
+    opts.spec = "tage16k+jrs";
+    opts.jobs = 2;
+    opts.poolPerShard = 0;
+    opts.batch = 97;
+    expectServeMatchesScalarOracle(opts, streams);
 }
 
 TEST(ServingEngine, RejectsBatchOfZero)

@@ -1,30 +1,37 @@
 /**
  * @file
- * Tests for the simulation driver and aggregation.
+ * Tests for the simulation driver and aggregation: the drive kernel,
+ * runTrace() and the per-row folds of a sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/experiment.hpp"
+#include "sim/registry.hpp"
+#include "sim/sweep.hpp"
+#include "tage/graded_tage.hpp"
+#include "trace/profiles.hpp"
 
 namespace tagecon {
 namespace {
 
-RunConfig
-smallRun()
+RunResult
+runSmall(TraceSource& trace)
 {
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    return rc;
+    GradedTage predictor(TageConfig::small16K());
+    return runTrace(trace, predictor);
 }
 
 TEST(RunTrace, CountsMatchTraceLength)
 {
     SyntheticTrace t = makeTrace("FP-1", 20000);
-    const RunResult r = runTrace(t, smallRun());
+    const RunResult r = runSmall(t);
     EXPECT_EQ(r.stats.totalPredictions(), 20000u);
+    EXPECT_EQ(r.confusion.total(), 20000u);
     EXPECT_EQ(r.traceName, "FP-1");
-    EXPECT_EQ(r.configName, "16K");
+    EXPECT_EQ(r.configName, "tage-16K");
     EXPECT_GE(r.stats.instructions(), 20000u);
 }
 
@@ -32,8 +39,8 @@ TEST(RunTrace, IsDeterministic)
 {
     SyntheticTrace t1 = makeTrace("MM-1", 30000);
     SyntheticTrace t2 = makeTrace("MM-1", 30000);
-    const RunResult a = runTrace(t1, smallRun());
-    const RunResult b = runTrace(t2, smallRun());
+    const RunResult a = runSmall(t1);
+    const RunResult b = runSmall(t2);
     EXPECT_EQ(a.stats.totalMispredictions(),
               b.stats.totalMispredictions());
     for (const auto c : kAllPredictionClasses) {
@@ -44,46 +51,84 @@ TEST(RunTrace, IsDeterministic)
 
 TEST(RunTrace, AdaptiveRequiresProbabilisticSaturation)
 {
-    SyntheticTrace t = makeTrace("FP-1", 100);
-    RunConfig rc = smallRun();
-    rc.adaptive = true; // but predictor lacks probabilisticSaturation
-    EXPECT_EXIT(runTrace(t, rc), ::testing::ExitedWithCode(1),
-                "probabilisticSaturation");
+    GradedTageOptions opt;
+    opt.adaptive = true; // but the config lacks probabilisticSaturation
+    EXPECT_EXIT(GradedTage(TageConfig::small16K(), opt),
+                ::testing::ExitedWithCode(1), "probabilisticSaturation");
 }
 
 TEST(RunTrace, AdaptiveRunReportsFinalProbability)
 {
     SyntheticTrace t = makeTrace("300.twolf", 200000);
-    RunConfig rc;
-    rc.predictor =
-        TageConfig::small16K().withProbabilisticSaturation(7);
-    rc.adaptive = true;
-    rc.adaptiveConfig.epochLength = 16384;
-    const RunResult r = runTrace(t, rc);
-    EXPECT_LE(r.finalLog2Prob, rc.adaptiveConfig.maxLog2);
-    EXPECT_GE(r.finalLog2Prob, rc.adaptiveConfig.minLog2);
+    GradedTageOptions opt;
+    opt.adaptive = true;
+    opt.adaptiveConfig.epochLength = 16384;
+    GradedTage predictor(
+        TageConfig::small16K().withProbabilisticSaturation(7), opt);
+    const RunResult r = runTrace(t, predictor);
+    EXPECT_LE(r.finalLog2Prob, opt.adaptiveConfig.maxLog2);
+    EXPECT_GE(r.finalLog2Prob, opt.adaptiveConfig.minLog2);
 }
 
 TEST(RunTrace, RecordsAllocations)
 {
     SyntheticTrace t = makeTrace("INT-1", 20000);
-    const RunResult r = runTrace(t, smallRun());
+    const RunResult r = runSmall(t);
     EXPECT_GT(r.allocations, 0u);
 }
 
-TEST(RunNamedTrace, EquivalentToManualTrace)
+TEST(DriveBranches, StopsAtTheCapAndResumesWhereItStopped)
 {
-    const RunResult a = runNamedTrace("SERV-1", smallRun(), 15000);
-    SyntheticTrace t = makeTrace("SERV-1", 15000);
-    const RunResult b = runTrace(t, smallRun());
-    EXPECT_EQ(a.stats.totalMispredictions(),
-              b.stats.totalMispredictions());
+    // Caps that end mid-chunk and span several chunks: the pieces must
+    // fold to exactly the one-shot run.
+    SyntheticTrace whole = makeTrace("SERV-3", 3000);
+    const RunResult once = runSmall(whole);
+
+    SyntheticTrace trace = makeTrace("SERV-3", 3000);
+    GradedTage predictor(TageConfig::small16K());
+    DriveChunk chunk;
+    ClassStats stats;
+    BinaryConfidenceMetrics confusion;
+    uint64_t total = 0;
+    for (const uint64_t cap : {1000u, 1u, 500u, 5000u}) {
+        const uint64_t n =
+            driveBranches(trace, predictor, cap, chunk, stats, confusion);
+        EXPECT_EQ(n, std::min<uint64_t>(cap, 3000 - total));
+        total += n;
+    }
+    EXPECT_EQ(total, 3000u);
+    EXPECT_EQ(driveBranches(trace, predictor, 10, chunk, stats,
+                            confusion),
+              0u);
+    for (const auto c : kAllPredictionClasses) {
+        EXPECT_EQ(stats.predictions(c), once.stats.predictions(c));
+        EXPECT_EQ(stats.mispredictions(c), once.stats.mispredictions(c));
+    }
+    EXPECT_EQ(stats.instructions(), once.stats.instructions());
+    EXPECT_EQ(confusion.highCorrect(), once.confusion.highCorrect());
+    EXPECT_EQ(confusion.lowWrong(), once.confusion.lowWrong());
+    EXPECT_EQ(predictor.allocations(), once.allocations);
 }
 
-TEST(RunBenchmarkSet, AggregateEqualsSumOfTraces)
+TEST(RunSweepCell, EquivalentToManualTrace)
 {
-    const SetResult r =
-        runBenchmarkSet(BenchmarkSet::Cbp1, smallRun(), 5000);
+    const RunResult a =
+        runSweepCell(SweepCell{"tage16k+sfc", "SERV-1", 15000, 0, {}});
+    SyntheticTrace t = makeTrace("SERV-1", 15000);
+    auto predictor = makePredictor("tage16k+sfc");
+    const RunResult b = runTrace(t, *predictor);
+    EXPECT_EQ(a.stats.totalPredictions(), 15000u);
+    EXPECT_EQ(a.stats.totalMispredictions(),
+              b.stats.totalMispredictions());
+    EXPECT_EQ(a.allocations, b.allocations);
+}
+
+TEST(RunSweepRows, AggregateEqualsSumOfTraces)
+{
+    const auto rows = runSweepRows(SweepPlan::over(
+        {"tage16k+sfc"}, traceNames(BenchmarkSet::Cbp1), 5000));
+    ASSERT_EQ(rows.size(), 1u);
+    const SweepRow& r = rows[0];
     ASSERT_EQ(r.perTrace.size(), 20u);
 
     ClassStats manual;
@@ -99,14 +144,15 @@ TEST(RunBenchmarkSet, AggregateEqualsSumOfTraces)
     EXPECT_NEAR(r.meanMpki, mpki_sum / 20.0, 1e-12);
 }
 
-TEST(RunBenchmarkSet, TracesInCanonicalOrder)
+TEST(RunSweepRows, TracesInCanonicalOrder)
 {
-    const SetResult r =
-        runBenchmarkSet(BenchmarkSet::Cbp2, smallRun(), 2000);
     const auto& names = traceNames(BenchmarkSet::Cbp2);
-    ASSERT_EQ(r.perTrace.size(), names.size());
+    const auto rows = runSweepRows(
+        SweepPlan::over({"tage16k+sfc"}, names, 2000));
+    ASSERT_EQ(rows.size(), 1u);
+    ASSERT_EQ(rows[0].perTrace.size(), names.size());
     for (size_t i = 0; i < names.size(); ++i)
-        EXPECT_EQ(r.perTrace[i].traceName, names[i]);
+        EXPECT_EQ(rows[0].perTrace[i].traceName, names[i]);
 }
 
 } // namespace

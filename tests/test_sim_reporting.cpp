@@ -6,22 +6,25 @@
 #include <gtest/gtest.h>
 
 #include "sim/reporting.hpp"
+#include "sim/sweep.hpp"
+#include "trace/profiles.hpp"
 
 namespace tagecon {
 namespace {
 
-SetResult
-tinySetResult()
+SweepRow
+tinyRow()
 {
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    return runBenchmarkSet(BenchmarkSet::Cbp1, rc, 2000);
+    return runSweepRows(SweepPlan::over({"tage16k+sfc"},
+                                        traceNames(BenchmarkSet::Cbp1),
+                                        2000))
+        .front();
 }
 
 TEST(Reporting, CoverageTableHasAllTracesPlusAggregate)
 {
-    const SetResult r = tinySetResult();
-    const TextTable t = coverageTable(r);
+    const SweepRow r = tinyRow();
+    const TextTable t = coverageTable(r.perTrace, r.aggregate);
     EXPECT_EQ(t.rows(), 21u); // 20 traces + (all)
     const std::string s = t.toString();
     EXPECT_NE(s.find("FP-1"), std::string::npos);
@@ -33,16 +36,16 @@ TEST(Reporting, CoverageTableHasAllTracesPlusAggregate)
 
 TEST(Reporting, MpkiBreakdownIncludesTotalColumn)
 {
-    const SetResult r = tinySetResult();
-    const TextTable t = mpkiBreakdownTable(r);
+    const SweepRow r = tinyRow();
+    const TextTable t = mpkiBreakdownTable(r.perTrace, r.aggregate);
     EXPECT_EQ(t.rows(), 21u);
     EXPECT_NE(t.toString().find("total-MPKI"), std::string::npos);
 }
 
 TEST(Reporting, MprateTableSelectsTraces)
 {
-    const SetResult r = tinySetResult();
-    const TextTable t = mprateTable(r, {"FP-1", "MM-3"});
+    const SweepRow r = tinyRow();
+    const TextTable t = mprateTable(r.perTrace, {"FP-1", "MM-3"});
     EXPECT_EQ(t.rows(), 2u);
     const std::string s = t.toString();
     EXPECT_NE(s.find("FP-1"), std::string::npos);
@@ -52,9 +55,9 @@ TEST(Reporting, MprateTableSelectsTraces)
 
 TEST(Reporting, MprateTableUnknownTraceIsFatal)
 {
-    const SetResult r = tinySetResult();
-    EXPECT_EXIT(mprateTable(r, {"nope"}), ::testing::ExitedWithCode(1),
-                "not in result set");
+    const SweepRow r = tinyRow();
+    EXPECT_EXIT(mprateTable(r.perTrace, {"nope"}),
+                ::testing::ExitedWithCode(1), "not in result set");
 }
 
 TEST(Reporting, ThreeClassRowFormat)
@@ -78,12 +81,11 @@ TEST(Reporting, ThreeClassRowFormat)
 
 TEST(Reporting, SummarizeMentionsTraceAndConfig)
 {
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    const RunResult r = runNamedTrace("FP-2", rc, 3000);
+    const RunResult r =
+        runSweepCell(SweepCell{"tage16k+sfc", "FP-2", 3000, 0, {}});
     const std::string s = summarize(r);
     EXPECT_NE(s.find("FP-2"), std::string::npos);
-    EXPECT_NE(s.find("16K"), std::string::npos);
+    EXPECT_NE(s.find("tage16k+sfc"), std::string::npos);
     EXPECT_NE(s.find("MPKI"), std::string::npos);
 }
 

@@ -2,13 +2,15 @@
  * @file
  * Tests for the sweep subsystem (sim/sweep.hpp): plan validation and
  * cell enumeration, bit-identical results across thread counts, seed
- * salting, and row pooling equivalence with the serial runSets path.
+ * salting, row pooling equivalence with a serial fold of cells, and
+ * the failure of a cell whose trace file breaks mid-stream.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <thread>
 
@@ -265,32 +267,40 @@ TEST(SweepRunner, SeedSaltChangesTheGeneratedStreams)
               unsalted[0].stats.totalMispredictions());
 }
 
-TEST(SweepRunner, RowPoolingMatchesSerialRunSets)
+TEST(SweepRunner, RowPoolingMatchesManualCellFold)
 {
     const std::string spec = "tage16k+prob7+sfc";
     const uint64_t branches = 10000;
+    const auto traces = allTraceNames();
 
-    SweepPlan plan =
-        SweepPlan::over({spec}, allTraceNames(), branches);
+    SweepPlan plan = SweepPlan::over({spec}, traces, branches);
     const auto rows = runSweepRows(plan, SweepOptions{4});
     ASSERT_EQ(rows.size(), 1u);
 
-    const RunResult pooled = runSets(
-        {BenchmarkSet::Cbp1, BenchmarkSet::Cbp2}, spec, branches);
+    // The serial reference: one cell at a time, folded in plan order.
+    ClassStats stats;
+    BinaryConfidenceMetrics confusion;
+    double mpki_sum = 0.0;
+    uint64_t storage_bits = 0;
+    for (const auto& trace : traces) {
+        const RunResult r =
+            runSweepCell(SweepCell{spec, trace, branches, 0, {}});
+        stats.merge(r.stats);
+        confusion.merge(r.confusion);
+        mpki_sum += r.stats.mpki();
+        storage_bits = r.storageBits;
+    }
 
-    EXPECT_EQ(rows[0].spec, pooled.configName);
-    EXPECT_EQ(rows[0].aggregate.totalPredictions(),
-              pooled.stats.totalPredictions());
-    EXPECT_EQ(rows[0].aggregate.totalMispredictions(),
-              pooled.stats.totalMispredictions());
-    EXPECT_EQ(rows[0].aggregate.instructions(),
-              pooled.stats.instructions());
-    EXPECT_EQ(rows[0].confusion.highCorrect(),
-              pooled.confusion.highCorrect());
-    EXPECT_EQ(rows[0].confusion.lowWrong(),
-              pooled.confusion.lowWrong());
-    EXPECT_EQ(rows[0].storageBits, pooled.storageBits);
-    EXPECT_EQ(rows[0].perTrace.size(), allTraceNames().size());
+    EXPECT_EQ(rows[0].spec, canonicalizeSpec(spec));
+    expectStatsIdentical(rows[0].aggregate, stats);
+    EXPECT_EQ(rows[0].confusion.highCorrect(), confusion.highCorrect());
+    EXPECT_EQ(rows[0].confusion.highWrong(), confusion.highWrong());
+    EXPECT_EQ(rows[0].confusion.lowCorrect(), confusion.lowCorrect());
+    EXPECT_EQ(rows[0].confusion.lowWrong(), confusion.lowWrong());
+    EXPECT_DOUBLE_EQ(rows[0].meanMpki,
+                     mpki_sum / static_cast<double>(traces.size()));
+    EXPECT_EQ(rows[0].storageBits, storage_bits);
+    EXPECT_EQ(rows[0].perTrace.size(), traces.size());
 }
 
 TEST(SweepRunner, JobsZeroMeansHardwareConcurrency)
@@ -373,6 +383,32 @@ TEST_F(SweepFileTraceTest, MixedFileAndSyntheticGridsStayDeterministic)
     // no salt, so file and synthetic columns agree cell for cell.
     EXPECT_EQ(serial[0].traceName, serial[1].traceName);
     expectIdentical(serial[0], serial[1]);
+}
+
+TEST(SweepPlanFileTraces, MalformedRecordMidFileFailsTheCell)
+{
+    // Record 1501 of 3000 does not parse. The reader latches the error
+    // and ends the stream; the cell must fail naming the file and line
+    // rather than report the 1500-record prefix as the whole trace.
+    const auto path = std::filesystem::temp_directory_path() /
+                      "tagecon_sweep_malformed.trace";
+    {
+        std::ofstream out(path);
+        for (int i = 1; i <= 3000; ++i) {
+            if (i == 1501)
+                out << "0x4000 maybe 3\n";
+            else
+                out << "0x" << std::hex << (0x4000 + 4 * (i % 61))
+                    << std::dec << (i % 3 == 0 ? " N" : " T") << " 3\n";
+        }
+    }
+    SweepPlan plan = SweepPlan::over({"tage16k+sfc"},
+                                     {"file:" + path.string()}, 3000);
+    ASSERT_TRUE(plan.validate()); // the probe reads only the head
+    EXPECT_EXIT(std::ignore = runSweep(plan),
+                ::testing::ExitedWithCode(1),
+                "tagecon_sweep_malformed\\.trace' line 1501");
+    std::filesystem::remove(path);
 }
 
 TEST(SweepPlanFileTraces, ValidateRejectsMissingAndCorruptFiles)

@@ -8,15 +8,17 @@
 
 #include "sim/experiment.hpp"
 #include "sim/reporting.hpp"
+#include "tage/graded_tage.hpp"
+#include "trace/profiles.hpp"
 
 namespace tagecon {
 namespace {
 
 TEST(Smoke, PipelineRuns)
 {
-    RunConfig cfg;
-    cfg.predictor = TageConfig::medium64K();
-    RunResult rr = runNamedTrace("FP-1", cfg, 50000);
+    GradedTage predictor(TageConfig::medium64K());
+    SyntheticTrace trace = makeTrace("FP-1", 50000);
+    RunResult rr = runTrace(trace, predictor);
     EXPECT_EQ(rr.stats.totalPredictions(), 50000u);
     EXPECT_GT(rr.stats.instructions(), 50000u);
     EXPECT_LT(rr.stats.totalMkp(), 500.0);

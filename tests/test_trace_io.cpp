@@ -139,9 +139,10 @@ TEST_F(TraceIoTest, TruncatedFileFailsFastAtOpen)
     EXPECT_EXIT(TraceReader(path_.string()),
                 ::testing::ExitedWithCode(1), "truncated");
 
-    std::string error;
-    EXPECT_FALSE(probeTraceFile(path_.string(), nullptr, &error));
-    EXPECT_NE(error.find("truncated"), std::string::npos);
+    const auto probed = probeTrace(path_.string());
+    ASSERT_FALSE(probed.ok());
+    EXPECT_EQ(probed.error().code, ErrCode::Truncated);
+    EXPECT_NE(probed.error().detail.find("truncated"), std::string::npos);
 }
 
 TEST_F(TraceIoTest, OverflowingRecordCountIsRejected)
@@ -162,9 +163,9 @@ TEST_F(TraceIoTest, OverflowingRecordCountIsRejected)
         const uint64_t huge = UINT64_MAX / 2;
         f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
     }
-    std::string error;
-    EXPECT_FALSE(probeTraceFile(path_.string(), nullptr, &error));
-    EXPECT_NE(error.find("truncated"), std::string::npos);
+    const auto probed = probeTrace(path_.string());
+    ASSERT_FALSE(probed.ok());
+    EXPECT_NE(probed.error().detail.find("truncated"), std::string::npos);
     EXPECT_EXIT(TraceReader(path_.string()),
                 ::testing::ExitedWithCode(1), "truncated");
 }
@@ -187,9 +188,10 @@ TEST_F(TraceIoTest, BadVersionIsRejected)
     EXPECT_EXIT(TraceReader(path_.string()),
                 ::testing::ExitedWithCode(1), "version");
 
-    std::string error;
-    EXPECT_FALSE(probeTraceFile(path_.string(), nullptr, &error));
-    EXPECT_NE(error.find("version"), std::string::npos);
+    const auto probed = probeTrace(path_.string());
+    ASSERT_FALSE(probed.ok());
+    EXPECT_EQ(probed.error().code, ErrCode::BadVersion);
+    EXPECT_NE(probed.error().detail.find("version"), std::string::npos);
 }
 
 TEST_F(TraceIoTest, ProbeReportsHeaderOnGoodFile)
@@ -200,18 +202,19 @@ TEST_F(TraceIoTest, ProbeReportsHeaderOnGoodFile)
         w.write({0x104, false, 2});
         w.close();
     }
-    TraceFileInfo info;
-    std::string error;
-    ASSERT_TRUE(probeTraceFile(path_.string(), &info, &error)) << error;
+    auto probed = probeTrace(path_.string());
+    ASSERT_TRUE(probed.ok()) << probed.error().message();
+    const TraceFileInfo info = probed.take();
     EXPECT_EQ(info.name, "probe-me");
     EXPECT_EQ(info.records, 2u);
     EXPECT_EQ(info.fileBytes,
               info.dataStart + info.records * kTraceRecordBytes);
 
-    std::string bad_err;
-    EXPECT_FALSE(probeTraceFile("/nonexistent/x.tcbt", nullptr,
-                                &bad_err));
-    EXPECT_NE(bad_err.find("cannot open"), std::string::npos);
+    const auto missing = probeTrace("/nonexistent/x.tcbt");
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.error().code, ErrCode::NotFound);
+    EXPECT_NE(missing.error().detail.find("cannot open"),
+              std::string::npos);
 }
 
 TEST_F(TraceIoTest, WriterFailureIsFatalNotSilentTruncation)

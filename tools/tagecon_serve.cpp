@@ -83,9 +83,9 @@ main(int argc, char** argv)
         "streams", "spec",           "traces",      "branches",
         "seed",    "jobs",           "shards",      "pool",
         "batch",   "checkpoint-dir", "restore-dir", "digests",
-        "per-stream", "report",      "csv",         "scalar",
-        "faults",  "strict",         "retries",     "metrics",
-        "metrics-out", "trace-out"};
+        "per-stream", "report",      "csv",         "faults",
+        "strict",  "retries",        "metrics",     "metrics-out",
+        "trace-out"};
     for (const auto& flag : args.flagNames()) {
         if (std::find(known_flags.begin(), known_flags.end(), flag) ==
             known_flags.end())
@@ -93,7 +93,7 @@ main(int argc, char** argv)
                   " (known: --streams --spec --traces --branches "
                   "--seed --jobs --shards --pool --batch "
                   "--checkpoint-dir --restore-dir --digests "
-                  "--per-stream --report --csv --scalar --faults "
+                  "--per-stream --report --csv --faults "
                   "--strict --retries --metrics --metrics-out "
                   "--trace-out)");
     }
@@ -111,7 +111,6 @@ main(int argc, char** argv)
     opts.checkpointDir = args.getString("checkpoint-dir", "");
     opts.restoreDir = args.getString("restore-dir", "");
     opts.computeDigests = args.getBool("digests", false);
-    opts.forceScalar = args.getBool("scalar", false);
     opts.strict = args.getBool("strict", false);
     opts.retryAttempts = static_cast<unsigned>(
         args.getUintInRange("retries", 3, 1, 64));

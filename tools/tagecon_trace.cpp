@@ -75,9 +75,10 @@ cmdConvert(const CliArgs& args)
         args.getUint("branches", default_branches);
     const uint64_t seed = args.getUint("seed", 0);
 
-    auto src = tryMakeTraceSource(spec, branches, seed, &error);
-    if (!src)
-        fatal(error);
+    auto opened = openTraceSource(spec, branches, seed);
+    if (!opened.ok())
+        fatal(opened.error().detail);
+    const auto src = opened.take();
     const uint64_t written = writeTraceFile(out, *src);
     std::cout << "wrote " << written << " records of '" << src->name()
               << "' to " << out << "\n";
@@ -131,10 +132,13 @@ cmdInspect(const CliArgs& args)
     // reported as such (with the probe's error), not misdescribed as
     // an ASCII trace.
     TraceFileInfo info;
-    std::string error;
     const bool is_tcbt = looksLikeTcbt(path);
-    if (is_tcbt && !probeTraceFile(path, &info, &error))
-        fatal(error);
+    if (is_tcbt) {
+        auto probed = probeTrace(path);
+        if (!probed.ok())
+            fatal(probed.error().detail);
+        info = probed.take();
+    }
     std::cout << "file:    " << path << "\n";
     if (is_tcbt) {
         std::cout << "format:  tcbt (binary, version "
@@ -149,10 +153,7 @@ cmdInspect(const CliArgs& args)
                   << "name:    " << cbpAsciiTraceName(path) << "\n";
     }
 
-    auto src = tryMakeTraceSource("file:" + path, 0, 0, &error);
-    if (!src)
-        fatal(error);
-    const TraceStats s = collectStats(*src);
+    const TraceStats s = collectStats(*makeTraceSource("file:" + path, 0));
     const double taken_pct =
         s.records == 0
             ? 0.0
@@ -180,10 +181,7 @@ cmdHead(const CliArgs& args)
         fatal("head needs --in=PATH\n" + std::string(kUsage));
     const uint64_t count = args.getUint("count", 10);
 
-    std::string error;
-    auto src = tryMakeTraceSource("file:" + path, count, 0, &error);
-    if (!src)
-        fatal(error);
+    const auto src = makeTraceSource("file:" + path, count);
     BranchRecord rec;
     uint64_t shown = 0;
     std::cout << "# pc taken instructionsBefore\n";
