@@ -4,7 +4,8 @@
  * (src/serve/) over a large stream population — thousands of simulated
  * "users", each with its own trace position and predictor state — and
  * reports wall-clock throughput (streams/sec, predictions/sec) and
- * per-prediction latency percentiles at several worker counts.
+ * the p50/p99 of the engine's serve.turn.ns histogram (microseconds
+ * per scheduling turn) at several worker counts.
  *
  * The committed BENCH_serving.json at the repo root is this bench's
  * --report=json output. Accuracy columns are deterministic (identical
@@ -20,6 +21,7 @@
 #include <iostream>
 #include <thread>
 
+#include "obs/metrics.hpp"
 #include "serve/serving_engine.hpp"
 #include "sim/report.hpp"
 #include "sim/sweep.hpp"
@@ -84,12 +86,16 @@ main(int argc, char** argv)
     t.addColumn("wall (s)");
     t.addColumn("streams/s");
     t.addColumn("predictions/s");
-    t.addColumn("p50 lat (ns/pred)");
-    t.addColumn("p99 lat (ns/pred)");
+    t.addColumn("p50 turn (us)");
+    t.addColumn("p99 turn (us)");
     t.addColumn("misp/KI");
     t.addColumn("MKP");
 
+    obs::setMetricsEnabled(true);
+    const obs::TimingHistogram& turn_ns =
+        obs::timingHistogram("serve.turn.ns");
     for (const unsigned jobs : job_counts) {
+        obs::resetAllMetrics();
         ServeOptions opts;
         opts.spec = spec;
         opts.jobs = jobs;
@@ -99,12 +105,15 @@ main(int argc, char** argv)
         ServeResult result;
         if (!engine.serve(streams, result, error))
             fatal(error);
-        t.addRow({std::to_string(jobs),
-                  TextTable::num(result.timing.wallSeconds, 3),
-                  TextTable::num(result.timing.streamsPerSec, 1),
-                  TextTable::num(result.timing.predictionsPerSec, 0),
-                  TextTable::num(result.timing.p50LatencyNs, 1),
-                  TextTable::num(result.timing.p99LatencyNs, 1),
+        const double wall = result.wallSeconds;
+        auto per_second = [wall](uint64_t count) {
+            return wall > 0.0 ? static_cast<double>(count) / wall : 0.0;
+        };
+        t.addRow({std::to_string(jobs), TextTable::num(wall, 3),
+                  TextTable::num(per_second(result.streamsServed), 1),
+                  TextTable::num(per_second(result.totalBranches), 0),
+                  TextTable::num(turn_ns.quantile(0.50) / 1000.0, 1),
+                  TextTable::num(turn_ns.quantile(0.99) / 1000.0, 1),
                   TextTable::num(result.aggregate.mpki(), 3),
                   TextTable::num(result.aggregate.totalMkp(), 1)});
     }

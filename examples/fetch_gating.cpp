@@ -25,10 +25,8 @@
  * TAGE scheme by default, but gating works with any graded predictor
  * ("gshare+jrs", "perceptron+self", ...).
  *
- * Flags: --trace=NAME --predictor=SPEC --branches=N
- *        --delay=N (resolve delay, default 24 branches)
- *        --config=16K|64K|256K (legacy TAGE size, translated to a
- *        spec when --predictor is not given)
+ * Flags: --trace=NAME --predictor=SPEC (default tage64k+prob7+sfc)
+ *        --branches=N --delay=N (resolve delay, default 24 branches)
  */
 
 #include <deque>
@@ -37,7 +35,6 @@
 #include "sim/experiment.hpp"
 #include "sim/registry.hpp"
 #include "util/cli.hpp"
-#include "util/logging.hpp"
 #include "util/table_printer.hpp"
 
 using namespace tagecon;
@@ -150,15 +147,8 @@ main(int argc, char** argv)
 {
     CliArgs args(argc, argv);
     const std::string trace = args.getString("trace", "300.twolf");
-    std::string spec = args.getString("predictor", "");
-    if (spec.empty()) {
-        // Legacy size flag, translated to the equivalent spec.
-        spec = tageBaseForSize(args.getString("config", "64K"));
-        if (spec.empty())
-            fatal("unknown --config (use 16K, 64K, 256K or "
-                  "--predictor=SPEC)");
-        spec += "+prob7+sfc";
-    }
+    const std::string spec =
+        args.getString("predictor", "tage64k+prob7+sfc");
     const uint64_t branches = args.getUint("branches", 500000);
     const int delay = static_cast<int>(args.getInt("delay", 24));
 

@@ -66,7 +66,10 @@ main(int argc, char** argv)
 
         // Round-trip check: the file replays bit-identically.
         src.reset();
-        TraceReader reader(path);
+        auto opened = TraceReader::open(path);
+        if (!opened.ok())
+            fatal(opened.error().detail);
+        TraceReader& reader = *opened.value();
         BranchRecord expected;
         BranchRecord actual;
         while (src.next(expected)) {

@@ -6,15 +6,22 @@
 
 namespace tagecon {
 
+IntervalObserver::IntervalObserver(uint64_t interval_length)
+    : length_(interval_length)
+{
+    TAGECON_ASSERT(interval_length > 0,
+                   "interval length must be positive");
+}
+
 void
 IntervalObserver::finish(RunAnalysis& out)
 {
     IntervalAnalysis ia;
-    ia.intervalLength = recorder_.intervalLength();
-    ia.intervals = recorder_.intervals();
+    ia.intervalLength = length_;
+    ia.intervals = std::move(done_);
     ia.completeIntervals = ia.intervals.size();
-    if (recorder_.current().totalPredictions() > 0)
-        ia.intervals.push_back(recorder_.current());
+    if (current_.totalPredictions() > 0)
+        ia.intervals.push_back(current_);
     out.intervals = std::move(ia);
 }
 

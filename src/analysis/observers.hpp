@@ -2,8 +2,7 @@
  * @file
  * The built-in run-analysis observers:
  *
- *  - IntervalObserver            windowed per-class statistics (wraps
- *                                sim's IntervalRecorder) — the
+ *  - IntervalObserver            windowed per-class statistics — the
  *                                time-local view of Sec. 5.1
  *  - ConfidenceHistogramObserver per-class / per-level counter and
  *                                taken-direction distributions
@@ -23,40 +22,43 @@
 #include <unordered_map>
 
 #include "analysis/run_observer.hpp"
-#include "sim/interval_stats.hpp"
 
 namespace tagecon {
 
 /**
  * Splits the stream into fixed-length windows and keeps a ClassStats
- * per window (IntervalRecorder behind the observer interface). The
- * partial tail window, when any, is appended after the complete ones.
+ * per window. Sec. 5.1 attributes the BIM-class mispredictions to the
+ * predictor's warming phase and to capacity-problem phases, both
+ * time-local effects a whole-trace average hides. The partial tail
+ * window, when any, is appended after the complete ones.
  */
 class IntervalObserver : public RunObserver
 {
   public:
     /** @param interval_length Predictions per interval; must be > 0. */
-    explicit IntervalObserver(uint64_t interval_length)
-        : recorder_(interval_length)
-    {
-    }
+    explicit IntervalObserver(uint64_t interval_length);
 
     std::string name() const override { return "intervals"; }
 
     void
     onPrediction(const ObservedPrediction& o) override
     {
-        recorder_.record(o.prediction.cls, o.mispredicted,
-                         o.instructions);
+        current_.record(o.prediction.cls, o.mispredicted,
+                        o.instructions);
+        if (++inCurrent_ == length_) {
+            done_.push_back(current_);
+            current_ = ClassStats{};
+            inCurrent_ = 0;
+        }
     }
 
     void finish(RunAnalysis& out) override;
 
-    /** The wrapped recorder (read-only, for incremental inspection). */
-    const IntervalRecorder& recorder() const { return recorder_; }
-
   private:
-    IntervalRecorder recorder_;
+    uint64_t length_;
+    uint64_t inCurrent_ = 0;
+    ClassStats current_;
+    std::vector<ClassStats> done_;
 };
 
 /**

@@ -12,8 +12,8 @@ BimodalPredictor::BimodalPredictor(int log_entries, int ctr_bits)
         fatal("bimodal: bad table size");
     if (ctr_bits < 1 || ctr_bits > 8)
         fatal("bimodal: bad counter width");
-    table_.assign(size_t{1} << log_entries,
-                  static_cast<uint8_t>(1u << (ctr_bits - 1)));
+    table_.resize(size_t{1} << log_entries);
+    reset();
 }
 
 uint32_t
@@ -22,14 +22,17 @@ BimodalPredictor::indexFor(uint64_t pc) const
     return static_cast<uint32_t>(pc & maskBits(logEntries_));
 }
 
-bool
+Prediction
 BimodalPredictor::predict(uint64_t pc)
 {
-    return packed::unsignedTaken(table_[indexFor(pc)], ctrBits_);
+    const uint8_t ctr = table_[indexFor(pc)];
+    return binaryPrediction(packed::unsignedTaken(ctr, ctrBits_),
+                            !packed::unsignedWeak(ctr, ctrBits_));
 }
 
 void
-BimodalPredictor::update(uint64_t pc, bool taken)
+BimodalPredictor::update(uint64_t pc, const Prediction& /*p*/,
+                         bool taken)
 {
     uint8_t& ctr = table_[indexFor(pc)];
     ctr = static_cast<uint8_t>(packed::unsignedUpdate(ctr, ctrBits_, taken));
@@ -39,6 +42,14 @@ uint64_t
 BimodalPredictor::storageBits() const
 {
     return (uint64_t{1} << logEntries_) * static_cast<uint64_t>(ctrBits_);
+}
+
+void
+BimodalPredictor::reset()
+{
+    // Every counter starts weakly taken.
+    table_.assign(table_.size(),
+                  static_cast<uint8_t>(1u << (ctrBits_ - 1)));
 }
 
 bool
@@ -53,30 +64,31 @@ BimodalPredictor::counterFor(uint64_t pc) const
     return UnsignedSatCounter(ctrBits_, table_[indexFor(pc)]);
 }
 
-void
-BimodalPredictor::saveState(StateWriter& out) const
+bool
+BimodalPredictor::snapshot(StateWriter& out, std::string& /*error*/) const
 {
     out.u8(static_cast<uint8_t>(logEntries_));
     out.u8(static_cast<uint8_t>(ctrBits_));
     out.bytes(table_.data(), table_.size());
+    return true;
 }
 
 bool
-BimodalPredictor::loadState(StateReader& in, std::string& error)
+BimodalPredictor::restore(StateReader& in, std::string& error)
 {
     if (in.u8() != static_cast<uint8_t>(logEntries_) ||
         in.u8() != static_cast<uint8_t>(ctrBits_)) {
         error = in.ok() ? "bimodal state was written with a different "
                           "geometry"
                         : "bimodal state is truncated";
+        reset();
         return false;
     }
-    std::vector<uint8_t> table(table_.size());
-    if (!in.bytes(table.data(), table.size())) {
+    if (!in.bytes(table_.data(), table_.size())) {
         error = "bimodal state is truncated";
+        reset();
         return false;
     }
-    table_ = std::move(table);
     return true;
 }
 

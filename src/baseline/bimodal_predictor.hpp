@@ -13,24 +13,34 @@
 #include <string>
 #include <vector>
 
+#include "core/graded_predictor.hpp"
 #include "util/saturating_counter.hpp"
-#include "util/state_io.hpp"
 
 namespace tagecon {
 
-/** Stand-alone bimodal predictor with Smith-style self-confidence. */
-class BimodalPredictor
+/**
+ * Bimodal predictor graded with Smith self-confidence: a weak counter
+ * is low confidence, any other high.
+ */
+class BimodalPredictor final : public GradedPredictor
 {
   public:
     /**
-     * @param log_entries log2 of the table size.
+     * @param log_entries log2 of the table size (the default 15 gives
+     *        a 64Kbit table).
      * @param ctr_bits Counter width (2 in the classic design).
      */
-    explicit BimodalPredictor(int log_entries, int ctr_bits = 2);
+    explicit BimodalPredictor(int log_entries = 15, int ctr_bits = 2);
 
-    bool predict(uint64_t pc);
-    void update(uint64_t pc, bool taken);
-    uint64_t storageBits() const;
+    Prediction predict(uint64_t pc) override;
+    void update(uint64_t pc, const Prediction& p, bool taken) override;
+    uint64_t storageBits() const override;
+    void reset() override;
+    bool hasIntrinsicConfidence() const override { return true; }
+
+    /** Serialize geometry fingerprint + counter table. */
+    bool snapshot(StateWriter& out, std::string& error) const override;
+    bool restore(StateReader& in, std::string& error) override;
 
     /**
      * Smith self-confidence for the branch at @p pc: high confidence
@@ -41,14 +51,8 @@ class BimodalPredictor
     /** Snapshot of the counter backing @p pc (tests / introspection). */
     UnsignedSatCounter counterFor(uint64_t pc) const;
 
-    /** Serialize geometry fingerprint + counter table. */
-    void saveState(StateWriter& out) const;
-
-    /**
-     * Restore state written by saveState() on an identical geometry.
-     * Returns false with the reason in @p error on mismatch/underrun.
-     */
-    bool loadState(StateReader& in, std::string& error);
+  protected:
+    std::string defaultName() const override { return "bimodal"; }
 
   private:
     uint32_t indexFor(uint64_t pc) const;

@@ -1,9 +1,8 @@
 #include "baseline/gshare_predictor.hpp"
 
-#include <algorithm>
-
 #include "util/bit_utils.hpp"
 #include "util/logging.hpp"
+#include "util/saturating_counter.hpp"
 
 namespace tagecon {
 
@@ -18,8 +17,8 @@ GsharePredictor::GsharePredictor(int log_entries, int history_bits,
         fatal("gshare: bad history length");
     if (ctr_bits < 1 || ctr_bits > 8)
         fatal("gshare: bad counter width");
-    table_.assign(size_t{1} << log_entries,
-                  static_cast<uint8_t>(1u << (ctr_bits - 1)));
+    table_.resize(size_t{1} << log_entries);
+    reset();
 }
 
 uint32_t
@@ -32,14 +31,16 @@ GsharePredictor::indexFor(uint64_t pc) const
     return static_cast<uint32_t>((pc ^ folded) & maskBits(logEntries_));
 }
 
-bool
+Prediction
 GsharePredictor::predict(uint64_t pc)
 {
-    return packed::unsignedTaken(table_[indexFor(pc)], ctrBits_);
+    return binaryPrediction(
+        packed::unsignedTaken(table_[indexFor(pc)], ctrBits_),
+        /*high=*/true);
 }
 
 void
-GsharePredictor::update(uint64_t pc, bool taken)
+GsharePredictor::update(uint64_t pc, const Prediction& /*p*/, bool taken)
 {
     uint8_t& ctr = table_[indexFor(pc)];
     ctr = static_cast<uint8_t>(packed::unsignedUpdate(ctr, ctrBits_, taken));
@@ -54,17 +55,27 @@ GsharePredictor::storageBits() const
 }
 
 void
-GsharePredictor::saveState(StateWriter& out) const
+GsharePredictor::reset()
+{
+    // Every counter starts weakly taken, with an all-not-taken history.
+    table_.assign(table_.size(),
+                  static_cast<uint8_t>(1u << (ctrBits_ - 1)));
+    history_ = 0;
+}
+
+bool
+GsharePredictor::snapshot(StateWriter& out, std::string& /*error*/) const
 {
     out.u8(static_cast<uint8_t>(logEntries_));
     out.u32(static_cast<uint32_t>(historyBits_));
     out.u8(static_cast<uint8_t>(ctrBits_));
     out.u64(history_);
     out.bytes(table_.data(), table_.size());
+    return true;
 }
 
 bool
-GsharePredictor::loadState(StateReader& in, std::string& error)
+GsharePredictor::restore(StateReader& in, std::string& error)
 {
     if (in.u8() != static_cast<uint8_t>(logEntries_) ||
         in.u32() != static_cast<uint32_t>(historyBits_) ||
@@ -72,16 +83,15 @@ GsharePredictor::loadState(StateReader& in, std::string& error)
         error = in.ok() ? "gshare state was written with a different "
                           "geometry"
                         : "gshare state is truncated";
+        reset();
         return false;
     }
-    const uint64_t history = in.u64();
-    std::vector<uint8_t> table(table_.size());
-    if (!in.bytes(table.data(), table.size())) {
+    history_ = in.u64() & maskBits(historyBits_);
+    if (!in.bytes(table_.data(), table_.size())) {
         error = "gshare state is truncated";
+        reset();
         return false;
     }
-    history_ = history & maskBits(historyBits_);
-    table_ = std::move(table);
     return true;
 }
 

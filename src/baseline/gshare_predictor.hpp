@@ -13,28 +13,39 @@
 #include <string>
 #include <vector>
 
-#include "util/saturating_counter.hpp"
-#include "util/state_io.hpp"
+#include "core/graded_predictor.hpp"
 
 namespace tagecon {
 
-/** Classic gshare predictor. */
-class GsharePredictor
+/**
+ * Classic gshare. Confidence-blind: every prediction is graded high
+ * and hasIntrinsicConfidence() is false, so the registry rejects
+ * "gshare+sfc" and a storage-based estimator (JRS) must be attached
+ * instead.
+ */
+class GsharePredictor final : public GradedPredictor
 {
   public:
     /**
-     * @param log_entries log2 of the counter table size.
+     * @param log_entries log2 of the counter table size (the default
+     *        15 gives a 64Kbit table, comparable to the 64K TAGE).
      * @param history_bits Global history bits mixed into the index;
      *        histories longer than log_entries are folded in
      *        log_entries-bit chunks (so the parameter is honored, not
      *        clamped).
      * @param ctr_bits Counter width.
      */
-    GsharePredictor(int log_entries, int history_bits, int ctr_bits = 2);
+    explicit GsharePredictor(int log_entries = 15, int history_bits = 15,
+                             int ctr_bits = 2);
 
-    bool predict(uint64_t pc);
-    void update(uint64_t pc, bool taken);
-    uint64_t storageBits() const;
+    Prediction predict(uint64_t pc) override;
+    void update(uint64_t pc, const Prediction& p, bool taken) override;
+    uint64_t storageBits() const override;
+    void reset() override;
+
+    /** Serialize geometry fingerprint + counter table + history. */
+    bool snapshot(StateWriter& out, std::string& error) const override;
+    bool restore(StateReader& in, std::string& error) override;
 
     /** Current global history register value. */
     uint64_t history() const { return history_; }
@@ -42,14 +53,8 @@ class GsharePredictor
     /** Index used for @p pc with the current history (tests). */
     uint32_t indexFor(uint64_t pc) const;
 
-    /** Serialize geometry fingerprint + counter table + history. */
-    void saveState(StateWriter& out) const;
-
-    /**
-     * Restore state written by saveState() on an identical geometry.
-     * Returns false with the reason in @p error on mismatch/underrun.
-     */
-    bool loadState(StateReader& in, std::string& error);
+  protected:
+    std::string defaultName() const override { return "gshare"; }
 
   private:
     /** Packed counters: one byte per entry, width held in ctrBits_. */

@@ -2,6 +2,7 @@
 
 #include "util/bit_utils.hpp"
 #include "util/logging.hpp"
+#include "util/saturating_counter.hpp"
 
 namespace tagecon {
 
@@ -33,10 +34,12 @@ JrsConfidenceEstimator::indexFor(uint64_t pc, bool predicted_taken) const
     return static_cast<uint32_t>(idx & maskBits(cfg_.logEntries));
 }
 
-bool
-JrsConfidenceEstimator::query(uint64_t pc, bool predicted_taken) const
+ConfidenceLevel
+JrsConfidenceEstimator::grade(uint64_t pc, const Prediction& p)
 {
-    return table_[indexFor(pc, predicted_taken)] >= cfg_.threshold;
+    return table_[indexFor(pc, p.taken)] >= cfg_.threshold
+               ? ConfidenceLevel::High
+               : ConfidenceLevel::Low;
 }
 
 unsigned
@@ -47,16 +50,22 @@ JrsConfidenceEstimator::counterValue(uint64_t pc,
 }
 
 void
-JrsConfidenceEstimator::record(uint64_t pc, bool predicted_taken,
-                               bool correct, bool taken)
+JrsConfidenceEstimator::onResolve(uint64_t pc, const Prediction& p,
+                                  bool taken)
 {
-    uint16_t& ctr = table_[indexFor(pc, predicted_taken)];
+    uint16_t& ctr = table_[indexFor(pc, p.taken)];
     // Resetting counter: saturating increment when correct, zero on a
     // misprediction.
-    ctr = correct ? static_cast<uint16_t>(
-                        packed::unsignedInc(ctr, cfg_.ctrBits))
-                  : uint16_t{0};
+    ctr = p.taken == taken ? static_cast<uint16_t>(
+                                 packed::unsignedInc(ctr, cfg_.ctrBits))
+                           : uint16_t{0};
     history_ = (history_ << 1) | (taken ? 1 : 0);
+}
+
+std::string
+JrsConfidenceEstimator::name() const
+{
+    return cfg_.indexWithPrediction ? "jrsg" : "jrs";
 }
 
 uint64_t
@@ -64,6 +73,13 @@ JrsConfidenceEstimator::storageBits() const
 {
     return (uint64_t{1} << cfg_.logEntries) *
            static_cast<uint64_t>(cfg_.ctrBits);
+}
+
+void
+JrsConfidenceEstimator::reset()
+{
+    table_.assign(table_.size(), 0);
+    history_ = 0;
 }
 
 } // namespace tagecon

@@ -14,18 +14,21 @@
 #ifndef TAGECON_BASELINE_JRS_ESTIMATOR_HPP
 #define TAGECON_BASELINE_JRS_ESTIMATOR_HPP
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
-#include "util/saturating_counter.hpp"
+#include "core/graded_predictor.hpp"
 
 namespace tagecon {
 
 /**
- * Storage-based confidence estimator attachable to any branch
- * predictor. The estimator keeps its own global-history register so it
- * is host-agnostic; drive it with query()/record() per branch.
+ * Storage-based confidence estimator attachable to any
+ * GradedPredictor through EstimatedPredictor (the "jrs" / "jrsg"
+ * registry tokens). It keeps its own global-history register, so it
+ * is host-agnostic.
  */
-class JrsConfidenceEstimator
+class JrsConfidenceEstimator final : public ConfidenceEstimator
 {
   public:
     struct Config {
@@ -55,24 +58,27 @@ class JrsConfidenceEstimator
     explicit JrsConfidenceEstimator(Config cfg);
 
     /**
-     * Confidence of the upcoming prediction @p predicted_taken for the
-     * branch at @p pc under the current history.
-     * @retval true High confidence.
+     * High iff the counter for the branch at @p pc, the current
+     * history and the predicted direction p.taken is at threshold.
      */
-    bool query(uint64_t pc, bool predicted_taken) const;
-
-    /** Raw counter value that query() consulted. */
-    unsigned counterValue(uint64_t pc, bool predicted_taken) const;
+    ConfidenceLevel grade(uint64_t pc, const Prediction& p) override;
 
     /**
      * Train with the resolved branch: increment on a correct
      * prediction, reset on a misprediction, then advance the history.
      */
-    void record(uint64_t pc, bool predicted_taken, bool correct,
-                bool taken);
+    void onResolve(uint64_t pc, const Prediction& p, bool taken) override;
 
-    /** Estimator storage cost in bits. */
-    uint64_t storageBits() const;
+    /** "jrsg" for the prediction-indexed variant, "jrs" otherwise. */
+    std::string name() const override;
+
+    uint64_t storageBits() const override;
+
+    /** Zero every counter and the history. */
+    void reset() override;
+
+    /** Raw counter value grade() consults (tests / introspection). */
+    unsigned counterValue(uint64_t pc, bool predicted_taken) const;
 
     /** The configuration in use. */
     const Config& config() const { return cfg_; }

@@ -1,5 +1,6 @@
 #include "baseline/ogehl_predictor.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "tage/tage_config.hpp"
@@ -70,16 +71,16 @@ OgehlPredictor::computeSum(uint64_t pc) const
     return sum;
 }
 
-bool
+Prediction
 OgehlPredictor::predict(uint64_t pc)
 {
     lastSum_ = computeSum(pc);
     lastAbsSum_ = std::abs(lastSum_);
-    return lastSum_ >= 0;
+    return binaryPrediction(lastSum_ >= 0, lastHighConfidence());
 }
 
 void
-OgehlPredictor::update(uint64_t pc, bool taken)
+OgehlPredictor::update(uint64_t pc, const Prediction& /*p*/, bool taken)
 {
     const int sum = computeSum(pc);
     const bool predicted = sum >= 0;
@@ -130,7 +131,20 @@ OgehlPredictor::storageBits() const
 }
 
 void
-OgehlPredictor::saveState(StateWriter& out) const
+OgehlPredictor::reset()
+{
+    std::fill(tables_.begin(), tables_.end(), int8_t{0});
+    history_.clear();
+    for (auto& fold : folds_)
+        fold.clear();
+    theta_ = cfg_.initialTheta;
+    thresholdCounter_ = 0;
+    lastSum_ = 0;
+    lastAbsSum_ = 0;
+}
+
+bool
+OgehlPredictor::snapshot(StateWriter& out, std::string& /*error*/) const
 {
     // Geometry fingerprint: everything loadState() must agree on for
     // the arena size, hash functions and threshold dynamics to line
@@ -160,10 +174,11 @@ OgehlPredictor::saveState(StateWriter& out) const
 
     out.i64(theta_);
     out.i64(thresholdCounter_);
+    return true;
 }
 
 bool
-OgehlPredictor::loadState(StateReader& in, std::string& error)
+OgehlPredictor::restore(StateReader& in, std::string& error)
 {
     const bool geometry_ok =
         in.u8() == static_cast<uint8_t>(cfg_.numTables) &&
@@ -177,48 +192,34 @@ OgehlPredictor::loadState(StateReader& in, std::string& error)
         error = in.ok() ? "O-GEHL state was written by a predictor "
                           "with a different geometry"
                         : "O-GEHL state is truncated";
+        reset();
         return false;
     }
 
-    // Decode everything before committing so a truncated blob leaves
-    // the predictor untouched.
-    std::vector<int8_t> tables(tables_.size());
-    in.bytes(reinterpret_cast<uint8_t*>(tables.data()), tables.size());
-
+    in.bytes(reinterpret_cast<uint8_t*>(tables_.data()), tables_.size());
     const size_t outcomes = history_.capacity() + 1;
     if (in.u32() != static_cast<uint32_t>(outcomes)) {
         error = in.ok() ? "O-GEHL state carries a history ring of a "
                           "different capacity"
                         : "O-GEHL state is truncated";
+        reset();
         return false;
     }
-    std::vector<uint8_t> ring(outcomes, 0);
-    in.packedBits(outcomes,
-                  [&](size_t i, bool bit) { ring[i] = bit ? 1 : 0; });
-    std::vector<uint32_t> fold_state(
-        static_cast<size_t>(cfg_.numTables), 0);
-    for (int t = 1; t < cfg_.numTables; ++t)
-        fold_state[static_cast<size_t>(t)] = in.u32();
-    const int64_t theta = in.i64();
-    const int64_t threshold_counter = in.i64();
-    if (!in.ok()) {
-        error = "O-GEHL state is truncated";
-        return false;
-    }
-
-    tables_ = std::move(tables);
-    // ring[0] is the oldest outcome; pushing oldest-first rebuilds
-    // every head-relative index.
+    // The ring was written oldest-first; pushing in that order into a
+    // cleared ring rebuilds every head-relative index.
     history_.clear();
-    for (const uint8_t bit : ring)
-        history_.push(bit != 0);
+    in.packedBits(outcomes, [&](size_t, bool bit) { history_.push(bit); });
     for (int t = 1; t < cfg_.numTables; ++t)
-        folds_[static_cast<size_t>(t)].restore(
-            fold_state[static_cast<size_t>(t)]);
-    theta_ = static_cast<int>(theta);
-    thresholdCounter_ = static_cast<int>(threshold_counter);
+        folds_[static_cast<size_t>(t)].restore(in.u32());
+    theta_ = static_cast<int>(in.i64());
+    thresholdCounter_ = static_cast<int>(in.i64());
     lastSum_ = 0;
     lastAbsSum_ = 0;
+    if (!in.ok()) {
+        error = "O-GEHL state is truncated";
+        reset();
+        return false;
+    }
     return true;
 }
 

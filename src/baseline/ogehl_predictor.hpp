@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "core/graded_predictor.hpp"
 #include "util/global_history.hpp"
-#include "util/state_io.hpp"
 
 namespace tagecon {
 
@@ -26,9 +26,10 @@ namespace tagecon {
  * GEometric History Length predictor with adder tree and adaptive
  * update threshold. Tables of signed counters are indexed with
  * geometrically increasing history lengths; the prediction is the
- * sign of the counter sum.
+ * sign of the counter sum, graded with its |sum| >= theta
+ * self-confidence.
  */
-class OgehlPredictor
+class OgehlPredictor final : public GradedPredictor
 {
   public:
     struct Config {
@@ -57,9 +58,20 @@ class OgehlPredictor
     OgehlPredictor();
     explicit OgehlPredictor(Config cfg);
 
-    bool predict(uint64_t pc);
-    void update(uint64_t pc, bool taken);
-    uint64_t storageBits() const;
+    Prediction predict(uint64_t pc) override;
+    void update(uint64_t pc, const Prediction& p, bool taken) override;
+    uint64_t storageBits() const override;
+    void reset() override;
+    bool hasIntrinsicConfidence() const override { return true; }
+
+    /**
+     * Serialize the architectural state — counter arena, history ring,
+     * fold registers, adaptive threshold — behind a geometry
+     * fingerprint. The last-sum introspection values are
+     * predict-transient and not part of the state.
+     */
+    bool snapshot(StateWriter& out, std::string& error) const override;
+    bool restore(StateReader& in, std::string& error) override;
 
     /**
      * Self-confidence of the last predict(): high iff |sum| >= theta
@@ -76,20 +88,8 @@ class OgehlPredictor
     /** The configuration in use. */
     const Config& config() const { return cfg_; }
 
-    /**
-     * Serialize the architectural state — counter arena, history ring,
-     * fold registers, adaptive threshold — behind a geometry
-     * fingerprint. The last-sum introspection values are
-     * predict-transient and not part of the state.
-     */
-    void saveState(StateWriter& out) const;
-
-    /**
-     * Restore state written by saveState(). Returns false with the
-     * reason in @p error (leaving the predictor untouched) on
-     * truncation or geometry mismatch.
-     */
-    bool loadState(StateReader& in, std::string& error);
+  protected:
+    std::string defaultName() const override { return "ogehl"; }
 
   private:
     uint32_t indexFor(uint64_t pc, int table) const;

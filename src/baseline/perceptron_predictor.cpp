@@ -1,6 +1,6 @@
 #include "baseline/perceptron_predictor.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/bit_utils.hpp"
@@ -18,9 +18,9 @@ PerceptronPredictor::PerceptronPredictor(int log_perceptrons,
         fatal("perceptron: bad table size");
     if (history_bits < 1 || history_bits > 64)
         fatal("perceptron: bad history length");
-    weights_.assign((size_t{1} << log_perceptrons) *
-                        (static_cast<size_t>(history_bits) + 1),
-                    0);
+    weights_.resize((size_t{1} << log_perceptrons) *
+                    (static_cast<size_t>(history_bits) + 1));
+    reset();
 }
 
 uint32_t
@@ -43,16 +43,17 @@ PerceptronPredictor::computeSum(uint64_t pc) const
     return sum;
 }
 
-bool
+Prediction
 PerceptronPredictor::predict(uint64_t pc)
 {
     lastSum_ = computeSum(pc);
     lastAbsSum_ = std::abs(lastSum_);
-    return lastSum_ >= 0;
+    return binaryPrediction(lastSum_ >= 0, lastHighConfidence());
 }
 
 void
-PerceptronPredictor::update(uint64_t pc, bool taken)
+PerceptronPredictor::update(uint64_t pc, const Prediction& /*p*/,
+                            bool taken)
 {
     const int sum = computeSum(pc);
     const bool predicted = sum >= 0;
@@ -85,17 +86,28 @@ PerceptronPredictor::storageBits() const
 }
 
 void
-PerceptronPredictor::saveState(StateWriter& out) const
+PerceptronPredictor::reset()
+{
+    std::fill(weights_.begin(), weights_.end(), int8_t{0});
+    history_ = 0;
+    lastSum_ = 0;
+    lastAbsSum_ = 0;
+}
+
+bool
+PerceptronPredictor::snapshot(StateWriter& out,
+                              std::string& /*error*/) const
 {
     out.u8(static_cast<uint8_t>(logPerceptrons_));
     out.u8(static_cast<uint8_t>(historyBits_));
     out.bytes(reinterpret_cast<const uint8_t*>(weights_.data()),
               weights_.size());
     out.u64(history_);
+    return true;
 }
 
 bool
-PerceptronPredictor::loadState(StateReader& in, std::string& error)
+PerceptronPredictor::restore(StateReader& in, std::string& error)
 {
     const bool geometry_ok =
         in.u8() == static_cast<uint8_t>(logPerceptrons_) &&
@@ -104,20 +116,19 @@ PerceptronPredictor::loadState(StateReader& in, std::string& error)
         error = in.ok() ? "perceptron state was written by a predictor "
                           "with a different geometry"
                         : "perceptron state is truncated";
+        reset();
         return false;
     }
-    std::vector<int8_t> weights(weights_.size());
-    in.bytes(reinterpret_cast<uint8_t*>(weights.data()),
-             weights.size());
-    const uint64_t history = in.u64();
-    if (!in.ok()) {
-        error = "perceptron state is truncated";
-        return false;
-    }
-    weights_ = std::move(weights);
-    history_ = history;
+    in.bytes(reinterpret_cast<uint8_t*>(weights_.data()),
+             weights_.size());
+    history_ = in.u64();
     lastSum_ = 0;
     lastAbsSum_ = 0;
+    if (!in.ok()) {
+        error = "perceptron state is truncated";
+        reset();
+        return false;
+    }
     return true;
 }
 

@@ -14,24 +14,39 @@
 #include <string>
 #include <vector>
 
-#include "util/state_io.hpp"
+#include "core/graded_predictor.hpp"
 
 namespace tagecon {
 
-/** Global-history perceptron predictor with self-confidence. */
-class PerceptronPredictor
+/**
+ * Global-history perceptron predictor, graded with its |sum| >= theta
+ * self-confidence.
+ */
+class PerceptronPredictor final : public GradedPredictor
 {
   public:
     /**
      * @param log_perceptrons log2 of the number of perceptrons.
      * @param history_bits Global history length (weights per
      *        perceptron, excluding the bias weight).
+     * The defaults match the bench geometry comparable to 64Kbit.
      */
-    PerceptronPredictor(int log_perceptrons, int history_bits);
+    explicit PerceptronPredictor(int log_perceptrons = 9,
+                                 int history_bits = 32);
 
-    bool predict(uint64_t pc);
-    void update(uint64_t pc, bool taken);
-    uint64_t storageBits() const;
+    Prediction predict(uint64_t pc) override;
+    void update(uint64_t pc, const Prediction& p, bool taken) override;
+    uint64_t storageBits() const override;
+    void reset() override;
+    bool hasIntrinsicConfidence() const override { return true; }
+
+    /**
+     * Serialize the architectural state (weight arena + history)
+     * behind a geometry fingerprint. The last-sum introspection values
+     * are predict-transient and not part of the state.
+     */
+    bool snapshot(StateWriter& out, std::string& error) const override;
+    bool restore(StateReader& in, std::string& error) override;
 
     /**
      * Self-confidence of the last predict(): high when |sum| is above
@@ -45,19 +60,8 @@ class PerceptronPredictor
     /** Training threshold theta = floor(1.93 * h + 14). */
     int theta() const { return theta_; }
 
-    /**
-     * Serialize the architectural state (weight arena + history)
-     * behind a geometry fingerprint. The last-sum introspection values
-     * are predict-transient and not part of the state.
-     */
-    void saveState(StateWriter& out) const;
-
-    /**
-     * Restore state written by saveState(). Returns false with the
-     * reason in @p error (leaving the predictor untouched) on
-     * truncation or geometry mismatch.
-     */
-    bool loadState(StateReader& in, std::string& error);
+  protected:
+    std::string defaultName() const override { return "perceptron"; }
 
   private:
     uint32_t indexFor(uint64_t pc) const;

@@ -1,24 +1,23 @@
 /**
  * @file
- * The ConfidenceEstimator family: every way this repository knows to
- * grade a prediction, as decorators attachable to any GradedPredictor.
+ * The stateless ConfidenceEstimators, attachable to any
+ * GradedPredictor through EstimatedPredictor:
  *
  *  - IntrinsicEstimator ("sfc"/"self"): trusts the grade the host
  *    predictor derived from its own state — the paper's storage-free
  *    scheme on TAGE, |sum| >= theta self-confidence on neural
  *    predictors, Smith counter strength on bimodal. Zero storage.
- *  - JrsEstimator ("jrs"/"jrsg"): the storage-based JRS resetting
- *    counter table (MICRO 1996), optionally with Grunwald et al.'s
- *    prediction-indexed refinement — the baseline the paper's
- *    storage-free scheme is pitted against.
  *  - BlindEstimator ("blind"): grades everything high confidence; the
  *    confidence-oblivious control row in comparisons.
+ *
+ * The storage-based JRS estimator ("jrs"/"jrsg"), the baseline the
+ * paper's storage-free scheme is pitted against, is
+ * JrsConfidenceEstimator in baseline/jrs_estimator.hpp.
  */
 
 #ifndef TAGECON_CORE_ESTIMATORS_HPP
 #define TAGECON_CORE_ESTIMATORS_HPP
 
-#include "baseline/jrs_estimator.hpp"
 #include "core/graded_predictor.hpp"
 
 namespace tagecon {
@@ -52,56 +51,6 @@ class IntrinsicEstimator : public ConfidenceEstimator
     uint64_t storageBits() const override { return 0; }
 
     void reset() override {}
-};
-
-/**
- * The JRS resetting-counter estimator as a decorator. High confidence
- * iff the gshare-indexed counter is at threshold; counters are
- * incremented on correct predictions and reset on mispredictions.
- */
-class JrsEstimator : public ConfidenceEstimator
-{
-  public:
-    /** Classic configuration: 4-bit counters, threshold 15. */
-    JrsEstimator() = default;
-
-    explicit JrsEstimator(JrsConfidenceEstimator::Config cfg)
-        : inner_(cfg)
-    {
-    }
-
-    ConfidenceLevel
-    grade(uint64_t pc, const Prediction& p) override
-    {
-        return inner_.query(pc, p.taken) ? ConfidenceLevel::High
-                                         : ConfidenceLevel::Low;
-    }
-
-    void
-    onResolve(uint64_t pc, const Prediction& p, bool taken) override
-    {
-        inner_.record(pc, p.taken, p.taken == taken, taken);
-    }
-
-    std::string
-    name() const override
-    {
-        return inner_.config().indexWithPrediction ? "jrsg" : "jrs";
-    }
-
-    uint64_t storageBits() const override { return inner_.storageBits(); }
-
-    void
-    reset() override
-    {
-        inner_ = JrsConfidenceEstimator(inner_.config());
-    }
-
-    /** The wrapped table (introspection / tests). */
-    const JrsConfidenceEstimator& inner() const { return inner_; }
-
-  private:
-    JrsConfidenceEstimator inner_;
 };
 
 /** Grades every prediction high confidence (the blind control). */

@@ -13,9 +13,10 @@
  * nothing at all.
  *
  * Concrete predictors live next to their families:
- *  - tage/graded_tage.hpp        TAGE and L-TAGE (storage-free classes)
- *  - baseline/graded_baselines.hpp  gshare, bimodal, perceptron, O-GEHL
- *  - core/estimators.hpp         the ConfidenceEstimator family
+ *  - tage/graded_tage.hpp             TAGE and L-TAGE (storage-free classes)
+ *  - baseline/<family>_predictor.hpp  gshare, bimodal, perceptron, O-GEHL
+ *  - core/estimators.hpp              the stateless ConfidenceEstimators
+ *  - baseline/jrs_estimator.hpp       the JRS counter-table estimator
  * and are usually constructed through the string-spec registry
  * (sim/registry.hpp): makePredictor("tage64k+prob7+sfc").
  */
@@ -61,6 +62,21 @@ struct Prediction {
      */
     uint64_t payload = 0;
 };
+
+/**
+ * A two-way graded prediction: @p high picks the High or Low level,
+ * and the class is that level's representative — the grade of every
+ * family without TAGE's 7 classes.
+ */
+inline Prediction
+binaryPrediction(bool taken, bool high)
+{
+    Prediction p;
+    p.taken = taken;
+    p.confidence = high ? ConfidenceLevel::High : ConfidenceLevel::Low;
+    p.cls = representativeClass(p.confidence);
+    return p;
+}
 
 /**
  * A conditional branch predictor whose predictions are graded with
@@ -122,7 +138,10 @@ class GradedPredictor
     /** Total storage in bits, including any attached estimator. */
     virtual uint64_t storageBits() const = 0;
 
-    /** Reset all state to post-construction values. */
+    /**
+     * Reset all state to post-construction values. The display name
+     * (setName()) is not state: a registry-stamped name survives.
+     */
     virtual void reset() = 0;
 
     /**

@@ -77,20 +77,17 @@ streamErr(const StreamState& st, Err e)
 /**
  * Everything one worker needs to process shards. Each stream's state
  * is owned by exactly one shard and one worker owns a whole shard at
- * a time, so StreamState needs no lock; the two cross-worker sinks —
- * the first-error slot and the pooled latency samples — are guarded
- * by their own mutexes, and -Wthread-safety checks every access.
+ * a time, so StreamState needs no lock; the one cross-worker sink —
+ * the first-error slot — is guarded by its mutex, and -Wthread-safety
+ * checks every access.
  */
 struct ServeShared {
     const ServeOptions* opts = nullptr;
     std::vector<StreamState>* streams = nullptr;
-    const std::vector<std::vector<size_t>>* shardStreams = nullptr;
     std::atomic<size_t> nextShard{0};
     std::atomic<bool> failed{false};
     Mutex errorMutex;
     std::string error TAGECON_GUARDED_BY(errorMutex);
-    Mutex latencyMutex;
-    std::vector<double> latencyNs TAGECON_GUARDED_BY(latencyMutex);
 };
 
 /**
@@ -321,7 +318,6 @@ serveShard(ServeShared& sh, size_t shard_index,
     ServeMetrics& metrics = serveMetrics();
     const size_t cap = opts.poolPerShard;
     std::deque<size_t> live; // admission order, for FIFO eviction
-    std::vector<double> latency;
 
     auto eraseLive = [&live](size_t idx) {
         const auto it = std::find(live.begin(), live.end(), idx);
@@ -395,22 +391,21 @@ serveShard(ServeShared& sh, size_t shard_index,
                 }
             }
 
-            const uint64_t start_ns = wallclock::monotonicNanos();
+            // The clock is read only to feed serve.turn.ns, so a serve
+            // with metrics off pays nothing for turn timing.
+            const bool timed = obs::metricsEnabled();
+            const uint64_t start_ns =
+                timed ? wallclock::monotonicNanos() : 0;
             const uint64_t n =
                 driveBranches(*st.trace, *st.predictor, opts.batch, chunk,
                               st.result.stats, st.result.confusion);
+            if (timed && n > 0)
+                metrics.turnNs.record(wallclock::monotonicNanos() -
+                                      start_ns);
             st.consumed += n;
             st.result.branchesServed += n;
             metrics.turns.add();
             metrics.predictions.add(n);
-            if (n > 0) {
-                const uint64_t end_ns = wallclock::monotonicNanos();
-                metrics.turnNs.record(end_ns - start_ns);
-                const double elapsed_ns =
-                    wallclock::nanosBetween(start_ns, end_ns);
-                latency.push_back(elapsed_ns /
-                                  static_cast<double>(n));
-            }
             // A short turn means exhaustion — or a failed source;
             // check before treating the stream as cleanly finished.
             if (const Err* te = st.trace->lastError()) {
@@ -430,20 +425,6 @@ serveShard(ServeShared& sh, size_t shard_index,
             }
         }
     }
-
-    MutexLock lock(sh.latencyMutex);
-    sh.latencyNs.insert(sh.latencyNs.end(), latency.begin(),
-                        latency.end());
-}
-
-double
-percentileOfSorted(const std::vector<double>& sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    const size_t idx = static_cast<size_t>(
-        q * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 } // namespace
@@ -532,7 +513,6 @@ ServingEngine::serve(const std::vector<StreamDesc>& streams,
     ServeShared sh;
     sh.opts = &opts_;
     sh.streams = &states;
-    sh.shardStreams = &shard_streams;
 
     const uint64_t wall_start_ns = wallclock::monotonicNanos();
     auto worker = [&sh, &shard_streams]() {
@@ -560,7 +540,7 @@ ServingEngine::serve(const std::vector<StreamDesc>& streams,
         for (auto& t : pool)
             t.join();
     }
-    const double wall = wallclock::secondsBetween(
+    out.wallSeconds = wallclock::secondsBetween(
         wall_start_ns, wallclock::monotonicNanos());
 
     if (sh.failed.load(std::memory_order_relaxed)) {
@@ -601,24 +581,6 @@ ServingEngine::serve(const std::vector<StreamDesc>& streams,
     {
         auto probe = tryMakePredictor(opts_.spec, nullptr);
         out.storageBits = probe ? probe->storageBits() : 0;
-    }
-
-    out.timing.wallSeconds = wall;
-    if (wall > 0.0) {
-        out.timing.streamsPerSec =
-            static_cast<double>(out.streamsServed) / wall;
-        out.timing.predictionsPerSec =
-            static_cast<double>(out.totalBranches) / wall;
-    }
-    {
-        // Workers are joined; locked for the annotated invariant.
-        MutexLock lock(sh.latencyMutex);
-        std::sort(sh.latencyNs.begin(), sh.latencyNs.end());
-        out.timing.latencySamples = sh.latencyNs.size();
-        out.timing.p50LatencyNs =
-            percentileOfSorted(sh.latencyNs, 0.50);
-        out.timing.p99LatencyNs =
-            percentileOfSorted(sh.latencyNs, 0.99);
     }
     return true;
 }

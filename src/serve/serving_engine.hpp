@@ -19,9 +19,11 @@
  * Determinism: each stream's trajectory is a pure function of its
  * (spec, trace, branches, seedSalt) and snapshot/restore round-trips
  * are bit-exact, so per-stream results are identical at any --jobs,
- * shard count, pool bound or batch size. Wall-clock timing
- * (ServeTiming) is the only non-deterministic output and is kept
- * separate so drivers can diff the deterministic part byte for byte.
+ * shard count, pool bound or batch size. ServeResult::wallSeconds is
+ * the only non-deterministic field, so drivers can diff everything
+ * else byte for byte. Per-turn latency is not part of the result: it
+ * is the obs registry's serve.turn.ns histogram, recorded only while
+ * metrics are on.
  *
  * Fault isolation: a stream whose trace or checkpoint I/O fails is
  * quarantined — its typed Err is recorded in StreamResult::fault, its
@@ -200,18 +202,6 @@ struct StreamResult {
     uint64_t checkpointBytes = 0;
 };
 
-/** Wall-clock throughput of a serve (non-deterministic). */
-struct ServeTiming {
-    double wallSeconds = 0.0;
-    double streamsPerSec = 0.0;
-    double predictionsPerSec = 0.0;
-
-    /** Per-prediction latency percentiles over per-batch samples. */
-    double p50LatencyNs = 0.0;
-    double p99LatencyNs = 0.0;
-    uint64_t latencySamples = 0;
-};
-
 /** Outcome of a whole serve. */
 struct ServeResult {
     /** Per-stream results, in input stream order. */
@@ -251,7 +241,8 @@ struct ServeResult {
     /** Per-predictor storage in bits (one stream's predictor). */
     uint64_t storageBits = 0;
 
-    ServeTiming timing;
+    /** Wall time of the serve() call (non-deterministic). */
+    double wallSeconds = 0.0;
 };
 
 /** Sharded multi-stream serving engine. */

@@ -5,7 +5,11 @@
 #include <map>
 #include <sstream>
 
-#include "baseline/graded_baselines.hpp"
+#include "baseline/bimodal_predictor.hpp"
+#include "baseline/gshare_predictor.hpp"
+#include "baseline/jrs_estimator.hpp"
+#include "baseline/ogehl_predictor.hpp"
+#include "baseline/perceptron_predictor.hpp"
 #include "core/estimators.hpp"
 #include "tage/graded_tage.hpp"
 #include "util/logging.hpp"
@@ -191,7 +195,7 @@ baseRegistry()
             const int hist =
                 static_cast<int>(p.getInt("hist", 15, 1, 64));
             const int ctr = static_cast<int>(p.getInt("ctr", 2, 1, 8));
-            return std::make_unique<GradedGshare>(entries, hist, ctr);
+            return std::make_unique<GsharePredictor>(entries, hist, ctr);
         };
         r["bimodal"] = [](const SpecParams& p, const SpecModifiers& m,
                           std::string& e)
@@ -201,7 +205,7 @@ baseRegistry()
             const int entries =
                 static_cast<int>(p.getInt("entries", 15, 1, 24));
             const int ctr = static_cast<int>(p.getInt("ctr", 2, 1, 8));
-            return std::make_unique<GradedBimodal>(entries, ctr);
+            return std::make_unique<BimodalPredictor>(entries, ctr);
         };
         r["perceptron"] = [](const SpecParams& p,
                              const SpecModifiers& m, std::string& e)
@@ -212,8 +216,8 @@ baseRegistry()
                 static_cast<int>(p.getInt("perceptrons", 9, 1, 20));
             const int hist =
                 static_cast<int>(p.getInt("hist", 32, 1, 64));
-            return std::make_unique<GradedPerceptron>(perceptrons,
-                                                      hist);
+            return std::make_unique<PerceptronPredictor>(perceptrons,
+                                                         hist);
         };
         r["ogehl"] = [](const SpecParams& p, const SpecModifiers& m,
                         std::string& e)
@@ -248,7 +252,7 @@ baseRegistry()
                     std::to_string(cfg.minHistory);
                 return nullptr;
             }
-            return std::make_unique<GradedOgehl>(cfg);
+            return std::make_unique<OgehlPredictor>(cfg);
         };
         return r;
     }();
@@ -369,11 +373,11 @@ makeEstimator(const std::string& token)
     if (token == "sfc")
         return std::make_unique<IntrinsicEstimator>();
     if (token == "jrs")
-        return std::make_unique<JrsEstimator>();
+        return std::make_unique<JrsConfidenceEstimator>();
     if (token == "jrsg") {
         JrsConfidenceEstimator::Config cfg;
         cfg.indexWithPrediction = true;
-        return std::make_unique<JrsEstimator>(cfg);
+        return std::make_unique<JrsConfidenceEstimator>(cfg);
     }
     if (token == "blind")
         return std::make_unique<BlindEstimator>();
@@ -514,18 +518,6 @@ makePredictor(const std::string& spec)
     if (!predictor)
         fatal("makePredictor: " + error);
     return predictor;
-}
-
-std::string
-tageBaseForSize(const std::string& size_name)
-{
-    if (size_name == "16K")
-        return "tage16k";
-    if (size_name == "64K")
-        return "tage64k";
-    if (size_name == "256K")
-        return "tage256k";
-    return "";
 }
 
 } // namespace tagecon

@@ -130,13 +130,6 @@ tryMakePredictor(const std::string& spec, std::string* error = nullptr);
 /** Like tryMakePredictor() but fatal()s on a bad spec. */
 std::unique_ptr<GradedPredictor> makePredictor(const std::string& spec);
 
-/**
- * Registry base for a legacy TAGE size name ("16K" -> "tage16k",
- * "64K" -> "tage64k", "256K" -> "tage256k"); empty string for an
- * unknown name. For tools keeping their pre-registry --config flags.
- */
-std::string tageBaseForSize(const std::string& size_name);
-
 } // namespace tagecon
 
 #endif // TAGECON_SIM_REGISTRY_HPP

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
+#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/span_trace.hpp"
 #include "sim/registry.hpp"
 #include "sim/trace_registry.hpp"
 #include "util/logging.hpp"
+#include "util/mutex.hpp"
 
 namespace tagecon {
 
@@ -161,48 +163,27 @@ runSweep(SweepPlan plan, const SweepOptions& opt)
     const std::vector<SweepCell> cells = plan.cells();
     std::vector<RunResult> results(cells.size());
 
-    // With a cache attached, resolve hits and intra-plan duplicates up
-    // front so the worker pool only sees cells that genuinely need
-    // simulation. Without one, every cell runs (the historical path,
-    // zero overhead).
+    // Cells are pure functions of their key, so each distinct key runs
+    // once and duplicate cells (a spec listed twice, overlapping trace
+    // selections) copy its slot after the join.
     std::vector<size_t> to_run;
     std::vector<std::pair<size_t, size_t>> copies; // (dst, src) slots
-    std::vector<std::string> keys;
-    size_t cache_hits = 0;
-    if (opt.cache != nullptr) {
-        keys.reserve(cells.size());
+    {
         std::unordered_map<std::string, size_t> first_run;
         for (size_t i = 0; i < cells.size(); ++i) {
-            keys.push_back(sweepCellKey(cells[i]));
-            if (opt.cache->lookup(keys[i], results[i])) {
-                ++cache_hits;
-                continue;
-            }
-            const auto [it, inserted] = first_run.emplace(keys[i], i);
-            if (inserted) {
+            const auto [it, inserted] =
+                first_run.emplace(sweepCellKey(cells[i]), i);
+            if (inserted)
                 to_run.push_back(i);
-            } else {
-                // A duplicate cell inside the plan: simulate the first
-                // occurrence only, copy its slot after the join.
+            else
                 copies.emplace_back(i, it->second);
-                ++cache_hits;
-            }
         }
-    } else {
-        to_run.resize(cells.size());
-        for (size_t i = 0; i < cells.size(); ++i)
-            to_run[i] = i;
-    }
-    if (opt.stats != nullptr) {
-        opt.stats->cells = cells.size();
-        opt.stats->executed = to_run.size();
-        opt.stats->cacheHits = cache_hits;
     }
     // Planner-side counters: resolved before the pool starts, so
     // deterministic at any --jobs.
     obs::counter("sweep.cells").add(cells.size());
     obs::counter("sweep.cells.executed").add(to_run.size());
-    obs::counter("sweep.cache.hits").add(cache_hits);
+    obs::counter("sweep.cache.hits").add(copies.size());
 
     size_t jobs = opt.jobs != 0
                       ? opt.jobs
@@ -262,12 +243,8 @@ runSweep(SweepPlan plan, const SweepOptions& opt)
             t.join();
     }
 
-    if (opt.cache != nullptr) {
-        for (const size_t i : to_run)
-            opt.cache->store(keys[i], results[i]);
-        for (const auto& [dst, src] : copies)
-            results[dst] = results[src];
-    }
+    for (const auto& [dst, src] : copies)
+        results[dst] = results[src];
     return results;
 }
 

@@ -30,11 +30,9 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/experiment.hpp"
-#include "util/mutex.hpp"
 
 namespace tagecon {
 
@@ -129,7 +127,7 @@ struct SweepProgress {
     /** Cells finished so far (including this one). */
     size_t completed = 0;
 
-    /** Total cells in the plan. */
+    /** Cells the sweep executes: the plan's distinct cell keys. */
     size_t total = 0;
 
     /** The cell that just finished. */
@@ -140,84 +138,12 @@ struct SweepProgress {
 };
 
 /**
- * Cache key of one sweep cell: the canonical spec, trace spec, branch
+ * Identity of one sweep cell: the canonical spec, trace spec, branch
  * count, seed salt and analysis configuration — everything a cell's
  * RunResult is a pure function of. Two cells with equal keys produce
- * bit-identical results, so one execution can serve both.
+ * bit-identical results, so runSweep() runs each key once.
  */
 std::string sweepCellKey(const SweepCell& cell);
-
-/** Execution counters of one runSweep() call. */
-struct SweepExecStats {
-    /** Cells in the plan. */
-    size_t cells = 0;
-
-    /** Cells actually simulated. */
-    size_t executed = 0;
-
-    /** Cells served from the cache or deduplicated within the plan. */
-    size_t cacheHits = 0;
-};
-
-/**
- * Thread-safe cell-level result cache, keyed on sweepCellKey(). Hand
- * the same cache to several runSweep() calls (SweepOptions::cache) and
- * cells already simulated — same spec, trace, branches, salt and
- * analysis — are served from memory instead of re-run; because cells
- * are pure functions of their key, cached results are bit-identical to
- * fresh ones.
- *
- * Locking contract: every access to the underlying map — lookup,
- * store, size, clear — takes mutex_ for its whole duration, and
- * lookup() *copies* the result out under the lock, so a caller never
- * holds a reference into the map that a concurrent store() could
- * invalidate. The TAGECON_GUARDED_BY annotation makes -Wthread-safety
- * prove it, and the TSan cache-hammer test exercises it dynamically.
- */
-class SweepResultCache
-{
-  public:
-    /** Copy the cached result for @p key into @p out, if present. */
-    [[nodiscard]] bool
-    lookup(const std::string& key, RunResult& out) const
-    {
-        MutexLock lock(mutex_);
-        const auto it = results_.find(key);
-        if (it == results_.end())
-            return false;
-        out = it->second;
-        return true;
-    }
-
-    /** Store (or overwrite) the result for @p key. */
-    void
-    store(const std::string& key, const RunResult& result)
-    {
-        MutexLock lock(mutex_);
-        results_[key] = result;
-    }
-
-    /** Number of cached cells. */
-    size_t
-    size() const
-    {
-        MutexLock lock(mutex_);
-        return results_.size();
-    }
-
-    /** Drop every cached result. */
-    void
-    clear()
-    {
-        MutexLock lock(mutex_);
-        results_.clear();
-    }
-
-  private:
-    mutable Mutex mutex_;
-    std::unordered_map<std::string, RunResult> results_
-        TAGECON_GUARDED_BY(mutex_);
-};
 
 /** Execution knobs of a sweep. */
 struct SweepOptions {
@@ -242,23 +168,10 @@ struct SweepOptions {
      * Completion order is scheduling-dependent, so treat it as
      * progress reporting only — results themselves are returned in
      * canonical plan order. Leave empty (the default) for zero
-     * overhead. With a cache attached, progress fires for executed
-     * cells only (total is the executed count), since cached cells
-     * complete instantly.
+     * overhead. Progress fires once per executed cell (total is the
+     * executed count): a duplicate cell is a copy, not a run.
      */
     std::function<void(const SweepProgress&)> onProgress;
-
-    /**
-     * Optional cell-level result cache. When set, cells whose key is
-     * already cached are served from memory, duplicate cells within
-     * the plan are simulated once, and every executed cell is stored
-     * for later sweeps. nullptr (the default) preserves the uncached
-     * path untouched.
-     */
-    SweepResultCache* cache = nullptr;
-
-    /** Optional execution counters, filled when non-null. */
-    SweepExecStats* stats = nullptr;
 };
 
 /**
@@ -270,8 +183,11 @@ struct SweepOptions {
 
 /**
  * Run every cell of @p plan across @p opt.jobs threads. fatal()s on an
- * invalid plan. Results are in plan.cells() order regardless of the
- * thread count or scheduling.
+ * invalid plan. Each distinct sweepCellKey() runs once and duplicate
+ * cells receive a copy of its result; the obs counters sweep.cells,
+ * sweep.cells.executed and sweep.cache.hits (the copies) record the
+ * split. Results are in plan.cells() order regardless of the thread
+ * count or scheduling.
  */
 [[nodiscard]] std::vector<RunResult>
 runSweep(SweepPlan plan, const SweepOptions& opt = {});

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "util/failpoint.hpp"
-#include "util/logging.hpp"
 
 #if TAGECON_HAVE_ZLIB
 #include <zlib.h>
@@ -258,15 +257,6 @@ CbpAsciiReader::CbpAsciiReader(Opened, const std::string& path,
                                std::unique_ptr<CbpLineSource> in)
     : path_(path), name_(cbpAsciiTraceName(path)), in_(std::move(in))
 {
-}
-
-CbpAsciiReader::CbpAsciiReader(const std::string& path)
-    : path_(path), name_(cbpAsciiTraceName(path)),
-      in_(std::make_unique<CbpLineSource>())
-{
-    std::string error;
-    if (!in_->open(path, error))
-        fatal(error);
 }
 
 Expected<std::unique_ptr<CbpAsciiReader>>

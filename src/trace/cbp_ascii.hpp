@@ -64,22 +64,18 @@ bool probeCbpAsciiFile(const std::string& path, std::string* error);
  * ("gcc.trace.gz" -> "gcc"), mirroring how CBP traces are referred to
  * by benchmark name.
  *
- * Library code opens readers through open(), which reports failures as
- * typed Err values; the fatal() constructor remains as a convenience
- * for tool boundaries. A malformed line after open (or an injected
- * "trace.read" fault) ends the stream and is reported through
- * lastError() instead of killing the process.
+ * Readers are opened through open(), which reports failures as typed
+ * Err values. A malformed line after open (or an injected "trace.read"
+ * fault) ends the stream and is reported through lastError() instead
+ * of killing the process.
  */
 class CbpAsciiReader : public TraceSource
 {
   public:
     /**
-     * Open @p path; fatal() on a missing file or (without zlib) a
-     * gzipped one.
+     * Open @p path; a missing file is NotFound and, without zlib, a
+     * gzipped one is Unsupported.
      */
-    explicit CbpAsciiReader(const std::string& path);
-
-    /** Open @p path without fatal()ing — the library path. */
     static Expected<std::unique_ptr<CbpAsciiReader>>
     open(const std::string& path);
 

@@ -180,17 +180,6 @@ TraceReader::TraceReader(Opened, const std::string& path,
 {
 }
 
-TraceReader::TraceReader(const std::string& path)
-    : path_(path)
-{
-    TraceFileInfo info;
-    if (Err e = openAndReadHeader(path, in_, info); e.failed())
-        fatal(e.detail);
-    name_ = std::move(info.name);
-    total_ = info.records;
-    dataStart_ = static_cast<std::streampos>(info.dataStart);
-}
-
 Expected<std::unique_ptr<TraceReader>>
 TraceReader::open(const std::string& path)
 {
@@ -239,7 +228,7 @@ TraceReader::reset()
     read_ = 0;
 }
 
-uint64_t
+Expected<uint64_t>
 writeTraceFile(const std::string& path, TraceSource& src)
 {
     TraceWriter writer(path, src.name());
@@ -247,6 +236,11 @@ writeTraceFile(const std::string& path, TraceSource& src)
     while (src.next(rec))
         writer.write(rec);
     writer.close();
+    if (const Err* e = src.lastError()) {
+        std::error_code ec;
+        std::filesystem::remove(path, ec);
+        return *e;
+    }
     return writer.written();
 }
 

@@ -106,21 +106,17 @@ class TraceWriter
  * record count is validated against the actual file size at open time,
  * so a truncated file fails fast instead of mid-simulation.
  *
- * Library code opens readers through open(), which reports failures as
- * typed Err values; the fatal() constructor remains as a convenience
- * for tool boundaries. A read failure after open (a file shrinking
- * under the reader, or an injected "trace.read" fault) ends the stream
- * and is reported through lastError() instead of killing the process.
+ * Readers are opened through open(), which reports failures as typed
+ * Err values. A read failure after open (a file shrinking under the
+ * reader, or an injected "trace.read" fault) ends the stream and is
+ * reported through lastError() instead of killing the process.
  */
 class TraceReader : public TraceSource
 {
   public:
-    /** Open @p path; fatal() on missing file or malformed header. */
-    explicit TraceReader(const std::string& path);
-
     /**
-     * Open @p path without fatal()ing — the library path. The returned
-     * reader is positioned at the first record.
+     * Open @p path, positioned at the first record; a missing file or
+     * malformed header is a typed Err.
      */
     static Expected<std::unique_ptr<TraceReader>>
     open(const std::string& path);
@@ -154,10 +150,14 @@ class TraceReader : public TraceSource
 };
 
 /**
- * Convenience: write all records of @p src (from its current position)
- * to @p path. Returns the number of records written.
+ * Write all records of @p src (from its current position) to @p path
+ * and return how many were written. When @p src stops on an error (a
+ * malformed ASCII line, a truncated file) that Err is returned and the
+ * partial output is removed, so a bad input never yields a valid
+ * shorter trace.
  */
-uint64_t writeTraceFile(const std::string& path, TraceSource& src);
+Expected<uint64_t> writeTraceFile(const std::string& path,
+                                  TraceSource& src);
 
 } // namespace tagecon
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Abstract stream of dynamic branches plus an in-memory implementation.
- * Synthetic generators (synthetic_trace.hpp) and file readers
- * (trace_io.hpp) implement the same interface so the simulation driver
+ * Synthetic generators (workload.hpp) and file readers (trace_io.hpp,
+ * cbp_ascii.hpp) implement the same interface so the simulation driver
  * is agnostic to where branches come from.
  */
 

@@ -25,12 +25,6 @@ secondsBetween(uint64_t start_ns, uint64_t end_ns)
     return static_cast<double>(end_ns - start_ns) * 1e-9;
 }
 
-double
-nanosBetween(uint64_t start_ns, uint64_t end_ns)
-{
-    return static_cast<double>(end_ns - start_ns);
-}
-
 void
 sleepNanos(uint64_t ns)
 {

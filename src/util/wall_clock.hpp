@@ -9,8 +9,9 @@
  * only translation unit allowed to touch a std::chrono clock is
  * util/wall_clock.cpp (the `no-wall-clock` tagecon_lint rule enforces
  * it, and this file is the rule's one whitelisted site). Timing
- * consumers (ServeTiming, bench throughput numbers) take readings
- * here and keep them out of byte-diffed output by construction.
+ * consumers (ServeResult::wallSeconds, obs timing histograms, bench
+ * throughput numbers) take readings here and keep them out of
+ * byte-diffed output by construction.
  */
 
 #ifndef TAGECON_UTIL_WALL_CLOCK_HPP
@@ -30,9 +31,6 @@ uint64_t monotonicNanos();
 
 /** Seconds elapsed from @p start_ns to @p end_ns (both readings). */
 double secondsBetween(uint64_t start_ns, uint64_t end_ns);
-
-/** Nanoseconds elapsed from @p start_ns to @p end_ns, as a double. */
-double nanosBetween(uint64_t start_ns, uint64_t end_ns);
 
 /**
  * Block the calling thread for at least @p ns nanoseconds. Sleeping is

@@ -15,15 +15,36 @@
 namespace tagecon {
 namespace {
 
+/** One predict/update step resolved as @p taken. */
+void
+train(GradedPredictor& p, uint64_t pc, bool taken)
+{
+    p.update(pc, p.predict(pc), taken);
+}
+
+/** A host prediction of direction @p taken, as JRS grades it. */
+Prediction
+predicted(bool taken)
+{
+    return binaryPrediction(taken, /*high=*/true);
+}
+
+/** True when JRS grades the prediction @p taken at @p pc high. */
+bool
+jrsHigh(JrsConfidenceEstimator& jrs, uint64_t pc, bool taken)
+{
+    return jrs.grade(pc, predicted(taken)) == ConfidenceLevel::High;
+}
+
 TEST(Bimodal, LearnsBias)
 {
     BimodalPredictor p(10);
     for (int i = 0; i < 10; ++i)
-        p.update(0x40, true);
-    EXPECT_TRUE(p.predict(0x40));
+        train(p, 0x40, true);
+    EXPECT_TRUE(p.predict(0x40).taken);
     for (int i = 0; i < 10; ++i)
-        p.update(0x80, false);
-    EXPECT_FALSE(p.predict(0x80));
+        train(p, 0x80, false);
+    EXPECT_FALSE(p.predict(0x80).taken);
 }
 
 TEST(Bimodal, CannotLearnAlternation)
@@ -32,9 +53,10 @@ TEST(Bimodal, CannotLearnAlternation)
     int misses = 0;
     for (int i = 0; i < 1000; ++i) {
         const bool taken = i % 2 == 0;
-        if (p.predict(0x40) != taken && i > 100)
+        const Prediction pred = p.predict(0x40);
+        if (pred.taken != taken && i > 100)
             ++misses;
-        p.update(0x40, taken);
+        p.update(0x40, pred, taken);
     }
     // A 2-bit counter mispredicts alternation about half the time.
     EXPECT_GT(misses, 300);
@@ -46,7 +68,7 @@ TEST(Bimodal, SmithSelfConfidence)
     // Fresh counter is weak -> low confidence.
     EXPECT_FALSE(p.highConfidence(0x40));
     for (int i = 0; i < 4; ++i)
-        p.update(0x40, true);
+        train(p, 0x40, true);
     EXPECT_TRUE(p.highConfidence(0x40));
     EXPECT_TRUE(p.counterFor(0x40).saturated());
 }
@@ -61,8 +83,8 @@ TEST(Bimodal, AliasingSharesCounters)
 {
     BimodalPredictor p(4); // 16 entries: 0x10 aliases with 0x00... etc.
     for (int i = 0; i < 8; ++i)
-        p.update(0x0, true);
-    EXPECT_TRUE(p.predict(0x10)); // same entry
+        train(p, 0x0, true);
+    EXPECT_TRUE(p.predict(0x10).taken); // same entry
 }
 
 TEST(Gshare, LearnsAlternationThroughHistory)
@@ -71,9 +93,10 @@ TEST(Gshare, LearnsAlternationThroughHistory)
     int late_misses = 0;
     for (int i = 0; i < 2000; ++i) {
         const bool taken = i % 2 == 0;
-        if (p.predict(0x40) != taken && i > 1000)
+        const Prediction pred = p.predict(0x40);
+        if (pred.taken != taken && i > 1000)
             ++late_misses;
-        p.update(0x40, taken);
+        p.update(0x40, pred, taken);
     }
     EXPECT_EQ(late_misses, 0);
 }
@@ -82,7 +105,7 @@ TEST(Gshare, HistoryChangesIndex)
 {
     GsharePredictor p(12, 8);
     const uint32_t idx0 = p.indexFor(0x40);
-    p.update(0x40, true); // shifts a 1 into the history
+    train(p, 0x40, true); // shifts a 1 into the history
     EXPECT_NE(p.indexFor(0x40), idx0);
 }
 
@@ -106,13 +129,13 @@ TEST(Jrs, HighConfidenceRequiresThresholdStreak)
     // changes; instead drive with history ignored: use historyBits=4
     // and constant outcome so history saturates at 0b1111 quickly.
     for (int i = 0; i < 4; ++i)
-        jrs.record(0x40, true, true, true); // warm history to 1111
+        jrs.onResolve(0x40, predicted(true), true); // warm history to 1111
     for (int i = 0; i < 14; ++i) {
-        jrs.record(0x40, true, true, true);
+        jrs.onResolve(0x40, predicted(true), true);
     }
-    EXPECT_FALSE(jrs.query(0x40, true));
-    jrs.record(0x40, true, true, true); // 15th consecutive correct
-    EXPECT_TRUE(jrs.query(0x40, true));
+    EXPECT_FALSE(jrsHigh(jrs, 0x40, true));
+    jrs.onResolve(0x40, predicted(true), true); // 15th consecutive correct
+    EXPECT_TRUE(jrsHigh(jrs, 0x40, true));
 }
 
 TEST(Jrs, MispredictionResetsCounter)
@@ -122,10 +145,10 @@ TEST(Jrs, MispredictionResetsCounter)
     cfg.historyBits = 2;
     JrsConfidenceEstimator jrs(cfg);
     for (int i = 0; i < 30; ++i)
-        jrs.record(0x40, true, true, true);
-    EXPECT_TRUE(jrs.query(0x40, true));
-    jrs.record(0x40, true, /*correct=*/false, true);
-    EXPECT_FALSE(jrs.query(0x40, true));
+        jrs.onResolve(0x40, predicted(true), true);
+    EXPECT_TRUE(jrsHigh(jrs, 0x40, true));
+    jrs.onResolve(0x40, predicted(false), true); // mispredicted
+    EXPECT_FALSE(jrsHigh(jrs, 0x40, true));
     EXPECT_EQ(jrs.counterValue(0x40, true), 0u);
 }
 
@@ -138,9 +161,9 @@ TEST(Jrs, PredictionIndexedVariantSeparatesDirections)
     JrsConfidenceEstimator jrs(cfg);
     // Build confidence for predicted-taken only.
     for (int i = 0; i < 40; ++i)
-        jrs.record(0x40, true, true, true);
-    EXPECT_TRUE(jrs.query(0x40, true));
-    EXPECT_FALSE(jrs.query(0x40, false));
+        jrs.onResolve(0x40, predicted(true), true);
+    EXPECT_TRUE(jrsHigh(jrs, 0x40, true));
+    EXPECT_FALSE(jrsHigh(jrs, 0x40, false));
 }
 
 TEST(Jrs, DefaultConfigIsClassic)
@@ -170,8 +193,8 @@ TEST(Perceptron, LearnsBias)
 {
     PerceptronPredictor p(8, 16);
     for (int i = 0; i < 200; ++i)
-        p.update(0x40, true);
-    EXPECT_TRUE(p.predict(0x40));
+        train(p, 0x40, true);
+    EXPECT_TRUE(p.predict(0x40).taken);
 }
 
 TEST(Perceptron, LearnsHistoryCorrelation)
@@ -185,9 +208,10 @@ TEST(Perceptron, LearnsHistoryCorrelation)
     XorShift128Plus rng(3);
     for (int i = 0; i < 4000; ++i) {
         const bool taken = h2;
-        if (p.predict(0x40) != taken && i > 2000)
+        const Prediction pred = p.predict(0x40);
+        if (pred.taken != taken && i > 2000)
             ++late_misses;
-        p.update(0x40, taken);
+        p.update(0x40, pred, taken);
         h2 = h1;
         h1 = taken;
     }
@@ -200,7 +224,7 @@ TEST(Perceptron, SelfConfidenceGrowsWithTraining)
     p.predict(0x40);
     EXPECT_FALSE(p.lastHighConfidence()); // untrained: |sum| = 0
     for (int i = 0; i < 500; ++i)
-        p.update(0x40, true);
+        train(p, 0x40, true);
     p.predict(0x40);
     EXPECT_TRUE(p.lastHighConfidence());
 }

@@ -29,9 +29,10 @@ runJrs(const JrsConfidenceEstimator::Config& jcfg)
     BranchRecord rec;
     while (trace.next(rec)) {
         const TagePrediction p = predictor.predict(rec.pc);
-        const bool correct = p.taken == rec.taken;
-        m.record(jrs.query(rec.pc, p.taken), correct);
-        jrs.record(rec.pc, p.taken, correct, rec.taken);
+        const Prediction graded = binaryPrediction(p.taken, true);
+        m.record(jrs.grade(rec.pc, graded) == ConfidenceLevel::High,
+                 p.taken == rec.taken);
+        jrs.onResolve(rec.pc, graded, rec.taken);
         predictor.update(rec.pc, p, rec.taken);
     }
     return m;
@@ -100,9 +101,10 @@ TEST_P(OgehlGeometrySweep, LearnsEasyStream)
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
         const bool taken = i % 8 != 7;
-        if (p.predict(0x40) != taken && i > n / 2)
+        const Prediction pred = p.predict(0x40);
+        if (pred.taken != taken && i > n / 2)
             ++late_misses;
-        p.update(0x40, taken);
+        p.update(0x40, pred, taken);
     }
     EXPECT_LT(late_misses, n / 2 / 20)
         << "tables=" << cfg.numTables << " log=" << cfg.logEntries

@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/graded_baselines.hpp"
+#include <tuple>
+
+#include "baseline/bimodal_predictor.hpp"
+#include "baseline/gshare_predictor.hpp"
+#include "baseline/jrs_estimator.hpp"
+#include "baseline/ogehl_predictor.hpp"
+#include "baseline/perceptron_predictor.hpp"
 #include "core/confidence_observer.hpp"
 #include "core/estimators.hpp"
 #include "sim/experiment.hpp"
@@ -93,6 +99,52 @@ TEST(GradedTage, ResetRestoresDeterminism)
     EXPECT_EQ(a.confusion.highCorrect(), b.confusion.highCorrect());
 }
 
+/**
+ * Each folded baseline family, and JRS on a host: after a run and a
+ * reset(), replaying the trace must reproduce a fresh instance
+ * prediction for prediction, down to the snapshot bytes, and the
+ * registry-stamped name must survive.
+ */
+class ResetReplay : public ::testing::TestWithParam<const char*>
+{
+};
+
+TEST_P(ResetReplay, MatchesAFreshInstanceAndKeepsTheSpecName)
+{
+    const std::string spec = GetParam();
+    auto used = makePredictor(spec);
+    auto fresh = makePredictor(spec);
+    SyntheticTrace warm = makeTrace("SERV-1", 3000);
+    std::ignore = runTrace(warm, *used);
+    used->reset();
+    EXPECT_EQ(used->name(), spec);
+
+    SyntheticTrace trace = makeTrace("INT-2", 3000);
+    BranchRecord rec;
+    while (trace.next(rec)) {
+        const Prediction a = used->predict(rec.pc);
+        const Prediction b = fresh->predict(rec.pc);
+        ASSERT_EQ(a.taken, b.taken);
+        ASSERT_EQ(a.confidence, b.confidence);
+        ASSERT_EQ(a.cls, b.cls);
+        used->update(rec.pc, a, rec.taken);
+        fresh->update(rec.pc, b, rec.taken);
+    }
+    StateWriter wa;
+    StateWriter wb;
+    std::string error;
+    if (used->snapshot(wa, error)) {
+        ASSERT_TRUE(fresh->snapshot(wb, error)) << error;
+        EXPECT_EQ(wa.data(), wb.data());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(FoldedFamilies, ResetReplay,
+                         ::testing::Values("bimodal", "gshare",
+                                           "perceptron", "ogehl",
+                                           "gshare+jrs",
+                                           "bimodal+jrsg"));
+
 TEST(GradedLTage, RunsAndGradesLoopBranches)
 {
     GradedLTage graded(TageConfig::small16K());
@@ -107,7 +159,7 @@ TEST(EstimatedPredictor, JrsOverridesIntrinsicGrade)
 {
     auto host = std::make_unique<GradedTage>(TageConfig::small16K());
     EstimatedPredictor est(std::move(host),
-                           std::make_unique<JrsEstimator>());
+                           std::make_unique<JrsConfidenceEstimator>());
 
     // Freshly-reset JRS counters are all zero, far below the
     // threshold, so the first grade must be Low regardless of what
@@ -123,7 +175,7 @@ TEST(EstimatedPredictor, ClassStaysConsistentWithLevel)
     auto p = makeTrace("164.gzip", 5000);
     EstimatedPredictor est(std::make_unique<GradedTage>(
                                TageConfig::small16K()),
-                           std::make_unique<JrsEstimator>());
+                           std::make_unique<JrsConfidenceEstimator>());
     BranchRecord rec;
     while (p.next(rec)) {
         const Prediction pred = est.predict(rec.pc);
@@ -132,9 +184,9 @@ TEST(EstimatedPredictor, ClassStaysConsistentWithLevel)
     }
 }
 
-TEST(GradedBimodal, GradesWithSmithSelfConfidence)
+TEST(BimodalGrade, GradesWithSmithSelfConfidence)
 {
-    GradedBimodal bimodal(10);
+    BimodalPredictor bimodal(10);
     // A fresh 2-bit counter starts weak: low confidence.
     Prediction p = bimodal.predict(64);
     EXPECT_EQ(p.confidence, ConfidenceLevel::Low);
@@ -150,17 +202,17 @@ TEST(GradedBimodal, GradesWithSmithSelfConfidence)
     bimodal.update(64, p, true);
 }
 
-TEST(GradedGshare, IsConfidenceBlind)
+TEST(GshareGrade, IsConfidenceBlind)
 {
-    GradedGshare gshare(10, 10);
+    GsharePredictor gshare(10, 10);
     EXPECT_FALSE(gshare.hasIntrinsicConfidence());
     const Prediction p = gshare.predict(4);
     EXPECT_EQ(p.confidence, ConfidenceLevel::High);
 }
 
-TEST(GradedPerceptron, SelfConfidenceTracksTheta)
+TEST(PerceptronGrade, SelfConfidenceTracksTheta)
 {
-    GradedPerceptron perceptron(6, 12);
+    PerceptronPredictor perceptron(6, 12);
     // An untrained perceptron's |sum| is 0 < theta: low confidence.
     const Prediction p = perceptron.predict(8);
     EXPECT_EQ(p.confidence, ConfidenceLevel::Low);
@@ -169,7 +221,7 @@ TEST(GradedPerceptron, SelfConfidenceTracksTheta)
 
 TEST(GenericRunTrace, FillsConfusionAndIdentity)
 {
-    GradedOgehl ogehl;
+    OgehlPredictor ogehl;
     SyntheticTrace t = makeTrace("181.mcf", 8000);
     const RunResult r = runTrace(t, ogehl);
     EXPECT_EQ(r.configName, "ogehl");

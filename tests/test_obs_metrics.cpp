@@ -321,7 +321,7 @@ TEST_F(ObsMetricsTest, FaultedServeDeterministicSectionIsJobsInvariant)
               std::string::npos);
 }
 
-TEST_F(ObsMetricsTest, SweepCountersTrackPlanAndCacheAndAreJobsInvariant)
+TEST_F(ObsMetricsTest, SweepCountersTrackPlanAndDedupAndAreJobsInvariant)
 {
     auto run = [&](unsigned jobs) {
         obs::resetAllMetrics();
@@ -330,8 +330,6 @@ TEST_F(ObsMetricsTest, SweepCountersTrackPlanAndCacheAndAreJobsInvariant)
             twoCbp1Traces(), 400, 0);
         SweepOptions opt;
         opt.jobs = jobs;
-        SweepResultCache cache;
-        opt.cache = &cache;
         (void)runSweep(plan, opt);
         return scalarSection(obs::snapshotMetrics());
     };
@@ -339,10 +337,37 @@ TEST_F(ObsMetricsTest, SweepCountersTrackPlanAndCacheAndAreJobsInvariant)
     const std::string j4 = run(4);
     EXPECT_EQ(j1, j4);
     // 3 specs x 2 traces = 6 cells; the duplicated spec's 2 cells are
-    // served from the intra-plan cache.
+    // copies of the first occurrence's results.
     EXPECT_NE(j1.find("sweep.cells 6"), std::string::npos) << j1;
     EXPECT_NE(j1.find("sweep.cells.executed 4"), std::string::npos);
     EXPECT_NE(j1.find("sweep.cache.hits 2"), std::string::npos);
+}
+
+TEST_F(ObsMetricsTest, ServeTurnLatencySamplesEveryTurnThatServedBranches)
+{
+    // Every stream serves exactly four full batches, then one empty
+    // turn that finds its trace exhausted: five turns, four timed.
+    constexpr unsigned kBatch = 64;
+    constexpr uint64_t kStreams = 50;
+    ServeOptions opts;
+    opts.spec = "tage16k+sfc";
+    opts.batch = kBatch;
+    ServingEngine engine(opts);
+    const auto streams = StreamSet::roundRobin(kStreams, twoCbp1Traces(),
+                                               4 * kBatch, 0);
+    ServeResult result;
+    std::string error;
+    ASSERT_TRUE(engine.serve(streams, result, error)) << error;
+    const uint64_t turns = obs::counter("serve.turns").value();
+    const obs::TimingHistogram& turn_ns =
+        obs::timingHistogram("serve.turn.ns");
+    EXPECT_EQ(turns, 5 * kStreams);
+    EXPECT_EQ(turn_ns.count(), turns - kStreams);
+
+    // With metrics off the turn takes no sample.
+    obs::setMetricsEnabled(false);
+    ASSERT_TRUE(engine.serve(streams, result, error)) << error;
+    EXPECT_EQ(turn_ns.count(), turns - kStreams);
 }
 
 } // namespace

@@ -15,11 +15,11 @@ TEST(Ogehl, LearnsConstantBranch)
 {
     OgehlPredictor p;
     for (int i = 0; i < 200; ++i)
-        p.update(0x40, true);
-    EXPECT_TRUE(p.predict(0x40));
+        p.update(0x40, p.predict(0x40), true);
+    EXPECT_TRUE(p.predict(0x40).taken);
     for (int i = 0; i < 400; ++i)
-        p.update(0x80, false);
-    EXPECT_FALSE(p.predict(0x80));
+        p.update(0x80, p.predict(0x80), false);
+    EXPECT_FALSE(p.predict(0x80).taken);
 }
 
 TEST(Ogehl, LearnsAlternation)
@@ -28,9 +28,10 @@ TEST(Ogehl, LearnsAlternation)
     int late_misses = 0;
     for (int i = 0; i < 4000; ++i) {
         const bool taken = i % 2 == 0;
-        if (p.predict(0x40) != taken && i > 2000)
+        const Prediction pred = p.predict(0x40);
+        if (pred.taken != taken && i > 2000)
             ++late_misses;
-        p.update(0x40, taken);
+        p.update(0x40, pred, taken);
     }
     EXPECT_LT(late_misses, 20);
 }
@@ -44,9 +45,10 @@ TEST(Ogehl, LearnsLongLoopViaGeometricHistory)
     const int n = 60000;
     for (int i = 0; i < n; ++i) {
         const bool taken = i % 60 != 59;
-        if (p.predict(0x40) != taken && i > n / 2)
+        const Prediction pred = p.predict(0x40);
+        if (pred.taken != taken && i > n / 2)
             ++late_misses;
-        p.update(0x40, taken);
+        p.update(0x40, pred, taken);
     }
     EXPECT_LT(late_misses, n / 2 / 50);
 }
@@ -62,7 +64,7 @@ TEST(Ogehl, SelfConfidenceHighAfterTraining)
 {
     OgehlPredictor p;
     for (int i = 0; i < 500; ++i)
-        p.update(0x40, true);
+        p.update(0x40, p.predict(0x40), true);
     p.predict(0x40);
     EXPECT_TRUE(p.lastHighConfidence());
     EXPECT_GE(p.lastSum(), p.theta());
@@ -76,8 +78,7 @@ TEST(Ogehl, ThetaAdaptsUpwardUnderNoise)
     // Pure noise: constant mispredictions drive theta up.
     for (int i = 0; i < 60000; ++i) {
         const uint64_t pc = 0x100 + (rng.next() % 16) * 4;
-        p.predict(pc);
-        p.update(pc, rng.nextBool(0.5));
+        p.update(pc, p.predict(pc), rng.nextBool(0.5));
     }
     EXPECT_GT(p.theta(), initial);
 }
@@ -112,9 +113,10 @@ TEST(Ogehl, BeatsCoinOnBiasedStream)
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
         const bool taken = rng.nextBool(0.8);
-        if (p.predict(0x200) != taken)
+        const Prediction pred = p.predict(0x200);
+        if (pred.taken != taken)
             ++misses;
-        p.update(0x200, taken);
+        p.update(0x200, pred, taken);
     }
     // Must approach the 20% intrinsic floor.
     EXPECT_LT(misses, n * 30 / 100);

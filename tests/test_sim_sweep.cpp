@@ -12,8 +12,8 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <thread>
 
+#include "obs/metrics.hpp"
 #include "sim/registry.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace_registry.hpp"
@@ -328,7 +328,7 @@ class SweepFileTraceTest : public ::testing::Test
                   "_" + std::to_string(counter_++) + ".tcbt"))
                     .string();
         SyntheticTrace src = makeTrace("MM-3", kRecords);
-        writeTraceFile(path_, src);
+        ASSERT_TRUE(writeTraceFile(path_, src).ok());
     }
 
     void TearDown() override { std::filesystem::remove(path_); }
@@ -358,8 +358,9 @@ TEST_F(SweepFileTraceTest, FileCellsMatchInMemoryReplayAtAnyJobCount)
     for (size_t s = 0; s < specs.size(); ++s) {
         expectIdentical(serial[s], parallel[s]);
 
-        TraceReader reader(path_);
-        VectorTrace in_memory = materialize(reader, kRecords);
+        auto reader = TraceReader::open(path_);
+        ASSERT_TRUE(reader.ok()) << reader.error().message();
+        VectorTrace in_memory = materialize(*reader.value(), kRecords);
         auto predictor = makePredictor(specs[s]);
         const RunResult direct = runTrace(in_memory, *predictor);
         expectIdentical(serial[s], direct);
@@ -420,35 +421,30 @@ TEST(SweepPlanFileTraces, ValidateRejectsMissingAndCorruptFiles)
     EXPECT_NE(error.find("cannot open"), std::string::npos);
 }
 
-TEST(SweepCache, SecondSweepIsServedEntirelyFromCache)
+/** The sweep.* counters of one runSweep() call with metrics on. */
+struct SweepCounts {
+    uint64_t cells = 0;
+    uint64_t executed = 0;
+    uint64_t hits = 0;
+    size_t progressCalls = 0;
+    std::vector<RunResult> results;
+};
+
+SweepCounts
+countedSweep(const SweepPlan& plan, unsigned jobs)
 {
-    SweepPlan plan = SweepPlan::over({"tage16k+sfc", "bimodal"},
-                                     {"FP-1", "INT-1"}, 20000);
-    plan.analysis.histogram = true;
-
-    SweepResultCache cache;
-    SweepExecStats first{}, second{};
-    const auto a =
-        runSweep(plan, {.jobs = 2, .cache = &cache, .stats = &first});
-    EXPECT_EQ(first.cells, 4u);
-    EXPECT_EQ(first.executed, 4u);
-    EXPECT_EQ(first.cacheHits, 0u);
-    EXPECT_EQ(cache.size(), 4u);
-
-    const auto b =
-        runSweep(plan, {.jobs = 2, .cache = &cache, .stats = &second});
-    EXPECT_EQ(second.cells, 4u);
-    EXPECT_EQ(second.executed, 0u);
-    EXPECT_EQ(second.cacheHits, 4u);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        expectIdentical(a[i], b[i]);
-        expectStatsIdentical(a[i].stats, b[i].stats);
-        expectAnalysisIdentical(a[i].analysis, b[i].analysis);
-    }
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
+    obs::resetAllMetrics();
+    obs::setMetricsEnabled(true);
+    SweepCounts c;
+    SweepOptions opt;
+    opt.jobs = jobs;
+    opt.onProgress = [&c](const SweepProgress&) { ++c.progressCalls; };
+    c.results = runSweep(plan, opt);
+    obs::setMetricsEnabled(false);
+    c.cells = obs::counter("sweep.cells").value();
+    c.executed = obs::counter("sweep.cells.executed").value();
+    c.hits = obs::counter("sweep.cache.hits").value();
+    return c;
 }
 
 TEST(SweepCache, DuplicateCellsInsideOnePlanSimulateOnce)
@@ -457,16 +453,14 @@ TEST(SweepCache, DuplicateCellsInsideOnePlanSimulateOnce)
     // grid, and the second occurrence must be a copy, not a re-run.
     SweepPlan plan = SweepPlan::over({"tage16k+sfc", "tage16k+sfc"},
                                      {"FP-1", "INT-1"}, 20000);
-    SweepResultCache cache;
-    SweepExecStats stats{};
-    const auto results =
-        runSweep(plan, {.jobs = 2, .cache = &cache, .stats = &stats});
-    EXPECT_EQ(stats.cells, 4u);
-    EXPECT_EQ(stats.executed, 2u);
-    EXPECT_EQ(stats.cacheHits, 2u);
-    ASSERT_EQ(results.size(), 4u);
-    expectIdentical(results[0], results[2]);
-    expectIdentical(results[1], results[3]);
+    const SweepCounts c = countedSweep(plan, 2);
+    EXPECT_EQ(c.cells, 4u);
+    EXPECT_EQ(c.executed, 2u);
+    EXPECT_EQ(c.hits, 2u);
+    EXPECT_EQ(c.progressCalls, 2u);
+    ASSERT_EQ(c.results.size(), 4u);
+    expectIdentical(c.results[0], c.results[2]);
+    expectIdentical(c.results[1], c.results[3]);
 }
 
 TEST(SweepCache, KeyCoversEveryCellIngredient)
@@ -501,79 +495,15 @@ TEST(SweepCache, KeyCoversEveryCellIngredient)
     EXPECT_NE(sweepCellKey(analysis), sweepCellKey(burst8));
 }
 
-TEST(SweepCache, UncachedSweepsReportPlainExecutionCounts)
+TEST(SweepCache, DistinctCellsAllExecute)
 {
     SweepPlan plan =
         SweepPlan::over({"bimodal"}, {"FP-1", "INT-1"}, 5000);
-    SweepExecStats stats{};
-    // The test asserts on the side-channel counters, not the results.
-    std::ignore = runSweep(plan, {.jobs = 1, .stats = &stats});
-    EXPECT_EQ(stats.cells, 2u);
-    EXPECT_EQ(stats.executed, 2u);
-    EXPECT_EQ(stats.cacheHits, 0u);
-}
-
-TEST(SweepCache, ConcurrentMixedAccessIsRaceFree)
-{
-    // TSan hammer for SweepResultCache's locking contract: many
-    // threads lookup/store/size/clear the same keys at once. The
-    // assertions are mild — the point is that a -fsanitize=thread
-    // build of this test proves the mutex_ discipline dynamically,
-    // alongside the TAGECON_GUARDED_BY static proof.
-    SweepResultCache cache;
-    RunResult seedResult;
-    seedResult.allocations = 1;
-    cache.store("k0", seedResult);
-
-    constexpr int kThreads = 8;
-    constexpr int kIters = 400;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&cache, t] {
-            for (int i = 0; i < kIters; ++i) {
-                const std::string key = "k" + std::to_string(i % 7);
-                RunResult r;
-                r.allocations = static_cast<uint64_t>(t * kIters + i);
-                cache.store(key, r);
-                RunResult out;
-                if (cache.lookup(key, out))
-                    EXPECT_GE(out.allocations, 0u);
-                (void)cache.size();
-                if (t == 0 && i % 97 == 0)
-                    cache.clear();
-            }
-        });
-    }
-    for (auto& th : threads)
-        th.join();
-    EXPECT_LE(cache.size(), 7u);
-}
-
-TEST(SweepRunner, ConcurrentIndependentSweepsShareACache)
-{
-    // Two runSweep() calls racing on one cache must both return
-    // results bit-identical to a serial uncached run — the
-    // cross-runSweep half of the cache's thread-safety contract (and
-    // the documented "independent runSweep from onProgress is safe"
-    // claim relies on the same locking).
-    SweepPlan plan = SweepPlan::over(
-        {"bimodal", "gshare:hist=12"}, {"FP-1", "SERV-1"}, 20000);
-    const std::vector<RunResult> expect = runSweep(plan, {.jobs = 1});
-
-    SweepResultCache cache;
-    std::vector<RunResult> a, b;
-    std::thread ta([&] { a = runSweep(plan, {.jobs = 2, .cache = &cache}); });
-    std::thread tb([&] { b = runSweep(plan, {.jobs = 2, .cache = &cache}); });
-    ta.join();
-    tb.join();
-
-    ASSERT_EQ(a.size(), expect.size());
-    ASSERT_EQ(b.size(), expect.size());
-    for (size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_EQ(a[i].stats.totalMispredictions(), expect[i].stats.totalMispredictions());
-        EXPECT_EQ(b[i].stats.totalMispredictions(), expect[i].stats.totalMispredictions());
-    }
+    const SweepCounts c = countedSweep(plan, 1);
+    EXPECT_EQ(c.cells, 2u);
+    EXPECT_EQ(c.executed, 2u);
+    EXPECT_EQ(c.hits, 0u);
+    EXPECT_EQ(c.progressCalls, 2u);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "trace/cbp_ascii.hpp"
 #include "trace/profiles.hpp"
 #include "trace/trace_io.hpp"
 #include "util/failpoint.hpp"
@@ -37,13 +38,34 @@ class TraceIoTest : public ::testing::Test
 
 int TraceIoTest::counter_ = 0;
 
+/** Open @p path, which the test expects to be a valid trace file. */
+std::unique_ptr<TraceReader>
+openOk(const std::filesystem::path& path)
+{
+    auto opened = TraceReader::open(path.string());
+    EXPECT_TRUE(opened.ok()) << opened.error().message();
+    return opened.ok() ? opened.take() : nullptr;
+}
+
+/** The Err open() reports for @p path, which must fail to open. */
+Err
+openErr(const std::filesystem::path& path)
+{
+    auto opened = TraceReader::open(path.string());
+    EXPECT_FALSE(opened.ok());
+    return opened.ok() ? Err() : opened.error();
+}
+
 TEST_F(TraceIoTest, RoundTripPreservesRecords)
 {
     SyntheticTrace src = makeTrace("MM-3", 5000);
-    const uint64_t written = writeTraceFile(path_.string(), src);
-    EXPECT_EQ(written, 5000u);
+    const auto written = writeTraceFile(path_.string(), src);
+    ASSERT_TRUE(written.ok()) << written.error().message();
+    EXPECT_EQ(written.value(), 5000u);
 
-    TraceReader reader(path_.string());
+    auto opened = openOk(path_);
+    ASSERT_TRUE(opened);
+    TraceReader& reader = *opened;
     EXPECT_EQ(reader.name(), "MM-3");
     EXPECT_EQ(reader.totalRecords(), 5000u);
 
@@ -70,13 +92,14 @@ TEST_F(TraceIoTest, ReaderResetRestarts)
         w.write({0x200, false, 6});
         w.close();
     }
-    TraceReader r(path_.string());
+    auto r = openOk(path_);
+    ASSERT_TRUE(r);
     BranchRecord rec;
-    EXPECT_TRUE(r.next(rec));
-    EXPECT_TRUE(r.next(rec));
-    EXPECT_FALSE(r.next(rec));
-    r.reset();
-    EXPECT_TRUE(r.next(rec));
+    EXPECT_TRUE(r->next(rec));
+    EXPECT_TRUE(r->next(rec));
+    EXPECT_FALSE(r->next(rec));
+    r->reset();
+    EXPECT_TRUE(r->next(rec));
     EXPECT_EQ(rec.pc, 0x100u);
     EXPECT_EQ(rec.instructionsBefore, 5u);
 }
@@ -90,8 +113,9 @@ TEST_F(TraceIoTest, WriterBackPatchesCount)
         EXPECT_EQ(w.written(), 17u);
         // Destructor closes and back-patches.
     }
-    TraceReader r(path_.string());
-    EXPECT_EQ(r.totalRecords(), 17u);
+    auto r = openOk(path_);
+    ASSERT_TRUE(r);
+    EXPECT_EQ(r->totalRecords(), 17u);
 }
 
 TEST_F(TraceIoTest, EmptyTraceIsValid)
@@ -100,26 +124,29 @@ TEST_F(TraceIoTest, EmptyTraceIsValid)
         TraceWriter w(path_.string(), "empty");
         w.close();
     }
-    TraceReader r(path_.string());
-    EXPECT_EQ(r.totalRecords(), 0u);
+    auto r = openOk(path_);
+    ASSERT_TRUE(r);
+    EXPECT_EQ(r->totalRecords(), 0u);
     BranchRecord rec;
-    EXPECT_FALSE(r.next(rec));
+    EXPECT_FALSE(r->next(rec));
 }
 
-TEST_F(TraceIoTest, MissingFileIsFatal)
+TEST_F(TraceIoTest, MissingFileIsNotFound)
 {
-    EXPECT_EXIT(TraceReader("/nonexistent/trace.bin"),
-                ::testing::ExitedWithCode(1), "cannot open");
+    const Err e = openErr("/nonexistent/trace.bin");
+    EXPECT_EQ(e.code, ErrCode::NotFound);
+    EXPECT_NE(e.detail.find("cannot open"), std::string::npos);
 }
 
-TEST_F(TraceIoTest, GarbageFileIsFatal)
+TEST_F(TraceIoTest, GarbageFileIsCorrupt)
 {
     {
         std::ofstream out(path_);
         out << "this is not a trace file at all";
     }
-    EXPECT_EXIT(TraceReader(path_.string()),
-                ::testing::ExitedWithCode(1), "not a tagecon trace");
+    const Err e = openErr(path_);
+    EXPECT_EQ(e.code, ErrCode::Corrupt);
+    EXPECT_NE(e.detail.find("not a tagecon trace"), std::string::npos);
 }
 
 TEST_F(TraceIoTest, TruncatedFileFailsFastAtOpen)
@@ -131,13 +158,13 @@ TEST_F(TraceIoTest, TruncatedFileFailsFastAtOpen)
         w.close();
     }
     // Chop off the last few bytes. The reader must reject the file at
-    // open time — a truncated file used to be discovered only via
-    // fatal() mid-simulation.
+    // open time, not discover it mid-simulation.
     const auto size = std::filesystem::file_size(path_);
     std::filesystem::resize_file(path_, size - 5);
 
-    EXPECT_EXIT(TraceReader(path_.string()),
-                ::testing::ExitedWithCode(1), "truncated");
+    const Err e = openErr(path_);
+    EXPECT_EQ(e.code, ErrCode::Truncated);
+    EXPECT_NE(e.detail.find("truncated"), std::string::npos);
 
     const auto probed = probeTrace(path_.string());
     ASSERT_FALSE(probed.ok());
@@ -166,8 +193,7 @@ TEST_F(TraceIoTest, OverflowingRecordCountIsRejected)
     const auto probed = probeTrace(path_.string());
     ASSERT_FALSE(probed.ok());
     EXPECT_NE(probed.error().detail.find("truncated"), std::string::npos);
-    EXPECT_EXIT(TraceReader(path_.string()),
-                ::testing::ExitedWithCode(1), "truncated");
+    EXPECT_EQ(openErr(path_).code, ErrCode::Truncated);
 }
 
 TEST_F(TraceIoTest, BadVersionIsRejected)
@@ -185,8 +211,9 @@ TEST_F(TraceIoTest, BadVersionIsRejected)
         const uint32_t bogus = kTraceFormatVersion + 41;
         f.write(reinterpret_cast<const char*>(&bogus), sizeof(bogus));
     }
-    EXPECT_EXIT(TraceReader(path_.string()),
-                ::testing::ExitedWithCode(1), "version");
+    const Err e = openErr(path_);
+    EXPECT_EQ(e.code, ErrCode::BadVersion);
+    EXPECT_NE(e.detail.find("version"), std::string::npos);
 
     const auto probed = probeTrace(path_.string());
     ASSERT_FALSE(probed.ok());
@@ -239,8 +266,8 @@ TEST_F(TraceIoTest, WriterFailureIsFatalNotSilentTruncation)
 
 TEST_F(TraceIoTest, OpenFactoryReturnsTypedErrors)
 {
-    // The library path never calls the fatal() constructor: open()
-    // classifies each failure so callers can dispatch on the code.
+    // open() classifies each failure so callers can dispatch on the
+    // code.
     auto missing = TraceReader::open("/nonexistent/trace.tcbt");
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.error().code, ErrCode::NotFound);
@@ -325,6 +352,27 @@ TEST_F(TraceIoTest, InjectedReadFaultLatchesLastError)
         ++read;
     EXPECT_EQ(read, 10);
     EXPECT_EQ(reader->lastError(), nullptr);
+}
+
+TEST_F(TraceIoTest, MalformedSourceFailsTheWriteAndLeavesNoFile)
+{
+    // An ASCII trace whose record 1501 of 3000 is malformed must not
+    // convert into a valid 1500-record file.
+    const std::filesystem::path ascii = path_.string() + ".txt";
+    {
+        std::ofstream out(ascii);
+        for (int i = 1; i <= 3000; ++i)
+            out << (i == 1501 ? "0x4000 maybe 3" : "0x4000 T 3") << "\n";
+    }
+    auto opened = CbpAsciiReader::open(ascii.string());
+    ASSERT_TRUE(opened.ok()) << opened.error().message();
+    const auto written = writeTraceFile(path_.string(), *opened.value());
+    std::filesystem::remove(ascii);
+    ASSERT_FALSE(written.ok());
+    EXPECT_EQ(written.error().code, ErrCode::Parse);
+    EXPECT_NE(written.error().detail.find("line 1501"), std::string::npos)
+        << written.error().detail;
+    EXPECT_FALSE(std::filesystem::exists(path_));
 }
 
 } // namespace

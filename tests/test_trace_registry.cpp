@@ -135,7 +135,7 @@ TEST_F(TraceRegistryTest, ResolveExpandsAliasesSetsAndFileSpecs)
 {
     SyntheticTrace src = makeTrace("FP-1", 50);
     const std::string path = file("fp1.tcbt");
-    writeTraceFile(path, src);
+    ASSERT_TRUE(writeTraceFile(path, src).ok());
 
     std::vector<std::string> out;
     std::string error;
@@ -155,7 +155,7 @@ TEST_F(TraceRegistryTest, RegisteredSetsExpandLikeBuiltinAliases)
 {
     SyntheticTrace src = makeTrace("INT-2", 40);
     const std::string path = file("int2.tcbt");
-    writeTraceFile(path, src);
+    ASSERT_TRUE(writeTraceFile(path, src).ok());
 
     registerTraceSet("MySuite", {"file:" + path, "FP-2"});
     const auto sets = registeredTraceSets();
@@ -185,12 +185,13 @@ TEST_F(TraceRegistryTest, TcbtSourceMatchesInMemoryVectorTrace)
 {
     SyntheticTrace src = makeTrace("300.twolf", 4000);
     const std::string path = file("twolf.tcbt");
-    writeTraceFile(path, src);
+    ASSERT_TRUE(writeTraceFile(path, src).ok());
 
     // The acceptance property: a file-backed source replays exactly
     // the records an in-memory VectorTrace of the same stream holds.
-    TraceReader reader(path);
-    VectorTrace in_memory = materialize(reader, 4000);
+    auto reader = TraceReader::open(path);
+    ASSERT_TRUE(reader.ok()) << reader.error().message();
+    VectorTrace in_memory = materialize(*reader.value(), 4000);
     auto via_registry = makeTraceSource("file:" + path, 4000);
     EXPECT_EQ(via_registry->name(), "300.twolf");
     expectSameRecords(in_memory, *via_registry);
@@ -200,7 +201,7 @@ TEST_F(TraceRegistryTest, BranchCountCapsFileReplay)
 {
     SyntheticTrace src = makeTrace("FP-3", 1000);
     const std::string path = file("fp3.tcbt");
-    writeTraceFile(path, src);
+    ASSERT_TRUE(writeTraceFile(path, src).ok());
 
     auto capped = makeTraceSource("file:" + path, 100);
     BranchRecord rec;

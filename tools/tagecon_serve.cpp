@@ -256,24 +256,23 @@ main(int argc, char** argv)
     }
 
     // Wall-clock timing is the one non-deterministic section; the CSV
-    // view omits it so output diffs byte for byte across --jobs.
+    // view omits it so output diffs byte for byte across --jobs. Turn
+    // latency is the serve.turn.ns row of --metrics.
     if (format != ReportFormat::Csv) {
+        const double wall = result.wallSeconds;
+        auto per_second = [wall](uint64_t count) {
+            return wall > 0.0 ? static_cast<double>(count) / wall : 0.0;
+        };
         TextTable timing;
         timing.addColumn("metric", TextTable::Align::Left);
         timing.addColumn("value");
-        timing.addRow({"wall (s)",
-                       TextTable::num(result.timing.wallSeconds, 3)});
-        timing.addRow({"streams/s",
-                       TextTable::num(result.timing.streamsPerSec, 1)});
+        timing.addRow({"wall (s)", TextTable::num(wall, 3)});
+        timing.addRow(
+            {"streams/s",
+             TextTable::num(per_second(result.streamsServed), 1)});
         timing.addRow(
             {"predictions/s",
-             TextTable::num(result.timing.predictionsPerSec, 0)});
-        timing.addRow({"p50 latency (ns/pred)",
-                       TextTable::num(result.timing.p50LatencyNs, 1)});
-        timing.addRow({"p99 latency (ns/pred)",
-                       TextTable::num(result.timing.p99LatencyNs, 1)});
-        timing.addRow({"latency samples",
-                       std::to_string(result.timing.latencySamples)});
+             TextTable::num(per_second(result.totalBranches), 0)});
         report.addBlank();
         report.addTable(ReportTable{"timing", "throughput (wall clock)",
                                     std::move(timing)});

@@ -206,13 +206,6 @@ main(int argc, char** argv)
     // values are rejected up front with the flag named.
     sweep_opt.jobs =
         static_cast<unsigned>(args.getUintInRange("jobs", 1, 1, 1024));
-    // Cell-level result cache: duplicate (spec, trace) cells — e.g. a
-    // spec listed twice, or overlapping trace selections — simulate
-    // once and are served from memory after that.
-    SweepResultCache cache;
-    SweepExecStats exec_stats;
-    sweep_opt.cache = &cache;
-    sweep_opt.stats = &exec_stats;
     if (args.getBool("progress", false)) {
         // Progress goes to stderr so CI stdout diffs stay byte-stable;
         // logLine() serializes against warn() from parallel workers,
@@ -323,13 +316,6 @@ main(int argc, char** argv)
             }
         }
     }
-
-    // Bookkeeping only when dedup actually saved work, so the common
-    // banner stays byte-identical to earlier releases.
-    if (exec_stats.cacheHits > 0)
-        report.addMeta("cache-hits",
-                       std::to_string(exec_stats.cacheHits) + "/" +
-                           std::to_string(exec_stats.cells));
 
     report.addTable(ReportTable{"grid", "", std::move(t)});
 

@@ -20,6 +20,10 @@
  *
  *   tagecon_trace head --in=PATH [--count=N]
  *       Dump the first N records (default 10) as text.
+ *
+ * A record that fails to read (a malformed ASCII line, a truncated
+ * .tcbt) is fatal in every subcommand: the message names the file and
+ * line, and convert removes its partial output.
  */
 
 #include <algorithm>
@@ -79,9 +83,12 @@ cmdConvert(const CliArgs& args)
     if (!opened.ok())
         fatal(opened.error().detail);
     const auto src = opened.take();
-    const uint64_t written = writeTraceFile(out, *src);
-    std::cout << "wrote " << written << " records of '" << src->name()
-              << "' to " << out << "\n";
+    // A source that fails mid-stream leaves no output file behind.
+    auto written = writeTraceFile(out, *src);
+    if (!written.ok())
+        fatal(written.error().detail);
+    std::cout << "wrote " << written.value() << " records of '"
+              << src->name() << "' to " << out << "\n";
     return 0;
 }
 
@@ -105,6 +112,8 @@ collectStats(TraceSource& src)
         s.instructions += uint64_t{rec.instructionsBefore} + 1;
         pcs.insert(rec.pc);
     }
+    if (const Err* e = src.lastError())
+        fatal(e->detail);
     s.uniquePcs = pcs.size();
     return s;
 }
@@ -191,6 +200,8 @@ cmdHead(const CliArgs& args)
                   << rec.instructionsBefore << "\n";
         ++shown;
     }
+    if (const Err* e = src->lastError())
+        fatal(e->detail);
     return 0;
 }
 
