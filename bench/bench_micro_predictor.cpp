@@ -19,6 +19,13 @@
  *  - BM_TagePredictUpdateClassify: incremental cost of confidence
  *    classification,
  *  - BM_SyntheticTraceGeneration: the trace generator's own cost.
+ *  - BM_TageSnapshot / BM_TageRestore: one side each of the serving
+ *    engine's eviction cycle on a warmed predictor — saveState() into
+ *    a writer reserved at the blob size, and loadState() of that blob
+ *    back into a used predictor. bytes_per_second is the blob size.
+ *  - BM_SyntheticTraceOpen: constructing a synthetic trace (the
+ *    program model a stream's first admission builds), cycling over
+ *    the 40 profiles.
  *  - BM_FailpointUnarmed / BM_FailpointArmed: cost of a fault-
  *    injection site check. Unarmed must stay a branch on one relaxed
  *    atomic load (~1 ns) — the sites sit on trace-read and checkpoint
@@ -36,6 +43,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "core/confidence_observer.hpp"
@@ -236,6 +244,70 @@ BM_SyntheticTraceGeneration(benchmark::State& state)
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 
+/** A predictor of config @p idx warmed on the shared trace. */
+TagePredictor
+warmedPredictor(int64_t idx)
+{
+    TagePredictor predictor(configByIndex(idx));
+    for (const BranchRecord& rec : sharedTrace().records()) {
+        const TagePrediction p = predictor.predict(rec.pc);
+        predictor.update(rec.pc, p, rec.taken);
+    }
+    return predictor;
+}
+
+void
+BM_TageSnapshot(benchmark::State& state)
+{
+    const TagePredictor predictor = warmedPredictor(state.range(0));
+    StateWriter sizing;
+    predictor.saveState(sizing);
+    const size_t blob_bytes = sizing.size();
+    for (auto _ : state) {
+        StateWriter w;
+        w.reserve(blob_bytes);
+        predictor.saveState(w);
+        benchmark::DoNotOptimize(w.data().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(blob_bytes));
+}
+
+void
+BM_TageRestore(benchmark::State& state)
+{
+    TagePredictor predictor = warmedPredictor(state.range(0));
+    StateWriter w;
+    predictor.saveState(w);
+    const std::vector<uint8_t> blob = w.take();
+    std::string error;
+    bool ok = true;
+    for (auto _ : state) {
+        StateReader in(blob);
+        ok = predictor.loadState(in, error);
+        benchmark::DoNotOptimize(ok);
+        benchmark::ClobberMemory();
+    }
+    if (!ok)
+        state.SkipWithError(error.c_str());
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(blob.size()));
+}
+
+void
+BM_SyntheticTraceOpen(benchmark::State& state)
+{
+    const std::vector<std::string> names = allTraceNames();
+    size_t i = 0;
+    for (auto _ : state) {
+        SyntheticTrace trace = makeTrace(names[i], 512);
+        benchmark::DoNotOptimize(&trace);
+        i = (i + 1) % names.size();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
 void
 BM_FailpointUnarmed(benchmark::State& state)
 {
@@ -330,6 +402,9 @@ BENCHMARK(BM_TageUpdateOnly)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TageAllocationStorm)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TagePredictUpdateClassify)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_SyntheticTraceGeneration);
+BENCHMARK(BM_TageSnapshot)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TageRestore)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SyntheticTraceOpen);
 BENCHMARK(BM_FailpointUnarmed);
 BENCHMARK(BM_FailpointArmed);
 BENCHMARK(BM_MetricsDisabled);

@@ -183,7 +183,11 @@ class GradedPredictor
 
     /**
      * Replace the predictor's state with one written by snapshot() on
-     * an identically-configured instance. On failure (geometry
+     * an identically-configured instance. A successful restore
+     * overwrites every piece of architectural state, so restoring into
+     * a used instance equals restoring into a fresh one; the serving
+     * engine relies on this to restore an evicted stream into the
+     * object another stream just vacated. On failure (geometry
      * mismatch, truncated or corrupt payload, unsupported family) the
      * predictor is left reset() and false is returned with the reason
      * in @p error.

@@ -65,6 +65,18 @@ struct StreamState {
     StreamResult result;
 };
 
+/**
+ * A shard's recycling state. Restore overwrites all of a predictor's
+ * state (GradedPredictor::restore), so a re-admission restores into
+ * the object the shard evicted last instead of constructing one, and
+ * each parked blob is written into a buffer reserved at the size of
+ * the shard's last blob, so it comes out exact-size.
+ */
+struct ShardPool {
+    std::unique_ptr<GradedPredictor> spare;
+    size_t blobBytes = 0;
+};
+
 /** Prefix an Err's detail with the stream it belongs to. */
 Err
 streamErr(const StreamState& st, Err e)
@@ -148,12 +160,19 @@ withRetry(ServeShared& sh, StreamState& st,
     }
 }
 
-/** Materialize (or re-materialize) a stream's live predictor. */
+/**
+ * Materialize (or re-materialize) a stream's live predictor: a
+ * re-admission takes the shard's spare object when there is one, a
+ * first admission constructs.
+ */
 Err
-admitStream(ServeShared& sh, StreamState& st)
+admitStream(ServeShared& sh, ShardPool& pool, StreamState& st)
 {
     std::string error;
-    st.predictor = tryMakePredictor(sh.opts->spec, &error);
+    if (!st.parked.empty() && pool.spare)
+        st.predictor = std::move(pool.spare);
+    else
+        st.predictor = tryMakePredictor(sh.opts->spec, &error);
     if (!st.predictor)
         return Err(ErrCode::BadSpec, "serve.admit", std::move(error));
 
@@ -235,19 +254,20 @@ admitStream(ServeShared& sh, StreamState& st)
     return {};
 }
 
-/** Park a live predictor as snapshot bytes. */
+/** Park a live predictor as snapshot bytes; keep the object spare. */
 Err
-evictStream(ServeShared& sh, StreamState& st)
+evictStream(ShardPool& pool, StreamState& st)
 {
-    (void)sh;
     failpoints::KeyScope scope(st.desc->id);
     StateWriter w;
+    w.reserve(pool.blobBytes);
     std::string error;
     if (!st.predictor->snapshot(w, error))
         return Err(ErrCode::Unsupported, "serve.evict",
                    "eviction failed: " + error);
+    pool.blobBytes = w.size();
     st.parked = w.take();
-    st.predictor.reset();
+    pool.spare = std::move(st.predictor);
     return {};
 }
 
@@ -339,6 +359,7 @@ serveShard(ServeShared& sh, size_t shard_index,
     // Reused per-turn chunk buffers; driveBranches() caps each turn's
     // chunks at its batch.
     DriveChunk chunk;
+    ShardPool pool;
 
     size_t remaining = members.size();
     while (remaining > 0) {
@@ -368,7 +389,7 @@ serveShard(ServeShared& sh, size_t shard_index,
             }
 
             if (!st.predictor) {
-                if (Err e = admitStream(sh, st); e.failed()) {
+                if (Err e = admitStream(sh, pool, st); e.failed()) {
                     if (!failStream(st, std::move(e)))
                         return;
                     --remaining;
@@ -381,7 +402,7 @@ serveShard(ServeShared& sh, size_t shard_index,
                     live.pop_front();
                     StreamState& vs = (*sh.streams)[victim];
                     metrics.evictions.add();
-                    if (Err e = evictStream(sh, vs); e.failed()) {
+                    if (Err e = evictStream(pool, vs); e.failed()) {
                         // The victim, not the stream being admitted,
                         // is the one that failed.
                         if (!failStream(vs, std::move(e)))

@@ -11,10 +11,20 @@
  * ServeOptions::batch predictions, each turn stepped by the drive
  * kernel runTrace() uses too (sim/experiment.hpp). Predictor state is
  * pooled per shard: at most poolPerShard predictors are resident; the
- * rest are
- * parked as snapshot() blobs and restored on re-admission — the
- * checkpoint layer doubles as the eviction format, so a 10k-stream
- * serve stays within a bounded memory footprint.
+ * rest are parked as snapshot() blobs and restored on re-admission —
+ * the checkpoint layer doubles as the eviction format, so a
+ * 10k-stream serve stays within a bounded memory footprint.
+ *
+ * An eviction cycle costs about one copy of the blob each way. TAGE
+ * state moves as bulk little-endian copies, each blob is written into
+ * a buffer reserved at the shard's last blob size, and a re-admission
+ * restores into the predictor object the shard evicted last instead
+ * of constructing one (restore() overwrites all state; first
+ * admissions still construct). For tage64k+sfc, a 15,093-byte blob,
+ * a cycle measured about 20 us of snapshot, 11-16 us of restore and
+ * 3 us of construction with per-element encoding and a fresh
+ * predictor per admission, and 1.2-1.4 + 0.8-1.2 + 0 us with this
+ * design (BM_TageSnapshot/BM_TageRestore, gcc 12 -O2, 4-vCPU Xeon VM).
  *
  * Determinism: each stream's trajectory is a pure function of its
  * (spec, trace, branches, seedSalt) and snapshot/restore round-trips

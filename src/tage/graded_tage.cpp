@@ -98,6 +98,7 @@ GradedTage::reset()
 {
     predictor_.reset();
     observer_.reset();
+    lastIntrinsicLevel_ = ConfidenceLevel::High;
     seq_ = 0;
     if (controller_) {
         controller_->reset();

@@ -1,7 +1,6 @@
 #include "tage/tage_predictor.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 
 #include "util/bit_utils.hpp"
@@ -621,8 +620,7 @@ TagePredictor::saveState(StateWriter& out) const
     // (the adaptive controller drives it), so it checkpoints as state.
     out.u32(config_.satLog2Prob);
     out.bytes(bimodal_.data(), bimodal_.size());
-    for (const uint16_t t : tag_)
-        out.u16(t);
+    out.u16s(tag_.data(), tag_.size());
     out.bytes(ctru_.data(), ctru_.size());
 
     // History ring, relative to the head (index 0 = newest), packed 8
@@ -683,10 +681,12 @@ TagePredictor::loadState(StateReader& in, std::string& error)
         return false;
     }
 
+    // The arenas, ring and fold registers are read straight into the
+    // live predictor: every failure below reset()s it anyway, so no
+    // staging copy (and no heap allocation) is needed.
     const uint32_t sat_log2 = in.u32();
     in.bytes(bimodal_.data(), bimodal_.size());
-    for (uint16_t& t : tag_)
-        t = in.u16();
+    in.u16s(tag_.data(), tag_.size());
     in.bytes(ctru_.data(), ctru_.size());
 
     const size_t outcomes = history_.capacity() + 1;
@@ -697,16 +697,16 @@ TagePredictor::loadState(StateReader& in, std::string& error)
                         : "TAGE state is truncated";
         return false;
     }
-    std::vector<uint8_t> ring(outcomes, 0);
-    in.packedBits(outcomes,
-                  [&](size_t i, bool bit) { ring[i] = bit ? 1 : 0; });
-    const uint32_t path = in.u32();
-    std::vector<std::array<uint32_t, 3>> fold_state(
-        static_cast<size_t>(m));
-    for (auto& f : fold_state) {
-        f[0] = in.u32();
-        f[1] = in.u32();
-        f[2] = in.u32();
+    // The ring was written oldest-first; pushing in that order into a
+    // cleared ring rebuilds every head-relative index.
+    history_.clear();
+    in.packedBits(outcomes, [&](size_t, bool bit) { history_.push(bit); });
+    pathHistory_.restore(in.u32());
+    for (int i = 1; i <= m; ++i) {
+        const uint32_t a = in.u32();
+        const uint32_t b = in.u32();
+        const uint32_t c = in.u32();
+        folds_[static_cast<size_t>(i)].restore(a, b, c);
     }
     const int64_t use_alt = in.i64();
     const uint16_t lfsr = in.u16();
@@ -726,17 +726,17 @@ TagePredictor::loadState(StateReader& in, std::string& error)
                 "probability";
         return false;
     }
-    config_.satLog2Prob = sat_log2;
-    // ring[0] is the oldest outcome; pushing oldest-first rebuilds
-    // every head-relative index.
-    history_.clear();
-    for (const uint8_t bit : ring)
-        history_.push(bit != 0);
-    pathHistory_.restore(path);
-    for (int i = 1; i <= m; ++i) {
-        const auto& f = fold_state[static_cast<size_t>(i - 1)];
-        folds_[static_cast<size_t>(i)].restore(f[0], f[1], f[2]);
+    // update() keeps the countdown in [1, period] between branches, or
+    // at 0 when aging is off; any other value would stall aging.
+    const uint64_t period = config_.uResetPeriod;
+    if (period == 0 ? u_reset_countdown != 0
+                    : u_reset_countdown == 0 || u_reset_countdown > period) {
+        reset();
+        error = "TAGE state carries a useful-bit aging countdown outside "
+                "[1, period]";
+        return false;
     }
+    config_.satLog2Prob = sat_log2;
     useAltOnNa_.set(static_cast<int>(use_alt));
     lfsr_.setState(lfsr);
     lfsrSeed_ = lfsr_seed;

@@ -139,9 +139,14 @@ class TagePredictor
     void saveState(StateWriter& out) const;
 
     /**
-     * Restore state written by saveState(). Returns false (leaving the
-     * predictor reset()) when the blob is truncated or was written by
-     * a differently-configured predictor, with the reason in @p error.
+     * Restore state written by saveState(). Every architectural field
+     * is overwritten, so restoring into a used predictor equals
+     * restoring into a fresh one. Returns false (leaving the predictor
+     * reset()) when the blob is truncated, was written by a
+     * differently-configured predictor, or carries a value saveState()
+     * never writes (a saturation probability above 15, an aging
+     * countdown outside [1, uResetPeriod]), with the reason in
+     * @p error.
      */
     bool loadState(StateReader& in, std::string& error);
 

@@ -280,33 +280,31 @@ SyntheticTrace::buildCallGraph(XorShift128Plus& build_rng)
                                static_cast<double>(total)));
     const auto num_phases = static_cast<size_t>(params_.numPhases);
 
-    auto pool_for = [&](size_t f) {
-        std::vector<size_t> pool;
-        for (size_t i = 0; i < hot && i < total; ++i)
-            pool.push_back(i);
-        if (num_phases <= 1) {
-            for (size_t i = hot; i < total; ++i)
-                pool.push_back(i);
-        } else if (f >= hot) {
-            const size_t cold = total - std::min(hot, total);
-            const size_t per_phase = std::max<size_t>(1,
-                                                      cold / num_phases);
-            const size_t region =
-                std::min((f - hot) / per_phase, num_phases - 1);
-            const size_t begin = hot + region * per_phase;
-            for (size_t i = begin;
-                 i < std::min(begin + per_phase, total); ++i) {
-                pool.push_back(i);
-            }
-        }
-        return pool;
-    };
-
+    // Function f's successor pool is the hot set [0, nhot) followed by
+    // one contiguous range [lo, hi): every cold function when there is
+    // a single phase, f's own phase region for a cold f, nothing for a
+    // hot f. Drawing an index into that concatenation needs neither a
+    // materialized pool nor an O(F) rebuild per function.
+    const size_t nhot = std::min(hot, total);
     successors_.resize(total);
     for (size_t f = 0; f < total; ++f) {
-        const auto pool = pool_for(f);
-        for (auto& s : successors_[f])
-            s = pool[build_rng.nextBelow(pool.size())];
+        size_t lo = nhot;
+        size_t hi = nhot;
+        if (num_phases <= 1) {
+            hi = total;
+        } else if (f >= hot) {
+            const size_t per_phase =
+                std::max<size_t>(1, (total - nhot) / num_phases);
+            const size_t region =
+                std::min((f - hot) / per_phase, num_phases - 1);
+            lo = hot + region * per_phase;
+            hi = std::min(lo + per_phase, total);
+        }
+        const size_t pool_size = nhot + (hi - lo);
+        for (auto& s : successors_[f]) {
+            const size_t k = build_rng.nextBelow(pool_size);
+            s = k < nhot ? k : lo + (k - nhot);
+        }
     }
 }
 

@@ -2,10 +2,10 @@
  * @file
  * Byte-exact little-endian state serialization, the substrate of
  * predictor checkpoint/restore (serve/checkpoint.hpp): StateWriter
- * appends fixed-width scalars, packed bit vectors and length-prefixed
- * byte ranges into a growing buffer; StateReader replays them with
- * bounds checking, latching the first failure so callers can decode a
- * whole record and test ok() once at the end.
+ * appends fixed-width scalars, bulk u16 arrays, packed bit vectors and
+ * length-prefixed byte ranges into a growing buffer; StateReader
+ * replays them with bounds checking, latching the first failure so
+ * callers can decode a whole record and test ok() once at the end.
  *
  * The encoding is deliberately dumb — no varints, no alignment, no
  * endianness surprises — so a blob written on any host decodes on any
@@ -16,8 +16,11 @@
 #ifndef TAGECON_UTIL_STATE_IO_HPP
 #define TAGECON_UTIL_STATE_IO_HPP
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -56,6 +59,21 @@ class StateWriter
 
     /** Two's-complement encode of a signed value. */
     void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
+
+    /**
+     * @p count little-endian u16s, no length prefix: the same bytes as
+     * @p count u16() calls, in one copy on a little-endian host.
+     */
+    void
+    u16s(const uint16_t* data, size_t count)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            bytes(reinterpret_cast<const uint8_t*>(data), 2 * count);
+        } else {
+            for (size_t i = 0; i < count; ++i)
+                u16(data[i]);
+        }
+    }
 
     /** Raw bytes, no length prefix (caller knows the count). */
     void
@@ -100,6 +118,12 @@ class StateWriter
         if ((count & 7) != 0)
             buf_.push_back(acc);
     }
+
+    /**
+     * Make room for @p total bytes, so a writer of known size grows
+     * once and take() hands out an exact-size buffer.
+     */
+    void reserve(size_t total) { buf_.reserve(total); }
 
     /** The encoded bytes so far. */
     const std::vector<uint8_t>& data() const { return buf_; }
@@ -166,17 +190,40 @@ class StateReader
 
     int64_t i64() { return static_cast<int64_t>(u64()); }
 
+    /**
+     * @p count little-endian u16s written by StateWriter::u16s, with
+     * one bounds check; zero-fills @p out on underrun.
+     */
+    bool
+    u16s(uint16_t* out, size_t count)
+    {
+        if (!ok_ || count > remaining() / 2) {
+            ok_ = false;
+            std::fill_n(out, count, uint16_t{0});
+            return false;
+        }
+        if constexpr (std::endian::native == std::endian::little) {
+            if (count != 0)
+                std::memcpy(out, data_ + pos_, 2 * count);
+        } else {
+            for (size_t i = 0; i < count; ++i)
+                out[i] = static_cast<uint16_t>(
+                    data_[pos_ + 2 * i] | (data_[pos_ + 2 * i + 1] << 8));
+        }
+        pos_ += 2 * count;
+        return true;
+    }
+
     /** Copy @p size raw bytes into @p out; zero-fills on underrun. */
     bool
     bytes(uint8_t* out, size_t size)
     {
         if (!take(size)) {
-            for (size_t i = 0; i < size; ++i)
-                out[i] = 0;
+            std::fill_n(out, size, uint8_t{0});
             return false;
         }
-        for (size_t i = 0; i < size; ++i)
-            out[i] = data_[pos_ + i];
+        if (size != 0)
+            std::memcpy(out, data_ + pos_, size);
         pos_ += size;
         return true;
     }

@@ -14,10 +14,11 @@
  * The remaining suites cover the blob framing (serve/checkpoint.hpp):
  * registry-level round trips for every supported family (including the
  * perceptron and O-GEHL neural families added in checkpoint version
- * 2), deterministic encoding, strict rejection of truncated /
- * corrupted / wrong-magic / wrong-version (including old v1) /
- * wrong-spec blobs, the stateful-estimator error path, stream-kind
- * position fields, and the file helpers.
+ * 2), restores into used instances, pinned wire bytes, deterministic
+ * encoding, strict rejection of truncated / corrupted / wrong-magic /
+ * wrong-version (including old v1) / wrong-spec / out-of-range blobs,
+ * the stateful-estimator error path, stream-kind position fields, the
+ * bulk u16s encoding, and the file helpers.
  */
 
 #include <gtest/gtest.h>
@@ -101,6 +102,49 @@ stateDigest(const TagePredictor& pred)
     return h;
 }
 
+/** One branch of the golden stream of test_tage_golden.cpp. */
+struct GoldenBranch {
+    uint64_t pc;
+    bool taken;
+};
+
+/** Branch @p i of the golden stream, drawn from @p rng. */
+GoldenBranch
+goldenBranch(XorShift128Plus& rng, int i)
+{
+    const uint64_t r = rng.next();
+    const uint64_t pc = 0x4000 + (r % 64) * 4;
+    const bool taken = (pc & 8) ? (i % (3 + (pc & 7)) != 0)
+                                : ((r >> 32) & 1) != 0;
+    return {pc, taken};
+}
+
+/** FNV-1a of serialized state bytes. */
+uint64_t
+wireDigest(const std::vector<uint8_t>& bytes)
+{
+    return fnv1a64(bytes.data(), bytes.size());
+}
+
+/** @p p's snapshot() bytes. */
+std::vector<uint8_t>
+snapshotBytes(const GradedPredictor& p)
+{
+    StateWriter w;
+    std::string error;
+    EXPECT_TRUE(p.snapshot(w, error)) << error;
+    return w.take();
+}
+
+/** What the golden round trip pins. */
+struct GoldenDigests {
+    uint64_t pred = 0;
+    uint64_t state = 0;
+
+    /** FNV-1a of the final saveState() bytes: the wire format. */
+    uint64_t blob = 0;
+};
+
 /**
  * The golden stream of test_tage_golden.cpp, with one twist: halfway
  * through, predictor A is snapshotted and the rest of the run is
@@ -108,14 +152,15 @@ stateDigest(const TagePredictor& pred)
  * If (and only if) the checkpoint is complete, the combined digests
  * match the uninterrupted golden values.
  */
-std::pair<uint64_t, uint64_t>
+GoldenDigests
 runGoldenWithMidStreamRoundTrip(const TageConfig& cfg)
 {
     TagePredictor a(cfg);
     TagePredictor b(cfg);
     TagePredictor* cur = &a;
     XorShift128Plus rng(0xD1CEB007 + cfg.tagged.size());
-    uint64_t pd = kFnvOffset;
+    GoldenDigests out;
+    out.pred = kFnvOffset;
     const int m = cfg.numTaggedTables();
     for (int i = 0; i < kBranches; ++i) {
         if (i == kBranches / 2) {
@@ -128,21 +173,23 @@ runGoldenWithMidStreamRoundTrip(const TageConfig& cfg)
             EXPECT_TRUE(in.exhausted());
             cur = &b;
         }
-        const uint64_t r = rng.next();
-        const uint64_t pc = 0x4000 + (r % 64) * 4;
-        const bool taken = (pc & 8) ? (i % (3 + (pc & 7)) != 0)
-                                    : ((r >> 32) & 1) != 0;
-        const TagePrediction p = cur->predict(pc);
-        pd = mixPrediction(pd, p, m);
-        cur->update(pc, p, taken);
+        const GoldenBranch br = goldenBranch(rng, i);
+        const TagePrediction p = cur->predict(br.pc);
+        out.pred = mixPrediction(out.pred, p, m);
+        cur->update(br.pc, p, br.taken);
     }
-    return {pd, stateDigest(b)};
+    out.state = stateDigest(b);
+    StateWriter w;
+    b.saveState(w);
+    out.blob = wireDigest(w.data());
+    return out;
 }
 
 struct GoldenCase {
     const char* name;
     uint64_t predDigest;
     uint64_t stateDigest;
+    uint64_t blobDigest;
 };
 
 TageConfig
@@ -169,27 +216,36 @@ class TageCheckpointGolden
 TEST_P(TageCheckpointGolden, MidStreamRestoreReproducesGoldenDigests)
 {
     const GoldenCase& g = GetParam();
-    const auto [pred_digest, state_digest] =
+    const GoldenDigests got =
         runGoldenWithMidStreamRoundTrip(configFor(g.name));
-    EXPECT_EQ(pred_digest, g.predDigest) << g.name;
-    EXPECT_EQ(state_digest, g.stateDigest) << g.name;
+    EXPECT_EQ(got.pred, g.predDigest) << g.name;
+    EXPECT_EQ(got.state, g.stateDigest) << g.name;
+    EXPECT_EQ(got.blob, g.blobDigest)
+        << g.name << ": saveState() no longer writes the pinned bytes";
 }
 
-// The pinned digests are the very same values test_tage_golden.cpp
-// pins for the uninterrupted runs — not re-harvested for this test.
+// The prediction and state digests are the very same values
+// test_tage_golden.cpp pins for the uninterrupted runs — not
+// re-harvested for this test. The blob digests were harvested from the
+// per-element encoder, before the arenas moved to bulk copies.
 INSTANTIATE_TEST_SUITE_P(
     PaperConfigs, TageCheckpointGolden,
     ::testing::Values(
         GoldenCase{"16K", 7150495434390549119ULL,
-                   8447484763274118460ULL},
+                   8447484763274118460ULL,
+                   5595002478576410022ULL},
         GoldenCase{"64K", 12562089021334520864ULL,
-                   10966023290916501465ULL},
+                   10966023290916501465ULL,
+                   17962360148400378647ULL},
         GoldenCase{"256K", 6625890519000511774ULL,
-                   203579634401270635ULL},
+                   203579634401270635ULL,
+                   16238664834611045821ULL},
         GoldenCase{"64K-prob7", 12957036419155950676ULL,
-                   716300752043846386ULL},
+                   716300752043846386ULL,
+                   4074103757994365668ULL},
         GoldenCase{"64K-fastage", 10233611863893694473ULL,
-                   5617762536944745845ULL}),
+                   5617762536944745845ULL,
+                   5744233108234672023ULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
         std::string n = info.param.name;
         for (auto& c : n)
@@ -197,6 +253,37 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return n;
     });
+
+/**
+ * FNV-1a of @p spec's snapshot() bytes after the golden stream, driven
+ * through the registry's predict/update API.
+ */
+uint64_t
+gradedBlobDigest(const std::string& spec)
+{
+    auto p = makePredictor(canonicalizeSpec(spec));
+    XorShift128Plus rng(0xD1CEB007);
+    for (int i = 0; i < kBranches; ++i) {
+        const GoldenBranch br = goldenBranch(rng, i);
+        const Prediction pr = p->predict(br.pc);
+        p->update(br.pc, pr, br.taken);
+    }
+    return wireDigest(snapshotBytes(*p));
+}
+
+TEST(CheckpointWireBytes, BaselineFamiliesWriteThePinnedBytes)
+{
+    // Harvested from the per-element encoder, like the TAGE blob
+    // digests above: bulk copies must write the very same bytes.
+    const std::pair<const char*, uint64_t> pinned[] = {
+        {"bimodal", 15175067393663170701ULL},
+        {"gshare", 4264309872569767088ULL},
+        {"perceptron+sfc", 680204132528424613ULL},
+        {"ogehl+sfc", 491395854868008893ULL},
+    };
+    for (const auto& [spec, digest] : pinned)
+        EXPECT_EQ(gradedBlobDigest(spec), digest) << spec;
+}
 
 /** Success of a typed checkpoint call, with its message on failure. */
 ::testing::AssertionResult
@@ -215,10 +302,42 @@ failureDetail(const Err& e)
     return e.detail;
 }
 
+/** Feed up to @p n records of @p trace through @p p. */
+void
+drive(GradedPredictor& p, TraceSource& trace, uint64_t n)
+{
+    BranchRecord rec;
+    for (uint64_t i = 0; i < n && trace.next(rec); ++i) {
+        const Prediction pr = p.predict(rec.pc);
+        p.update(rec.pc, pr, rec.taken);
+    }
+}
+
+/**
+ * Run @p p and @p q over the rest of @p trace in lockstep: every
+ * prediction and the final snapshots must be identical.
+ */
+void
+expectLockstepToTheEnd(GradedPredictor& p, GradedPredictor& q,
+                       TraceSource& trace)
+{
+    BranchRecord rec;
+    while (trace.next(rec)) {
+        const Prediction pa = p.predict(rec.pc);
+        const Prediction pb = q.predict(rec.pc);
+        ASSERT_EQ(pa.taken, pb.taken);
+        ASSERT_EQ(pa.confidence, pb.confidence);
+        ASSERT_EQ(pa.cls, pb.cls);
+        p.update(rec.pc, pa, rec.taken);
+        q.update(rec.pc, pb, rec.taken);
+    }
+    EXPECT_EQ(snapshotBytes(p), snapshotBytes(q));
+}
+
 /**
  * Drive @p spec halfway through a trace, checkpoint it, restore into a
  * fresh instance, and run both to the end in lockstep: every
- * prediction and the final re-encoded blobs must be identical.
+ * prediction and the final snapshots must be identical.
  */
 void
 expectRoundTripContinuesBitIdentically(const std::string& spec_arg)
@@ -228,12 +347,7 @@ expectRoundTripContinuesBitIdentically(const std::string& spec_arg)
     auto p = makePredictor(spec);
     auto q = makePredictor(spec);
     auto trace = makeTraceSource("FP-1", 20000, 0);
-
-    BranchRecord rec;
-    for (int i = 0; i < 10000 && trace->next(rec); ++i) {
-        const Prediction pr = p->predict(rec.pc);
-        p->update(rec.pc, pr, rec.taken);
-    }
+    drive(*p, *trace, 10000);
 
     std::vector<uint8_t> blob;
     ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob)));
@@ -249,21 +363,42 @@ expectRoundTripContinuesBitIdentically(const std::string& spec_arg)
     EXPECT_EQ(ck.kind, Checkpoint::Kind::Predictor);
     EXPECT_EQ(ck.spec, spec);
     ASSERT_TRUE(succeeded(restoreFromCheckpoint(ck, *q, spec)));
+    expectLockstepToTheEnd(*p, *q, *trace);
+}
 
-    while (trace->next(rec)) {
-        const Prediction pa = p->predict(rec.pc);
-        const Prediction pb = q->predict(rec.pc);
-        ASSERT_EQ(pa.taken, pb.taken);
-        ASSERT_EQ(pa.confidence, pb.confidence);
-        ASSERT_EQ(pa.cls, pb.cls);
-        p->update(rec.pc, pa, rec.taken);
-        q->update(rec.pc, pb, rec.taken);
-    }
+/**
+ * Restore one mid-stream blob of @p spec into an instance that served
+ * another stream and into a fresh one: both must continue in lockstep
+ * (the serving engine restores into recycled objects). A rejected
+ * blob must leave the used instance equal to a fresh one.
+ */
+void
+expectRestoreIntoUsedInstanceEqualsFresh(const std::string& spec_arg)
+{
+    SCOPED_TRACE(spec_arg);
+    const std::string spec = canonicalizeSpec(spec_arg);
+    auto used = makePredictor(spec);
+    auto other = makeTraceSource("INT-1", 8000, 7);
+    drive(*used, *other, 8000);
 
-    std::vector<uint8_t> final_p, final_q;
-    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, final_p)));
-    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*q, spec, final_q)));
-    EXPECT_EQ(final_p, final_q);
+    auto src = makePredictor(spec);
+    auto trace = makeTraceSource("FP-1", 20000, 0);
+    drive(*src, *trace, 10000);
+    std::vector<uint8_t> blob;
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*src, spec, blob)));
+    Checkpoint ck;
+    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
+
+    auto fresh = makePredictor(spec);
+    ASSERT_TRUE(succeeded(restoreFromCheckpoint(ck, *used, spec)));
+    ASSERT_TRUE(succeeded(restoreFromCheckpoint(ck, *fresh, spec)));
+    EXPECT_EQ(snapshotBytes(*used), snapshotBytes(*fresh));
+    expectLockstepToTheEnd(*used, *fresh, *trace);
+
+    Checkpoint torn = ck;
+    torn.payload.resize(torn.payload.size() / 2);
+    EXPECT_TRUE(restoreFromCheckpoint(torn, *used, spec).failed());
+    EXPECT_EQ(snapshotBytes(*used), snapshotBytes(*makePredictor(spec)));
 }
 
 TEST(CheckpointRoundTrip, TageFamilyContinuesBitIdentically)
@@ -286,6 +421,14 @@ TEST(CheckpointRoundTrip, PerceptronAndOgehlContinueBitIdentically)
     // everything else.
     expectRoundTripContinuesBitIdentically("perceptron+sfc");
     expectRoundTripContinuesBitIdentically("ogehl+sfc");
+}
+
+TEST(CheckpointRoundTrip, RestoreIntoAUsedInstanceEqualsAFreshOne)
+{
+    for (const char* spec :
+         {"tage16k+sfc", "tage64k+prob7+adaptive+sfc", "bimodal", "gshare",
+          "perceptron+sfc", "ogehl+sfc"})
+        expectRestoreIntoUsedInstanceEqualsFresh(spec);
 }
 
 TEST(CheckpointRoundTrip, StreamKindCarriesServingPosition)
@@ -423,6 +566,53 @@ TEST(CheckpointRejection, SpecMismatchLeavesTargetReset)
     dst->update(0x4000, p, true);
 }
 
+TEST(CheckpointRejection, AgingCountdownOutsideOneToPeriod)
+{
+    // update() keeps the useful-bit aging countdown in [1, period]
+    // (period 2^18 here); a blob carrying 0 or anything past the
+    // period would silence aging for the rest of the stream.
+    const std::string spec = canonicalizeSpec("tage64k+sfc");
+    constexpr uint64_t kPeriod = uint64_t{1} << 18;
+    constexpr uint64_t kServed = 1000;
+    auto src = makePredictor(spec);
+    auto trace = makeTraceSource("FP-1", kServed, 0);
+    drive(*src, *trace, kServed);
+    std::vector<uint8_t> blob;
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*src, spec, blob)));
+    Checkpoint ck;
+    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
+
+    // The TAGE state ends with the countdown (u64); GradedTage follows
+    // it with sinceBimMiss (i64), the sequence (u64) and a level (u8).
+    const size_t at = ck.payload.size() - (8 + 8 + 1) - 8;
+    auto with_countdown = [&](uint64_t v) {
+        Checkpoint patched = ck;
+        for (size_t i = 0; i < 8; ++i)
+            patched.payload[at + i] = static_cast<uint8_t>(v >> (8 * i));
+        return patched;
+    };
+    StateReader field(ck.payload.data() + at, 8);
+    ASSERT_EQ(field.u64(), kPeriod - kServed);
+
+    const std::vector<uint8_t> fresh = snapshotBytes(*makePredictor(spec));
+    for (const uint64_t bad : {uint64_t{0}, kPeriod + 1, uint64_t{1} << 40}) {
+        SCOPED_TRACE(bad);
+        auto dst = makePredictor(spec);
+        drive(*dst, *makeTraceSource("INT-1", 500, 0), 500);
+        const std::string error = failureDetail(
+            restoreFromCheckpoint(with_countdown(bad), *dst, spec));
+        EXPECT_NE(error.find("aging countdown"), std::string::npos)
+            << error;
+        EXPECT_EQ(snapshotBytes(*dst), fresh);
+    }
+    for (const uint64_t good : {uint64_t{1}, kPeriod}) {
+        auto dst = makePredictor(spec);
+        EXPECT_TRUE(succeeded(
+            restoreFromCheckpoint(with_countdown(good), *dst, spec)))
+            << good;
+    }
+}
+
 TEST(CheckpointRejection, TrailingPayloadBytes)
 {
     const std::string spec = canonicalizeSpec("bimodal");
@@ -451,6 +641,51 @@ TEST(CheckpointUnsupported, StatefulEstimatorBlocksTheWrapper)
     error = failureDetail(encodePredictorCheckpoint(
         *p, canonicalizeSpec("gshare+jrs"), blob));
     EXPECT_NE(error.find("not supported"), std::string::npos) << error;
+}
+
+TEST(StateIo, U16sWritesLittleEndianLikeU16)
+{
+    const uint16_t values[] = {0x1234, 0xABCD};
+    StateWriter bulk;
+    bulk.u16s(values, 2);
+    EXPECT_EQ(bulk.data(), (std::vector<uint8_t>{0x34, 0x12, 0xCD, 0xAB}));
+    StateWriter one_by_one;
+    for (const uint16_t v : values)
+        one_by_one.u16(v);
+    EXPECT_EQ(bulk.data(), one_by_one.data());
+
+    uint16_t back[2] = {};
+    StateReader in(bulk.data());
+    EXPECT_TRUE(in.u16s(back, 2));
+    EXPECT_TRUE(in.exhausted());
+    EXPECT_EQ(back[0], 0x1234);
+    EXPECT_EQ(back[1], 0xABCD);
+}
+
+TEST(StateIo, U16sOfZeroCountMovesNothing)
+{
+    StateWriter w;
+    w.u16s(nullptr, 0);
+    EXPECT_EQ(w.size(), 0u);
+    w.u8(7);
+    StateReader in(w.data());
+    EXPECT_TRUE(in.u16s(nullptr, 0));
+    EXPECT_EQ(in.u8(), 7);
+    EXPECT_TRUE(in.exhausted());
+}
+
+TEST(StateIo, U16sUnderrunLatchesTheErrorAndZeroFills)
+{
+    const std::vector<uint8_t> three = {0x34, 0x12, 0x56};
+    StateReader in(three);
+    uint16_t out[2] = {0xFFFF, 0xFFFF};
+    EXPECT_FALSE(in.u16s(out, 2));
+    EXPECT_FALSE(in.ok());
+    EXPECT_EQ(out[0], 0);
+    EXPECT_EQ(out[1], 0);
+    // Nothing was consumed, and later reads stay latched at zero.
+    EXPECT_EQ(in.remaining(), 3u);
+    EXPECT_EQ(in.u8(), 0);
 }
 
 TEST(CheckpointFiles, WriteReadRoundTripAndNaming)

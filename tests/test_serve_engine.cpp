@@ -276,19 +276,29 @@ expectServeMatchesScalarOracle(const ServeOptions& opts,
 
 TEST(ServingEngine, EveryStreamMatchesTheScalarOracle)
 {
-    // Turns of 97 end mid-chunk, 13 shards with a pool of 2 park and
-    // restore predictors between turns, and 4 workers interleave the
-    // shards: none of it may move a bit against the plain loop.
+    // Turns of 97 end mid-chunk, 13 shards with a pool of 1 or 2 park
+    // predictors between turns and restore them into the object the
+    // shard evicted last (so one stream continues on another's used
+    // predictor), and 4 workers interleave the shards: none of it may
+    // move a bit against the plain loop, in any snapshot family.
     const auto streams =
         StreamSet::roundRobin(60, twoCbp1Traces(), 1500, 0);
-    ServeOptions opts;
-    opts.spec = "tage16k+sfc";
-    opts.jobs = 4;
-    opts.shards = 13;
-    opts.poolPerShard = 2;
-    opts.batch = 97;
-    opts.computeDigests = true;
-    expectServeMatchesScalarOracle(opts, streams);
+    for (const char* spec :
+         {"tage16k+sfc", "tage64k+prob7+adaptive+sfc", "bimodal", "gshare",
+          "perceptron+sfc", "ogehl+sfc"}) {
+        for (const unsigned pool : {1u, 2u}) {
+            SCOPED_TRACE(std::string(spec) + " pool " +
+                         std::to_string(pool));
+            ServeOptions opts;
+            opts.spec = spec;
+            opts.jobs = 4;
+            opts.shards = 13;
+            opts.poolPerShard = pool;
+            opts.batch = 97;
+            opts.computeDigests = true;
+            expectServeMatchesScalarOracle(opts, streams);
+        }
+    }
 }
 
 TEST(ServingEngine, NonBatchedFamilyMatchesTheScalarOracle)
