@@ -10,6 +10,10 @@
  *    predictMany() step at batch 16 / 64 / 512 (second Arg). One
  *    state iteration processes a whole batch; compare per-branch
  *    costs via items_per_second,
+ *  - BM_GradedPredictMany: the four paper-sweep registry stacks
+ *    (tage16k/64k/256k+prob7+sfc and tage64k+prob7+adaptive+sfc)
+ *    through GradedPredictor::predictMany() at batch 512 — the TAGE
+ *    step plus grading, as the sweep drives it,
  *  - BM_TagePredictOnly: the lookup path alone on warmed tables,
  *  - BM_TageUpdateOnly: the training path alone, replaying a recorded
  *    prediction stream,
@@ -49,6 +53,7 @@
 #include "core/confidence_observer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_trace.hpp"
+#include "sim/registry.hpp"
 #include "tage/tage_predictor.hpp"
 #include "trace/profiles.hpp"
 #include "util/failpoint.hpp"
@@ -125,6 +130,37 @@ BM_TagePredictUpdateBatched(benchmark::State& state)
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *
         static_cast<int64_t>(batch));
+}
+
+/** The registry specs of perfbench's paper-sweep workload. */
+const char* const kPaperSweepSpecs[] = {
+    "tage16k+prob7+sfc", "tage64k+prob7+sfc", "tage256k+prob7+sfc",
+    "tage64k+prob7+adaptive+sfc"};
+
+void
+BM_GradedPredictMany(benchmark::State& state)
+{
+    constexpr size_t kBatch = 512;
+    const auto& records = sharedTrace().records();
+    const char* spec = kPaperSweepSpecs[state.range(0)];
+    const auto predictor = makePredictor(spec);
+    std::vector<uint64_t> pcs(kBatch);
+    std::vector<uint8_t> taken(kBatch);
+    std::vector<Prediction> out(kBatch);
+    size_t i = 0;
+    for (auto _ : state) {
+        for (size_t k = 0; k < kBatch; ++k) {
+            const BranchRecord& rec = records[i];
+            pcs[k] = rec.pc;
+            taken[k] = rec.taken ? 1 : 0;
+            i = (i + 1) % records.size();
+        }
+        predictor->predictMany(pcs, taken, out);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetLabel(spec);
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(kBatch));
 }
 
 void
@@ -397,6 +433,7 @@ BM_SpanDisabled(benchmark::State& state)
 BENCHMARK(BM_TagePredictUpdate)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TagePredictUpdateBatched)
     ->ArgsProduct({{0, 1, 2}, {16, 64, 512}});
+BENCHMARK(BM_GradedPredictMany)->DenseRange(0, 3);
 BENCHMARK(BM_TagePredictOnly)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TageUpdateOnly)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TageAllocationStorm)->Arg(0)->Arg(1)->Arg(2);

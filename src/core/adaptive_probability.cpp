@@ -14,6 +14,9 @@ AdaptiveProbabilityController::AdaptiveProbabilityController(Config cfg)
 {
     if (cfg_.minLog2 > cfg_.maxLog2)
         fatal("adaptive controller: minLog2 > maxLog2");
+    // The predictor's saturation gate takes log2(1/p) <= 15.
+    if (cfg_.maxLog2 > 15)
+        fatal("adaptive controller: maxLog2 > 15");
     if (cfg_.initialLog2 < cfg_.minLog2 || cfg_.initialLog2 > cfg_.maxLog2)
         fatal("adaptive controller: initialLog2 outside [min, max]");
     if (cfg_.epochLength == 0)
@@ -101,6 +104,16 @@ AdaptiveProbabilityController::loadState(StateReader& in,
         reset();
         error = "adaptive controller state carries log2(1/p) outside "
                 "the configured [min, max] range";
+        return false;
+    }
+    // record() closes the epoch as seen reaches epochLength, and the
+    // counts only grow inside one epoch, so saveState() always writes
+    // highMiss <= highPred <= seen < epochLength.
+    if (seen >= cfg_.epochLength || high_pred > seen ||
+        high_miss > high_pred) {
+        reset();
+        error = "adaptive controller state carries epoch counts "
+                "outside highMiss <= highPred <= seen < epochLength";
         return false;
     }
     log2Prob_ = log2_prob;

@@ -31,7 +31,10 @@ class AdaptiveProbabilityController
         /** Smallest log2(1/p); 0 means p = 1 (always saturate). */
         unsigned minLog2 = 0;
 
-        /** Largest log2(1/p); 10 means p = 1/1024. */
+        /**
+         * Largest log2(1/p); 10 means p = 1/1024. At most 15, the
+         * predictor's own limit.
+         */
         unsigned maxLog2 = 10;
 
         /** Starting log2(1/p); 7 means p = 1/128. */
@@ -73,6 +76,12 @@ class AdaptiveProbabilityController
     /** High-class predictions in the current (open) epoch. */
     uint64_t epochHighPredictions() const { return highPred_; }
 
+    /**
+     * record() calls up to and including the one that closes the
+     * current epoch; always in [1, epochLength].
+     */
+    uint64_t untilEpochEnd() const { return cfg_.epochLength - seen_; }
+
     /** Reset measurement state and return to the initial probability. */
     void reset();
 
@@ -82,7 +91,9 @@ class AdaptiveProbabilityController
     /**
      * Restore state written by saveState() on an identically-configured
      * controller. Returns false (leaving the controller reset()) when
-     * the blob is truncated or carries an out-of-range probability.
+     * the blob is truncated or carries a state saveState() never
+     * writes: a probability outside [minLog2, maxLog2], or epoch
+     * counts outside highMiss <= highPred <= seen < epochLength.
      */
     bool loadState(StateReader& in, std::string& error);
 

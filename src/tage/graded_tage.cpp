@@ -59,32 +59,64 @@ GradedTage::predictMany(std::span<const uint64_t> pcs,
                         std::span<const uint8_t> taken,
                         std::span<Prediction> out)
 {
-    if (controller_) {
-        GradedPredictor::predictMany(pcs, taken, out);
-        return;
-    }
+    // The controller feeds back only through the element whose
+    // record() closes an epoch: that element trains with the new
+    // probability. record() counts every element, so that element is
+    // known up front — batch up to it, step it alone through the
+    // scalar path, and carry on batched.
     const size_t n = pcs.size();
+    for (size_t at = 0; at < n;) {
+        size_t len = n - at;
+        const bool closes =
+            controller_ && controller_->untilEpochEnd() <= len;
+        if (closes)
+            len = static_cast<size_t>(controller_->untilEpochEnd()) - 1;
+        predictBatch(pcs.subspan(at, len), taken.subspan(at, len),
+                     out.subspan(at, len));
+        at += len;
+        if (closes) {
+            out[at] = predict(pcs[at]);
+            update(pcs[at], out[at], taken[at] != 0);
+            ++at;
+        }
+    }
+}
+
+void
+GradedTage::predictBatch(std::span<const uint64_t> pcs,
+                         std::span<const uint8_t> taken,
+                         std::span<Prediction> out)
+{
+    const size_t n = pcs.size();
+    if (n == 0)
+        return;
     if (rawBatch_.size() < n)
         rawBatch_.resize(n);
     predictor_.predictMany(
         pcs, taken, std::span<TagePrediction>(rawBatch_.data(), n));
 
-    // The burst-window observer never feeds back into the TAGE tables,
-    // so its classify/onResolve interleaving can run as a second pass
-    // in element order — the exact sequence the scalar loop produces.
+    // Neither the burst-window observer nor (inside one epoch) the
+    // controller feeds back into the TAGE tables, so their per-element
+    // steps can run as a second pass in element order — the exact
+    // sequence the scalar loop produces.
     for (size_t k = 0; k < n; ++k) {
         const TagePrediction& raw = rawBatch_[k];
+        const bool outcome = taken[k] != 0;
         Prediction& p = out[k];
         p.taken = raw.taken;
         p.cls = observer_.classify(raw);
         p.confidence = confidenceLevel(p.cls);
         p.payload = ++seq_;
         lastIntrinsicLevel_ = p.confidence;
-        observer_.onResolve(raw, taken[k] != 0);
+        observer_.onResolve(raw, outcome);
+        if (controller_) {
+            const bool closed =
+                controller_->record(p.confidence, p.taken != outcome);
+            TAGECON_ASSERT(!closed, "an epoch closed inside a batch");
+        }
     }
     // Keep the scalar invariant that raw_ pairs with the newest seq_.
-    if (n != 0)
-        raw_ = rawBatch_[n - 1];
+    raw_ = rawBatch_[n - 1];
 }
 
 uint64_t

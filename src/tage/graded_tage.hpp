@@ -54,16 +54,19 @@ class GradedTage : public GradedPredictor
     void update(uint64_t pc, const Prediction& p, bool taken) override;
 
     /**
-     * Batched: true unless the adaptive controller is attached — the
-     * controller retunes the saturation probability between elements,
-     * which the fused TAGE batch cannot replay, so adaptive stacks
-     * stay on the (bit-identical) scalar loop.
+     * True unless the adaptive controller is attached: predictMany()
+     * still sends the epoch-closing element through the scalar path.
      */
     bool hasBatchedPredict() const override;
 
     /**
      * Fused batched step through TagePredictor::predictMany(), with
-     * the storage-free grading applied per element in scalar order.
+     * the storage-free grading and the controller's record() applied
+     * per element in scalar order. With a controller attached, the
+     * batch is cut before each element whose record() closes an
+     * epoch; that element alone steps through predict()/update(), so
+     * it trains with the new saturation probability exactly as in the
+     * scalar loop, and batching resumes after it.
      */
     void predictMany(std::span<const uint64_t> pcs,
                      std::span<const uint8_t> taken,
@@ -101,6 +104,14 @@ class GradedTage : public GradedPredictor
     std::string defaultName() const override;
 
   private:
+    /**
+     * One batched run that closes no controller epoch: the fused TAGE
+     * step, then grading and record() per element.
+     */
+    void predictBatch(std::span<const uint64_t> pcs,
+                      std::span<const uint8_t> taken,
+                      std::span<Prediction> out);
+
     TagePredictor predictor_;
     ConfidenceObserver observer_;
     std::optional<AdaptiveProbabilityController> controller_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "util/bit_utils.hpp"
 #include "util/logging.hpp"
@@ -25,6 +26,10 @@ bimodalInit(int bits)
  * per-element resolve pass; 64 elements keeps the footprint near 12 KB.
  */
 constexpr size_t kBatchBlock = 64;
+
+// The SIMD fold steps four elements at a time; a block shorter than
+// kBatchBlock then still has the rows and window words it runs into.
+static_assert(kBatchBlock % 4 == 0, "fold steps come in fours");
 
 /** rotateLeft specialized for rot already reduced mod width. */
 inline uint32_t
@@ -66,6 +71,15 @@ TagePredictor::TagePredictor(TageConfig config, uint16_t lfsr_seed)
         t.logEntries = static_cast<uint8_t>(tc.logEntries);
         t.rot = static_cast<uint8_t>(i % tc.logEntries);
         t.idxShift = static_cast<uint8_t>(tc.logEntries - t.rot);
+        t.historyLength = static_cast<uint32_t>(tc.historyLength);
+        const int widths[4] = {tc.logEntries, tc.tagBits, tc.tagBits - 1,
+                               tc.logEntries};
+        for (int lane = 0; lane < 4; ++lane) {
+            const int w = widths[lane];
+            t.foldHalf[lane] = (1u << (w - 1)) - 1u;
+            t.foldWrap[lane] = (1u << w) | 1u;
+            t.foldOutBit[lane] = 1u << (tc.historyLength % w);
+        }
         offset += uint32_t{1} << tc.logEntries;
 
         folds_[static_cast<size_t>(i)] = FoldedHistoryTriple(
@@ -210,18 +224,21 @@ TagePredictor::fillFromTables(TagePrediction& p) const
 
         // Sec. 3.1: when the provider entry is weak and USE_ALT_ON_NA
         // is non-negative, the alternate prediction is used instead.
-        if (config_.useAltOnNa && p.providerWeak &&
-            useAltOnNa_.value() >= 0) {
-            p.taken = p.altTaken;
-            p.usedAlt = true;
-        } else {
-            p.taken = p.providerPredTaken;
-        }
+        p.usedAlt = config_.useAltOnNa && p.providerWeak &&
+                    useAltOnNa_.value() >= 0;
+        p.taken = p.usedAlt ? p.altTaken : p.providerPredTaken;
     } else {
+        // predictMany() hands in unzeroed structs, so every field is
+        // written on this path too.
         p.providerIsTagged = false;
         p.providerTable = 0;
+        p.providerCtr = 0;
+        p.providerStrength = 0;
+        p.providerSaturated = false;
+        p.providerWeak = false;
         p.providerPredTaken = p.bimodalTaken;
         p.taken = p.bimodalTaken;
+        p.usedAlt = false;
     }
 }
 
@@ -427,55 +444,114 @@ TagePredictor::advanceAndIndexBlock(std::span<const uint64_t> pcs,
     TAGECON_ASSERT(n <= kBatchBlock, "index block too large");
 
     // Lay the block's outcome bits behind the pre-block history
-    // window: batchWindow_[lmax - 1 - j] = h[j] for the lmax newest
-    // pre-block outcomes, then batchWindow_[lmax + k] = outcome k. A
-    // fold update for element k then reads its in-bit at lmax + k and
-    // its out-bit (the bit leaving the L-wide window) at
-    // lmax + k - L, for any L <= lmax — no ring wrap-around to chase.
+    // window: window[lmax - 1 - j] = h[j] for the lmax newest
+    // pre-block outcomes, then window[lmax + k] = outcome k. A fold
+    // update for element k then reads its in-bit at lmax + k and its
+    // out-bit (the bit leaving the L-wide window) at lmax + k - L, for
+    // any L <= lmax — no ring wrap-around to chase.
     if (batchWindow_.size() < lmax + kBatchBlock)
         batchWindow_.resize(lmax + kBatchBlock);
-    for (size_t j = 0; j < lmax; ++j)
-        batchWindow_[lmax - 1 - j] = history_[j];
+    uint8_t* const window = batchWindow_.data();
+    history_.copyNewest(window, lmax);
 
-    // Per-element prep: zero the outputs, capture each element's
-    // pre-push path register value, and advance the path register.
+    // Per-element prep: the bimodal index, each element's pre-push
+    // path register value, and the path register advance. Nothing
+    // else of out[k] is touched: fillFromTables() writes the rest.
     uint64_t shifted[kBatchBlock];
     uint32_t pathv[kBatchBlock];
     for (size_t k = 0; k < n; ++k) {
-        TagePrediction& p = out[k];
-        p = TagePrediction{};
         const uint64_t pc = pcs[k];
         shifted[k] = pc >> config_.instShift;
-        p.index[0] = bimodalIndex(pc);
+        out[k].index[0] = bimodalIndex(pc);
         pathv[k] = pathHistory_.value();
         pathHistory_.push(shifted[k]);
-        batchWindow_[lmax + k] = taken[k] != 0 ? 1 : 0;
+        window[lmax + k] = taken[k] != 0 ? 1 : 0;
     }
 
-    // Table-major precompute. First the fold-value streams — the only
-    // serial dependency in the hash, walked with the fold triple in
-    // registers — then the hashes themselves, which are uniform
-    // element-wise ops over those streams (vectorizable), and finally
-    // one scatter into the output structs.
-    uint32_t aV[kBatchBlock];
-    uint32_t bV[kBatchBlock];
-    uint32_t cV[kBatchBlock];
-    uint32_t idxV[kBatchBlock];
-    uint16_t tagV[kBatchBlock];
+    // The fold-value streams — the only serial dependency in the hash:
+    // foldA/B/C[i - 1][k] hold table i's index, tag and tag-1 folds as
+    // element k reads them, before its own outcome enters.
+    alignas(16) uint32_t foldA[kMaxTaggedTables][kBatchBlock];
+    alignas(16) uint32_t foldB[kMaxTaggedTables][kBatchBlock];
+    alignas(16) uint32_t foldC[kMaxTaggedTables][kBatchBlock];
+#if defined(TAGECON_SIMD_LANES)
+    // Step all tables together, one four-lane group per table per
+    // element, so the tables' chains overlap; four elements at a time,
+    // so each table's four fold vectors transpose into the rows above.
+    // The window is expanded to all-ones/zero words first: a lane
+    // group's out-bit is then a splat and a mask. When n is not a
+    // multiple of four the last steps run on past the block (on stale
+    // window words), and row n holds the folds after the whole block.
+    if (batchWords_.size() < lmax + kBatchBlock)
+        batchWords_.resize(lmax + kBatchBlock);
+    uint32_t* const words = batchWords_.data();
+    for (size_t j = 0; j < lmax + n; ++j)
+        words[j] = 0u - window[j];
+    simd::U32x4 comp[kMaxTaggedTables];
+    for (int i = 1; i <= m; ++i) {
+        const FoldedHistoryTriple& f = folds_[static_cast<size_t>(i)];
+        comp[i - 1] = simd::U32x4{f.a(), f.b(), f.c(), f.a()};
+    }
+    const size_t rows = (n + 3) & ~size_t{3};
+    for (size_t k = 0; k < rows; k += 4) {
+        simd::U32x4 in[4];
+        for (size_t j = 0; j < 4; ++j)
+            in[j] = simd::splat4(words[lmax + k + j] & 1u);
+        for (int i = 1; i <= m; ++i) {
+            const TableMeta& t = meta_[static_cast<size_t>(i)];
+            const simd::U32x4 out_bit = simd::load4(t.foldOutBit);
+            const simd::U32x4 half = simd::load4(t.foldHalf);
+            const simd::U32x4 wrap = simd::load4(t.foldWrap);
+            const uint32_t* const out_words =
+                words + lmax + k - t.historyLength;
+            simd::U32x4 v[4];
+            simd::U32x4 x = comp[i - 1];
+            for (size_t j = 0; j < 4; ++j) {
+                v[j] = x;
+                x = simd::foldStep4(
+                    x, in[j] ^ (simd::splat4(out_words[j]) & out_bit),
+                    half, wrap);
+            }
+            comp[i - 1] = x;
+            simd::transpose4x3(v[0], v[1], v[2], v[3]);
+            simd::store4(&foldA[i - 1][k], v[0]);
+            simd::store4(&foldB[i - 1][k], v[1]);
+            simd::store4(&foldC[i - 1][k], v[2]);
+        }
+    }
+    for (int i = 1; i <= m; ++i) {
+        FoldedHistoryTriple& f = folds_[static_cast<size_t>(i)];
+        if (rows == n)
+            f.restore(comp[i - 1][0], comp[i - 1][1], comp[i - 1][2]);
+        else
+            f.restore(foldA[i - 1][n], foldB[i - 1][n], foldC[i - 1][n]);
+    }
+#else
+    // Table after table, with the fold triple in registers.
     for (int i = 1; i <= m; ++i) {
         FoldedHistoryTriple f = folds_[static_cast<size_t>(i)];
         const size_t L = static_cast<size_t>(f.origLength());
         for (size_t k = 0; k < n; ++k) {
-            aV[k] = f.a();
-            bV[k] = f.b();
-            cV[k] = f.c();
-            f.updateWithBits(batchWindow_[lmax + k],
-                             batchWindow_[lmax + k - L]);
+            foldA[i - 1][k] = f.a();
+            foldB[i - 1][k] = f.b();
+            foldC[i - 1][k] = f.c();
+            f.updateWithBits(window[lmax + k], window[lmax + k - L]);
         }
         folds_[static_cast<size_t>(i)] = f;
+    }
+#endif
 
+    // The hashes, table-major: uniform element-wise ops over the fold
+    // and path streams (vectorizable), then one scatter into the
+    // output structs.
+    uint32_t idxV[kBatchBlock];
+    uint32_t tagV[kBatchBlock];
+    for (int i = 1; i <= m; ++i) {
         const TableMeta& t = meta_[static_cast<size_t>(i)];
         const int logg = t.logEntries;
+        const uint32_t* const fa = foldA[i - 1];
+        const uint32_t* const fb = foldB[i - 1];
+        const uint32_t* const fc = foldC[i - 1];
         for (size_t k = 0; k < n; ++k) {
             // Inline taggedIndex()/taggedTag() over the precomputed
             // fold and path values (bit-identical: xor commutes with
@@ -487,15 +563,15 @@ TagePredictor::advanceAndIndexBlock(std::span<const uint64_t> pcs,
             a = rotlMasked(a1 ^ a2, t.rot, logg, t.indexMask);
             const uint64_t s = shifted[k];
             idxV[k] = (static_cast<uint32_t>(s ^ (s >> t.idxShift)) ^
-                       aV[k] ^ a) &
+                       fa[k] ^ a) &
                       t.indexMask;
-            tagV[k] = static_cast<uint16_t>(
-                (static_cast<uint32_t>(s) ^ bV[k] ^ (cV[k] << 1)) &
-                t.tagMask);
+            tagV[k] = (static_cast<uint32_t>(s) ^ fb[k] ^ (fc[k] << 1)) &
+                      t.tagMask;
         }
         for (size_t k = 0; k < n; ++k) {
             out[k].index[static_cast<size_t>(i)] = idxV[k];
-            out[k].tag[static_cast<size_t>(i)] = tagV[k];
+            out[k].tag[static_cast<size_t>(i)] =
+                static_cast<uint16_t>(tagV[k]);
         }
     }
 
@@ -547,19 +623,6 @@ TagePredictor::predictMany(std::span<const uint64_t> pcs,
             train(out[k], taken[k] != 0);
         }
     }
-}
-
-void
-TagePredictor::updateMany(std::span<const uint64_t> pcs,
-                          std::span<const TagePrediction> preds,
-                          std::span<const uint8_t> taken)
-{
-    TAGECON_ASSERT(preds.size() >= pcs.size() &&
-                       taken.size() >= pcs.size(),
-                   "updateMany spans disagree on the batch size");
-    prefetchBatch(preds.first(pcs.size()));
-    for (size_t k = 0; k < pcs.size(); ++k)
-        update(pcs[k], preds[k], taken[k] != 0);
 }
 
 void

@@ -59,30 +59,23 @@ class TagePredictor
      * prediction the scalar predict(pcs[k]) would have returned and
      * train with taken[k], bit-identical to the scalar
      * predict/update loop over the batch (predictions inside the
-     * batch observe the earlier elements' updates).
+     * batch observe the earlier elements' updates). Every field of
+     * out[k] is written except index[] and tag[] entries past
+     * numTaggedTables() and tag[0], which are left as the caller
+     * passed them.
      *
      * The batch is processed in cache-sized blocks, each in three
-     * passes: all per-table indices and tags are precomputed up front
-     * table-major (they depend only on the PCs and the outcome
-     * stream, never on table contents, so the per-table fold state
-     * stays in registers and the hash math runs as uniform
-     * element-wise passes), large arenas then get their block's reads
-     * prefetched, and finally each element is resolved and trained in
-     * input order.
+     * passes. First all per-table indices and tags are precomputed up
+     * front: they depend only on the PCs and the outcome stream, never
+     * on table contents, so every table's fold registers step together
+     * through the block (one SIMD lane group per table per element)
+     * and the hashes then run as uniform element-wise passes, table by
+     * table. Large arenas next get their block's reads prefetched, and
+     * finally each element is resolved and trained in input order.
      */
     void predictMany(std::span<const uint64_t> pcs,
                      std::span<const uint8_t> taken,
                      std::span<TagePrediction> out);
-
-    /**
-     * Batched replay training: update(pcs[k], preds[k], taken[k]) for
-     * each element, with the batch's arena accesses prefetched up
-     * front. preds must hold the predictions the scalar predict()
-     * calls returned, in order.
-     */
-    void updateMany(std::span<const uint64_t> pcs,
-                    std::span<const TagePrediction> preds,
-                    std::span<const uint8_t> taken);
 
     /** The configuration this predictor was built with. */
     const TageConfig& config() const { return config_; }
@@ -154,8 +147,7 @@ class TagePredictor
     /**
      * Per-table lookup constants, precomputed at construction into one
      * flat array so the per-branch loops never chase config_.tagged[]
-     * or re-derive rotation/shift amounts. 16 bytes per table; the
-     * whole array fits in one cache line for every paper config.
+     * or re-derive rotation/shift amounts.
      */
     struct TableMeta {
         /** Start of this table's entries in the SoA arenas. */
@@ -178,6 +170,20 @@ class TagePredictor
 
         /** PC self-shear shift in the index hash: logEntries - rot. */
         uint8_t idxShift = 0;
+
+        /** The table's history length L(i). */
+        uint32_t historyLength = 0;
+
+        /**
+         * Constants of the four-lane fold step (simd::foldStep4) in
+         * advanceAndIndexBlock(). The lanes are the table's index fold,
+         * tag fold, tag-1 fold and a copy of the index fold, each of
+         * some width w: foldHalf holds (1 << (w - 1)) - 1, foldWrap
+         * (1 << w) | 1, and foldOutBit the out-bit 1 << (L(i) % w).
+         */
+        uint32_t foldHalf[4] = {};
+        uint32_t foldWrap[4] = {};
+        uint32_t foldOutBit[4] = {};
     };
 
     /**
@@ -194,20 +200,20 @@ class TagePredictor
     void advanceHistories(uint64_t pc, bool taken);
 
     /**
-     * Table-major index/tag precompute for one predictMany() block
-     * (advances all histories through the block as a side effect).
-     * For each element k, out[k] is left zeroed except index[]/tag[]
-     * — exactly the lookup values its scalar predict() would have
-     * computed after elements [0, k) resolved.
+     * Index/tag precompute for one predictMany() block (advances all
+     * histories through the block as a side effect). For each element
+     * k it writes out[k].index[0..M] and out[k].tag[1..M] — exactly
+     * the lookup values its scalar predict() would have computed after
+     * elements [0, k) resolved — and no other field.
      */
     void advanceAndIndexBlock(std::span<const uint64_t> pcs,
                               std::span<const uint8_t> taken,
                               std::span<TagePrediction> out);
 
     /**
-     * Prefetch the tagged-arena lines the batch in @p out will read,
-     * streaming table by table (and fully sorted by (table, index)
-     * when the arena outgrows the cache).
+     * Prefetch the arena lines the batch in @p out will read, once the
+     * arenas outgrow the cache: element by element, or in ascending
+     * arena order when they outgrow the last-level working set too.
      */
     void prefetchBatch(std::span<const TagePrediction> out);
 
@@ -273,17 +279,19 @@ class TagePredictor
     uint64_t uResetCountdown_ = 0;
 
     /**
-     * predictMany()/updateMany() scratch for the prefetch pass; not
-     * architectural state, excluded from saveState().
+     * predictMany() scratch: the arena offsets prefetchBatch() walks;
+     * not architectural state, excluded from saveState().
      */
     std::vector<uint32_t> batchAts_;
 
     /**
      * predictMany() scratch: one block's outcome window laid behind
-     * the pre-block history bits (see advanceAndIndexBlock()); not
+     * the pre-block history bits (see advanceAndIndexBlock()), as
+     * bytes and, for the SIMD fold, as all-ones/zero words; not
      * architectural state, excluded from saveState().
      */
     std::vector<uint8_t> batchWindow_;
+    std::vector<uint32_t> batchWords_;
 };
 
 } // namespace tagecon

@@ -8,8 +8,10 @@
 #ifndef TAGECON_UTIL_GLOBAL_HISTORY_HPP
 #define TAGECON_UTIL_GLOBAL_HISTORY_HPP
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "util/logging.hpp"
@@ -56,6 +58,21 @@ class GlobalHistory
 
     /** Number of addressable past outcomes. */
     size_t capacity() const { return mask_; }
+
+    /**
+     * Copy the @p count most recent outcomes to @p dst, oldest first:
+     * dst[count - 1 - i] = (*this)[i]. The ring wraps at most once
+     * inside the copied range, so this is at most two memcpy()s.
+     */
+    void
+    copyNewest(uint8_t* dst, size_t count) const
+    {
+        TAGECON_ASSERT(count <= mask_ + 1, "history copy exceeds capacity");
+        const size_t oldest = (head_ + 1 - count) & mask_;
+        const size_t first = std::min(count, mask_ + 1 - oldest);
+        std::memcpy(dst, buf_.data() + oldest, first);
+        std::memcpy(dst + first, buf_.data(), count - first);
+    }
 
     /** Clear all history to not-taken. */
     void

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "core/adaptive_probability.hpp"
+#include "tage/graded_tage.hpp"
+#include "util/state_io.hpp"
 
 namespace tagecon {
 namespace {
@@ -159,6 +161,114 @@ TEST(AdaptiveController, RejectsBadConfig)
     bad4.targetMkp = 0.0;
     EXPECT_EXIT(AdaptiveProbabilityController{bad4},
                 ::testing::ExitedWithCode(1), "targetMkp");
+}
+
+TEST(AdaptiveController, RejectsMaxLog2PastThePredictorsRange)
+{
+    // The predictor's saturation gate stops at log2(1/p) = 15; a
+    // controller allowed to climb past it would abort mid-run.
+    AdaptiveProbabilityController::Config bad = smallEpochConfig();
+    bad.maxLog2 = 16;
+    EXPECT_EXIT(AdaptiveProbabilityController{bad},
+                ::testing::ExitedWithCode(1), "maxLog2");
+
+    GradedTageOptions opt;
+    opt.adaptive = true;
+    opt.adaptiveConfig.initialLog2 = 16;
+    opt.adaptiveConfig.maxLog2 = 16;
+    EXPECT_EXIT(GradedTage(TageConfig::small16K()
+                               .withProbabilisticSaturation(7),
+                           opt),
+                ::testing::ExitedWithCode(1), "maxLog2");
+
+    AdaptiveProbabilityController::Config edge = smallEpochConfig();
+    edge.maxLog2 = 15;
+    edge.initialLog2 = 15;
+    EXPECT_EQ(AdaptiveProbabilityController(edge).log2Prob(), 15u);
+}
+
+/** A saveState() blob with the given fields. */
+std::vector<uint8_t>
+controllerBlob(uint32_t log2_prob, uint64_t seen, uint64_t high_pred,
+               uint64_t high_miss, uint64_t epochs)
+{
+    StateWriter w;
+    w.u32(log2_prob);
+    w.u64(seen);
+    w.u64(high_pred);
+    w.u64(high_miss);
+    w.u64(epochs);
+    return w.take();
+}
+
+TEST(AdaptiveController, SaveStateLayoutIsTheBlobHelpersLayout)
+{
+    AdaptiveProbabilityController c(smallEpochConfig());
+    for (int i = 0; i < 5; ++i)
+        c.record(ConfidenceLevel::High, i == 2);
+    c.record(ConfidenceLevel::Low, true);
+    StateWriter w;
+    c.saveState(w);
+    EXPECT_EQ(w.take(), controllerBlob(7, 6, 5, 1, 0));
+}
+
+TEST(AdaptiveController, LoadStateRejectsEpochCountsSaveStateNeverWrites)
+{
+    // saveState() always writes highMiss <= highPred <= seen <
+    // epochLength: record() closes the epoch as seen reaches
+    // epochLength. Any other blob would close an epoch early (or
+    // never), and the batched TAGE step splits its batch on
+    // epochLength - seen.
+    struct Bad {
+        uint64_t seen, highPred, highMiss;
+    };
+    const uint64_t len = smallEpochConfig().epochLength;
+    for (const Bad b : {Bad{65536, 5, 9}, Bad{len, 0, 0},
+                        Bad{len + 1, 3, 1}, Bad{100, 5, 9},
+                        Bad{10, 11, 0}, Bad{0, 1, 1}}) {
+        SCOPED_TRACE(testing::Message() << "seen=" << b.seen << " highPred="
+                                        << b.highPred << " highMiss="
+                                        << b.highMiss);
+        AdaptiveProbabilityController c(smallEpochConfig());
+        feedEpoch(c, 100.0);
+        c.record(ConfidenceLevel::High, true);
+        const std::vector<uint8_t> blob =
+            controllerBlob(8, b.seen, b.highPred, b.highMiss, 3);
+        StateReader in(blob);
+        std::string error;
+        EXPECT_FALSE(c.loadState(in, error));
+        EXPECT_NE(error.find("epoch counts"), std::string::npos) << error;
+        EXPECT_EQ(c.log2Prob(), 7u);
+        EXPECT_EQ(c.epochs(), 0u);
+        EXPECT_EQ(c.epochHighPredictions(), 0u);
+        EXPECT_EQ(c.untilEpochEnd(), len);
+    }
+
+    // The extremes saveState() can write still load.
+    for (const Bad g : {Bad{len - 1, len - 1, len - 1}, Bad{0, 0, 0},
+                        Bad{7, 3, 0}}) {
+        AdaptiveProbabilityController c(smallEpochConfig());
+        const std::vector<uint8_t> blob =
+            controllerBlob(9, g.seen, g.highPred, g.highMiss, 4);
+        StateReader in(blob);
+        std::string error;
+        EXPECT_TRUE(c.loadState(in, error)) << error;
+        EXPECT_EQ(c.log2Prob(), 9u);
+        EXPECT_EQ(c.epochs(), 4u);
+        EXPECT_EQ(c.epochHighPredictions(), g.highPred);
+        EXPECT_EQ(c.untilEpochEnd(), len - g.seen);
+    }
+}
+
+TEST(AdaptiveController, UntilEpochEndCountsDownToTheClosingRecord)
+{
+    AdaptiveProbabilityController c(smallEpochConfig());
+    const uint64_t len = c.config().epochLength;
+    for (uint64_t i = 0; i < 2 * len; ++i) {
+        const uint64_t left = c.untilEpochEnd();
+        EXPECT_EQ(left, len - i % len);
+        EXPECT_EQ(c.record(ConfidenceLevel::High, false), left == 1);
+    }
 }
 
 } // namespace

@@ -613,6 +613,58 @@ TEST(CheckpointRejection, AgingCountdownOutsideOneToPeriod)
     }
 }
 
+TEST(CheckpointRejection, AdaptiveEpochCountsSaveStateNeverWrites)
+{
+    // saveState() writes the controller's open epoch with
+    // highMiss <= highPred <= seen < epochLength (65536 here). A blob
+    // past those bounds would close the next epoch early.
+    const std::string spec = canonicalizeSpec("tage64k+prob7+adaptive+sfc");
+    constexpr uint64_t kServed = 1000;
+    auto src = makePredictor(spec);
+    drive(*src, *makeTraceSource("FP-1", kServed, 0), kServed);
+    std::vector<uint8_t> blob;
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*src, spec, blob)));
+    Checkpoint ck;
+    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
+
+    // The controller closes the payload: log2(1/p) (u32), then seen,
+    // highPred, highMiss and epochs (u64 each).
+    const size_t at = ck.payload.size() - 4 * 8;
+    auto with_counts = [&](uint64_t seen, uint64_t high_pred,
+                           uint64_t high_miss) {
+        Checkpoint patched = ck;
+        const uint64_t v[] = {seen, high_pred, high_miss};
+        for (size_t f = 0; f < 3; ++f)
+            for (size_t i = 0; i < 8; ++i)
+                patched.payload[at + 8 * f + i] =
+                    static_cast<uint8_t>(v[f] >> (8 * i));
+        return patched;
+    };
+    StateReader field(ck.payload.data() + at, 8);
+    ASSERT_EQ(field.u64(), kServed);
+
+    const std::vector<uint8_t> fresh = snapshotBytes(*makePredictor(spec));
+    struct Counts {
+        uint64_t seen, highPred, highMiss;
+    };
+    for (const Counts bad : {Counts{65536, 5, 9}, Counts{65536, 0, 0},
+                             Counts{500, 5, 9}, Counts{500, 501, 0}}) {
+        SCOPED_TRACE(testing::Message() << bad.seen << "/" << bad.highPred
+                                        << "/" << bad.highMiss);
+        auto dst = makePredictor(spec);
+        drive(*dst, *makeTraceSource("INT-1", 500, 0), 500);
+        const Err e = restoreFromCheckpoint(
+            with_counts(bad.seen, bad.highPred, bad.highMiss), *dst, spec);
+        EXPECT_EQ(e.code, ErrCode::Corrupt);
+        EXPECT_NE(failureDetail(e).find("epoch counts"), std::string::npos)
+            << e.detail;
+        EXPECT_EQ(snapshotBytes(*dst), fresh);
+    }
+    auto dst = makePredictor(spec);
+    EXPECT_TRUE(succeeded(restoreFromCheckpoint(
+        with_counts(65535, 65535, 65535), *dst, spec)));
+}
+
 TEST(CheckpointRejection, TrailingPayloadBytes)
 {
     const std::string spec = canonicalizeSpec("bimodal");

@@ -1,24 +1,30 @@
 /**
  * @file
- * Golden bit-identity tests for the batched TAGE entry points. The
- * fused predictMany() step and the updateMany() replay-training path
- * must reproduce, to the bit, the behaviour the scalar golden hashes
- * in test_tage_golden.cpp were harvested from — for every pinned
- * paper configuration and at several batch sizes, including sizes
- * that do not divide the stream length (non-trivial tail batches) and
- * the degenerate batch of one.
+ * Golden bit-identity tests for the batched TAGE step. The fused
+ * predictMany() step must reproduce, to the bit, the behaviour the
+ * scalar golden hashes in test_tage_golden.cpp were harvested from —
+ * for every pinned paper configuration and at several batch sizes,
+ * including sizes that do not divide the stream length (non-trivial
+ * tail batches) and the degenerate batch of one.
  *
  * The digests pinned here are the very same values test_tage_golden
  * pins for the scalar loop — not re-harvested for the batched path —
  * so any divergence between the two paths moves a hash.
+ *
+ * The adaptive stack (GradedTage with the Sec. 6.2 controller) batches
+ * around each epoch-closing element; it is checked against its own
+ * scalar loop, prediction by prediction and in snapshot() bytes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "tage/graded_tage.hpp"
 #include "tage/tage_predictor.hpp"
+#include "trace/profiles.hpp"
 #include "util/random.hpp"
 
 namespace tagecon {
@@ -135,36 +141,6 @@ runGoldenBatched(const TageConfig& cfg, size_t batch)
     return {pd, stateDigest(pred)};
 }
 
-/**
- * Replay-train a fresh predictor through updateMany() with the
- * (pc, prediction, outcome) tuples recorded from a scalar run, in
- * batches of @p batch, and return its final state digest. The scalar
- * run applied exactly the same update() sequence, so the digests must
- * coincide.
- */
-uint64_t
-runGoldenReplayTrained(const TageConfig& cfg, size_t batch)
-{
-    TagePredictor scalar(cfg);
-    const GoldenStream s = goldenStream(cfg);
-    std::vector<TagePrediction> preds;
-    preds.reserve(s.pcs.size());
-    for (size_t i = 0; i < s.pcs.size(); ++i) {
-        preds.push_back(scalar.predict(s.pcs[i]));
-        scalar.update(s.pcs[i], preds.back(), s.taken[i] != 0);
-    }
-
-    TagePredictor replayed(cfg);
-    for (size_t at = 0; at < s.pcs.size(); at += batch) {
-        const size_t n = std::min(batch, s.pcs.size() - at);
-        replayed.updateMany(
-            std::span<const uint64_t>(s.pcs.data() + at, n),
-            std::span<const TagePrediction>(preds.data() + at, n),
-            std::span<const uint8_t>(s.taken.data() + at, n));
-    }
-    return stateDigest(replayed);
-}
-
 struct GoldenCase {
     const char* name;
     uint64_t predDigest;
@@ -209,17 +185,6 @@ TEST_P(TageBatchedGolden, PredictManyMatchesScalarGoldenDigests)
     }
 }
 
-TEST_P(TageBatchedGolden, UpdateManyReplayMatchesScalarStateDigest)
-{
-    const GoldenCase& g = GetParam();
-    const TageConfig cfg = configFor(g.name);
-    for (const size_t batch : {size_t{7}, size_t{512}}) {
-        SCOPED_TRACE("batch=" + std::to_string(batch));
-        EXPECT_EQ(runGoldenReplayTrained(cfg, batch), g.stateDigest)
-            << g.name;
-    }
-}
-
 // The pinned digests are the very same values test_tage_golden.cpp
 // pins for the scalar loop — not re-harvested for the batched path.
 INSTANTIATE_TEST_SUITE_P(
@@ -242,6 +207,98 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return n;
     });
+
+/**
+ * GradedTage on 64K+prob7 with the controller at @p epoch_length. The
+ * paper's controller walks log2(1/p) over [0, 10]; the narrow one
+ * flips it between 0 and 1, where the saturation gate either consumes
+ * an LFSR draw or does not, so training the epoch-closing element
+ * with the stale p shows up downstream at once.
+ */
+std::unique_ptr<GradedTage>
+adaptiveTage(uint64_t epoch_length, bool narrow)
+{
+    GradedTageOptions opt;
+    opt.adaptive = true;
+    opt.adaptiveConfig.epochLength = epoch_length;
+    if (narrow) {
+        opt.adaptiveConfig.minLog2 = 0;
+        opt.adaptiveConfig.maxLog2 = 1;
+        opt.adaptiveConfig.initialLog2 = 1;
+    }
+    return std::make_unique<GradedTage>(
+        TageConfig::medium64K().withProbabilisticSaturation(7), opt);
+}
+
+std::vector<uint8_t>
+snapshotBytes(const GradedPredictor& p)
+{
+    StateWriter w;
+    std::string error;
+    EXPECT_TRUE(p.snapshot(w, error)) << error;
+    return w.take();
+}
+
+TEST(AdaptiveBatchedGolden, PredictManyMatchesTheScalarLoop)
+{
+    // FP-1 keeps the high class near the 10 MKP target, so both
+    // controllers move p in every epoch length below.
+    GoldenStream s;
+    SyntheticTrace trace = makeTrace("FP-1", kBranches);
+    const VectorTrace records = materialize(trace, kBranches);
+    for (const BranchRecord& rec : records.records()) {
+        s.pcs.push_back(rec.pc);
+        s.taken.push_back(rec.taken ? 1 : 0);
+    }
+    const size_t n = s.pcs.size();
+    for (const bool narrow : {false, true}) {
+        for (const uint64_t epoch :
+             {uint64_t{1}, uint64_t{64}, uint64_t{1000}}) {
+            auto scalar = adaptiveTage(epoch, narrow);
+            std::vector<Prediction> want(n);
+            int p_changes = 0;
+            for (size_t i = 0; i < n; ++i) {
+                const unsigned before = scalar->satLog2Prob();
+                want[i] = scalar->predict(s.pcs[i]);
+                scalar->update(s.pcs[i], want[i], s.taken[i] != 0);
+                p_changes += scalar->satLog2Prob() != before ? 1 : 0;
+            }
+            // The controller must really move p, or this test is blind
+            // to when the new p takes effect.
+            ASSERT_GT(p_changes, 0) << "epoch=" << epoch;
+            const std::vector<uint8_t> final_state = snapshotBytes(*scalar);
+
+            for (const size_t batch : kBatchSizes) {
+                SCOPED_TRACE(std::string(narrow ? "narrow" : "paper") +
+                             " epoch=" + std::to_string(epoch) +
+                             " batch=" + std::to_string(batch));
+                auto batched = adaptiveTage(epoch, narrow);
+                std::vector<Prediction> got(n);
+                for (size_t at = 0; at < n; at += batch) {
+                    const size_t len = std::min(batch, n - at);
+                    batched->predictMany(
+                        std::span<const uint64_t>(s.pcs.data() + at, len),
+                        std::span<const uint8_t>(s.taken.data() + at, len),
+                        std::span<Prediction>(got.data() + at, len));
+                }
+                size_t diverged = n;
+                for (size_t i = 0; i < n && diverged == n; ++i) {
+                    const Prediction& a = want[i];
+                    const Prediction& b = got[i];
+                    if (a.taken != b.taken || a.cls != b.cls ||
+                        a.confidence != b.confidence ||
+                        a.payload != b.payload)
+                        diverged = i;
+                }
+                EXPECT_EQ(diverged, n) << "first diverging prediction";
+                EXPECT_TRUE(snapshotBytes(*batched) == final_state);
+                EXPECT_EQ(batched->controller()->epochs(),
+                          scalar->controller()->epochs());
+                EXPECT_EQ(batched->satLog2Prob(), scalar->satLog2Prob());
+            }
+        }
+    }
+}
 
 } // namespace
 } // namespace tagecon

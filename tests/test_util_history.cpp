@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "util/global_history.hpp"
 #include "util/random.hpp"
+#include "util/simd.hpp"
 
 namespace tagecon {
 namespace {
@@ -55,6 +57,25 @@ TEST(GlobalHistory, WrapsAroundCorrectly)
     }
     for (size_t i = 0; i < 4; ++i)
         EXPECT_EQ(h[i], shadow[shadow.size() - 1 - i]) << "i=" << i;
+}
+
+TEST(GlobalHistory, CopyNewestListsTheNewestOutcomesOldestFirst)
+{
+    // Head positions all around the ring, so the copied range both
+    // does and does not wrap.
+    GlobalHistory h(13); // rounds up to a 16-slot ring, 15 addressable
+    XorShift128Plus rng(11);
+    for (int pushes = 0; pushes < 40; ++pushes) {
+        for (size_t count = 0; count <= h.capacity() + 1; ++count) {
+            std::vector<uint8_t> dst(count + 1, 0xAB);
+            h.copyNewest(dst.data(), count);
+            for (size_t j = 0; j < count; ++j)
+                ASSERT_EQ(dst[count - 1 - j], h[j])
+                    << "pushes=" << pushes << " count=" << count;
+            EXPECT_EQ(dst[count], 0xAB) << "wrote past the count";
+        }
+        h.push(rng.nextBool(0.5));
+    }
 }
 
 TEST(GlobalHistory, ClearResets)
@@ -126,6 +147,48 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(300, 11), std::make_tuple(300, 10),
                       std::make_tuple(16, 4), std::make_tuple(7, 7),
                       std::make_tuple(64, 9), std::make_tuple(12, 12)));
+
+#if defined(TAGECON_SIMD_LANES)
+TEST(FoldedHistory, FourLaneStepMatchesTheTriple)
+{
+    // Lanes (a, b, c, a) of one table, stepped by simd::foldStep4 with
+    // the constants TagePredictor derives, against the scalar triple.
+    XorShift128Plus rng(23);
+    for (int round = 0; round < 300; ++round) {
+        const int length = 1 + static_cast<int>(rng.nextBelow(4000));
+        const int width_a = 1 + static_cast<int>(rng.nextBelow(24));
+        const int width_b = 2 + static_cast<int>(rng.nextBelow(15));
+        FoldedHistoryTriple triple(length, width_a, width_b, width_b - 1);
+        triple.restore(static_cast<uint32_t>(rng.next()),
+                       static_cast<uint32_t>(rng.next()),
+                       static_cast<uint32_t>(rng.next()));
+        const int widths[4] = {width_a, width_b, width_b - 1, width_a};
+        uint32_t half[4];
+        uint32_t wrap[4];
+        uint32_t out_bit[4];
+        for (int lane = 0; lane < 4; ++lane) {
+            half[lane] = (1u << (widths[lane] - 1)) - 1u;
+            wrap[lane] = (1u << widths[lane]) | 1u;
+            out_bit[lane] = 1u << (length % widths[lane]);
+        }
+        simd::U32x4 lanes = {triple.a(), triple.b(), triple.c(), triple.a()};
+        for (int step = 0; step < 64; ++step) {
+            const uint32_t in = rng.nextBool(0.5) ? 1u : 0u;
+            const uint32_t out = rng.nextBool(0.5) ? 1u : 0u;
+            triple.updateWithBits(in, out);
+            lanes = simd::foldStep4(
+                lanes,
+                simd::splat4(in) ^ (simd::splat4(0u - out) &
+                                    simd::load4(out_bit)),
+                simd::load4(half), simd::load4(wrap));
+            ASSERT_EQ(lanes[0], triple.a()) << "L=" << length;
+            ASSERT_EQ(lanes[1], triple.b()) << "L=" << length;
+            ASSERT_EQ(lanes[2], triple.c()) << "L=" << length;
+            ASSERT_EQ(lanes[3], triple.a()) << "L=" << length;
+        }
+    }
+}
+#endif
 
 TEST(FoldedHistory, ClearMatchesFreshStart)
 {
