@@ -27,9 +27,14 @@
  *    engine's eviction cycle on a warmed predictor — saveState() into
  *    a writer reserved at the blob size, and loadState() of that blob
  *    back into a used predictor. bytes_per_second is the blob size.
- *  - BM_SyntheticTraceOpen: constructing a synthetic trace (the
- *    program model a stream's first admission builds), cycling over
- *    the 40 profiles.
+ *  - BM_SyntheticTraceOpen: constructing and freeing a synthetic trace
+ *    (the program model a stream's first admission builds and its
+ *    last turn frees), cycling over the 40 profiles.
+ *  - BM_SyntheticTraceFill: TraceSource::fill() of a synthetic trace.
+ *    /0 fills one SERV-1 trace 512 records at a time (a sweep cell's
+ *    chunk); /1 is a serve-evict shard: 500 open traces over the 40
+ *    profiles, each filled 64 records per turn, round-robin, so every
+ *    turn starts on a trace that is cold in cache.
  *  - BM_FailpointUnarmed / BM_FailpointArmed: cost of a fault-
  *    injection site check. Unarmed must stay a branch on one relaxed
  *    atomic load (~1 ns) — the sites sit on trace-read and checkpoint
@@ -345,6 +350,33 @@ BM_SyntheticTraceOpen(benchmark::State& state)
 }
 
 void
+BM_SyntheticTraceFill(benchmark::State& state)
+{
+    const bool shard = state.range(0) == 1;
+    const size_t chunk = shard ? 64 : 512;
+    const size_t num_traces = shard ? 500 : 1;
+    const std::vector<std::string> names = allTraceNames();
+    std::vector<SyntheticTrace> traces;
+    traces.reserve(num_traces);
+    for (size_t i = 0; i < num_traces; ++i) {
+        traces.push_back(shard ? makeTrace(names[i % names.size()],
+                                           ~uint64_t{0}, i)
+                               : makeTrace("SERV-1", ~uint64_t{0}));
+    }
+    std::vector<BranchRecord> records(chunk);
+    size_t i = 0;
+    for (auto _ : state) {
+        const size_t n = traces[i].fill(records);
+        benchmark::DoNotOptimize(records.data());
+        benchmark::DoNotOptimize(n);
+        benchmark::ClobberMemory();
+        i = i + 1 < num_traces ? i + 1 : 0;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(chunk));
+}
+
+void
 BM_FailpointUnarmed(benchmark::State& state)
 {
     failpoints::disarm();
@@ -442,6 +474,7 @@ BENCHMARK(BM_SyntheticTraceGeneration);
 BENCHMARK(BM_TageSnapshot)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TageRestore)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_SyntheticTraceOpen);
+BENCHMARK(BM_SyntheticTraceFill)->Arg(0)->Arg(1);
 BENCHMARK(BM_FailpointUnarmed);
 BENCHMARK(BM_FailpointArmed);
 BENCHMARK(BM_MetricsDisabled);

@@ -1,5 +1,6 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <span>
 
@@ -12,11 +13,9 @@ constexpr size_t kChunk = 512;
 
 } // namespace
 
-DriveChunk::DriveChunk() : preds(kChunk)
+DriveChunk::DriveChunk()
+    : records(kChunk), pcs(kChunk), taken(kChunk), preds(kChunk)
 {
-    pcs.reserve(kChunk);
-    taken.reserve(kChunk);
-    insns.reserve(kChunk);
 }
 
 uint64_t
@@ -25,46 +24,48 @@ driveBranches(TraceSource& trace, GradedPredictor& predictor,
               BinaryConfidenceMetrics& confusion,
               const ObserverList& observers)
 {
-    BranchRecord rec;
     uint64_t consumed = 0;
-    bool more = true;
-    while (more && consumed < max_branches) {
-        chunk.pcs.clear();
-        chunk.taken.clear();
-        chunk.insns.clear();
-        while (chunk.pcs.size() < kChunk &&
-               consumed + chunk.pcs.size() < max_branches &&
-               (more = trace.next(rec))) {
-            chunk.pcs.push_back(rec.pc);
-            chunk.taken.push_back(rec.taken ? 1 : 0);
-            chunk.insns.push_back(uint64_t{rec.instructionsBefore} + 1);
-        }
-        const size_t n = chunk.pcs.size();
+    while (consumed < max_branches) {
+        const auto want = static_cast<size_t>(
+            std::min<uint64_t>(kChunk, max_branches - consumed));
+        const size_t n = trace.fill(
+            std::span<BranchRecord>(chunk.records.data(), want));
         if (n == 0)
             break;
+        for (size_t k = 0; k < n; ++k) {
+            chunk.pcs[k] = chunk.records[k].pc;
+            chunk.taken[k] = chunk.records[k].taken ? 1 : 0;
+        }
         predictor.predictMany(
             std::span<const uint64_t>(chunk.pcs.data(), n),
             std::span<const uint8_t>(chunk.taken.data(), n),
             std::span<Prediction>(chunk.preds.data(), n));
         for (size_t k = 0; k < n; ++k) {
             const Prediction& p = chunk.preds[k];
-            const bool mispredicted = p.taken != (chunk.taken[k] != 0);
-            stats.record(p.cls, mispredicted, chunk.insns[k]);
+            const bool mispredicted = p.taken != chunk.records[k].taken;
+            stats.record(p.cls, mispredicted,
+                         uint64_t{chunk.records[k].instructionsBefore} + 1);
             confusion.record(p.confidence == ConfidenceLevel::High,
                              !mispredicted);
         }
         if (!observers.empty()) {
             for (size_t k = 0; k < n; ++k) {
                 const Prediction& p = chunk.preds[k];
-                const bool taken = chunk.taken[k] != 0;
+                const BranchRecord& rec = chunk.records[k];
                 const ObservedPrediction observed{
-                    chunk.pcs[k],   p, taken, p.taken != taken,
-                    chunk.insns[k], consumed + k};
+                    rec.pc,
+                    p,
+                    rec.taken,
+                    p.taken != rec.taken,
+                    uint64_t{rec.instructionsBefore} + 1,
+                    consumed + k};
                 for (const auto& observer : observers)
                     observer->onPrediction(observed);
             }
         }
         consumed += n;
+        if (n < want)
+            break; // the trace ended inside this chunk
     }
     return consumed;
 }

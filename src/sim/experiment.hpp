@@ -63,14 +63,17 @@ struct RunResult {
 struct DriveChunk {
     DriveChunk();
 
+    /** The chunk as one TraceSource::fill() call wrote it. */
+    std::vector<BranchRecord> records;
+    /** Its pcs and outcomes, laid out as predictMany() takes them. */
     std::vector<uint64_t> pcs;
     std::vector<uint8_t> taken;
-    std::vector<uint64_t> insns;
     std::vector<Prediction> preds;
 };
 
 /**
- * The drive kernel: fill @p chunk from @p trace, step the chunk through
+ * The drive kernel: fill @p chunk from @p trace with one
+ * TraceSource::fill() call, step the chunk through
  * predictor.predictMany() (bit-identical to the scalar predict/update
  * loop by contract), fold each element into @p stats and @p confusion,
  * then hand the elements, in order, to @p observers — repeated until

@@ -4,6 +4,15 @@
 
 namespace tagecon {
 
+size_t
+TraceSource::fill(std::span<BranchRecord> out)
+{
+    size_t n = 0;
+    while (n < out.size() && next(out[n]))
+        ++n;
+    return n;
+}
+
 VectorTrace
 materialize(TraceSource& src, size_t max_records)
 {

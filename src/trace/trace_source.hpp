@@ -9,8 +9,10 @@
 #ifndef TAGECON_TRACE_TRACE_SOURCE_HPP
 #define TAGECON_TRACE_TRACE_SOURCE_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,19 @@ class TraceSource
      *         end from a truncated or unreadable stream.
      */
     virtual bool next(BranchRecord& out) = 0;
+
+    /**
+     * Produce the next records into @p out, in order: exactly the
+     * records, and the end, that out.size() calls of next() would give.
+     * Returns how many were written. A short count means next() would
+     * have returned false there — a clean end or a failure, told apart
+     * by lastError(), which is then what next() would have left.
+     *
+     * The default calls next() once per record. Sources that generate
+     * or copy records in bulk override it, so a consumer pays one
+     * virtual call per chunk instead of one per branch.
+     */
+    virtual size_t fill(std::span<BranchRecord> out);
 
     /**
      * The error that ended the stream, or nullptr when none: next()
@@ -74,6 +89,16 @@ class VectorTrace : public TraceSource
             return false;
         out = records_[pos_++];
         return true;
+    }
+
+    size_t
+    fill(std::span<BranchRecord> out) override
+    {
+        const size_t n = std::min(out.size(), records_.size() - pos_);
+        std::copy_n(records_.begin() + static_cast<std::ptrdiff_t>(pos_), n,
+                    out.begin());
+        pos_ += n;
+        return n;
     }
 
     void reset() override { pos_ = 0; }
@@ -114,6 +139,17 @@ class LimitedTrace : public TraceSource
             return false;
         ++emitted_;
         return true;
+    }
+
+    size_t
+    fill(std::span<BranchRecord> out) override
+    {
+        const auto want =
+            static_cast<size_t>(std::min<uint64_t>(out.size(),
+                                                   limit_ - emitted_));
+        const size_t n = inner_->fill(out.first(want));
+        emitted_ += n;
+        return n;
     }
 
     void

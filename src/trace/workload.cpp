@@ -9,8 +9,14 @@ namespace tagecon {
 
 namespace {
 
-/** History capacity: must cover the largest correlation tap. */
-constexpr size_t kHistoryCapacity = 1024;
+/** Largest correlation distance a profile may ask for. */
+constexpr int kMaxCorrTap = 1023;
+
+/**
+ * Most sites a function may have: a loop body length then fits a site's
+ * 16 bits, and every pc stays below 4 GiB.
+ */
+constexpr int kMaxSitesPerFunction = 65536;
 
 /** Base text address of the synthetic program. */
 constexpr uint64_t kTextBase = 0x400000;
@@ -24,31 +30,37 @@ constexpr uint64_t kTextSpan = uint64_t{1} << 24;
 } // namespace
 
 SyntheticTrace::SyntheticTrace(ProfileParams params, uint64_t num_branches)
-    : params_(std::move(params)), limit_(num_branches),
-      rng_(params_.seed), history_(kHistoryCapacity)
+    : params_(validated(std::move(params))), limit_(num_branches),
+      rng_(params_.seed),
+      history_(static_cast<size_t>(params_.corrTapMax))
 {
-    validate();
     build();
 }
 
-void
-SyntheticTrace::validate() const
+ProfileParams
+SyntheticTrace::validated(ProfileParams p)
 {
-    const ProfileParams& p = params_;
     if (p.numFunctions < 1)
         fatal("profile '" + p.name + "': numFunctions must be >= 1");
     if (p.minSitesPerFunction < 1 ||
-        p.maxSitesPerFunction < p.minSitesPerFunction)
+        p.maxSitesPerFunction < p.minSitesPerFunction ||
+        p.maxSitesPerFunction > kMaxSitesPerFunction)
         fatal("profile '" + p.name + "': bad sitesPerFunction range");
     if (p.loopPeriodMin < 1 || p.loopPeriodMax < p.loopPeriodMin)
         fatal("profile '" + p.name + "': bad loopPeriod range");
     if (p.patternLenMin < 1 || p.patternLenMax < p.patternLenMin)
         fatal("profile '" + p.name + "': bad patternLen range");
+    if (p.patternLenMax > BranchBehavior::kMaxPatternLen)
+        fatal("profile '" + p.name + "': patternLenMax must be <= " +
+              std::to_string(BranchBehavior::kMaxPatternLen));
     if (p.corrTapMin < 1 || p.corrTapMax < p.corrTapMin ||
-        static_cast<size_t>(p.corrTapMax) >= kHistoryCapacity)
+        p.corrTapMax > kMaxCorrTap)
         fatal("profile '" + p.name + "': bad correlation tap range");
     if (p.corrNumTapsMin < 1 || p.corrNumTapsMax < p.corrNumTapsMin)
         fatal("profile '" + p.name + "': bad correlation tap count");
+    if (p.corrNumTapsMax > static_cast<int>(BranchBehavior::kMaxTaps))
+        fatal("profile '" + p.name + "': corrNumTapsMax must be <= " +
+              std::to_string(BranchBehavior::kMaxTaps));
     if (p.instrPerBranchMax < p.instrPerBranchMin)
         fatal("profile '" + p.name + "': bad instrPerBranch range");
     if (p.numPhases < 1)
@@ -59,57 +71,72 @@ SyntheticTrace::validate() const
                        p.fracBiased + p.fracMarkov + p.fracCorrelated;
     if (mix <= 0.0)
         fatal("profile '" + p.name + "': behaviour mixture is empty");
+    return p;
 }
 
 namespace {
 
-BehaviorKind
-drawWeighted(XorShift128Plus& rng, const double (&weights)[6])
+/** A behaviour mixture: one weight per BehaviorKind, and their sum. */
+struct KindMix {
+    double weights[6];
+    double total;
+};
+
+KindMix
+kindMix(const double (&weights)[6])
 {
-    double total = 0.0;
-    for (const double w : weights)
-        total += w;
-    double draw = rng.nextDouble() * total;
+    KindMix mix{};
     for (int i = 0; i < 6; ++i) {
-        draw -= weights[i];
+        mix.weights[i] = weights[i];
+        mix.total += weights[i];
+    }
+    return mix;
+}
+
+BehaviorKind
+drawKind(XorShift128Plus& rng, const KindMix& mix)
+{
+    double draw = rng.nextDouble() * mix.total;
+    for (int i = 0; i < 6; ++i) {
+        draw -= mix.weights[i];
         if (draw < 0.0)
             return static_cast<BehaviorKind>(i);
     }
     return BehaviorKind::Correlated;
 }
 
-} // namespace
-
-BehaviorKind
-SyntheticTrace::drawPlainKind(XorShift128Plus& rng) const
+/**
+ * Mixture of straight-line sites. They execute once per function pass
+ * with variable interleaving in between, so periodic behaviours
+ * (Pattern) are not learnable there; their weight folds into Always.
+ * Loop placement is handled structurally by build().
+ */
+KindMix
+plainMix(const ProfileParams& p)
 {
-    // Straight-line sites execute once per function pass with variable
-    // interleaving in between, so periodic behaviours (Pattern) are not
-    // learnable there; their weight folds into Always. Loop placement
-    // is handled structurally by build().
-    const ProfileParams& p = params_;
-    const double weights[6] = {
+    return kindMix({
         p.fracAlways + p.fracPattern, 0.0, 0.0,
         p.fracBiased, p.fracMarkov, p.fracCorrelated,
-    };
-    return drawWeighted(rng, weights);
+    });
 }
 
-BehaviorKind
-SyntheticTrace::drawBodyKind(XorShift128Plus& rng) const
+/**
+ * Mixture of loop-body sites. They execute in per-iteration bursts:
+ * periodic and history-correlated behaviours are adjacent in global
+ * history and therefore learnable — this is where real programs'
+ * "pattern" branches live. A slice of biased sites models loop-carried
+ * data-dependent conditions.
+ */
+KindMix
+bodyMix(const ProfileParams& p)
 {
-    // Loop-body sites execute in per-iteration bursts: periodic and
-    // history-correlated behaviours are adjacent in global history and
-    // therefore learnable — this is where real programs' "pattern"
-    // branches live. A slice of biased sites models loop-carried
-    // data-dependent conditions.
-    const ProfileParams& p = params_;
-    const double weights[6] = {
+    return kindMix({
         0.25, 0.0, 0.25 + p.fracPattern,
         0.15 * (p.fracBiased > 0.0 ? 1.0 : 0.0), 0.0, 0.25,
-    };
-    return drawWeighted(rng, weights);
+    });
 }
+
+} // namespace
 
 BranchBehavior
 SyntheticTrace::drawBehavior(BehaviorKind kind, XorShift128Plus& rng,
@@ -137,15 +164,12 @@ SyntheticTrace::drawBehavior(BehaviorKind kind, XorShift128Plus& rng,
             in_body ? std::min(p.patternLenMax, 6u) : p.patternLenMax;
         const uint32_t len = uniform_u32(
             std::min(p.patternLenMin, max_len), max_len);
-        std::vector<bool> pat(len);
-        bool any_taken = false;
-        for (uint32_t i = 0; i < len; ++i) {
-            pat[i] = rng.nextBool(0.5);
-            any_taken = any_taken || pat[i];
-        }
-        if (!any_taken)
-            pat[0] = true;
-        return BranchBehavior::pattern(std::move(pat));
+        uint64_t outcomes = 0;
+        for (uint32_t i = 0; i < len; ++i)
+            outcomes |= uint64_t{rng.nextBool(0.5)} << i;
+        if (outcomes == 0)
+            outcomes = 1;
+        return BranchBehavior::pattern(outcomes, len);
       }
       case BehaviorKind::Biased: {
         double bias = uniform_d(p.biasMin, p.biasMax);
@@ -154,10 +178,15 @@ SyntheticTrace::drawBehavior(BehaviorKind kind, XorShift128Plus& rng,
             bias = 1.0 - bias;
         return BranchBehavior::biased(bias);
       }
-      case BehaviorKind::Markov:
-        return BranchBehavior::markov(
-            uniform_d(p.markovStayMin, p.markovStayMax),
-            uniform_d(p.markovStayMin, p.markovStayMax));
+      case BehaviorKind::Markov: {
+        // Named draws, not two call arguments, whose evaluation order
+        // C++ leaves unspecified: the not-taken stay is drawn first, as
+        // GCC builds have always evaluated the arguments.
+        const double stay_not_taken =
+            uniform_d(p.markovStayMin, p.markovStayMax);
+        const double stay_taken = uniform_d(p.markovStayMin, p.markovStayMax);
+        return BranchBehavior::markov(stay_taken, stay_not_taken);
+      }
       case BehaviorKind::Correlated: {
         // Correlation distances must stay short enough that the
         // referenced bits sit inside the current burst / function run;
@@ -167,17 +196,16 @@ SyntheticTrace::drawBehavior(BehaviorKind kind, XorShift128Plus& rng,
             in_body ? std::min(p.corrTapMax, 6) : p.corrTapMax);
         const auto tap_lo = std::min(
             static_cast<uint32_t>(p.corrTapMin), tap_hi);
-        const int ntaps = static_cast<int>(rng.nextBelow(
-            static_cast<uint64_t>(p.corrNumTapsMax - p.corrNumTapsMin +
-                                  1))) + p.corrNumTapsMin;
-        std::vector<uint16_t> taps;
-        taps.reserve(static_cast<size_t>(ntaps));
-        for (int i = 0; i < ntaps; ++i) {
-            taps.push_back(
-                static_cast<uint16_t>(uniform_u32(tap_lo, tap_hi)));
-        }
-        return BranchBehavior::correlated(std::move(taps),
-                                          rng.nextBool(0.5), p.corrNoise);
+        const auto ntaps = static_cast<size_t>(
+            rng.nextBelow(static_cast<uint64_t>(p.corrNumTapsMax -
+                                                p.corrNumTapsMin + 1)) +
+            static_cast<uint64_t>(p.corrNumTapsMin));
+        uint16_t taps[BranchBehavior::kMaxTaps] = {};
+        for (size_t i = 0; i < ntaps; ++i)
+            taps[i] = static_cast<uint16_t>(uniform_u32(tap_lo, tap_hi));
+        return BranchBehavior::correlated(
+            std::span<const uint16_t>(taps, ntaps), rng.nextBool(0.5),
+            p.corrNoise);
       }
     }
     panic("unreachable behaviour kind");
@@ -189,22 +217,45 @@ SyntheticTrace::build()
     rng_ = XorShift128Plus(params_.seed);
     history_.clear();
     emitted_ = 0;
+    untilPhaseEdge_ = params_.phaseLength;
     curPhase_ = 0;
-    curFunc_ = 0;
     curSite_ = 0;
+    funcEnd_ = 0;
+    inLoop_ = false;
     inFunction_ = false;
-    loopStack_.clear();
     lastFunc_ = 0;
     haveLastFunc_ = false;
+    instrMin_ = params_.instrPerBranchMin;
+    instrSpan_ = XorShift128Plus::Bound(
+        params_.instrPerBranchMax - params_.instrPerBranchMin + 1);
 
-    functions_.clear();
-    functions_.resize(static_cast<size_t>(params_.numFunctions));
+    const auto num_funcs = static_cast<size_t>(params_.numFunctions);
+    const auto max_sites = static_cast<size_t>(params_.maxSitesPerFunction);
+    funcs_.resize(num_funcs);
+
+    // The site count is known only once every function is drawn, so the
+    // program is drawn into a per-thread arena sized for the largest
+    // possible one and then copied into sites_ at its exact size.
+    thread_local std::vector<Site> arena;
+    arena.clear();
+    arena.reserve(num_funcs * max_sites);
 
     // Dedicated RNG for program construction so the *structure* of the
     // program does not depend on how many branches have been drawn.
     XorShift128Plus build_rng(params_.seed ^ 0xC0FFEE);
 
-    for (auto& func : functions_) {
+    // Structural placement: a slot is either a loop head (whose body
+    // consumes the following slots) or a straight-line site. Loop-body
+    // sites draw from the burst-friendly behaviour mix.
+    const double mix_total = params_.fracAlways + params_.fracLoop +
+                             params_.fracPattern + params_.fracBiased +
+                             params_.fracMarkov + params_.fracCorrelated;
+    const double loop_share = params_.fracLoop / mix_total;
+    const KindMix plain = plainMix(params_);
+    const KindMix body = bodyMix(params_);
+
+    for (Function& func : funcs_) {
+        func.begin = static_cast<uint32_t>(arena.size());
         // Scatter function bases across the text segment so branch
         // sites alias in the predictor tables the way real code does
         // (a fixed stride would fold every function onto the same
@@ -216,52 +267,40 @@ SyntheticTrace::build()
             static_cast<int>(build_rng.nextBelow(static_cast<uint64_t>(
                 params_.maxSitesPerFunction -
                 params_.minSitesPerFunction + 1))));
-        // Structural placement: a slot is either a loop head (whose
-        // body consumes the following slots) or a straight-line site.
-        // Loop-body sites draw from the burst-friendly behaviour mix.
-        const double mix_total = params_.fracAlways + params_.fracLoop +
-                                 params_.fracPattern + params_.fracBiased +
-                                 params_.fracMarkov +
-                                 params_.fracCorrelated;
-        const double loop_share = params_.fracLoop / mix_total;
 
-        func.sites.reserve(nsites);
-        auto make_site = [&](size_t slot, BehaviorKind kind,
-                             bool in_body) {
-            return Site{
-                func_base + static_cast<uint64_t>(slot) * kSiteStride,
-                drawBehavior(kind, build_rng, in_body),
-                params_.instrPerBranchMin,
-                params_.instrPerBranchMax,
-                build_rng.nextBool(params_.phasedSiteFraction),
-                0,
-                in_body,
-            };
+        auto add_site = [&](size_t slot, BehaviorKind kind, bool in_body,
+                            uint32_t body_len) {
+            const BranchBehavior behavior =
+                drawBehavior(kind, build_rng, in_body);
+            const bool phased =
+                build_rng.nextBool(params_.phasedSiteFraction);
+            arena.push_back(Site{
+                static_cast<uint32_t>(func_base + slot * kSiteStride),
+                static_cast<uint16_t>(body_len), phased, in_body,
+                behavior});
         };
 
         size_t s = 0;
         while (s < nsites) {
             if (build_rng.nextBool(loop_share)) {
                 const auto remaining = nsites - s - 1;
-                const auto body = static_cast<uint32_t>(std::min<uint64_t>(
-                    build_rng.nextBelow(
-                        static_cast<uint64_t>(params_.loopBodyMax) + 1),
-                    remaining));
-                Site head = make_site(s, BehaviorKind::Loop, false);
-                head.loopBodyLen = body;
-                func.sites.push_back(std::move(head));
+                const auto body_len =
+                    static_cast<uint32_t>(std::min<uint64_t>(
+                        build_rng.nextBelow(
+                            static_cast<uint64_t>(params_.loopBodyMax) + 1),
+                        remaining));
+                add_site(s, BehaviorKind::Loop, false, body_len);
                 ++s;
-                for (uint32_t b = 0; b < body; ++b, ++s) {
-                    func.sites.push_back(
-                        make_site(s, drawBodyKind(build_rng), true));
-                }
+                for (uint32_t b = 0; b < body_len; ++b, ++s)
+                    add_site(s, drawKind(build_rng, body), true, 0);
             } else {
-                func.sites.push_back(
-                    make_site(s, drawPlainKind(build_rng), false));
+                add_site(s, drawKind(build_rng, plain), false, 0);
                 ++s;
             }
         }
+        func.end = static_cast<uint32_t>(arena.size());
     }
+    sites_.assign(arena.begin(), arena.end());
 
     buildCallGraph(build_rng);
     rebuildSelection();
@@ -274,7 +313,7 @@ SyntheticTrace::buildCallGraph(XorShift128Plus& build_rng)
     // rotation keeps most call edges inside the active working set:
     // a cold function's successors live in its own phase region (or
     // the always-hot set); a hot function's successors stay hot.
-    const size_t total = functions_.size();
+    const size_t total = numFunctions();
     const size_t hot = std::max<size_t>(
         1, static_cast<size_t>(params_.hotFraction *
                                static_cast<double>(total)));
@@ -286,7 +325,6 @@ SyntheticTrace::buildCallGraph(XorShift128Plus& build_rng)
     // hot f. Drawing an index into that concatenation needs neither a
     // materialized pool nor an O(F) rebuild per function.
     const size_t nhot = std::min(hot, total);
-    successors_.resize(total);
     for (size_t f = 0; f < total; ++f) {
         size_t lo = nhot;
         size_t hi = nhot;
@@ -301,9 +339,9 @@ SyntheticTrace::buildCallGraph(XorShift128Plus& build_rng)
             hi = std::min(lo + per_phase, total);
         }
         const size_t pool_size = nhot + (hi - lo);
-        for (auto& s : successors_[f]) {
+        for (uint32_t& s : funcs_[f].successors) {
             const size_t k = build_rng.nextBelow(pool_size);
-            s = k < nhot ? k : lo + (k - nhot);
+            s = static_cast<uint32_t>(k < nhot ? k : lo + (k - nhot));
         }
     }
 }
@@ -311,22 +349,22 @@ SyntheticTrace::buildCallGraph(XorShift128Plus& build_rng)
 void
 SyntheticTrace::rebuildSelection()
 {
+    const size_t total = numFunctions();
     activeFuncs_.clear();
-    isActive_.assign(functions_.size(), 0);
+    activeFuncs_.reserve(total);
 
-    const auto total = functions_.size();
     const auto hot = std::max<size_t>(
         1, static_cast<size_t>(params_.hotFraction *
                                static_cast<double>(total)));
 
     // Hot functions are active in every phase.
     for (size_t i = 0; i < hot && i < total; ++i)
-        activeFuncs_.push_back(i);
+        activeFuncs_.push_back(static_cast<uint32_t>(i));
 
     // The cold remainder is partitioned across phases.
     if (params_.numPhases <= 1) {
         for (size_t i = hot; i < total; ++i)
-            activeFuncs_.push_back(i);
+            activeFuncs_.push_back(static_cast<uint32_t>(i));
     } else {
         const size_t cold = total - std::min(hot, total);
         const size_t per_phase = std::max<size_t>(
@@ -334,11 +372,13 @@ SyntheticTrace::rebuildSelection()
         const size_t begin =
             hot + static_cast<size_t>(curPhase_) * per_phase;
         for (size_t i = begin; i < std::min(begin + per_phase, total); ++i)
-            activeFuncs_.push_back(i);
+            activeFuncs_.push_back(static_cast<uint32_t>(i));
     }
 
-    for (const size_t f : activeFuncs_)
-        isActive_[f] = 1;
+    for (Function& func : funcs_)
+        func.active = false;
+    for (const uint32_t f : activeFuncs_)
+        funcs_[f].active = true;
 
     // Zipf-skewed popularity over the active set.
     selectCdf_.clear();
@@ -354,19 +394,20 @@ SyntheticTrace::rebuildSelection()
 void
 SyntheticTrace::pickNextFunction()
 {
-    size_t choice = functions_.size(); // sentinel: no choice yet
+    const size_t none = numFunctions();
+    size_t choice = none;
 
     // Call-graph locality: usually continue along a successor edge.
     if (haveLastFunc_ && rng_.nextBool(params_.callLocality)) {
-        const auto& succ = successors_[lastFunc_];
+        const uint32_t* succ = funcs_[lastFunc_].successors;
         const double u = rng_.nextDouble();
         const size_t cand = u < 0.7 ? succ[0]
                                     : (u < 0.9 ? succ[1] : succ[2]);
-        if (isActive_[cand])
+        if (funcs_[cand].active)
             choice = cand;
     }
 
-    if (choice == functions_.size()) {
+    if (choice == none) {
         // Fresh Zipf draw over the active working set.
         const double draw = rng_.nextDouble() * selectCdf_.back();
         const auto it =
@@ -376,12 +417,12 @@ SyntheticTrace::pickNextFunction()
         choice = activeFuncs_[std::min(idx, activeFuncs_.size() - 1)];
     }
 
-    curFunc_ = choice;
     lastFunc_ = choice;
     haveLastFunc_ = true;
-    curSite_ = 0;
+    curSite_ = funcs_[choice].begin;
+    funcEnd_ = funcs_[choice].end;
     inFunction_ = true;
-    loopStack_.clear();
+    inLoop_ = false;
 }
 
 void
@@ -396,95 +437,101 @@ SyntheticTrace::rotatePhase()
     XorShift128Plus phase_rng(params_.seed ^
                               (0xFACEu + static_cast<uint64_t>(curPhase_) +
                                emitted_));
-    for (auto& func : functions_) {
-        for (auto& site : func.sites) {
-            if (site.phased) {
-                site.behavior = drawBehavior(site.behavior.kind(),
-                                             phase_rng, site.inBody);
-            }
+    for (Site& site : sites_) {
+        if (site.phased) {
+            site.behavior =
+                drawBehavior(site.behavior.kind(), phase_rng, site.inBody);
         }
     }
     inFunction_ = false;
-    loopStack_.clear();
+    inLoop_ = false;
 }
 
-bool
-SyntheticTrace::next(BranchRecord& out)
+inline void
+SyntheticTrace::emit(BranchRecord& out)
 {
-    if (emitted_ >= limit_)
-        return false;
-
-    if (params_.numPhases > 1 && emitted_ > 0 &&
-        emitted_ % params_.phaseLength == 0) {
+    if (untilPhaseEdge_ == 0 && params_.numPhases > 1) {
         rotatePhase();
+        untilPhaseEdge_ = params_.phaseLength;
     }
+    --untilPhaseEdge_;
 
-    if (!inFunction_ || curSite_ >= functions_[curFunc_].sites.size())
+    if (!inFunction_)
         pickNextFunction();
 
-    Site& site = functions_[curFunc_].sites[curSite_];
+    Site& site = sites_[curSite_];
 
     BehaviorContext ctx{rng_, history_};
     const bool taken = site.behavior.nextOutcome(ctx);
     history_.push(taken);
-    lastKind_ = site.behavior.kind();
+    const BehaviorKind kind = site.behavior.kind();
+    lastKind_ = kind;
     lastInBody_ = site.inBody;
 
     out.pc = site.pc;
     out.taken = taken;
     out.instructionsBefore =
-        site.instrMin +
-        static_cast<uint32_t>(rng_.nextBelow(site.instrMax -
-                                             site.instrMin + 1));
+        instrMin_ + static_cast<uint32_t>(rng_.nextBelow(instrSpan_));
     ++emitted_;
 
     // --- Control flow: loops iterate in place -------------------------
     size_t next_site;
-    if (site.behavior.kind() == BehaviorKind::Loop) {
+    if (kind == BehaviorKind::Loop) {
         if (taken) {
             if (site.loopBodyLen == 0) {
                 next_site = curSite_; // self-loop: re-execute the head
             } else {
                 // Enter (or stay in) the loop body.
-                if (loopStack_.empty() ||
-                    loopStack_.back().headIdx != curSite_) {
-                    loopStack_.push_back(
-                        LoopFrame{curSite_,
-                                  curSite_ + site.loopBodyLen});
+                if (!inLoop_ || loopHead_ != curSite_) {
+                    inLoop_ = true;
+                    loopHead_ = curSite_;
+                    loopEnd_ = curSite_ + site.loopBodyLen;
                     // Fresh loop entry: body behaviours restart, so
                     // every run replays the same within-run sequence
                     // (e.g. re-scanning the same data) — which is what
                     // makes body patterns learnable from history.
-                    auto& sites = functions_[curFunc_].sites;
                     for (size_t b = curSite_ + 1;
                          b <= curSite_ + site.loopBodyLen; ++b) {
-                        sites[b].behavior.reset();
+                        sites_[b].behavior.reset();
                     }
                 }
                 next_site = curSite_ + 1;
             }
         } else {
             // Loop exit: fall through past the body.
-            if (!loopStack_.empty() &&
-                loopStack_.back().headIdx == curSite_) {
-                loopStack_.pop_back();
-            }
+            if (inLoop_ && loopHead_ == curSite_)
+                inLoop_ = false;
             next_site = curSite_ + site.loopBodyLen + 1;
         }
     } else {
         next_site = curSite_ + 1;
     }
 
-    // Reaching the end of the innermost loop body returns to its head.
-    if (!loopStack_.empty() && next_site > loopStack_.back().bodyEnd)
-        next_site = loopStack_.back().headIdx;
+    // Reaching the end of the loop body returns to its head.
+    if (inLoop_ && next_site > loopEnd_)
+        next_site = loopHead_;
 
     curSite_ = next_site;
-    if (curSite_ >= functions_[curFunc_].sites.size()) {
+    if (curSite_ >= funcEnd_) {
         inFunction_ = false;
-        loopStack_.clear();
+        inLoop_ = false;
     }
-    return true;
+}
+
+bool
+SyntheticTrace::next(BranchRecord& out)
+{
+    return SyntheticTrace::fill(std::span<BranchRecord>(&out, 1)) == 1;
+}
+
+size_t
+SyntheticTrace::fill(std::span<BranchRecord> out)
+{
+    const auto n = static_cast<size_t>(
+        std::min<uint64_t>(out.size(), limit_ - emitted_));
+    for (size_t i = 0; i < n; ++i)
+        emit(out[i]);
+    return n;
 }
 
 void
@@ -494,25 +541,12 @@ SyntheticTrace::reset()
 }
 
 size_t
-SyntheticTrace::numSites() const
-{
-    size_t n = 0;
-    for (const auto& f : functions_)
-        n += f.sites.size();
-    return n;
-}
-
-size_t
 SyntheticTrace::countSites(BehaviorKind kind) const
 {
-    size_t n = 0;
-    for (const auto& f : functions_) {
-        for (const auto& s : f.sites) {
-            if (s.behavior.kind() == kind)
-                ++n;
-        }
-    }
-    return n;
+    return static_cast<size_t>(
+        std::count_if(sites_.begin(), sites_.end(), [kind](const Site& s) {
+            return s.behavior.kind() == kind;
+        }));
 }
 
 } // namespace tagecon

@@ -25,9 +25,10 @@
 #ifndef TAGECON_TRACE_WORKLOAD_HPP
 #define TAGECON_TRACE_WORKLOAD_HPP
 
-#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "trace/behavior.hpp"
@@ -54,7 +55,7 @@ struct ProfileParams {
     int numFunctions = 32;
     /** Minimum branch sites per function. */
     int minSitesPerFunction = 3;
-    /** Maximum branch sites per function. */
+    /** Maximum branch sites per function; at most 65536. */
     int maxSitesPerFunction = 12;
     /** Zipf popularity skew across functions; 0 = uniform. */
     double zipfSkew = 1.0;
@@ -92,6 +93,7 @@ struct ProfileParams {
     int loopBodyMax = 2;
     /** Probability that a loop run's trip count varies by +/-1. */
     double loopTripJitter = 0.08;
+    /** Pattern lengths; patternLenMax <= BranchBehavior::kMaxPatternLen. */
     uint32_t patternLenMin = 2;
     uint32_t patternLenMax = 12;
     /** P(taken) range for biased branches (symmetrized around 0.5). */
@@ -99,8 +101,10 @@ struct ProfileParams {
     double biasMax = 0.98;
     double markovStayMin = 0.60;
     double markovStayMax = 0.95;
+    /** Correlation distances; corrTapMax also sizes the history ring. */
     int corrTapMin = 4;
     int corrTapMax = 60;
+    /** Taps per correlated site; corrNumTapsMax <= BranchBehavior::kMaxTaps. */
     int corrNumTapsMin = 1;
     int corrNumTapsMax = 3;
     double corrNoise = 0.02;
@@ -114,8 +118,15 @@ struct ProfileParams {
  * Synthetic trace source: deterministically generates the branch stream
  * of the program described by a ProfileParams. reset() replays the
  * identical stream.
+ *
+ * Layout: the whole program is one flat, exact-size array of trivially
+ * copyable 32-byte sites, function after function; a small per-function
+ * table holds each function's slice of it and its call-graph edges. A
+ * site's behaviour is a tagged value with no heap memory of its own, so
+ * a trace owns a handful of vectors however large its program, and
+ * fill() generates a run of records with no virtual call per branch.
  */
-class SyntheticTrace : public TraceSource
+class SyntheticTrace final : public TraceSource
 {
   public:
     /**
@@ -126,6 +137,7 @@ class SyntheticTrace : public TraceSource
     SyntheticTrace(ProfileParams params, uint64_t num_branches);
 
     bool next(BranchRecord& out) override;
+    size_t fill(std::span<BranchRecord> out) override;
     void reset() override;
     std::string name() const override { return params_.name; }
 
@@ -133,10 +145,10 @@ class SyntheticTrace : public TraceSource
     uint64_t totalRecords() const { return limit_; }
 
     /** Number of functions in the built program (introspection). */
-    size_t numFunctions() const { return functions_.size(); }
+    size_t numFunctions() const { return funcs_.size(); }
 
     /** Total static branch sites in the built program. */
-    size_t numSites() const;
+    size_t numSites() const { return sites_.size(); }
 
     /** Count of sites using the given behaviour kind. */
     size_t countSites(BehaviorKind kind) const;
@@ -151,77 +163,86 @@ class SyntheticTrace : public TraceSource
     bool lastInBody() const { return lastInBody_; }
 
   private:
-    /** One static conditional branch site. */
+    /** One static conditional branch site: 32 bytes, two per line. */
     struct Site {
-        uint64_t pc = 0;
-        BranchBehavior behavior;
-        uint32_t instrMin = 4;
-        uint32_t instrMax = 8;
-        bool phased = false;
+        /** Its address; the text segment ends far below 4 GiB. */
+        uint32_t pc;
         /**
          * For loop-closing sites: number of following sites forming
          * the loop body, re-executed while the loop branch is taken.
          * Loops iterate *in place*, so their outcomes are adjacent in
          * global history — the structure TAGE learns from.
          */
-        uint32_t loopBodyLen = 0;
+        uint16_t loopBodyLen;
+        /** True when phase edges redraw this site's behaviour. */
+        bool phased;
         /** True when this site lives inside a loop body. */
-        bool inBody = false;
+        bool inBody;
+        BranchBehavior behavior;
     };
 
-    /** A straight-line sequence of sites executed in order. */
-    struct WorkloadFunction {
-        std::vector<Site> sites;
+    static_assert(std::is_trivially_copyable_v<Site>,
+                  "the site arena is copied as plain bytes");
+
+    /** One function: its slice of sites_ and its call-graph edges. */
+    struct Function {
+        /** Its sites are sites_[begin, end). */
+        uint32_t begin;
+        uint32_t end;
+        /** Likely successors, by probability 0.7 / 0.2 / 0.1. */
+        uint32_t successors[3];
+        /** Whether the current phase's working set holds it. */
+        bool active;
     };
 
-    void validate() const;
+    /** @p p, checked; fatal() on nonsensical values. */
+    static ProfileParams validated(ProfileParams p);
+
     void build();
     void buildCallGraph(XorShift128Plus& build_rng);
     BranchBehavior drawBehavior(BehaviorKind kind, XorShift128Plus& rng,
                                 bool in_body) const;
-
-    /** Kind for a straight-line (non-loop-body) site. */
-    BehaviorKind drawPlainKind(XorShift128Plus& rng) const;
-
-    /** Kind for a site inside a loop body (executed in bursts). */
-    BehaviorKind drawBodyKind(XorShift128Plus& rng) const;
     void rebuildSelection();
     void pickNextFunction();
     void rotatePhase();
 
+    /** Generate one record; the stream must not be exhausted. */
+    void emit(BranchRecord& out);
+
     ProfileParams params_;
     uint64_t limit_;
 
-    std::vector<WorkloadFunction> functions_;
-
-    /** An active loop: head site index and last body site index. */
-    struct LoopFrame {
-        size_t headIdx;
-        size_t bodyEnd;
-    };
-
-    // Dynamic replay state.
+    // Replay state, read on every record; site indices are into sites_.
     XorShift128Plus rng_;
     GlobalHistory history_;
-    uint64_t emitted_ = 0;
-    int curPhase_ = 0;
-    size_t curFunc_ = 0;
+    std::vector<Site> sites_;
     size_t curSite_ = 0;
+    size_t funcEnd_ = 0;
+    /**
+     * The loop whose body is running: head site and last body site. A
+     * body site is never a loop head, so loops do not nest.
+     */
+    size_t loopHead_ = 0;
+    size_t loopEnd_ = 0;
+    bool inLoop_ = false;
     bool inFunction_ = false;
-    std::vector<LoopFrame> loopStack_;
+    bool lastInBody_ = false;
+    BehaviorKind lastKind_ = BehaviorKind::Always;
+    uint32_t instrMin_ = 0;
+    /** instructionsBefore is instrMin_ plus a draw below this. */
+    XorShift128Plus::Bound instrSpan_;
+    uint64_t emitted_ = 0;
+    /** Records left before the next phase edge (phased profiles). */
+    uint64_t untilPhaseEdge_ = 0;
 
-    // Function-selection state for the current phase.
-    std::vector<size_t> activeFuncs_;
+    // Function selection, read once per function executed.
+    std::vector<Function> funcs_;
+    /** The current phase's working set, in Zipf rank order. */
+    std::vector<uint32_t> activeFuncs_;
     std::vector<double> selectCdf_;
-    std::vector<char> isActive_;
-
-    // Static call-graph: per function, its likely successors (ordered
-    // by probability: 0.7 / 0.2 / 0.1).
-    std::vector<std::array<size_t, 3>> successors_;
     size_t lastFunc_ = 0;
     bool haveLastFunc_ = false;
-    BehaviorKind lastKind_ = BehaviorKind::Always;
-    bool lastInBody_ = false;
+    int curPhase_ = 0;
 };
 
 } // namespace tagecon

@@ -26,48 +26,6 @@ XorShift128Plus::XorShift128Plus(uint64_t seed)
         s1_ = 1;
 }
 
-uint64_t
-XorShift128Plus::next()
-{
-    uint64_t x = s0_;
-    const uint64_t y = s1_;
-    s0_ = y;
-    x ^= x << 23;
-    s1_ = x ^ y ^ (x >> 17) ^ (y >> 26);
-    return s1_ + y;
-}
-
-uint64_t
-XorShift128Plus::nextBelow(uint64_t bound)
-{
-    if (bound == 0)
-        return 0;
-    // Rejection sampling to avoid modulo bias for large bounds.
-    const uint64_t limit = ~uint64_t{0} - (~uint64_t{0} % bound);
-    uint64_t draw;
-    do {
-        draw = next();
-    } while (draw >= limit);
-    return draw % bound;
-}
-
-double
-XorShift128Plus::nextDouble()
-{
-    // 53 high-quality bits into the mantissa.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-XorShift128Plus::nextBool(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
-}
-
 Lfsr16::Lfsr16(uint16_t seed)
     : state_(seed == 0 ? 0xACE1u : seed)
 {

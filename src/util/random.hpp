@@ -20,25 +20,81 @@ namespace tagecon {
 /**
  * xorshift128+ pseudo-random generator. Deterministic for a given seed;
  * passes the statistical bar needed for workload synthesis while being a
- * couple of instructions per draw.
+ * couple of instructions per draw. The draws are inline: the synthetic
+ * trace generator makes several per branch.
  */
 class XorShift128Plus
 {
   public:
+    /**
+     * A nextBelow() bound with its rejection limit worked out once, for
+     * a hot loop that keeps drawing under the same bound. Bound 0 draws
+     * nothing and yields 0, as nextBelow(0) does.
+     */
+    struct Bound {
+        explicit Bound(uint64_t bound = 0)
+            : value(bound),
+              limit(bound == 0 ? 0 : ~uint64_t{0} - (~uint64_t{0} % bound))
+        {
+        }
+
+        uint64_t value;
+        /** Raw draws at or above this are rejected (modulo bias). */
+        uint64_t limit;
+    };
+
     /** Seed the generator; any seed (including 0) is legal. */
     explicit XorShift128Plus(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit draw. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        uint64_t x = s0_;
+        const uint64_t y = s1_;
+        s0_ = y;
+        x ^= x << 23;
+        s1_ = x ^ y ^ (x >> 17) ^ (y >> 26);
+        return s1_ + y;
+    }
 
     /** Uniform draw in [0, bound); bound must be non-zero. */
-    uint64_t nextBelow(uint64_t bound);
+    uint64_t nextBelow(uint64_t bound) { return nextBelow(Bound(bound)); }
+
+    /**
+     * nextBelow(bound.value) with the limit precomputed: the same value
+     * from the same raw draws, one division fewer.
+     */
+    uint64_t
+    nextBelow(const Bound& bound)
+    {
+        if (bound.value == 0)
+            return 0;
+        uint64_t draw;
+        do {
+            draw = next();
+        } while (draw >= bound.limit);
+        return draw % bound.value;
+    }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        // 53 high-quality bits into the mantissa.
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw: true with probability p (clamped to [0,1]). */
-    bool nextBool(double p);
+    bool
+    nextBool(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return nextDouble() < p;
+    }
 
   private:
     uint64_t s0_;

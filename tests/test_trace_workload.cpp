@@ -5,10 +5,48 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <functional>
 #include <map>
+#include <memory>
+#include <new>
 #include <set>
 
+#include "trace/profiles.hpp"
 #include "trace/workload.hpp"
+
+namespace tagecon {
+namespace {
+
+/** Heap allocations made through operator new in this binary. */
+std::atomic<uint64_t> gAllocations{0};
+
+} // namespace
+} // namespace tagecon
+
+// Counting replacements of the global allocation functions (the array,
+// nothrow and sized forms forward to these).
+void*
+operator new(std::size_t size)
+{
+    tagecon::gAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace tagecon {
 namespace {
@@ -248,6 +286,247 @@ TEST(SyntheticTrace, ValidationRejectsBadProfiles)
     bad3.loopPeriodMax = 5;
     EXPECT_EXIT(SyntheticTrace(bad3, 10), ::testing::ExitedWithCode(1),
                 "loopPeriod");
+}
+
+TEST(SyntheticTrace, ValidationCapsPatternLengthAndTapCount)
+{
+    ProfileParams long_pattern = tinyProfile();
+    long_pattern.patternLenMax = BranchBehavior::kMaxPatternLen + 1;
+    EXPECT_EXIT(SyntheticTrace(long_pattern, 10),
+                ::testing::ExitedWithCode(1), "patternLenMax");
+
+    ProfileParams many_taps = tinyProfile();
+    many_taps.corrNumTapsMax =
+        static_cast<int>(BranchBehavior::kMaxTaps) + 1;
+    EXPECT_EXIT(SyntheticTrace(many_taps, 10),
+                ::testing::ExitedWithCode(1), "corrNumTapsMax");
+
+    // Exactly at both caps is a valid profile.
+    ProfileParams at_caps = tinyProfile();
+    at_caps.patternLenMin = BranchBehavior::kMaxPatternLen;
+    at_caps.patternLenMax = BranchBehavior::kMaxPatternLen;
+    at_caps.corrNumTapsMin = static_cast<int>(BranchBehavior::kMaxTaps);
+    at_caps.corrNumTapsMax = static_cast<int>(BranchBehavior::kMaxTaps);
+    at_caps.fracCorrelated = 0.5;
+    SyntheticTrace t(at_caps, 5000);
+    EXPECT_GT(t.countSites(BehaviorKind::Correlated), 0u);
+    BranchRecord rec;
+    uint64_t n = 0;
+    while (t.next(rec))
+        ++n;
+    EXPECT_EQ(n, 5000u);
+}
+
+TEST(SyntheticTrace, BehaviorsHoldTheirCapsInline)
+{
+    XorShift128Plus rng(5);
+    GlobalHistory history(16);
+    BehaviorContext ctx{rng, history};
+
+    std::vector<bool> outcomes(BranchBehavior::kMaxPatternLen);
+    for (size_t i = 0; i < outcomes.size(); ++i)
+        outcomes[i] = (i * 7 + 3) % 5 < 2;
+    BranchBehavior pattern = BranchBehavior::pattern(outcomes);
+    for (int rep = 0; rep < 3; ++rep) {
+        for (size_t i = 0; i < outcomes.size(); ++i)
+            ASSERT_EQ(pattern.nextOutcome(ctx), outcomes[i]) << i;
+    }
+
+    const std::vector<uint16_t> taps = {1, 2, 5, 9};
+    BranchBehavior corr = BranchBehavior::correlated(taps, true, 0.0);
+    EXPECT_EQ(corr.maxHistoryTap(), 9);
+    XorShift128Plus stream(3);
+    for (int i = 0; i < 200; ++i) {
+        const bool parity = ((history[1] ^ history[2] ^ history[5] ^
+                              history[9]) & 1) != 0;
+        ASSERT_EQ(corr.nextOutcome(ctx), !parity) << i;
+        history.push(stream.nextBool(0.5));
+    }
+}
+
+TEST(SyntheticTrace, OpeningAProfileMakesFewHeapAllocations)
+{
+    const std::vector<std::string> names = allTraceNames();
+    for (const std::string& name : names) {
+        const uint64_t before = gAllocations.load();
+        {
+            SyntheticTrace t = makeTrace(name, 512);
+            EXPECT_GT(t.numSites(), 0u);
+        }
+        EXPECT_LE(gAllocations.load() - before, 32u) << name;
+    }
+}
+
+/** A source that keeps TraceSource's default, next()-based fill(). */
+class NextOnlyTrace : public TraceSource
+{
+  public:
+    explicit NextOnlyTrace(std::unique_ptr<TraceSource> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    bool
+    next(BranchRecord& out) override
+    {
+        ++nextCalls;
+        return inner_->next(out);
+    }
+
+    void reset() override { inner_->reset(); }
+    std::string name() const override { return inner_->name(); }
+
+    uint64_t nextCalls = 0;
+
+  private:
+    std::unique_ptr<TraceSource> inner_;
+};
+
+using SourceFactory = std::function<std::unique_ptr<TraceSource>()>;
+
+/** Trace-specific state that must also agree after every call. */
+using StateCheck =
+    std::function<void(const TraceSource& by_next, const TraceSource& by_fill)>;
+
+void
+expectSameRecord(const BranchRecord& a, const BranchRecord& b)
+{
+    ASSERT_EQ(a.pc, b.pc);
+    ASSERT_EQ(a.taken, b.taken);
+    ASSERT_EQ(a.instructionsBefore, b.instructionsBefore);
+}
+
+/**
+ * Drive two sources from @p make side by side: one only through next(),
+ * the other through fill() chunks of @p chunk, each followed by a single
+ * next() call, with one reset() of both part-way. Every record, the
+ * short count at the end, lastError() and @p check must agree.
+ */
+void
+expectFillMatchesNext(const SourceFactory& make, size_t chunk,
+                      const StateCheck& check)
+{
+    const std::unique_ptr<TraceSource> by_next = make();
+    const std::unique_ptr<TraceSource> by_fill = make();
+    std::vector<BranchRecord> buf(chunk);
+    BranchRecord want;
+    BranchRecord got;
+    uint64_t delivered = 0;
+    bool was_reset = false;
+    for (;;) {
+        const size_t n = by_fill->fill(buf);
+        ASSERT_LE(n, chunk);
+        for (size_t i = 0; i < n; ++i) {
+            ASSERT_TRUE(by_next->next(want)) << "record " << delivered;
+            expectSameRecord(want, buf[i]);
+            ++delivered;
+        }
+        check(*by_next, *by_fill);
+        if (n < chunk) {
+            // A short count: next() is exhausted at the same place.
+            EXPECT_FALSE(by_next->next(want));
+            EXPECT_EQ(by_fill->fill(buf), 0u);
+            EXPECT_EQ(by_next->lastError(), nullptr);
+            EXPECT_EQ(by_fill->lastError(), nullptr);
+            break;
+        }
+        const bool more = by_next->next(want);
+        ASSERT_EQ(by_fill->next(got), more);
+        if (!more)
+            break;
+        expectSameRecord(want, got);
+        check(*by_next, *by_fill);
+        ++delivered;
+        if (!was_reset && delivered > 2000) {
+            by_next->reset();
+            by_fill->reset();
+            was_reset = true;
+        }
+    }
+    EXPECT_TRUE(was_reset);
+}
+
+constexpr size_t kChunkSizes[] = {1, 7, 64, 333, 512};
+
+/** A small phased program: several phase edges inside one run. */
+ProfileParams
+phasedProfile()
+{
+    ProfileParams p = tinyProfile();
+    p.numFunctions = 24;
+    p.numPhases = 3;
+    p.phaseLength = 700;
+    p.phasedSiteFraction = 0.3;
+    return p;
+}
+
+TEST(TraceFill, SyntheticFillEqualsRepeatedNext)
+{
+    const SourceFactory make = [] {
+        return std::make_unique<SyntheticTrace>(phasedProfile(), 6000);
+    };
+    const StateCheck same_last = [](const TraceSource& a,
+                                    const TraceSource& b) {
+        const auto& x = static_cast<const SyntheticTrace&>(a);
+        const auto& y = static_cast<const SyntheticTrace&>(b);
+        EXPECT_EQ(x.lastKind(), y.lastKind());
+        EXPECT_EQ(x.lastInBody(), y.lastInBody());
+    };
+    for (const size_t chunk : kChunkSizes) {
+        SCOPED_TRACE(chunk);
+        expectFillMatchesNext(make, chunk, same_last);
+    }
+}
+
+TEST(TraceFill, VectorAndLimitedFillEqualRepeatedNext)
+{
+    SyntheticTrace src(phasedProfile(), 4000);
+    const VectorTrace records = materialize(src, 4000);
+    const StateCheck none = [](const TraceSource&, const TraceSource&) {};
+    const SourceFactory vector = [&records] {
+        return std::make_unique<VectorTrace>(records);
+    };
+    // A limit below the source's length, one above it, and a limited
+    // source whose inner source only has next().
+    const SourceFactory limited = [&records] {
+        return std::make_unique<LimitedTrace>(
+            std::make_unique<VectorTrace>(records), 3100);
+    };
+    const SourceFactory limited_long = [] {
+        return std::make_unique<LimitedTrace>(
+            std::make_unique<SyntheticTrace>(phasedProfile(), 3500), 9000);
+    };
+    const SourceFactory limited_next_only = [&records] {
+        return std::make_unique<LimitedTrace>(
+            std::make_unique<NextOnlyTrace>(
+                std::make_unique<VectorTrace>(records)),
+            2900);
+    };
+    for (const size_t chunk : kChunkSizes) {
+        SCOPED_TRACE(chunk);
+        expectFillMatchesNext(vector, chunk, none);
+        expectFillMatchesNext(limited, chunk, none);
+        expectFillMatchesNext(limited_long, chunk, none);
+        expectFillMatchesNext(limited_next_only, chunk, none);
+    }
+}
+
+TEST(TraceFill, DefaultFillCallsNextOncePerRecordPlusTheEnd)
+{
+    std::vector<BranchRecord> recs(10);
+    for (size_t i = 0; i < recs.size(); ++i)
+        recs[i] = {0x100 + 4 * i, i % 3 == 0, static_cast<uint32_t>(i)};
+    NextOnlyTrace t(std::make_unique<VectorTrace>("ten", recs));
+    std::vector<BranchRecord> buf(4);
+    EXPECT_EQ(t.fill(buf), 4u);
+    EXPECT_EQ(t.nextCalls, 4u);
+    EXPECT_EQ(buf[3].pc, recs[3].pc);
+    EXPECT_EQ(t.fill(buf), 4u);
+    EXPECT_EQ(t.fill(buf), 2u); // short: the third next() returned false
+    EXPECT_EQ(t.nextCalls, 11u);
+    EXPECT_EQ(buf[1].instructionsBefore, 9u);
+    EXPECT_EQ(t.fill(std::span<BranchRecord>()), 0u);
+    EXPECT_EQ(t.nextCalls, 11u);
 }
 
 TEST(Materialize, DrainsIntoVectorTrace)

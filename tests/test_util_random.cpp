@@ -62,6 +62,22 @@ TEST(XorShift, NextBelowCoversRange)
     EXPECT_EQ(seen.size(), 8u);
 }
 
+TEST(XorShift, PrecomputedBoundDrawsLikeNextBelow)
+{
+    // Same values from the same raw draws, rejections included: a bound
+    // just above 2^63 rejects almost half of them.
+    for (const uint64_t bound :
+         {0ull, 1ull, 2ull, 3ull, 7ull, 1000ull, (1ull << 63) + 1,
+          ~0ull}) {
+        XorShift128Plus a(17);
+        XorShift128Plus b(17);
+        const XorShift128Plus::Bound pre(bound);
+        for (int i = 0; i < 200; ++i)
+            ASSERT_EQ(a.nextBelow(pre), b.nextBelow(bound)) << bound;
+        EXPECT_EQ(a.next(), b.next()) << bound;
+    }
+}
+
 TEST(XorShift, NextDoubleInUnitInterval)
 {
     XorShift128Plus r(13);
