@@ -9,7 +9,6 @@
 #ifndef TAGECON_TRACE_TRACE_SOURCE_HPP
 #define TAGECON_TRACE_TRACE_SOURCE_HPP
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -47,9 +46,10 @@ class TraceSource
      * have returned false there — a clean end or a failure, told apart
      * by lastError(), which is then what next() would have left.
      *
-     * The default calls next() once per record. Sources that generate
-     * or copy records in bulk override it, so a consumer pays one
-     * virtual call per chunk instead of one per branch.
+     * The default calls next() once per record. A source that
+     * generates records in bulk (SyntheticTrace) overrides it, so a
+     * consumer pays one virtual call per chunk instead of one per
+     * branch.
      */
     virtual size_t fill(std::span<BranchRecord> out);
 
@@ -91,16 +91,6 @@ class VectorTrace : public TraceSource
         return true;
     }
 
-    size_t
-    fill(std::span<BranchRecord> out) override
-    {
-        const size_t n = std::min(out.size(), records_.size() - pos_);
-        std::copy_n(records_.begin() + static_cast<std::ptrdiff_t>(pos_), n,
-                    out.begin());
-        pos_ += n;
-        return n;
-    }
-
     void reset() override { pos_ = 0; }
 
     std::string name() const override { return name_; }
@@ -139,17 +129,6 @@ class LimitedTrace : public TraceSource
             return false;
         ++emitted_;
         return true;
-    }
-
-    size_t
-    fill(std::span<BranchRecord> out) override
-    {
-        const auto want =
-            static_cast<size_t>(std::min<uint64_t>(out.size(),
-                                                   limit_ - emitted_));
-        const size_t n = inner_->fill(out.first(want));
-        emitted_ += n;
-        return n;
     }
 
     void

@@ -230,15 +230,12 @@ SyntheticTrace::build()
         params_.instrPerBranchMax - params_.instrPerBranchMin + 1);
 
     const auto num_funcs = static_cast<size_t>(params_.numFunctions);
-    const auto max_sites = static_cast<size_t>(params_.maxSitesPerFunction);
     funcs_.resize(num_funcs);
-
-    // The site count is known only once every function is drawn, so the
-    // program is drawn into a per-thread arena sized for the largest
-    // possible one and then copied into sites_ at its exact size.
-    thread_local std::vector<Site> arena;
-    arena.clear();
-    arena.reserve(num_funcs * max_sites);
+    // The site count is known only once every function is drawn: reserve
+    // the most a program can have, and return the slack after drawing.
+    sites_.clear();
+    sites_.reserve(num_funcs *
+                   static_cast<size_t>(params_.maxSitesPerFunction));
 
     // Dedicated RNG for program construction so the *structure* of the
     // program does not depend on how many branches have been drawn.
@@ -255,7 +252,7 @@ SyntheticTrace::build()
     const KindMix body = bodyMix(params_);
 
     for (Function& func : funcs_) {
-        func.begin = static_cast<uint32_t>(arena.size());
+        func.begin = static_cast<uint32_t>(sites_.size());
         // Scatter function bases across the text segment so branch
         // sites alias in the predictor tables the way real code does
         // (a fixed stride would fold every function onto the same
@@ -274,7 +271,7 @@ SyntheticTrace::build()
                 drawBehavior(kind, build_rng, in_body);
             const bool phased =
                 build_rng.nextBool(params_.phasedSiteFraction);
-            arena.push_back(Site{
+            sites_.push_back(Site{
                 static_cast<uint32_t>(func_base + slot * kSiteStride),
                 static_cast<uint16_t>(body_len), phased, in_body,
                 behavior});
@@ -298,9 +295,9 @@ SyntheticTrace::build()
                 ++s;
             }
         }
-        func.end = static_cast<uint32_t>(arena.size());
+        func.end = static_cast<uint32_t>(sites_.size());
     }
-    sites_.assign(arena.begin(), arena.end());
+    sites_.shrink_to_fit();
 
     buildCallGraph(build_rng);
     rebuildSelection();

@@ -480,34 +480,22 @@ TEST(TraceFill, SyntheticFillEqualsRepeatedNext)
 
 TEST(TraceFill, VectorAndLimitedFillEqualRepeatedNext)
 {
+    // Both keep the default fill(); the limited source ends at its
+    // limit, below the wrapped source's length.
     SyntheticTrace src(phasedProfile(), 4000);
     const VectorTrace records = materialize(src, 4000);
     const StateCheck none = [](const TraceSource&, const TraceSource&) {};
     const SourceFactory vector = [&records] {
         return std::make_unique<VectorTrace>(records);
     };
-    // A limit below the source's length, one above it, and a limited
-    // source whose inner source only has next().
     const SourceFactory limited = [&records] {
         return std::make_unique<LimitedTrace>(
             std::make_unique<VectorTrace>(records), 3100);
-    };
-    const SourceFactory limited_long = [] {
-        return std::make_unique<LimitedTrace>(
-            std::make_unique<SyntheticTrace>(phasedProfile(), 3500), 9000);
-    };
-    const SourceFactory limited_next_only = [&records] {
-        return std::make_unique<LimitedTrace>(
-            std::make_unique<NextOnlyTrace>(
-                std::make_unique<VectorTrace>(records)),
-            2900);
     };
     for (const size_t chunk : kChunkSizes) {
         SCOPED_TRACE(chunk);
         expectFillMatchesNext(vector, chunk, none);
         expectFillMatchesNext(limited, chunk, none);
-        expectFillMatchesNext(limited_long, chunk, none);
-        expectFillMatchesNext(limited_next_only, chunk, none);
     }
 }
 
