@@ -59,7 +59,8 @@ struct BenchOptions {
 };
 
 /**
- * Parse the standard flags. --list-predictors prints specs and exits.
+ * Parse the standard flags. --list-predictors prints specs and exits;
+ * any other flag fatal()s.
  *
  * @param structured_output True for benches that emit through the
  *        Report layer (figure/table/section/warmup reproductions):
@@ -73,17 +74,12 @@ parseOptions(int argc, char** argv, bool structured_output = true)
 {
     CliArgs args(argc, argv);
     if (args.has("list-predictors")) {
-        std::cout << "registered predictor bases:\n";
-        for (const auto& name : registeredBases())
-            std::cout << "  " << name << "\n";
-        std::cout << "estimator tokens:\n";
-        for (const auto& name : registeredEstimators())
-            std::cout << "  " << name << "\n";
-        std::cout << "example specs:\n";
-        for (const auto& spec : exampleSpecs())
-            std::cout << "  " << spec << "\n";
+        printPredictorCatalog(std::cout);
         std::exit(0);
     }
+    args.rejectUnknownFlags({"branches", "seed", "csv", "report", "jobs",
+                             "analysis", "predictors",
+                             "list-predictors"});
     BenchOptions opt;
     opt.branchesPerTrace = args.getUint("branches", opt.branchesPerTrace);
     opt.seedSalt = args.getUint("seed", 0);

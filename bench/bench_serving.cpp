@@ -35,6 +35,9 @@ int
 main(int argc, char** argv)
 {
     const CliArgs args(argc, argv);
+    args.rejectUnknownFlags({"streams", "branches", "spec", "pool",
+                             "batch", "jobs", "traces", "report",
+                             "csv"});
 
     const uint64_t num_streams =
         args.getUintInRange("streams", 10000, 1, 10000000);

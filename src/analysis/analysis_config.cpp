@@ -1,34 +1,75 @@
 #include "analysis/analysis_config.hpp"
 
 #include <algorithm>
-#include <map>
+#include <set>
 
 #include "analysis/observers.hpp"
-#include "util/logging.hpp"
+#include "sim/spec_params.hpp"
 #include "util/text.hpp"
 
 namespace tagecon {
 
 namespace {
 
-const char* const kBuiltinNames[] = {"burst", "histogram", "intervals",
-                                     "perbranch", "warmup"};
-
-bool
-isBuiltin(const std::string& name)
+/** A u64 parameter of an observer spec, within [1, @p max]. */
+uint64_t
+readCount(const SpecParams& p, const std::string& key, uint64_t def,
+          int64_t max)
 {
-    for (const char* b : kBuiltinNames) {
-        if (name == b)
-            return true;
-    }
-    return false;
+    return static_cast<uint64_t>(
+        p.getInt(key, static_cast<int64_t>(def), 1, max));
 }
 
-std::map<std::string, RunObserverFactory>&
-observerRegistry()
+/**
+ * One selectable observer: its spec name, and how a spec token selects
+ * it in the config and reads its parameters.
+ */
+struct ObserverKind {
+    const char* name;
+    void (*select)(const SpecParams& params, AnalysisConfig& out);
+};
+
+/** Every observer, sorted by name (the order listings print). */
+const ObserverKind kObservers[] = {
+    {"burst",
+     [](const SpecParams& p, AnalysisConfig& out) {
+         out.burst = true;
+         out.burstMaxDistance =
+             readCount(p, "max", out.burstMaxDistance, 1 << 20);
+     }},
+    {"histogram",
+     [](const SpecParams&, AnalysisConfig& out) { out.histogram = true; }},
+    {"intervals",
+     [](const SpecParams& p, AnalysisConfig& out) {
+         out.intervals = true;
+         out.intervalLength =
+             readCount(p, "len", out.intervalLength, int64_t{1} << 40);
+     }},
+    {"perbranch",
+     [](const SpecParams& p, AnalysisConfig& out) {
+         out.perBranch = true;
+         out.perBranchTopN =
+             readCount(p, "top", out.perBranchTopN, 1 << 20);
+     }},
+    {"warmup",
+     [](const SpecParams& p, AnalysisConfig& out) {
+         out.warmup = true;
+         out.warmupIntervalLength = readCount(
+             p, "len", out.warmupIntervalLength, int64_t{1} << 40);
+         out.warmupThresholdMkp = static_cast<double>(
+             readCount(p, "mkp",
+                       static_cast<uint64_t>(out.warmupThresholdMkp),
+                       1000));
+     }},
+};
+
+const ObserverKind*
+findObserver(const std::string& name)
 {
-    static std::map<std::string, RunObserverFactory> registry;
-    return registry;
+    const auto it = std::find_if(
+        std::begin(kObservers), std::end(kObservers),
+        [&](const ObserverKind& kind) { return name == kind.name; });
+    return it == std::end(kObservers) ? nullptr : it;
 }
 
 /** Split "name[:params]" and parse the parameter list. */
@@ -53,7 +94,7 @@ splitObserverSpec(const std::string& item, std::string& name,
     return true;
 }
 
-/** Reject unread keys / malformed values after a factory consumed @p p. */
+/** Reject unread keys / malformed values after a spec was read. */
 bool
 checkConsumed(const std::string& item, const SpecParams& p,
               std::string& error)
@@ -77,68 +118,29 @@ bool
 parseAnalysisSpecs(const std::vector<std::string>& items,
                    AnalysisConfig& out, std::string& error)
 {
+    std::set<std::string> named;
     for (const auto& item : items) {
         std::string name;
         SpecParams params;
         if (!splitObserverSpec(item, name, params, error))
             return false;
-
-        if (name == "intervals") {
-            out.intervals = true;
-            out.intervalLength = static_cast<uint64_t>(params.getInt(
-                "len", static_cast<int64_t>(out.intervalLength), 1,
-                int64_t{1} << 40));
-        } else if (name == "histogram") {
-            out.histogram = true;
-        } else if (name == "burst") {
-            out.burst = true;
-            out.burstMaxDistance = static_cast<uint64_t>(params.getInt(
-                "max", static_cast<int64_t>(out.burstMaxDistance), 1,
-                1 << 20));
-        } else if (name == "perbranch") {
-            out.perBranch = true;
-            out.perBranchTopN = static_cast<uint64_t>(params.getInt(
-                "top", static_cast<int64_t>(out.perBranchTopN), 1,
-                1 << 20));
-        } else if (name == "warmup") {
-            out.warmup = true;
-            out.warmupIntervalLength = static_cast<uint64_t>(
-                params.getInt(
-                    "len",
-                    static_cast<int64_t>(out.warmupIntervalLength), 1,
-                    int64_t{1} << 40));
-            out.warmupThresholdMkp = static_cast<double>(params.getInt(
-                "mkp",
-                static_cast<int64_t>(out.warmupThresholdMkp), 1,
-                1000));
-        } else {
-            const auto it = observerRegistry().find(name);
-            if (it == observerRegistry().end()) {
-                error = "unknown analysis observer '" + name +
-                        "' (known: ";
-                bool first = true;
-                for (const auto& known : registeredRunObservers()) {
-                    error += (first ? "" : ", ") + known;
-                    first = false;
-                }
-                error += ")";
-                return false;
+        const ObserverKind* kind = findObserver(name);
+        if (kind == nullptr) {
+            error = "unknown analysis observer '" + name + "' (known: ";
+            bool first = true;
+            for (const auto& known : registeredRunObservers()) {
+                error += (first ? "" : ", ") + known;
+                first = false;
             }
-            // Probe-construct so a sweep worker can't hit a bad
-            // observer spec mid-grid (mirrors predictor validation).
-            std::string factory_error;
-            auto probe = it->second(params, factory_error);
-            if (!probe) {
-                error = "analysis spec '" + item + "': " +
-                        (factory_error.empty() ? "observer construction failed"
-                                               : factory_error);
-                return false;
-            }
-            if (!checkConsumed(item, params, error))
-                return false;
-            out.custom.push_back(toLower(item));
-            continue;
+            error += ")";
+            return false;
         }
+        if (!named.insert(name).second) {
+            error = "analysis specs name more than one '" + name +
+                    "' observer";
+            return false;
+        }
+        kind->select(params, out);
         if (!checkConsumed(item, params, error))
             return false;
     }
@@ -164,42 +166,15 @@ buildObservers(const AnalysisConfig& config)
     if (config.warmup)
         observers.push_back(std::make_unique<WarmupObserver>(
             config.warmupIntervalLength, config.warmupThresholdMkp));
-
-    for (const auto& item : config.custom) {
-        std::string name;
-        SpecParams params;
-        std::string error;
-        if (!splitObserverSpec(item, name, params, error))
-            fatal("buildObservers: " + error);
-        const auto it = observerRegistry().find(name);
-        if (it == observerRegistry().end())
-            fatal("buildObservers: observer '" + name +
-                  "' is no longer registered");
-        auto observer = it->second(params, error);
-        if (!observer)
-            fatal("buildObservers: " + error);
-        observers.push_back(std::move(observer));
-    }
     return observers;
-}
-
-void
-registerRunObserver(const std::string& name, RunObserverFactory factory)
-{
-    const std::string key = toLower(name);
-    TAGECON_ASSERT(!isBuiltin(key),
-                   "cannot replace a built-in observer");
-    observerRegistry()[key] = std::move(factory);
 }
 
 std::vector<std::string>
 registeredRunObservers()
 {
-    std::vector<std::string> names(std::begin(kBuiltinNames),
-                                   std::end(kBuiltinNames));
-    for (const auto& [name, factory] : observerRegistry())
-        names.push_back(name);
-    std::sort(names.begin(), names.end());
+    std::vector<std::string> names;
+    for (const auto& kind : kObservers)
+        names.push_back(kind.name);
     return names;
 }
 

@@ -11,20 +11,19 @@
  * own independent observers — parallel sweeps with analysis attached
  * stay bit-identical to serial ones.
  *
- * Out-of-tree observers plug in through registerRunObserver(): a
- * registered name becomes a valid spec token whose factory receives
- * the token's "key=value" parameters.
+ * The selectable observers are one constant table in
+ * analysis_config.cpp; a new observer is a new row there plus its
+ * fields below. A run that needs an observer outside the table hands
+ * it to driveBranches() (sim/experiment.hpp) in an ObserverList.
  */
 
 #ifndef TAGECON_ANALYSIS_ANALYSIS_CONFIG_HPP
 #define TAGECON_ANALYSIS_ANALYSIS_CONFIG_HPP
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "analysis/run_observer.hpp"
-#include "sim/spec_params.hpp"
 
 namespace tagecon {
 
@@ -50,24 +49,19 @@ struct AnalysisConfig {
     uint64_t warmupIntervalLength = 10000;
     double warmupThresholdMkp = 20.0;
 
-    /** Registered out-of-tree observer specs, in attach order. */
-    std::vector<std::string> custom;
-
     /** True when any observer is selected. */
     bool
     enabled() const
     {
-        return intervals || histogram || burst || perBranch || warmup ||
-               !custom.empty();
+        return intervals || histogram || burst || perBranch || warmup;
     }
 };
 
 /**
  * Parse observer spec items (each "name[:key=value,...]") into
- * @p out, accumulating built-in selections and registered custom
- * names. Returns false on an unknown observer, malformed parameter
- * list, unknown key or out-of-range value, with the reason in
- * @p error. Items typically come from a comma-split --analysis flag
+ * @p out. Returns false on an unknown or repeated observer, malformed
+ * parameter list, unknown key or out-of-range value, with the reason
+ * in @p error. Items typically come from a comma-split --analysis flag
  * run through regroupSpecList() so parameterized tokens survive.
  */
 bool parseAnalysisSpecs(const std::vector<std::string>& items,
@@ -76,24 +70,7 @@ bool parseAnalysisSpecs(const std::vector<std::string>& items,
 /** Construct a fresh observer pipeline described by @p config. */
 ObserverList buildObservers(const AnalysisConfig& config);
 
-/**
- * Factory for a registered observer. @p params is the spec token's
- * "key=value" list (read supported keys through the typed getters;
- * unread keys reject the spec). Return nullptr with @p error set to
- * reject construction.
- */
-using RunObserverFactory = std::function<std::unique_ptr<RunObserver>(
-    const SpecParams& params, std::string& error)>;
-
-/**
- * Register (or replace) an observer under @p name, making it valid in
- * analysis spec lists. The built-in names (intervals, histogram,
- * perbranch, warmup) cannot be replaced.
- */
-void registerRunObserver(const std::string& name,
-                         RunObserverFactory factory);
-
-/** All selectable observer names (built-ins + registered), sorted. */
+/** All selectable observer names, sorted. */
 std::vector<std::string> registeredRunObservers();
 
 } // namespace tagecon

@@ -8,9 +8,7 @@
  * thread count, because observers are built fresh per cell and fed in
  * stream order.
  *
- * Extensibility: built-in observers own a typed slot; out-of-tree
- * observers (registerRunObserver, analysis/analysis_config.hpp) write
- * scalar metrics into the `custom` map under "observer/metric" keys.
+ * Each observer of the analysis_config.hpp table owns one typed slot.
  */
 
 #ifndef TAGECON_ANALYSIS_RUN_ANALYSIS_HPP
@@ -18,9 +16,7 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/class_stats.hpp"
@@ -214,8 +210,8 @@ struct WarmupAnalysis {
 };
 
 /**
- * The extensible analysis bag carried by RunResult. Absent observers
- * leave their slot disengaged; empty() is true for plain runs.
+ * The analysis bag carried by RunResult. Absent observers leave their
+ * slot disengaged; empty() is true for plain runs.
  */
 struct RunAnalysis {
     std::optional<IntervalAnalysis> intervals;
@@ -224,18 +220,11 @@ struct RunAnalysis {
     std::optional<PerBranchAnalysis> perBranch;
     std::optional<WarmupAnalysis> warmup;
 
-    /**
-     * Scalar metrics from registered out-of-tree observers, keyed
-     * "observer/metric". std::map so iteration order (and any emitted
-     * report) is deterministic.
-     */
-    std::map<std::string, double> custom;
-
     bool
     empty() const
     {
         return !intervals && !histogram && !burst && !perBranch &&
-               !warmup && custom.empty();
+               !warmup;
     }
 };
 

@@ -6,16 +6,17 @@
  * The paper's thesis is that confidence can be read off a predictor's
  * existing state for free; this interface makes that a first-class
  * property of *any* predictor: predict() returns a Prediction carrying
- * both the architectural answer (taken) and a confidence grade, and
- * confidence estimators are decorators (EstimatedPredictor) that can
- * be stacked on any host — the storage-free observer on TAGE, JRS
- * counter tables on gshare, self-confidence on neural predictors, or
- * nothing at all.
+ * both the architectural answer (taken) and a confidence grade. A
+ * host with intrinsic confidence grades its own predictions — the
+ * storage-free observer on TAGE, self-confidence on neural predictors
+ * — and a confidence estimator (EstimatedPredictor) can replace that
+ * grade on any host: JRS counter tables on gshare, or the blind
+ * control.
  *
  * Concrete predictors live next to their families:
  *  - tage/graded_tage.hpp             TAGE and L-TAGE (storage-free classes)
  *  - baseline/<family>_predictor.hpp  gshare, bimodal, perceptron, O-GEHL
- *  - core/estimators.hpp              the stateless ConfidenceEstimators
+ *  - core/estimators.hpp              the blind estimator
  *  - baseline/jrs_estimator.hpp       the JRS counter-table estimator
  * and are usually constructed through the string-spec registry
  * (sim/registry.hpp): makePredictor("tage64k+prob7+sfc").
@@ -147,7 +148,8 @@ class GradedPredictor
     /**
      * True when predict() fills the confidence grade from the
      * predictor's own state (storage-free / self confidence) rather
-     * than defaulting it. Estimator specs like "+sfc" require this.
+     * than defaulting it. A "+sfc" spec requires this and resolves to
+     * the predictor itself.
      */
     virtual bool hasIntrinsicConfidence() const { return false; }
 
@@ -225,7 +227,9 @@ class GradedPredictor
 /**
  * A confidence estimator attachable to any GradedPredictor via
  * EstimatedPredictor. grade() is consulted once per prediction,
- * onResolve() once per resolved branch, in order.
+ * onResolve() once per resolved branch, in order. An estimator never
+ * feeds back into its host: it reads the host's predictions and the
+ * outcomes, and nothing the host does depends on it.
  */
 class ConfidenceEstimator
 {
@@ -239,15 +243,7 @@ class ConfidenceEstimator
     virtual void onResolve(uint64_t pc, const Prediction& p,
                            bool taken) = 0;
 
-    /**
-     * True when grade() returns the host's own grade unchanged, so
-     * the host's detailed class labels (the 7 TAGE classes) remain
-     * valid alongside it. False for independent estimators, whose
-     * grades say nothing about the host's class breakdown.
-     */
-    virtual bool preservesHostClasses() const { return false; }
-
-    /** Estimator name, appended to the host name ("jrs", "sfc"...). */
+    /** Estimator name, appended to the host name ("jrs", "blind"...). */
     virtual std::string name() const = 0;
 
     /** Extra storage the estimator costs, in bits (0 = storage-free). */
@@ -259,8 +255,10 @@ class ConfidenceEstimator
 
 /**
  * Decorator composing a host predictor with a confidence estimator:
- * predictions come from the host, the grade from the estimator. The
- * result is itself a GradedPredictor, so estimators stack.
+ * predictions come from the host, the grade from the estimator, which
+ * replaces both the host's level and its class (the host's detailed
+ * classes next to a foreign level would make the per-class statistics
+ * describe neither grading scheme).
  */
 class EstimatedPredictor : public GradedPredictor
 {
@@ -275,15 +273,7 @@ class EstimatedPredictor : public GradedPredictor
     predict(uint64_t pc) override
     {
         Prediction p = host_->predict(pc);
-        const ConfidenceLevel graded = estimator_->grade(pc, p);
-        // An independent estimator replaces both the level and the
-        // class: keeping the host's detailed classes next to a foreign
-        // level would make the per-class statistics describe neither
-        // grading scheme.
-        if (!estimator_->preservesHostClasses()) {
-            p.confidence = graded;
-            p.cls = representativeClass(graded);
-        }
+        regrade(pc, p);
         return p;
     }
 
@@ -294,30 +284,29 @@ class EstimatedPredictor : public GradedPredictor
         host_->update(pc, p, taken);
     }
 
-    /**
-     * A transparent estimator — one that preserves the host's classes
-     * and keeps no state of its own ("+sfc") — returns every grade
-     * unchanged and has nothing to train, so the batched step can
-     * delegate to the host wholesale and stay bit-identical. Any other
-     * estimator must interleave grade()/onResolve() per element, which
-     * is exactly the scalar fallback loop.
-     */
+    /** Batched exactly when the host is. */
     bool
     hasBatchedPredict() const override
     {
-        return transparentEstimator() && host_->hasBatchedPredict();
+        return host_->hasBatchedPredict();
     }
 
+    /**
+     * The host's batched step, then grade()/onResolve() per element in
+     * order. Bit-identical to the scalar loop because no host's
+     * update() reads the confidence or class the estimator rewrites,
+     * and the estimator never feeds back into the host.
+     */
     void
     predictMany(std::span<const uint64_t> pcs,
                 std::span<const uint8_t> taken,
                 std::span<Prediction> out) override
     {
-        if (transparentEstimator()) {
-            host_->predictMany(pcs, taken, out);
-            return;
+        host_->predictMany(pcs, taken, out);
+        for (size_t k = 0; k < pcs.size(); ++k) {
+            regrade(pcs[k], out[k]);
+            estimator_->onResolve(pcs[k], out[k], taken[k] != 0);
         }
-        GradedPredictor::predictMany(pcs, taken, out);
     }
 
     uint64_t
@@ -341,8 +330,8 @@ class EstimatedPredictor : public GradedPredictor
     unsigned satLog2Prob() const override { return host_->satLog2Prob(); }
 
     /**
-     * Stateless estimators (sfc/self/blind: storage-free, nothing to
-     * reset) delegate straight to the host, so "tage64k+sfc" style
+     * A stateless estimator (blind: storage-free, nothing to reset)
+     * delegates straight to the host, so "perceptron+blind" style
      * specs checkpoint exactly like their host. A stateful estimator
      * (JRS counter tables) would need its own serialization; until one
      * grows it, such stacks are rejected with a clear error.
@@ -386,12 +375,12 @@ class EstimatedPredictor : public GradedPredictor
     }
 
   private:
-    /** True when the estimator is a stateless pass-through. */
-    bool
-    transparentEstimator() const
+    /** Replace the host's level and class with the estimator's grade. */
+    void
+    regrade(uint64_t pc, Prediction& p)
     {
-        return estimator_->preservesHostClasses() &&
-               estimator_->storageBits() == 0;
+        p.confidence = estimator_->grade(pc, p);
+        p.cls = representativeClass(p.confidence);
     }
 
     std::unique_ptr<GradedPredictor> host_;

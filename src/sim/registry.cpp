@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
+#include <ostream>
 #include <sstream>
 
 #include "baseline/bimodal_predictor.hpp"
@@ -11,6 +11,7 @@
 #include "baseline/ogehl_predictor.hpp"
 #include "baseline/perceptron_predictor.hpp"
 #include "core/estimators.hpp"
+#include "sim/spec_params.hpp"
 #include "tage/graded_tage.hpp"
 #include "util/logging.hpp"
 #include "util/text.hpp"
@@ -18,6 +19,18 @@
 namespace tagecon {
 
 namespace {
+
+/** Parsed spec modifiers handed to predictor base factories. */
+struct SpecModifiers {
+    /** Enable the probabilistic saturation automaton (Sec. 6). */
+    bool prob = false;
+
+    /** log2(1/p) when prob is set. */
+    unsigned probLog2 = 7;
+
+    /** Drive p with the adaptive controller (Sec. 6.2). */
+    bool adaptive = false;
+};
 
 /** Split @p spec on '+'; empty tokens are malformed. */
 bool
@@ -120,12 +133,14 @@ buildTageConfig(const TageGeometry& base_geometry, const SpecParams& p,
     return true;
 }
 
+/** The tage* base of one named budget. */
+template <TageGeometry (*Geometry)()>
 std::unique_ptr<GradedPredictor>
-makeTageBase(const TageGeometry& geometry, const SpecParams& params,
-             const SpecModifiers& mods, std::string& error)
+makeTage(const SpecParams& params, const SpecModifiers& mods,
+         std::string& error)
 {
     TageConfig cfg;
-    if (!buildTageConfig(geometry, params, cfg, error))
+    if (!buildTageConfig(Geometry(), params, cfg, error))
         return nullptr;
     if (mods.prob)
         cfg = cfg.withProbabilisticSaturation(mods.probLog2);
@@ -139,124 +154,131 @@ makeTageBase(const TageGeometry& geometry, const SpecParams& params,
     return std::make_unique<GradedTage>(std::move(cfg), opt);
 }
 
+/** The ltage* base of one named budget. */
+template <TageGeometry (*Geometry)()>
 std::unique_ptr<GradedPredictor>
-makeLTageBase(const TageGeometry& geometry, const SpecParams& params,
-              const SpecModifiers& mods, std::string& error)
+makeLTage(const SpecParams& params, const SpecModifiers& mods,
+          std::string& error)
 {
     if (mods.adaptive) {
         error = "adaptive is not supported on ltage bases";
         return nullptr;
     }
     TageConfig cfg;
-    if (!buildTageConfig(geometry, params, cfg, error))
+    if (!buildTageConfig(Geometry(), params, cfg, error))
         return nullptr;
     if (mods.prob)
         cfg = cfg.withProbabilisticSaturation(mods.probLog2);
     return std::make_unique<GradedLTage>(std::move(cfg));
 }
 
-/** Registry entries for a named TAGE / L-TAGE budget. */
-PredictorBaseFactory
-tageFactory(TageGeometry geometry)
+std::unique_ptr<GradedPredictor>
+makeGshare(const SpecParams& p, const SpecModifiers& m, std::string& e)
 {
-    return [geometry](const SpecParams& p, const SpecModifiers& m,
-                      std::string& e) {
-        return makeTageBase(geometry, p, m, e);
-    };
+    if (!rejectModifiers("gshare", m, e))
+        return nullptr;
+    const int entries = static_cast<int>(p.getInt("entries", 15, 1, 24));
+    const int hist = static_cast<int>(p.getInt("hist", 15, 1, 64));
+    const int ctr = static_cast<int>(p.getInt("ctr", 2, 1, 8));
+    return std::make_unique<GsharePredictor>(entries, hist, ctr);
 }
 
-PredictorBaseFactory
-ltageFactory(TageGeometry geometry)
+std::unique_ptr<GradedPredictor>
+makeBimodal(const SpecParams& p, const SpecModifiers& m, std::string& e)
 {
-    return [geometry](const SpecParams& p, const SpecModifiers& m,
-                      std::string& e) {
-        return makeLTageBase(geometry, p, m, e);
-    };
+    if (!rejectModifiers("bimodal", m, e))
+        return nullptr;
+    const int entries = static_cast<int>(p.getInt("entries", 15, 1, 24));
+    const int ctr = static_cast<int>(p.getInt("ctr", 2, 1, 8));
+    return std::make_unique<BimodalPredictor>(entries, ctr);
 }
 
-std::map<std::string, PredictorBaseFactory>&
-baseRegistry()
+std::unique_ptr<GradedPredictor>
+makePerceptron(const SpecParams& p, const SpecModifiers& m,
+               std::string& e)
 {
-    static std::map<std::string, PredictorBaseFactory> registry = [] {
-        std::map<std::string, PredictorBaseFactory> r;
-        r["tage16k"] = tageFactory(TageConfig::geometry16K());
-        r["tage64k"] = tageFactory(TageConfig::geometry64K());
-        r["tage256k"] = tageFactory(TageConfig::geometry256K());
-        r["ltage16k"] = ltageFactory(TageConfig::geometry16K());
-        r["ltage64k"] = ltageFactory(TageConfig::geometry64K());
-        r["ltage256k"] = ltageFactory(TageConfig::geometry256K());
-        r["gshare"] = [](const SpecParams& p, const SpecModifiers& m,
-                         std::string& e)
-            -> std::unique_ptr<GradedPredictor> {
-            if (!rejectModifiers("gshare", m, e))
-                return nullptr;
-            const int entries =
-                static_cast<int>(p.getInt("entries", 15, 1, 24));
-            const int hist =
-                static_cast<int>(p.getInt("hist", 15, 1, 64));
-            const int ctr = static_cast<int>(p.getInt("ctr", 2, 1, 8));
-            return std::make_unique<GsharePredictor>(entries, hist, ctr);
-        };
-        r["bimodal"] = [](const SpecParams& p, const SpecModifiers& m,
-                          std::string& e)
-            -> std::unique_ptr<GradedPredictor> {
-            if (!rejectModifiers("bimodal", m, e))
-                return nullptr;
-            const int entries =
-                static_cast<int>(p.getInt("entries", 15, 1, 24));
-            const int ctr = static_cast<int>(p.getInt("ctr", 2, 1, 8));
-            return std::make_unique<BimodalPredictor>(entries, ctr);
-        };
-        r["perceptron"] = [](const SpecParams& p,
-                             const SpecModifiers& m, std::string& e)
-            -> std::unique_ptr<GradedPredictor> {
-            if (!rejectModifiers("perceptron", m, e))
-                return nullptr;
-            const int perceptrons =
-                static_cast<int>(p.getInt("perceptrons", 9, 1, 20));
-            const int hist =
-                static_cast<int>(p.getInt("hist", 32, 1, 64));
-            return std::make_unique<PerceptronPredictor>(perceptrons,
-                                                         hist);
-        };
-        r["ogehl"] = [](const SpecParams& p, const SpecModifiers& m,
-                        std::string& e)
-            -> std::unique_ptr<GradedPredictor> {
-            if (!rejectModifiers("ogehl", m, e))
-                return nullptr;
-            OgehlPredictor::Config cfg;
-            cfg.numTables = static_cast<int>(
-                p.getInt("tables", cfg.numTables, 2, 16));
-            cfg.logEntries = static_cast<int>(
-                p.getInt("entries", cfg.logEntries, 4, 20));
-            cfg.ctrBits =
-                static_cast<int>(p.getInt("ctr", cfg.ctrBits, 2, 8));
-            cfg.minHistory = static_cast<int>(
-                p.getInt("minhist", cfg.minHistory, 1, 4000));
-            cfg.maxHistory = static_cast<int>(
-                p.getInt("maxhist", cfg.maxHistory, 1, 4000));
-            cfg.initialTheta = static_cast<int>(
-                p.getInt("theta", cfg.initialTheta, 1, 1024));
-            if (!p.error().empty()) {
-                e = p.error();
-                return nullptr;
-            }
-            // T1..T_{M-1} take a strictly-increasing geometric series
-            // of numTables-1 history lengths capped at maxhist; a
-            // shorter span would round lengths past maxhist and
-            // overflow the history buffer mid-run.
-            if (cfg.maxHistory < cfg.minHistory + cfg.numTables - 2) {
-                e = "maxhist " + std::to_string(cfg.maxHistory) +
-                    " too short for " + std::to_string(cfg.numTables) +
-                    " tables starting at minhist " +
-                    std::to_string(cfg.minHistory);
-                return nullptr;
-            }
-            return std::make_unique<OgehlPredictor>(cfg);
-        };
-        return r;
-    }();
-    return registry;
+    if (!rejectModifiers("perceptron", m, e))
+        return nullptr;
+    const int perceptrons =
+        static_cast<int>(p.getInt("perceptrons", 9, 1, 20));
+    const int hist = static_cast<int>(p.getInt("hist", 32, 1, 64));
+    return std::make_unique<PerceptronPredictor>(perceptrons, hist);
+}
+
+std::unique_ptr<GradedPredictor>
+makeOgehl(const SpecParams& p, const SpecModifiers& m, std::string& e)
+{
+    if (!rejectModifiers("ogehl", m, e))
+        return nullptr;
+    OgehlPredictor::Config cfg;
+    cfg.numTables =
+        static_cast<int>(p.getInt("tables", cfg.numTables, 2, 16));
+    cfg.logEntries =
+        static_cast<int>(p.getInt("entries", cfg.logEntries, 4, 20));
+    cfg.ctrBits = static_cast<int>(p.getInt("ctr", cfg.ctrBits, 2, 8));
+    cfg.minHistory =
+        static_cast<int>(p.getInt("minhist", cfg.minHistory, 1, 4000));
+    cfg.maxHistory =
+        static_cast<int>(p.getInt("maxhist", cfg.maxHistory, 1, 4000));
+    cfg.initialTheta =
+        static_cast<int>(p.getInt("theta", cfg.initialTheta, 1, 1024));
+    if (!p.error().empty()) {
+        e = p.error();
+        return nullptr;
+    }
+    // T1..T_{M-1} take a strictly-increasing geometric series of
+    // numTables-1 history lengths capped at maxhist; a shorter span
+    // would round lengths past maxhist and overflow the history buffer
+    // mid-run.
+    if (cfg.maxHistory < cfg.minHistory + cfg.numTables - 2) {
+        e = "maxhist " + std::to_string(cfg.maxHistory) +
+            " too short for " + std::to_string(cfg.numTables) +
+            " tables starting at minhist " +
+            std::to_string(cfg.minHistory);
+        return nullptr;
+    }
+    return std::make_unique<OgehlPredictor>(cfg);
+}
+
+/**
+ * One predictor base. Its factory returns nullptr after filling the
+ * error (e.g. when a modifier does not apply). It reads each supported
+ * parameter through the typed getters; tryMakePredictor() then rejects
+ * the spec if a supplied key went unread or a value was malformed.
+ */
+struct PredictorBase {
+    const char* name;
+
+    /** The runnable spec listings show for this base. */
+    const char* example;
+
+    std::unique_ptr<GradedPredictor> (*make)(const SpecParams& params,
+                                             const SpecModifiers& mods,
+                                             std::string& error);
+};
+
+/** Every base, sorted by name (the order listings print). */
+const PredictorBase kBases[] = {
+    {"bimodal", "bimodal+sfc", makeBimodal},
+    {"gshare", "gshare+jrs", makeGshare},
+    {"ltage16k", "ltage16k+sfc", makeLTage<TageConfig::geometry16K>},
+    {"ltage256k", "ltage256k+sfc", makeLTage<TageConfig::geometry256K>},
+    {"ltage64k", "ltage64k+sfc", makeLTage<TageConfig::geometry64K>},
+    {"ogehl", "ogehl+sfc", makeOgehl},
+    {"perceptron", "perceptron+sfc", makePerceptron},
+    {"tage16k", "tage16k+prob7+sfc", makeTage<TageConfig::geometry16K>},
+    {"tage256k", "tage256k+prob7+sfc",
+     makeTage<TageConfig::geometry256K>},
+    {"tage64k", "tage64k+prob7+sfc", makeTage<TageConfig::geometry64K>},
+};
+
+const PredictorBase*
+findBase(const std::string& name)
+{
+    const auto it =
+        std::find_if(std::begin(kBases), std::end(kBases),
+                     [&](const PredictorBase& b) { return name == b.name; });
+    return it == std::end(kBases) ? nullptr : it;
 }
 
 /** Estimator tokens; "self" is an alias resolved to "sfc". */
@@ -273,7 +295,7 @@ isEstimatorToken(const std::string& tok)
 
 /** Everything a spec string parses into. */
 struct ParsedSpec {
-    std::string base;
+    const PredictorBase* base = nullptr;
     SpecParams params;
     SpecModifiers mods;
     std::string estimator; // canonical token, empty = none
@@ -288,7 +310,7 @@ parseSpec(const std::string& spec, ParsedSpec& out, std::string& error)
 
     // tokens[0] is "base" or "base:key=value,..."
     const auto colon = tokens[0].find(':');
-    out.base = tokens[0].substr(0, colon);
+    const std::string base = tokens[0].substr(0, colon);
     if (colon != std::string::npos) {
         std::string param_error;
         if (!SpecParams::parse(tokens[0].substr(colon + 1), out.params,
@@ -297,17 +319,20 @@ parseSpec(const std::string& spec, ParsedSpec& out, std::string& error)
             return false;
         }
     }
-    if (baseRegistry().find(out.base) == baseRegistry().end()) {
-        error = "unknown predictor base '" + out.base +
-                "' (known: " + [&] {
-                    std::string names;
-                    for (const auto& b : registeredBases())
-                        names += (names.empty() ? "" : ", ") + b;
-                    return names;
-                }() + ")";
+    out.base = findBase(base);
+    if (out.base == nullptr) {
+        std::string names;
+        for (const auto& known : kBases)
+            names += (names.empty() ? "" : ", ") + std::string(known.name);
+        error = "unknown predictor base '" + base + "' (known: " + names +
+                ")";
         return false;
     }
 
+    const auto repeated = [&](const std::string& what) {
+        error = "spec '" + spec + "' names more than one " + what;
+        return false;
+    };
     for (size_t i = 1; i < tokens.size(); ++i) {
         const std::string& tok = tokens[i];
         if (tok.find(':') != std::string::npos) {
@@ -316,15 +341,16 @@ parseSpec(const std::string& spec, ParsedSpec& out, std::string& error)
             return false;
         }
         if (isEstimatorToken(tok)) {
-            if (!out.estimator.empty()) {
-                error = "spec '" + spec +
-                        "' names more than one estimator";
-                return false;
-            }
+            if (!out.estimator.empty())
+                return repeated("estimator");
             out.estimator = tok == "self" ? "sfc" : tok;
         } else if (tok == "adaptive") {
+            if (out.mods.adaptive)
+                return repeated("adaptive modifier");
             out.mods.adaptive = true;
         } else if (tok.rfind("prob", 0) == 0) {
+            if (out.mods.prob)
+                return repeated("prob modifier");
             out.mods.prob = true;
             const std::string digits = tok.substr(4);
             if (!digits.empty()) {
@@ -355,7 +381,7 @@ parseSpec(const std::string& spec, ParsedSpec& out, std::string& error)
 std::string
 canonicalName(const ParsedSpec& p)
 {
-    std::string s = p.base;
+    std::string s = p.base->name;
     if (!p.params.empty())
         s += ":" + p.params.canonical();
     if (p.mods.prob)
@@ -367,11 +393,10 @@ canonicalName(const ParsedSpec& p)
     return s;
 }
 
+/** The estimator a token other than "sfc" attaches. */
 std::unique_ptr<ConfidenceEstimator>
 makeEstimator(const std::string& token)
 {
-    if (token == "sfc")
-        return std::make_unique<IntrinsicEstimator>();
     if (token == "jrs")
         return std::make_unique<JrsConfidenceEstimator>();
     if (token == "jrsg") {
@@ -386,50 +411,41 @@ makeEstimator(const std::string& token)
 
 } // namespace
 
-void
-registerPredictorBase(const std::string& name,
-                      PredictorBaseFactory factory)
-{
-    baseRegistry()[toLower(name)] = std::move(factory);
-}
-
 std::vector<std::string>
 registeredBases()
 {
     std::vector<std::string> names;
-    for (const auto& [name, factory] : baseRegistry())
-        names.push_back(name);
+    for (const auto& base : kBases)
+        names.push_back(base.name);
     return names;
-}
-
-std::vector<std::string>
-registeredEstimators()
-{
-    return kEstimatorTokens;
 }
 
 std::vector<std::string>
 exampleSpecs()
 {
     std::vector<std::string> specs;
-    for (const auto& base : registeredBases()) {
-        if (base.rfind("tage", 0) == 0)
-            specs.push_back(base + "+prob7+sfc");
-        else if (base.rfind("ltage", 0) == 0)
-            specs.push_back(base + "+sfc");
-        else if (base == "gshare")
-            specs.push_back(base + "+jrs");
-        else
-            specs.push_back(base + "+sfc");
-    }
-    specs.push_back("tage64k+prob7+adaptive+sfc");
-    specs.push_back("gshare+jrsg");
-    specs.push_back("tage64k+jrs");
-    specs.push_back("gshare");
-    specs.push_back("gshare:entries=16,hist=17+jrs");
-    specs.push_back("tage64k:ctr=4,tables=8+prob7+sfc");
-    specs.push_back("ogehl:maxhist=120,tables=6+sfc");
+    for (const auto& base : kBases)
+        specs.push_back(base.example);
+    specs.insert(specs.end(), {"tage64k+prob7+adaptive+sfc",
+                               "gshare+jrsg", "tage64k+jrs", "gshare",
+                               "gshare:entries=16,hist=17+jrs",
+                               "tage64k:ctr=4,tables=8+prob7+sfc",
+                               "ogehl:maxhist=120,tables=6+sfc"});
     return specs;
+}
+
+void
+printPredictorCatalog(std::ostream& out)
+{
+    out << "registered predictor bases:\n";
+    for (const auto& base : kBases)
+        out << "  " << base.name << "\n";
+    out << "estimator tokens:\n";
+    for (const auto& token : kEstimatorTokens)
+        out << "  " << token << "\n";
+    out << "example specs:\n";
+    for (const auto& spec : exampleSpecs())
+        out << "  " << spec << "\n";
 }
 
 std::vector<std::string>
@@ -467,8 +483,7 @@ tryMakePredictor(const std::string& spec, std::string* error)
     std::string err;
     std::unique_ptr<GradedPredictor> predictor;
     if (parseSpec(spec, parsed, err)) {
-        predictor =
-            baseRegistry()[parsed.base](parsed.params, parsed.mods, err);
+        predictor = parsed.base->make(parsed.params, parsed.mods, err);
         // Parameter hygiene: every supplied key must have been read by
         // the factory, and every value must have parsed cleanly.
         if (predictor && !parsed.params.error().empty()) {
@@ -482,23 +497,22 @@ tryMakePredictor(const std::string& spec, std::string* error)
                 for (const auto& k : unknown)
                     names += (names.empty() ? "" : ", ") + k;
                 err = "unknown parameter(s) [" + names +
-                      "] for base '" + parsed.base + "'";
+                      "] for base '" + parsed.base->name + "'";
                 predictor.reset();
             }
         }
-        if (predictor && !parsed.estimator.empty()) {
-            if (parsed.estimator == "sfc" &&
-                !predictor->hasIntrinsicConfidence()) {
+        // "sfc" is the host's own grade, so it names the host itself.
+        if (predictor && parsed.estimator == "sfc") {
+            if (!predictor->hasIntrinsicConfidence()) {
                 err = "estimator 'sfc' requires a predictor with "
                       "intrinsic confidence; '" +
-                      parsed.base +
+                      std::string(parsed.base->name) +
                       "' has none (attach +jrs instead)";
                 predictor.reset();
-            } else {
-                predictor = std::make_unique<EstimatedPredictor>(
-                    std::move(predictor),
-                    makeEstimator(parsed.estimator));
             }
+        } else if (predictor && !parsed.estimator.empty()) {
+            predictor = std::make_unique<EstimatedPredictor>(
+                std::move(predictor), makeEstimator(parsed.estimator));
         }
     }
     if (!predictor) {

@@ -3,7 +3,8 @@
  * String-keyed factory for graded predictors: one spec string names a
  * (predictor base x modifiers x confidence estimator) combination, so
  * drivers, benches and the CLI can construct any supported pipeline
- * without bespoke wiring:
+ * without bespoke wiring. The bases are one constant table in
+ * registry.cpp; a new family is a new row there.
  *
  *   auto p = makePredictor("tage64k+prob7+sfc");   // the paper
  *   auto q = makePredictor("gshare+jrs");          // JRS baseline
@@ -14,7 +15,6 @@
  *   base      := tage16k | tage64k | tage256k
  *              | ltage16k | ltage64k | ltage256k
  *              | gshare | bimodal | perceptron | ogehl
- *              | any name added via registerPredictorBase()
  *   params    := key '=' value ( ',' key '=' value )*
  *                geometry overrides of the base, e.g.
  *                "gshare:hist=17,entries=16" or
@@ -26,76 +26,45 @@
  *                                  (Sec. 6), log2(1/p), default 7
  *              | "adaptive"        Sec. 6.2 controller; requires prob
  *   estimator := "sfc" | "self"    intrinsic storage-free / self
- *                                  confidence (host must provide it)
+ *                                  confidence: the host itself, which
+ *                                  must provide it
  *              | "jrs" | "jrsg"    JRS resetting counters, plain /
  *                                  prediction-indexed (Grunwald)
  *              | "blind"           grade everything high confidence
  *
- * At most one estimator per spec; modifiers apply to the TAGE family
- * only. makePredictor() stamps the canonical spec as the predictor's
- * name(), so specs round-trip: makePredictor(s)->name() parses back to
- * the same pipeline.
+ * Each modifier and at most one estimator per spec; modifiers apply to
+ * the TAGE family only. makePredictor() stamps the canonical spec as
+ * the predictor's name(), so specs round-trip: makePredictor(s)->name()
+ * parses back to the same pipeline.
  */
 
 #ifndef TAGECON_SIM_REGISTRY_HPP
 #define TAGECON_SIM_REGISTRY_HPP
 
-#include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/graded_predictor.hpp"
-#include "sim/spec_params.hpp"
 
 namespace tagecon {
 
-/** Parsed spec modifiers handed to predictor base factories. */
-struct SpecModifiers {
-    /** Enable the probabilistic saturation automaton (Sec. 6). */
-    bool prob = false;
-
-    /** log2(1/p) when prob is set. */
-    unsigned probLog2 = 7;
-
-    /** Drive p with the adaptive controller (Sec. 6.2). */
-    bool adaptive = false;
-};
-
-/**
- * Factory for one predictor base. Returns the predictor, or nullptr
- * after filling @p error (e.g. when a modifier does not apply).
- *
- * @p params is the spec's "key=value,..." list; read every supported
- * key through the typed getters (with the base's default as the
- * fallback). The registry rejects the spec after the factory returns
- * if any supplied key was never read or any value was malformed, so
- * factories need no unknown-key handling of their own.
- */
-using PredictorBaseFactory =
-    std::function<std::unique_ptr<GradedPredictor>(
-        const SpecParams& params, const SpecModifiers& mods,
-        std::string& error)>;
-
-/**
- * Register (or replace) a predictor base under @p name, making
- * "<name>[+...]" specs constructible. The built-in bases are
- * pre-registered; this is the extension point for new families.
- */
-void registerPredictorBase(const std::string& name,
-                           PredictorBaseFactory factory);
-
-/** Registered base names, sorted. */
+/** The base names, sorted. */
 std::vector<std::string> registeredBases();
 
-/** Recognized estimator tokens, sorted. */
-std::vector<std::string> registeredEstimators();
-
 /**
- * A representative runnable spec for every registered base (with the
- * estimator that suits it), for listings and round-trip tests.
+ * A representative runnable spec for every base (with the estimator
+ * that suits it), then a few stacks and parameterized specs, for
+ * listings and round-trip tests.
  */
 std::vector<std::string> exampleSpecs();
+
+/**
+ * Write the --list-predictors catalog to @p out: the bases, the
+ * estimator tokens and exampleSpecs(), one per line.
+ */
+void printPredictorCatalog(std::ostream& out);
 
 /**
  * Repair a comma-split spec list: canonical multi-parameter specs

@@ -347,15 +347,6 @@ addAnalysisSections(Report& r, const RunResult& result,
     if (a.warmup)
         headed(warmupAnalysisTable(*a.warmup, id_prefix + "-warmup"),
                "warmup");
-    if (!a.custom.empty()) {
-        ReportTable rt;
-        rt.id = id_prefix + "-custom";
-        rt.table.addColumn("metric", TextTable::Align::Left);
-        rt.table.addColumn("value");
-        for (const auto& [key, value] : a.custom)
-            rt.table.addRow({key, TextTable::num(value, 3)});
-        headed(std::move(rt), "custom");
-    }
 }
 
 } // namespace tagecon

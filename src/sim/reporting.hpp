@@ -114,10 +114,9 @@ ReportTable warmupAnalysisTable(const WarmupAnalysis& wa,
 
 /**
  * Append one table per populated slot of @p result.analysis to @p r,
- * each headed "<label> [<observer>]" and id'd "<id_prefix>-<observer>"
- * (custom scalar metrics land in one key/value table). @p label
- * defaults to the result's trace name when empty. No-op for runs
- * without analysis.
+ * each headed "<label> [<observer>]" and id'd "<id_prefix>-<observer>".
+ * @p label defaults to the result's trace name when empty. No-op for
+ * runs without analysis.
  */
 void addAnalysisSections(Report& r, const RunResult& result,
                          const std::string& id_prefix,

@@ -74,12 +74,6 @@ SweepPlan::validate(std::string* error)
         if (!validateTraceSpec(spec, &err))
             break;
     }
-    if (err.empty() && !analysis.custom.empty()) {
-        // Probe registered observers so workers can't hit an
-        // unconstructible one mid-sweep.
-        AnalysisConfig probe;
-        parseAnalysisSpecs(analysis.custom, probe, err);
-    }
 
     if (!err.empty()) {
         if (error)
@@ -129,8 +123,6 @@ sweepCellKey(const SweepCell& cell)
     if (a.warmup)
         key += "warmup:len=" + std::to_string(a.warmupIntervalLength) +
                ",mkp=" + std::to_string(a.warmupThresholdMkp) + ";";
-    for (const auto& item : a.custom)
-        key += item + ";";
     return key;
 }
 

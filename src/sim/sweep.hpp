@@ -89,10 +89,9 @@ struct SweepPlan {
     /**
      * Expand user trace arguments into trace specs: each item is a
      * trace spec (profile name or "file:PATH"), or a set alias —
-     * "cbp1" / "cbp2" / "all" / registerTraceSet() names
-     * (case-insensitive). Thin shim over resolveTraceSpecs()
-     * (sim/trace_registry.hpp). Returns false on an unknown item with
-     * the reason in @p error.
+     * "cbp1" / "cbp2" / "all" (case-insensitive). Same as
+     * resolveTraceSpecs() (sim/trace_registry.hpp), which it calls.
+     * Returns false on an unknown item with the reason in @p error.
      */
     static bool resolveTraceArgs(const std::vector<std::string>& args,
                                  std::vector<std::string>& out,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
 
 #include "obs/metrics.hpp"
 #include "trace/cbp_ascii.hpp"
@@ -54,11 +53,25 @@ isKnownProfile(const std::string& name)
     return std::find(names.begin(), names.end(), name) != names.end();
 }
 
-std::map<std::string, std::vector<std::string>>&
-traceSetRegistry()
+/** A set alias and the profile names it expands to. */
+struct TraceSet {
+    const char* alias;
+    std::vector<std::string> (*names)();
+};
+
+const TraceSet kTraceSets[] = {
+    {"all", [] { return allTraceNames(); }},
+    {"cbp1", [] { return traceNames(BenchmarkSet::Cbp1); }},
+    {"cbp2", [] { return traceNames(BenchmarkSet::Cbp2); }},
+};
+
+const TraceSet*
+findTraceSet(const std::string& alias)
 {
-    static std::map<std::string, std::vector<std::string>> registry;
-    return registry;
+    const auto it = std::find_if(
+        std::begin(kTraceSets), std::end(kTraceSets),
+        [&](const TraceSet& set) { return alias == set.alias; });
+    return it == std::end(kTraceSets) ? nullptr : it;
 }
 
 } // namespace
@@ -125,28 +138,6 @@ validateTraceSpec(const TraceSpec& spec, std::string* error)
     return ok;
 }
 
-void
-registerTraceSet(const std::string& name,
-                 std::vector<std::string> specs)
-{
-    const std::string key = toLower(name);
-    if (key == "all" || key == "cbp1" || key == "cbp2")
-        fatal("trace set name '" + name +
-              "' collides with a built-in alias");
-    if (key.empty() || specs.empty())
-        fatal("registerTraceSet() needs a name and at least one spec");
-    traceSetRegistry()[key] = std::move(specs);
-}
-
-std::vector<std::string>
-registeredTraceSets()
-{
-    std::vector<std::string> names;
-    for (const auto& [name, specs] : traceSetRegistry())
-        names.push_back(name);
-    return names;
-}
-
 bool
 resolveTraceSpecs(const std::vector<std::string>& args,
                   std::vector<std::string>& out, std::string& error)
@@ -154,20 +145,9 @@ resolveTraceSpecs(const std::vector<std::string>& args,
     out.clear();
     std::vector<std::string> expanded;
     for (const auto& arg : args) {
-        const std::string key = toLower(arg);
-        if (key == "all") {
-            const auto names = allTraceNames();
+        if (const TraceSet* set = findTraceSet(toLower(arg))) {
+            const auto names = set->names();
             expanded.insert(expanded.end(), names.begin(), names.end());
-        } else if (key == "cbp1") {
-            const auto& names = traceNames(BenchmarkSet::Cbp1);
-            expanded.insert(expanded.end(), names.begin(), names.end());
-        } else if (key == "cbp2") {
-            const auto& names = traceNames(BenchmarkSet::Cbp2);
-            expanded.insert(expanded.end(), names.begin(), names.end());
-        } else if (auto it = traceSetRegistry().find(key);
-                   it != traceSetRegistry().end()) {
-            expanded.insert(expanded.end(), it->second.begin(),
-                            it->second.end());
         } else {
             expanded.push_back(arg);
         }

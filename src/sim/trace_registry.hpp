@@ -18,9 +18,8 @@
  *         | NAME           a named synthetic profile ("FP-1",
  *                          "300.twolf"; see trace/profiles.hpp)
  *
- * Set aliases, expanded by resolveTraceSpecs(): "cbp1", "cbp2", "all"
- * (case-insensitive) and any set registered via registerTraceSet() —
- * e.g. a materialized suite of trace files under one name.
+ * Set aliases, expanded by resolveTraceSpecs(): "cbp1", "cbp2" and
+ * "all" (case-insensitive), one constant table in trace_registry.cpp.
  *
  * Semantics shared by every consumer (runSweep, tagecon_sweep,
  * benches):
@@ -85,24 +84,10 @@ struct TraceSpec {
                        std::string* error = nullptr);
 
 /**
- * Register (or replace) the named trace set @p name (case-insensitive)
- * as an alias expanding to @p specs — the way "cbp1" expands to the 20
- * CBP-1 profile names. Lets a materialized suite of trace files be
- * addressed as one word in --traces lists. The name must not collide
- * with the built-in aliases (all/cbp1/cbp2); entries are themselves
- * trace specs (not aliases).
- */
-void registerTraceSet(const std::string& name,
-                      std::vector<std::string> specs);
-
-/** Names of the registered trace sets (user sets only), sorted. */
-std::vector<std::string> registeredTraceSets();
-
-/**
  * Expand user trace arguments into individual trace specs: each item
- * is a trace spec, or a set alias ("cbp1" / "cbp2" / "all" /
- * registerTraceSet() names, case-insensitive). Every resulting spec is
- * validated. Returns false with the reason in @p error.
+ * is a trace spec, or a set alias ("cbp1" / "cbp2" / "all",
+ * case-insensitive). Every resulting spec is validated. Returns false
+ * with the reason in @p error.
  */
 [[nodiscard]] bool resolveTraceSpecs(const std::vector<std::string>& args,
                        std::vector<std::string>& out,

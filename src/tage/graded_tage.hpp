@@ -6,7 +6,7 @@
  *
  * These are the intrinsic-confidence hosts of the new API: predict()
  * already returns the 7-class / 3-level grade read off the predictor's
- * own state, so attaching the "sfc" estimator costs nothing.
+ * own state, so a "+sfc" spec is the adapter itself and costs nothing.
  */
 
 #ifndef TAGECON_TAGE_GRADED_TAGE_HPP

@@ -1,5 +1,7 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
+
 #include "util/logging.hpp"
 #include "util/strict_parse.hpp"
 
@@ -145,6 +147,19 @@ CliArgs::flagNames() const
     for (const auto& [k, v] : flags_)
         names.push_back(k);
     return names;
+}
+
+void
+CliArgs::rejectUnknownFlags(const std::vector<std::string>& known) const
+{
+    for (const auto& flag : flagNames()) {
+        if (std::find(known.begin(), known.end(), flag) != known.end())
+            continue;
+        std::string names;
+        for (const auto& name : known)
+            names += (names.empty() ? "--" : " --") + name;
+        fatal("unknown flag --" + flag + " (known: " + names + ")");
+    }
 }
 
 } // namespace tagecon

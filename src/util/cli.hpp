@@ -15,8 +15,9 @@
 namespace tagecon {
 
 /**
- * Parsed command line. Unknown flags are kept and can be rejected by the
- * caller; positional arguments are collected in order.
+ * Parsed command line. Unknown flags are kept until the caller rejects
+ * them with rejectUnknownFlags(); positional arguments are collected in
+ * order.
  */
 class CliArgs
 {
@@ -66,8 +67,15 @@ class CliArgs
     /** Positional (non-flag) arguments in order. */
     const std::vector<std::string>& positional() const { return positional_; }
 
-    /** All flag names that were supplied (for unknown-flag checks). */
+    /** All flag names that were supplied, sorted. */
     std::vector<std::string> flagNames() const;
+
+    /**
+     * fatal() on the first supplied flag (in name order) outside
+     * @p known, naming it and listing @p known in the given order:
+     * "unknown flag --bogus (known: --branches --seed)".
+     */
+    void rejectUnknownFlags(const std::vector<std::string>& known) const;
 
   private:
     std::map<std::string, std::string> flags_;

@@ -3,11 +3,13 @@
  * Tests for the run-analysis observer subsystem: interval boundary
  * handling, histogram/ClassStats consistency, per-branch top-N
  * tie-breaking determinism, warmup detection, the analysis spec
- * grammar and the custom-observer registry, and every observer of a
- * (now batched) analysis run against a scalar reference loop.
+ * grammar, and every observer of a batched analysis run against a
+ * scalar reference loop.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "analysis/analysis_config.hpp"
 #include "analysis/observers.hpp"
@@ -328,63 +330,21 @@ TEST(AnalysisConfig, RejectsUnknownObserversKeysAndBadValues)
     EXPECT_FALSE(parseAnalysisSpecs({"warmup:mkp=0"}, cfg, error));
 }
 
-/** Toy registered observer: counts predictions into the custom bag. */
-class CountingObserver : public RunObserver
+TEST(AnalysisConfig, RejectsARepeatedObserver)
 {
-  public:
-    explicit CountingObserver(int64_t scale) : scale_(scale) {}
-    std::string name() const override { return "counting"; }
-
-    void
-    onPrediction(const ObservedPrediction&) override
-    {
-        ++count_;
-    }
-
-    void
-    finish(RunAnalysis& out) override
-    {
-        out.custom["counting/scaled"] =
-            static_cast<double>(count_ * scale_);
-    }
-
-  private:
-    int64_t scale_;
-    uint64_t count_ = 0;
-};
-
-TEST(AnalysisConfig, RegisteredObserverFlowsThroughPipeline)
-{
-    registerRunObserver(
-        "counting",
-        [](const SpecParams& params,
-           std::string& error) -> std::unique_ptr<RunObserver> {
-            const int64_t scale = params.getInt("scale", 1, 1, 100);
-            if (!params.error().empty()) {
-                error = params.error();
-                return nullptr;
-            }
-            return std::make_unique<CountingObserver>(scale);
-        });
-
+    // The second intervals length must not silently replace the first.
     AnalysisConfig cfg;
     std::string error;
-    ASSERT_TRUE(
-        parseAnalysisSpecs({"counting:scale=3"}, cfg, error))
+    EXPECT_FALSE(parseAnalysisSpecs(
+        {"intervals:len=500", "intervals:len=1000"}, cfg, error));
+    EXPECT_NE(error.find("more than one 'intervals' observer"),
+              std::string::npos)
         << error;
-    ASSERT_EQ(cfg.custom.size(), 1u);
-
-    SyntheticTrace trace = makeTrace("FP-1", 5000);
-    auto predictor = makePredictor("bimodal");
-    const RunResult rr = runTrace(trace, *predictor, cfg);
-    ASSERT_EQ(rr.analysis.custom.count("counting/scaled"), 1u);
-    EXPECT_DOUBLE_EQ(rr.analysis.custom.at("counting/scaled"),
-                     15000.0);
-
-    // A bad parameter for the registered observer is caught at parse.
-    AnalysisConfig bad;
     EXPECT_FALSE(
-        parseAnalysisSpecs({"counting:scale=0"}, bad, error));
+        parseAnalysisSpecs({"histogram", "HISTOGRAM"}, cfg, error));
+    EXPECT_NE(error.find("more than one 'histogram' observer"),
+              std::string::npos)
+        << error;
 }
 
 TEST(RunTraceObservers, EmptyPipelineMatchesPlainLoopExactly)
@@ -447,9 +407,9 @@ TEST(RunTraceObservers, AttachedObserversDoNotPerturbTheRun)
 }
 
 /**
- * Registered observer that folds every field of every element, in
- * order, into one FNV-style digest (split into two exact doubles), so
- * a dropped, repeated, reordered or altered element shows.
+ * Observer that folds every field of every element, in order, into one
+ * FNV-style digest, so a dropped, repeated, reordered or altered
+ * element shows.
  */
 class FingerprintObserver : public RunObserver
 {
@@ -472,69 +432,79 @@ class FingerprintObserver : public RunObserver
             digest_ = (digest_ ^ f) * 0x100000001B3ULL;
     }
 
-    void
-    finish(RunAnalysis& out) override
-    {
-        out.custom["fingerprint/lo"] =
-            static_cast<double>(digest_ & 0xFFFFFFFFu);
-        out.custom["fingerprint/hi"] = static_cast<double>(digest_ >> 32);
-    }
+    void finish(RunAnalysis&) override {}
+
+    uint64_t digest() const { return digest_; }
 
   private:
     uint64_t digest_ = 0xCBF29CE484222325ULL;
 };
 
-/** Every built-in observer plus the fingerprint observer. */
+/** Every observer of the analysis table. */
 AnalysisConfig
 everyObserver()
 {
-    registerRunObserver(
-        "fingerprint",
-        [](const SpecParams&,
-           std::string&) -> std::unique_ptr<RunObserver> {
-            return std::make_unique<FingerprintObserver>();
-        });
     AnalysisConfig cfg;
     std::string error;
     EXPECT_TRUE(parseAnalysisSpecs(
         {"intervals:len=1000", "histogram", "burst:max=8",
-         "perbranch:top=8", "warmup:len=500,mkp=40", "fingerprint"},
+         "perbranch:top=8", "warmup:len=500,mkp=40"},
         cfg, error))
         << error;
     return cfg;
 }
 
+/** A run's results and the digest of the stream its observers saw. */
+struct ObservedRun {
+    RunResult result;
+    uint64_t fingerprint = 0;
+};
+
 /**
- * The scalar reference for analysis runs: predict, record, observe,
- * update — one branch at a time through a pipeline built from @p cfg.
+ * Run @p spec over @p trace with the pipeline of @p cfg plus a
+ * FingerprintObserver: batched through driveBranches(), or through the
+ * scalar reference loop (predict, record, observe, update, one branch
+ * at a time).
  */
-RunResult
-scalarAnalysisRun(const std::string& spec, TraceSource& trace,
-                  const AnalysisConfig& cfg)
+ObservedRun
+analysisRun(const std::string& spec, TraceSource& trace,
+            const AnalysisConfig& cfg, bool batched)
 {
-    RunResult r;
+    ObservedRun run;
+    RunResult& r = run.result;
     auto predictor = makePredictor(spec);
-    const ObserverList observers = buildObservers(cfg);
-    BranchRecord rec;
-    for (uint64_t index = 0; trace.next(rec); ++index) {
-        const Prediction p = predictor->predict(rec.pc);
-        const bool mispredicted = p.taken != rec.taken;
-        const uint64_t instructions =
-            uint64_t{rec.instructionsBefore} + 1;
-        r.stats.record(p.cls, mispredicted, instructions);
-        r.confusion.record(p.confidence == ConfidenceLevel::High,
-                           !mispredicted);
-        const ObservedPrediction o{rec.pc,       p,    rec.taken,
-                                   mispredicted, instructions, index};
-        for (const auto& observer : observers)
-            observer->onPrediction(o);
-        predictor->update(rec.pc, p, rec.taken);
+    ObserverList observers = buildObservers(cfg);
+    auto owned = std::make_unique<FingerprintObserver>();
+    const FingerprintObserver& fingerprint = *owned;
+    observers.push_back(std::move(owned));
+    if (batched) {
+        DriveChunk chunk;
+        driveBranches(trace, *predictor,
+                      std::numeric_limits<uint64_t>::max(), chunk,
+                      r.stats, r.confusion, observers);
+    } else {
+        BranchRecord rec;
+        for (uint64_t index = 0; trace.next(rec); ++index) {
+            const Prediction p = predictor->predict(rec.pc);
+            const bool mispredicted = p.taken != rec.taken;
+            const uint64_t instructions =
+                uint64_t{rec.instructionsBefore} + 1;
+            r.stats.record(p.cls, mispredicted, instructions);
+            r.confusion.record(p.confidence == ConfidenceLevel::High,
+                               !mispredicted);
+            const ObservedPrediction o{rec.pc,       p,    rec.taken,
+                                       mispredicted, instructions, index};
+            for (const auto& observer : observers)
+                observer->onPrediction(o);
+            predictor->update(rec.pc, p, rec.taken);
+        }
     }
     for (const auto& observer : observers)
         observer->finish(r.analysis);
     r.finalLog2Prob = predictor->satLog2Prob();
     r.allocations = predictor->allocations();
-    return r;
+    run.fingerprint = fingerprint.digest();
+    return run;
 }
 
 void
@@ -600,28 +570,26 @@ expectAnalysisEqual(const RunAnalysis& a, const RunAnalysis& b)
     EXPECT_EQ(a.warmup->firstIntervalMkp, b.warmup->firstIntervalMkp);
     EXPECT_EQ(a.warmup->convergedIntervalMkp,
               b.warmup->convergedIntervalMkp);
-
-    ASSERT_EQ(a.custom.size(), 2u);
-    EXPECT_EQ(a.custom, b.custom);
 }
 
-// runTrace() hands observers each element after its predictMany()
-// chunk has trained; the scalar loop hands it over before the update.
-// Observers see only the stream, so every slot must agree — on a
-// batched stack and on the adaptive one, which takes the base-class
-// fallback, and over a partial last chunk (5037 = 9 * 512 + 429).
+// driveBranches() hands observers each element after its
+// predictMany() chunk has trained; the scalar loop hands it over
+// before the update. Observers see only the stream, so every slot and
+// the fingerprint must agree — on the plain, adaptive and JRS stacks,
+// and over a partial last chunk (5037 = 9 * 512 + 429).
 TEST(RunTraceObservers, BatchedRunMatchesScalarReferenceLoop)
 {
     const AnalysisConfig cfg = everyObserver();
     for (const std::string spec :
-         {"tage64k+sfc", "tage64k+prob7+adaptive+sfc"}) {
+         {"tage64k+sfc", "tage64k+prob7+adaptive+sfc", "tage64k+jrs"}) {
         SCOPED_TRACE(spec);
         SyntheticTrace t1 = makeTrace("SERV-3", 5037);
-        const RunResult want = scalarAnalysisRun(spec, t1, cfg);
+        const ObservedRun scalar = analysisRun(spec, t1, cfg, false);
+        const RunResult& want = scalar.result;
 
         SyntheticTrace t2 = makeTrace("SERV-3", 5037);
-        auto predictor = makePredictor(spec);
-        const RunResult got = runTrace(t2, *predictor, cfg);
+        const ObservedRun batched = analysisRun(spec, t2, cfg, true);
+        const RunResult& got = batched.result;
 
         EXPECT_EQ(got.stats.totalPredictions(), 5037u);
         expectStatsEqual(got.stats, want.stats);
@@ -632,6 +600,7 @@ TEST(RunTraceObservers, BatchedRunMatchesScalarReferenceLoop)
         EXPECT_EQ(got.finalLog2Prob, want.finalLog2Prob);
         EXPECT_EQ(got.allocations, want.allocations);
         expectAnalysisEqual(got.analysis, want.analysis);
+        EXPECT_EQ(batched.fingerprint, scalar.fingerprint);
     }
 }
 

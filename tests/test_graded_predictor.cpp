@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "baseline/bimodal_predictor.hpp"
 #include "baseline/gshare_predictor.hpp"
@@ -182,6 +185,65 @@ TEST(EstimatedPredictor, ClassStaysConsistentWithLevel)
         EXPECT_EQ(confidenceLevel(pred.cls), pred.confidence);
         est.update(rec.pc, pred, rec.taken);
     }
+}
+
+// EstimatedPredictor::predictMany runs the host's batch, then grades
+// and trains the estimator element by element. Every Prediction field
+// must equal the scalar loop's at every batch size; 70000 branches
+// also cross the adaptive controller's first epoch (65536).
+TEST(EstimatedPredictor, PredictManyMatchesTheScalarLoop)
+{
+    constexpr size_t kBatchSizes[] = {1, 7, 64, 333, 512};
+    SyntheticTrace trace = makeTrace("INT-2", 70000);
+    std::vector<uint64_t> pcs;
+    std::vector<uint8_t> taken;
+    BranchRecord rec;
+    while (trace.next(rec)) {
+        pcs.push_back(rec.pc);
+        taken.push_back(rec.taken ? 1 : 0);
+    }
+    const size_t n = pcs.size();
+    for (const char* spec :
+         {"tage64k+jrs", "tage64k+jrsg", "tage64k+blind",
+          "tage64k+prob7+adaptive+jrs", "gshare+jrsg"}) {
+        auto scalar = makePredictor(spec);
+        std::vector<Prediction> want(n);
+        for (size_t i = 0; i < n; ++i) {
+            want[i] = scalar->predict(pcs[i]);
+            scalar->update(pcs[i], want[i], taken[i] != 0);
+        }
+        for (const size_t batch : kBatchSizes) {
+            SCOPED_TRACE(std::string(spec) +
+                         " batch=" + std::to_string(batch));
+            auto batched = makePredictor(spec);
+            std::vector<Prediction> got(n);
+            for (size_t at = 0; at < n; at += batch) {
+                const size_t len = std::min(batch, n - at);
+                batched->predictMany(
+                    std::span<const uint64_t>(pcs.data() + at, len),
+                    std::span<const uint8_t>(taken.data() + at, len),
+                    std::span<Prediction>(got.data() + at, len));
+            }
+            size_t diverged = n;
+            for (size_t i = 0; i < n && diverged == n; ++i) {
+                if (want[i].taken != got[i].taken ||
+                    want[i].confidence != got[i].confidence ||
+                    want[i].cls != got[i].cls ||
+                    want[i].payload != got[i].payload)
+                    diverged = i;
+            }
+            EXPECT_EQ(diverged, n) << "first diverging prediction";
+            EXPECT_EQ(batched->satLog2Prob(), scalar->satLog2Prob());
+        }
+    }
+    // Batched exactly when the host is: the adaptive host still
+    // reports scalar.
+    EXPECT_TRUE(makePredictor("tage64k+jrs")->hasBatchedPredict());
+    EXPECT_TRUE(makePredictor("tage64k+sfc")->hasBatchedPredict());
+    EXPECT_FALSE(
+        makePredictor("tage64k+prob7+adaptive+jrs")->hasBatchedPredict());
+    EXPECT_FALSE(
+        makePredictor("tage64k+prob7+adaptive+sfc")->hasBatchedPredict());
 }
 
 TEST(BimodalGrade, GradesWithSmithSelfConfidence)

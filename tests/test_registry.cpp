@@ -110,6 +110,68 @@ TEST(Registry, AtMostOneEstimator)
         << error;
 }
 
+TEST(Registry, RepeatedModifiersFail)
+{
+    // A second prob must not silently replace the first one's p.
+    std::string error;
+    EXPECT_EQ(tryMakePredictor("tage64k+prob+prob3+sfc", &error),
+              nullptr);
+    EXPECT_NE(error.find("more than one prob modifier"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(canonicalizeSpec("tage64k+prob7+prob7+sfc", &error), "");
+    EXPECT_EQ(tryMakePredictor("tage64k+prob7+adaptive+adaptive+sfc",
+                               &error),
+              nullptr);
+    EXPECT_NE(error.find("more than one adaptive modifier"),
+              std::string::npos)
+        << error;
+}
+
+/** snapshot() bytes, empty for a family without checkpoint support. */
+std::vector<uint8_t>
+snapshotBytes(const GradedPredictor& p, bool& supported)
+{
+    StateWriter w;
+    std::string error;
+    supported = p.snapshot(w, error);
+    return w.take();
+}
+
+TEST(Registry, SfcIsTheHostItself)
+{
+    // The storage-free grade is the host's own: "+sfc" adds no wrapper,
+    // no storage and no state, on TAGE, L-TAGE and a baseline alike.
+    for (const std::string host_spec :
+         {"tage64k+prob7", "ltage16k", "perceptron"}) {
+        SCOPED_TRACE(host_spec);
+        auto host = makePredictor(host_spec);
+        auto sfc = makePredictor(host_spec + "+sfc");
+        EXPECT_EQ(dynamic_cast<const EstimatedPredictor*>(sfc.get()),
+                  nullptr);
+        EXPECT_EQ(sfc->name(), host_spec + "+sfc");
+        EXPECT_EQ(sfc->storageBits(), host->storageBits());
+
+        SyntheticTrace trace = makeTrace("MM-2", 5000);
+        BranchRecord rec;
+        while (trace.next(rec)) {
+            const Prediction a = host->predict(rec.pc);
+            const Prediction b = sfc->predict(rec.pc);
+            ASSERT_EQ(a.taken, b.taken);
+            ASSERT_EQ(a.confidence, b.confidence);
+            ASSERT_EQ(a.cls, b.cls);
+            ASSERT_EQ(a.payload, b.payload);
+            host->update(rec.pc, a, rec.taken);
+            sfc->update(rec.pc, b, rec.taken);
+        }
+        bool host_ok = false;
+        bool sfc_ok = false;
+        EXPECT_TRUE(snapshotBytes(*host, host_ok) ==
+                    snapshotBytes(*sfc, sfc_ok));
+        EXPECT_EQ(host_ok, sfc_ok);
+    }
+}
+
 TEST(Registry, SpecsAreCaseInsensitiveAndCanonicallyOrdered)
 {
     auto p = makePredictor("TAGE64K+SFC+Prob7");
@@ -337,46 +399,6 @@ TEST(RegistryParams, ParameterizedTageStillTakesModifiersAndSfc)
     SyntheticTrace trace = makeTrace("INT-1", 3000);
     const RunResult r = runTrace(trace, *p);
     EXPECT_EQ(r.stats.totalPredictions(), 3000u);
-}
-
-TEST(Registry, NewBasesCanBeRegistered)
-{
-    registerPredictorBase(
-        "alwaystaken",
-        [](const SpecParams& params, const SpecModifiers& mods,
-           std::string& error) -> std::unique_ptr<GradedPredictor> {
-            (void)params;
-            if (mods.prob || mods.adaptive) {
-                error = "modifiers not supported";
-                return nullptr;
-            }
-            class AlwaysTaken : public GradedPredictor
-            {
-              public:
-                Prediction predict(uint64_t) override
-                {
-                    Prediction p;
-                    p.taken = true;
-                    return p;
-                }
-                void update(uint64_t, const Prediction&, bool) override {}
-                uint64_t storageBits() const override { return 0; }
-                void reset() override {}
-
-              protected:
-                std::string defaultName() const override
-                {
-                    return "alwaystaken";
-                }
-            };
-            return std::make_unique<AlwaysTaken>();
-        });
-
-    auto p = makePredictor("alwaystaken+jrs");
-    EXPECT_EQ(p->name(), "alwaystaken+jrs");
-    SyntheticTrace trace = makeTrace("FP-1", 1000);
-    const RunResult r = runTrace(trace, *p);
-    EXPECT_EQ(r.stats.totalPredictions(), 1000u);
 }
 
 } // namespace

@@ -107,7 +107,6 @@ expectAnalysisIdentical(const RunAnalysis& a, const RunAnalysis& b)
         EXPECT_EQ(a.warmup->convergedIntervalMkp,
                   b.warmup->convergedIntervalMkp);
     }
-    EXPECT_EQ(a.custom, b.custom);
 }
 
 TEST(SweepPlan, CellsAreSpecMajorInPlanOrder)

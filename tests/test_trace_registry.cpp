@@ -151,28 +151,6 @@ TEST_F(TraceRegistryTest, ResolveExpandsAliasesSetsAndFileSpecs)
     EXPECT_NE(error.find("no traces"), std::string::npos);
 }
 
-TEST_F(TraceRegistryTest, RegisteredSetsExpandLikeBuiltinAliases)
-{
-    SyntheticTrace src = makeTrace("INT-2", 40);
-    const std::string path = file("int2.tcbt");
-    ASSERT_TRUE(writeTraceFile(path, src).ok());
-
-    registerTraceSet("MySuite", {"file:" + path, "FP-2"});
-    const auto sets = registeredTraceSets();
-    EXPECT_NE(std::find(sets.begin(), sets.end(), "mysuite"),
-              sets.end());
-
-    std::vector<std::string> out;
-    std::string error;
-    ASSERT_TRUE(resolveTraceSpecs({"mysuite"}, out, error)) << error;
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0], "file:" + path);
-    EXPECT_EQ(out[1], "FP-2");
-
-    EXPECT_EXIT(registerTraceSet("all", {"FP-1"}),
-                ::testing::ExitedWithCode(1), "collides");
-}
-
 TEST_F(TraceRegistryTest, SyntheticSourceMatchesMakeTrace)
 {
     auto via_registry = makeTraceSource("SERV-2", 3000, 7);

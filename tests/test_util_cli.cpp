@@ -82,6 +82,18 @@ TEST(Cli, FlagNamesEnumerated)
     EXPECT_EQ(names[1], "b");
 }
 
+TEST(Cli, RejectUnknownFlagsNamesTheFlagAndTheKnownList)
+{
+    const CliArgs a = parse({"--seed=3", "--branch=2000", "--csv"});
+    // The known list prints in the caller's order, not sorted.
+    EXPECT_EXIT(a.rejectUnknownFlags({"seed", "csv", "branches"}),
+                ::testing::ExitedWithCode(1),
+                "unknown flag --branch \\(known: --seed --csv "
+                "--branches\\)");
+    a.rejectUnknownFlags({"seed", "csv", "branch"}); // all known
+    parse({}).rejectUnknownFlags({});
+}
+
 TEST(Cli, MalformedIntegerIsFatal)
 {
     const CliArgs a = parse({"--n=abc"});

@@ -56,7 +56,6 @@
  *                        chrome://tracing or https://ui.perfetto.dev
  */
 
-#include <algorithm>
 #include <filesystem>
 #include <iostream>
 
@@ -79,24 +78,11 @@ main(int argc, char** argv)
 {
     const CliArgs args(argc, argv);
 
-    const std::vector<std::string> known_flags = {
-        "streams", "spec",           "traces",      "branches",
-        "seed",    "jobs",           "shards",      "pool",
-        "batch",   "checkpoint-dir", "restore-dir", "digests",
-        "per-stream", "report",      "csv",         "faults",
-        "strict",  "retries",        "metrics",     "metrics-out",
-        "trace-out"};
-    for (const auto& flag : args.flagNames()) {
-        if (std::find(known_flags.begin(), known_flags.end(), flag) ==
-            known_flags.end())
-            fatal("unknown flag --" + flag +
-                  " (known: --streams --spec --traces --branches "
-                  "--seed --jobs --shards --pool --batch "
-                  "--checkpoint-dir --restore-dir --digests "
-                  "--per-stream --report --csv --faults "
-                  "--strict --retries --metrics --metrics-out "
-                  "--trace-out)");
-    }
+    args.rejectUnknownFlags(
+        {"streams", "spec", "traces", "branches", "seed", "jobs",
+         "shards", "pool", "batch", "checkpoint-dir", "restore-dir",
+         "digests", "per-stream", "report", "csv", "faults", "strict",
+         "retries", "metrics", "metrics-out", "trace-out"});
 
     ServeOptions opts;
     opts.spec = args.getString("spec", "tage64k+sfc");

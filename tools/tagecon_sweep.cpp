@@ -63,20 +63,6 @@ using namespace tagecon;
 namespace {
 
 void
-listPredictors()
-{
-    std::cout << "registered predictor bases:\n";
-    for (const auto& name : registeredBases())
-        std::cout << "  " << name << "\n";
-    std::cout << "estimator tokens:\n";
-    for (const auto& name : registeredEstimators())
-        std::cout << "  " << name << "\n";
-    std::cout << "example specs:\n";
-    for (const auto& spec : exampleSpecs())
-        std::cout << "  " << spec << "\n";
-}
-
-void
 listObservers()
 {
     std::cout << "selectable analysis observers:\n";
@@ -134,7 +120,7 @@ main(int argc, char** argv)
 {
     const CliArgs args(argc, argv);
     if (args.has("list-predictors")) {
-        listPredictors();
+        printPredictorCatalog(std::cout);
         return 0;
     }
     if (args.has("list-observers")) {
@@ -142,21 +128,11 @@ main(int argc, char** argv)
         return 0;
     }
 
-    const std::vector<std::string> known_flags = {
-        "predictors", "traces",   "branches",        "seed",
-        "jobs",       "baseline", "analysis",        "report",
-        "progress",   "per-trace", "csv",            "list-predictors",
-        "list-observers", "metrics", "metrics-out",   "trace-out"};
-    for (const auto& flag : args.flagNames()) {
-        if (std::find(known_flags.begin(), known_flags.end(), flag) ==
-            known_flags.end())
-            fatal("unknown flag --" + flag +
-                  " (known: --predictors --traces --branches --seed "
-                  "--jobs --baseline --analysis --report --progress "
-                  "--per-trace --csv --list-predictors "
-                  "--list-observers --metrics --metrics-out "
-                  "--trace-out)");
-    }
+    args.rejectUnknownFlags(
+        {"predictors", "traces", "branches", "seed", "jobs", "baseline",
+         "analysis", "report", "progress", "per-trace", "csv",
+         "list-predictors", "list-observers", "metrics", "metrics-out",
+         "trace-out"});
 
     // Rejoin parameterized specs the comma-split cut apart, so
     // canonical names print back into --predictors verbatim.

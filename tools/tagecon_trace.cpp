@@ -26,7 +26,6 @@
  * line, and convert removes its partial output.
  */
 
-#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -48,20 +47,10 @@ constexpr const char* kUsage =
     "       tagecon_trace inspect --in=PATH\n"
     "       tagecon_trace head --in=PATH [--count=N]";
 
-void
-rejectUnknownFlags(const CliArgs& args,
-                   const std::vector<std::string>& known)
-{
-    for (const auto& flag : args.flagNames()) {
-        if (std::find(known.begin(), known.end(), flag) == known.end())
-            fatal("unknown flag --" + flag + "\n" + kUsage);
-    }
-}
-
 int
 cmdConvert(const CliArgs& args)
 {
-    rejectUnknownFlags(args, {"from", "out", "branches", "seed"});
+    args.rejectUnknownFlags({"from", "out", "branches", "seed"});
     const std::string from = args.getString("from", "");
     const std::string out = args.getString("out", "");
     if (from.empty() || out.empty())
@@ -132,7 +121,7 @@ looksLikeTcbt(const std::string& path)
 int
 cmdInspect(const CliArgs& args)
 {
-    rejectUnknownFlags(args, {"in"});
+    args.rejectUnknownFlags({"in"});
     const std::string path = args.getString("in", "");
     if (path.empty())
         fatal("inspect needs --in=PATH\n" + std::string(kUsage));
@@ -184,7 +173,7 @@ cmdInspect(const CliArgs& args)
 int
 cmdHead(const CliArgs& args)
 {
-    rejectUnknownFlags(args, {"in", "count"});
+    args.rejectUnknownFlags({"in", "count"});
     const std::string path = args.getString("in", "");
     if (path.empty())
         fatal("head needs --in=PATH\n" + std::string(kUsage));
