@@ -32,10 +32,10 @@
  *                                  prediction-indexed (Grunwald)
  *              | "blind"           grade everything high confidence
  *
- * Each modifier and at most one estimator per spec; modifiers apply to
- * the TAGE family only. makePredictor() stamps the canonical spec as
- * the predictor's name(), so specs round-trip: makePredictor(s)->name()
- * parses back to the same pipeline.
+ * A spec names each modifier at most once and at most one estimator;
+ * modifiers apply to the TAGE family only. makePredictor() stamps the
+ * canonical spec as the predictor's name(), so specs round-trip:
+ * makePredictor(s)->name() parses back to the same pipeline.
  */
 
 #ifndef TAGECON_SIM_REGISTRY_HPP
