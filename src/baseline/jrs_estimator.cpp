@@ -1,5 +1,7 @@
 #include "baseline/jrs_estimator.hpp"
 
+#include <algorithm>
+
 #include "util/bit_utils.hpp"
 #include "util/logging.hpp"
 #include "util/saturating_counter.hpp"
@@ -80,6 +82,48 @@ JrsConfidenceEstimator::reset()
 {
     table_.assign(table_.size(), 0);
     history_ = 0;
+}
+
+void
+JrsConfidenceEstimator::saveState(StateWriter& out) const
+{
+    out.u8(static_cast<uint8_t>(cfg_.logEntries));
+    out.u8(static_cast<uint8_t>(cfg_.ctrBits));
+    out.u32(cfg_.threshold);
+    out.u8(static_cast<uint8_t>(cfg_.historyBits));
+    out.u8(cfg_.indexWithPrediction ? 1 : 0);
+    out.u64(history_);
+    out.u16s(table_.data(), table_.size());
+}
+
+bool
+JrsConfidenceEstimator::loadState(StateReader& in, std::string& error)
+{
+    const bool geometry_ok =
+        in.u8() == static_cast<uint8_t>(cfg_.logEntries) &&
+        in.u8() == static_cast<uint8_t>(cfg_.ctrBits) &&
+        in.u32() == cfg_.threshold &&
+        in.u8() == static_cast<uint8_t>(cfg_.historyBits) &&
+        in.u8() == (cfg_.indexWithPrediction ? 1 : 0);
+    if (!in.ok() || !geometry_ok) {
+        reset();
+        error = in.ok() ? "JRS state was written with a different "
+                          "geometry"
+                        : "JRS state is truncated";
+        return false;
+    }
+    history_ = in.u64();
+    in.u16s(table_.data(), table_.size());
+    // onResolve() saturates every counter at its width.
+    const uint64_t ctr_max = maskBits(cfg_.ctrBits);
+    if (!in.ok() || std::any_of(table_.begin(), table_.end(),
+                                [&](uint16_t c) { return c > ctr_max; })) {
+        reset();
+        error = in.ok() ? "JRS state carries a counter wider than ctrBits"
+                        : "JRS state is truncated";
+        return false;
+    }
+    return true;
 }
 
 } // namespace tagecon

@@ -77,6 +77,10 @@ class JrsConfidenceEstimator final : public ConfidenceEstimator
     /** Zero every counter and the history. */
     void reset() override;
 
+    /** The configuration as a fingerprint, the history, the counters. */
+    void saveState(StateWriter& out) const override;
+    bool loadState(StateReader& in, std::string& error) override;
+
     /** Raw counter value grade() consults (tests / introspection). */
     unsigned counterValue(uint64_t pc, bool predicted_taken) const;
 

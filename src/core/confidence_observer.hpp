@@ -97,14 +97,10 @@ class ConfidenceObserver
     void reset() { sinceBimMiss_ = window_; }
 
     /**
-     * Overwrite the burst counter with a checkpointed value, clamped
-     * to its reachable range [0, window()].
+     * Overwrite the burst counter with a checkpointed value, which the
+     * caller has checked lies in [0, window()].
      */
-    void
-    restoreSinceBimMiss(int v)
-    {
-        sinceBimMiss_ = v < 0 ? 0 : (v > window_ ? window_ : v);
-    }
+    void restoreSinceBimMiss(int v) { sinceBimMiss_ = v; }
 
   private:
     int window_;

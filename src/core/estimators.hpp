@@ -2,8 +2,8 @@
  * @file
  * BlindEstimator ("blind"), the stateless ConfidenceEstimator: it
  * grades everything high confidence, the confidence-oblivious control
- * row in comparisons. Attach it to any GradedPredictor through
- * EstimatedPredictor.
+ * row in comparisons, and adds no byte to its host's checkpoint.
+ * Attach it to any GradedPredictor through EstimatedPredictor.
  *
  * "sfc"/"self" needs no estimator: a host with intrinsic confidence
  * (the paper's storage-free scheme on TAGE, |sum| >= theta
@@ -42,6 +42,14 @@ class BlindEstimator : public ConfidenceEstimator
     uint64_t storageBits() const override { return 0; }
 
     void reset() override {}
+
+    void saveState(StateWriter& /*out*/) const override {}
+
+    bool
+    loadState(StateReader& /*in*/, std::string& /*error*/) override
+    {
+        return true;
+    }
 };
 
 } // namespace tagecon

@@ -168,20 +168,14 @@ class GradedPredictor
     /**
      * Serialize the complete architectural state into @p out so a
      * restore()d predictor continues bit-identically to one that never
-     * stopped. Families without serialization support (the default)
-     * return false with a clear reason in @p error; supporting
-     * families embed a geometry fingerprint so restore() can reject a
-     * blob from a differently-configured predictor. Checkpoint framing
-     * (magic/version/digest) is layered on top by serve/checkpoint.hpp.
+     * stopped. Every family supports it and embeds a geometry
+     * fingerprint so restore() can reject a blob from a
+     * differently-configured predictor; false (with the reason in
+     * @p error) is left for a state that cannot be written. Checkpoint
+     * framing (magic/version/digest) is layered on top by
+     * serve/checkpoint.hpp.
      */
-    virtual bool
-    snapshot(StateWriter& out, std::string& error) const
-    {
-        (void)out;
-        error = name() + ": checkpoint/restore is not supported for "
-                         "this predictor family";
-        return false;
-    }
+    virtual bool snapshot(StateWriter& out, std::string& error) const = 0;
 
     /**
      * Replace the predictor's state with one written by snapshot() on
@@ -190,18 +184,11 @@ class GradedPredictor
      * a used instance equals restoring into a fresh one; the serving
      * engine relies on this to restore an evicted stream into the
      * object another stream just vacated. On failure (geometry
-     * mismatch, truncated or corrupt payload, unsupported family) the
-     * predictor is left reset() and false is returned with the reason
-     * in @p error.
+     * mismatch, truncated or corrupt payload, a value snapshot() never
+     * writes) the predictor is left reset() and false is returned with
+     * the reason in @p error.
      */
-    virtual bool
-    restore(StateReader& in, std::string& error)
-    {
-        (void)in;
-        error = name() + ": checkpoint/restore is not supported for "
-                         "this predictor family";
-        return false;
-    }
+    virtual bool restore(StateReader& in, std::string& error) = 0;
 
     /**
      * Display name: the registry spec when built via makePredictor(),
@@ -229,7 +216,8 @@ class GradedPredictor
  * EstimatedPredictor. grade() is consulted once per prediction,
  * onResolve() once per resolved branch, in order. An estimator never
  * feeds back into its host: it reads the host's predictions and the
- * outcomes, and nothing the host does depends on it.
+ * outcomes, and nothing the host does depends on it. Its state rides
+ * in the host's checkpoint, after the host's own.
  */
 class ConfidenceEstimator
 {
@@ -251,6 +239,16 @@ class ConfidenceEstimator
 
     /** Reset estimator state. */
     virtual void reset() = 0;
+
+    /** Serialize the state (none when storage-free), fingerprinted. */
+    virtual void saveState(StateWriter& out) const = 0;
+
+    /**
+     * Restore state written by saveState(); false with the reason in
+     * @p error when it is truncated, from another geometry or carries
+     * a value saveState() never writes.
+     */
+    virtual bool loadState(StateReader& in, std::string& error) = 0;
 };
 
 /**
@@ -329,36 +327,23 @@ class EstimatedPredictor : public GradedPredictor
 
     unsigned satLog2Prob() const override { return host_->satLog2Prob(); }
 
-    /**
-     * A stateless estimator (blind: storage-free, nothing to reset)
-     * delegates straight to the host, so "perceptron+blind" style
-     * specs checkpoint exactly like their host. A stateful estimator
-     * (JRS counter tables) would need its own serialization; until one
-     * grows it, such stacks are rejected with a clear error.
-     */
+    /** The host's state, then the estimator's. */
     bool
     snapshot(StateWriter& out, std::string& error) const override
     {
-        if (estimator_->storageBits() != 0) {
-            error = name() + ": checkpoint/restore is not supported "
-                             "with the stateful '" +
-                    estimator_->name() + "' estimator";
+        if (!host_->snapshot(out, error))
             return false;
-        }
-        return host_->snapshot(out, error);
+        estimator_->saveState(out);
+        return true;
     }
 
     bool
     restore(StateReader& in, std::string& error) override
     {
-        if (estimator_->storageBits() != 0) {
-            error = name() + ": checkpoint/restore is not supported "
-                             "with the stateful '" +
-                    estimator_->name() + "' estimator";
-            return false;
-        }
-        estimator_->reset();
-        return host_->restore(in, error);
+        if (host_->restore(in, error) && estimator_->loadState(in, error))
+            return true;
+        reset();
+        return false;
     }
 
     /** The wrapped host predictor. */

@@ -44,7 +44,10 @@ inline constexpr uint32_t kCheckpointMagic = 0x504B4354u;
  * Current blob format version. Version history:
  *  - 1: 4 B/entry TAGE payloads (separate ctr and u arena sections).
  *  - 2: 3 B/entry packed payloads (one packed::ctru* arena section);
- *       perceptron and O-GEHL gained snapshot support.
+ *       perceptron and O-GEHL gained snapshot support. L-TAGE (the
+ *       loop bit of the TAGE flag byte, then the loop table) and the
+ *       JRS estimator (after its host's payload) were added later
+ *       without a bump: every blob written before keeps its bytes.
  * Readers reject any other version outright — predictor payloads are
  * raw arena images, so cross-version translation is not attempted.
  */
@@ -79,8 +82,7 @@ struct Checkpoint {
 /**
  * Snapshot @p predictor into a Kind::Predictor blob tagged with
  * @p spec (the canonical registry spec it was built from). Fails
- * (Unsupported) when the predictor family does not support
- * checkpointing. Failpoint site "ckpt.encode".
+ * (Unsupported) when snapshot() does. Failpoint site "ckpt.encode".
  */
 Err encodePredictorCheckpoint(const GradedPredictor& predictor,
                               const std::string& spec,

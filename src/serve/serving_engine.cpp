@@ -466,25 +466,10 @@ ServingEngine::validate(std::string* error)
             *error = why;
         return false;
     }
-    auto probe = tryMakePredictor(canonical, &why);
-    if (!probe) {
+    if (!tryMakePredictor(canonical, &why)) {
         if (error)
             *error = why;
         return false;
-    }
-    const bool needs_snapshot = opts_.poolPerShard != 0 ||
-                                !opts_.checkpointDir.empty() ||
-                                !opts_.restoreDir.empty() ||
-                                opts_.computeDigests;
-    if (needs_snapshot) {
-        StateWriter w;
-        if (!probe->snapshot(w, why)) {
-            if (error)
-                *error = why +
-                         " (use an unbounded pool and no "
-                         "checkpointing to serve it anyway)";
-            return false;
-        }
     }
     if (opts_.batch == 0) {
         if (error)

@@ -262,10 +262,10 @@ class ServingEngine
     explicit ServingEngine(ServeOptions opts);
 
     /**
-     * Check the options: the spec must be constructible, and snapshot
-     * support is required whenever the pool is bounded or
-     * checkpoint/restore/digests are requested. Returns false with the
-     * reason in @p error. serve() calls this implicitly.
+     * Check the options: the spec must be constructible (every
+     * registry stack checkpoints, so any pool bound, checkpointing and
+     * digests apply to all) and the batch at least 1. Returns false
+     * with the reason in @p error. serve() calls this implicitly.
      */
     [[nodiscard]] bool validate(std::string* error = nullptr);
 

@@ -69,7 +69,7 @@ rejectModifiers(const std::string& name, const SpecModifiers& mods,
 
 /**
  * Apply the TAGE-family parameter keys to a named budget's geometry
- * and build the config. Shared by the tage* and ltage* factories.
+ * and build the config, for the tage* and ltage* bases alike.
  *
  * Keys: tables, logent, tag, minhist, maxhist, logbim, bimctr, ctr
  * (tagged counter bits), ubits (useful counter bits), ualt
@@ -133,12 +133,16 @@ buildTageConfig(const TageGeometry& base_geometry, const SpecParams& p,
     return true;
 }
 
-/** The tage* base of one named budget. */
-template <TageGeometry (*Geometry)()>
+/** The tage* base of one named budget, or with Loop its ltage* base. */
+template <TageGeometry (*Geometry)(), bool Loop = false>
 std::unique_ptr<GradedPredictor>
 makeTage(const SpecParams& params, const SpecModifiers& mods,
          std::string& error)
 {
+    if (Loop && mods.adaptive) {
+        error = "adaptive is not supported on ltage bases";
+        return nullptr;
+    }
     TageConfig cfg;
     if (!buildTageConfig(Geometry(), params, cfg, error))
         return nullptr;
@@ -151,25 +155,8 @@ makeTage(const SpecParams& params, const SpecModifiers& mods,
     }
     GradedTageOptions opt;
     opt.adaptive = mods.adaptive;
+    opt.loop = Loop;
     return std::make_unique<GradedTage>(std::move(cfg), opt);
-}
-
-/** The ltage* base of one named budget. */
-template <TageGeometry (*Geometry)()>
-std::unique_ptr<GradedPredictor>
-makeLTage(const SpecParams& params, const SpecModifiers& mods,
-          std::string& error)
-{
-    if (mods.adaptive) {
-        error = "adaptive is not supported on ltage bases";
-        return nullptr;
-    }
-    TageConfig cfg;
-    if (!buildTageConfig(Geometry(), params, cfg, error))
-        return nullptr;
-    if (mods.prob)
-        cfg = cfg.withProbabilisticSaturation(mods.probLog2);
-    return std::make_unique<GradedLTage>(std::move(cfg));
 }
 
 std::unique_ptr<GradedPredictor>
@@ -261,9 +248,10 @@ struct PredictorBase {
 const PredictorBase kBases[] = {
     {"bimodal", "bimodal+sfc", makeBimodal},
     {"gshare", "gshare+jrs", makeGshare},
-    {"ltage16k", "ltage16k+sfc", makeLTage<TageConfig::geometry16K>},
-    {"ltage256k", "ltage256k+sfc", makeLTage<TageConfig::geometry256K>},
-    {"ltage64k", "ltage64k+sfc", makeLTage<TageConfig::geometry64K>},
+    {"ltage16k", "ltage16k+sfc", makeTage<TageConfig::geometry16K, true>},
+    {"ltage256k", "ltage256k+sfc",
+     makeTage<TageConfig::geometry256K, true>},
+    {"ltage64k", "ltage64k+sfc", makeTage<TageConfig::geometry64K, true>},
     {"ogehl", "ogehl+sfc", makeOgehl},
     {"perceptron", "perceptron+sfc", makePerceptron},
     {"tage16k", "tage16k+prob7+sfc", makeTage<TageConfig::geometry16K>},

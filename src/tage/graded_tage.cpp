@@ -4,8 +4,6 @@
 
 namespace tagecon {
 
-// ------------------------------------------------------------ GradedTage
-
 GradedTage::GradedTage(TageConfig config, GradedTageOptions opt)
     : predictor_(std::move(config)), observer_(opt.bimWindow)
 {
@@ -13,9 +11,35 @@ GradedTage::GradedTage(TageConfig config, GradedTageOptions opt)
         if (!predictor_.config().probabilisticSaturation)
             fatal("adaptive probability requires a config with "
                   "probabilisticSaturation enabled");
+        if (opt.loop)
+            fatal("the adaptive controller is not wired into L-TAGE; use "
+                  "a tage* base for adaptive runs");
         controller_.emplace(opt.adaptiveConfig);
         predictor_.setSatLog2Prob(controller_->log2Prob());
     }
+    if (opt.loop)
+        loop_.emplace();
+}
+
+void
+GradedTage::LoopPart::arbitrate(const LoopPredictor::Result& r,
+                                Prediction& p) const
+{
+    if (r.valid && withLoop.value() >= 0) {
+        // Loop-provided predictions are practically always correct.
+        p.taken = r.taken;
+        p.confidence = ConfidenceLevel::High;
+        p.cls = representativeClass(p.confidence);
+    }
+}
+
+void
+GradedTage::LoopPart::train(uint64_t pc, const LoopPredictor::Result& r,
+                            bool tage_taken, bool taken)
+{
+    if (r.valid && r.taken != tage_taken)
+        withLoop.update(r.taken == taken);
+    table.update(pc, taken, tage_taken != taken);
 }
 
 Prediction
@@ -28,6 +52,10 @@ GradedTage::predict(uint64_t pc)
     p.confidence = confidenceLevel(p.cls);
     p.payload = ++seq_;
     lastIntrinsicLevel_ = p.confidence;
+    if (loop_) {
+        loopRaw_ = loop_->table.lookup(pc);
+        loop_->arbitrate(loopRaw_, p);
+    }
     return p;
 }
 
@@ -45,6 +73,8 @@ GradedTage::update(uint64_t pc, const Prediction& p, bool taken)
         controller_->record(lastIntrinsicLevel_, mispredicted)) {
         predictor_.setSatLog2Prob(controller_->log2Prob());
     }
+    if (loop_)
+        loop_->train(pc, loopRaw_, raw_.taken, taken);
     predictor_.update(pc, raw_, taken);
 }
 
@@ -115,14 +145,26 @@ GradedTage::predictBatch(std::span<const uint64_t> pcs,
             TAGECON_ASSERT(!closed, "an epoch closed inside a batch");
         }
     }
-    // Keep the scalar invariant that raw_ pairs with the newest seq_.
+    // The loop table never feeds back into TAGE, which trains on its
+    // own lookup, so the loop part steps in element order on its own.
+    if (loop_) {
+        for (size_t k = 0; k < n; ++k) {
+            loopRaw_ = loop_->table.lookup(pcs[k]);
+            loop_->arbitrate(loopRaw_, out[k]);
+            loop_->train(pcs[k], loopRaw_, rawBatch_[k].taken,
+                         taken[k] != 0);
+        }
+    }
+    // Keep the scalar invariant that raw_ and loopRaw_ pair with the
+    // newest seq_.
     raw_ = rawBatch_[n - 1];
 }
 
 uint64_t
 GradedTage::storageBits() const
 {
-    return predictor_.storageBits();
+    return predictor_.storageBits() +
+           (loop_ ? loop_->table.storageBits() : 0);
 }
 
 void
@@ -136,6 +178,8 @@ GradedTage::reset()
         controller_->reset();
         predictor_.setSatLog2Prob(controller_->log2Prob());
     }
+    if (loop_)
+        loop_.emplace();
 }
 
 uint64_t
@@ -153,127 +197,68 @@ GradedTage::satLog2Prob() const
 std::string
 GradedTage::defaultName() const
 {
-    return "tage-" + predictor_.config().name;
+    return (loop_ ? "ltage-" : "tage-") + predictor_.config().name;
 }
 
 bool
-GradedTage::snapshot(StateWriter& out, std::string& error) const
+GradedTage::snapshot(StateWriter& out, std::string& /*error*/) const
 {
-    (void)error;
-    out.u8(controller_ ? 1 : 0);
+    out.u8(parts());
     predictor_.saveState(out);
     out.i64(observer_.sinceBimMiss());
     out.u64(seq_);
     out.u8(static_cast<uint8_t>(levelIndex(lastIntrinsicLevel_)));
     if (controller_)
         controller_->saveState(out);
+    if (loop_) {
+        loop_->table.saveState(out);
+        out.i64(loop_->withLoop.value());
+    }
     return true;
 }
 
 bool
 GradedTage::restore(StateReader& in, std::string& error)
 {
-    const bool has_controller = in.u8() != 0;
-    if (has_controller != controller_.has_value()) {
+    // Every failure leaves the predictor reset; a part's own loader
+    // has already filled in error when why is null.
+    const auto fail = [&](const char* why) {
         reset();
-        error = "TAGE checkpoint disagrees with this predictor about "
-                "the adaptive controller";
+        if (why != nullptr)
+            error = why;
         return false;
-    }
-    if (!predictor_.loadState(in, error)) {
-        reset();
-        return false;
-    }
+    };
+    if (in.u8() != parts())
+        return fail("TAGE checkpoint disagrees with this predictor about "
+                    "the adaptive controller or the loop predictor");
+    if (!predictor_.loadState(in, error))
+        return fail(nullptr);
     const int64_t since_bim_miss = in.i64();
     const uint64_t seq = in.u64();
     const uint8_t level = in.u8();
-    if (!in.ok() || level >= kNumConfidenceLevels) {
-        reset();
-        error = "TAGE checkpoint is truncated";
-        return false;
-    }
-    if (controller_ && !controller_->loadState(in, error)) {
-        reset();
-        return false;
+    if (!in.ok() || level >= kNumConfidenceLevels)
+        return fail("TAGE checkpoint is truncated");
+    // onResolve() keeps the burst count in [0, window()].
+    if (since_bim_miss < 0 || since_bim_miss > observer_.window())
+        return fail("TAGE checkpoint carries a burst-window count outside "
+                    "[0, window]");
+    if (controller_ && !controller_->loadState(in, error))
+        return fail(nullptr);
+    if (loop_) {
+        if (!loop_->table.loadState(in, error))
+            return fail(nullptr);
+        const int64_t with_loop = in.i64();
+        if (!in.ok() || with_loop < loop_->withLoop.min() ||
+            with_loop > loop_->withLoop.max())
+            return fail(in.ok() ? "TAGE checkpoint carries a WITHLOOP value "
+                                  "outside its 7-bit range"
+                                : "TAGE checkpoint is truncated");
+        loop_->withLoop.set(static_cast<int>(with_loop));
     }
     observer_.restoreSinceBimMiss(static_cast<int>(since_bim_miss));
     seq_ = seq;
     lastIntrinsicLevel_ = kAllConfidenceLevels[level];
     return true;
-}
-
-// ----------------------------------------------------------- GradedLTage
-
-GradedLTage::GradedLTage(TageConfig tage_config,
-                         LoopPredictor::Config loop_config,
-                         GradedTageOptions opt)
-    : tageConfig_(tage_config), loopConfig_(loop_config),
-      predictor_(std::move(tage_config), loop_config),
-      observer_(opt.bimWindow)
-{
-    if (opt.adaptive)
-        fatal("the adaptive controller is not wired into L-TAGE; use a "
-              "tage* base for adaptive runs");
-}
-
-Prediction
-GradedLTage::predict(uint64_t pc)
-{
-    raw_ = predictor_.predict(pc);
-    Prediction p;
-    p.taken = raw_.taken;
-    if (raw_.fromLoopPredictor) {
-        // Loop-provided predictions are practically always correct.
-        p.confidence = ConfidenceLevel::High;
-        p.cls = representativeClass(p.confidence);
-    } else {
-        p.cls = observer_.classify(raw_.tage);
-        p.confidence = confidenceLevel(p.cls);
-    }
-    p.payload = ++seq_;
-    return p;
-}
-
-void
-GradedLTage::update(uint64_t pc, const Prediction& p, bool taken)
-{
-    if (p.payload != seq_)
-        fatal("GradedLTage::update: prediction is not from the "
-              "immediately preceding predict()");
-    observer_.onResolve(raw_.tage, taken);
-    predictor_.update(pc, raw_, taken);
-}
-
-uint64_t
-GradedLTage::storageBits() const
-{
-    return predictor_.storageBits();
-}
-
-void
-GradedLTage::reset()
-{
-    predictor_ = LTagePredictor(tageConfig_, loopConfig_);
-    observer_.reset();
-    seq_ = 0;
-}
-
-uint64_t
-GradedLTage::allocations() const
-{
-    return predictor_.tage().allocations();
-}
-
-unsigned
-GradedLTage::satLog2Prob() const
-{
-    return predictor_.tage().satLog2Prob();
-}
-
-std::string
-GradedLTage::defaultName() const
-{
-    return "ltage-" + predictor_.tage().config().name;
 }
 
 } // namespace tagecon

@@ -1,10 +1,11 @@
 /**
  * @file
- * GradedPredictor adapters for the TAGE family: TAGE with the paper's
- * storage-free confidence classes, and L-TAGE (TAGE + loop predictor)
- * with the same grading on its embedded TAGE component.
+ * The GradedPredictor adapter for the TAGE family: TAGE with the
+ * paper's storage-free confidence classes, optionally driven by the
+ * Sec. 6.2 adaptive controller, and L-TAGE (TAGE + the loop predictor
+ * of reference [12]) as the same adapter with its loop part attached.
  *
- * These are the intrinsic-confidence hosts of the new API: predict()
+ * This is the intrinsic-confidence host of the new API: predict()
  * already returns the 7-class / 3-level grade read off the predictor's
  * own state, so a "+sfc" spec is the adapter itself and costs nothing.
  */
@@ -18,12 +19,13 @@
 #include "core/adaptive_probability.hpp"
 #include "core/confidence_observer.hpp"
 #include "core/graded_predictor.hpp"
-#include "tage/ltage_predictor.hpp"
+#include "tage/loop_predictor.hpp"
 #include "tage/tage_predictor.hpp"
+#include "util/saturating_counter.hpp"
 
 namespace tagecon {
 
-/** Knobs shared by the TAGE-family adapters. */
+/** Knobs of the TAGE-family adapter. */
 struct GradedTageOptions {
     /** medium-conf-bim burst window (Sec. 5.1.2); the paper uses 8. */
     int bimWindow = 8;
@@ -37,13 +39,25 @@ struct GradedTageOptions {
 
     /** Controller parameters when adaptive is set. */
     AdaptiveProbabilityController::Config adaptiveConfig{};
+
+    /**
+     * Attach the L-TAGE loop part (the "ltage*" bases). Cannot be
+     * combined with adaptive; the constructor fatal()s on both.
+     */
+    bool loop = false;
 };
 
 /**
  * TAGE + storage-free confidence observer (+ optional adaptive
- * saturation-probability controller) behind the GradedPredictor
- * interface. This is the paper's whole pipeline as one registry-
- * constructible object.
+ * saturation-probability controller, or + optional L-TAGE loop part)
+ * behind the GradedPredictor interface. This is the paper's whole
+ * pipeline as one registry-constructible object.
+ *
+ * With the loop part, a confident loop entry overrides TAGE once the
+ * WITHLOOP counter has learned that trusting it pays off; such
+ * predictions are graded high confidence (the entry is only trusted at
+ * full confidence). The grade of every other prediction, the burst
+ * window and the TAGE tables see only TAGE's own lookup.
  */
 class GradedTage : public GradedPredictor
 {
@@ -56,6 +70,7 @@ class GradedTage : public GradedPredictor
     /**
      * True unless the adaptive controller is attached: predictMany()
      * still sends the epoch-closing element through the scalar path.
+     * The loop part batches.
      */
     bool hasBatchedPredict() const override;
 
@@ -66,7 +81,8 @@ class GradedTage : public GradedPredictor
      * batch is cut before each element whose record() closes an
      * epoch; that element alone steps through predict()/update(), so
      * it trains with the new saturation probability exactly as in the
-     * scalar loop, and batching resumes after it.
+     * scalar loop, and batching resumes after it. The loop part steps
+     * in a pass of its own after the grading.
      */
     void predictMany(std::span<const uint64_t> pcs,
                      std::span<const uint8_t> taken,
@@ -80,9 +96,10 @@ class GradedTage : public GradedPredictor
     unsigned satLog2Prob() const override;
 
     /**
-     * Full-pipeline checkpoint: the TAGE tables/histories plus the
-     * burst-window observer, the predict/update pairing sequence and
-     * (when attached) the adaptive controller.
+     * Full-pipeline checkpoint: a flag byte naming the attached parts,
+     * the TAGE tables/histories plus the burst-window observer, the
+     * predict/update pairing sequence and, when attached, the adaptive
+     * controller or the loop table and WITHLOOP.
      */
     bool snapshot(StateWriter& out, std::string& error) const override;
     bool restore(StateReader& in, std::string& error) override;
@@ -100,71 +117,61 @@ class GradedTage : public GradedPredictor
         return controller_;
     }
 
+    /** L-TAGE's loop part: the loop table and its arbiter. */
+    struct LoopPart {
+        LoopPredictor table;
+
+        /** WITHLOOP: 7-bit hysteresis, starts distrusting the table. */
+        SignedSatCounter withLoop{7, -1};
+
+        /**
+         * Let the lookup @p r override @p p when it is valid and
+         * WITHLOOP trusts the table.
+         */
+        void arbitrate(const LoopPredictor::Result& r,
+                       Prediction& p) const;
+
+        /**
+         * Train with the resolved branch: WITHLOOP learns whether the
+         * table beats TAGE when they disagree, and the table allocates
+         * on TAGE's mispredictions.
+         */
+        void train(uint64_t pc, const LoopPredictor::Result& r,
+                   bool tage_taken, bool taken);
+    };
+
+    /** The loop part, when attached. */
+    const std::optional<LoopPart>& loop() const { return loop_; }
+
   protected:
     std::string defaultName() const override;
 
   private:
     /**
      * One batched run that closes no controller epoch: the fused TAGE
-     * step, then grading and record() per element.
+     * step, then grading and record() per element, then the loop
+     * part's pass.
      */
     void predictBatch(std::span<const uint64_t> pcs,
                       std::span<const uint8_t> taken,
                       std::span<Prediction> out);
 
+    /** The flag byte snapshot() writes: one bit per attached part. */
+    uint8_t parts() const { return (controller_ ? 1 : 0) | (loop_ ? 2 : 0); }
+
     TagePredictor predictor_;
     ConfidenceObserver observer_;
     std::optional<AdaptiveProbabilityController> controller_;
+    std::optional<LoopPart> loop_;
 
     /** Lookup state routed from predict() to the paired update(). */
     TagePrediction raw_;
+    LoopPredictor::Result loopRaw_;
     ConfidenceLevel lastIntrinsicLevel_ = ConfidenceLevel::High;
     uint64_t seq_ = 0;
 
     /** predictMany() scratch; not architectural state. */
     std::vector<TagePrediction> rawBatch_;
-};
-
-/**
- * L-TAGE behind the GradedPredictor interface. The embedded TAGE
- * prediction is graded with the storage-free observer; loop-provided
- * predictions are graded high confidence (the loop entry is only
- * trusted at full confidence, Sec. 2 of the L-TAGE description).
- */
-class GradedLTage : public GradedPredictor
-{
-  public:
-    explicit GradedLTage(TageConfig tage_config,
-                         LoopPredictor::Config loop_config = {},
-                         GradedTageOptions opt = {});
-
-    Prediction predict(uint64_t pc) override;
-    void update(uint64_t pc, const Prediction& p, bool taken) override;
-
-    uint64_t storageBits() const override;
-    void reset() override;
-
-    bool hasIntrinsicConfidence() const override { return true; }
-    uint64_t allocations() const override;
-    unsigned satLog2Prob() const override;
-
-    /** The underlying L-TAGE predictor (read-only). */
-    const LTagePredictor& ltage() const { return predictor_; }
-
-    /** The burst-window observer (read-only). */
-    const ConfidenceObserver& observer() const { return observer_; }
-
-  protected:
-    std::string defaultName() const override;
-
-  private:
-    TageConfig tageConfig_;
-    LoopPredictor::Config loopConfig_;
-    LTagePredictor predictor_;
-    ConfidenceObserver observer_;
-
-    LTagePrediction raw_;
-    uint64_t seq_ = 0;
 };
 
 } // namespace tagecon

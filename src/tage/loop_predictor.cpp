@@ -26,6 +26,12 @@ LoopPredictor::LoopPredictor(Config cfg)
     entries_.assign(size_t{1} << cfg_.logEntries, Entry{});
 }
 
+void
+LoopPredictor::reset()
+{
+    entries_.assign(entries_.size(), Entry{});
+}
+
 uint32_t
 LoopPredictor::indexFor(uint64_t pc) const
 {
@@ -137,6 +143,67 @@ LoopPredictor::confidentEntries() const
             ++n;
     }
     return n;
+}
+
+void
+LoopPredictor::saveState(StateWriter& out) const
+{
+    out.u8(static_cast<uint8_t>(cfg_.logEntries));
+    out.u8(static_cast<uint8_t>(cfg_.tagBits));
+    out.u8(static_cast<uint8_t>(cfg_.iterBits));
+    out.u8(static_cast<uint8_t>(cfg_.confBits));
+    out.u8(static_cast<uint8_t>(cfg_.ageBits));
+    for (const Entry& e : entries_) {
+        out.u16(e.tag);
+        out.u16(e.pastIter);
+        out.u16(e.currentIter);
+        out.u8(e.confidence);
+        out.u8(e.age);
+        out.u8(static_cast<uint8_t>((e.dir ? 1 : 0) | (e.inUse ? 2 : 0)));
+    }
+}
+
+bool
+LoopPredictor::loadState(StateReader& in, std::string& error)
+{
+    const bool geometry_ok =
+        in.u8() == static_cast<uint8_t>(cfg_.logEntries) &&
+        in.u8() == static_cast<uint8_t>(cfg_.tagBits) &&
+        in.u8() == static_cast<uint8_t>(cfg_.iterBits) &&
+        in.u8() == static_cast<uint8_t>(cfg_.confBits) &&
+        in.u8() == static_cast<uint8_t>(cfg_.ageBits);
+    if (!in.ok() || !geometry_ok) {
+        reset();
+        error = in.ok() ? "loop predictor state was written with a "
+                          "different geometry"
+                        : "loop predictor state is truncated";
+        return false;
+    }
+    for (Entry& e : entries_) {
+        e.tag = in.u16();
+        e.pastIter = in.u16();
+        e.currentIter = in.u16();
+        e.confidence = in.u8();
+        e.age = in.u8();
+        const uint8_t flags = in.u8();
+        e.dir = (flags & 1) != 0;
+        e.inUse = (flags & 2) != 0;
+        // update() keeps every field inside its width, frees an entry
+        // whose iteration count reaches iterMax, and frees to blank.
+        const bool written =
+            flags <= 3 && e.tag <= maskBits(cfg_.tagBits) &&
+            e.pastIter <= iterMax_ && e.currentIter < iterMax_ &&
+            e.confidence <= confMax_ && e.age <= ageMax_ &&
+            (e.inUse || e == Entry{});
+        if (!in.ok() || !written) {
+            reset();
+            error = in.ok() ? "loop predictor state carries an entry "
+                              "update() never writes"
+                            : "loop predictor state is truncated";
+            return false;
+        }
+    }
+    return true;
 }
 
 } // namespace tagecon

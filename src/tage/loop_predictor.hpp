@@ -4,16 +4,17 @@
  * JILP 2007 / CBP-2 — reference [12] of the paper): a small side table
  * that identifies loops with constant trip counts and predicts their
  * exits exactly, including trip counts far beyond any global-history
- * window. Used by LTagePredictor as an optional side predictor.
+ * window. GradedTage attaches it as L-TAGE's loop part.
  */
 
 #ifndef TAGECON_TAGE_LOOP_PREDICTOR_HPP
 #define TAGECON_TAGE_LOOP_PREDICTOR_HPP
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "util/random.hpp"
+#include "util/state_io.hpp"
 
 namespace tagecon {
 
@@ -76,6 +77,20 @@ class LoopPredictor
     /** Number of confident entries (introspection / tests). */
     int confidentEntries() const;
 
+    /** Forget every entry. */
+    void reset();
+
+    /** Serialize the table, prefixed by a geometry fingerprint. */
+    void saveState(StateWriter& out) const;
+
+    /**
+     * Restore state written by saveState(). Returns false (leaving the
+     * table reset()) with the reason in @p error when the blob is
+     * truncated, from another geometry, or carries an entry update()
+     * never writes.
+     */
+    bool loadState(StateReader& in, std::string& error);
+
   private:
     struct Entry {
         uint16_t tag = 0;
@@ -85,6 +100,8 @@ class LoopPredictor
         uint8_t age = 0;
         bool dir = false; ///< direction of the loop-continue outcome
         bool inUse = false;
+
+        bool operator==(const Entry&) const = default;
     };
 
     uint32_t indexFor(uint64_t pc) const;
@@ -92,7 +109,6 @@ class LoopPredictor
 
     Config cfg_;
     std::vector<Entry> entries_;
-    Lfsr16 lfsr_;
     unsigned confMax_;
     unsigned ageMax_;
     unsigned iterMax_;

@@ -150,7 +150,9 @@ INSTANTIATE_TEST_SUITE_P(FoldedFamilies, ResetReplay,
 
 TEST(GradedLTage, RunsAndGradesLoopBranches)
 {
-    GradedLTage graded(TageConfig::small16K());
+    GradedTageOptions opt;
+    opt.loop = true;
+    GradedTage graded(TageConfig::small16K(), opt);
     SyntheticTrace t = makeTrace("FP-2", 20000);
     const RunResult r = runTrace(t, graded);
     EXPECT_EQ(r.stats.totalPredictions(), 20000u);
@@ -188,9 +190,10 @@ TEST(EstimatedPredictor, ClassStaysConsistentWithLevel)
 }
 
 // EstimatedPredictor::predictMany runs the host's batch, then grades
-// and trains the estimator element by element. Every Prediction field
-// must equal the scalar loop's at every batch size; 70000 branches
-// also cross the adaptive controller's first epoch (65536).
+// and trains the estimator element by element, and L-TAGE's loop part
+// steps in a pass of its own. Every Prediction field must equal the
+// scalar loop's at every batch size; 70000 branches also cross the
+// adaptive controller's first epoch (65536).
 TEST(EstimatedPredictor, PredictManyMatchesTheScalarLoop)
 {
     constexpr size_t kBatchSizes[] = {1, 7, 64, 333, 512};
@@ -205,7 +208,8 @@ TEST(EstimatedPredictor, PredictManyMatchesTheScalarLoop)
     const size_t n = pcs.size();
     for (const char* spec :
          {"tage64k+jrs", "tage64k+jrsg", "tage64k+blind",
-          "tage64k+prob7+adaptive+jrs", "gshare+jrsg"}) {
+          "tage64k+prob7+adaptive+jrs", "gshare+jrsg", "ltage16k+sfc",
+          "ltage64k+prob7+sfc", "ltage64k+jrs"}) {
         auto scalar = makePredictor(spec);
         std::vector<Prediction> want(n);
         for (size_t i = 0; i < n; ++i) {
@@ -236,10 +240,14 @@ TEST(EstimatedPredictor, PredictManyMatchesTheScalarLoop)
             EXPECT_EQ(batched->satLog2Prob(), scalar->satLog2Prob());
         }
     }
-    // Batched exactly when the host is: the adaptive host still
-    // reports scalar.
+    // Batched exactly when the host is: every L-TAGE stack batches,
+    // the adaptive host still reports scalar.
     EXPECT_TRUE(makePredictor("tage64k+jrs")->hasBatchedPredict());
     EXPECT_TRUE(makePredictor("tage64k+sfc")->hasBatchedPredict());
+    for (const char* spec :
+         {"ltage16k+sfc", "ltage64k+prob7+sfc", "ltage256k+jrs",
+          "ltage64k+blind"})
+        EXPECT_TRUE(makePredictor(spec)->hasBatchedPredict()) << spec;
     EXPECT_FALSE(
         makePredictor("tage64k+prob7+adaptive+jrs")->hasBatchedPredict());
     EXPECT_FALSE(

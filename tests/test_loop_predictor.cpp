@@ -1,14 +1,25 @@
 /**
  * @file
- * Tests for the L-TAGE loop predictor and the LTagePredictor wrapper.
+ * Tests for the L-TAGE loop predictor and L-TAGE: GradedTage with its
+ * loop part attached.
  */
 
 #include <gtest/gtest.h>
 
-#include "tage/ltage_predictor.hpp"
+#include "tage/graded_tage.hpp"
+#include "util/random.hpp"
 
 namespace tagecon {
 namespace {
+
+/** L-TAGE over the 16K TAGE. */
+GradedTage
+makeLTage()
+{
+    GradedTageOptions opt;
+    opt.loop = true;
+    return GradedTage(TageConfig::small16K(), opt);
+}
 
 /** Feed a loop branch with constant trip count. */
 void
@@ -122,10 +133,10 @@ TEST(LTage, LoopPredictorRescuesLongLoops)
         int misses = 0;
         const int n = 60000;
         if (use_ltage) {
-            LTagePredictor pred(TageConfig::small16K());
+            GradedTage pred = makeLTage();
             for (int i = 0; i < n; ++i) {
                 const bool taken = i % 200 != 199;
-                const LTagePrediction p = pred.predict(0x4000);
+                const Prediction p = pred.predict(0x4000);
                 if (i > n / 2 && p.taken != taken)
                     ++misses;
                 pred.update(0x4000, p, taken);
@@ -150,25 +161,24 @@ TEST(LTage, LoopPredictorRescuesLongLoops)
 
 TEST(LTage, WithLoopHysteresisEngages)
 {
-    LTagePredictor pred(TageConfig::small16K());
-    EXPECT_LT(pred.withLoop(), 0); // starts distrusting
+    GradedTage pred = makeLTage();
+    EXPECT_LT(pred.loop()->withLoop.value(), 0); // starts distrusting
     for (int i = 0; i < 60000; ++i) {
         const bool taken = i % 150 != 149;
-        const LTagePrediction p = pred.predict(0x4000);
+        const Prediction p = pred.predict(0x4000);
         pred.update(0x4000, p, taken);
     }
     // After the loop predictor repeatedly beats TAGE on the exits,
     // WITHLOOP must have learned to trust it.
-    EXPECT_GE(pred.withLoop(), 0);
-    EXPECT_GT(pred.loopPredictor().confidentEntries(), 0);
+    EXPECT_GE(pred.loop()->withLoop.value(), 0);
+    EXPECT_GT(pred.loop()->table.confidentEntries(), 0);
 }
 
 TEST(LTage, StorageIncludesBothComponents)
 {
-    LTagePredictor pred(TageConfig::small16K());
+    const GradedTage pred = makeLTage();
     EXPECT_EQ(pred.storageBits(),
-              pred.tage().storageBits() +
-                  pred.loopPredictor().storageBits());
+              pred.tage().storageBits() + pred.loop()->table.storageBits());
 }
 
 TEST(LTage, NoHarmOnLooplessStream)
@@ -177,13 +187,13 @@ TEST(LTage, NoHarmOnLooplessStream)
     auto run = [](bool use_ltage) {
         XorShift128Plus rng(5);
         int misses = 0;
-        LTagePredictor lt(TageConfig::small16K());
+        GradedTage lt = makeLTage();
         TagePredictor t(TageConfig::small16K());
         for (int i = 0; i < 30000; ++i) {
             const uint64_t pc = 0x9000 + (rng.next() % 32) * 4;
             const bool taken = rng.nextBool(0.85);
             if (use_ltage) {
-                const LTagePrediction p = lt.predict(pc);
+                const Prediction p = lt.predict(pc);
                 if (p.taken != taken)
                     ++misses;
                 lt.update(pc, p, taken);

@@ -12,13 +12,14 @@
  * hash, USE_ALT_ON_NA, aging counters) to the bit.
  *
  * The remaining suites cover the blob framing (serve/checkpoint.hpp):
- * registry-level round trips for every supported family (including the
+ * registry-level round trips for every family (including the
  * perceptron and O-GEHL neural families added in checkpoint version
- * 2), restores into used instances, pinned wire bytes, deterministic
- * encoding, strict rejection of truncated / corrupted / wrong-magic /
- * wrong-version (including old v1) / wrong-spec / out-of-range blobs,
- * the stateful-estimator error path, stream-kind position fields, the
- * bulk u16s encoding, and the file helpers.
+ * 2, L-TAGE and the JRS estimator stacks), restores into used
+ * instances, pinned wire bytes, deterministic encoding, strict
+ * rejection of truncated / corrupted / wrong-magic / wrong-version
+ * (including old v1) / wrong-spec / wrong-part / out-of-range blobs,
+ * stream-kind position fields, the bulk u16s encoding, and the file
+ * helpers.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +33,7 @@
 #include "serve/checkpoint.hpp"
 #include "sim/registry.hpp"
 #include "sim/trace_registry.hpp"
+#include "tage/loop_predictor.hpp"
 #include "tage/tage_predictor.hpp"
 #include "util/failpoint.hpp"
 #include "util/random.hpp"
@@ -403,15 +405,18 @@ expectRestoreIntoUsedInstanceEqualsFresh(const std::string& spec_arg)
 
 TEST(CheckpointRoundTrip, TageFamilyContinuesBitIdentically)
 {
-    expectRoundTripContinuesBitIdentically("tage16k+sfc");
-    expectRoundTripContinuesBitIdentically(
-        "tage64k+prob7+adaptive+sfc");
+    for (const char* spec :
+         {"tage16k+sfc", "tage64k+prob7+adaptive+sfc", "ltage16k+sfc",
+          "ltage64k+prob7+sfc", "tage64k+jrs",
+          "tage64k+prob7+adaptive+jrs"})
+        expectRoundTripContinuesBitIdentically(spec);
 }
 
 TEST(CheckpointRoundTrip, BimodalAndGshareContinueBitIdentically)
 {
     expectRoundTripContinuesBitIdentically("bimodal");
     expectRoundTripContinuesBitIdentically("gshare");
+    expectRoundTripContinuesBitIdentically("gshare+jrsg");
 }
 
 TEST(CheckpointRoundTrip, PerceptronAndOgehlContinueBitIdentically)
@@ -426,7 +431,9 @@ TEST(CheckpointRoundTrip, PerceptronAndOgehlContinueBitIdentically)
 TEST(CheckpointRoundTrip, RestoreIntoAUsedInstanceEqualsAFreshOne)
 {
     for (const char* spec :
-         {"tage16k+sfc", "tage64k+prob7+adaptive+sfc", "bimodal", "gshare",
+         {"tage16k+sfc", "tage64k+prob7+adaptive+sfc", "ltage16k+sfc",
+          "ltage64k+prob7+sfc", "tage64k+jrs", "gshare+jrsg",
+          "tage64k+prob7+adaptive+jrs", "bimodal", "gshare",
           "perceptron+sfc", "ogehl+sfc"})
         expectRestoreIntoUsedInstanceEqualsFresh(spec);
 }
@@ -566,6 +573,47 @@ TEST(CheckpointRejection, SpecMismatchLeavesTargetReset)
     dst->update(0x4000, p, true);
 }
 
+/**
+ * A decoded mid-stream checkpoint of @p spec after @p served branches
+ * of FP-1, for patching by the rejection tests.
+ */
+Checkpoint
+servedCheckpoint(const std::string& spec, uint64_t served)
+{
+    auto src = makePredictor(spec);
+    drive(*src, *makeTraceSource("FP-1", served, 0), served);
+    std::vector<uint8_t> blob;
+    EXPECT_TRUE(succeeded(encodePredictorCheckpoint(*src, spec, blob)));
+    Checkpoint ck;
+    EXPECT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
+    return ck;
+}
+
+/** @p ck with @p size little-endian bytes of @p v at payload @p at. */
+Checkpoint
+patched(Checkpoint ck, size_t at, uint64_t v, size_t size)
+{
+    for (size_t i = 0; i < size; ++i)
+        ck.payload[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    return ck;
+}
+
+/**
+ * Restoring @p ck into a used @p spec predictor must fail naming
+ * @p what and leave the predictor equal to a fresh one.
+ */
+void
+expectRejectedAndReset(const Checkpoint& ck, const std::string& spec,
+                       const std::string& what)
+{
+    auto dst = makePredictor(spec);
+    drive(*dst, *makeTraceSource("INT-1", 500, 0), 500);
+    const Err e = restoreFromCheckpoint(ck, *dst, spec);
+    EXPECT_EQ(e.code, ErrCode::Corrupt);
+    EXPECT_NE(failureDetail(e).find(what), std::string::npos) << e.detail;
+    EXPECT_EQ(snapshotBytes(*dst), snapshotBytes(*makePredictor(spec)));
+}
+
 TEST(CheckpointRejection, AgingCountdownOutsideOneToPeriod)
 {
     // update() keeps the useful-bit aging countdown in [1, period]
@@ -574,41 +622,23 @@ TEST(CheckpointRejection, AgingCountdownOutsideOneToPeriod)
     const std::string spec = canonicalizeSpec("tage64k+sfc");
     constexpr uint64_t kPeriod = uint64_t{1} << 18;
     constexpr uint64_t kServed = 1000;
-    auto src = makePredictor(spec);
-    auto trace = makeTraceSource("FP-1", kServed, 0);
-    drive(*src, *trace, kServed);
-    std::vector<uint8_t> blob;
-    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*src, spec, blob)));
-    Checkpoint ck;
-    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
+    const Checkpoint ck = servedCheckpoint(spec, kServed);
 
     // The TAGE state ends with the countdown (u64); GradedTage follows
     // it with sinceBimMiss (i64), the sequence (u64) and a level (u8).
     const size_t at = ck.payload.size() - (8 + 8 + 1) - 8;
-    auto with_countdown = [&](uint64_t v) {
-        Checkpoint patched = ck;
-        for (size_t i = 0; i < 8; ++i)
-            patched.payload[at + i] = static_cast<uint8_t>(v >> (8 * i));
-        return patched;
-    };
     StateReader field(ck.payload.data() + at, 8);
     ASSERT_EQ(field.u64(), kPeriod - kServed);
 
-    const std::vector<uint8_t> fresh = snapshotBytes(*makePredictor(spec));
     for (const uint64_t bad : {uint64_t{0}, kPeriod + 1, uint64_t{1} << 40}) {
         SCOPED_TRACE(bad);
-        auto dst = makePredictor(spec);
-        drive(*dst, *makeTraceSource("INT-1", 500, 0), 500);
-        const std::string error = failureDetail(
-            restoreFromCheckpoint(with_countdown(bad), *dst, spec));
-        EXPECT_NE(error.find("aging countdown"), std::string::npos)
-            << error;
-        EXPECT_EQ(snapshotBytes(*dst), fresh);
+        expectRejectedAndReset(patched(ck, at, bad, 8), spec,
+                               "aging countdown");
     }
     for (const uint64_t good : {uint64_t{1}, kPeriod}) {
         auto dst = makePredictor(spec);
         EXPECT_TRUE(succeeded(
-            restoreFromCheckpoint(with_countdown(good), *dst, spec)))
+            restoreFromCheckpoint(patched(ck, at, good, 8), *dst, spec)))
             << good;
     }
 }
@@ -620,30 +650,20 @@ TEST(CheckpointRejection, AdaptiveEpochCountsSaveStateNeverWrites)
     // past those bounds would close the next epoch early.
     const std::string spec = canonicalizeSpec("tage64k+prob7+adaptive+sfc");
     constexpr uint64_t kServed = 1000;
-    auto src = makePredictor(spec);
-    drive(*src, *makeTraceSource("FP-1", kServed, 0), kServed);
-    std::vector<uint8_t> blob;
-    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*src, spec, blob)));
-    Checkpoint ck;
-    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
+    const Checkpoint ck = servedCheckpoint(spec, kServed);
 
     // The controller closes the payload: log2(1/p) (u32), then seen,
     // highPred, highMiss and epochs (u64 each).
     const size_t at = ck.payload.size() - 4 * 8;
     auto with_counts = [&](uint64_t seen, uint64_t high_pred,
                            uint64_t high_miss) {
-        Checkpoint patched = ck;
-        const uint64_t v[] = {seen, high_pred, high_miss};
-        for (size_t f = 0; f < 3; ++f)
-            for (size_t i = 0; i < 8; ++i)
-                patched.payload[at + 8 * f + i] =
-                    static_cast<uint8_t>(v[f] >> (8 * i));
-        return patched;
+        return patched(patched(patched(ck, at, seen, 8), at + 8,
+                               high_pred, 8),
+                       at + 16, high_miss, 8);
     };
     StateReader field(ck.payload.data() + at, 8);
     ASSERT_EQ(field.u64(), kServed);
 
-    const std::vector<uint8_t> fresh = snapshotBytes(*makePredictor(spec));
     struct Counts {
         uint64_t seen, highPred, highMiss;
     };
@@ -651,18 +671,128 @@ TEST(CheckpointRejection, AdaptiveEpochCountsSaveStateNeverWrites)
                              Counts{500, 5, 9}, Counts{500, 501, 0}}) {
         SCOPED_TRACE(testing::Message() << bad.seen << "/" << bad.highPred
                                         << "/" << bad.highMiss);
-        auto dst = makePredictor(spec);
-        drive(*dst, *makeTraceSource("INT-1", 500, 0), 500);
-        const Err e = restoreFromCheckpoint(
-            with_counts(bad.seen, bad.highPred, bad.highMiss), *dst, spec);
-        EXPECT_EQ(e.code, ErrCode::Corrupt);
-        EXPECT_NE(failureDetail(e).find("epoch counts"), std::string::npos)
-            << e.detail;
-        EXPECT_EQ(snapshotBytes(*dst), fresh);
+        expectRejectedAndReset(
+            with_counts(bad.seen, bad.highPred, bad.highMiss), spec,
+            "epoch counts");
     }
     auto dst = makePredictor(spec);
     EXPECT_TRUE(succeeded(restoreFromCheckpoint(
         with_counts(65535, 65535, 65535), *dst, spec)));
+}
+
+TEST(CheckpointRejection, BurstWindowCountOutsideZeroToWindow)
+{
+    // onResolve() keeps the medium-conf-bim count in [0, window] (8
+    // here); it closes the payload ahead of the sequence (u64) and the
+    // level (u8).
+    const std::string spec = canonicalizeSpec("tage16k+sfc");
+    const Checkpoint ck = servedCheckpoint(spec, 1000);
+    const size_t at = ck.payload.size() - (8 + 1) - 8;
+    for (const int64_t bad : {int64_t{9}, int64_t{-1}, int64_t{1} << 32}) {
+        SCOPED_TRACE(bad);
+        expectRejectedAndReset(
+            patched(ck, at, static_cast<uint64_t>(bad), 8), spec,
+            "burst-window count");
+    }
+    for (const uint64_t good : {uint64_t{0}, uint64_t{8}}) {
+        auto dst = makePredictor(spec);
+        EXPECT_TRUE(succeeded(
+            restoreFromCheckpoint(patched(ck, at, good, 8), *dst, spec)))
+            << good;
+    }
+}
+
+TEST(CheckpointRejection, LoopStateSaveStateNeverWrites)
+{
+    // An L-TAGE payload closes with the loop table (a 5-byte
+    // fingerprint, then 64 entries of tag, pastIter, currentIter (u16
+    // each), confidence, age and a dir|inUse<<1 flag byte) and the
+    // 7-bit WITHLOOP counter (i64).
+    const std::string spec = canonicalizeSpec("ltage16k+sfc");
+    const Checkpoint ck = servedCheckpoint(spec, 1000);
+    const size_t with_loop = ck.payload.size() - 8;
+    const size_t entry0 = with_loop - 64 * 9;
+    auto with_entry = [&](uint16_t tag, uint16_t past, uint16_t current,
+                          uint8_t conf, uint8_t age, uint8_t flags) {
+        Checkpoint c = patched(ck, entry0, tag, 2);
+        c = patched(c, entry0 + 2, past, 2);
+        c = patched(c, entry0 + 4, current, 2);
+        return patched(c, entry0 + 6,
+                       conf | uint64_t{age} << 8 | uint64_t{flags} << 16, 3);
+    };
+    for (const int64_t bad : {int64_t{64}, int64_t{-65}})
+        expectRejectedAndReset(
+            patched(ck, with_loop, static_cast<uint64_t>(bad), 8), spec,
+            "WITHLOOP");
+    // 14-bit tags, 10-bit iteration counts below the 1023 that frees
+    // an entry, 2-bit confidence, and free entries are blank.
+    expectRejectedAndReset(with_entry(5, 10, 3, 3, 128, 4), spec,
+                           "never writes");
+    expectRejectedAndReset(with_entry(0x4000, 10, 3, 3, 128, 2), spec,
+                           "never writes");
+    expectRejectedAndReset(with_entry(5, 10, 1023, 0, 0, 2), spec,
+                           "never writes");
+    expectRejectedAndReset(with_entry(5, 1024, 3, 0, 0, 2), spec,
+                           "never writes");
+    expectRejectedAndReset(with_entry(5, 10, 3, 4, 0, 2), spec,
+                           "never writes");
+    expectRejectedAndReset(with_entry(0, 0, 0, 0, 1, 0), spec,
+                           "never writes");
+
+    auto dst = makePredictor(spec);
+    EXPECT_TRUE(succeeded(restoreFromCheckpoint(
+        patched(with_entry(0x3FFF, 1023, 1022, 3, 255, 3), with_loop,
+                static_cast<uint64_t>(int64_t{-64}), 8),
+        *dst, spec)));
+}
+
+TEST(CheckpointRejection, JrsCounterPastItsWidth)
+{
+    // A JRS payload closes with its 4-bit counters (u16 each).
+    const std::string spec = canonicalizeSpec("gshare+jrs");
+    const Checkpoint ck = servedCheckpoint(spec, 1000);
+    const size_t last = ck.payload.size() - 2;
+    expectRejectedAndReset(patched(ck, last, 16, 2), spec,
+                           "counter wider than ctrBits");
+    auto dst = makePredictor(spec);
+    EXPECT_TRUE(succeeded(
+        restoreFromCheckpoint(patched(ck, last, 15, 2), *dst, spec)));
+}
+
+TEST(CheckpointRejection, PartsAndGeometriesMustMatch)
+{
+    // Raw restore() calls, past restoreFromCheckpoint()'s spec check:
+    // the payload itself must refuse another configuration.
+    const auto expect_refused = [](const char* from, const char* into,
+                                   const std::string& what) {
+        SCOPED_TRACE(std::string(from) + " into " + into);
+        auto src = makePredictor(from);
+        drive(*src, *makeTraceSource("FP-1", 1000, 0), 1000);
+        const std::vector<uint8_t> blob = snapshotBytes(*src);
+        auto dst = makePredictor(into);
+        drive(*dst, *makeTraceSource("INT-1", 500, 0), 500);
+        StateReader in(blob);
+        std::string error;
+        EXPECT_FALSE(dst->restore(in, error));
+        EXPECT_NE(error.find(what), std::string::npos) << error;
+        EXPECT_EQ(snapshotBytes(*dst), snapshotBytes(*makePredictor(into)));
+    };
+    expect_refused("tage16k+sfc", "ltage16k+sfc", "loop predictor");
+    expect_refused("ltage16k+sfc", "tage16k+sfc", "loop predictor");
+    expect_refused("gshare+jrs", "gshare+jrsg", "JRS state was written "
+                                                "with a different geometry");
+
+    LoopPredictor::Config narrow;
+    narrow.iterBits = 4;
+    StateWriter w;
+    LoopPredictor(narrow).saveState(w);
+    StateReader in(w.data());
+    std::string error;
+    EXPECT_FALSE(LoopPredictor().loadState(in, error));
+    EXPECT_NE(error.find("loop predictor state was written with a "
+                         "different geometry"),
+              std::string::npos)
+        << error;
 }
 
 TEST(CheckpointRejection, TrailingPayloadBytes)
@@ -680,19 +810,6 @@ TEST(CheckpointRejection, TrailingPayloadBytes)
         failureDetail(restoreFromCheckpoint(ck, *q, spec));
     EXPECT_NE(error.find("trailing bytes"), std::string::npos)
         << error;
-}
-
-TEST(CheckpointUnsupported, StatefulEstimatorBlocksTheWrapper)
-{
-    // gshare+jrs carries estimator counters the payload does not
-    // cover, so the wrapper must refuse rather than silently drop them.
-    std::string error;
-    auto p = tryMakePredictor("gshare+jrs", &error);
-    ASSERT_NE(p, nullptr) << error;
-    std::vector<uint8_t> blob;
-    error = failureDetail(encodePredictorCheckpoint(
-        *p, canonicalizeSpec("gshare+jrs"), blob));
-    EXPECT_NE(error.find("not supported"), std::string::npos) << error;
 }
 
 TEST(StateIo, U16sWritesLittleEndianLikeU16)
@@ -823,15 +940,17 @@ TEST(CheckpointErrors, TypedResultsCarryCodeAndSite)
     EXPECT_NE(read_err.message().find("[not-found]"),
               std::string::npos);
 
-    // Unsupported family: ckpt.encode.
-    std::string error;
-    auto p = tryMakePredictor("gshare+jrs", &error);
-    ASSERT_NE(p, nullptr) << error;
-    std::vector<uint8_t> blob;
-    const Err enc_err = encodePredictorCheckpoint(
-        *p, canonicalizeSpec("gshare+jrs"), blob);
-    EXPECT_EQ(enc_err.code, ErrCode::Unsupported);
-    EXPECT_EQ(enc_err.site, "ckpt.encode");
+    // An encode fault: ckpt.encode.
+    {
+        failpoints::ScopedFaults faults("ckpt.encode");
+        ASSERT_TRUE(faults.ok());
+        const std::string spec = canonicalizeSpec("gshare+jrs");
+        std::vector<uint8_t> blob;
+        const Err enc_err =
+            encodePredictorCheckpoint(*makePredictor(spec), spec, blob);
+        EXPECT_TRUE(enc_err.failed());
+        EXPECT_EQ(enc_err.site, "ckpt.encode");
+    }
 
     // Truncation vs corruption at ckpt.decode: a prefix shorter than
     // the minimal header is Truncated; a longer torn prefix fails the

@@ -284,7 +284,8 @@ TEST(ServingEngine, EveryStreamMatchesTheScalarOracle)
     const auto streams =
         StreamSet::roundRobin(60, twoCbp1Traces(), 1500, 0);
     for (const char* spec :
-         {"tage16k+sfc", "tage64k+prob7+adaptive+sfc", "bimodal", "gshare",
+         {"tage16k+sfc", "tage64k+prob7+adaptive+sfc", "ltage16k+sfc",
+          "tage16k+jrs", "gshare+jrsg", "bimodal", "gshare",
           "perceptron+sfc", "ogehl+sfc"}) {
         for (const unsigned pool : {1u, 2u}) {
             SCOPED_TRACE(std::string(spec) + " pool " +
@@ -299,20 +300,6 @@ TEST(ServingEngine, EveryStreamMatchesTheScalarOracle)
             expectServeMatchesScalarOracle(opts, streams);
         }
     }
-}
-
-TEST(ServingEngine, NonBatchedFamilyMatchesTheScalarOracle)
-{
-    // JRS counters make the stack take the base-class predictMany()
-    // fallback; it has no snapshot support, so the pool is unbounded.
-    const auto streams =
-        StreamSet::roundRobin(12, twoCbp1Traces(), 1500, 0);
-    ServeOptions opts;
-    opts.spec = "tage16k+jrs";
-    opts.jobs = 2;
-    opts.poolPerShard = 0;
-    opts.batch = 97;
-    expectServeMatchesScalarOracle(opts, streams);
 }
 
 TEST(ServingEngine, RejectsBatchOfZero)
@@ -338,14 +325,6 @@ TEST(ServingEngine, RejectsBadOptionsAndDuplicateIds)
     std::string error;
     EXPECT_FALSE(ServingEngine(opts).validate(&error));
 
-    // A bounded pool needs snapshot support to park streams; a
-    // stateful estimator has none.
-    opts.spec = "gshare+jrs";
-    opts.poolPerShard = 8;
-    error.clear();
-    EXPECT_FALSE(ServingEngine(opts).validate(&error));
-    EXPECT_NE(error.find("not supported"), std::string::npos) << error;
-
     opts.spec = "tage16k+sfc";
     EXPECT_TRUE(ServingEngine(opts).validate(&error)) << error;
 
@@ -358,10 +337,10 @@ TEST(ServingEngine, RejectsBadOptionsAndDuplicateIds)
     EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
 }
 
-TEST(ServingEngine, UnboundedPoolServesSnapshotFreeFamilies)
+TEST(ServingEngine, UnboundedPoolServesWithoutDigests)
 {
-    // Without parking, checkpointing or digests, snapshot support is
-    // not required — a stateful-estimator spec still serves fine.
+    // Without parking, checkpointing or digests no stream is ever
+    // snapshotted, and the state digest stays unset.
     ServeOptions opts;
     opts.spec = "gshare+jrs";
     opts.poolPerShard = 0;

@@ -20,6 +20,12 @@
  * final state is pinned as well. It was harvested from the scalar
  * loop before the folds moved into SIMD lanes, so the SIMD and the
  * TAGECON_NO_SIMD builds both answer to the same value.
+ *
+ * A second oracle draws L-TAGE specs over the same keys (with +prob,
+ * never adaptive, graded by sfc, jrs or jrsg) and checks the registry
+ * level the same way. Its digest covers the specs and every scalar
+ * prediction; it was harvested from the L-TAGE class that predated
+ * the loop part of GradedTage, and so anchors the loop part to it.
  */
 
 #include <gtest/gtest.h>
@@ -51,6 +57,7 @@ mix(uint64_t h, uint64_t v)
 
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr int kSpecs = 48;
+constexpr int kLTageSpecs = 32;
 
 /** Largest tag arena a drawn geometry may allocate. */
 constexpr uint64_t kMaxArenaBytes = uint64_t{8} << 20;
@@ -146,6 +153,21 @@ drawSpec(XorShift128Plus& rng)
             s += "+adaptive";
     }
     return {s, s + "+sfc"};
+}
+
+/**
+ * An L-TAGE spec over the same grammar: the TAGE draw on an ltage*
+ * base, without adaptive, graded by sfc, jrs or jrsg.
+ */
+std::string
+drawLTageSpec(XorShift128Plus& rng)
+{
+    static const char* const kEstimators[] = {"+sfc", "+sfc", "+jrs",
+                                              "+jrsg"};
+    std::string s = "l" + drawSpec(rng).base;
+    if (const size_t at = s.find("+adaptive"); at != std::string::npos)
+        s.erase(at);
+    return s + kEstimators[rng.nextBelow(4)];
 }
 
 /** A branch stream with local, periodic and long-range structure. */
@@ -326,13 +348,15 @@ samePrediction(const Prediction& a, const Prediction& b)
 }
 
 /**
- * Registry level: the scalar loop (feeds the digest) against
- * predictMany() over @p chunks, and against a run that is snapshotted
- * at @p cut and finished by a freshly built predictor.
+ * Registry level: the scalar loop (feeds the digest, with its final
+ * state when @p hash_state) against predictMany() over @p chunks, and
+ * against a run that is snapshotted at @p cut and finished by a
+ * freshly built predictor.
  */
 uint64_t
 checkGraded(const std::string& spec, const Stream& s,
-            const std::vector<Chunk>& chunks, size_t cut, uint64_t h)
+            const std::vector<Chunk>& chunks, size_t cut, uint64_t h,
+            bool hash_state = true)
 {
     const size_t n = s.pcs.size();
     auto scalar = makePredictor(spec);
@@ -343,7 +367,8 @@ checkGraded(const std::string& spec, const Stream& s,
         h = mixGraded(h, want[i]);
     }
     const std::vector<uint8_t> final_state = snapshotBytes(*scalar);
-    h = mixBytes(h, final_state);
+    if (hash_state)
+        h = mixBytes(h, final_state);
 
     auto batched = makePredictor(spec);
     std::vector<Prediction> got;
@@ -391,6 +416,25 @@ TEST(TageRandomGeometry, BatchedAndRestoredRunsMatchTheScalarLoop)
         h = checkGraded(spec.full, s, chunks, cut, h);
     }
     EXPECT_EQ(h, 18312974436605513468ULL)
+        << "the pinned oracle digest moved";
+}
+
+TEST(LTageRandomGeometry, BatchedAndRestoredRunsMatchTheScalarLoop)
+{
+    XorShift128Plus rng(0x17A6EC0DEULL);
+    uint64_t h = kFnvOffset;
+    for (int i = 0; i < kLTageSpecs; ++i) {
+        const std::string spec = drawLTageSpec(rng);
+        SCOPED_TRACE(spec);
+        const size_t n = 2000 + rng.nextBelow(6000);
+        const Stream s = drawStream(rng, n);
+        const std::vector<Chunk> chunks = drawChunks(rng, n);
+        const size_t cut = rng.nextBelow(n + 1);
+        for (const char c : spec)
+            h = mix(h, static_cast<uint8_t>(c));
+        h = checkGraded(spec, s, chunks, cut, h, /*hash_state=*/false);
+    }
+    EXPECT_EQ(h, 10039309447447201118ULL)
         << "the pinned oracle digest moved";
 }
 
