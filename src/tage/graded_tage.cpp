@@ -18,27 +18,26 @@ GradedTage::GradedTage(TageConfig config, GradedTageOptions opt)
         predictor_.setSatLog2Prob(controller_->log2Prob());
     }
     if (opt.loop)
-        loop_.emplace();
+        loop_ = std::make_unique<LoopPart>();
 }
 
 void
-GradedTage::LoopPart::arbitrate(const LoopPredictor::Result& r,
-                                Prediction& p) const
+GradedTage::LoopPart::predict(uint64_t pc, Prediction& p)
 {
-    if (r.valid && withLoop.value() >= 0) {
+    last = table.lookup(pc);
+    if (last.valid && withLoop.value() >= 0) {
         // Loop-provided predictions are practically always correct.
-        p.taken = r.taken;
+        p.taken = last.taken;
         p.confidence = ConfidenceLevel::High;
         p.cls = representativeClass(p.confidence);
     }
 }
 
 void
-GradedTage::LoopPart::train(uint64_t pc, const LoopPredictor::Result& r,
-                            bool tage_taken, bool taken)
+GradedTage::LoopPart::train(uint64_t pc, bool tage_taken, bool taken)
 {
-    if (r.valid && r.taken != tage_taken)
-        withLoop.update(r.taken == taken);
+    if (last.valid && last.taken != tage_taken)
+        withLoop.update(last.taken == taken);
     table.update(pc, taken, tage_taken != taken);
 }
 
@@ -52,10 +51,8 @@ GradedTage::predict(uint64_t pc)
     p.confidence = confidenceLevel(p.cls);
     p.payload = ++seq_;
     lastIntrinsicLevel_ = p.confidence;
-    if (loop_) {
-        loopRaw_ = loop_->table.lookup(pc);
-        loop_->arbitrate(loopRaw_, p);
-    }
+    if (loop_)
+        loop_->predict(pc, p);
     return p;
 }
 
@@ -74,7 +71,7 @@ GradedTage::update(uint64_t pc, const Prediction& p, bool taken)
         predictor_.setSatLog2Prob(controller_->log2Prob());
     }
     if (loop_)
-        loop_->train(pc, loopRaw_, raw_.taken, taken);
+        loop_->train(pc, raw_.taken, taken);
     predictor_.update(pc, raw_, taken);
 }
 
@@ -149,14 +146,12 @@ GradedTage::predictBatch(std::span<const uint64_t> pcs,
     // own lookup, so the loop part steps in element order on its own.
     if (loop_) {
         for (size_t k = 0; k < n; ++k) {
-            loopRaw_ = loop_->table.lookup(pcs[k]);
-            loop_->arbitrate(loopRaw_, out[k]);
-            loop_->train(pcs[k], loopRaw_, rawBatch_[k].taken,
-                         taken[k] != 0);
+            loop_->predict(pcs[k], out[k]);
+            loop_->train(pcs[k], rawBatch_[k].taken, taken[k] != 0);
         }
     }
-    // Keep the scalar invariant that raw_ and loopRaw_ pair with the
-    // newest seq_.
+    // Keep the scalar invariant that raw_ and the loop part's last
+    // lookup pair with the newest seq_.
     raw_ = rawBatch_[n - 1];
 }
 
@@ -179,7 +174,7 @@ GradedTage::reset()
         predictor_.setSatLog2Prob(controller_->log2Prob());
     }
     if (loop_)
-        loop_.emplace();
+        *loop_ = LoopPart{};
 }
 
 uint64_t

@@ -13,6 +13,7 @@
 #ifndef TAGECON_TAGE_GRADED_TAGE_HPP
 #define TAGECON_TAGE_GRADED_TAGE_HPP
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -124,24 +125,25 @@ class GradedTage : public GradedPredictor
         /** WITHLOOP: 7-bit hysteresis, starts distrusting the table. */
         SignedSatCounter withLoop{7, -1};
 
+        /** The lookup routed from predict() to the paired train(). */
+        LoopPredictor::Result last;
+
         /**
-         * Let the lookup @p r override @p p when it is valid and
+         * Look @p pc up and let a valid entry override @p p when
          * WITHLOOP trusts the table.
          */
-        void arbitrate(const LoopPredictor::Result& r,
-                       Prediction& p) const;
+        void predict(uint64_t pc, Prediction& p);
 
         /**
          * Train with the resolved branch: WITHLOOP learns whether the
          * table beats TAGE when they disagree, and the table allocates
          * on TAGE's mispredictions.
          */
-        void train(uint64_t pc, const LoopPredictor::Result& r,
-                   bool tage_taken, bool taken);
+        void train(uint64_t pc, bool tage_taken, bool taken);
     };
 
-    /** The loop part, when attached. */
-    const std::optional<LoopPart>& loop() const { return loop_; }
+    /** The loop part, or null when it is not attached. */
+    const LoopPart* loop() const { return loop_.get(); }
 
   protected:
     std::string defaultName() const override;
@@ -162,11 +164,12 @@ class GradedTage : public GradedPredictor
     TagePredictor predictor_;
     ConfidenceObserver observer_;
     std::optional<AdaptiveProbabilityController> controller_;
-    std::optional<LoopPart> loop_;
+
+    /** On the heap, so the tage* stacks do not carry its bytes. */
+    std::unique_ptr<LoopPart> loop_;
 
     /** Lookup state routed from predict() to the paired update(). */
     TagePrediction raw_;
-    LoopPredictor::Result loopRaw_;
     ConfidenceLevel lastIntrinsicLevel_ = ConfidenceLevel::High;
     uint64_t seq_ = 0;
 

@@ -162,6 +162,7 @@ TEST(LTage, LoopPredictorRescuesLongLoops)
 TEST(LTage, WithLoopHysteresisEngages)
 {
     GradedTage pred = makeLTage();
+    ASSERT_NE(pred.loop(), nullptr);
     EXPECT_LT(pred.loop()->withLoop.value(), 0); // starts distrusting
     for (int i = 0; i < 60000; ++i) {
         const bool taken = i % 150 != 149;
@@ -177,6 +178,7 @@ TEST(LTage, WithLoopHysteresisEngages)
 TEST(LTage, StorageIncludesBothComponents)
 {
     const GradedTage pred = makeLTage();
+    ASSERT_NE(pred.loop(), nullptr);
     EXPECT_EQ(pred.storageBits(),
               pred.tage().storageBits() + pred.loop()->table.storageBits());
 }

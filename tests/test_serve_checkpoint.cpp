@@ -575,7 +575,9 @@ TEST(CheckpointRejection, SpecMismatchLeavesTargetReset)
 
 /**
  * A decoded mid-stream checkpoint of @p spec after @p served branches
- * of FP-1, for patching by the rejection tests.
+ * of FP-1, for patching by the rejection tests. Its payload is empty
+ * when encoding or decoding fails, so callers check its size before
+ * computing offsets into it.
  */
 Checkpoint
 servedCheckpoint(const std::string& spec, uint64_t served)
@@ -626,6 +628,7 @@ TEST(CheckpointRejection, AgingCountdownOutsideOneToPeriod)
 
     // The TAGE state ends with the countdown (u64); GradedTage follows
     // it with sinceBimMiss (i64), the sequence (u64) and a level (u8).
+    ASSERT_GE(ck.payload.size(), (8 + 8 + 1) + 8);
     const size_t at = ck.payload.size() - (8 + 8 + 1) - 8;
     StateReader field(ck.payload.data() + at, 8);
     ASSERT_EQ(field.u64(), kPeriod - kServed);
@@ -654,6 +657,7 @@ TEST(CheckpointRejection, AdaptiveEpochCountsSaveStateNeverWrites)
 
     // The controller closes the payload: log2(1/p) (u32), then seen,
     // highPred, highMiss and epochs (u64 each).
+    ASSERT_GE(ck.payload.size(), 4 * 8);
     const size_t at = ck.payload.size() - 4 * 8;
     auto with_counts = [&](uint64_t seen, uint64_t high_pred,
                            uint64_t high_miss) {
@@ -687,6 +691,7 @@ TEST(CheckpointRejection, BurstWindowCountOutsideZeroToWindow)
     // level (u8).
     const std::string spec = canonicalizeSpec("tage16k+sfc");
     const Checkpoint ck = servedCheckpoint(spec, 1000);
+    ASSERT_GE(ck.payload.size(), (8 + 1) + 8);
     const size_t at = ck.payload.size() - (8 + 1) - 8;
     for (const int64_t bad : {int64_t{9}, int64_t{-1}, int64_t{1} << 32}) {
         SCOPED_TRACE(bad);
@@ -710,6 +715,7 @@ TEST(CheckpointRejection, LoopStateSaveStateNeverWrites)
     // 7-bit WITHLOOP counter (i64).
     const std::string spec = canonicalizeSpec("ltage16k+sfc");
     const Checkpoint ck = servedCheckpoint(spec, 1000);
+    ASSERT_GE(ck.payload.size(), 8 + 64 * 9);
     const size_t with_loop = ck.payload.size() - 8;
     const size_t entry0 = with_loop - 64 * 9;
     auto with_entry = [&](uint16_t tag, uint16_t past, uint16_t current,
@@ -751,6 +757,7 @@ TEST(CheckpointRejection, JrsCounterPastItsWidth)
     // A JRS payload closes with its 4-bit counters (u16 each).
     const std::string spec = canonicalizeSpec("gshare+jrs");
     const Checkpoint ck = servedCheckpoint(spec, 1000);
+    ASSERT_GE(ck.payload.size(), 2);
     const size_t last = ck.payload.size() - 2;
     expectRejectedAndReset(patched(ck, last, 16, 2), spec,
                            "counter wider than ctrBits");

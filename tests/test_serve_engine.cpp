@@ -279,15 +279,17 @@ TEST(ServingEngine, EveryStreamMatchesTheScalarOracle)
     // Turns of 97 end mid-chunk, 13 shards with a pool of 1 or 2 park
     // predictors between turns and restore them into the object the
     // shard evicted last (so one stream continues on another's used
-    // predictor), and 4 workers interleave the shards: none of it may
-    // move a bit against the plain loop, in any snapshot family.
+    // predictor), an unbounded pool (0) keeps each stream's predictor
+    // resident across all of its turns, and 4 workers interleave the
+    // shards: none of it may move a bit against the plain loop, in any
+    // family.
     const auto streams =
         StreamSet::roundRobin(60, twoCbp1Traces(), 1500, 0);
     for (const char* spec :
          {"tage16k+sfc", "tage64k+prob7+adaptive+sfc", "ltage16k+sfc",
           "tage16k+jrs", "gshare+jrsg", "bimodal", "gshare",
           "perceptron+sfc", "ogehl+sfc"}) {
-        for (const unsigned pool : {1u, 2u}) {
+        for (const unsigned pool : {0u, 1u, 2u}) {
             SCOPED_TRACE(std::string(spec) + " pool " +
                          std::to_string(pool));
             ServeOptions opts;
