@@ -161,14 +161,7 @@ OgehlPredictor::snapshot(StateWriter& out, std::string& /*error*/) const
     out.bytes(reinterpret_cast<const uint8_t*>(tables_.data()),
               tables_.size());
 
-    // History ring, relative to the head (index 0 = newest), packed 8
-    // outcomes per byte; replaying oldest-first into a cleared ring
-    // restores every addressable h[i].
-    const size_t outcomes = history_.capacity() + 1;
-    out.u32(static_cast<uint32_t>(outcomes));
-    out.packedBits(outcomes, [&](size_t i) {
-        return history_[outcomes - 1 - i] != 0;
-    });
+    history_.saveState(out);
     for (int t = 1; t < cfg_.numTables; ++t)
         out.u32(folds_[static_cast<size_t>(t)].value());
 
@@ -197,18 +190,13 @@ OgehlPredictor::restore(StateReader& in, std::string& error)
     }
 
     in.bytes(reinterpret_cast<uint8_t*>(tables_.data()), tables_.size());
-    const size_t outcomes = history_.capacity() + 1;
-    if (in.u32() != static_cast<uint32_t>(outcomes)) {
+    if (!history_.loadState(in)) {
         error = in.ok() ? "O-GEHL state carries a history ring of a "
                           "different capacity"
                         : "O-GEHL state is truncated";
         reset();
         return false;
     }
-    // The ring was written oldest-first; pushing in that order into a
-    // cleared ring rebuilds every head-relative index.
-    history_.clear();
-    in.packedBits(outcomes, [&](size_t, bool bit) { history_.push(bit); });
     for (int t = 1; t < cfg_.numTables; ++t)
         folds_[static_cast<size_t>(t)].restore(in.u32());
     theta_ = static_cast<int>(in.i64());

@@ -66,11 +66,14 @@ struct StreamState {
 };
 
 /**
- * A shard's recycling state. Restore overwrites all of a predictor's
- * state (GradedPredictor::restore), so a re-admission restores into
- * the object the shard evicted last instead of constructing one, and
- * each parked blob is written into a buffer reserved at the size of
- * the shard's last blob, so it comes out exact-size.
+ * A shard's recycling state. The spare is the predictor object the
+ * shard evicted last, or one a finished stream left behind when the
+ * shard held none. Every admission takes it when there is one: a
+ * re-admission restores into it (GradedPredictor::restore overwrites
+ * all state) and a first admission reset()s it, so the shard
+ * constructs only when it holds no spare. Each parked blob is written
+ * into a buffer reserved at the size of the shard's last blob, so it
+ * comes out exact-size.
  */
 struct ShardPool {
     std::unique_ptr<GradedPredictor> spare;
@@ -114,6 +117,8 @@ struct ServeMetrics {
     obs::Counter& turns = obs::counter("serve.turns");
     obs::Counter& admissions = obs::counter("serve.pool.admissions");
     obs::Counter& evictions = obs::counter("serve.pool.evictions");
+    obs::Counter& constructions =
+        obs::counter("serve.pool.constructions");
     obs::Counter& quarantines = obs::counter("serve.quarantines");
     obs::TimingHistogram& turnNs = obs::timingHistogram("serve.turn.ns");
 };
@@ -161,20 +166,24 @@ withRetry(ServeShared& sh, StreamState& st,
 }
 
 /**
- * Materialize (or re-materialize) a stream's live predictor: a
- * re-admission takes the shard's spare object when there is one, a
- * first admission constructs.
+ * Materialize (or re-materialize) a stream's live predictor in the
+ * shard's spare object, reset() for a first admission, or in a newly
+ * constructed one when the shard holds no spare.
  */
 Err
 admitStream(ServeShared& sh, ShardPool& pool, StreamState& st)
 {
     std::string error;
-    if (!st.parked.empty() && pool.spare)
+    if (pool.spare) {
         st.predictor = std::move(pool.spare);
-    else
+        if (st.parked.empty())
+            st.predictor->reset();
+    } else {
         st.predictor = tryMakePredictor(sh.opts->spec, &error);
-    if (!st.predictor)
-        return Err(ErrCode::BadSpec, "serve.admit", std::move(error));
+        if (!st.predictor)
+            return Err(ErrCode::BadSpec, "serve.admit", std::move(error));
+        serveMetrics().constructions.add();
+    }
 
     if (!st.parked.empty()) {
         StateReader in(st.parked);
@@ -271,9 +280,12 @@ evictStream(ShardPool& pool, StreamState& st)
     return {};
 }
 
-/** Checkpoint / fingerprint a finished stream, then release it. */
+/**
+ * Checkpoint / fingerprint a finished stream, then release it; its
+ * predictor becomes the shard's spare when the shard holds none.
+ */
 Err
-finalizeStream(ServeShared& sh, StreamState& st)
+finalizeStream(ServeShared& sh, ShardPool& pool, StreamState& st)
 {
     const ServeOptions& opts = *sh.opts;
     st.result.allocations = st.predictor->allocations();
@@ -299,6 +311,8 @@ finalizeStream(ServeShared& sh, StreamState& st)
                 return e;
         }
     }
+    if (!pool.spare)
+        pool.spare = std::move(st.predictor);
     st.predictor.reset();
     st.trace.reset();
     st.done = true;
@@ -438,7 +452,7 @@ serveShard(ServeShared& sh, size_t shard_index,
             }
             if (n < opts.batch) {
                 eraseLive(idx);
-                if (Err e = finalizeStream(sh, st); e.failed()) {
+                if (Err e = finalizeStream(sh, pool, st); e.failed()) {
                     if (!failStream(st, std::move(e)))
                         return;
                 }
@@ -466,7 +480,8 @@ ServingEngine::validate(std::string* error)
             *error = why;
         return false;
     }
-    if (!tryMakePredictor(canonical, &why)) {
+    const auto probe = tryMakePredictor(canonical, &why);
+    if (!probe) {
         if (error)
             *error = why;
         return false;
@@ -477,6 +492,7 @@ ServingEngine::validate(std::string* error)
         return false;
     }
     opts_.spec = canonical;
+    storageBits_ = probe->storageBits();
     validated_ = true;
     return true;
 }
@@ -584,10 +600,7 @@ ServingEngine::serve(const std::vector<StreamDesc>& streams,
     obs::counter("serve.streams.restored").add(out.streamsRestored);
     obs::counter("serve.allocs").add(out.totalAllocations);
     obs::counter("serve.retries").add(out.totalRetries);
-    {
-        auto probe = tryMakePredictor(opts_.spec, nullptr);
-        out.storageBits = probe ? probe->storageBits() : 0;
-    }
+    out.storageBits = storageBits_;
     return true;
 }
 

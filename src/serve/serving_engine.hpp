@@ -16,15 +16,21 @@
  * 10k-stream serve stays within a bounded memory footprint.
  *
  * An eviction cycle costs about one copy of the blob each way. TAGE
- * state moves as bulk little-endian copies, each blob is written into
- * a buffer reserved at the shard's last blob size, and a re-admission
- * restores into the predictor object the shard evicted last instead
- * of constructing one (restore() overwrites all state; first
- * admissions still construct). For tage64k+sfc, a 15,093-byte blob,
+ * state moves as bulk little-endian copies, each scalar in one step
+ * and the history ring eight outcomes at a time, and each blob is
+ * written into a buffer reserved at the shard's last blob size. No
+ * admission constructs while its shard holds a spare predictor object
+ * (the one it evicted last, or one a finished stream left when it
+ * held none): a re-admission restores into the spare (restore()
+ * overwrites all state) and a first admission reset()s it. A shard
+ * whose streams all finish on the same round therefore builds at most
+ * poolPerShard + 1 predictors. For tage64k+sfc, a 15,093-byte blob,
  * a cycle measured about 20 us of snapshot, 11-16 us of restore and
  * 3 us of construction with per-element encoding and a fresh
- * predictor per admission, and 1.2-1.4 + 0.8-1.2 + 0 us with this
- * design (BM_TageSnapshot/BM_TageRestore, gcc 12 -O2, 4-vCPU Xeon VM).
+ * predictor per admission; 1.3-1.7 + 0.9-1.2 us with bulk arenas but
+ * per-byte scalars and a per-bit ring; and 0.5-0.7 + 0.4-0.5 us with
+ * this design (BM_TageSnapshot/BM_TageRestore, gcc 12 -O2, 4-vCPU Xeon
+ * VM).
  *
  * Determinism: each stream's trajectory is a pure function of its
  * (spec, trace, branches, seedSalt) and snapshot/restore round-trips
@@ -264,8 +270,10 @@ class ServingEngine
     /**
      * Check the options: the spec must be constructible (every
      * registry stack checkpoints, so any pool bound, checkpointing and
-     * digests apply to all) and the batch at least 1. Returns false
-     * with the reason in @p error. serve() calls this implicitly.
+     * digests apply to all) and the batch at least 1. The probe
+     * predictor built here also gives ServeResult::storageBits.
+     * Returns false with the reason in @p error. serve() calls this
+     * implicitly.
      */
     [[nodiscard]] bool validate(std::string* error = nullptr);
 
@@ -286,6 +294,9 @@ class ServingEngine
   private:
     ServeOptions opts_;
     bool validated_ = false;
+
+    /** The spec's storageBits(), read from validate()'s probe. */
+    uint64_t storageBits_ = 0;
 };
 
 } // namespace tagecon

@@ -52,9 +52,7 @@ TagePredictor::TagePredictor(TageConfig config, uint16_t lfsr_seed)
 {
     config_.validate();
 
-    bimodal_.assign(size_t{1} << config_.logBimodalEntries,
-                    static_cast<uint8_t>(
-                        bimodalInit(config_.bimodalCtrBits)));
+    bimodal_.resize(size_t{1} << config_.logBimodalEntries);
 
     const int m = config_.numTaggedTables();
     meta_.resize(static_cast<size_t>(m) + 1);
@@ -85,16 +83,28 @@ TagePredictor::TagePredictor(TageConfig config, uint16_t lfsr_seed)
         folds_[static_cast<size_t>(i)] = FoldedHistoryTriple(
             tc.historyLength, tc.logEntries, tc.tagBits, tc.tagBits - 1);
     }
-    tag_.assign(offset, 0);
-    ctru_.assign(offset, 0); // ctr 0, u 0 packs to 0
-
-    uResetCountdown_ = config_.uResetPeriod;
+    tag_.resize(offset);
+    ctru_.resize(offset);
+    reset();
 }
 
 void
 TagePredictor::reset()
 {
-    *this = TagePredictor(config_, lfsrSeed_);
+    // Refill in place: the arenas keep their allocations.
+    std::fill(bimodal_.begin(), bimodal_.end(),
+              static_cast<uint8_t>(bimodalInit(config_.bimodalCtrBits)));
+    std::fill(tag_.begin(), tag_.end(), uint16_t{0});
+    std::fill(ctru_.begin(), ctru_.end(), uint8_t{0}); // ctr 0, u 0
+    history_.clear();
+    pathHistory_.clear();
+    for (FoldedHistoryTriple& f : folds_)
+        f.clear();
+    useAltOnNa_.set(0);
+    lfsr_ = Lfsr16(lfsrSeed_);
+    updates_ = 0;
+    allocations_ = 0;
+    uResetCountdown_ = config_.uResetPeriod;
 }
 
 uint32_t
@@ -686,16 +696,7 @@ TagePredictor::saveState(StateWriter& out) const
     out.u16s(tag_.data(), tag_.size());
     out.bytes(ctru_.data(), ctru_.size());
 
-    // History ring, relative to the head (index 0 = newest), packed 8
-    // outcomes per byte. Replaying these into a cleared ring restores
-    // every addressable h[i] — head position itself is not
-    // architectural, all reads are head-relative.
-    const size_t outcomes = history_.capacity() + 1;
-    out.u32(static_cast<uint32_t>(outcomes));
-    out.packedBits(outcomes, [&](size_t i) {
-        return history_[outcomes - 1 - i] != 0;
-    });
-
+    history_.saveState(out);
     out.u32(pathHistory_.value());
     for (int i = 1; i <= m; ++i) {
         const FoldedHistoryTriple& f = folds_[static_cast<size_t>(i)];
@@ -752,18 +753,13 @@ TagePredictor::loadState(StateReader& in, std::string& error)
     in.u16s(tag_.data(), tag_.size());
     in.bytes(ctru_.data(), ctru_.size());
 
-    const size_t outcomes = history_.capacity() + 1;
-    if (in.u32() != static_cast<uint32_t>(outcomes)) {
+    if (!history_.loadState(in)) {
         reset();
         error = in.ok() ? "TAGE state carries a history ring of a "
                           "different capacity"
                         : "TAGE state is truncated";
         return false;
     }
-    // The ring was written oldest-first; pushing in that order into a
-    // cleared ring rebuilds every head-relative index.
-    history_.clear();
-    in.packedBits(outcomes, [&](size_t, bool bit) { history_.push(bit); });
     pathHistory_.restore(in.u32());
     for (int i = 1; i <= m; ++i) {
         const uint32_t a = in.u32();

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "util/logging.hpp"
+#include "util/state_io.hpp"
 
 namespace tagecon {
 
@@ -80,6 +81,68 @@ class GlobalHistory
     {
         std::fill(buf_.begin(), buf_.end(), 0);
         head_ = 0;
+    }
+
+    /**
+     * Checkpoint encoding of the ring: a u32 outcome count
+     * (capacity() + 1), then every outcome oldest first, packed eight
+     * to a byte, LSB first. Only head-relative positions are written:
+     * where the head sits is not architectural, every read is relative
+     * to it.
+     */
+    void
+    saveState(StateWriter& out) const
+    {
+        const size_t n = buf_.size();
+        out.u32(static_cast<uint32_t>(n));
+        uint8_t* packed = out.grow((n + 7) / 8);
+        // Outcome i, oldest first, sits in slot (head_ + 1 + i) & mask_.
+        const size_t oldest = (head_ + 1) & mask_;
+        for (size_t i = 0; i < n; i += 8) {
+            const size_t at = (oldest + i) & mask_;
+            uint64_t slots = 0;
+            if (at + 8 <= n) {
+                slots = loadLe<uint64_t>(buf_.data() + at);
+            } else {
+                for (size_t k = 0; k < std::min<size_t>(8, n - i); ++k)
+                    slots |= uint64_t{buf_[(at + k) & mask_]} << (8 * k);
+            }
+            // Slot k holds 0 or 1 in byte k; the multiply gathers byte
+            // k's low bit into bit 56 + k without carries.
+            packed[i / 8] =
+                static_cast<uint8_t>((slots * 0x0102040810204080ULL) >> 56);
+        }
+    }
+
+    /**
+     * Replace the ring with one written by saveState(). False, with
+     * the ring cleared, when the stored count is not capacity() + 1 or
+     * the bytes run out; @p in's ok() then tells the two apart.
+     */
+    bool
+    loadState(StateReader& in)
+    {
+        const size_t n = buf_.size();
+        const uint8_t* packed =
+            in.u32() == n ? in.next((n + 7) / 8) : nullptr;
+        if (packed == nullptr) {
+            clear();
+            return false;
+        }
+        // Outcome i goes to slot i, so the newest lands in slot mask_.
+        for (size_t i = 0; i < n; i += 8) {
+            // Spread the byte's bit k into byte k, then turn each
+            // nonzero byte into 1; no byte carries into the next.
+            uint64_t slots = (packed[i / 8] * 0x0101010101010101ULL) &
+                             0x8040201008040201ULL;
+            slots = ((slots + 0x7F7F7F7F7F7F7F7FULL) >> 7) &
+                    0x0101010101010101ULL;
+            uint8_t bytes[8];
+            storeLe(bytes, slots);
+            std::memcpy(buf_.data() + i, bytes, std::min<size_t>(8, n - i));
+        }
+        head_ = mask_;
+        return true;
     }
 
   private:

@@ -2,10 +2,12 @@
  * @file
  * Byte-exact little-endian state serialization, the substrate of
  * predictor checkpoint/restore (serve/checkpoint.hpp): StateWriter
- * appends fixed-width scalars, bulk u16 arrays, packed bit vectors and
- * length-prefixed byte ranges into a growing buffer; StateReader
- * replays them with bounds checking, latching the first failure so
- * callers can decode a whole record and test ok() once at the end.
+ * appends fixed-width scalars, bulk u16 arrays and length-prefixed
+ * byte ranges into a growing buffer; StateReader replays them with
+ * bounds checking, latching the first failure so callers can decode a
+ * whole record and test ok() once at the end. Each scalar moves in one
+ * step: one append or one bounds check, and a single load or store on
+ * a little-endian host.
  *
  * The encoding is deliberately dumb — no varints, no alignment, no
  * endianness surprises — so a blob written on any host decodes on any
@@ -30,32 +32,45 @@ namespace tagecon {
  *  golden state-hash tests, so digests are comparable across both). */
 uint64_t fnv1a64(const uint8_t* data, size_t size);
 
+/** Write @p v to @p dst as sizeof(T) little-endian bytes. */
+template <typename T>
+void
+storeLe(uint8_t* dst, T v)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(dst, &v, sizeof(T));
+    } else {
+        for (size_t i = 0; i < sizeof(T); ++i)
+            dst[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+}
+
+/** The sizeof(T) little-endian bytes at @p src. */
+template <typename T>
+T
+loadLe(const uint8_t* src)
+{
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, src, sizeof(T));
+    } else {
+        for (size_t i = 0; i < sizeof(T); ++i)
+            v |= static_cast<T>(static_cast<T>(src[i]) << (8 * i));
+    }
+    return v;
+}
+
 /** Append-only little-endian encoder. */
 class StateWriter
 {
   public:
     void u8(uint8_t v) { buf_.push_back(v); }
 
-    void
-    u16(uint16_t v)
-    {
-        buf_.push_back(static_cast<uint8_t>(v));
-        buf_.push_back(static_cast<uint8_t>(v >> 8));
-    }
+    void u16(uint16_t v) { scalar(v); }
 
-    void
-    u32(uint32_t v)
-    {
-        u16(static_cast<uint16_t>(v));
-        u16(static_cast<uint16_t>(v >> 16));
-    }
+    void u32(uint32_t v) { scalar(v); }
 
-    void
-    u64(uint64_t v)
-    {
-        u32(static_cast<uint32_t>(v));
-        u32(static_cast<uint32_t>(v >> 32));
-    }
+    void u64(uint64_t v) { scalar(v); }
 
     /** Two's-complement encode of a signed value. */
     void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
@@ -99,24 +114,16 @@ class StateWriter
     }
 
     /**
-     * Pack @p count booleans (given as a callable index -> bool) into
-     * ceil(count / 8) bytes, LSB first — the history ring compressor.
+     * Append @p size zero bytes and return where they start, for an
+     * encoder that fills them in place. The pointer is valid until the
+     * next write.
      */
-    template <typename BitAt>
-    void
-    packedBits(size_t count, BitAt bit_at)
+    uint8_t*
+    grow(size_t size)
     {
-        uint8_t acc = 0;
-        for (size_t i = 0; i < count; ++i) {
-            if (bit_at(i))
-                acc |= static_cast<uint8_t>(1u << (i & 7));
-            if ((i & 7) == 7) {
-                buf_.push_back(acc);
-                acc = 0;
-            }
-        }
-        if ((count & 7) != 0)
-            buf_.push_back(acc);
+        const size_t at = buf_.size();
+        buf_.resize(at + size);
+        return buf_.data() + at;
     }
 
     /**
@@ -134,6 +141,16 @@ class StateWriter
     size_t size() const { return buf_.size(); }
 
   private:
+    /** @p v as sizeof(T) little-endian bytes, appended in one insert. */
+    template <typename T>
+    void
+    scalar(T v)
+    {
+        uint8_t le[sizeof(T)];
+        storeLe(le, v);
+        buf_.insert(buf_.end(), le, le + sizeof(T));
+    }
+
     std::vector<uint8_t> buf_;
 };
 
@@ -156,37 +173,13 @@ class StateReader
     {
     }
 
-    uint8_t
-    u8()
-    {
-        if (!take(1))
-            return 0;
-        return data_[pos_++];
-    }
+    uint8_t u8() { return scalar<uint8_t>(); }
 
-    uint16_t
-    u16()
-    {
-        const uint16_t lo = u8();
-        const uint16_t hi = u8();
-        return static_cast<uint16_t>(lo | (hi << 8));
-    }
+    uint16_t u16() { return scalar<uint16_t>(); }
 
-    uint32_t
-    u32()
-    {
-        const uint32_t lo = u16();
-        const uint32_t hi = u16();
-        return lo | (hi << 16);
-    }
+    uint32_t u32() { return scalar<uint32_t>(); }
 
-    uint64_t
-    u64()
-    {
-        const uint64_t lo = u32();
-        const uint64_t hi = u32();
-        return lo | (hi << 32);
-    }
+    uint64_t u64() { return scalar<uint64_t>(); }
 
     int64_t i64() { return static_cast<int64_t>(u64()); }
 
@@ -207,8 +200,7 @@ class StateReader
                 std::memcpy(out, data_ + pos_, 2 * count);
         } else {
             for (size_t i = 0; i < count; ++i)
-                out[i] = static_cast<uint16_t>(
-                    data_[pos_ + 2 * i] | (data_[pos_ + 2 * i + 1] << 8));
+                out[i] = loadLe<uint16_t>(data_ + pos_ + 2 * i);
         }
         pos_ += 2 * count;
         return true;
@@ -218,14 +210,29 @@ class StateReader
     bool
     bytes(uint8_t* out, size_t size)
     {
-        if (!take(size)) {
+        const uint8_t* src = next(size);
+        if (src == nullptr) {
             std::fill_n(out, size, uint8_t{0});
             return false;
         }
         if (size != 0)
-            std::memcpy(out, data_ + pos_, size);
-        pos_ += size;
+            std::memcpy(out, src, size);
         return true;
+    }
+
+    /**
+     * Consume @p size bytes with one bounds check and return where
+     * they start, for a decoder that reads them in place; nullptr
+     * (latching the error) on underrun.
+     */
+    const uint8_t*
+    next(size_t size)
+    {
+        if (!take(size))
+            return nullptr;
+        const uint8_t* at = data_ + pos_;
+        pos_ += size;
+        return at;
     }
 
     /**
@@ -259,25 +266,6 @@ class StateReader
         return std::string(raw.begin(), raw.end());
     }
 
-    /** Unpack @p count booleans written by StateWriter::packedBits. */
-    template <typename SetBit>
-    bool
-    packedBits(size_t count, SetBit set_bit)
-    {
-        const size_t nbytes = (count + 7) / 8;
-        if (!take(nbytes)) {
-            for (size_t i = 0; i < count; ++i)
-                set_bit(i, false);
-            return false;
-        }
-        for (size_t i = 0; i < count; ++i) {
-            const uint8_t byte = data_[pos_ + (i >> 3)];
-            set_bit(i, ((byte >> (i & 7)) & 1u) != 0);
-        }
-        pos_ += nbytes;
-        return true;
-    }
-
     /** True while every read so far stayed in bounds. */
     bool ok() const { return ok_; }
 
@@ -288,6 +276,15 @@ class StateReader
     bool exhausted() const { return ok_ && pos_ == size_; }
 
   private:
+    /** A little-endian T, or 0 (latching the error) on underrun. */
+    template <typename T>
+    T
+    scalar()
+    {
+        const uint8_t* src = next(sizeof(T));
+        return src == nullptr ? T{0} : loadLe<T>(src);
+    }
+
     /** Check @p n more bytes are available; latch the error if not. */
     bool
     take(size_t n)

@@ -103,13 +103,52 @@ TEST(GradedTage, ResetRestoresDeterminism)
 }
 
 /**
- * Each folded baseline family, and JRS on a host: after a run and a
- * reset(), replaying the trace must reproduce a fresh instance
- * prediction for prediction, down to the snapshot bytes, and the
- * registry-stamped name must survive.
+ * Every family, TAGE and L-TAGE with their parts, and JRS on a host:
+ * after a run and a reset(), replaying the trace must reproduce a
+ * fresh instance prediction for prediction, down to the snapshot
+ * bytes, and the registry-stamped name must survive. The serving
+ * engine reset()s a shard's spare for each first admission, and that
+ * spare last held another stream's restored state.
  */
 class ResetReplay : public ::testing::TestWithParam<const char*>
 {
+  protected:
+    /** Both snapshots must hold the same bytes. */
+    static void
+    expectSameState(const GradedPredictor& used,
+                    const GradedPredictor& fresh)
+    {
+        StateWriter wa;
+        StateWriter wb;
+        std::string error;
+        ASSERT_TRUE(used.snapshot(wa, error)) << error;
+        ASSERT_TRUE(fresh.snapshot(wb, error)) << error;
+        EXPECT_EQ(wa.data(), wb.data());
+    }
+
+    /**
+     * Equal state now, then every prediction of an INT-2 replay and
+     * the final state: a register that only early predictions read
+     * shows in the first check.
+     */
+    static void
+    expectReplaysLikeAFreshInstance(GradedPredictor& used,
+                                    GradedPredictor& fresh)
+    {
+        expectSameState(used, fresh);
+        SyntheticTrace trace = makeTrace("INT-2", 3000);
+        BranchRecord rec;
+        while (trace.next(rec)) {
+            const Prediction a = used.predict(rec.pc);
+            const Prediction b = fresh.predict(rec.pc);
+            ASSERT_EQ(a.taken, b.taken);
+            ASSERT_EQ(a.confidence, b.confidence);
+            ASSERT_EQ(a.cls, b.cls);
+            used.update(rec.pc, a, rec.taken);
+            fresh.update(rec.pc, b, rec.taken);
+        }
+        expectSameState(used, fresh);
+    }
 };
 
 TEST_P(ResetReplay, MatchesAFreshInstanceAndKeepsTheSpecName)
@@ -121,32 +160,38 @@ TEST_P(ResetReplay, MatchesAFreshInstanceAndKeepsTheSpecName)
     std::ignore = runTrace(warm, *used);
     used->reset();
     EXPECT_EQ(used->name(), spec);
+    expectReplaysLikeAFreshInstance(*used, *fresh);
+}
 
-    SyntheticTrace trace = makeTrace("INT-2", 3000);
-    BranchRecord rec;
-    while (trace.next(rec)) {
-        const Prediction a = used->predict(rec.pc);
-        const Prediction b = fresh->predict(rec.pc);
-        ASSERT_EQ(a.taken, b.taken);
-        ASSERT_EQ(a.confidence, b.confidence);
-        ASSERT_EQ(a.cls, b.cls);
-        used->update(rec.pc, a, rec.taken);
-        fresh->update(rec.pc, b, rec.taken);
-    }
-    StateWriter wa;
-    StateWriter wb;
+TEST_P(ResetReplay, AfterRestoringAnotherStreamsStateMatchesAFreshInstance)
+{
+    const std::string spec = GetParam();
+    auto other = makePredictor(spec);
+    SyntheticTrace other_trace = makeTrace("FP-1", 3000);
+    std::ignore = runTrace(other_trace, *other);
+    StateWriter parked;
     std::string error;
-    if (used->snapshot(wa, error)) {
-        ASSERT_TRUE(fresh->snapshot(wb, error)) << error;
-        EXPECT_EQ(wa.data(), wb.data());
-    }
+    ASSERT_TRUE(other->snapshot(parked, error)) << error;
+
+    auto used = makePredictor(spec);
+    auto fresh = makePredictor(spec);
+    SyntheticTrace warm = makeTrace("SERV-1", 3000);
+    std::ignore = runTrace(warm, *used);
+    StateReader in(parked.data());
+    ASSERT_TRUE(used->restore(in, error)) << error;
+    ASSERT_TRUE(in.exhausted());
+    used->reset();
+    expectReplaysLikeAFreshInstance(*used, *fresh);
 }
 
 INSTANTIATE_TEST_SUITE_P(FoldedFamilies, ResetReplay,
                          ::testing::Values("bimodal", "gshare",
                                            "perceptron", "ogehl",
-                                           "gshare+jrs",
-                                           "bimodal+jrsg"));
+                                           "gshare+jrs", "bimodal+jrsg",
+                                           "tage16k+sfc",
+                                           "tage64k+prob7+adaptive+sfc",
+                                           "ltage16k+sfc",
+                                           "tage64k+jrs"));
 
 TEST(GradedLTage, RunsAndGradesLoopBranches)
 {

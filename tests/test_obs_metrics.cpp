@@ -321,6 +321,30 @@ TEST_F(ObsMetricsTest, FaultedServeDeterministicSectionIsJobsInvariant)
               std::string::npos);
 }
 
+TEST_F(ObsMetricsTest, ServeConstructsOnlyWhenAShardHoldsNoSpare)
+{
+    // 10 equal streams per shard, a pool of 2: each shard builds its
+    // two residents and one spare, and every other admission, first
+    // or not, reuses one of those three objects.
+    ServeOptions opts;
+    opts.spec = "tage16k+sfc";
+    opts.shards = 4;
+    opts.poolPerShard = 2;
+    opts.batch = 64;
+    ServingEngine engine(opts);
+    ServeResult result;
+    std::string error;
+    ASSERT_TRUE(engine.serve(
+        StreamSet::roundRobin(40, twoCbp1Traces(), 4 * opts.batch, 0),
+        result, error))
+        << error;
+    // Four full turns and an empty one per stream, each an admission
+    // except one empty turn per shard, whose stream is still resident.
+    EXPECT_EQ(obs::counter("serve.pool.admissions").value(),
+              40u * 5u - 4u);
+    EXPECT_EQ(obs::counter("serve.pool.constructions").value(), 4u * 3u);
+}
+
 TEST_F(ObsMetricsTest, SweepCountersTrackPlanAndDedupAndAreJobsInvariant)
 {
     auto run = [&](unsigned jobs) {

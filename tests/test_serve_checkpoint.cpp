@@ -18,12 +18,13 @@
  * instances, pinned wire bytes, deterministic encoding, strict
  * rejection of truncated / corrupted / wrong-magic / wrong-version
  * (including old v1) / wrong-spec / wrong-part / out-of-range blobs,
- * stream-kind position fields, the bulk u16s encoding, and the file
- * helpers.
+ * stream-kind position fields, the scalar, bulk u16s and history-ring
+ * encodings, and the file helpers.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -36,6 +37,7 @@
 #include "tage/loop_predictor.hpp"
 #include "tage/tage_predictor.hpp"
 #include "util/failpoint.hpp"
+#include "util/global_history.hpp"
 #include "util/random.hpp"
 #include "util/state_io.hpp"
 
@@ -862,6 +864,180 @@ TEST(StateIo, U16sUnderrunLatchesTheErrorAndZeroFills)
     // Nothing was consumed, and later reads stay latched at zero.
     EXPECT_EQ(in.remaining(), 3u);
     EXPECT_EQ(in.u8(), 0);
+}
+
+TEST(StateIo, ScalarsWriteTheBytesOfPerByteLittleEndianWrites)
+{
+    // The reference: every value split into bytes, lowest first.
+    const auto le = [](std::vector<uint8_t>& out, uint64_t v, int width) {
+        for (int i = 0; i < width; ++i)
+            out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    StateWriter w;
+    w.u8(0x5A);
+    w.u16(0xBEEF);
+    w.u32(0xDEADBEEF);
+    w.u64(0x0123456789ABCDEFULL);
+    w.i64(-2);
+    std::vector<uint8_t> want;
+    le(want, 0x5A, 1);
+    le(want, 0xBEEF, 2);
+    le(want, 0xDEADBEEF, 4);
+    le(want, 0x0123456789ABCDEFULL, 8);
+    le(want, static_cast<uint64_t>(int64_t{-2}), 8);
+    EXPECT_EQ(w.data(), want);
+
+    StateReader in(w.data());
+    EXPECT_EQ(in.u8(), 0x5A);
+    EXPECT_EQ(in.u16(), 0xBEEF);
+    EXPECT_EQ(in.u32(), 0xDEADBEEFu);
+    EXPECT_EQ(in.u64(), 0x0123456789ABCDEFULL);
+    EXPECT_EQ(in.i64(), -2);
+    EXPECT_TRUE(in.exhausted());
+
+    // A scalar that runs past the end reads 0 and consumes nothing.
+    StateReader short_read(want.data(), 3);
+    EXPECT_EQ(short_read.u32(), 0u);
+    EXPECT_FALSE(short_read.ok());
+    EXPECT_EQ(short_read.remaining(), 3u);
+}
+
+/**
+ * The ring encoding written one outcome at a time, the way the
+ * predictors wrote it before GlobalHistory::saveState: a u32 count,
+ * then h[count - 1] ... h[0] packed LSB first.
+ */
+std::vector<uint8_t>
+perBitRingBytes(const GlobalHistory& h)
+{
+    const size_t n = h.capacity() + 1;
+    std::vector<uint8_t> out;
+    for (int i = 0; i < 4; ++i)
+        out.push_back(static_cast<uint8_t>(n >> (8 * i)));
+    uint8_t acc = 0;
+    for (size_t i = 0; i < n; ++i) {
+        if (h[n - 1 - i] != 0)
+            acc |= static_cast<uint8_t>(1u << (i % 8));
+        if (i % 8 == 7 || i == n - 1) {
+            out.push_back(acc);
+            acc = 0;
+        }
+    }
+    return out;
+}
+
+TEST(HistoryState, RoundTripsAtEveryCapacityAndHeadPosition)
+{
+    XorShift128Plus rng(11);
+    // Rings of 1, 2, 4, 8, 16, 128 and 512 outcomes.
+    for (const size_t capacity : {0, 1, 3, 7, 8, 100, 300}) {
+        GlobalHistory h(capacity);
+        const size_t n = h.capacity() + 1;
+        // One push per step walks the head through every slot.
+        for (size_t step = 0; step < n; ++step) {
+            SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                         " step " + std::to_string(step));
+            h.push((rng.next() & 1) != 0);
+            StateWriter w;
+            h.saveState(w);
+            ASSERT_EQ(w.data(), perBitRingBytes(h));
+
+            GlobalHistory back(capacity);
+            for (size_t k = 0; k <= step % 5; ++k)
+                back.push(true);
+            StateReader in(w.data());
+            ASSERT_TRUE(back.loadState(in));
+            ASSERT_TRUE(in.exhausted());
+            // Equal now, and still equal after both take one more.
+            for (int more = 0; more < 2; ++more) {
+                for (size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(back[i], h[i]) << "index " << i;
+                GlobalHistory ahead = h;
+                ahead.push(true);
+                back.push(true);
+                h = ahead;
+            }
+        }
+    }
+}
+
+TEST(HistoryState, ATruncatedOrResizedRingFailsAndIsCleared)
+{
+    GlobalHistory h(100);
+    for (int i = 0; i < 77; ++i)
+        h.push(i % 3 != 0);
+    StateWriter w;
+    h.saveState(w);
+
+    const std::vector<uint8_t> cut(w.data().begin(), w.data().end() - 1);
+    GlobalHistory back(100);
+    for (int i = 0; i < 9; ++i)
+        back.push(true);
+    StateReader in(cut);
+    EXPECT_FALSE(back.loadState(in));
+    EXPECT_FALSE(in.ok());
+    for (size_t i = 0; i <= back.capacity(); ++i)
+        ASSERT_EQ(back[i], 0) << "index " << i;
+
+    // A ring of another capacity is refused with the reader still ok,
+    // so the caller can tell it from truncation.
+    GlobalHistory wider(300);
+    wider.push(true);
+    StateReader whole(w.data());
+    EXPECT_FALSE(wider.loadState(whole));
+    EXPECT_TRUE(whole.ok());
+    for (size_t i = 0; i <= wider.capacity(); ++i)
+        ASSERT_EQ(wider[i], 0) << "index " << i;
+}
+
+TEST(CheckpointRejection, TruncatedHistoryRingLeavesThePredictorReset)
+{
+    const auto drive = [](TagePredictor& p, uint64_t seed) {
+        XorShift128Plus rng(seed);
+        for (int i = 0; i < 3000; ++i) {
+            const GoldenBranch br = goldenBranch(rng, i);
+            const TagePrediction q = p.predict(br.pc);
+            p.update(br.pc, q, br.taken);
+        }
+    };
+    const TageConfig cfg = TageConfig::small16K();
+    const size_t m = static_cast<size_t>(cfg.numTaggedTables());
+    TagePredictor donor(cfg);
+    drive(donor, 1);
+    StateWriter w;
+    donor.saveState(w);
+    const std::vector<uint8_t>& blob = w.data();
+
+    // After the ring come the path history (u32), a fold triple per
+    // table (3 x u32), USE_ALT_ON_NA (i64), the LFSR and its seed
+    // (2 x u16) and three u64 counters.
+    const size_t after = 4 + 12 * m + 8 + 2 + 2 + 24;
+    const size_t ring =
+        GlobalHistory(static_cast<size_t>(cfg.maxHistoryLength()) + 2)
+            .capacity() +
+        1;
+    // The ring's u32 count sits right before its ring / 8 bytes.
+    ASSERT_GT(blob.size(), after + ring / 8 + 4);
+    ASSERT_EQ(loadLe<uint32_t>(blob.data() + blob.size() - after -
+                               ring / 8 - 4),
+              ring);
+    // Keep all but the ring's last byte.
+    const std::vector<uint8_t> cut(
+        blob.begin(),
+        blob.begin() + static_cast<std::ptrdiff_t>(blob.size() - after - 1));
+
+    TagePredictor used(cfg);
+    drive(used, 2);
+    StateReader in(cut);
+    std::string error;
+    EXPECT_FALSE(used.loadState(in, error));
+    EXPECT_FALSE(in.ok());
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+    StateWriter got;
+    StateWriter want;
+    used.saveState(got);
+    TagePredictor(cfg).saveState(want);
+    EXPECT_EQ(got.data(), want.data());
 }
 
 TEST(CheckpointFiles, WriteReadRoundTripAndNaming)

@@ -339,6 +339,21 @@ TEST(ServingEngine, RejectsBadOptionsAndDuplicateIds)
     EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
 }
 
+TEST(ServingEngine, StorageBitsAreThoseOfTheSpecsPredictor)
+{
+    const auto streams = StreamSet::roundRobin(6, twoCbp1Traces(), 300, 0);
+    for (const char* spec : {"tage16k+sfc", "tage16k+jrs"}) {
+        SCOPED_TRACE(spec);
+        ServeOptions opts;
+        opts.spec = spec;
+        opts.poolPerShard = 1;
+        const ServeResult result = serveOrDie(opts, streams);
+        const auto probe = tryMakePredictor(spec, nullptr);
+        ASSERT_TRUE(probe);
+        EXPECT_EQ(result.storageBits, probe->storageBits());
+    }
+}
+
 TEST(ServingEngine, UnboundedPoolServesWithoutDigests)
 {
     // Without parking, checkpointing or digests no stream is ever

@@ -216,6 +216,30 @@ TEST(TagePredictor, ResetRestoresInitialBehaviour)
     }
 }
 
+TEST(TagePredictor, ResetLeavesTheStateOfAFreshPredictor)
+{
+    // reset() refills the arenas and registers in place. Byte-granular
+    // PCs make the path register, which takes PC bit 0, fill as well.
+    const TageConfig cfg =
+        TageConfig::small16K().withProbabilisticSaturation(7);
+    const auto state = [](const TagePredictor& p) {
+        StateWriter w;
+        p.saveState(w);
+        return w.take();
+    };
+    TagePredictor used(cfg, 0x42);
+    XorShift128Plus rng(9);
+    for (int i = 0; i < 3000; ++i) {
+        const uint64_t pc = 0x5000 + rng.next() % 97;
+        const TagePrediction p = used.predict(pc);
+        used.update(pc, p, rng.nextBool(0.5));
+    }
+    const TagePredictor fresh(cfg, 0x42);
+    ASSERT_NE(state(used), state(fresh));
+    used.reset();
+    EXPECT_EQ(state(used), state(fresh));
+}
+
 TEST(TagePredictor, UpdatesCounted)
 {
     TagePredictor pred(TageConfig::small16K());
