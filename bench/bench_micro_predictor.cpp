@@ -31,7 +31,7 @@
  *    (the program model a stream's first admission builds and its
  *    last turn frees), cycling over the 40 profiles.
  *  - BM_SyntheticTraceFill: TraceSource::fill() of a synthetic trace.
- *    /0 fills one SERV-1 trace 512 records at a time (a sweep cell's
+ *    /0 fills one SERV-1 trace 512 records at a time (a sweep column's
  *    chunk); /1 is a serve-evict shard: 500 open traces over the 40
  *    profiles, each filled 64 records per turn, round-robin, so every
  *    turn starts on a trace that is cold in cache.

@@ -6,16 +6,19 @@
  * RunAnalysis bag when the trace ends.
  *
  * The drive kernel (driveBranches(), sim/experiment.hpp) hands each
- * element of a predictMany() chunk to the observers, in stream order,
- * after the run's ClassStats have recorded it and after the chunk has
- * trained the predictor. That is equivalent to observing each branch
- * between its predict and its update, because observers see only the
- * stream — never the predictor — and every observer total stays
- * consistent with the whole-trace statistics by construction.
+ * element of a predictMany() chunk to the observers of the sink that
+ * predicted it, in stream order, after the sink's ClassStats have
+ * recorded it and after the chunk has trained its predictor. That is
+ * equivalent to observing each branch between its predict and its
+ * update, because observers see only the stream — never the predictor
+ * — and every observer total stays consistent with the whole-trace
+ * statistics by construction. When several predictors share a chunk
+ * (the cells of one sweep column), each has its own pipeline, fed
+ * exactly what it would be fed driven alone.
  *
  * Built-in observers live in analysis/observers.hpp; selection and
  * construction go through AnalysisConfig (analysis/analysis_config.hpp)
- * so a sweep cell can build a fresh, independent pipeline per run —
+ * so every sweep cell gets a fresh, independent pipeline per run —
  * the property that keeps parallel sweeps bit-identical to serial.
  */
 

@@ -23,7 +23,7 @@
  * byte-diff gate, like the timing half of obs/metrics.hpp.
  *
  * Span names must be string literals (the buffer stores the pointer);
- * per-span details (e.g. "spec x trace") go through
+ * per-span details (e.g. a sweep column's "trace x spec | spec") go through
  * SpanScope::detail(), guarded by tracingEnabled() at the call site so
  * the string is never built when tracing is off.
  */
@@ -61,10 +61,10 @@ void stopTracing();
 
 /** One completed span. */
 struct SpanEvent {
-    /** Static name ("serve.shard", "ckpt.write", "sweep.cell"). */
+    /** Static name ("serve.shard", "ckpt.write", "sweep.column"). */
     const char* name = "";
 
-    /** Caller-supplied id (shard index, stream id, cell slot). */
+    /** Caller-supplied id (shard index, stream id, column index). */
     uint64_t id = 0;
 
     /** wallclock::monotonicNanos() readings. */

@@ -431,9 +431,10 @@ serveShard(ServeShared& sh, size_t shard_index,
             const bool timed = obs::metricsEnabled();
             const uint64_t start_ns =
                 timed ? wallclock::monotonicNanos() : 0;
+            const DriveSink sink{st.predictor.get(), &st.result.stats,
+                                 &st.result.confusion, {}};
             const uint64_t n =
-                driveBranches(*st.trace, *st.predictor, opts.batch, chunk,
-                              st.result.stats, st.result.confusion);
+                driveBranches(*st.trace, {&sink, 1}, opts.batch, chunk);
             if (timed && n > 0)
                 metrics.turnNs.record(wallclock::monotonicNanos() -
                                       start_ns);

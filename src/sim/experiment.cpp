@@ -19,10 +19,8 @@ DriveChunk::DriveChunk()
 }
 
 uint64_t
-driveBranches(TraceSource& trace, GradedPredictor& predictor,
-              uint64_t max_branches, DriveChunk& chunk, ClassStats& stats,
-              BinaryConfidenceMetrics& confusion,
-              const ObserverList& observers)
+driveBranches(TraceSource& trace, std::span<const DriveSink> sinks,
+              uint64_t max_branches, DriveChunk& chunk)
 {
     uint64_t consumed = 0;
     while (consumed < max_branches) {
@@ -36,19 +34,22 @@ driveBranches(TraceSource& trace, GradedPredictor& predictor,
             chunk.pcs[k] = chunk.records[k].pc;
             chunk.taken[k] = chunk.records[k].taken ? 1 : 0;
         }
-        predictor.predictMany(
-            std::span<const uint64_t>(chunk.pcs.data(), n),
-            std::span<const uint8_t>(chunk.taken.data(), n),
-            std::span<Prediction>(chunk.preds.data(), n));
-        for (size_t k = 0; k < n; ++k) {
-            const Prediction& p = chunk.preds[k];
-            const bool mispredicted = p.taken != chunk.records[k].taken;
-            stats.record(p.cls, mispredicted,
-                         uint64_t{chunk.records[k].instructionsBefore} + 1);
-            confusion.record(p.confidence == ConfidenceLevel::High,
-                             !mispredicted);
-        }
-        if (!observers.empty()) {
+        for (const DriveSink& sink : sinks) {
+            sink.predictor->predictMany(
+                std::span<const uint64_t>(chunk.pcs.data(), n),
+                std::span<const uint8_t>(chunk.taken.data(), n),
+                std::span<Prediction>(chunk.preds.data(), n));
+            for (size_t k = 0; k < n; ++k) {
+                const Prediction& p = chunk.preds[k];
+                const bool mispredicted = p.taken != chunk.records[k].taken;
+                sink.stats->record(
+                    p.cls, mispredicted,
+                    uint64_t{chunk.records[k].instructionsBefore} + 1);
+                sink.confusion->record(
+                    p.confidence == ConfidenceLevel::High, !mispredicted);
+            }
+            if (sink.observers.empty())
+                continue;
             for (size_t k = 0; k < n; ++k) {
                 const Prediction& p = chunk.preds[k];
                 const BranchRecord& rec = chunk.records[k];
@@ -59,7 +60,7 @@ driveBranches(TraceSource& trace, GradedPredictor& predictor,
                     p.taken != rec.taken,
                     uint64_t{rec.instructionsBefore} + 1,
                     consumed + k};
-                for (const auto& observer : observers)
+                for (const auto& observer : sink.observers)
                     observer->onPrediction(observed);
             }
         }
@@ -74,22 +75,38 @@ RunResult
 runTrace(TraceSource& trace, GradedPredictor& predictor,
          const AnalysisConfig& analysis)
 {
-    RunResult result;
-    result.traceName = trace.name();
-    result.configName = predictor.name();
+    GradedPredictor* const one = &predictor;
+    return std::move(runTrace(trace, {&one, 1}, analysis).front());
+}
 
+std::vector<RunResult>
+runTrace(TraceSource& trace, std::span<GradedPredictor* const> predictors,
+         const AnalysisConfig& analysis)
+{
+    const size_t n = predictors.size();
+    std::vector<RunResult> results(n);
     // A fresh observer pipeline per run (empty for plain runs).
-    const ObserverList observers = buildObservers(analysis);
+    std::vector<ObserverList> observers(n);
+    std::vector<DriveSink> sinks(n);
+    for (size_t k = 0; k < n; ++k) {
+        results[k].traceName = trace.name();
+        results[k].configName = predictors[k]->name();
+        observers[k] = buildObservers(analysis);
+        sinks[k] = DriveSink{predictors[k], &results[k].stats,
+                             &results[k].confusion, observers[k]};
+    }
     DriveChunk chunk;
-    driveBranches(trace, predictor, std::numeric_limits<uint64_t>::max(),
-                  chunk, result.stats, result.confusion, observers);
-    for (const auto& observer : observers)
-        observer->finish(result.analysis);
-
-    result.finalLog2Prob = predictor.satLog2Prob();
-    result.allocations = predictor.allocations();
-    result.storageBits = predictor.storageBits();
-    return result;
+    driveBranches(trace, sinks, std::numeric_limits<uint64_t>::max(),
+                  chunk);
+    for (size_t k = 0; k < n; ++k) {
+        RunResult& result = results[k];
+        for (const auto& observer : observers[k])
+            observer->finish(result.analysis);
+        result.finalLog2Prob = predictors[k]->satLog2Prob();
+        result.allocations = predictors[k]->allocations();
+        result.storageBits = predictors[k]->storageBits();
+    }
+    return results;
 }
 
 } // namespace tagecon

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <span>
 #include <thread>
 #include <unordered_map>
 
@@ -97,18 +99,56 @@ SweepPlan::cells() const
     return cells;
 }
 
+namespace {
+
+/**
+ * The trace key of a cell: trace spec, branch count and seed salt,
+ * everything its stream is a pure function of. '\x1f' (unit
+ * separator) cannot appear in specs or trace names, so concatenated
+ * fields cannot collide across boundaries.
+ */
+std::string
+traceKey(const SweepCell& cell)
+{
+    return cell.trace + '\x1f' + std::to_string(cell.branches) + '\x1f' +
+           std::to_string(cell.seedSalt);
+}
+
+/**
+ * Run one column: @p cells share a trace key and an analysis config,
+ * so one source (one file handle for a file-backed trace) feeds a
+ * fresh predictor per cell in lockstep. Results are in @p cells order.
+ * fatal()s when the trace fails to open or fails mid-stream.
+ */
+std::vector<RunResult>
+runColumn(std::span<const SweepCell* const> cells)
+{
+    const SweepCell& head = *cells.front();
+    auto trace = makeTraceSource(head.trace, head.branches, head.seedSalt);
+    std::vector<std::unique_ptr<GradedPredictor>> owned;
+    std::vector<GradedPredictor*> predictors;
+    owned.reserve(cells.size());
+    for (const SweepCell* cell : cells) {
+        owned.push_back(makePredictor(cell->spec));
+        predictors.push_back(owned.back().get());
+    }
+    std::vector<RunResult> results =
+        runTrace(*trace, predictors, head.analysis);
+    // A stream that fails mid-file fails its cells like one that never
+    // opened, rather than passing off its prefix as the whole trace.
+    if (const Err* e = trace->lastError())
+        fatal("runSweepCell: " + e->message());
+    return results;
+}
+
+} // namespace
+
 std::string
 sweepCellKey(const SweepCell& cell)
 {
-    // '\x1f' (unit separator) cannot appear in specs or trace names,
-    // so concatenated fields cannot collide across boundaries.
     std::string key = canonicalizeSpec(cell.spec);
     key += '\x1f';
-    key += cell.trace;
-    key += '\x1f';
-    key += std::to_string(cell.branches);
-    key += '\x1f';
-    key += std::to_string(cell.seedSalt);
+    key += traceKey(cell);
     key += '\x1f';
 
     const AnalysisConfig& a = cell.analysis;
@@ -129,20 +169,8 @@ sweepCellKey(const SweepCell& cell)
 RunResult
 runSweepCell(const SweepCell& cell)
 {
-    // Every cell streams through its own independent source (own file
-    // handle for file-backed traces), so no materialization and no
-    // shared reader state across worker threads.
-    auto trace =
-        makeTraceSource(cell.trace, cell.branches, cell.seedSalt);
-    auto predictor = makePredictor(cell.spec);
-    // A fresh observer pipeline per cell: analysis output is a pure
-    // function of the cell, whatever thread runs it.
-    RunResult result = runTrace(*trace, *predictor, cell.analysis);
-    // A stream that fails mid-file fails the cell like one that never
-    // opened, rather than passing off its prefix as the whole trace.
-    if (const Err* e = trace->lastError())
-        fatal("runSweepCell: " + e->message());
-    return result;
+    const SweepCell* const one = &cell;
+    return std::move(runColumn({&one, 1}).front());
 }
 
 std::vector<RunResult>
@@ -157,30 +185,42 @@ runSweep(SweepPlan plan, const SweepOptions& opt)
 
     // Cells are pure functions of their key, so each distinct key runs
     // once and duplicate cells (a spec listed twice, overlapping trace
-    // selections) copy its slot after the join.
-    std::vector<size_t> to_run;
+    // selections) copy its slot after the join. The unit of work is a
+    // column: the executed cells that share a trace key, in plan
+    // order, so each stream is made once and feeds all of them.
+    std::vector<std::vector<const SweepCell*>> columns;
     std::vector<std::pair<size_t, size_t>> copies; // (dst, src) slots
     {
         std::unordered_map<std::string, size_t> first_run;
+        std::unordered_map<std::string, size_t> column_of;
         for (size_t i = 0; i < cells.size(); ++i) {
             const auto [it, inserted] =
                 first_run.emplace(sweepCellKey(cells[i]), i);
-            if (inserted)
-                to_run.push_back(i);
-            else
+            if (!inserted) {
                 copies.emplace_back(i, it->second);
+                continue;
+            }
+            const auto [col, fresh] =
+                column_of.emplace(traceKey(cells[i]), columns.size());
+            if (fresh)
+                columns.emplace_back();
+            columns[col->second].push_back(&cells[i]);
         }
     }
+    const size_t executed = cells.size() - copies.size();
+    const auto slot = [&cells](const SweepCell* cell) {
+        return static_cast<size_t>(cell - cells.data());
+    };
     // Planner-side counters: resolved before the pool starts, so
     // deterministic at any --jobs.
     obs::counter("sweep.cells").add(cells.size());
-    obs::counter("sweep.cells.executed").add(to_run.size());
+    obs::counter("sweep.cells.executed").add(executed);
     obs::counter("sweep.cache.hits").add(copies.size());
 
     size_t jobs = opt.jobs != 0
                       ? opt.jobs
                       : std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min(jobs, to_run.size());
+    jobs = std::min(jobs, columns.size());
 
     // Progress callbacks are serialized under one per-call mutex so a
     // consumer printing lines never interleaves; the completed count
@@ -195,38 +235,46 @@ runSweep(SweepPlan plan, const SweepOptions& opt)
             return;
         MutexLock lock(progress_state.mutex);
         ++progress_state.completed;
-        const SweepProgress progress{progress_state.completed,
-                                     to_run.size(), &cells[i],
-                                     &results[i]};
+        const SweepProgress progress{progress_state.completed, executed,
+                                     &cells[i], &results[i]};
         opt.onProgress(progress);
     };
 
-    obs::TimingHistogram& cell_ns = obs::timingHistogram("sweep.cell.ns");
-    auto run_cell = [&](size_t i) {
-        obs::SpanScope span("sweep.cell", i);
-        if (obs::tracingEnabled())
-            span.detail(cells[i].spec + " x " + cells[i].trace);
-        obs::ScopedTimer timer(cell_ns);
-        results[i] = runSweepCell(cells[i]);
+    // One sweep.cell.ns sample per column, the unit of scheduling.
+    obs::TimingHistogram& column_ns = obs::timingHistogram("sweep.cell.ns");
+    auto run_column = [&](size_t c) {
+        {
+            obs::SpanScope span("sweep.column", c);
+            if (obs::tracingEnabled()) {
+                std::string detail = columns[c].front()->trace + " x ";
+                for (const SweepCell* cell : columns[c]) {
+                    if (cell != columns[c].front())
+                        detail += " | ";
+                    detail += cell->spec;
+                }
+                span.detail(std::move(detail));
+            }
+            obs::ScopedTimer timer(column_ns);
+            std::vector<RunResult> out = runColumn(columns[c]);
+            for (size_t k = 0; k < out.size(); ++k)
+                results[slot(columns[c][k])] = std::move(out[k]);
+        }
+        for (const SweepCell* cell : columns[c])
+            report_progress(slot(cell));
     };
 
+    // Work-stealing by atomic column index; each worker writes only its
+    // own columns' preassigned slots, so no locking and no ordering
+    // effects. A single job runs the worker on this thread.
+    std::atomic<size_t> next{0};
+    auto worker = [&] {
+        for (size_t c = next.fetch_add(1); c < columns.size();
+             c = next.fetch_add(1))
+            run_column(c);
+    };
     if (jobs <= 1) {
-        for (const size_t i : to_run) {
-            run_cell(i);
-            report_progress(i);
-        }
+        worker();
     } else {
-        // Work-stealing by atomic work-list index; each worker writes
-        // only its own preassigned slot, so no locking and no ordering
-        // effects.
-        std::atomic<size_t> next{0};
-        auto worker = [&] {
-            for (size_t w = next.fetch_add(1); w < to_run.size();
-                 w = next.fetch_add(1)) {
-                run_cell(to_run[w]);
-                report_progress(to_run[w]);
-            }
-        };
         std::vector<std::thread> pool;
         pool.reserve(jobs);
         for (size_t t = 0; t < jobs; ++t)

@@ -5,21 +5,29 @@
  * Every table and figure of the paper is a grid of (predictor config x
  * trace) cells, and the registry makes each cell a pure function of
  * its strings: a SweepCell names a spec, a trace, a branch count and a
- * seed salt, nothing else. SweepPlan is the cross product; SweepRunner
- * executes the cells across a std::thread pool and collects RunResults
- * in the plan's canonical (spec-major) order, so multithreaded output
- * is bit-identical to a serial run:
+ * seed salt, nothing else. SweepPlan is the cross product; runSweep()
+ * executes it across a std::thread pool and collects RunResults in the
+ * plan's canonical (spec-major) order, so multithreaded output is
+ * bit-identical to a serial run:
  *
  *   SweepPlan plan = SweepPlan::over(
  *       {"tage64k+prob7+sfc", "gshare:hist=17+jrs"}, allTraceNames(),
  *       1000000);
  *   auto rows = runSweepRows(plan, {.jobs = 8});   // one row per spec
  *
- * Determinism: cells share no state (fresh predictor and trace per
- * cell, no globals), each cell's synthetic trace derives its seed
- * purely from (profile seed XOR plan.seedSalt) while file-backed
- * cells each stream through their own reader handle, and results land
- * in a preallocated slot indexed by cell position — thread count and
+ * The unit of work is a column: the executed cells that share a trace
+ * key (trace, branch count, seed salt). A column opens its trace once
+ * and steps a fresh predictor per cell over each chunk in lockstep
+ * (runTrace() over several predictors, sim/experiment.hpp), so the
+ * paper grid makes each stream once instead of once per spec, and
+ * memory stays at one chunk plus the column's predictors.
+ *
+ * Determinism: columns share no state (fresh predictors and trace per
+ * column, no globals), each synthetic trace derives its seed purely
+ * from (profile seed XOR plan.seedSalt) while a file-backed column
+ * streams through its own reader handle, a cell's predictor sees
+ * exactly the records it would see alone, and results land in a
+ * preallocated slot indexed by cell position — thread count and
  * scheduling cannot change any output bit.
  */
 
@@ -43,8 +51,8 @@ struct SweepCell {
 
     /**
      * Trace spec: a synthetic profile name or "file:PATH"
-     * (see sim/trace_registry.hpp). Each cell opens its own
-     * independent source, so file-backed cells stream from their own
+     * (see sim/trace_registry.hpp). Each column opens its own
+     * independent source, so file-backed columns stream from their own
      * handle and never share reader state across workers.
      */
     std::string trace;
@@ -156,7 +164,7 @@ struct SweepOptions {
      * per-call progress mutex held, so invocations are serialized —
      * it never runs concurrently with itself, and the SweepProgress
      * counters are consistent. It runs on whichever worker thread
-     * finished the cell, so anything it touches *outside* the
+     * finished the cell's column, so anything it touches *outside* the
      * callback's arguments must be its own synchronized state (e.g.
      * route printing through logLine(), which is line-atomic). It
      * must not block on work scheduled in the same runSweep() call
@@ -168,15 +176,18 @@ struct SweepOptions {
      * progress reporting only — results themselves are returned in
      * canonical plan order. Leave empty (the default) for zero
      * overhead. Progress fires once per executed cell (total is the
-     * executed count): a duplicate cell is a copy, not a run.
+     * executed count): a duplicate cell is a copy, not a run. A
+     * column's cells finish together, so their calls come in a row,
+     * in plan order, once the column ends.
      */
     std::function<void(const SweepProgress&)> onProgress;
 };
 
 /**
- * Run one cell: fresh trace + fresh predictor through runTrace().
- * fatal()s with the trace's error when it fails to open or fails
- * mid-stream (a malformed record is named by file and line).
+ * Run one cell: a column of one, so a fresh trace + fresh predictor
+ * through runTrace(). fatal()s with the trace's error when it fails to
+ * open or fails mid-stream (a malformed record is named by file and
+ * line). Every cell runSweep() returns equals runSweepCell() of it.
  */
 [[nodiscard]] RunResult runSweepCell(const SweepCell& cell);
 
@@ -185,8 +196,15 @@ struct SweepOptions {
  * invalid plan. Each distinct sweepCellKey() runs once and duplicate
  * cells receive a copy of its result; the obs counters sweep.cells,
  * sweep.cells.executed and sweep.cache.hits (the copies) record the
- * split. Results are in plan.cells() order regardless of the thread
- * count or scheduling.
+ * split. The executed cells are grouped into columns by trace key in
+ * plan order, and columns are what the pool schedules: a plan with
+ * fewer distinct traces than @p opt.jobs uses one worker per trace.
+ * Each column opens one trace source (trace.sources.opened counts
+ * columns), records one "sweep.column" span whose detail names the
+ * trace and its specs, and one sweep.cell.ns sample. A column keeps
+ * one predictor per cell alive until it ends, so a worker's memory is
+ * the sum of the plan's predictors, not the largest one. Results are
+ * in plan.cells() order regardless of the thread count or scheduling.
  */
 [[nodiscard]] std::vector<RunResult>
 runSweep(SweepPlan plan, const SweepOptions& opt = {});

@@ -1,5 +1,7 @@
 #include "tage/graded_tage.hpp"
 
+#include <algorithm>
+
 #include "util/logging.hpp"
 
 namespace tagecon {
@@ -31,6 +33,14 @@ GradedTage::LoopPart::predict(uint64_t pc, Prediction& p)
         p.confidence = ConfidenceLevel::High;
         p.cls = representativeClass(p.confidence);
     }
+}
+
+void
+GradedTage::LoopPart::reset()
+{
+    table.reset();
+    withLoop.set(kWithLoopStart);
+    last = {};
 }
 
 void
@@ -90,10 +100,12 @@ GradedTage::predictMany(std::span<const uint64_t> pcs,
     // record() closes an epoch: that element trains with the new
     // probability. record() counts every element, so that element is
     // known up front — batch up to it, step it alone through the
-    // scalar path, and carry on batched.
+    // scalar path, and carry on batched. Batches are at most one TAGE
+    // block, so the raw scratch stays one block however long the
+    // input, and each block is graded while it is still in L1.
     const size_t n = pcs.size();
     for (size_t at = 0; at < n;) {
-        size_t len = n - at;
+        size_t len = std::min(n - at, TagePredictor::kBatchBlock);
         const bool closes =
             controller_ && controller_->untilEpochEnd() <= len;
         if (closes)
@@ -174,7 +186,7 @@ GradedTage::reset()
         predictor_.setSatLog2Prob(controller_->log2Prob());
     }
     if (loop_)
-        *loop_ = LoopPart{};
+        loop_->reset();
 }
 
 uint64_t

@@ -76,9 +76,10 @@ class GradedTage : public GradedPredictor
     bool hasBatchedPredict() const override;
 
     /**
-     * Fused batched step through TagePredictor::predictMany(), with
-     * the storage-free grading and the controller's record() applied
-     * per element in scalar order. With a controller attached, the
+     * Fused batched step through TagePredictor::predictMany(), one
+     * TagePredictor::kBatchBlock block at a time, with the
+     * storage-free grading and the controller's record() applied per
+     * element in scalar order. With a controller attached, the
      * batch is cut before each element whose record() closes an
      * epoch; that element alone steps through predict()/update(), so
      * it trains with the new saturation probability exactly as in the
@@ -122,8 +123,11 @@ class GradedTage : public GradedPredictor
     struct LoopPart {
         LoopPredictor table;
 
-        /** WITHLOOP: 7-bit hysteresis, starts distrusting the table. */
-        SignedSatCounter withLoop{7, -1};
+        /** WITHLOOP's initial value: the table starts distrusted. */
+        static constexpr int kWithLoopStart = -1;
+
+        /** WITHLOOP: 7-bit hysteresis. */
+        SignedSatCounter withLoop{7, kWithLoopStart};
 
         /** The lookup routed from predict() to the paired train(). */
         LoopPredictor::Result last;
@@ -140,6 +144,9 @@ class GradedTage : public GradedPredictor
          * on TAGE's mispredictions.
          */
         void train(uint64_t pc, bool tage_taken, bool taken);
+
+        /** Back to the state of a new part, in place. */
+        void reset();
     };
 
     /** The loop part, or null when it is not attached. */
@@ -150,9 +157,9 @@ class GradedTage : public GradedPredictor
 
   private:
     /**
-     * One batched run that closes no controller epoch: the fused TAGE
-     * step, then grading and record() per element, then the loop
-     * part's pass.
+     * One batched run of at most one TAGE block that closes no
+     * controller epoch: the fused TAGE step, then grading and record()
+     * per element, then the loop part's pass.
      */
     void predictBatch(std::span<const uint64_t> pcs,
                       std::span<const uint8_t> taken,
@@ -173,7 +180,10 @@ class GradedTage : public GradedPredictor
     ConfidenceLevel lastIntrinsicLevel_ = ConfidenceLevel::High;
     uint64_t seq_ = 0;
 
-    /** predictMany() scratch; not architectural state. */
+    /**
+     * predictMany() scratch, at most one TAGE block; not architectural
+     * state.
+     */
     std::vector<TagePrediction> rawBatch_;
 };
 

@@ -19,17 +19,10 @@ bimodalInit(int bits)
     return 1u << (bits - 1); // e.g. 2 for a 2-bit counter
 }
 
-/**
- * predictMany() processing-block size. One block's TagePrediction
- * scratch (~140 B each) plus the per-table index/tag staging arrays
- * must stay L1-resident between the table-major index pass and the
- * per-element resolve pass; 64 elements keeps the footprint near 12 KB.
- */
-constexpr size_t kBatchBlock = 64;
-
 // The SIMD fold steps four elements at a time; a block shorter than
 // kBatchBlock then still has the rows and window words it runs into.
-static_assert(kBatchBlock % 4 == 0, "fold steps come in fours");
+static_assert(TagePredictor::kBatchBlock % 4 == 0,
+              "fold steps come in fours");
 
 /** rotateLeft specialized for rot already reduced mod width. */
 inline uint32_t

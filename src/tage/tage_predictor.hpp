@@ -77,6 +77,15 @@ class TagePredictor
                      std::span<const uint8_t> taken,
                      std::span<TagePrediction> out);
 
+    /**
+     * predictMany() processing-block size. One block's TagePrediction
+     * scratch (~140 B each) plus the per-table index/tag staging arrays
+     * must stay L1-resident between the table-major index pass and the
+     * per-element resolve pass; 64 elements keeps the footprint near
+     * 12 KB.
+     */
+    static constexpr size_t kBatchBlock = 64;
+
     /** The configuration this predictor was built with. */
     const TageConfig& config() const { return config_; }
 

@@ -479,9 +479,10 @@ analysisRun(const std::string& spec, TraceSource& trace,
     observers.push_back(std::move(owned));
     if (batched) {
         DriveChunk chunk;
-        driveBranches(trace, *predictor,
-                      std::numeric_limits<uint64_t>::max(), chunk,
-                      r.stats, r.confusion, observers);
+        const DriveSink sink{predictor.get(), &r.stats, &r.confusion,
+                             observers};
+        driveBranches(trace, {&sink, 1},
+                      std::numeric_limits<uint64_t>::max(), chunk);
     } else {
         BranchRecord rec;
         for (uint64_t index = 0; trace.next(rec); ++index) {

@@ -365,6 +365,10 @@ TEST_F(ObsMetricsTest, SweepCountersTrackPlanAndDedupAndAreJobsInvariant)
     EXPECT_NE(j1.find("sweep.cells 6"), std::string::npos) << j1;
     EXPECT_NE(j1.find("sweep.cells.executed 4"), std::string::npos);
     EXPECT_NE(j1.find("sweep.cache.hits 2"), std::string::npos);
+    // The executed cells form one column per trace: one source each,
+    // and one sweep.cell.ns sample each.
+    EXPECT_NE(j1.find("trace.sources.opened 2"), std::string::npos) << j1;
+    EXPECT_EQ(obs::timingHistogram("sweep.cell.ns").count(), 2u);
 }
 
 TEST_F(ObsMetricsTest, ServeTurnLatencySamplesEveryTurnThatServedBranches)

@@ -89,17 +89,15 @@ TEST(DriveBranches, StopsAtTheCapAndResumesWhereItStopped)
     DriveChunk chunk;
     ClassStats stats;
     BinaryConfidenceMetrics confusion;
+    const DriveSink sink{&predictor, &stats, &confusion, {}};
     uint64_t total = 0;
     for (const uint64_t cap : {1000u, 1u, 500u, 5000u}) {
-        const uint64_t n =
-            driveBranches(trace, predictor, cap, chunk, stats, confusion);
+        const uint64_t n = driveBranches(trace, {&sink, 1}, cap, chunk);
         EXPECT_EQ(n, std::min<uint64_t>(cap, 3000 - total));
         total += n;
     }
     EXPECT_EQ(total, 3000u);
-    EXPECT_EQ(driveBranches(trace, predictor, 10, chunk, stats,
-                            confusion),
-              0u);
+    EXPECT_EQ(driveBranches(trace, {&sink, 1}, 10, chunk), 0u);
     for (const auto c : kAllPredictionClasses) {
         EXPECT_EQ(stats.predictions(c), once.stats.predictions(c));
         EXPECT_EQ(stats.mispredictions(c), once.stats.mispredictions(c));

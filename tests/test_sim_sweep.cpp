@@ -12,7 +12,9 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <set>
 
+#include "analysis/analysis_config.hpp"
 #include "obs/metrics.hpp"
 #include "sim/registry.hpp"
 #include "sim/sweep.hpp"
@@ -95,6 +97,12 @@ expectAnalysisIdentical(const RunAnalysis& a, const RunAnalysis& b)
             EXPECT_EQ(a.perBranch->top[i].mispredictions,
                       b.perBranch->top[i].mispredictions);
         }
+    }
+    ASSERT_EQ(a.burst.has_value(), b.burst.has_value());
+    if (a.burst) {
+        EXPECT_EQ(a.burst->maxDistance, b.burst->maxDistance);
+        EXPECT_EQ(a.burst->predictions, b.burst->predictions);
+        EXPECT_EQ(a.burst->mispredictions, b.burst->mispredictions);
     }
     ASSERT_EQ(a.warmup.has_value(), b.warmup.has_value());
     if (a.warmup) {
@@ -425,6 +433,7 @@ struct SweepCounts {
     uint64_t cells = 0;
     uint64_t executed = 0;
     uint64_t hits = 0;
+    uint64_t opened = 0;
     size_t progressCalls = 0;
     std::vector<RunResult> results;
 };
@@ -443,6 +452,7 @@ countedSweep(const SweepPlan& plan, unsigned jobs)
     c.cells = obs::counter("sweep.cells").value();
     c.executed = obs::counter("sweep.cells.executed").value();
     c.hits = obs::counter("sweep.cache.hits").value();
+    c.opened = obs::counter("trace.sources.opened").value();
     return c;
 }
 
@@ -503,6 +513,62 @@ TEST(SweepCache, DistinctCellsAllExecute)
     EXPECT_EQ(c.executed, 2u);
     EXPECT_EQ(c.hits, 0u);
     EXPECT_EQ(c.progressCalls, 2u);
+}
+
+// A sweep runs column by column: the executed cells that share a
+// trace key ride one trace source. Every result must equal the cell run
+// alone, with several specs per trace, a repeated spec, every observer
+// kind and a file-backed column, at job counts below, at and above the
+// column count — and each distinct trace key opens exactly one source.
+TEST_F(SweepFileTraceTest, ColumnsMatchRunSweepCellAtAnyJobCount)
+{
+    AnalysisConfig every;
+    std::string error;
+    ASSERT_TRUE(parseAnalysisSpecs(
+        {"intervals:len=1000", "histogram", "burst:max=8",
+         "perbranch:top=8", "warmup:len=500,mkp=40"},
+        every, error))
+        << error;
+
+    SweepPlan observed = SweepPlan::over(
+        {"tage16k+sfc", "tage64k+prob7+adaptive+sfc", "ltage16k+sfc",
+         "gshare:hist=14+jrs", "tage16k+sfc"},
+        {"file:" + path_, "SERV-1", "INT-3"}, 6000, 3);
+    observed.analysis = every;
+    const SweepPlan plain = SweepPlan::over(
+        {"perceptron+sfc", "tage64k+jrs", "ogehl+sfc", "bimodal+sfc"},
+        {"MM-3", "file:" + path_, "FP-1", "MM-3"}, 4000);
+
+    for (const SweepPlan& plan : {observed, plain}) {
+        const std::vector<SweepCell> cells = plan.cells();
+        std::vector<RunResult> alone;
+        std::set<std::string> cell_keys;
+        std::set<std::string> trace_keys;
+        for (const SweepCell& cell : cells) {
+            alone.push_back(runSweepCell(cell));
+            cell_keys.insert(sweepCellKey(cell));
+            trace_keys.insert(cell.trace + "/" +
+                              std::to_string(cell.branches) + "/" +
+                              std::to_string(cell.seedSalt));
+        }
+        for (const unsigned jobs : {1u, 2u, 3u, 7u}) {
+            SCOPED_TRACE("jobs=" + std::to_string(jobs));
+            const SweepCounts c = countedSweep(plan, jobs);
+            EXPECT_EQ(c.cells, cells.size());
+            EXPECT_EQ(c.executed, cell_keys.size());
+            EXPECT_EQ(c.hits, cells.size() - cell_keys.size());
+            EXPECT_EQ(c.progressCalls, cell_keys.size());
+            EXPECT_EQ(c.opened, trace_keys.size());
+            ASSERT_EQ(c.results.size(), cells.size());
+            for (size_t i = 0; i < cells.size(); ++i) {
+                SCOPED_TRACE(cells[i].spec + " x " + cells[i].trace);
+                expectIdentical(c.results[i], alone[i]);
+                expectStatsIdentical(c.results[i].stats, alone[i].stats);
+                expectAnalysisIdentical(c.results[i].analysis,
+                                        alone[i].analysis);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -26,6 +26,10 @@
  * level the same way. Its digest covers the specs and every scalar
  * prediction; it was harvested from the L-TAGE class that predated
  * the loop part of GradedTage, and so anchors the loop part to it.
+ *
+ * A third check drives byte-granular PCs, whose low bits make the
+ * path register live, through the raw predictMany() on the paper's
+ * three geometries and a few drawn ones. It pins no digest.
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +39,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/registry.hpp"
@@ -417,6 +422,37 @@ TEST(TageRandomGeometry, BatchedAndRestoredRunsMatchTheScalarLoop)
     }
     EXPECT_EQ(h, 18312974436605513468ULL)
         << "the pinned oracle digest moved";
+}
+
+// Every stream above has 4-aligned PCs, as every synthetic trace does,
+// and instShift is 0, so the path register only ever shifts in 0 and
+// the path term of every tagged index stays 0. Random low address bits
+// make that term live: predictMany() must still return every field
+// the scalar loop returns and end in the same saveState() bytes, on
+// the paper's three geometries and on drawn ones.
+TEST(TageRandomGeometry, ByteGranularPcsMatchTheScalarLoop)
+{
+    XorShift128Plus rng(0xB17EC0DEULL);
+    std::vector<TageConfig> configs = {TageConfig::small16K(),
+                                       TageConfig::medium64K(),
+                                       TageConfig::large256K()};
+    for (int i = 0; i < 5; ++i) {
+        auto base = makePredictor(drawSpec(rng).base);
+        const auto* graded = dynamic_cast<const GradedTage*>(base.get());
+        ASSERT_NE(graded, nullptr);
+        configs.push_back(graded->tage().config());
+    }
+    for (const TageConfig& cfg : configs) {
+        SCOPED_TRACE(cfg.name);
+        const size_t n = 3000 + rng.nextBelow(3000);
+        Stream s = drawStream(rng, n);
+        for (uint64_t& pc : s.pcs)
+            pc += rng.nextBelow(4);
+        std::vector<Chunk> chunks = drawChunks(rng, n);
+        for (Chunk& c : chunks)
+            c.scalar = false;
+        std::ignore = checkRaw(cfg, s, chunks, kFnvOffset);
+    }
 }
 
 TEST(LTageRandomGeometry, BatchedAndRestoredRunsMatchTheScalarLoop)

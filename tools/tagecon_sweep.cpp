@@ -38,7 +38,7 @@
  *   --metrics            append the obs metrics tables to the report
  *   --metrics-out=PATH   write the Prometheus-style metrics dump to
  *                        PATH ("-" = stdout); implies --metrics
- *   --trace-out=PATH     collect spans (one per executed cell) and
+ *   --trace-out=PATH     collect spans (one per trace column) and
  *                        write Chrome trace_event JSON ("-" = stdout)
  *   --list-predictors    print bases / estimators / examples and exit
  *   --list-observers     print selectable analysis observers and exit
