@@ -14,9 +14,10 @@
  *    (tage16k/64k/256k+prob7+sfc and tage64k+prob7+adaptive+sfc)
  *    through GradedPredictor::predictMany() at batch 512 — the TAGE
  *    step plus grading, as the sweep drives it,
- *  - BM_TagePredictOnly: the lookup path alone on warmed tables,
- *  - BM_TageUpdateOnly: the training path alone, replaying a recorded
- *    prediction stream,
+ *  - BM_TagePredictOnly: the lookup path alone on warmed tables (the
+ *    training path has no row of its own: update() trains from the
+ *    lookup its paired predict() left in the predictor, so it cannot
+ *    replay a recorded stream),
  *  - BM_TageAllocationStorm: cold-table behaviour — a random stream
  *    that mispredicts constantly, so the allocation scan and u-decay
  *    paths dominate,
@@ -175,7 +176,8 @@ BM_TagePredictOnly(benchmark::State& state)
     TagePredictor predictor(configByIndex(state.range(0)));
     // Warm the tables with one full pass so the measured lookups see
     // steady-state occupancy, then measure the lookup path alone
-    // (predict() is const: history stays fixed, tables stay warm).
+    // (predict() writes only the lookup rows: history stays fixed,
+    // tables stay warm).
     for (const BranchRecord& rec : records) {
         const TagePrediction p = predictor.predict(rec.pc);
         predictor.update(rec.pc, p, rec.taken);
@@ -185,47 +187,6 @@ BM_TagePredictOnly(benchmark::State& state)
         const TagePrediction p = predictor.predict(records[i].pc);
         benchmark::DoNotOptimize(p.taken);
         i = (i + 1) % records.size();
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-
-void
-BM_TageUpdateOnly(benchmark::State& state)
-{
-    // Record a prediction stream from a fresh predictor, then replay
-    // only the update() half against an identical predictor. Replayed
-    // updates are bit-identical to the recorded run, so the training
-    // path sees exactly the state it would in the fused loop.
-    constexpr size_t kReplayWindow = size_t{1} << 16;
-    const auto& records = sharedTrace().records();
-
-    struct Step {
-        uint64_t pc;
-        bool taken;
-        TagePrediction p;
-    };
-    std::vector<Step> replay(kReplayWindow);
-    {
-        TagePredictor recorder(configByIndex(state.range(0)));
-        for (size_t i = 0; i < kReplayWindow; ++i) {
-            const BranchRecord& rec = records[i % records.size()];
-            replay[i] = {rec.pc, rec.taken, recorder.predict(rec.pc)};
-            recorder.update(rec.pc, replay[i].p, rec.taken);
-        }
-    }
-
-    TagePredictor predictor(configByIndex(state.range(0)));
-    size_t i = 0;
-    for (auto _ : state) {
-        if (i == kReplayWindow) {
-            state.PauseTiming();
-            predictor = TagePredictor(configByIndex(state.range(0)));
-            i = 0;
-            state.ResumeTiming();
-        }
-        const Step& s = replay[i];
-        predictor.update(s.pc, s.p, s.taken);
-        ++i;
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -467,7 +428,6 @@ BENCHMARK(BM_TagePredictUpdateBatched)
     ->ArgsProduct({{0, 1, 2}, {16, 64, 512}});
 BENCHMARK(BM_GradedPredictMany)->DenseRange(0, 3);
 BENCHMARK(BM_TagePredictOnly)->Arg(0)->Arg(1)->Arg(2);
-BENCHMARK(BM_TageUpdateOnly)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TageAllocationStorm)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TagePredictUpdateClassify)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_SyntheticTraceGeneration);

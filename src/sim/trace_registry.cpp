@@ -49,8 +49,12 @@ detectTraceFileFormat(const std::string& path, TraceFileFormat& out,
 bool
 isKnownProfile(const std::string& name)
 {
-    const auto names = allTraceNames();
-    return std::find(names.begin(), names.end(), name) != names.end();
+    for (const BenchmarkSet set : {BenchmarkSet::Cbp1, BenchmarkSet::Cbp2}) {
+        const auto& names = traceNames(set);
+        if (std::find(names.begin(), names.end(), name) != names.end())
+            return true;
+    }
+    return false;
 }
 
 /** A set alias and the profile names it expands to. */
@@ -229,9 +233,12 @@ openTraceSource(const TraceSpec& spec, uint64_t branches,
     auto opened = openTraceSourceImpl(spec, branches, seed_salt);
     // Open counts are a pure function of the workload (sweep plans and
     // stream admission schedules are), so this is a deterministic
-    // metric despite ticking on worker threads.
+    // metric despite ticking on worker threads. The handle is looked
+    // up once per process: a serve opens a trace per stream.
+    static obs::Counter& sources_opened =
+        obs::counter("trace.sources.opened");
     if (opened.ok())
-        obs::counter("trace.sources.opened").add();
+        sources_opened.add();
     return opened;
 }
 

@@ -162,9 +162,6 @@ GradedTage::predictBatch(std::span<const uint64_t> pcs,
             loop_->train(pcs[k], rawBatch_[k].taken, taken[k] != 0);
         }
     }
-    // Keep the scalar invariant that raw_ and the loop part's last
-    // lookup pair with the newest seq_.
-    raw_ = rawBatch_[n - 1];
 }
 
 uint64_t

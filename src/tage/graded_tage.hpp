@@ -175,7 +175,10 @@ class GradedTage : public GradedPredictor
     /** On the heap, so the tage* stacks do not carry its bytes. */
     std::unique_ptr<LoopPart> loop_;
 
-    /** Lookup state routed from predict() to the paired update(). */
+    /**
+     * The raw prediction routed from predict() to the paired update();
+     * the lookup it trains from stays in the predictor's rows.
+     */
     TagePrediction raw_;
     ConfidenceLevel lastIntrinsicLevel_ = ConfidenceLevel::High;
     uint64_t seq_ = 0;

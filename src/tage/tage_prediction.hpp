@@ -9,18 +9,13 @@
 #ifndef TAGECON_TAGE_TAGE_PREDICTION_HPP
 #define TAGECON_TAGE_TAGE_PREDICTION_HPP
 
-#include <array>
-#include <cstdint>
-
-#include "tage/tage_config.hpp"
-
 namespace tagecon {
 
 /**
- * Result of TagePredictor::predict(). Carries both the architectural
- * answer (taken) and the observable internals used for confidence
- * grading, plus the per-table indices/tags so the paired update() does
- * not recompute them.
+ * Result of TagePredictor::predict(). Carries the architectural answer
+ * (taken) and the observable internals used for confidence grading.
+ * The lookup itself (each table's index and tag) stays in the
+ * predictor's lookup rows, which the paired update() trains from.
  */
 struct TagePrediction {
     /** Final prediction delivered to the front-end. */
@@ -75,12 +70,14 @@ struct TagePrediction {
      */
     bool usedAlt = false;
 
-    /** Per-table indices computed at lookup; [0] is the bimodal index. */
-    std::array<uint32_t, kMaxTaggedTables + 1> index{};
-
-    /** Per-table partial tags computed at lookup; [0] unused. */
-    std::array<uint16_t, kMaxTaggedTables + 1> tag{};
+    /** Field-wise equality (the batched-vs-scalar tests compare). */
+    bool operator==(const TagePrediction&) const = default;
 };
+
+// A batch step keeps a block of these beside the lookup rows; the
+// grade needs no more than the fields above.
+static_assert(sizeof(TagePrediction) <= 48,
+              "TagePrediction carries the grade, not the lookup");
 
 } // namespace tagecon
 

@@ -19,18 +19,50 @@ bimodalInit(int bits)
     return 1u << (bits - 1); // e.g. 2 for a 2-bit counter
 }
 
-// The SIMD fold steps four elements at a time; a block shorter than
-// kBatchBlock then still has the rows and window words it runs into.
+// The SIMD fold and hash steps take four elements at a time; a block
+// shorter than kBatchBlock then still has the rows and window words it
+// runs into.
 static_assert(TagePredictor::kBatchBlock % 4 == 0,
               "fold steps come in fours");
 
-/** rotateLeft specialized for rot already reduced mod width. */
-inline uint32_t
-rotlMasked(uint32_t v, int rot, int width, uint32_t mask)
+// The block's hash pass runs on four-lane vectors where the vector
+// extensions are in, so it is vector code at any optimization level,
+// and one element at a time in the TAGECON_NO_SIMD build. Every
+// operation the hash uses means the same on a lane as on a uint32_t,
+// so one source serves both, and predict() runs it on one uint32_t.
+#if defined(TAGECON_SIMD_LANES)
+using HashLanes = simd::U32x4;
+#else
+using HashLanes = uint32_t;
+#endif
+constexpr size_t kHashLanes = sizeof(HashLanes) / sizeof(uint32_t);
+
+/** Load the lanes of a @p V from @p p (no alignment required). */
+template <typename V>
+inline V
+loadLanes(const uint32_t* p)
 {
-    v &= mask;
-    if (rot == 0)
-        return v;
+    V v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/** Store the lanes of @p v to @p p (no alignment required). */
+template <typename V>
+inline void
+storeLanes(uint32_t* p, V v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/**
+ * Rotate the @p width-bit value @p v left by @p rot < @p width. A zero
+ * @p rot needs no branch: v < 2^width makes v >> width zero.
+ */
+template <typename V>
+inline V
+rotlMasked(V v, unsigned rot, unsigned width, uint32_t mask)
+{
     return ((v << rot) | (v >> (width - rot))) & mask;
 }
 
@@ -78,6 +110,8 @@ TagePredictor::TagePredictor(TageConfig config, uint16_t lfsr_seed)
     }
     tag_.resize(offset);
     ctru_.resize(offset);
+    lookupAt_.resize((static_cast<size_t>(m) + 1) * kBatchBlock);
+    lookupTag_.resize(lookupAt_.size());
     reset();
 }
 
@@ -98,6 +132,7 @@ TagePredictor::reset()
     updates_ = 0;
     allocations_ = 0;
     uResetCountdown_ = config_.uResetPeriod;
+    pendingPc_.reset();
 }
 
 uint32_t
@@ -108,88 +143,106 @@ TagePredictor::bimodalIndex(uint64_t pc) const
                                  maskBits(config_.logBimodalEntries));
 }
 
-uint32_t
-TagePredictor::pathHash(int table) const
+template <typename Lanes>
+void
+TagePredictor::hashRow(int table, size_t rows, const uint32_t* fa,
+                       const uint32_t* fb, const uint32_t* fc,
+                       const uint32_t* path, const uint32_t* pc_lo,
+                       const uint32_t* pc_hi)
 {
-    // Classic TAGE "F" function: fold the path history register into
-    // logEntries bits with a table-dependent rotation so components do
-    // not alias the same way.
+    constexpr size_t kLanes = sizeof(Lanes) / sizeof(uint32_t);
     const TableMeta& t = meta_[static_cast<size_t>(table)];
-    const int logg = t.logEntries;
-
-    uint32_t a = pathHistory_.value() & t.pathMask;
-    const uint32_t a1 = a & t.indexMask;
-    uint32_t a2 = a >> logg;
-    a2 = rotlMasked(a2, t.rot, logg, t.indexMask);
-    a = a1 ^ a2;
-    a = rotlMasked(a, t.rot, logg, t.indexMask);
-    return a;
-}
-
-uint32_t
-TagePredictor::taggedIndex(uint64_t pc, int table) const
-{
-    const TableMeta& t = meta_[static_cast<size_t>(table)];
-    const uint64_t shifted = pc >> config_.instShift;
-    const uint64_t mixed = shifted ^ (shifted >> t.idxShift) ^
-                           folds_[static_cast<size_t>(table)].a() ^
-                           pathHash(table);
-    return static_cast<uint32_t>(mixed) & t.indexMask;
-}
-
-uint16_t
-TagePredictor::taggedTag(uint64_t pc, int table) const
-{
-    const TableMeta& t = meta_[static_cast<size_t>(table)];
-    const FoldedHistoryTriple& f = folds_[static_cast<size_t>(table)];
-    const uint64_t shifted = pc >> config_.instShift;
-    const uint64_t mixed =
-        shifted ^ f.b() ^ (static_cast<uint64_t>(f.c()) << 1);
-    return static_cast<uint16_t>(static_cast<uint32_t>(mixed) & t.tagMask);
+    const unsigned logg = t.logEntries;
+    const unsigned rot = t.rot;
+    // 1 <= idxShift <= 24, so the low word of the 64-bit pc >> idxShift
+    // takes bits from both halves.
+    const unsigned shift = t.idxShift;
+    uint32_t* const at_row =
+        lookupAt_.data() + static_cast<size_t>(table) * kBatchBlock;
+    uint32_t* const tag_row =
+        lookupTag_.data() + static_cast<size_t>(table) * kBatchBlock;
+    for (size_t k = 0; k < rows; k += kLanes) {
+        // Classic TAGE "F" function: fold the path history register
+        // into logEntries bits with a table-dependent rotation so
+        // components do not alias the same way.
+        const Lanes a = loadLanes<Lanes>(path + k) & t.pathMask;
+        const Lanes a2 =
+            rotlMasked((a >> logg) & t.indexMask, rot, logg, t.indexMask);
+        const Lanes path_hash =
+            rotlMasked((a & t.indexMask) ^ a2, rot, logg, t.indexMask);
+        const Lanes lo = loadLanes<Lanes>(pc_lo + k);
+        const Lanes sheared =
+            (lo >> shift) | (loadLanes<Lanes>(pc_hi + k) << (32 - shift));
+        storeLanes(at_row + k,
+                   ((lo ^ sheared ^ loadLanes<Lanes>(fa + k) ^ path_hash) &
+                    t.indexMask) +
+                       t.offset);
+        storeLanes(tag_row + k, (lo ^ loadLanes<Lanes>(fb + k) ^
+                                 (loadLanes<Lanes>(fc + k) << 1)) &
+                                    t.tagMask);
+    }
 }
 
 TagePrediction
-TagePredictor::predict(uint64_t pc) const
+TagePredictor::predict(uint64_t pc)
 {
-    TagePrediction p;
+    // A block of one: element 0 of every row, hashed one lane wide
+    // from the live fold registers.
+    const uint64_t shifted = pc >> config_.instShift;
+    const uint32_t path = pathHistory_.value();
+    const uint32_t lo = static_cast<uint32_t>(shifted);
+    const uint32_t hi = static_cast<uint32_t>(shifted >> 32);
+    lookupAt_[0] = bimodalIndex(pc);
     const int m = config_.numTaggedTables();
-
-    p.index[0] = bimodalIndex(pc);
     for (int i = 1; i <= m; ++i) {
-        p.index[static_cast<size_t>(i)] = taggedIndex(pc, i);
-        p.tag[static_cast<size_t>(i)] = taggedTag(pc, i);
+        const FoldedHistoryTriple& f = folds_[static_cast<size_t>(i)];
+        const uint32_t fa = f.a();
+        const uint32_t fb = f.b();
+        const uint32_t fc = f.c();
+        hashRow<uint32_t>(i, 1, &fa, &fb, &fc, &path, &lo, &hi);
     }
-    fillFromTables(p);
+    pendingPc_ = pc;
+
+    TagePrediction p;
+    fillFromTables(p, 0);
     return p;
 }
 
-void
-TagePredictor::fillFromTables(TagePrediction& p) const
+TagePredictor::Lookup
+TagePredictor::lastLookup(int table) const
+{
+    TAGECON_ASSERT(table >= 0 && table <= config_.numTaggedTables(),
+                   "lookup table id out of range");
+    const size_t row = static_cast<size_t>(table) * kBatchBlock;
+    if (table == 0)
+        return Lookup{lookupAt_[0], 0};
+    return Lookup{lookupAt_[row] - meta_[static_cast<size_t>(table)].offset,
+                  static_cast<uint16_t>(lookupTag_[row])};
+}
+
+inline void
+TagePredictor::fillFromTables(TagePrediction& p, size_t k) const
 {
     const int m = config_.numTaggedTables();
+    // Element k's column of the rows: table i's entry at [i * kBatchBlock].
+    const uint32_t* const at = lookupAt_.data() + k;
+    const uint32_t* const tag = lookupTag_.data() + k;
 
-    const uint8_t bim = bimodal_[p.index[0]];
+    const uint8_t bim = bimodal_[at[0]];
     const int bim_bits = config_.bimodalCtrBits;
     p.bimodalTaken = packed::unsignedTaken(bim, bim_bits);
     p.bimodalWeak = packed::unsignedWeak(bim, bim_bits);
 
-    // Find provider (longest matching history) and the alternate:
-    // gather the candidate entries' stored tags and compare all lanes
-    // at once. Bit i-1 of the mask = "table i matches", so the
+    // Find provider (longest matching history) and the alternate: bit
+    // i-1 of the mask = "table i's entry holds the wanted tag", so the
     // provider is the highest set bit and the alternate the next one
-    // down — the same entries the scalar longest-match scan selects.
-    // Unused lanes hold 0 in both arrays and are masked off.
-    alignas(16) uint16_t stored[kMaxTaggedTables] = {};
-    alignas(16) uint16_t want[kMaxTaggedTables] = {};
-    static_assert(kMaxTaggedTables == 16,
-                  "tag scan assumes 16 matchMask16 lanes");
+    // down. The compares run branch-free off the rows; gathering the
+    // tags into a vector for one compare stalls on store forwarding.
+    uint32_t mask = 0;
     for (int i = 1; i <= m; ++i) {
-        stored[i - 1] = tag_[meta_[static_cast<size_t>(i)].offset +
-                             p.index[static_cast<size_t>(i)]];
-        want[i - 1] = p.tag[static_cast<size_t>(i)];
+        const size_t row = static_cast<size_t>(i) * kBatchBlock;
+        mask |= static_cast<uint32_t>(tag_[at[row]] == tag[row]) << (i - 1);
     }
-    uint32_t mask = simd::matchMask16(stored, want) &
-                    static_cast<uint32_t>(maskBits(m));
     int provider = 0;
     int alt = 0;
     if (mask != 0) {
@@ -201,10 +254,8 @@ TagePredictor::fillFromTables(TagePrediction& p) const
 
     const int ctr_bits = config_.taggedCtrBits;
     if (alt != 0) {
-        const uint32_t at = meta_[static_cast<size_t>(alt)].offset +
-                            p.index[static_cast<size_t>(alt)];
-        p.altTaken =
-            packed::signedTaken(packed::ctruCtr(ctru_[at], ctr_bits));
+        p.altTaken = packed::signedTaken(packed::ctruCtr(
+            ctru_[at[static_cast<size_t>(alt) * kBatchBlock]], ctr_bits));
         p.altIsTagged = true;
         p.altTable = alt;
     } else {
@@ -214,9 +265,9 @@ TagePredictor::fillFromTables(TagePrediction& p) const
     }
 
     if (provider != 0) {
-        const uint32_t at = meta_[static_cast<size_t>(provider)].offset +
-                            p.index[static_cast<size_t>(provider)];
-        const int ctr = packed::ctruCtr(ctru_[at], ctr_bits);
+        const int ctr = packed::ctruCtr(
+            ctru_[at[static_cast<size_t>(provider) * kBatchBlock]],
+            ctr_bits);
         p.providerIsTagged = true;
         p.providerTable = provider;
         p.providerCtr = ctr;
@@ -245,7 +296,7 @@ TagePredictor::fillFromTables(TagePrediction& p) const
     }
 }
 
-void
+inline void
 TagePredictor::updateTaggedCtr(uint32_t at, bool taken)
 {
     const int bits = config_.taggedCtrBits;
@@ -265,28 +316,27 @@ TagePredictor::updateTaggedCtr(uint32_t at, bool taken)
 }
 
 void
-TagePredictor::allocate(const TagePrediction& p, bool taken)
+TagePredictor::allocate(const TagePrediction& p, size_t k, bool taken)
 {
     const int m = config_.numTaggedTables();
     const int start = p.providerTable + 1;
     if (start > m)
         return;
 
+    // Element k's column of the rows, from table start up.
+    const auto at = [&](int table) {
+        return lookupAt_[static_cast<size_t>(table) * kBatchBlock + k];
+    };
     const int cb = config_.taggedCtrBits;
     bool any_useless = false;
-    for (int k = start; k <= m && !any_useless; ++k) {
-        any_useless =
-            packed::ctruU(ctru_[meta_[static_cast<size_t>(k)].offset +
-                                p.index[static_cast<size_t>(k)]],
-                          cb) == 0;
-    }
+    for (int t = start; t <= m && !any_useless; ++t)
+        any_useless = packed::ctruU(ctru_[at(t)], cb) == 0;
 
     if (!any_useless) {
         // No free entry: gracefully decay the contenders so an
         // allocation will succeed soon (anti-ping-pong).
-        for (int k = start; k <= m; ++k) {
-            uint8_t& v = ctru_[meta_[static_cast<size_t>(k)].offset +
-                               p.index[static_cast<size_t>(k)]];
+        for (int t = start; t <= m; ++t) {
+            uint8_t& v = ctru_[at(t)];
             v = packed::ctruWithU(
                 v, packed::unsignedDec(packed::ctruU(v, cb)), cb);
         }
@@ -298,21 +348,19 @@ TagePredictor::allocate(const TagePrediction& p, bool taken)
     // TAGE implementations: each candidate is taken with probability
     // 1/2, falling through to longer histories otherwise.
     int chosen = 0;
-    for (int k = start; k <= m; ++k) {
-        if (packed::ctruU(ctru_[meta_[static_cast<size_t>(k)].offset +
-                                p.index[static_cast<size_t>(k)]],
-                          cb) != 0)
+    for (int t = start; t <= m; ++t) {
+        if (packed::ctruU(ctru_[at(t)], cb) != 0)
             continue;
-        chosen = k;
+        chosen = t;
         if (lfsr_.oneIn(1))
             break;
     }
 
-    const uint32_t at = meta_[static_cast<size_t>(chosen)].offset +
-                        p.index[static_cast<size_t>(chosen)];
-    tag_[at] = p.tag[static_cast<size_t>(chosen)];
+    const uint32_t entry = at(chosen);
+    tag_[entry] = static_cast<uint16_t>(
+        lookupTag_[static_cast<size_t>(chosen) * kBatchBlock + k]);
     // Weak correct ctr, strong not-useful u.
-    ctru_[at] = packed::ctruPack(taken ? 0 : -1, 0, cb);
+    ctru_[entry] = packed::ctruPack(taken ? 0 : -1, 0, cb);
     ++allocations_;
 }
 
@@ -326,15 +374,14 @@ TagePredictor::ageUsefulCounters()
         v = packed::ctruAgeU(v, cb);
 }
 
-void
-TagePredictor::train(const TagePrediction& p, bool taken)
+inline void
+TagePredictor::train(const TagePrediction& p, size_t k, bool taken)
 {
     const bool mispredicted = p.taken != taken;
 
     if (p.providerIsTagged) {
         const uint32_t at =
-            meta_[static_cast<size_t>(p.providerTable)].offset +
-            p.index[static_cast<size_t>(p.providerTable)];
+            lookupAt_[static_cast<size_t>(p.providerTable) * kBatchBlock + k];
 
         // Manage USE_ALT_ON_NA: on a weak ("pseudo newly allocated")
         // provider whose direction differs from the alternate, learn
@@ -357,7 +404,7 @@ TagePredictor::train(const TagePrediction& p, bool taken)
                 cb);
         }
     } else {
-        uint8_t& bim = bimodal_[p.index[0]];
+        uint8_t& bim = bimodal_[lookupAt_[k]];
         bim = static_cast<uint8_t>(
             packed::unsignedUpdate(bim, config_.bimodalCtrBits, taken));
     }
@@ -370,7 +417,7 @@ TagePredictor::train(const TagePrediction& p, bool taken)
         alloc = false;
     }
     if (alloc)
-        allocate(p, taken);
+        allocate(p, k, taken);
 
     ++updates_;
     if (uResetCountdown_ != 0 && --uResetCountdown_ == 0) {
@@ -395,12 +442,16 @@ TagePredictor::advanceHistories(uint64_t pc, bool taken)
 void
 TagePredictor::update(uint64_t pc, const TagePrediction& p, bool taken)
 {
-    train(p, taken);
+    TAGECON_ASSERT(pendingPc_ == pc,
+                   "TagePredictor::update: pc is not the pc of the "
+                   "immediately preceding predict()");
+    pendingPc_.reset();
+    train(p, 0, taken);
     advanceHistories(pc, taken);
 }
 
 void
-TagePredictor::prefetchBatch(std::span<const TagePrediction> out)
+TagePredictor::prefetchBatch(size_t n)
 {
     // Prefetching only pays when the tagged arena outgrows the cache
     // the batch's gathers would otherwise hit: every paper-budget
@@ -414,31 +465,29 @@ TagePredictor::prefetchBatch(std::span<const TagePrediction> out)
     if (arena_bytes <= kPrefetchMinArenaBytes)
         return;
 
-    // Collect the flat arena offsets the batch will read, one pass
-    // over the batch. Only when the arena also outgrows the last-level
-    // working set is the full (table, index) sort worth its cost,
-    // turning the prefetch walk into one ascending pass.
-    const int m = config_.numTaggedTables();
-    batchAts_.clear();
-    batchAts_.reserve(out.size() * static_cast<size_t>(m));
-    for (const TagePrediction& p : out)
-        for (int i = 1; i <= m; ++i)
-            batchAts_.push_back(meta_[static_cast<size_t>(i)].offset +
-                                p.index[static_cast<size_t>(i)]);
+    // Collect the arena offsets the block will read; the rows hold
+    // them already. Only when the arena also outgrows the last-level
+    // working set is the full sort worth its cost, turning the
+    // prefetch walk into one ascending pass.
+    const size_t m = static_cast<size_t>(config_.numTaggedTables());
+    uint32_t ats[kMaxTaggedTables * kBatchBlock];
+    size_t count = 0;
+    for (size_t i = 1; i <= m; ++i)
+        for (size_t k = 0; k < n; ++k)
+            ats[count++] = lookupAt_[i * kBatchBlock + k];
     if (ctru_.size() * 3 > kSortArenaBytes)
-        std::sort(batchAts_.begin(), batchAts_.end());
-    for (const uint32_t at : batchAts_) {
-        simd::prefetchRead(&tag_[at]);
-        simd::prefetchRead(&ctru_[at]);
+        std::sort(ats, ats + count);
+    for (size_t j = 0; j < count; ++j) {
+        simd::prefetchRead(&tag_[ats[j]]);
+        simd::prefetchRead(&ctru_[ats[j]]);
     }
-    for (const TagePrediction& p : out)
-        simd::prefetchRead(&bimodal_[p.index[0]]);
+    for (size_t k = 0; k < n; ++k)
+        simd::prefetchRead(&bimodal_[lookupAt_[k]]);
 }
 
 void
 TagePredictor::advanceAndIndexBlock(std::span<const uint64_t> pcs,
-                                    std::span<const uint8_t> taken,
-                                    std::span<TagePrediction> out)
+                                    std::span<const uint8_t> taken)
 {
     const int m = config_.numTaggedTables();
     const size_t n = pcs.size();
@@ -457,19 +506,25 @@ TagePredictor::advanceAndIndexBlock(std::span<const uint64_t> pcs,
     uint8_t* const window = batchWindow_.data();
     history_.copyNewest(window, lmax);
 
-    // Per-element prep: the bimodal index, each element's pre-push
-    // path register value, and the path register advance. Nothing
-    // else of out[k] is touched: fillFromTables() writes the rest.
-    uint64_t shifted[kBatchBlock];
-    uint32_t pathv[kBatchBlock];
+    // Per-element prep: the bimodal row, each element's shifted PC
+    // words and pre-push path register value, and the path register
+    // advance. The hash runs in whole lane groups, so the inputs are
+    // padded to rows elements.
+    const size_t rows = (n + kHashLanes - 1) / kHashLanes * kHashLanes;
+    alignas(16) uint32_t pc_lo[kBatchBlock];
+    alignas(16) uint32_t pc_hi[kBatchBlock];
+    alignas(16) uint32_t path[kBatchBlock];
     for (size_t k = 0; k < n; ++k) {
-        const uint64_t pc = pcs[k];
-        shifted[k] = pc >> config_.instShift;
-        out[k].index[0] = bimodalIndex(pc);
-        pathv[k] = pathHistory_.value();
-        pathHistory_.push(shifted[k]);
+        const uint64_t shifted = pcs[k] >> config_.instShift;
+        lookupAt_[k] = bimodalIndex(pcs[k]);
+        pc_lo[k] = static_cast<uint32_t>(shifted);
+        pc_hi[k] = static_cast<uint32_t>(shifted >> 32);
+        path[k] = pathHistory_.value();
+        pathHistory_.push(shifted);
         window[lmax + k] = taken[k] != 0 ? 1 : 0;
     }
+    for (size_t k = n; k < rows; ++k)
+        pc_lo[k] = pc_hi[k] = path[k] = 0;
 
     // The fold-value streams — the only serial dependency in the hash:
     // foldA/B/C[i - 1][k] hold table i's index, tag and tag-1 folds as
@@ -495,7 +550,6 @@ TagePredictor::advanceAndIndexBlock(std::span<const uint64_t> pcs,
         const FoldedHistoryTriple& f = folds_[static_cast<size_t>(i)];
         comp[i - 1] = simd::U32x4{f.a(), f.b(), f.c(), f.a()};
     }
-    const size_t rows = (n + 3) & ~size_t{3};
     for (size_t k = 0; k < rows; k += 4) {
         simd::U32x4 in[4];
         for (size_t j = 0; j < 4; ++j)
@@ -544,39 +598,11 @@ TagePredictor::advanceAndIndexBlock(std::span<const uint64_t> pcs,
     }
 #endif
 
-    // The hashes, table-major: uniform element-wise ops over the fold
-    // and path streams (vectorizable), then one scatter into the
-    // output structs.
-    uint32_t idxV[kBatchBlock];
-    uint32_t tagV[kBatchBlock];
-    for (int i = 1; i <= m; ++i) {
-        const TableMeta& t = meta_[static_cast<size_t>(i)];
-        const int logg = t.logEntries;
-        const uint32_t* const fa = foldA[i - 1];
-        const uint32_t* const fb = foldB[i - 1];
-        const uint32_t* const fc = foldC[i - 1];
-        for (size_t k = 0; k < n; ++k) {
-            // Inline taggedIndex()/taggedTag() over the precomputed
-            // fold and path values (bit-identical: xor commutes with
-            // the truncation to 32 bits).
-            uint32_t a = pathv[k] & t.pathMask;
-            const uint32_t a1 = a & t.indexMask;
-            const uint32_t a2 =
-                rotlMasked(a >> logg, t.rot, logg, t.indexMask);
-            a = rotlMasked(a1 ^ a2, t.rot, logg, t.indexMask);
-            const uint64_t s = shifted[k];
-            idxV[k] = (static_cast<uint32_t>(s ^ (s >> t.idxShift)) ^
-                       fa[k] ^ a) &
-                      t.indexMask;
-            tagV[k] = (static_cast<uint32_t>(s) ^ fb[k] ^ (fc[k] << 1)) &
-                      t.tagMask;
-        }
-        for (size_t k = 0; k < n; ++k) {
-            out[k].index[static_cast<size_t>(i)] = idxV[k];
-            out[k].tag[static_cast<size_t>(i)] =
-                static_cast<uint16_t>(tagV[k]);
-        }
-    }
+    // The hashes, table-major: uniform lane-group passes over the fold
+    // and path streams, straight into the table's rows.
+    for (int i = 1; i <= m; ++i)
+        hashRow<HashLanes>(i, rows, foldA[i - 1], foldB[i - 1],
+                           foldC[i - 1], path, pc_lo, pc_hi);
 
     // The outcomes enter the ring last: the folds already consumed
     // them from the block window, and nothing else reads the ring
@@ -594,24 +620,20 @@ TagePredictor::predictMany(std::span<const uint64_t> pcs,
                        out.size() >= pcs.size(),
                    "predictMany spans disagree on the batch size");
     const size_t n = pcs.size();
+    pendingPc_.reset();
 
-    // Process in blocks sized so one block's TagePrediction scratch
-    // stays L1-resident between the index pass and the resolve pass.
     for (size_t at = 0; at < n; at += kBatchBlock) {
         const size_t len = std::min(kBatchBlock, n - at);
 
-        // Pass 1: per-table indices and tags, table-major. They
+        // Pass 1: every table's lookup row, table-major. Lookups
         // depend only on the PCs and the outcome-driven history state
         // — never on table contents — so the histories can be
         // advanced through the whole block up front, leaving each
-        // element exactly the lookup values its scalar predict()
-        // would have computed.
-        advanceAndIndexBlock(pcs.subspan(at, len),
-                             taken.subspan(at, len),
-                             out.subspan(at, len));
+        // element exactly the lookup its scalar predict() would make.
+        advanceAndIndexBlock(pcs.subspan(at, len), taken.subspan(at, len));
 
         // Pass 2: stream the block's arena reads (large arenas only).
-        prefetchBatch(out.subspan(at, len));
+        prefetchBatch(len);
 
         // Pass 3: resolve in input order — read each element's
         // entries as they stand after elements [0, k) trained, then
@@ -621,9 +643,9 @@ TagePredictor::predictMany(std::span<const uint64_t> pcs,
         // final state are bit-identical to the scalar predict/update
         // loop. (Training touches no history state; that already
         // advanced in pass 1.)
-        for (size_t k = at; k < at + len; ++k) {
-            fillFromTables(out[k]);
-            train(out[k], taken[k] != 0);
+        for (size_t k = 0; k < len; ++k) {
+            fillFromTables(out[at + k], k);
+            train(out[at + k], k, taken[at + k] != 0);
         }
     }
 }
@@ -709,6 +731,9 @@ TagePredictor::saveState(StateWriter& out) const
 bool
 TagePredictor::loadState(StateReader& in, std::string& error)
 {
+    // The lookup rows are not state: a predict() made before the
+    // restore has nothing to pair with after it.
+    pendingPc_.reset();
     const int m = config_.numTaggedTables();
     bool geometry_ok = in.u32() == static_cast<uint32_t>(m);
     for (int i = 0; i < m && geometry_ok; ++i) {

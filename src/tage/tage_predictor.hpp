@@ -16,6 +16,7 @@
 #define TAGECON_TAGE_TAGE_PREDICTOR_HPP
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -38,6 +39,13 @@ namespace tagecon {
  * predict()/update() must alternate for the history folding to stay
  * consistent; update() trains the provider, manages allocation, and
  * advances all speculative histories with the resolved outcome.
+ *
+ * A lookup (each table's index and partial tag) lives in the
+ * predictor's lookup rows, not in the TagePrediction: one row per
+ * table, kBatchBlock elements wide, holding arena offsets and tags.
+ * predictMany() fills the rows for a whole block in one table-major
+ * pass and resolves each element from them; predict() is a block of
+ * one that fills element 0, which the paired update() trains from.
  */
 class TagePredictor
 {
@@ -45,12 +53,18 @@ class TagePredictor
     /** Build a predictor; the config is validated with fatal(). */
     explicit TagePredictor(TageConfig config, uint16_t lfsr_seed = 0x1d4e);
 
-    /** Compute the prediction and its observable internals for @p pc. */
-    TagePrediction predict(uint64_t pc) const;
+    /**
+     * Compute the prediction and its observable internals for @p pc.
+     * The lookup goes to element 0 of the lookup rows, with the same
+     * hash code a predictMany() block runs.
+     */
+    TagePrediction predict(uint64_t pc);
 
     /**
-     * Train with the resolved outcome. @p p must be the object returned
-     * by the immediately preceding predict(pc).
+     * Train with the resolved outcome and advance the histories. @p p
+     * must be the object returned by the immediately preceding
+     * predict(pc): update() trains from that lookup, and panics when
+     * no predict() is pending or @p pc is not its pc.
      */
     void update(uint64_t pc, const TagePrediction& p, bool taken);
 
@@ -60,31 +74,46 @@ class TagePredictor
      * train with taken[k], bit-identical to the scalar
      * predict/update loop over the batch (predictions inside the
      * batch observe the earlier elements' updates). Every field of
-     * out[k] is written except index[] and tag[] entries past
-     * numTaggedTables() and tag[0], which are left as the caller
-     * passed them.
+     * out[k] is written. A predict() left pending is dropped: the
+     * next update() must follow a new predict().
      *
-     * The batch is processed in cache-sized blocks, each in three
-     * passes. First all per-table indices and tags are precomputed up
-     * front: they depend only on the PCs and the outcome stream, never
-     * on table contents, so every table's fold registers step together
-     * through the block (one SIMD lane group per table per element)
-     * and the hashes then run as uniform element-wise passes, table by
-     * table. Large arenas next get their block's reads prefetched, and
-     * finally each element is resolved and trained in input order.
+     * The batch is processed in blocks of kBatchBlock, each in three
+     * passes. First every table's lookup row is filled for the whole
+     * block: lookups depend only on the PCs and the outcome stream,
+     * never on table contents, so every table's fold registers step
+     * together through the block (one SIMD lane group per table per
+     * element) and the hashes then run as uniform vector passes, table
+     * by table. Large arenas next get the rows' entries prefetched,
+     * and finally each element is resolved from its column of the
+     * rows and trained, in input order.
      */
     void predictMany(std::span<const uint64_t> pcs,
                      std::span<const uint8_t> taken,
                      std::span<TagePrediction> out);
 
     /**
-     * predictMany() processing-block size. One block's TagePrediction
-     * scratch (~140 B each) plus the per-table index/tag staging arrays
-     * must stay L1-resident between the table-major index pass and the
-     * per-element resolve pass; 64 elements keeps the footprint near
-     * 12 KB.
+     * predictMany() processing-block size, and the width of the lookup
+     * rows. One block's rows (an arena offset and a tag per table and
+     * element, ~8.5 KB at 16 tables) and the caller's TagePrediction
+     * scratch stay L1-resident between the index pass and the resolve
+     * pass.
      */
     static constexpr size_t kBatchBlock = 64;
+
+    /** One table's part of a lookup (tests / introspection). */
+    struct Lookup {
+        /** Index into the table; table 0 is the bimodal table. */
+        uint32_t index = 0;
+
+        /** Partial tag; 0 for the bimodal table. */
+        uint16_t tag = 0;
+    };
+
+    /**
+     * Table @p table's part of the lookup the last predict() made (or
+     * of the first element of the last predictMany() block).
+     */
+    Lookup lastLookup(int table) const;
 
     /** The configuration this predictor was built with. */
     const TageConfig& config() const { return config_; }
@@ -196,47 +225,53 @@ class TagePredictor
     };
 
     /**
-     * Fill the provider/alternate/bimodal fields of @p p from the
-     * current table state; p.index[] and p.tag[] must already be set.
-     * The candidate-tag scan runs through simd::matchMask16.
+     * Fill every field of @p p from the current table state and
+     * element @p k of the lookup rows.
      */
-    void fillFromTables(TagePrediction& p) const;
+    void fillFromTables(TagePrediction& p, size_t k) const;
 
-    /** Training half of update(): everything except history advance. */
-    void train(const TagePrediction& p, bool taken);
+    /**
+     * Training half of update() for element @p k of the lookup rows:
+     * everything except the history advance.
+     */
+    void train(const TagePrediction& p, size_t k, bool taken);
 
     /** Advance global/path histories and all fold registers. */
     void advanceHistories(uint64_t pc, bool taken);
 
     /**
-     * Index/tag precompute for one predictMany() block (advances all
-     * histories through the block as a side effect). For each element
-     * k it writes out[k].index[0..M] and out[k].tag[1..M] — exactly
-     * the lookup values its scalar predict() would have computed after
-     * elements [0, k) resolved — and no other field.
+     * Index pass of one predictMany() block: fill elements [0, n) of
+     * every lookup row with exactly the lookup its scalar predict()
+     * would make after elements [0, k) resolved, advancing all
+     * histories through the block as a side effect.
      */
     void advanceAndIndexBlock(std::span<const uint64_t> pcs,
-                              std::span<const uint8_t> taken,
-                              std::span<TagePrediction> out);
+                              std::span<const uint8_t> taken);
 
     /**
-     * Prefetch the arena lines the batch in @p out will read, once the
-     * arenas outgrow the cache: element by element, or in ascending
-     * arena order when they outgrow the last-level working set too.
+     * Hash tagged table @p table's row for elements [0, rows) from
+     * the table's fold streams (@p fa, @p fb, @p fc: the index, tag
+     * and tag-1 folds as each element reads them) and the per-element
+     * path register values and shifted PC words, @p Lanes (a uint32_t
+     * or a vector of them) at a time. @p rows is a multiple of the
+     * lane count and every input holds that many values.
      */
-    void prefetchBatch(std::span<const TagePrediction> out);
+    template <typename Lanes>
+    void hashRow(int table, size_t rows, const uint32_t* fa,
+                 const uint32_t* fb, const uint32_t* fc,
+                 const uint32_t* path, const uint32_t* pc_lo,
+                 const uint32_t* pc_hi);
 
-    /** Compute the index into tagged table @p table (1-based). */
-    uint32_t taggedIndex(uint64_t pc, int table) const;
-
-    /** Compute the partial tag for tagged table @p table (1-based). */
-    uint16_t taggedTag(uint64_t pc, int table) const;
+    /**
+     * Prefetch the arena entries elements [0, @p n) of the lookup rows
+     * will read, once the arenas outgrow the cache: row by row, or in
+     * ascending arena order when they outgrow the last-level working
+     * set too.
+     */
+    void prefetchBatch(size_t n);
 
     /** Bimodal table index. */
     uint32_t bimodalIndex(uint64_t pc) const;
-
-    /** Mix the path history into an index (classic TAGE F function). */
-    uint32_t pathHash(int table) const;
 
     /**
      * Update the tagged prediction counter at arena position @p at
@@ -245,8 +280,11 @@ class TagePredictor
      */
     void updateTaggedCtr(uint32_t at, bool taken);
 
-    /** Allocate at most one entry above the provider on misprediction. */
-    void allocate(const TagePrediction& p, bool taken);
+    /**
+     * Allocate at most one entry above the provider on misprediction,
+     * among element @p k's entries of the lookup rows.
+     */
+    void allocate(const TagePrediction& p, size_t k, bool taken);
 
     /** Graceful periodic aging of all useful counters. */
     void ageUsefulCounters();
@@ -288,10 +326,17 @@ class TagePredictor
     uint64_t uResetCountdown_ = 0;
 
     /**
-     * predictMany() scratch: the arena offsets prefetchBatch() walks;
-     * not architectural state, excluded from saveState().
+     * The lookup rows: row i (kBatchBlock elements from i * kBatchBlock)
+     * holds each element's arena offset in tagged table i, and row 0
+     * its bimodal index. lookupTag_ holds the partial tags in the same
+     * layout (row 0 unused). Scratch, not architectural state, so
+     * excluded from saveState().
      */
-    std::vector<uint32_t> batchAts_;
+    std::vector<uint32_t> lookupAt_;
+    std::vector<uint32_t> lookupTag_;
+
+    /** The pc of the predict() an update() may pair with. */
+    std::optional<uint64_t> pendingPc_;
 
     /**
      * predictMany() scratch: one block's outcome window laid behind

@@ -26,30 +26,4 @@ XorShift128Plus::XorShift128Plus(uint64_t seed)
         s1_ = 1;
 }
 
-Lfsr16::Lfsr16(uint16_t seed)
-    : state_(seed == 0 ? 0xACE1u : seed)
-{
-}
-
-uint16_t
-Lfsr16::next()
-{
-    // Taps at bits 16, 15, 13, 4 (1-based), period 2^16 - 1.
-    const uint16_t bit = static_cast<uint16_t>(
-        ((state_ >> 0) ^ (state_ >> 2) ^ (state_ >> 3) ^ (state_ >> 5)) & 1u);
-    state_ = static_cast<uint16_t>((state_ >> 1) | (bit << 15));
-    return state_;
-}
-
-bool
-Lfsr16::oneIn(unsigned log2_denominator)
-{
-    if (log2_denominator == 0)
-        return true;
-    const uint16_t draw = next();
-    const uint16_t mask = static_cast<uint16_t>(
-        (1u << (log2_denominator > 15 ? 15 : log2_denominator)) - 1u);
-    return (draw & mask) == 0;
-}
-
 } // namespace tagecon

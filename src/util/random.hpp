@@ -111,10 +111,25 @@ class Lfsr16
 {
   public:
     /** Seed must be non-zero; a zero seed is replaced by 0xACE1. */
-    explicit Lfsr16(uint16_t seed = 0xACE1u);
+    explicit Lfsr16(uint16_t seed = 0xACE1u)
+        : state_(seed == 0 ? 0xACE1u : seed)
+    {
+    }
 
-    /** Advance one step and return the new register value. */
-    uint16_t next();
+    /**
+     * Advance one step and return the new register value. Inline, as
+     * are the draws below: TAGE's resolve loop draws through them.
+     */
+    uint16_t
+    next()
+    {
+        // Taps at bits 16, 15, 13, 4 (1-based), period 2^16 - 1.
+        const uint16_t bit = static_cast<uint16_t>(
+            ((state_ >> 0) ^ (state_ >> 2) ^ (state_ >> 3) ^ (state_ >> 5)) &
+            1u);
+        state_ = static_cast<uint16_t>((state_ >> 1) | (bit << 15));
+        return state_;
+    }
 
     /** Current register value without advancing. */
     uint16_t value() const { return state_; }
@@ -130,7 +145,16 @@ class Lfsr16
      * probability 1 / (1 << log2_denominator). log2_denominator == 0
      * always returns true (probability 1).
      */
-    bool oneIn(unsigned log2_denominator);
+    bool
+    oneIn(unsigned log2_denominator)
+    {
+        if (log2_denominator == 0)
+            return true;
+        const uint16_t draw = next();
+        const uint16_t mask = static_cast<uint16_t>(
+            (1u << (log2_denominator > 15 ? 15 : log2_denominator)) - 1u);
+        return (draw & mask) == 0;
+    }
 
   private:
     uint16_t state_;

@@ -2,11 +2,10 @@
  * @file
  * Minimal SIMD shim for the predictor hot paths.
  *
- * The predictors need two vector primitives: a lane-wise 16-bit
- * equality scan (the TAGE candidate-tag match) and a four-lane
- * folded-history step (the batched TAGE index/tag precompute), plus a
+ * The batched TAGE index pass needs four-lane uint32_t vectors: the
+ * folded-history step and the index/tag hash run on them, plus a
  * best-effort prefetch hint. SSE2 and NEON backends are selected at
- * compile time; the fold step is written once with GCC/Clang vector
+ * compile time; the lanes are written once with GCC/Clang vector
  * extensions, which lower to either. Defining TAGECON_NO_SIMD (the
  * CMake option of the same name) forces the scalar fallbacks, which
  * are bit-identical by construction and CI-gated.
@@ -22,83 +21,20 @@
 #if defined(__SSE2__) || defined(_M_X64) || \
     (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
 #define TAGECON_SIMD_SSE2 1
-#include <emmintrin.h>
 #elif defined(__aarch64__) && \
     (defined(__ARM_NEON) || defined(__ARM_NEON__))
 #define TAGECON_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 #endif
 
-// The four-lane fold step needs the GCC/Clang vector extensions on
-// top of a vector backend; elsewhere callers keep their scalar loops.
+// The four-lane vectors need the GCC/Clang vector extensions on top
+// of a vector backend; elsewhere callers keep their scalar loops.
 #if (defined(TAGECON_SIMD_SSE2) || defined(TAGECON_SIMD_NEON)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define TAGECON_SIMD_LANES 1
 #endif
 
 namespace tagecon::simd {
-
-/** True when a vector backend is compiled in. */
-inline constexpr bool kEnabled =
-#if defined(TAGECON_SIMD_SSE2) || defined(TAGECON_SIMD_NEON)
-    true;
-#else
-    false;
-#endif
-
-/** Name of the active backend: "sse2", "neon" or "scalar". */
-inline const char*
-backendName()
-{
-#if defined(TAGECON_SIMD_SSE2)
-    return "sse2";
-#elif defined(TAGECON_SIMD_NEON)
-    return "neon";
-#else
-    return "scalar";
-#endif
-}
-
-/**
- * 16-lane uint16_t equality bitmask: bit i of the result is set iff
- * stored[i] == want[i]. Both arrays must hold 16 readable elements —
- * pad unused lanes and mask the result (padding both arrays with the
- * same value reports a match in that lane).
- */
-inline uint32_t
-matchMask16(const uint16_t* stored, const uint16_t* want)
-{
-#if defined(TAGECON_SIMD_SSE2)
-    const __m128i s0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(stored));
-    const __m128i s1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(stored + 8));
-    const __m128i w0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(want));
-    const __m128i w1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(want + 8));
-    // Saturating-pack the two 0xFFFF/0x0000 lane masks into one vector
-    // of 0x80/0x00 bytes, whose sign bits movemask collects: one
-    // result bit per original 16-bit lane.
-    const __m128i packed = _mm_packs_epi16(_mm_cmpeq_epi16(s0, w0),
-                                           _mm_cmpeq_epi16(s1, w1));
-    return static_cast<uint32_t>(_mm_movemask_epi8(packed));
-#elif defined(TAGECON_SIMD_NEON)
-    const uint16x8_t bits = {1, 2, 4, 8, 16, 32, 64, 128};
-    const uint16x8_t eq0 = vceqq_u16(vld1q_u16(stored), vld1q_u16(want));
-    const uint16x8_t eq1 =
-        vceqq_u16(vld1q_u16(stored + 8), vld1q_u16(want + 8));
-    const uint32_t lo = vaddvq_u16(vandq_u16(eq0, bits));
-    const uint32_t hi = vaddvq_u16(vandq_u16(eq1, bits));
-    return lo | (hi << 8);
-#else
-    uint32_t mask = 0;
-    for (int i = 0; i < 16; ++i)
-        mask |= (stored[i] == want[i] ? 1u : 0u) << i;
-    return mask;
-#endif
-}
 
 #if defined(TAGECON_SIMD_LANES)
 /** Four uint32_t lanes: one SSE2 or NEON register. */

@@ -56,10 +56,15 @@ mix(uint64_t h, uint64_t v)
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr int kBranches = 50000;
 
-/** Hash every observable field of one prediction. */
+/**
+ * Hash every observable field of one prediction, and the lookup
+ * @p pred made for it (read between predict() and update()).
+ */
 uint64_t
-mixPrediction(uint64_t h, const TagePrediction& p, int num_tables)
+mixPrediction(uint64_t h, const TagePrediction& p,
+              const TagePredictor& pred)
 {
+    const int num_tables = pred.config().numTaggedTables();
     h = mix(h, p.taken);
     h = mix(h, static_cast<uint64_t>(p.providerTable));
     h = mix(h, static_cast<uint64_t>(static_cast<int64_t>(p.providerCtr)));
@@ -72,9 +77,9 @@ mixPrediction(uint64_t h, const TagePrediction& p, int num_tables)
     h = mix(h, static_cast<uint64_t>(p.altTable));
     h = mix(h, p.usedAlt);
     for (int t = 0; t <= num_tables; ++t)
-        h = mix(h, p.index[static_cast<size_t>(t)]);
+        h = mix(h, pred.lastLookup(t).index);
     for (int t = 1; t <= num_tables; ++t)
-        h = mix(h, p.tag[static_cast<size_t>(t)]);
+        h = mix(h, pred.lastLookup(t).tag);
     return h;
 }
 
@@ -165,7 +170,6 @@ runGoldenWithMidStreamRoundTrip(const TageConfig& cfg)
     XorShift128Plus rng(0xD1CEB007 + cfg.tagged.size());
     GoldenDigests out;
     out.pred = kFnvOffset;
-    const int m = cfg.numTaggedTables();
     for (int i = 0; i < kBranches; ++i) {
         if (i == kBranches / 2) {
             StateWriter w;
@@ -179,7 +183,7 @@ runGoldenWithMidStreamRoundTrip(const TageConfig& cfg)
         }
         const GoldenBranch br = goldenBranch(rng, i);
         const TagePrediction p = cur->predict(br.pc);
-        out.pred = mixPrediction(out.pred, p, m);
+        out.pred = mixPrediction(out.pred, p, *cur);
         cur->update(br.pc, p, br.taken);
     }
     out.state = stateDigest(b);

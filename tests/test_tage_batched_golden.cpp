@@ -8,8 +8,12 @@
  * tail batches) and the degenerate batch of one.
  *
  * The digests pinned here are the very same values test_tage_golden
- * pins for the scalar loop — not re-harvested for the batched path —
- * so any divergence between the two paths moves a hash.
+ * pins for the scalar loop — not re-harvested for the batched path.
+ * The scalar run answers to the prediction digest, lookups included;
+ * a batched run keeps no per-element lookup, so each of its
+ * predictions must equal the scalar one field for field, and it must
+ * end in the pinned state digest and the scalar run's saveState()
+ * bytes.
  *
  * The adaptive stack (GradedTage with the Sec. 6.2 controller) batches
  * around each epoch-closing element; it is checked against its own
@@ -42,10 +46,15 @@ mix(uint64_t h, uint64_t v)
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr int kBranches = 50000;
 
-/** Hash every observable field of one prediction. */
+/**
+ * Hash every observable field of one prediction, and the lookup
+ * @p pred made for it (read between predict() and update()).
+ */
 uint64_t
-mixPrediction(uint64_t h, const TagePrediction& p, int num_tables)
+mixPrediction(uint64_t h, const TagePrediction& p,
+              const TagePredictor& pred)
 {
+    const int num_tables = pred.config().numTaggedTables();
     h = mix(h, p.taken);
     h = mix(h, static_cast<uint64_t>(p.providerTable));
     h = mix(h, static_cast<uint64_t>(static_cast<int64_t>(p.providerCtr)));
@@ -58,9 +67,9 @@ mixPrediction(uint64_t h, const TagePrediction& p, int num_tables)
     h = mix(h, static_cast<uint64_t>(p.altTable));
     h = mix(h, p.usedAlt);
     for (int t = 0; t <= num_tables; ++t)
-        h = mix(h, p.index[static_cast<size_t>(t)]);
+        h = mix(h, pred.lastLookup(t).index);
     for (int t = 1; t <= num_tables; ++t)
-        h = mix(h, p.tag[static_cast<size_t>(t)]);
+        h = mix(h, pred.lastLookup(t).tag);
     return h;
 }
 
@@ -116,29 +125,75 @@ goldenStream(const TageConfig& cfg)
     return s;
 }
 
+std::vector<uint8_t>
+saveBytes(const TagePredictor& p)
+{
+    StateWriter w;
+    p.saveState(w);
+    return w.take();
+}
+
+/** What a run over the golden stream leaves to compare. */
+struct GoldenRun {
+    std::vector<TagePrediction> predictions;
+    uint64_t predDigest = kFnvOffset;
+    uint64_t stateDigest = 0;
+    std::vector<uint8_t> state;
+};
+
 /**
- * Drive the golden stream through predictMany() in batches of
- * @p batch (the last batch carries the tail) and return
- * {prediction digest, state digest}.
+ * The scalar predict()/update() loop over the golden stream; the
+ * prediction digest covers each lookup too.
  */
-std::pair<uint64_t, uint64_t>
-runGoldenBatched(const TageConfig& cfg, size_t batch)
+GoldenRun
+runGoldenScalar(const TageConfig& cfg, const GoldenStream& s)
 {
     TagePredictor pred(cfg);
-    const GoldenStream s = goldenStream(cfg);
-    std::vector<TagePrediction> out(batch);
-    uint64_t pd = kFnvOffset;
-    const int m = cfg.numTaggedTables();
+    GoldenRun run;
+    for (size_t i = 0; i < s.pcs.size(); ++i) {
+        const TagePrediction p = pred.predict(s.pcs[i]);
+        run.predDigest = mixPrediction(run.predDigest, p, pred);
+        run.predictions.push_back(p);
+        pred.update(s.pcs[i], p, s.taken[i] != 0);
+    }
+    run.stateDigest = stateDigest(pred);
+    run.state = saveBytes(pred);
+    return run;
+}
+
+/**
+ * Drive the golden stream through predictMany() in batches of
+ * @p batch (the last batch carries the tail). The prediction digest
+ * is left unset: a batch keeps no per-element lookup.
+ */
+GoldenRun
+runGoldenBatched(const TageConfig& cfg, const GoldenStream& s,
+                 size_t batch)
+{
+    TagePredictor pred(cfg);
+    GoldenRun run;
+    run.predictions.resize(s.pcs.size());
     for (size_t at = 0; at < s.pcs.size(); at += batch) {
         const size_t n = std::min(batch, s.pcs.size() - at);
         pred.predictMany(
             std::span<const uint64_t>(s.pcs.data() + at, n),
             std::span<const uint8_t>(s.taken.data() + at, n),
-            std::span<TagePrediction>(out.data(), n));
-        for (size_t k = 0; k < n; ++k)
-            pd = mixPrediction(pd, out[k], m);
+            std::span<TagePrediction>(run.predictions.data() + at, n));
     }
-    return {pd, stateDigest(pred)};
+    run.stateDigest = stateDigest(pred);
+    run.state = saveBytes(pred);
+    return run;
+}
+
+/** Index of the first prediction where @p a and @p b differ. */
+size_t
+firstMismatch(const std::vector<TagePrediction>& a,
+              const std::vector<TagePrediction>& b)
+{
+    size_t i = 0;
+    while (i < a.size() && i < b.size() && a[i] == b[i])
+        ++i;
+    return i;
 }
 
 struct GoldenCase {
@@ -176,12 +231,18 @@ TEST_P(TageBatchedGolden, PredictManyMatchesScalarGoldenDigests)
 {
     const GoldenCase& g = GetParam();
     const TageConfig cfg = configFor(g.name);
+    const GoldenStream s = goldenStream(cfg);
+    const GoldenRun scalar = runGoldenScalar(cfg, s);
+    EXPECT_EQ(scalar.predDigest, g.predDigest) << g.name;
+    EXPECT_EQ(scalar.stateDigest, g.stateDigest) << g.name;
     for (const size_t batch : kBatchSizes) {
         SCOPED_TRACE("batch=" + std::to_string(batch));
-        const auto [pred_digest, state_digest] =
-            runGoldenBatched(cfg, batch);
-        EXPECT_EQ(pred_digest, g.predDigest) << g.name;
-        EXPECT_EQ(state_digest, g.stateDigest) << g.name;
+        const GoldenRun batched = runGoldenBatched(cfg, s, batch);
+        EXPECT_EQ(firstMismatch(batched.predictions, scalar.predictions),
+                  s.pcs.size())
+            << g.name << ": first prediction that differs";
+        EXPECT_EQ(batched.stateDigest, g.stateDigest) << g.name;
+        EXPECT_TRUE(batched.state == scalar.state) << g.name;
     }
 }
 

@@ -5,8 +5,9 @@
  * were harvested from. Two digests are combined per configuration:
  *
  *  - a per-step prediction digest over every field of TagePrediction
- *    (including all per-table indices and tags, which depend on the
- *    folded histories and the path hash), and
+ *    and every per-table index and tag of its lookup (read through
+ *    TagePredictor::lastLookup(); they depend on the folded histories
+ *    and the path hash), and
  *  - a final-state digest over the full table contents (tagged ctr/
  *    tag/u, bimodal counters), USE_ALT_ON_NA and the allocation and
  *    update counters.
@@ -38,10 +39,15 @@ mix(uint64_t h, uint64_t v)
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr int kBranches = 50000;
 
-/** Hash every observable field of one prediction. */
+/**
+ * Hash every observable field of one prediction, and the lookup
+ * @p pred made for it (read between predict() and update()).
+ */
 uint64_t
-mixPrediction(uint64_t h, const TagePrediction& p, int num_tables)
+mixPrediction(uint64_t h, const TagePrediction& p,
+              const TagePredictor& pred)
 {
+    const int num_tables = pred.config().numTaggedTables();
     h = mix(h, p.taken);
     h = mix(h, static_cast<uint64_t>(p.providerTable));
     h = mix(h, static_cast<uint64_t>(static_cast<int64_t>(p.providerCtr)));
@@ -54,9 +60,9 @@ mixPrediction(uint64_t h, const TagePrediction& p, int num_tables)
     h = mix(h, static_cast<uint64_t>(p.altTable));
     h = mix(h, p.usedAlt);
     for (int t = 0; t <= num_tables; ++t)
-        h = mix(h, p.index[static_cast<size_t>(t)]);
+        h = mix(h, pred.lastLookup(t).index);
     for (int t = 1; t <= num_tables; ++t)
-        h = mix(h, p.tag[static_cast<size_t>(t)]);
+        h = mix(h, pred.lastLookup(t).tag);
     return h;
 }
 
@@ -98,7 +104,6 @@ runGolden(const TageConfig& cfg)
     TagePredictor pred(cfg);
     XorShift128Plus rng(0xD1CEB007 + cfg.tagged.size());
     uint64_t pd = kFnvOffset;
-    const int m = cfg.numTaggedTables();
     for (int i = 0; i < kBranches; ++i) {
         const uint64_t r = rng.next();
         const uint64_t pc = 0x4000 + (r % 64) * 4;
@@ -106,7 +111,7 @@ runGolden(const TageConfig& cfg)
         const bool taken = (pc & 8) ? (i % (3 + (pc & 7)) != 0)
                                     : ((r >> 32) & 1) != 0;
         const TagePrediction p = pred.predict(pc);
-        pd = mixPrediction(pd, p, m);
+        pd = mixPrediction(pd, p, pred);
         pred.update(pc, p, taken);
     }
     return {pd, stateDigest(pred)};

@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "util/random.hpp"
@@ -358,6 +359,32 @@ TEST(TagePredictor, UseAltOnNaCounterMoves)
     EXPECT_TRUE(moved);
 }
 
+TEST(TagePredictor, UpdateMustPairWithTheLastPredict)
+{
+    // update() trains from the lookup its predict() left in the rows,
+    // so it must name that predict()'s pc, and only once.
+    TagePredictor pred(TageConfig::small16K());
+    EXPECT_DEATH(pred.update(0x1000, TagePrediction{}, true),
+                 "immediately preceding predict");
+    const TagePrediction p = pred.predict(0x1000);
+    EXPECT_DEATH(pred.update(0x1004, p, true),
+                 "immediately preceding predict");
+    pred.update(0x1000, p, true);
+    EXPECT_DEATH(pred.update(0x1000, p, true),
+                 "immediately preceding predict");
+
+    // A restore drops a pending predict(), as a reset() does.
+    StateWriter w;
+    pred.saveState(w);
+    const std::vector<uint8_t> blob = w.take();
+    const TagePrediction q = pred.predict(0x1000);
+    StateReader in(blob);
+    std::string error;
+    ASSERT_TRUE(pred.loadState(in, error)) << error;
+    EXPECT_DEATH(pred.update(0x1000, q, true),
+                 "immediately preceding predict");
+}
+
 TEST(TagePredictor, IntrospectionBoundsChecked)
 {
     TagePredictor pred(TageConfig::small16K());
@@ -365,6 +392,7 @@ TEST(TagePredictor, IntrospectionBoundsChecked)
     EXPECT_DEATH(pred.taggedEntry(5, 0), "out of range");
     EXPECT_DEATH(pred.taggedEntry(1, 1u << 20), "out of range");
     EXPECT_DEATH(pred.bimodalEntry(1u << 20), "out of range");
+    EXPECT_DEATH(pred.lastLookup(5), "out of range");
 }
 
 /** The predictor works for every paper configuration. */

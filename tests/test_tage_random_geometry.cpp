@@ -30,6 +30,12 @@
  * A third check drives byte-granular PCs, whose low bits make the
  * path register live, through the raw predictMany() on the paper's
  * three geometries and a few drawn ones. It pins no digest.
+ *
+ * A fourth draws tiny geometries (4-16 entries per table, short
+ * histories), where most 64-element blocks look up entries that an
+ * earlier element of the same block trained, and checks them at both
+ * levels. Its digest was harvested from the predictor whose
+ * TagePrediction still carried the lookup.
  */
 
 #include <gtest/gtest.h>
@@ -38,8 +44,10 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/registry.hpp"
@@ -63,14 +71,19 @@ mix(uint64_t h, uint64_t v)
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr int kSpecs = 48;
 constexpr int kLTageSpecs = 32;
+constexpr int kTinySpecs = 24;
 
 /** Largest tag arena a drawn geometry may allocate. */
 constexpr uint64_t kMaxArenaBytes = uint64_t{8} << 20;
 
-/** Hash every observable field of one raw prediction. */
+/**
+ * Hash every observable field of one raw prediction, and the lookup
+ * @p pred made for it (read between predict() and update()).
+ */
 uint64_t
-mixRaw(uint64_t h, const TagePrediction& p, int num_tables)
+mixRaw(uint64_t h, const TagePrediction& p, const TagePredictor& pred)
 {
+    const int num_tables = pred.config().numTaggedTables();
     h = mix(h, p.taken);
     h = mix(h, p.providerIsTagged);
     h = mix(h, static_cast<uint64_t>(p.providerTable));
@@ -86,9 +99,9 @@ mixRaw(uint64_t h, const TagePrediction& p, int num_tables)
     h = mix(h, static_cast<uint64_t>(p.altTable));
     h = mix(h, p.usedAlt);
     for (int t = 0; t <= num_tables; ++t)
-        h = mix(h, p.index[static_cast<size_t>(t)]);
+        h = mix(h, pred.lastLookup(t).index);
     for (int t = 1; t <= num_tables; ++t)
-        h = mix(h, p.tag[static_cast<size_t>(t)]);
+        h = mix(h, pred.lastLookup(t).tag);
     return h;
 }
 
@@ -157,6 +170,34 @@ drawSpec(XorShift128Plus& rng)
         if (rng.nextBelow(4) == 0)
             s += "+adaptive";
     }
+    return {s, s + "+sfc"};
+}
+
+/**
+ * Draw a TAGE spec with tiny tables: 4-16 entries per tagged table and
+ * in the bimodal table, histories of at most 24 bits.
+ */
+DrawnSpec
+drawTinySpec(XorShift128Plus& rng)
+{
+    const int tables = 1 + static_cast<int>(rng.nextBelow(8));
+    const int ctr = 2 + static_cast<int>(rng.nextBelow(6));
+    const int maxhist =
+        std::max(tables, 1 + static_cast<int>(rng.nextBelow(24)));
+    const int minhist = 1 + static_cast<int>(rng.nextBelow(
+                                static_cast<uint64_t>(maxhist - tables + 1)));
+    std::string s =
+        "tage16k:tables=" + std::to_string(tables) +
+        ",logent=" + std::to_string(2 + rng.nextBelow(3)) +
+        ",logbim=" + std::to_string(2 + rng.nextBelow(3)) +
+        ",tag=" + std::to_string(2 + rng.nextBelow(15)) +
+        ",ctr=" + std::to_string(ctr) + ",ubits=" +
+        std::to_string(1 + rng.nextBelow(static_cast<uint64_t>(8 - ctr))) +
+        ",minhist=" + std::to_string(minhist) +
+        ",maxhist=" + std::to_string(maxhist) +
+        ",ualt=" + (rng.nextBelow(2) != 0 ? "1" : "0");
+    if (rng.nextBelow(2) != 0)
+        s += "+prob" + std::to_string(rng.nextBelow(16));
     return {s, s + "+sfc"};
 }
 
@@ -269,19 +310,18 @@ checkRaw(const TageConfig& cfg, const Stream& s,
          const std::vector<Chunk>& chunks, uint64_t h)
 {
     const size_t n = s.pcs.size();
-    const int m = cfg.numTaggedTables();
     TagePredictor scalar(cfg);
     std::vector<TagePrediction> want(n);
     for (size_t i = 0; i < n; ++i) {
         want[i] = scalar.predict(s.pcs[i]);
+        h = mixRaw(h, want[i], scalar);
         scalar.update(s.pcs[i], want[i], s.taken[i] != 0);
-        h = mixRaw(h, want[i], m);
     }
     const std::vector<uint8_t> final_state = saveBytes(scalar);
     h = mixBytes(h, final_state);
 
-    // predictMany() writes every field the hash reads: start each
-    // output from bytes no scalar prediction holds.
+    // predictMany() writes every field: start each output from bytes
+    // no scalar prediction holds.
     TagePredictor batched(cfg);
     TagePrediction poison;
     std::memset(static_cast<void*>(&poison), 0x5A, sizeof poison);
@@ -302,16 +342,45 @@ checkRaw(const TageConfig& cfg, const Stream& s,
         at += c.len;
     }
     EXPECT_EQ(firstMismatch(want, got,
-                            [m](const TagePrediction& a,
-                                const TagePrediction& b) {
-                                return mixRaw(kFnvOffset, a, m) ==
-                                       mixRaw(kFnvOffset, b, m);
-                            }),
+                            [](const TagePrediction& a,
+                               const TagePrediction& b) { return a == b; }),
               -1)
         << "raw predictMany() diverged from the scalar loop";
     EXPECT_TRUE(saveBytes(batched) == final_state)
         << "raw predictMany() ended in a different state";
     return h;
+}
+
+/**
+ * Over the aligned kBatchBlock-element windows of @p s, {windows in
+ * which some element looks up an entry an earlier element of the
+ * window trained (its provider's entry, or its bimodal counter when
+ * the bimodal table provided), all windows}.
+ */
+std::pair<size_t, size_t>
+rereadWindows(const TageConfig& cfg, const Stream& s)
+{
+    TagePredictor pred(cfg);
+    const int m = cfg.numTaggedTables();
+    std::set<std::pair<int, uint32_t>> trained;
+    size_t reread = 0;
+    size_t windows = 0;
+    bool hit = false;
+    for (size_t i = 0; i < s.pcs.size(); ++i) {
+        if (i % TagePredictor::kBatchBlock == 0) {
+            reread += hit ? 1 : 0;
+            windows += i == 0 ? 0 : 1;
+            trained.clear();
+            hit = false;
+        }
+        const TagePrediction p = pred.predict(s.pcs[i]);
+        for (int t = 0; t <= m && !hit; ++t)
+            hit = trained.count({t, pred.lastLookup(t).index}) != 0;
+        trained.insert(
+            {p.providerTable, pred.lastLookup(p.providerTable).index});
+        pred.update(s.pcs[i], p, s.taken[i] != 0);
+    }
+    return {reread, windows};
 }
 
 /**
@@ -453,6 +522,41 @@ TEST(TageRandomGeometry, ByteGranularPcsMatchTheScalarLoop)
             c.scalar = false;
         std::ignore = checkRaw(cfg, s, chunks, kFnvOffset);
     }
+}
+
+// Tiny tables make a block re-read what it trained: a resolve that
+// read an entry before the block's earlier elements trained it (in the
+// index pass, say) diverges from the scalar loop here at once.
+TEST(TageRandomGeometry, TinyTablesMatchTheScalarLoop)
+{
+    XorShift128Plus rng(0x71A7C0DEULL);
+    uint64_t h = kFnvOffset;
+    size_t reread = 0;
+    size_t windows = 0;
+    for (int i = 0; i < kTinySpecs; ++i) {
+        const DrawnSpec spec = drawTinySpec(rng);
+        SCOPED_TRACE(spec.full);
+        const size_t n = 2000 + rng.nextBelow(6000);
+        const Stream s = drawStream(rng, n);
+        const std::vector<Chunk> chunks = drawChunks(rng, n);
+        const size_t cut = rng.nextBelow(n + 1);
+        for (const char c : spec.full)
+            h = mix(h, static_cast<uint8_t>(c));
+
+        auto base = makePredictor(spec.base);
+        const auto* graded = dynamic_cast<const GradedTage*>(base.get());
+        ASSERT_NE(graded, nullptr);
+        const TageConfig& cfg = graded->tage().config();
+        const auto [hits, all] = rereadWindows(cfg, s);
+        reread += hits;
+        windows += all;
+        h = checkRaw(cfg, s, chunks, h);
+        h = checkGraded(spec.full, s, chunks, cut, h);
+    }
+    EXPECT_GT(reread * 10, windows * 9)
+        << reread << " of " << windows << " windows re-read an entry";
+    EXPECT_EQ(h, 16511393670819324924ULL)
+        << "the pinned oracle digest moved";
 }
 
 TEST(LTageRandomGeometry, BatchedAndRestoredRunsMatchTheScalarLoop)
