@@ -14,6 +14,9 @@
  *    (tage16k/64k/256k+prob7+sfc and tage64k+prob7+adaptive+sfc)
  *    through GradedPredictor::predictMany() at batch 512 — the TAGE
  *    step plus grading, as the sweep drives it,
+ *  - BM_GradedPredictManyLargeArena: the same step on a geometry whose
+ *    tagged arena is several MiB (tage256k:logent=17+prob7+sfc),
+ *    beyond every paper budget and most caches,
  *  - BM_TagePredictOnly: the lookup path alone on warmed tables (the
  *    training path has no row of its own: update() trains from the
  *    lookup its paired predict() left in the predictor, so it cannot
@@ -143,12 +146,19 @@ const char* const kPaperSweepSpecs[] = {
     "tage16k+prob7+sfc", "tage64k+prob7+sfc", "tage256k+prob7+sfc",
     "tage64k+prob7+adaptive+sfc"};
 
+/**
+ * Geometries whose tagged arena outgrows the cache (~3 MiB here,
+ * against the paper budgets' tens of KiB), so that a layout or
+ * prefetch idea for large tables is measured rather than guessed.
+ */
+const char* const kLargeArenaSpecs[] = {"tage256k:logent=17+prob7+sfc"};
+
+/** One predictMany() step of @p spec over the shared trace per batch. */
 void
-BM_GradedPredictMany(benchmark::State& state)
+gradedPredictMany(benchmark::State& state, const char* spec)
 {
     constexpr size_t kBatch = 512;
     const auto& records = sharedTrace().records();
-    const char* spec = kPaperSweepSpecs[state.range(0)];
     const auto predictor = makePredictor(spec);
     std::vector<uint64_t> pcs(kBatch);
     std::vector<uint8_t> taken(kBatch);
@@ -167,6 +177,18 @@ BM_GradedPredictMany(benchmark::State& state)
     state.SetLabel(spec);
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(kBatch));
+}
+
+void
+BM_GradedPredictMany(benchmark::State& state)
+{
+    gradedPredictMany(state, kPaperSweepSpecs[state.range(0)]);
+}
+
+void
+BM_GradedPredictManyLargeArena(benchmark::State& state)
+{
+    gradedPredictMany(state, kLargeArenaSpecs[state.range(0)]);
 }
 
 void
@@ -427,6 +449,7 @@ BENCHMARK(BM_TagePredictUpdate)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TagePredictUpdateBatched)
     ->ArgsProduct({{0, 1, 2}, {16, 64, 512}});
 BENCHMARK(BM_GradedPredictMany)->DenseRange(0, 3);
+BENCHMARK(BM_GradedPredictManyLargeArena)->Arg(0);
 BENCHMARK(BM_TagePredictOnly)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TageAllocationStorm)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TagePredictUpdateClassify)->Arg(0)->Arg(1)->Arg(2);

@@ -50,6 +50,8 @@ main(int argc, char** argv)
     t.addColumn("SPEC");
     t.addColumn("PVN");
     for (const auto& row : rows) {
+        const auto confusion =
+            BinaryConfidenceMetrics::fromClassStats(row.aggregate);
         // Storage the estimator costs on top of its own host.
         const auto probe = makePredictor(row.spec);
         uint64_t extra_bits = 0;
@@ -59,11 +61,11 @@ main(int argc, char** argv)
 
         t.addRow({row.spec,
                   std::to_string(extra_bits / 1024) + " Kbit",
-                  TextTable::frac(row.confusion.highCoverage()),
-                  TextTable::frac(row.confusion.sens()),
-                  TextTable::frac(row.confusion.pvp()),
-                  TextTable::frac(row.confusion.spec()),
-                  TextTable::frac(row.confusion.pvn())});
+                  TextTable::frac(confusion.highCoverage()),
+                  TextTable::frac(confusion.sens()),
+                  TextTable::frac(confusion.pvp()),
+                  TextTable::frac(confusion.spec()),
+                  TextTable::frac(confusion.pvn())});
     }
     if (opt.csv)
         t.renderCsv(std::cout);

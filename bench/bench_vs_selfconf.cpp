@@ -53,15 +53,17 @@ main(int argc, char** argv)
     t.addColumn("SPEC");
     t.addColumn("PVN");
     for (const auto& row : rows) {
+        const auto confusion =
+            BinaryConfidenceMetrics::fromClassStats(row.aggregate);
         t.addRow({row.spec,
                   TextTable::num(
                       static_cast<double>(row.storageBits) / 1024.0, 0),
                   TextTable::num(row.aggregate.totalMkp(), 1),
-                  TextTable::frac(row.confusion.highCoverage()),
-                  TextTable::frac(row.confusion.sens()),
-                  TextTable::frac(row.confusion.pvp()),
-                  TextTable::frac(row.confusion.spec()),
-                  TextTable::frac(row.confusion.pvn())});
+                  TextTable::frac(confusion.highCoverage()),
+                  TextTable::frac(confusion.sens()),
+                  TextTable::frac(confusion.pvp()),
+                  TextTable::frac(confusion.spec()),
+                  TextTable::frac(confusion.pvn())});
     }
     if (opt.csv)
         t.renderCsv(std::cout);

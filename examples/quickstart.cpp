@@ -57,11 +57,11 @@ main(int argc, char** argv)
               TextTable::num(stats.totalMkp(), 1)});
     t.render(std::cout);
 
+    const auto confusion = BinaryConfidenceMetrics::fromClassStats(stats);
     std::cout << "\noverall: " << TextTable::num(stats.mpki(), 2)
               << " MPKI over " << stats.totalPredictions()
               << " branches; high-confidence coverage "
-              << TextTable::frac(result.confusion.highCoverage())
-              << " at PVP "
-              << TextTable::frac(result.confusion.pvp()) << "\n";
+              << TextTable::frac(confusion.highCoverage()) << " at PVP "
+              << TextTable::frac(confusion.pvp()) << "\n";
     return 0;
 }

@@ -4,8 +4,8 @@
  *
  *  - IntervalObserver            windowed per-class statistics — the
  *                                time-local view of Sec. 5.1
- *  - ConfidenceHistogramObserver per-class / per-level counter and
- *                                taken-direction distributions
+ *  - ConfidenceHistogramObserver the predicted-taken split of each
+ *                                class's counts
  *  - PerBranchObserver           per-PC accuracy profiles with a
  *                                bounded hard-to-predict top-N table
  *  - WarmupObserver              first-interval-below-threshold
@@ -62,9 +62,8 @@ class IntervalObserver : public RunObserver
 };
 
 /**
- * Per-class and per-level prediction / misprediction counters with the
- * predicted-taken split. Class and level totals are the run's
- * ClassStats totals by construction.
+ * Predicted-taken predictions and mispredictions per class: the split
+ * of the run's ClassStats counts, which the drive loop folds already.
  */
 class ConfidenceHistogramObserver : public RunObserver
 {
@@ -74,18 +73,12 @@ class ConfidenceHistogramObserver : public RunObserver
     void
     onPrediction(const ObservedPrediction& o) override
     {
+        if (!o.prediction.taken)
+            return;
         const size_t ci = classIndex(o.prediction.cls);
-        const size_t li = levelIndex(o.prediction.confidence);
-        ++histogram_.predictions[ci];
-        ++histogram_.levelPredictions[li];
-        if (o.prediction.taken)
-            ++histogram_.takenPredictions[ci];
-        if (o.mispredicted) {
-            ++histogram_.mispredictions[ci];
-            ++histogram_.levelMispredictions[li];
-            if (o.prediction.taken)
-                ++histogram_.takenMispredictions[ci];
-        }
+        ++histogram_.takenPredictions[ci];
+        if (o.mispredicted)
+            ++histogram_.takenMispredictions[ci];
     }
 
     void finish(RunAnalysis& out) override;

@@ -48,62 +48,23 @@ struct IntervalAnalysis {
 };
 
 /**
- * Per-class / per-level counter distributions with the taken split
- * (ConfidenceHistogramObserver). Class- and level-indexed totals are
- * exactly the run's ClassStats totals.
+ * The predicted-taken split of each class (ConfidenceHistogramObserver)
+ * of the counts in the run's ClassStats.
  */
 struct ConfidenceHistogram {
-    /** Predictions graded into each of the 7 classes. */
-    std::array<uint64_t, kNumPredictionClasses> predictions{};
-
-    /** Mispredictions per class. */
-    std::array<uint64_t, kNumPredictionClasses> mispredictions{};
-
     /** Predicted-taken predictions per class. */
     std::array<uint64_t, kNumPredictionClasses> takenPredictions{};
 
     /** Predicted-taken mispredictions per class. */
     std::array<uint64_t, kNumPredictionClasses> takenMispredictions{};
 
-    /** Predictions per 3-way confidence level (High/Medium/Low). */
-    std::array<uint64_t, 3> levelPredictions{};
-
-    /** Mispredictions per confidence level. */
-    std::array<uint64_t, 3> levelMispredictions{};
-
-    /** Total predictions over all classes. */
-    uint64_t
-    totalPredictions() const
-    {
-        uint64_t n = 0;
-        for (const auto v : predictions)
-            n += v;
-        return n;
-    }
-
-    /** Total mispredictions over all classes. */
-    uint64_t
-    totalMispredictions() const
-    {
-        uint64_t n = 0;
-        for (const auto v : mispredictions)
-            n += v;
-        return n;
-    }
-
     /** Sum both histograms (pooling across traces). */
     void
     merge(const ConfidenceHistogram& o)
     {
         for (size_t i = 0; i < kNumPredictionClasses; ++i) {
-            predictions[i] += o.predictions[i];
-            mispredictions[i] += o.mispredictions[i];
             takenPredictions[i] += o.takenPredictions[i];
             takenMispredictions[i] += o.takenMispredictions[i];
-        }
-        for (size_t i = 0; i < 3; ++i) {
-            levelPredictions[i] += o.levelPredictions[i];
-            levelMispredictions[i] += o.levelMispredictions[i];
         }
     }
 };

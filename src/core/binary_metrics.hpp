@@ -3,14 +3,18 @@
  * The binary confidence-estimator quality metrics of Grunwald et al.
  * (ISCA 1998), recalled in Sec. 2.2 / Sec. 4 of the paper: SENS, PVP,
  * SPEC and PVN. They apply to any estimator that splits predictions
- * into high-confidence vs. low-confidence; the comparison bench uses
+ * into high-confidence vs. low-confidence; the comparison benches use
  * them to pit the storage-free estimator against the JRS baseline.
+ * Every producer grades a prediction's level as confidenceLevel(cls),
+ * so fromClassStats() derives the confusion exactly from a ClassStats.
  */
 
 #ifndef TAGECON_CORE_BINARY_METRICS_HPP
 #define TAGECON_CORE_BINARY_METRICS_HPP
 
 #include <cstdint>
+
+#include "core/class_stats.hpp"
 
 namespace tagecon {
 
@@ -21,6 +25,23 @@ namespace tagecon {
 class BinaryConfidenceMetrics
 {
   public:
+    /**
+     * The confusion of the predictions counted in @p stats: high is
+     * ConfidenceLevel::High, low is Medium and Low together.
+     */
+    static BinaryConfidenceMetrics
+    fromClassStats(const ClassStats& stats)
+    {
+        BinaryConfidenceMetrics m;
+        m.highWrong_ = stats.mispredictions(ConfidenceLevel::High);
+        m.highCorrect_ =
+            stats.predictions(ConfidenceLevel::High) - m.highWrong_;
+        m.lowWrong_ = stats.totalMispredictions() - m.highWrong_;
+        m.lowCorrect_ = stats.totalPredictions() - m.highCorrect_ -
+                        m.highWrong_ - m.lowWrong_;
+        return m;
+    }
+
     /** Record one resolved prediction with its binary confidence. */
     void
     record(bool high_confidence, bool correct)

@@ -53,7 +53,9 @@ struct Prediction {
     /**
      * The 7-class storage-free grade when the predictor can produce it
      * (TAGE family); representativeClass(confidence) otherwise, so the
-     * class is always consistent with the level.
+     * class is always consistent with the level: every producer keeps
+     * confidence == confidenceLevel(cls), which is what lets a run's
+     * ClassStats carry its level and binary (high/low) counts too.
      */
     PredictionClass cls = PredictionClass::HighConfBim;
 
@@ -123,8 +125,8 @@ class GradedPredictor
      * is bit-identity with the scalar predict/update loop — including
      * predictions inside the batch observing earlier elements'
      * training. Trace replay and the serving engine drive this;
-     * batched implementations (the TAGE family) precompute and
-     * prefetch the whole batch's table accesses first.
+     * batched implementations (the TAGE family) precompute a block's
+     * table lookups first.
      */
     virtual void
     predictMany(std::span<const uint64_t> pcs,

@@ -431,8 +431,7 @@ serveShard(ServeShared& sh, size_t shard_index,
             const bool timed = obs::metricsEnabled();
             const uint64_t start_ns =
                 timed ? wallclock::monotonicNanos() : 0;
-            const DriveSink sink{st.predictor.get(), &st.result.stats,
-                                 &st.result.confusion, {}};
+            const DriveSink sink{st.predictor.get(), &st.result.stats, {}};
             const uint64_t n =
                 driveBranches(*st.trace, {&sink, 1}, opts.batch, chunk);
             if (timed && n > 0)
@@ -576,9 +575,10 @@ ServingEngine::serve(const std::vector<StreamDesc>& streams,
 
     out.perStream.reserve(states.size());
     for (auto& st : states) {
+        st.result.confusion =
+            BinaryConfidenceMetrics::fromClassStats(st.result.stats);
         if (st.result.status == StreamStatus::Ok) {
             out.aggregate.merge(st.result.stats);
-            out.confusion.merge(st.result.confusion);
             out.totalBranches += st.result.branchesServed;
             out.totalAllocations += st.result.allocations;
             ++out.streamsServed;

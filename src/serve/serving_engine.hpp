@@ -9,7 +9,8 @@
  * shards off an atomic counter), so stream state needs no locking.
  * Within a shard, streams advance round-robin in batches of
  * ServeOptions::batch predictions, each turn stepped by the drive
- * kernel runTrace() uses too (sim/experiment.hpp). Predictor state is
+ * kernel runTrace() uses too (sim/experiment.hpp), which folds each
+ * branch into the stream's ClassStats alone. Predictor state is
  * pooled per shard: at most poolPerShard predictors are resident; the
  * rest are parked as snapshot() blobs and restored on re-admission —
  * the checkpoint layer doubles as the eviction format, so a
@@ -180,7 +181,10 @@ struct StreamResult {
     /** Per-class statistics of the served branches. */
     ClassStats stats;
 
-    /** Binary (high/low) confidence confusion. */
+    /**
+     * BinaryConfidenceMetrics::fromClassStats(stats), filled once when
+     * the serve ends. Kept as a field for perfbench/, which reads it.
+     */
     BinaryConfidenceMetrics confusion;
 
     /**
@@ -229,9 +233,6 @@ struct ServeResult {
      * match a serve that never contained the faulty streams.
      */
     ClassStats aggregate;
-
-    /** Pooled binary confidence confusion (Ok streams only). */
-    BinaryConfidenceMetrics confusion;
 
     /** Branches served by Ok streams. */
     uint64_t totalBranches = 0;

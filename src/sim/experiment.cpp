@@ -41,12 +41,9 @@ driveBranches(TraceSource& trace, std::span<const DriveSink> sinks,
                 std::span<Prediction>(chunk.preds.data(), n));
             for (size_t k = 0; k < n; ++k) {
                 const Prediction& p = chunk.preds[k];
-                const bool mispredicted = p.taken != chunk.records[k].taken;
                 sink.stats->record(
-                    p.cls, mispredicted,
+                    p.cls, p.taken != chunk.records[k].taken,
                     uint64_t{chunk.records[k].instructionsBefore} + 1);
-                sink.confusion->record(
-                    p.confidence == ConfidenceLevel::High, !mispredicted);
             }
             if (sink.observers.empty())
                 continue;
@@ -92,8 +89,8 @@ runTrace(TraceSource& trace, std::span<GradedPredictor* const> predictors,
         results[k].traceName = trace.name();
         results[k].configName = predictors[k]->name();
         observers[k] = buildObservers(analysis);
-        sinks[k] = DriveSink{predictors[k], &results[k].stats,
-                             &results[k].confusion, observers[k]};
+        sinks[k] =
+            DriveSink{predictors[k], &results[k].stats, observers[k]};
     }
     DriveChunk chunk;
     driveBranches(trace, sinks, std::numeric_limits<uint64_t>::max(),
@@ -102,6 +99,8 @@ runTrace(TraceSource& trace, std::span<GradedPredictor* const> predictors,
         RunResult& result = results[k];
         for (const auto& observer : observers[k])
             observer->finish(result.analysis);
+        result.confusion =
+            BinaryConfidenceMetrics::fromClassStats(result.stats);
         result.finalLog2Prob = predictors[k]->satLog2Prob();
         result.allocations = predictors[k]->allocations();
         result.storageBits = predictors[k]->storageBits();

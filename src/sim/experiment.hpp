@@ -3,12 +3,14 @@
  * Trace-driven experiment driver. One drive kernel — driveBranches() —
  * steps any GradedPredictor built by hand or through the registry
  * (sim/registry.hpp) over any TraceSource in predictMany() chunks,
- * folding the per-class statistics every table and figure of the paper
- * is built from plus the binary (high/low) confidence confusion the
- * comparison benches score with.
+ * folding each branch into the per-class statistics every table and
+ * figure of the paper is built from. That ClassStats is the only
+ * per-branch accumulator: the 3-level split and the binary (high/low)
+ * confusion the comparison benches score with are views of it
+ * (BinaryConfidenceMetrics::fromClassStats()).
  *
  * The kernel feeds a span of sinks, each a predictor with its own
- * stats, confusion and observers, from one fill() per chunk. Its
+ * stats and observers, from one fill() per chunk. Its
  * callers: runTrace(), with one predictor, or with several in
  * lockstep when the sweep runs a column of cells over one trace
  * (sim/sweep.hpp), and the serving engine's scheduling turn, with the
@@ -46,8 +48,9 @@ struct RunResult {
     ClassStats stats;
 
     /**
-     * 2x2 confusion between (high confidence / not) and (correct /
-     * mispredicted) — the SENS/PVP/SPEC/PVN inputs.
+     * BinaryConfidenceMetrics::fromClassStats(stats), filled once when
+     * the run ends. Kept as a field for perfbench/, which reads it;
+     * other callers derive the confusion from the stats they hold.
      */
     BinaryConfidenceMetrics confusion;
 
@@ -80,14 +83,13 @@ struct DriveChunk {
 };
 
 /**
- * One consumer of a drive: a predictor, the accumulators its
+ * One consumer of a drive: a predictor, the statistics its
  * predictions fold into and the observers that see them. Borrowed
  * pointers; each sink owns none of them.
  */
 struct DriveSink {
     GradedPredictor* predictor = nullptr;
     ClassStats* stats = nullptr;
-    BinaryConfidenceMetrics* confusion = nullptr;
 
     /** Fed each element in stream order; may be empty. */
     std::span<const std::unique_ptr<RunObserver>> observers;
@@ -98,9 +100,9 @@ struct DriveSink {
  * TraceSource::fill() call, then, sink after sink in span order, step
  * the chunk through the sink's predictor.predictMany() (bit-identical
  * to the scalar predict/update loop by contract), fold each element
- * into its stats and confusion and hand the elements, in order, to its
- * observers — repeated until @p max_branches branches were consumed or
- * the trace ended. Every sink thus sees the records it would see
+ * into its stats and hand the elements, in order, to its observers —
+ * repeated until @p max_branches branches were consumed or the trace
+ * ended. Every sink thus sees the records it would see
  * driven alone, and memory stays at one chunk however many sinks
  * share it. Observers see each element after its chunk has trained,
  * which is equivalent because they see only the stream; their index

@@ -209,7 +209,8 @@ intervalAnalysisTable(const IntervalAnalysis& ia, const std::string& id)
 }
 
 ReportTable
-histogramAnalysisTable(const ConfidenceHistogram& h,
+histogramAnalysisTable(const ClassStats& stats,
+                       const ConfidenceHistogram& h,
                        const std::string& id)
 {
     ReportTable rt;
@@ -225,21 +226,21 @@ histogramAnalysisTable(const ConfidenceHistogram& h,
         const size_t i = classIndex(c);
         rt.table.addRow(
             {predictionClassName(c),
-             TextTable::integer(h.predictions[i]),
-             TextTable::integer(h.mispredictions[i]),
+             TextTable::integer(stats.predictions(c)),
+             TextTable::integer(stats.mispredictions(c)),
              TextTable::integer(h.takenPredictions[i]),
              TextTable::integer(h.takenMispredictions[i]),
-             ratePerKiloCell(h.mispredictions[i], h.predictions[i])});
+             ratePerKiloCell(stats.mispredictions(c),
+                             stats.predictions(c))});
     }
     rt.table.addSeparator();
     for (const auto level : kAllConfidenceLevels) {
-        const size_t i = levelIndex(level);
         rt.table.addRow(
             {confidenceLevelName(level) + " (level)",
-             TextTable::integer(h.levelPredictions[i]),
-             TextTable::integer(h.levelMispredictions[i]), "", "",
-             ratePerKiloCell(h.levelMispredictions[i],
-                             h.levelPredictions[i])});
+             TextTable::integer(stats.predictions(level)),
+             TextTable::integer(stats.mispredictions(level)), "", "",
+             ratePerKiloCell(stats.mispredictions(level),
+                             stats.predictions(level))});
     }
     return rt;
 }
@@ -334,7 +335,7 @@ addAnalysisSections(Report& r, const RunResult& result,
                                      id_prefix + "-intervals"),
                "intervals");
     if (a.histogram)
-        headed(histogramAnalysisTable(*a.histogram,
+        headed(histogramAnalysisTable(result.stats, *a.histogram,
                                       id_prefix + "-histogram"),
                "histogram");
     if (a.burst)

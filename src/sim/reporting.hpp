@@ -96,8 +96,13 @@ std::string summarize(const RunResult& result);
 ReportTable intervalAnalysisTable(const IntervalAnalysis& ia,
                                   const std::string& id);
 
-/** Class/level distributions (ConfidenceHistogramObserver output). */
-ReportTable histogramAnalysisTable(const ConfidenceHistogram& h,
+/**
+ * Class/level distributions: the class and level counts of @p stats
+ * with the taken split @p h (ConfidenceHistogramObserver output) of
+ * the same predictions.
+ */
+ReportTable histogramAnalysisTable(const ClassStats& stats,
+                                   const ConfidenceHistogram& h,
                                    const std::string& id);
 
 /** BIM misprediction-distance decay (BurstObserver output). */

@@ -303,7 +303,6 @@ runSweepRows(SweepPlan plan, const SweepOptions& opt)
         for (size_t t = 0; t < per_row; ++t) {
             RunResult& rr = flat[s * per_row + t];
             row.aggregate.merge(rr.stats);
-            row.confusion.merge(rr.confusion);
             // ordered-reduction: serial fold over flat[] in canonical
             // plan order — independent of jobs/scheduling.
             mpki_sum += rr.stats.mpki();

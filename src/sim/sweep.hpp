@@ -217,11 +217,11 @@ struct SweepRow {
     /** Per-trace results, in plan trace order. */
     std::vector<RunResult> perTrace;
 
-    /** Pooled statistics over all the row's branches. */
+    /**
+     * Pooled statistics over all the row's branches; the row's binary
+     * confusion is BinaryConfidenceMetrics::fromClassStats(aggregate).
+     */
     ClassStats aggregate;
-
-    /** Pooled binary confidence confusion. */
-    BinaryConfidenceMetrics confusion;
 
     /** Arithmetic mean of per-trace MPKI (the paper's misp/KI rows). */
     double meanMpki = 0.0;
@@ -231,8 +231,9 @@ struct SweepRow {
 
     /**
      * Cross-trace pooled ConfidenceHistogramObserver view: the sum of
-     * every per-trace histogram of the row, when the plan attached the
-     * histogram observer. Disengaged otherwise.
+     * every per-trace taken split of the row, when the plan attached
+     * the histogram observer (its class and level totals are
+     * aggregate's). Disengaged otherwise.
      */
     std::optional<ConfidenceHistogram> pooledHistogram;
 

@@ -451,41 +451,6 @@ TagePredictor::update(uint64_t pc, const TagePrediction& p, bool taken)
 }
 
 void
-TagePredictor::prefetchBatch(size_t n)
-{
-    // Prefetching only pays when the tagged arena outgrows the cache
-    // the batch's gathers would otherwise hit: every paper-budget
-    // config (a few dozen KiB end to end) stays resident after its
-    // first batch, and issuing ~3 prefetches per table per element
-    // would be pure front-end overhead. Gate on the packed arena
-    // footprint.
-    constexpr size_t kPrefetchMinArenaBytes = size_t{1} << 18; // 256 KiB
-    constexpr size_t kSortArenaBytes = size_t{1} << 21;        // 2 MiB
-    const size_t arena_bytes = ctru_.size() * 3 + bimodal_.size();
-    if (arena_bytes <= kPrefetchMinArenaBytes)
-        return;
-
-    // Collect the arena offsets the block will read; the rows hold
-    // them already. Only when the arena also outgrows the last-level
-    // working set is the full sort worth its cost, turning the
-    // prefetch walk into one ascending pass.
-    const size_t m = static_cast<size_t>(config_.numTaggedTables());
-    uint32_t ats[kMaxTaggedTables * kBatchBlock];
-    size_t count = 0;
-    for (size_t i = 1; i <= m; ++i)
-        for (size_t k = 0; k < n; ++k)
-            ats[count++] = lookupAt_[i * kBatchBlock + k];
-    if (ctru_.size() * 3 > kSortArenaBytes)
-        std::sort(ats, ats + count);
-    for (size_t j = 0; j < count; ++j) {
-        simd::prefetchRead(&tag_[ats[j]]);
-        simd::prefetchRead(&ctru_[ats[j]]);
-    }
-    for (size_t k = 0; k < n; ++k)
-        simd::prefetchRead(&bimodal_[lookupAt_[k]]);
-}
-
-void
 TagePredictor::advanceAndIndexBlock(std::span<const uint64_t> pcs,
                                     std::span<const uint8_t> taken)
 {
@@ -632,10 +597,7 @@ TagePredictor::predictMany(std::span<const uint64_t> pcs,
         // element exactly the lookup its scalar predict() would make.
         advanceAndIndexBlock(pcs.subspan(at, len), taken.subspan(at, len));
 
-        // Pass 2: stream the block's arena reads (large arenas only).
-        prefetchBatch(len);
-
-        // Pass 3: resolve in input order — read each element's
+        // Pass 2: resolve in input order — read each element's
         // entries as they stand after elements [0, k) trained, then
         // train with its outcome. Training consumes the LFSR and
         // updates USE_ALT_ON_NA and the aging countdown in exactly

@@ -77,14 +77,13 @@ class TagePredictor
      * out[k] is written. A predict() left pending is dropped: the
      * next update() must follow a new predict().
      *
-     * The batch is processed in blocks of kBatchBlock, each in three
+     * The batch is processed in blocks of kBatchBlock, each in two
      * passes. First every table's lookup row is filled for the whole
      * block: lookups depend only on the PCs and the outcome stream,
      * never on table contents, so every table's fold registers step
      * together through the block (one SIMD lane group per table per
      * element) and the hashes then run as uniform vector passes, table
-     * by table. Large arenas next get the rows' entries prefetched,
-     * and finally each element is resolved from its column of the
+     * by table. Then each element is resolved from its column of the
      * rows and trained, in input order.
      */
     void predictMany(std::span<const uint64_t> pcs,
@@ -261,14 +260,6 @@ class TagePredictor
                  const uint32_t* fb, const uint32_t* fc,
                  const uint32_t* path, const uint32_t* pc_lo,
                  const uint32_t* pc_hi);
-
-    /**
-     * Prefetch the arena entries elements [0, @p n) of the lookup rows
-     * will read, once the arenas outgrow the cache: row by row, or in
-     * ascending arena order when they outgrow the last-level working
-     * set too.
-     */
-    void prefetchBatch(size_t n);
 
     /** Bimodal table index. */
     uint32_t bimodalIndex(uint64_t pc) const;

@@ -3,12 +3,13 @@
  * Minimal SIMD shim for the predictor hot paths.
  *
  * The batched TAGE index pass needs four-lane uint32_t vectors: the
- * folded-history step and the index/tag hash run on them, plus a
- * best-effort prefetch hint. SSE2 and NEON backends are selected at
- * compile time; the lanes are written once with GCC/Clang vector
- * extensions, which lower to either. Defining TAGECON_NO_SIMD (the
- * CMake option of the same name) forces the scalar fallbacks, which
- * are bit-identical by construction and CI-gated.
+ * folded-history step and the index/tag hash run on them. SSE2 and
+ * NEON backends are selected at compile time; the lanes are written
+ * once with GCC/Clang vector extensions, which lower to either.
+ * Defining TAGECON_NO_SIMD (the CMake option of the same name) forces
+ * the scalar fallbacks, which are bit-identical by construction and
+ * CI-gated. The TAGECON_SIMD_* macros below also name the backend a
+ * build selected, for the tools that report it (perfbench).
  */
 
 #ifndef TAGECON_UTIL_SIMD_HPP
@@ -120,17 +121,6 @@ foldStep4(U32x4 comp, U32x4 in_out, U32x4 half, U32x4 wrap)
     return ((comp << 1) ^ in_out) ^ carry;
 }
 #endif
-
-/** Best-effort read prefetch hint; a no-op where unsupported. */
-inline void
-prefetchRead(const void* p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, 0 /* read */, 1 /* low temporal locality */);
-#else
-    (void)p;
-#endif
-}
 
 } // namespace tagecon::simd
 

@@ -72,6 +72,49 @@ TEST(BinaryMetrics, MergeAccumulates)
     EXPECT_EQ(a.lowWrong(), 1u);
 }
 
+// fromClassStats() splits the counts at ConfidenceLevel::High: both
+// high classes count high, the medium and low classes count low.
+TEST(BinaryMetrics, FromClassStatsSplitsAtTheHighLevel)
+{
+    ClassStats s;
+    const struct {
+        PredictionClass cls;
+        int correct;
+        int wrong;
+    } counts[] = {
+        {PredictionClass::HighConfBim, 50, 2},
+        {PredictionClass::Stag, 10, 1},
+        {PredictionClass::MediumConfBim, 7, 3},
+        {PredictionClass::NStag, 4, 2},
+        {PredictionClass::LowConfBim, 3, 5},
+        {PredictionClass::NWtag, 2, 2},
+        {PredictionClass::Wtag, 1, 4},
+    };
+    BinaryConfidenceMetrics oracle;
+    for (const auto& c : counts) {
+        const bool high = confidenceLevel(c.cls) == ConfidenceLevel::High;
+        for (int i = 0; i < c.correct; ++i) {
+            s.record(c.cls, false, 1);
+            oracle.record(high, true);
+        }
+        for (int i = 0; i < c.wrong; ++i) {
+            s.record(c.cls, true, 1);
+            oracle.record(high, false);
+        }
+    }
+    const auto m = BinaryConfidenceMetrics::fromClassStats(s);
+    EXPECT_EQ(m.highCorrect(), 60u);
+    EXPECT_EQ(m.highWrong(), 3u);
+    EXPECT_EQ(m.lowCorrect(), 17u);
+    EXPECT_EQ(m.lowWrong(), 16u);
+    EXPECT_EQ(m.highCorrect(), oracle.highCorrect());
+    EXPECT_EQ(m.highWrong(), oracle.highWrong());
+    EXPECT_EQ(m.lowCorrect(), oracle.lowCorrect());
+    EXPECT_EQ(m.lowWrong(), oracle.lowWrong());
+    EXPECT_EQ(BinaryConfidenceMetrics::fromClassStats(ClassStats{}).total(),
+              0u);
+}
+
 TEST(BinaryMetrics, AllHighDegenerate)
 {
     BinaryConfidenceMetrics m;

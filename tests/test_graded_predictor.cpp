@@ -220,17 +220,62 @@ TEST(EstimatedPredictor, JrsOverridesIntrinsicGrade)
     est.update(0x1234, p, p.taken);
 }
 
+// Every producer grades confidence == confidenceLevel(cls), which is
+// what lets a run's ClassStats carry its level split and binary
+// confusion. Checked for every registry base bare and under every
+// estimator it accepts (the registry rejects the rest, e.g.
+// gshare+sfc), and for the adaptive stacks, on the scalar loop
+// (batch 0) and through predictMany() at several batch sizes.
 TEST(EstimatedPredictor, ClassStaysConsistentWithLevel)
 {
-    auto p = makeTrace("164.gzip", 5000);
-    EstimatedPredictor est(std::make_unique<GradedTage>(
-                               TageConfig::small16K()),
-                           std::make_unique<JrsConfidenceEstimator>());
+    SyntheticTrace trace = makeTrace("164.gzip", 5000);
+    std::vector<uint64_t> pcs;
+    std::vector<uint8_t> taken;
     BranchRecord rec;
-    while (p.next(rec)) {
-        const Prediction pred = est.predict(rec.pc);
-        EXPECT_EQ(confidenceLevel(pred.cls), pred.confidence);
-        est.update(rec.pc, pred, rec.taken);
+    while (trace.next(rec)) {
+        pcs.push_back(rec.pc);
+        taken.push_back(rec.taken ? 1 : 0);
+    }
+    const size_t n = pcs.size();
+
+    std::vector<std::string> specs = {"tage64k+prob7+adaptive+sfc",
+                                      "tage16k+prob7+adaptive+jrs",
+                                      "tage256k+prob7+adaptive+blind"};
+    for (const std::string& base : registeredBases()) {
+        for (const char* estimator : {"", "+sfc", "+jrs", "+jrsg", "+blind"})
+            if (tryMakePredictor(base + estimator))
+                specs.push_back(base + estimator);
+    }
+    // 10 bases x 5 estimator choices, less gshare+sfc.
+    EXPECT_EQ(specs.size(), 3u + 49u);
+
+    for (const std::string& spec : specs) {
+        for (const size_t batch : {size_t{0}, size_t{1}, size_t{64},
+                                   size_t{333}}) {
+            SCOPED_TRACE(spec + " batch=" + std::to_string(batch));
+            auto predictor = makePredictor(spec);
+            std::vector<Prediction> out(n);
+            if (batch == 0) {
+                for (size_t i = 0; i < n; ++i) {
+                    out[i] = predictor->predict(pcs[i]);
+                    predictor->update(pcs[i], out[i], taken[i] != 0);
+                }
+            } else {
+                for (size_t at = 0; at < n; at += batch) {
+                    const size_t len = std::min(batch, n - at);
+                    predictor->predictMany(
+                        std::span<const uint64_t>(pcs.data() + at, len),
+                        std::span<const uint8_t>(taken.data() + at, len),
+                        std::span<Prediction>(out.data() + at, len));
+                }
+            }
+            size_t inconsistent = n;
+            for (size_t i = 0; i < n && inconsistent == n; ++i) {
+                if (confidenceLevel(out[i].cls) != out[i].confidence)
+                    inconsistent = i;
+            }
+            EXPECT_EQ(inconsistent, n) << "first inconsistent prediction";
+        }
     }
 }
 
@@ -370,7 +415,8 @@ TEST(GenericRunTrace, SpecSweepRowMatchesHandBuiltRuns)
               spec.aggregate.totalMispredictions());
     EXPECT_NEAR(mpki_sum / static_cast<double>(names.size()),
                 spec.meanMpki, 1e-12);
-    EXPECT_EQ(spec.confusion.total(),
+    EXPECT_EQ(BinaryConfidenceMetrics::fromClassStats(spec.aggregate)
+                  .total(),
               spec.aggregate.totalPredictions());
 }
 

@@ -61,8 +61,11 @@ expectSameServe(const ServeResult& a, const ServeResult& b)
               b.aggregate.totalPredictions());
     EXPECT_EQ(a.aggregate.totalMispredictions(),
               b.aggregate.totalMispredictions());
-    EXPECT_EQ(a.confusion.highCorrect(), b.confusion.highCorrect());
-    EXPECT_EQ(a.confusion.highWrong(), b.confusion.highWrong());
+    for (const auto l : kAllConfidenceLevels) {
+        EXPECT_EQ(a.aggregate.predictions(l), b.aggregate.predictions(l));
+        EXPECT_EQ(a.aggregate.mispredictions(l),
+                  b.aggregate.mispredictions(l));
+    }
     ASSERT_EQ(a.perStream.size(), b.perStream.size());
     for (size_t i = 0; i < a.perStream.size(); ++i) {
         const StreamResult& x = a.perStream[i];

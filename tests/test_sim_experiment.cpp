@@ -84,12 +84,24 @@ TEST(DriveBranches, StopsAtTheCapAndResumesWhereItStopped)
     SyntheticTrace whole = makeTrace("SERV-3", 3000);
     const RunResult once = runSmall(whole);
 
+    // The per-branch oracle: a scalar loop that records each branch's
+    // binary confusion as it resolves.
+    SyntheticTrace reference = makeTrace("SERV-3", 3000);
+    GradedTage scalar(TageConfig::small16K());
+    BinaryConfidenceMetrics oracle;
+    BranchRecord rec;
+    while (reference.next(rec)) {
+        const Prediction p = scalar.predict(rec.pc);
+        oracle.record(p.confidence == ConfidenceLevel::High,
+                      p.taken == rec.taken);
+        scalar.update(rec.pc, p, rec.taken);
+    }
+
     SyntheticTrace trace = makeTrace("SERV-3", 3000);
     GradedTage predictor(TageConfig::small16K());
     DriveChunk chunk;
     ClassStats stats;
-    BinaryConfidenceMetrics confusion;
-    const DriveSink sink{&predictor, &stats, &confusion, {}};
+    const DriveSink sink{&predictor, &stats, {}};
     uint64_t total = 0;
     for (const uint64_t cap : {1000u, 1u, 500u, 5000u}) {
         const uint64_t n = driveBranches(trace, {&sink, 1}, cap, chunk);
@@ -103,8 +115,17 @@ TEST(DriveBranches, StopsAtTheCapAndResumesWhereItStopped)
         EXPECT_EQ(stats.mispredictions(c), once.stats.mispredictions(c));
     }
     EXPECT_EQ(stats.instructions(), once.stats.instructions());
-    EXPECT_EQ(confusion.highCorrect(), once.confusion.highCorrect());
-    EXPECT_EQ(confusion.lowWrong(), once.confusion.lowWrong());
+    // The confusion derived from the capped pieces' ClassStats, and
+    // the one runTrace() fills when its run ends, equal the oracle.
+    const auto derived = BinaryConfidenceMetrics::fromClassStats(stats);
+    for (const BinaryConfidenceMetrics* m : {&derived, &once.confusion}) {
+        EXPECT_EQ(m->highCorrect(), oracle.highCorrect());
+        EXPECT_EQ(m->highWrong(), oracle.highWrong());
+        EXPECT_EQ(m->lowCorrect(), oracle.lowCorrect());
+        EXPECT_EQ(m->lowWrong(), oracle.lowWrong());
+    }
+    EXPECT_GT(oracle.highCorrect(), 0u);
+    EXPECT_GT(oracle.lowWrong(), 0u);
     EXPECT_EQ(predictor.allocations(), once.allocations);
 }
 

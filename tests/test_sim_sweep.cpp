@@ -73,17 +73,10 @@ expectAnalysisIdentical(const RunAnalysis& a, const RunAnalysis& b)
     }
     ASSERT_EQ(a.histogram.has_value(), b.histogram.has_value());
     if (a.histogram) {
-        EXPECT_EQ(a.histogram->predictions, b.histogram->predictions);
-        EXPECT_EQ(a.histogram->mispredictions,
-                  b.histogram->mispredictions);
         EXPECT_EQ(a.histogram->takenPredictions,
                   b.histogram->takenPredictions);
         EXPECT_EQ(a.histogram->takenMispredictions,
                   b.histogram->takenMispredictions);
-        EXPECT_EQ(a.histogram->levelPredictions,
-                  b.histogram->levelPredictions);
-        EXPECT_EQ(a.histogram->levelMispredictions,
-                  b.histogram->levelMispredictions);
     }
     ASSERT_EQ(a.perBranch.has_value(), b.perBranch.has_value());
     if (a.perBranch) {
@@ -222,10 +215,12 @@ TEST(SweepRunner, ObserverResultsIdenticalAcrossJobCounts)
         EXPECT_FALSE(serial[i].analysis.empty());
         expectAnalysisIdentical(serial[i].analysis,
                                 parallel[i].analysis);
-        // Histogram totals stay consistent with the cell's ClassStats
-        // even when the cell ran on a worker thread.
-        EXPECT_EQ(serial[i].analysis.histogram->totalPredictions(),
-                  serial[i].stats.totalPredictions());
+        // The taken split stays bounded by the cell's ClassStats even
+        // when the cell ran on a worker thread.
+        for (const auto c : kAllPredictionClasses)
+            EXPECT_LE(serial[i].analysis.histogram
+                          ->takenPredictions[classIndex(c)],
+                      serial[i].stats.predictions(c));
     }
 }
 
@@ -300,10 +295,14 @@ TEST(SweepRunner, RowPoolingMatchesManualCellFold)
 
     EXPECT_EQ(rows[0].spec, canonicalizeSpec(spec));
     expectStatsIdentical(rows[0].aggregate, stats);
-    EXPECT_EQ(rows[0].confusion.highCorrect(), confusion.highCorrect());
-    EXPECT_EQ(rows[0].confusion.highWrong(), confusion.highWrong());
-    EXPECT_EQ(rows[0].confusion.lowCorrect(), confusion.lowCorrect());
-    EXPECT_EQ(rows[0].confusion.lowWrong(), confusion.lowWrong());
+    // The row's confusion, derived from its pooled stats, equals the
+    // merge of its cells' confusions.
+    const auto pooled =
+        BinaryConfidenceMetrics::fromClassStats(rows[0].aggregate);
+    EXPECT_EQ(pooled.highCorrect(), confusion.highCorrect());
+    EXPECT_EQ(pooled.highWrong(), confusion.highWrong());
+    EXPECT_EQ(pooled.lowCorrect(), confusion.lowCorrect());
+    EXPECT_EQ(pooled.lowWrong(), confusion.lowWrong());
     EXPECT_DOUBLE_EQ(rows[0].meanMpki,
                      mpki_sum / static_cast<double>(traces.size()));
     EXPECT_EQ(rows[0].storageBits, storage_bits);

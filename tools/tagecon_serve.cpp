@@ -167,6 +167,8 @@ main(int argc, char** argv)
     report.addMeta("jobs", std::to_string(opts.jobs));
     report.setShowBanner(format != ReportFormat::Csv);
 
+    const auto confusion =
+        BinaryConfidenceMetrics::fromClassStats(result.aggregate);
     TextTable totals;
     totals.addColumn("metric", TextTable::Align::Left);
     totals.addColumn("value");
@@ -183,8 +185,7 @@ main(int argc, char** argv)
     totals.addRow({"misp/KI", TextTable::num(result.aggregate.mpki(), 3)});
     totals.addRow({"misp rate (MKP)",
                    TextTable::num(result.aggregate.totalMkp(), 1)});
-    totals.addRow({"high cov",
-                   TextTable::frac(result.confusion.highCoverage())});
+    totals.addRow({"high cov", TextTable::frac(confusion.highCoverage())});
     totals.addRow({"storage/predictor (Kbit)",
                    TextTable::num(
                        static_cast<double>(result.storageBits) / 1024.0,

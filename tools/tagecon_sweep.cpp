@@ -90,11 +90,10 @@ addMetricColumns(TextTable& t, bool with_baseline)
 }
 
 std::vector<std::string>
-metricCells(const ClassStats& stats,
-            const BinaryConfidenceMetrics& confusion, double mpki,
-            uint64_t storage_bits, const double* base_mpki,
-            const double* base_mkp)
+metricCells(const ClassStats& stats, double mpki, uint64_t storage_bits,
+            const double* base_mpki, const double* base_mkp)
 {
+    const auto confusion = BinaryConfidenceMetrics::fromClassStats(stats);
     std::vector<std::string> cells = {
         TextTable::num(mpki, 3), TextTable::num(stats.totalMkp(), 1)};
     if (base_mpki != nullptr) {
@@ -255,9 +254,8 @@ main(int argc, char** argv)
                 base_mkp = &bk;
             }
             std::vector<std::string> row = {r.configName, r.traceName};
-            const auto metrics =
-                metricCells(r.stats, r.confusion, r.stats.mpki(),
-                            r.storageBits, base_mpki, base_mkp);
+            const auto metrics = metricCells(
+                r.stats, r.stats.mpki(), r.storageBits, base_mpki, base_mkp);
             row.insert(row.end(), metrics.begin(), metrics.end());
             t.addRow(row);
             if (analysis_on)
@@ -280,9 +278,8 @@ main(int argc, char** argv)
             }
             std::vector<std::string> row = {
                 r.spec, std::to_string(r.perTrace.size()) + " traces"};
-            const auto metrics =
-                metricCells(r.aggregate, r.confusion, r.meanMpki,
-                            r.storageBits, base_mpki, base_mkp);
+            const auto metrics = metricCells(
+                r.aggregate, r.meanMpki, r.storageBits, base_mpki, base_mkp);
             row.insert(row.end(), metrics.begin(), metrics.end());
             t.addRow(row);
             if (analysis_on) {
@@ -303,7 +300,8 @@ main(int argc, char** argv)
         if (r.pooledHistogram) {
             report.addBlank();
             ReportTable rt = histogramAnalysisTable(
-                *r.pooledHistogram, prefix + "-pooled-histogram");
+                r.aggregate, *r.pooledHistogram,
+                prefix + "-pooled-histogram");
             rt.heading = r.spec + " (pooled) [histogram]";
             report.addTable(std::move(rt));
         }
