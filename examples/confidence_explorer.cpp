@@ -18,6 +18,7 @@
 #include "sim/reporting.hpp"
 #include "sim/sweep.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 
 using namespace tagecon;
 
@@ -25,13 +26,17 @@ int
 main(int argc, char** argv)
 {
     CliArgs args(argc, argv);
+    args.rejectUnknownFlags({"set", "predictor", "branches"});
     const std::string set_name = args.getString("set", "cbp1");
     const std::string spec = args.getString("predictor", "tage64k+sfc");
     const uint64_t branches = args.getUint("branches", 1000000);
 
     const BenchmarkSet set = set_name == "cbp2" ? BenchmarkSet::Cbp2
                                                 : BenchmarkSet::Cbp1;
-    auto probe = makePredictor(spec);
+    std::string error;
+    auto probe = tryMakePredictor(spec, &error);
+    if (!probe)
+        fatal("makePredictor: " + error);
 
     const auto rows =
         runSweepRows(SweepPlan::over({spec}, traceNames(set), branches));

@@ -35,6 +35,7 @@
 #include "sim/experiment.hpp"
 #include "sim/registry.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 #include "util/table_printer.hpp"
 
 using namespace tagecon;
@@ -146,6 +147,7 @@ int
 main(int argc, char** argv)
 {
     CliArgs args(argc, argv);
+    args.rejectUnknownFlags({"trace", "predictor", "branches", "delay"});
     const std::string trace = args.getString("trace", "300.twolf");
     const std::string spec =
         args.getString("predictor", "tage64k+prob7+sfc");
@@ -160,6 +162,11 @@ main(int argc, char** argv)
 
     std::cout << "fetch gating on " << trace << ", predictor " << spec
               << ", resolve delay " << delay << " cycles\n\n";
+    if (!isKnownProfile(trace))
+        fatal("unknown trace profile '" + trace + "'");
+    std::string error;
+    if (!tryMakePredictor(spec, &error))
+        fatal("makePredictor: " + error);
 
     TextTable t;
     t.addColumn("policy", TextTable::Align::Left);

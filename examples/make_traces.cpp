@@ -24,6 +24,7 @@ int
 main(int argc, char** argv)
 {
     CliArgs args(argc, argv);
+    args.rejectUnknownFlags({"out", "branches", "set"});
     const std::string out_dir = args.getString("out", "traces");
     const uint64_t branches = args.getUint("branches", 1000000);
     const std::string set = args.getString("set", "all");
@@ -52,17 +53,8 @@ main(int argc, char** argv)
         SyntheticTrace src = makeTrace(name, branches);
         const std::string path = out_dir + "/" + name + ".trace";
 
-        uint64_t instructions = 0;
-        uint64_t taken = 0;
-        {
-            TraceWriter writer(path, name);
-            BranchRecord rec;
-            while (src.next(rec)) {
-                writer.write(rec);
-                instructions += uint64_t{rec.instructionsBefore} + 1;
-                taken += rec.taken ? 1 : 0;
-            }
-        }
+        if (const auto written = writeTraceFile(path, src); !written.ok())
+            fatal(written.error().detail);
 
         // Round-trip check: the file replays bit-identically.
         src.reset();
@@ -70,6 +62,8 @@ main(int argc, char** argv)
         if (!opened.ok())
             fatal(opened.error().detail);
         TraceReader& reader = *opened.value();
+        uint64_t instructions = 0;
+        uint64_t taken = 0;
         BranchRecord expected;
         BranchRecord actual;
         while (src.next(expected)) {
@@ -79,6 +73,8 @@ main(int argc, char** argv)
                     expected.instructionsBefore) {
                 fatal("round-trip mismatch in " + path);
             }
+            instructions += uint64_t{expected.instructionsBefore} + 1;
+            taken += expected.taken ? 1 : 0;
         }
 
         t.addRow({name, std::to_string(branches),

@@ -15,6 +15,7 @@
 #include "sim/experiment.hpp"
 #include "sim/registry.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 #include "util/table_printer.hpp"
 
 using namespace tagecon;
@@ -23,6 +24,7 @@ int
 main(int argc, char** argv)
 {
     CliArgs args(argc, argv);
+    args.rejectUnknownFlags({"predictor", "branches"});
     // The paper's 64Kbit configuration with the Sec. 6 modified
     // automaton (p = 1/128) and the storage-free estimator — the
     // setting of Table 2.
@@ -30,7 +32,10 @@ main(int argc, char** argv)
         args.getString("predictor", "tage64k+prob7+sfc");
     const uint64_t branches = args.getUint("branches", 500000);
 
-    auto predictor = makePredictor(spec);
+    std::string error;
+    auto predictor = tryMakePredictor(spec, &error);
+    if (!predictor)
+        fatal("makePredictor: " + error);
     std::cout << predictor->name() << " ("
               << predictor->storageBits() / 1024 << " Kbit)\n\n";
 

@@ -31,6 +31,7 @@
 #include "sim/experiment.hpp"
 #include "sim/registry.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 #include "util/table_printer.hpp"
 
 using namespace tagecon;
@@ -152,6 +153,8 @@ int
 main(int argc, char** argv)
 {
     CliArgs args(argc, argv);
+    args.rejectUnknownFlags(
+        {"traceA", "traceB", "predictor", "branches", "delay"});
     const std::string trace_a = args.getString("traceA", "252.eon");
     const std::string trace_b = args.getString("traceB", "300.twolf");
     const std::string spec =
@@ -164,6 +167,13 @@ main(int argc, char** argv)
 
     std::cout << "fixed front-end window: " << branches
               << " fetch cycles\n\n";
+    for (const std::string& trace : {trace_a, trace_b}) {
+        if (!isKnownProfile(trace))
+            fatal("unknown trace profile '" + trace + "'");
+    }
+    std::string error;
+    if (!tryMakePredictor(spec, &error))
+        fatal("makePredictor: " + error);
 
     TextTable t;
     t.addColumn("fetch policy", TextTable::Align::Left);

@@ -8,10 +8,10 @@ namespace tagecon {
 BimodalPredictor::BimodalPredictor(int log_entries, int ctr_bits)
     : logEntries_(log_entries), ctrBits_(ctr_bits)
 {
-    if (log_entries < 1 || log_entries > 24)
-        fatal("bimodal: bad table size");
-    if (ctr_bits < 1 || ctr_bits > 8)
-        fatal("bimodal: bad counter width");
+    TAGECON_ASSERT(log_entries >= 1 && log_entries <= 24,
+                   "bimodal: bad table size");
+    TAGECON_ASSERT(ctr_bits >= 1 && ctr_bits <= 8,
+                   "bimodal: bad counter width");
     table_.resize(size_t{1} << log_entries);
     reset();
 }

@@ -11,12 +11,11 @@ GsharePredictor::GsharePredictor(int log_entries, int history_bits,
     : logEntries_(log_entries), historyBits_(history_bits),
       ctrBits_(ctr_bits)
 {
-    if (log_entries < 1 || log_entries > 24)
-        fatal("gshare: bad table size");
-    if (history_bits < 1)
-        fatal("gshare: bad history length");
-    if (ctr_bits < 1 || ctr_bits > 8)
-        fatal("gshare: bad counter width");
+    TAGECON_ASSERT(log_entries >= 1 && log_entries <= 24,
+                   "gshare: bad table size");
+    TAGECON_ASSERT(history_bits >= 1, "gshare: bad history length");
+    TAGECON_ASSERT(ctr_bits >= 1 && ctr_bits <= 8,
+                   "gshare: bad counter width");
     table_.resize(size_t{1} << log_entries);
     reset();
 }

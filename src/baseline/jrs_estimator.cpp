@@ -16,14 +16,14 @@ JrsConfidenceEstimator::JrsConfidenceEstimator()
 JrsConfidenceEstimator::JrsConfidenceEstimator(Config cfg)
     : cfg_(cfg)
 {
-    if (cfg_.logEntries < 1 || cfg_.logEntries > 24)
-        fatal("JRS: bad table size");
-    if (cfg_.ctrBits < 1 || cfg_.ctrBits > 16)
-        fatal("JRS: bad counter width");
-    if (cfg_.threshold > ((1u << cfg_.ctrBits) - 1))
-        fatal("JRS: threshold exceeds counter range");
-    if (cfg_.historyBits < 1 || cfg_.historyBits > 32)
-        fatal("JRS: bad history length");
+    TAGECON_ASSERT(cfg_.logEntries >= 1 && cfg_.logEntries <= 24,
+                   "JRS: bad table size");
+    TAGECON_ASSERT(cfg_.ctrBits >= 1 && cfg_.ctrBits <= 16,
+                   "JRS: bad counter width");
+    TAGECON_ASSERT(cfg_.threshold <= ((1u << cfg_.ctrBits) - 1),
+                   "JRS: threshold exceeds counter range");
+    TAGECON_ASSERT(cfg_.historyBits >= 1 && cfg_.historyBits <= 32,
+                   "JRS: bad history length");
     table_.assign(size_t{1} << cfg_.logEntries, 0);
 }
 

@@ -22,21 +22,20 @@ OgehlPredictor::OgehlPredictor(Config cfg)
       ctrMax_((1 << (cfg.ctrBits - 1)) - 1),
       ctrMin_(-(1 << (cfg.ctrBits - 1)))
 {
-    if (cfg_.numTables < 2 || cfg_.numTables > 16)
-        fatal("O-GEHL: bad table count");
-    if (cfg_.logEntries < 4 || cfg_.logEntries > 20)
-        fatal("O-GEHL: bad table size");
-    if (cfg_.ctrBits < 2 || cfg_.ctrBits > 8)
-        fatal("O-GEHL: bad counter width");
-    if (cfg_.minHistory < 1 || cfg_.maxHistory < cfg_.minHistory)
-        fatal("O-GEHL: bad history bounds");
+    TAGECON_ASSERT(cfg_.numTables >= 2 && cfg_.numTables <= 16,
+                   "O-GEHL: bad table count");
+    TAGECON_ASSERT(cfg_.logEntries >= 4 && cfg_.logEntries <= 20,
+                   "O-GEHL: bad table size");
+    TAGECON_ASSERT(cfg_.ctrBits >= 2 && cfg_.ctrBits <= 8,
+                   "O-GEHL: bad counter width");
 
     tables_.assign(static_cast<size_t>(cfg_.numTables)
                        << cfg_.logEntries,
                    0);
 
     // Geometric history series for tables 1..M-1; table 0 is
-    // PC-indexed (history length 0).
+    // PC-indexed (history length 0). The series asserts the history
+    // bounds and span.
     const auto lengths = TageConfig::geometricHistories(
         cfg_.minHistory, cfg_.maxHistory, cfg_.numTables - 1);
     folds_.resize(static_cast<size_t>(cfg_.numTables));

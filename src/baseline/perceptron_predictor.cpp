@@ -14,10 +14,10 @@ PerceptronPredictor::PerceptronPredictor(int log_perceptrons,
     : logPerceptrons_(log_perceptrons), historyBits_(history_bits),
       theta_(static_cast<int>(1.93 * history_bits + 14))
 {
-    if (log_perceptrons < 1 || log_perceptrons > 20)
-        fatal("perceptron: bad table size");
-    if (history_bits < 1 || history_bits > 64)
-        fatal("perceptron: bad history length");
+    TAGECON_ASSERT(log_perceptrons >= 1 && log_perceptrons <= 20,
+                   "perceptron: bad table size");
+    TAGECON_ASSERT(history_bits >= 1 && history_bits <= 64,
+                   "perceptron: bad history length");
     weights_.resize((size_t{1} << log_perceptrons) *
                     (static_cast<size_t>(history_bits) + 1));
     reset();

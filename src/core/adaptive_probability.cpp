@@ -12,17 +12,18 @@ AdaptiveProbabilityController::AdaptiveProbabilityController()
 AdaptiveProbabilityController::AdaptiveProbabilityController(Config cfg)
     : cfg_(cfg), log2Prob_(cfg.initialLog2)
 {
-    if (cfg_.minLog2 > cfg_.maxLog2)
-        fatal("adaptive controller: minLog2 > maxLog2");
+    TAGECON_ASSERT(cfg_.minLog2 <= cfg_.maxLog2,
+                   "adaptive controller: minLog2 > maxLog2");
     // The predictor's saturation gate takes log2(1/p) <= 15.
-    if (cfg_.maxLog2 > 15)
-        fatal("adaptive controller: maxLog2 > 15");
-    if (cfg_.initialLog2 < cfg_.minLog2 || cfg_.initialLog2 > cfg_.maxLog2)
-        fatal("adaptive controller: initialLog2 outside [min, max]");
-    if (cfg_.epochLength == 0)
-        fatal("adaptive controller: epochLength must be > 0");
-    if (cfg_.targetMkp <= 0.0)
-        fatal("adaptive controller: targetMkp must be positive");
+    TAGECON_ASSERT(cfg_.maxLog2 <= 15,
+                   "adaptive controller: maxLog2 > 15");
+    TAGECON_ASSERT(cfg_.initialLog2 >= cfg_.minLog2 &&
+                       cfg_.initialLog2 <= cfg_.maxLog2,
+                   "adaptive controller: initialLog2 outside [min, max]");
+    TAGECON_ASSERT(cfg_.epochLength > 0,
+                   "adaptive controller: epochLength must be > 0");
+    TAGECON_ASSERT(cfg_.targetMkp > 0.0,
+                   "adaptive controller: targetMkp must be positive");
 }
 
 bool

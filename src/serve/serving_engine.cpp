@@ -179,9 +179,8 @@ admitStream(ServeShared& sh, ShardPool& pool, StreamState& st)
         if (st.parked.empty())
             st.predictor->reset();
     } else {
-        st.predictor = tryMakePredictor(sh.opts->spec, &error);
-        if (!st.predictor)
-            return Err(ErrCode::BadSpec, "serve.admit", std::move(error));
+        // validate() accepted the spec before any stream was admitted.
+        st.predictor = makePredictor(sh.opts->spec);
         serveMetrics().constructions.add();
     }
 

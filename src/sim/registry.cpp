@@ -97,16 +97,6 @@ buildTageConfig(const TageGeometry& base_geometry, const SpecParams& p,
     const int ubits = static_cast<int>(p.getInt("ubits", 2, 1, 8));
     const bool ualt = p.getBool("ualt", true);
 
-    // The tagged arena packs ctr and u into one byte; reject spec
-    // combinations that cannot, before TageConfig::validate() would
-    // make the same complaint fatal.
-    if (ctr + ubits > 8) {
-        error = "ctr=" + std::to_string(ctr) + " and ubits=" +
-                std::to_string(ubits) +
-                " do not pack into one byte (ctr + ubits must be <= 8)";
-        return false;
-    }
-
     // Surface a malformed value as this factory's own error so it is
     // reported ahead of any modifier problem, and skip constructing a
     // predictor that is already disqualified.
@@ -115,22 +105,21 @@ buildTageConfig(const TageGeometry& base_geometry, const SpecParams& p,
         return false;
     }
 
-    // The rounded geometric series needs one strictly-increasing
-    // length per table; check here so fromGeometry cannot fatal().
-    if (g.maxHistory < g.minHistory + g.numTables - 1) {
-        error = "maxhist " + std::to_string(g.maxHistory) +
-                " too short for " + std::to_string(g.numTables) +
-                " tables starting at minhist " +
-                std::to_string(g.minHistory);
-        return false;
+    // The typed ranges above cover every single-key check; what is
+    // left are the cross-key ones, owned by TageConfig.
+    Err invalid = TageConfig::checkHistorySpan(g.minHistory, g.maxHistory,
+                                               g.numTables);
+    if (invalid.ok()) {
+        out = TageConfig::fromGeometry("custom", g);
+        out.bimodalCtrBits = bim_ctr;
+        out.taggedCtrBits = ctr;
+        out.usefulBits = ubits;
+        out.useAltOnNa = ualt;
+        invalid = out.validate();
     }
-
-    out = TageConfig::fromGeometry("custom", g);
-    out.bimodalCtrBits = bim_ctr;
-    out.taggedCtrBits = ctr;
-    out.usefulBits = ubits;
-    out.useAltOnNa = ualt;
-    return true;
+    if (invalid.failed())
+        error = invalid.detail;
+    return invalid.ok();
 }
 
 /** The tage* base of one named budget, or with Loop its ltage* base. */
@@ -213,15 +202,11 @@ makeOgehl(const SpecParams& p, const SpecModifiers& m, std::string& e)
         e = p.error();
         return nullptr;
     }
-    // T1..T_{M-1} take a strictly-increasing geometric series of
-    // numTables-1 history lengths capped at maxhist; a shorter span
-    // would round lengths past maxhist and overflow the history buffer
-    // mid-run.
-    if (cfg.maxHistory < cfg.minHistory + cfg.numTables - 2) {
-        e = "maxhist " + std::to_string(cfg.maxHistory) +
-            " too short for " + std::to_string(cfg.numTables) +
-            " tables starting at minhist " +
-            std::to_string(cfg.minHistory);
+    // T1..T_{M-1} take a geometric series of numTables-1 lengths.
+    if (Err span = TageConfig::checkHistorySpan(
+            cfg.minHistory, cfg.maxHistory, cfg.numTables - 1);
+        span.failed()) {
+        e = span.detail;
         return nullptr;
     }
     return std::make_unique<OgehlPredictor>(cfg);
@@ -518,7 +503,7 @@ makePredictor(const std::string& spec)
     std::string error;
     auto predictor = tryMakePredictor(spec, &error);
     if (!predictor)
-        fatal("makePredictor: " + error);
+        panic("makePredictor: " + error);
     return predictor;
 }
 

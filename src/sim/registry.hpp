@@ -96,7 +96,10 @@ std::string canonicalizeSpec(const std::string& spec,
 std::unique_ptr<GradedPredictor>
 tryMakePredictor(const std::string& spec, std::string* error = nullptr);
 
-/** Like tryMakePredictor() but fatal()s on a bad spec. */
+/**
+ * Like tryMakePredictor() for a spec the program itself supplies (a
+ * literal, or one already accepted): panics on a bad spec.
+ */
 std::unique_ptr<GradedPredictor> makePredictor(const std::string& spec);
 
 } // namespace tagecon

@@ -111,8 +111,8 @@ mprateTable(const std::vector<RunResult>& per_trace,
                 break;
             }
         }
-        if (found == nullptr)
-            fatal("mprateTable: trace '" + want + "' not in result set");
+        TAGECON_ASSERT(found != nullptr, "mprateTable: trace '" + want +
+                                             "' not in result set");
         std::vector<std::string> row{want};
         for (const auto c : kAllPredictionClasses)
             row.push_back(TextTable::num(found->stats.mprateMkp(c), 0));

@@ -66,7 +66,8 @@ TextTable mpkiBreakdownTable(const std::vector<RunResult>& per_trace,
 
 /**
  * Figure 4/6 style: per-trace misprediction rate (MKP) of each class,
- * with an average column, for the named subset of traces.
+ * with an average column, for the named subset of traces (each must
+ * be in @p per_trace; panics otherwise).
  */
 TextTable mprateTable(const std::vector<RunResult>& per_trace,
                       const std::vector<std::string>& traces);

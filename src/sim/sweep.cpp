@@ -57,13 +57,11 @@ SweepPlan::validate(std::string* error)
     for (auto& spec : specs) {
         if (!err.empty())
             break;
-        std::string spec_err;
         // Probe-construct so workers can't hit a bad spec mid-sweep.
-        if (!tryMakePredictor(spec, &spec_err)) {
-            err = spec_err;
+        const auto probe = tryMakePredictor(spec, &err);
+        if (!probe)
             break;
-        }
-        spec = canonicalizeSpec(spec);
+        spec = probe->name();
     }
     for (const auto& trace : traces) {
         if (!err.empty())
@@ -124,7 +122,10 @@ std::vector<RunResult>
 runColumn(std::span<const SweepCell* const> cells)
 {
     const SweepCell& head = *cells.front();
-    auto trace = makeTraceSource(head.trace, head.branches, head.seedSalt);
+    auto opened = openTraceSource(head.trace, head.branches, head.seedSalt);
+    if (!opened.ok())
+        fatal("runSweepCell: " + opened.error().message());
+    const std::unique_ptr<TraceSource> trace = opened.take();
     std::vector<std::unique_ptr<GradedPredictor>> owned;
     std::vector<GradedPredictor*> predictors;
     owned.reserve(cells.size());

@@ -187,7 +187,8 @@ struct SweepOptions {
  * Run one cell: a column of one, so a fresh trace + fresh predictor
  * through runTrace(). fatal()s with the trace's error when it fails to
  * open or fails mid-stream (a malformed record is named by file and
- * line). Every cell runSweep() returns equals runSweepCell() of it.
+ * line); a spec SweepPlan::validate() rejects panics. Every cell
+ * runSweep() returns equals runSweepCell() of it.
  */
 [[nodiscard]] RunResult runSweepCell(const SweepCell& cell);
 

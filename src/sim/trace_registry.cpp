@@ -8,7 +8,6 @@
 #include "trace/profiles.hpp"
 #include "trace/trace_io.hpp"
 #include "util/failpoint.hpp"
-#include "util/logging.hpp"
 #include "util/text.hpp"
 
 namespace tagecon {
@@ -46,15 +45,33 @@ detectTraceFileFormat(const std::string& path, TraceFileFormat& out,
     return true;
 }
 
-bool
-isKnownProfile(const std::string& name)
+/**
+ * The one check of a trace spec, for validateTraceSpec() and
+ * openTraceSource(); sets @p format for a file spec.
+ */
+Err
+checkTraceSpec(const TraceSpec& spec, TraceFileFormat& format)
 {
-    for (const BenchmarkSet set : {BenchmarkSet::Cbp1, BenchmarkSet::Cbp2}) {
-        const auto& names = traceNames(set);
-        if (std::find(names.begin(), names.end(), name) != names.end())
-            return true;
+    if (spec.kind == TraceSpec::Kind::Synthetic) {
+        if (isKnownProfile(spec.key))
+            return {};
+        return Err(ErrCode::BadSpec, "trace.open",
+                   "unknown trace '" + spec.key +
+                       "' (use a profile name, file:PATH, cbp1, cbp2 "
+                       "or all)");
     }
-    return false;
+    std::string err;
+    if (!detectTraceFileFormat(spec.key, format, err))
+        return Err(ErrCode::NotFound, "trace.open", std::move(err));
+    if (format == TraceFileFormat::Tcbt) {
+        const auto probed = probeTrace(spec.key);
+        return probed.ok() ? Err() : probed.error();
+    }
+    // The ASCII probe reads up to the first data line, catching files
+    // that open but carry a foreign format before a sweep starts.
+    if (!probeCbpAsciiFile(spec.key, &err))
+        return Err(ErrCode::Parse, "trace.open", std::move(err));
+    return {};
 }
 
 /** A set alias and the profile names it expands to. */
@@ -113,33 +130,11 @@ parseTraceSpec(const std::string& text, TraceSpec& out,
 bool
 validateTraceSpec(const TraceSpec& spec, std::string* error)
 {
-    std::string err;
-    if (spec.kind == TraceSpec::Kind::Synthetic) {
-        if (!isKnownProfile(spec.key)) {
-            if (error)
-                *error = "unknown trace '" + spec.key +
-                         "' (use a profile name, file:PATH, cbp1, "
-                         "cbp2 or all)";
-            return false;
-        }
-        return true;
-    }
     TraceFileFormat format;
-    if (!detectTraceFileFormat(spec.key, format, err)) {
-        if (error)
-            *error = err;
-        return false;
-    }
-    bool ok = true;
-    if (format == TraceFileFormat::Ascii) {
-        ok = probeCbpAsciiFile(spec.key, &err);
-    } else if (auto probed = probeTrace(spec.key); !probed.ok()) {
-        ok = false;
-        err = probed.error().detail;
-    }
-    if (!ok && error)
-        *error = err;
-    return ok;
+    const Err e = checkTraceSpec(spec, format);
+    if (e.failed() && error)
+        *error = e.detail;
+    return e.ok();
 }
 
 bool
@@ -180,10 +175,10 @@ openTraceSourceImpl(const TraceSpec& spec, uint64_t branches,
         if (auto injected = failpoints::check("trace.open"))
             return std::move(*injected);
     }
-    std::string err;
+    TraceFileFormat format = TraceFileFormat::Ascii;
+    if (Err invalid = checkTraceSpec(spec, format); invalid.failed())
+        return invalid;
     if (spec.kind == TraceSpec::Kind::Synthetic) {
-        if (!validateTraceSpec(spec, &err))
-            return Err(ErrCode::BadSpec, "trace.open", std::move(err));
         if (branches == 0) {
             return Err(ErrCode::BadSpec, "trace.open",
                        "synthetic trace '" + spec.key +
@@ -197,9 +192,6 @@ openTraceSourceImpl(const TraceSpec& spec, uint64_t branches,
     // Recorded streams: seed_salt does not apply; branches caps the
     // replay (0 = the whole file). Each call opens its own handle so
     // parallel sweep cells never share reader state.
-    TraceFileFormat format;
-    if (!detectTraceFileFormat(spec.key, format, err))
-        return Err(ErrCode::NotFound, "trace.open", std::move(err));
     if (format == TraceFileFormat::Tcbt) {
         auto opened = TraceReader::open(spec.key);
         if (!opened.ok())
@@ -211,10 +203,6 @@ openTraceSourceImpl(const TraceSpec& spec, uint64_t branches,
                                                branches));
         return std::unique_ptr<TraceSource>(std::move(reader));
     }
-    // The ASCII probe reads up to the first data line, catching files
-    // that open but carry a foreign format before a sweep starts.
-    if (!probeCbpAsciiFile(spec.key, &err))
-        return Err(ErrCode::Parse, "trace.open", std::move(err));
     auto opened = CbpAsciiReader::open(spec.key);
     if (!opened.ok())
         return opened.error();
@@ -251,16 +239,6 @@ openTraceSource(const std::string& spec, uint64_t branches,
     if (!parseTraceSpec(spec, parsed, &err))
         return Err(ErrCode::BadSpec, "trace.open", std::move(err));
     return openTraceSource(parsed, branches, seed_salt);
-}
-
-std::unique_ptr<TraceSource>
-makeTraceSource(const std::string& spec, uint64_t branches,
-                uint64_t seed_salt)
-{
-    auto opened = openTraceSource(spec, branches, seed_salt);
-    if (!opened.ok())
-        fatal("makeTraceSource: " + opened.error().detail);
-    return opened.take();
 }
 
 } // namespace tagecon

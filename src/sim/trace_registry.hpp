@@ -6,8 +6,8 @@
  * any grid at synthetic profiles and real trace files alike without
  * bespoke wiring:
  *
- *   auto t = makeTraceSource("164.gzip", 1000000);      // synthetic
- *   auto u = makeTraceSource("file:traces/gcc.tcbt", 0); // recorded
+ *   auto t = openTraceSource("164.gzip", 1000000);      // synthetic
+ *   auto u = openTraceSource("file:traces/gcc.tcbt", 0); // recorded
  *
  * Trace spec grammar:
  *
@@ -28,7 +28,7 @@
  *  - file specs replay the recorded stream, capped at @c branches
  *    records (files shorter than the cap replay fully); @c seed_salt
  *    does not apply — a recorded stream has no seed;
- *  - every makeTraceSource() call returns an independent source with
+ *  - every openTraceSource() call returns an independent source with
  *    its own file handle, so parallel sweep cells never share reader
  *    state and grids stay bit-identical to serial runs.
  */
@@ -95,10 +95,13 @@ struct TraceSpec {
 
 /**
  * Construct an independent TraceSource for @p spec — the trace-side
- * mirror of tryMakePredictor(), with typed errors. @p branches caps
- * the stream (generated length for synthetic specs, replay cap for
- * files; files shorter than the cap replay fully). @p seed_salt
- * perturbs synthetic generation and is ignored by file specs.
+ * mirror of tryMakePredictor(), with typed errors. This is how a
+ * trace spec from outside the program is opened: an unknown name or
+ * an unusable file comes back as an Err (makeTrace() is for names the
+ * program itself supplies, and panics). @p branches caps the stream
+ * (generated length for synthetic specs, replay cap for files; files
+ * shorter than the cap replay fully). @p seed_salt perturbs synthetic
+ * generation and is ignored by file specs.
  *
  * This is the "trace.open" failpoint site: an armed fault fires here
  * for synthetic and file specs alike, so tests can quarantine any
@@ -111,11 +114,6 @@ openTraceSource(const TraceSpec& spec, uint64_t branches,
 /** Overload parsing @p spec first. */
 Expected<std::unique_ptr<TraceSource>>
 openTraceSource(const std::string& spec, uint64_t branches,
-                uint64_t seed_salt = 0);
-
-/** Like openTraceSource() but fatal()s on a bad spec. */
-std::unique_ptr<TraceSource>
-makeTraceSource(const std::string& spec, uint64_t branches,
                 uint64_t seed_salt = 0);
 
 } // namespace tagecon

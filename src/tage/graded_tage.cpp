@@ -10,12 +10,12 @@ GradedTage::GradedTage(TageConfig config, GradedTageOptions opt)
     : predictor_(std::move(config)), observer_(opt.bimWindow)
 {
     if (opt.adaptive) {
-        if (!predictor_.config().probabilisticSaturation)
-            fatal("adaptive probability requires a config with "
-                  "probabilisticSaturation enabled");
-        if (opt.loop)
-            fatal("the adaptive controller is not wired into L-TAGE; use "
-                  "a tage* base for adaptive runs");
+        TAGECON_ASSERT(predictor_.config().probabilisticSaturation,
+                       "adaptive probability requires a config with "
+                       "probabilisticSaturation enabled");
+        TAGECON_ASSERT(!opt.loop,
+                       "the adaptive controller is not wired into L-TAGE; "
+                       "use a tage* base for adaptive runs");
         controller_.emplace(opt.adaptiveConfig);
         predictor_.setSatLog2Prob(controller_->log2Prob());
     }
@@ -69,9 +69,9 @@ GradedTage::predict(uint64_t pc)
 void
 GradedTage::update(uint64_t pc, const Prediction& p, bool taken)
 {
-    if (p.payload != seq_)
-        fatal("GradedTage::update: prediction is not from the "
-              "immediately preceding predict()");
+    TAGECON_ASSERT(p.payload == seq_,
+                   "GradedTage::update: prediction is not from the "
+                   "immediately preceding predict()");
     const bool mispredicted = p.taken != taken;
     observer_.onResolve(raw_, taken);
     // The controller measures the intrinsic (storage-free) grade, not
@@ -83,12 +83,6 @@ GradedTage::update(uint64_t pc, const Prediction& p, bool taken)
     if (loop_)
         loop_->train(pc, raw_.taken, taken);
     predictor_.update(pc, raw_, taken);
-}
-
-bool
-GradedTage::hasBatchedPredict() const
-{
-    return !controller_.has_value();
 }
 
 void

@@ -34,7 +34,7 @@ struct GradedTageOptions {
     /**
      * Drive the saturation probability with the Sec. 6.2 adaptive
      * controller. Requires the config to enable
-     * probabilisticSaturation; the constructor fatal()s otherwise.
+     * probabilisticSaturation; the constructor asserts it.
      */
     bool adaptive = false;
 
@@ -43,7 +43,7 @@ struct GradedTageOptions {
 
     /**
      * Attach the L-TAGE loop part (the "ltage*" bases). Cannot be
-     * combined with adaptive; the constructor fatal()s on both.
+     * combined with adaptive; the constructor asserts it is not.
      */
     bool loop = false;
 };
@@ -69,11 +69,12 @@ class GradedTage : public GradedPredictor
     void update(uint64_t pc, const Prediction& p, bool taken) override;
 
     /**
-     * True unless the adaptive controller is attached: predictMany()
-     * still sends the epoch-closing element through the scalar path.
-     * The loop part batches.
+     * True for every stack: with the adaptive controller attached,
+     * predictMany() still batches between epoch closes and sends only
+     * each epoch-closing element through the scalar path. The loop
+     * part batches.
      */
-    bool hasBatchedPredict() const override;
+    bool hasBatchedPredict() const override { return true; }
 
     /**
      * Fused batched step through TagePredictor::predictMany(), one

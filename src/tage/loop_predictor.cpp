@@ -17,12 +17,12 @@ LoopPredictor::LoopPredictor(Config cfg)
       ageMax_(packed::unsignedMax(cfg.ageBits)),
       iterMax_(packed::unsignedMax(cfg.iterBits))
 {
-    if (cfg_.logEntries < 1 || cfg_.logEntries > 16)
-        fatal("loop predictor: bad table size");
-    if (cfg_.tagBits < 2 || cfg_.tagBits > 16)
-        fatal("loop predictor: bad tag width");
-    if (cfg_.iterBits < 2 || cfg_.iterBits > 16)
-        fatal("loop predictor: bad iteration width");
+    TAGECON_ASSERT(cfg_.logEntries >= 1 && cfg_.logEntries <= 16,
+                   "loop predictor: bad table size");
+    TAGECON_ASSERT(cfg_.tagBits >= 2 && cfg_.tagBits <= 16,
+                   "loop predictor: bad tag width");
+    TAGECON_ASSERT(cfg_.iterBits >= 2 && cfg_.iterBits <= 16,
+                   "loop predictor: bad iteration width");
     entries_.assign(size_t{1} << cfg_.logEntries, Entry{});
 }
 

@@ -7,12 +7,26 @@
 
 namespace tagecon {
 
+Err
+TageConfig::checkHistorySpan(int min_hist, int max_hist, int n)
+{
+    if (max_hist >= min_hist + n - 1)
+        return {};
+    return Err(ErrCode::BadSpec, "tage.config",
+               "maxhist " + std::to_string(max_hist) + " too short for " +
+                   std::to_string(n) +
+                   " history lengths starting at minhist " +
+                   std::to_string(min_hist));
+}
+
 std::vector<int>
 TageConfig::geometricHistories(int min_hist, int max_hist, int n)
 {
     TAGECON_ASSERT(n >= 1, "need at least one tagged table");
     TAGECON_ASSERT(min_hist >= 1 && max_hist >= min_hist,
                    "bad history bounds");
+    const Err span = checkHistorySpan(min_hist, max_hist, n);
+    TAGECON_ASSERT(span.ok(), span.detail);
     std::vector<int> lengths(static_cast<size_t>(n));
     if (n == 1) {
         lengths[0] = max_hist;
@@ -48,7 +62,6 @@ TageConfig::fromGeometry(std::string name, const TageGeometry& g)
         cfg.tagged.push_back(TageTableConfig{
             g.logEntries, g.tagBits, lengths[static_cast<size_t>(i)]});
     }
-    cfg.validate();
     return cfg;
 }
 
@@ -119,39 +132,44 @@ TageConfig::maxHistoryLength() const
     return m;
 }
 
-void
+Err
 TageConfig::validate() const
 {
+    const auto bad = [](std::string detail) {
+        return Err(ErrCode::BadSpec, "tage.config", std::move(detail));
+    };
     if (tagged.empty())
-        fatal("TAGE config '" + name + "': needs at least one tagged table");
+        return bad("needs at least one tagged table");
     if (tagged.size() > static_cast<size_t>(kMaxTaggedTables))
-        fatal("TAGE config '" + name + "': too many tagged tables");
+        return bad("too many tagged tables");
     if (logBimodalEntries < 1 || logBimodalEntries > 24)
-        fatal("TAGE config '" + name + "': bad bimodal size");
+        return bad("bad bimodal size");
     if (bimodalCtrBits < 1 || bimodalCtrBits > 8)
-        fatal("TAGE config '" + name + "': bad bimodal counter width");
+        return bad("bad bimodal counter width");
     if (taggedCtrBits < 2 || taggedCtrBits > 8)
-        fatal("TAGE config '" + name + "': bad tagged counter width");
+        return bad("bad tagged counter width");
     if (usefulBits < 1 || usefulBits > 8)
-        fatal("TAGE config '" + name + "': bad useful counter width");
+        return bad("bad useful counter width");
+    // The tagged arena packs ctr and u into one byte.
     if (taggedCtrBits + usefulBits > 8)
-        fatal("TAGE config '" + name + "': tagged ctr and useful "
-              "counters must pack into one byte (ctr + u bits <= 8)");
+        return bad("ctr=" + std::to_string(taggedCtrBits) + " and ubits=" +
+                   std::to_string(usefulBits) +
+                   " do not pack into one byte (ctr + ubits must be <= 8)");
     if (pathHistoryBits < 1 || pathHistoryBits > 32)
-        fatal("TAGE config '" + name + "': bad path history width");
+        return bad("bad path history width");
     if (satLog2Prob > 15)
-        fatal("TAGE config '" + name + "': satLog2Prob too large");
+        return bad("satLog2Prob too large");
     int prev = 0;
     for (const auto& t : tagged) {
         if (t.logEntries < 1 || t.logEntries > 24)
-            fatal("TAGE config '" + name + "': bad tagged table size");
+            return bad("bad tagged table size");
         if (t.tagBits < 2 || t.tagBits > 16)
-            fatal("TAGE config '" + name + "': bad tag width");
+            return bad("bad tag width");
         if (t.historyLength <= prev)
-            fatal("TAGE config '" + name +
-                  "': history lengths must strictly increase");
+            return bad("history lengths must strictly increase");
         prev = t.historyLength;
     }
+    return {};
 }
 
 TageConfig

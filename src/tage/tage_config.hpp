@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "util/errors.hpp"
+
 namespace tagecon {
 
 /** Upper bound on tagged tables supported by the implementation. */
@@ -117,15 +119,22 @@ struct TageConfig {
 
     /**
      * Geometric history series L(i) = round(min * (max/min)^((i-1)/(n-1)))
-     * as introduced for the O-GEHL predictor and used by TAGE.
+     * as introduced for the O-GEHL predictor and used by TAGE; asserts
+     * checkHistorySpan().
      */
     static std::vector<int> geometricHistories(int min_hist, int max_hist,
                                                int n);
 
     /**
+     * Err(BadSpec) unless @p n strictly increasing lengths fit in
+     * [min_hist, max_hist]; the span check of TAGE and O-GEHL alike.
+     */
+    static Err checkHistorySpan(int min_hist, int max_hist, int n);
+
+    /**
      * Build a config from a geometry: uniform tagged tables with a
      * geometric history series, exactly how the named budgets below
-     * are generated.
+     * are generated; TagePredictor asserts validate() on it.
      */
     static TageConfig fromGeometry(std::string name,
                                    const TageGeometry& g);
@@ -156,8 +165,11 @@ struct TageConfig {
     /** Longest history used by any component. */
     int maxHistoryLength() const;
 
-    /** Validate invariants; fatal() with a message on a bad config. */
-    void validate() const;
+    /**
+     * The one copy of the config checks: Err(BadSpec) naming the first
+     * that fails. The registry reports it; TagePredictor asserts it.
+     */
+    Err validate() const;
 
     /** A copy of this config with the Sec. 6 automaton enabled. */
     TageConfig withProbabilisticSaturation(unsigned log2_prob = 7) const;

@@ -75,7 +75,8 @@ TagePredictor::TagePredictor(TageConfig config, uint16_t lfsr_seed)
       useAltOnNa_(config_.useAltOnNaBits, 0),
       lfsr_(lfsr_seed), lfsrSeed_(lfsr_seed)
 {
-    config_.validate();
+    const Err invalid = config_.validate();
+    TAGECON_ASSERT(invalid.ok(), invalid.message());
 
     bimodal_.resize(size_t{1} << config_.logBimodalEntries);
 

@@ -50,7 +50,7 @@ namespace tagecon {
 class TagePredictor
 {
   public:
-    /** Build a predictor; the config is validated with fatal(). */
+    /** Build a predictor; panics when TageConfig::validate() fails. */
     explicit TagePredictor(TageConfig config, uint16_t lfsr_seed = 0x1d4e);
 
     /**

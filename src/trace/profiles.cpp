@@ -194,7 +194,7 @@ javaBase()
 ProfileParams
 unknownProfile(const std::string& name)
 {
-    fatal("unknown trace profile '" + name + "'");
+    panic("unknown trace profile '" + name + "'");
 }
 
 ProfileParams
@@ -575,6 +575,17 @@ allTraceNames()
     const auto& cbp2 = traceNames(BenchmarkSet::Cbp2);
     names.insert(names.end(), cbp2.begin(), cbp2.end());
     return names;
+}
+
+bool
+isKnownProfile(const std::string& name)
+{
+    for (const BenchmarkSet set : {BenchmarkSet::Cbp1, BenchmarkSet::Cbp2}) {
+        const auto& names = traceNames(set);
+        if (std::find(names.begin(), names.end(), name) != names.end())
+            return true;
+    }
+    return false;
 }
 
 ProfileParams

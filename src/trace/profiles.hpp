@@ -39,16 +39,19 @@ const std::vector<std::string>& traceNames(BenchmarkSet set);
 /** All 40 trace names, CBP-1 first. */
 std::vector<std::string> allTraceNames();
 
+/** True when @p name is one of allTraceNames(). */
+bool isKnownProfile(const std::string& name);
+
 /**
- * Generation parameters of a named trace. fatal() on unknown names;
- * every name in traceNames() is valid.
+ * Generation parameters of a named trace; panics on a name
+ * isKnownProfile() rejects.
  */
 ProfileParams profileByName(const std::string& name);
 
 /**
  * Construct the synthetic trace for @p name producing @p num_branches
  * branches. @p seed_salt perturbs the profile's seed, letting tests
- * draw independent trace instances.
+ * draw independent trace instances. Panics on an unknown name.
  */
 SyntheticTrace makeTrace(const std::string& name, uint64_t num_branches,
                          uint64_t seed_salt = 0);

@@ -5,7 +5,6 @@
 #include <filesystem>
 
 #include "util/failpoint.hpp"
-#include "util/logging.hpp"
 
 namespace tagecon {
 
@@ -114,64 +113,6 @@ probeTrace(const std::string& path)
     return info;
 }
 
-TraceWriter::TraceWriter(const std::string& path,
-                         const std::string& trace_name)
-    : path_(path), out_(path, std::ios::binary | std::ios::trunc)
-{
-    if (!out_)
-        fatal("cannot create trace file '" + path + "'");
-    out_.write(kMagic.data(), static_cast<std::streamsize>(kMagic.size()));
-    writeRaw(out_, kTraceFormatVersion);
-    const auto name_len = static_cast<uint32_t>(trace_name.size());
-    writeRaw(out_, name_len);
-    out_.write(trace_name.data(), static_cast<std::streamsize>(name_len));
-    countPos_ = out_.tellp();
-    const uint64_t placeholder = 0;
-    writeRaw(out_, placeholder);
-    if (!out_)
-        fatal("failed writing trace header to '" + path + "'");
-    open_ = true;
-}
-
-TraceWriter::~TraceWriter()
-{
-    if (open_)
-        close();
-}
-
-void
-TraceWriter::write(const BranchRecord& rec)
-{
-    TAGECON_ASSERT(open_, "write() on a closed TraceWriter");
-    writeRaw(out_, rec.pc);
-    writeRaw(out_, rec.instructionsBefore);
-    const uint8_t taken = rec.taken ? 1 : 0;
-    writeRaw(out_, taken);
-    if (!out_)
-        fatal("failed writing record " + std::to_string(count_) +
-              " to trace file '" + path_ + "' (disk full?)");
-    ++count_;
-}
-
-void
-TraceWriter::close()
-{
-    if (!open_)
-        return;
-    // Mark closed first so a fatal() below can't re-enter from the
-    // destructor.
-    open_ = false;
-    out_.seekp(countPos_);
-    writeRaw(out_, count_);
-    out_.flush();
-    if (!out_)
-        fatal("failed back-patching record count into trace file '" +
-              path_ + "' (disk full?)");
-    out_.close();
-    if (out_.fail())
-        fatal("failed closing trace file '" + path_ + "'");
-}
-
 TraceReader::TraceReader(Opened, const std::string& path,
                          std::ifstream in, TraceFileInfo info)
     : path_(path), in_(std::move(in)), name_(std::move(info.name)),
@@ -228,20 +169,64 @@ TraceReader::reset()
     read_ = 0;
 }
 
+namespace {
+
+/** writeTraceFile() up to the removal of a partial file. */
+Expected<uint64_t>
+writeStream(const std::string& path, TraceSource& src)
+{
+    const auto io = [](std::string detail) {
+        return Err(ErrCode::Io, "trace.write", std::move(detail));
+    };
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        return io("cannot create trace file '" + path + "'");
+    const std::string name = src.name();
+    out.write(kMagic.data(), static_cast<std::streamsize>(kMagic.size()));
+    writeRaw(out, kTraceFormatVersion);
+    const auto name_len = static_cast<uint32_t>(name.size());
+    writeRaw(out, name_len);
+    out.write(name.data(), static_cast<std::streamsize>(name_len));
+    const std::streampos count_pos = out.tellp();
+    uint64_t count = 0;
+    writeRaw(out, count);
+    if (!out)
+        return io("failed writing trace header to '" + path + "'");
+    BranchRecord rec;
+    while (src.next(rec)) {
+        writeRaw(out, rec.pc);
+        writeRaw(out, rec.instructionsBefore);
+        const uint8_t taken = rec.taken ? 1 : 0;
+        writeRaw(out, taken);
+        if (!out)
+            return io("failed writing record " + std::to_string(count) +
+                      " to trace file '" + path + "' (disk full?)");
+        ++count;
+    }
+    if (const Err* e = src.lastError())
+        return *e;
+    out.seekp(count_pos);
+    writeRaw(out, count);
+    out.flush();
+    if (!out)
+        return io("failed back-patching record count into trace file '" +
+                  path + "' (disk full?)");
+    out.close();
+    if (out.fail())
+        return io("failed closing trace file '" + path + "'");
+    return count;
+}
+
+} // namespace
+
 Expected<uint64_t>
 writeTraceFile(const std::string& path, TraceSource& src)
 {
-    TraceWriter writer(path, src.name());
-    BranchRecord rec;
-    while (src.next(rec))
-        writer.write(rec);
-    writer.close();
-    if (const Err* e = src.lastError()) {
-        std::error_code ec;
+    Expected<uint64_t> written = writeStream(path, src);
+    std::error_code ec;
+    if (!written.ok() && std::filesystem::is_regular_file(path, ec))
         std::filesystem::remove(path, ec);
-        return *e;
-    }
-    return writer.written();
+    return written;
 }
 
 } // namespace tagecon

@@ -47,7 +47,7 @@ struct TraceFileInfo {
 };
 
 /**
- * Validate @p path as a binary trace file without fatal()ing: checks
+ * Validate @p path as a binary trace file, returning an Err: checks
  * that the file opens, the magic/version/name header parses, and the
  * file size covers the promised record count. The Err taxonomy
  * distinguishes a missing file (NotFound), a foreign format (Corrupt),
@@ -56,49 +56,6 @@ struct TraceFileInfo {
  * a sweep starts.
  */
 Expected<TraceFileInfo> probeTrace(const std::string& path);
-
-/**
- * Streaming writer for the binary trace format. The record count is
- * back-patched on close(), so traces can be written without knowing
- * their length up front. Every write is checked: a failed record
- * write, back-patch or flush is fatal() (naming the path) rather than
- * silently producing a truncated file that still reports success.
- */
-class TraceWriter
-{
-  public:
-    /**
-     * Open @p path for writing and emit the header.
-     * fatal() when the file cannot be created or the header write fails.
-     */
-    TraceWriter(const std::string& path, const std::string& trace_name);
-
-    /** Closes (and back-patches) if still open. */
-    ~TraceWriter();
-
-    TraceWriter(const TraceWriter&) = delete;
-    TraceWriter& operator=(const TraceWriter&) = delete;
-
-    /** Append one record; fatal() when the stream write fails. */
-    void write(const BranchRecord& rec);
-
-    /**
-     * Finish: back-patch the record count, flush and close the file.
-     * fatal() when any of those steps fails — a trace file either
-     * closes clean or the process dies telling you which file is bad.
-     */
-    void close();
-
-    /** Records written so far. */
-    uint64_t written() const { return count_; }
-
-  private:
-    std::string path_;
-    std::ofstream out_;
-    std::streampos countPos_;
-    uint64_t count_ = 0;
-    bool open_ = false;
-};
 
 /**
  * Reader for the binary trace format; implements TraceSource so a file
@@ -151,10 +108,12 @@ class TraceReader : public TraceSource
 
 /**
  * Write all records of @p src (from its current position) to @p path
- * and return how many were written. When @p src stops on an error (a
- * malformed ASCII line, a truncated file) that Err is returned and the
- * partial output is removed, so a bad input never yields a valid
- * shorter trace.
+ * as a binary trace, back-patching the record count, and return how
+ * many were written. The first failed create, write, back-patch or
+ * close comes back as Err(Io) naming the path; when @p src stops on
+ * an error (a malformed ASCII line, a truncated file) that Err does.
+ * Either way a partial regular file is removed, so a failure never
+ * yields a valid shorter trace (a device such as /dev/full stays).
  */
 Expected<uint64_t> writeTraceFile(const std::string& path,
                                   TraceSource& src);

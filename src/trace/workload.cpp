@@ -40,37 +40,42 @@ SyntheticTrace::SyntheticTrace(ProfileParams params, uint64_t num_branches)
 ProfileParams
 SyntheticTrace::validated(ProfileParams p)
 {
-    if (p.numFunctions < 1)
-        fatal("profile '" + p.name + "': numFunctions must be >= 1");
-    if (p.minSitesPerFunction < 1 ||
-        p.maxSitesPerFunction < p.minSitesPerFunction ||
-        p.maxSitesPerFunction > kMaxSitesPerFunction)
-        fatal("profile '" + p.name + "': bad sitesPerFunction range");
-    if (p.loopPeriodMin < 1 || p.loopPeriodMax < p.loopPeriodMin)
-        fatal("profile '" + p.name + "': bad loopPeriod range");
-    if (p.patternLenMin < 1 || p.patternLenMax < p.patternLenMin)
-        fatal("profile '" + p.name + "': bad patternLen range");
-    if (p.patternLenMax > BranchBehavior::kMaxPatternLen)
-        fatal("profile '" + p.name + "': patternLenMax must be <= " +
-              std::to_string(BranchBehavior::kMaxPatternLen));
-    if (p.corrTapMin < 1 || p.corrTapMax < p.corrTapMin ||
-        p.corrTapMax > kMaxCorrTap)
-        fatal("profile '" + p.name + "': bad correlation tap range");
-    if (p.corrNumTapsMin < 1 || p.corrNumTapsMax < p.corrNumTapsMin)
-        fatal("profile '" + p.name + "': bad correlation tap count");
-    if (p.corrNumTapsMax > static_cast<int>(BranchBehavior::kMaxTaps))
-        fatal("profile '" + p.name + "': corrNumTapsMax must be <= " +
-              std::to_string(BranchBehavior::kMaxTaps));
-    if (p.instrPerBranchMax < p.instrPerBranchMin)
-        fatal("profile '" + p.name + "': bad instrPerBranch range");
-    if (p.numPhases < 1)
-        fatal("profile '" + p.name + "': numPhases must be >= 1");
-    if (p.numPhases > 1 && p.phaseLength == 0)
-        fatal("profile '" + p.name + "': phaseLength must be > 0");
+    const std::string& n = p.name;
+    TAGECON_ASSERT(p.numFunctions >= 1,
+                   "profile '" + n + "': numFunctions must be >= 1");
+    TAGECON_ASSERT(p.minSitesPerFunction >= 1 &&
+                       p.maxSitesPerFunction >= p.minSitesPerFunction &&
+                       p.maxSitesPerFunction <= kMaxSitesPerFunction,
+                   "profile '" + n + "': bad sitesPerFunction range");
+    TAGECON_ASSERT(p.loopPeriodMin >= 1 &&
+                       p.loopPeriodMax >= p.loopPeriodMin,
+                   "profile '" + n + "': bad loopPeriod range");
+    TAGECON_ASSERT(p.patternLenMin >= 1 &&
+                       p.patternLenMax >= p.patternLenMin,
+                   "profile '" + n + "': bad patternLen range");
+    TAGECON_ASSERT(p.patternLenMax <= BranchBehavior::kMaxPatternLen,
+                   "profile '" + n + "': patternLenMax must be <= " +
+                       std::to_string(BranchBehavior::kMaxPatternLen));
+    TAGECON_ASSERT(p.corrTapMin >= 1 && p.corrTapMax >= p.corrTapMin &&
+                       p.corrTapMax <= kMaxCorrTap,
+                   "profile '" + n + "': bad correlation tap range");
+    TAGECON_ASSERT(p.corrNumTapsMin >= 1 &&
+                       p.corrNumTapsMax >= p.corrNumTapsMin,
+                   "profile '" + n + "': bad correlation tap count");
+    TAGECON_ASSERT(
+        p.corrNumTapsMax <= static_cast<int>(BranchBehavior::kMaxTaps),
+        "profile '" + n + "': corrNumTapsMax must be <= " +
+            std::to_string(BranchBehavior::kMaxTaps));
+    TAGECON_ASSERT(p.instrPerBranchMax >= p.instrPerBranchMin,
+                   "profile '" + n + "': bad instrPerBranch range");
+    TAGECON_ASSERT(p.numPhases >= 1,
+                   "profile '" + n + "': numPhases must be >= 1");
+    TAGECON_ASSERT(p.numPhases == 1 || p.phaseLength > 0,
+                   "profile '" + n + "': phaseLength must be > 0");
     const double mix = p.fracAlways + p.fracLoop + p.fracPattern +
                        p.fracBiased + p.fracMarkov + p.fracCorrelated;
-    if (mix <= 0.0)
-        fatal("profile '" + p.name + "': behaviour mixture is empty");
+    TAGECON_ASSERT(mix > 0.0,
+                   "profile '" + n + "': behaviour mixture is empty");
     return p;
 }
 

@@ -130,8 +130,8 @@ class SyntheticTrace final : public TraceSource
 {
   public:
     /**
-     * @param params Program description; validated with fatal() on
-     *               nonsensical values.
+     * @param params Program description, built by code (the 40
+     *               profiles); nonsensical values panic.
      * @param num_branches Number of records the stream will produce.
      */
     SyntheticTrace(ProfileParams params, uint64_t num_branches);
@@ -195,7 +195,7 @@ class SyntheticTrace final : public TraceSource
         bool active;
     };
 
-    /** @p p, checked; fatal() on nonsensical values. */
+    /** @p p, checked; panics on nonsensical values. */
     static ProfileParams validated(ProfileParams p);
 
     void build();

@@ -13,12 +13,15 @@
  * injected fault and the real failure it models are indistinguishable
  * to the recovery code, which is the point.
  *
- * Convention: library functions on recoverable paths return `Err`
- * (empty = success) or `Expected<T>`; `fatal()` stays at tool
- * boundaries (tools and bench mains) and `panic()` for internal
- * bugs. Both result types are [[nodiscard]]: silently dropping a
- * failure is a compile-time warning everywhere and an error in the
- * -Werror CI builds.
+ * Convention, by where a checked value comes from: input from outside
+ * the program (specs, trace names and files, checkpoints) is rejected
+ * once, where it arrives, with an `Err` (empty = success) or
+ * `Expected<T>` (or tryMakePredictor's `bool` + message); a value
+ * only code builds (a family's Config, the trace profiles, a literal
+ * spec) is an invariant for TAGECON_ASSERT / `panic()`; `fatal()`
+ * stays at tool boundaries (see util/logging.hpp). Both result types
+ * are [[nodiscard]]: silently dropping a failure is a compile-time
+ * warning everywhere and an error in the -Werror CI builds.
  */
 
 #ifndef TAGECON_UTIL_ERRORS_HPP

@@ -3,6 +3,10 @@
  * Error-reporting helpers in the gem5 spirit: panic() for internal
  * invariant violations (bugs in this library), fatal() for user errors
  * (bad configuration, unusable inputs).
+ * The library returns user errors as Err/Expected (util/errors.hpp);
+ * fatal() is for tool, bench and example mains, plus util/cli.cpp
+ * (their shared flag parser) and sim/sweep.cpp (runSweep() returns
+ * bare results, so a trace failing mid-stream has no other way out).
  */
 
 #ifndef TAGECON_UTIL_LOGGING_HPP

@@ -185,8 +185,7 @@ TEST(Jrs, RejectsBadConfig)
 {
     JrsConfidenceEstimator::Config bad;
     bad.threshold = 99; // exceeds 4-bit range
-    EXPECT_EXIT(JrsConfidenceEstimator{bad},
-                ::testing::ExitedWithCode(1), "threshold");
+    EXPECT_DEATH(JrsConfidenceEstimator{bad}, "threshold");
 }
 
 TEST(Perceptron, LearnsBias)

@@ -144,23 +144,19 @@ TEST(AdaptiveController, RejectsBadConfig)
     AdaptiveProbabilityController::Config bad = smallEpochConfig();
     bad.minLog2 = 8;
     bad.maxLog2 = 4;
-    EXPECT_EXIT(AdaptiveProbabilityController{bad},
-                ::testing::ExitedWithCode(1), "minLog2");
+    EXPECT_DEATH(AdaptiveProbabilityController{bad}, "minLog2");
 
     AdaptiveProbabilityController::Config bad2 = smallEpochConfig();
     bad2.epochLength = 0;
-    EXPECT_EXIT(AdaptiveProbabilityController{bad2},
-                ::testing::ExitedWithCode(1), "epochLength");
+    EXPECT_DEATH(AdaptiveProbabilityController{bad2}, "epochLength");
 
     AdaptiveProbabilityController::Config bad3 = smallEpochConfig();
     bad3.initialLog2 = 20;
-    EXPECT_EXIT(AdaptiveProbabilityController{bad3},
-                ::testing::ExitedWithCode(1), "initialLog2");
+    EXPECT_DEATH(AdaptiveProbabilityController{bad3}, "initialLog2");
 
     AdaptiveProbabilityController::Config bad4 = smallEpochConfig();
     bad4.targetMkp = 0.0;
-    EXPECT_EXIT(AdaptiveProbabilityController{bad4},
-                ::testing::ExitedWithCode(1), "targetMkp");
+    EXPECT_DEATH(AdaptiveProbabilityController{bad4}, "targetMkp");
 }
 
 TEST(AdaptiveController, RejectsMaxLog2PastThePredictorsRange)
@@ -169,17 +165,16 @@ TEST(AdaptiveController, RejectsMaxLog2PastThePredictorsRange)
     // controller allowed to climb past it would abort mid-run.
     AdaptiveProbabilityController::Config bad = smallEpochConfig();
     bad.maxLog2 = 16;
-    EXPECT_EXIT(AdaptiveProbabilityController{bad},
-                ::testing::ExitedWithCode(1), "maxLog2");
+    EXPECT_DEATH(AdaptiveProbabilityController{bad}, "maxLog2");
 
     GradedTageOptions opt;
     opt.adaptive = true;
     opt.adaptiveConfig.initialLog2 = 16;
     opt.adaptiveConfig.maxLog2 = 16;
-    EXPECT_EXIT(GradedTage(TageConfig::small16K()
-                               .withProbabilisticSaturation(7),
-                           opt),
-                ::testing::ExitedWithCode(1), "maxLog2");
+    EXPECT_DEATH(GradedTage(TageConfig::small16K()
+                                .withProbabilisticSaturation(7),
+                            opt),
+                 "maxLog2");
 
     AdaptiveProbabilityController::Config edge = smallEpochConfig();
     edge.maxLog2 = 15;

@@ -78,15 +78,14 @@ TEST(GradedTage, HandBuiltAndSpecRunsAgree)
         EXPECT_EQ(built.stats.predictions(c), spec.stats.predictions(c));
 }
 
-TEST(GradedTage, StalePredictionIsFatal)
+TEST(GradedTage, StalePredictionPanics)
 {
     GradedTage graded(TageConfig::small16K());
     const Prediction p1 = graded.predict(100);
     graded.update(100, p1, true);
     const Prediction p2 = graded.predict(100);
     (void)p2;
-    EXPECT_EXIT(graded.update(100, p1, true),
-                ::testing::ExitedWithCode(1), "immediately preceding");
+    EXPECT_DEATH(graded.update(100, p1, true), "immediately preceding");
 }
 
 TEST(GradedTage, ResetRestoresDeterminism)
@@ -331,16 +330,18 @@ TEST(EstimatedPredictor, PredictManyMatchesTheScalarLoop)
         }
     }
     // Batched exactly when the host is: every L-TAGE stack batches,
-    // the adaptive host still reports scalar.
+    // and so does the adaptive host, whose predictMany() batches
+    // between epoch closes (the divergence loop above holds it to the
+    // scalar path).
     EXPECT_TRUE(makePredictor("tage64k+jrs")->hasBatchedPredict());
     EXPECT_TRUE(makePredictor("tage64k+sfc")->hasBatchedPredict());
     for (const char* spec :
          {"ltage16k+sfc", "ltage64k+prob7+sfc", "ltage256k+jrs",
           "ltage64k+blind"})
         EXPECT_TRUE(makePredictor(spec)->hasBatchedPredict()) << spec;
-    EXPECT_FALSE(
+    EXPECT_TRUE(
         makePredictor("tage64k+prob7+adaptive+jrs")->hasBatchedPredict());
-    EXPECT_FALSE(
+    EXPECT_TRUE(
         makePredictor("tage64k+prob7+adaptive+sfc")->hasBatchedPredict());
 }
 

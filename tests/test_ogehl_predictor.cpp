@@ -96,13 +96,25 @@ TEST(Ogehl, RejectsBadConfig)
 {
     OgehlPredictor::Config bad;
     bad.numTables = 1;
-    EXPECT_EXIT(OgehlPredictor{bad}, ::testing::ExitedWithCode(1),
-                "table count");
+    EXPECT_DEATH(OgehlPredictor{bad}, "table count");
     OgehlPredictor::Config bad2;
     bad2.maxHistory = 1;
     bad2.minHistory = 5;
-    EXPECT_EXIT(OgehlPredictor{bad2}, ::testing::ExitedWithCode(1),
-                "history bounds");
+    EXPECT_DEATH(OgehlPredictor{bad2}, "history bounds");
+}
+
+TEST(Ogehl, HistorySpanTooShortDiesAtConstruction)
+{
+    // T1..T15 need 15 strictly increasing lengths, which 1..2 cannot
+    // hold: the config must die here, not overflow the history buffer
+    // mid-run.
+    OgehlPredictor::Config tight;
+    tight.numTables = 16;
+    tight.minHistory = 1;
+    tight.maxHistory = 2;
+    EXPECT_DEATH(OgehlPredictor{tight},
+                 "maxhist 2 too short for 15 history lengths starting at "
+                 "minhist 1");
 }
 
 TEST(Ogehl, BeatsCoinOnBiasedStream)

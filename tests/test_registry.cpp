@@ -9,6 +9,7 @@
 
 #include "sim/experiment.hpp"
 #include "sim/registry.hpp"
+#include "tage/tage_config.hpp"
 
 namespace tagecon {
 namespace {
@@ -202,10 +203,12 @@ TEST(Registry, MalformedSpecsFail)
     EXPECT_NE(error.find("empty token"), std::string::npos) << error;
 }
 
-TEST(Registry, MakePredictorIsFatalOnBadSpec)
+TEST(Registry, MakePredictorPanicsOnBadSpec)
 {
-    EXPECT_EXIT(makePredictor("no-such-predictor"),
-                ::testing::ExitedWithCode(1), "unknown predictor base");
+    // makePredictor() is for specs the program supplies; a user's spec
+    // goes through tryMakePredictor().
+    EXPECT_DEATH(makePredictor("no-such-predictor"),
+                 "unknown predictor base");
 }
 
 TEST(Registry, JrsDecorationAddsStorage)
@@ -365,6 +368,27 @@ TEST(RegistryParams, TageGeometryCrossChecksAreErrorsNotFatals)
     auto p = makePredictor("ogehl:minhist=1,maxhist=15,tables=16+sfc");
     SyntheticTrace trace = makeTrace("FP-1", 2000);
     EXPECT_EQ(runTrace(trace, *p).stats.totalPredictions(), 2000u);
+}
+
+TEST(RegistryParams, CrossKeyChecksAreTageConfigsOwn)
+{
+    // The registry forwards TageConfig's verdicts instead of keeping
+    // copies of its checks.
+    std::string error;
+    EXPECT_EQ(tryMakePredictor("tage64k:ctr=5,ubits=4+sfc", &error),
+              nullptr);
+    TageConfig packed = TageConfig::medium64K();
+    packed.taggedCtrBits = 5;
+    packed.usefulBits = 4;
+    EXPECT_EQ(error, packed.validate().detail);
+
+    EXPECT_EQ(tryMakePredictor("tage64k:tables=12,maxhist=10+sfc", &error),
+              nullptr);
+    EXPECT_EQ(error, TageConfig::checkHistorySpan(5, 10, 12).detail);
+    EXPECT_EQ(tryMakePredictor("ogehl:minhist=1,maxhist=2,tables=16+sfc",
+                               &error),
+              nullptr);
+    EXPECT_EQ(error, TageConfig::checkHistorySpan(1, 2, 15).detail);
 }
 
 TEST(RegistryParams, RegroupSpecListRejoinsCommaSplitParams)

@@ -44,6 +44,15 @@
 namespace tagecon {
 namespace {
 
+/** openTraceSource() of a spec the test expects to open. */
+std::unique_ptr<TraceSource>
+openOk(const std::string& spec, uint64_t branches, uint64_t seed_salt = 0)
+{
+    auto opened = openTraceSource(spec, branches, seed_salt);
+    EXPECT_TRUE(opened.ok()) << opened.error().message();
+    return opened.ok() ? opened.take() : nullptr;
+}
+
 /** FNV-1a 64-bit step (same recipe as test_tage_golden.cpp). */
 uint64_t
 mix(uint64_t h, uint64_t v)
@@ -354,7 +363,7 @@ expectRoundTripContinuesBitIdentically(const std::string& spec_arg)
     const std::string spec = canonicalizeSpec(spec_arg);
     auto p = makePredictor(spec);
     auto q = makePredictor(spec);
-    auto trace = makeTraceSource("FP-1", 20000, 0);
+    auto trace = openOk("FP-1", 20000, 0);
     drive(*p, *trace, 10000);
 
     std::vector<uint8_t> blob;
@@ -386,11 +395,11 @@ expectRestoreIntoUsedInstanceEqualsFresh(const std::string& spec_arg)
     SCOPED_TRACE(spec_arg);
     const std::string spec = canonicalizeSpec(spec_arg);
     auto used = makePredictor(spec);
-    auto other = makeTraceSource("INT-1", 8000, 7);
+    auto other = openOk("INT-1", 8000, 7);
     drive(*used, *other, 8000);
 
     auto src = makePredictor(spec);
-    auto trace = makeTraceSource("FP-1", 20000, 0);
+    auto trace = openOk("FP-1", 20000, 0);
     drive(*src, *trace, 10000);
     std::vector<uint8_t> blob;
     ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*src, spec, blob)));
@@ -589,7 +598,7 @@ Checkpoint
 servedCheckpoint(const std::string& spec, uint64_t served)
 {
     auto src = makePredictor(spec);
-    drive(*src, *makeTraceSource("FP-1", served, 0), served);
+    drive(*src, *openOk("FP-1", served, 0), served);
     std::vector<uint8_t> blob;
     EXPECT_TRUE(succeeded(encodePredictorCheckpoint(*src, spec, blob)));
     Checkpoint ck;
@@ -615,7 +624,7 @@ expectRejectedAndReset(const Checkpoint& ck, const std::string& spec,
                        const std::string& what)
 {
     auto dst = makePredictor(spec);
-    drive(*dst, *makeTraceSource("INT-1", 500, 0), 500);
+    drive(*dst, *openOk("INT-1", 500, 0), 500);
     const Err e = restoreFromCheckpoint(ck, *dst, spec);
     EXPECT_EQ(e.code, ErrCode::Corrupt);
     EXPECT_NE(failureDetail(e).find(what), std::string::npos) << e.detail;
@@ -780,10 +789,10 @@ TEST(CheckpointRejection, PartsAndGeometriesMustMatch)
                                    const std::string& what) {
         SCOPED_TRACE(std::string(from) + " into " + into);
         auto src = makePredictor(from);
-        drive(*src, *makeTraceSource("FP-1", 1000, 0), 1000);
+        drive(*src, *openOk("FP-1", 1000, 0), 1000);
         const std::vector<uint8_t> blob = snapshotBytes(*src);
         auto dst = makePredictor(into);
-        drive(*dst, *makeTraceSource("INT-1", 500, 0), 500);
+        drive(*dst, *openOk("INT-1", 500, 0), 500);
         StateReader in(blob);
         std::string error;
         EXPECT_FALSE(dst->restore(in, error));

@@ -53,8 +53,8 @@ TEST(RunTrace, AdaptiveRequiresProbabilisticSaturation)
 {
     GradedTageOptions opt;
     opt.adaptive = true; // but the config lacks probabilisticSaturation
-    EXPECT_EXIT(GradedTage(TageConfig::small16K(), opt),
-                ::testing::ExitedWithCode(1), "probabilisticSaturation");
+    EXPECT_DEATH(GradedTage(TageConfig::small16K(), opt),
+                 "probabilisticSaturation");
 }
 
 TEST(RunTrace, AdaptiveRunReportsFinalProbability)

@@ -53,11 +53,10 @@ TEST(Reporting, MprateTableSelectsTraces)
     EXPECT_EQ(s.find("SERV-1"), std::string::npos);
 }
 
-TEST(Reporting, MprateTableUnknownTraceIsFatal)
+TEST(Reporting, MprateTableUnknownTracePanics)
 {
     const SweepRow r = tinyRow();
-    EXPECT_EXIT(mprateTable(r.perTrace, {"nope"}),
-                ::testing::ExitedWithCode(1), "not in result set");
+    EXPECT_DEATH(mprateTable(r.perTrace, {"nope"}), "not in result set");
 }
 
 TEST(Reporting, ThreeClassRowFormat)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "tage/tage_config.hpp"
+#include "tage/tage_predictor.hpp"
 
 namespace tagecon {
 namespace {
@@ -109,29 +110,65 @@ TEST(TageConfig, WithProbabilisticSaturation)
     EXPECT_FALSE(base.probabilisticSaturation);
 }
 
+/** The detail of @p cfg's validation Err, or "" when it is valid. */
+std::string
+validationError(const TageConfig& cfg)
+{
+    const Err e = cfg.validate();
+    if (e.failed())
+        EXPECT_EQ(e.code, ErrCode::BadSpec) << e.message();
+    return e.detail;
+}
+
 TEST(TageConfig, ValidationRejectsBadGeometry)
 {
     TageConfig cfg = TageConfig::medium64K();
     cfg.tagged.clear();
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "at least one tagged table");
+    EXPECT_NE(validationError(cfg).find("at least one tagged table"),
+              std::string::npos);
 
     TageConfig cfg2 = TageConfig::medium64K();
     cfg2.tagged[2].historyLength = cfg2.tagged[1].historyLength;
-    EXPECT_EXIT(cfg2.validate(), ::testing::ExitedWithCode(1),
-                "strictly increase");
+    EXPECT_NE(validationError(cfg2).find("strictly increase"),
+              std::string::npos);
 
     TageConfig cfg3 = TageConfig::medium64K();
     cfg3.taggedCtrBits = 1;
-    EXPECT_EXIT(cfg3.validate(), ::testing::ExitedWithCode(1),
-                "counter width");
+    EXPECT_NE(validationError(cfg3).find("counter width"),
+              std::string::npos);
+
+    TageConfig cfg4 = TageConfig::medium64K();
+    cfg4.taggedCtrBits = 5;
+    cfg4.usefulBits = 4;
+    EXPECT_EQ(validationError(cfg4),
+              "ctr=5 and ubits=4 do not pack into one byte "
+              "(ctr + ubits must be <= 8)");
+}
+
+TEST(TageConfig, InvalidConfigPanicsInThePredictor)
+{
+    TageConfig cfg = TageConfig::medium64K();
+    cfg.taggedCtrBits = 1;
+    EXPECT_DEATH(TagePredictor{cfg}, "counter width");
+}
+
+TEST(TageConfig, HistorySpanIsOneCheck)
+{
+    EXPECT_TRUE(TageConfig::checkHistorySpan(5, 16, 12).ok());
+    const Err e = TageConfig::checkHistorySpan(5, 15, 12);
+    EXPECT_EQ(e.code, ErrCode::BadSpec);
+    EXPECT_EQ(e.detail,
+              "maxhist 15 too short for 12 history lengths starting at "
+              "minhist 5");
+    // The series builder asserts the same precondition.
+    EXPECT_EQ(TageConfig::geometricHistories(5, 16, 12).back(), 16);
+    EXPECT_DEATH(TageConfig::geometricHistories(5, 15, 12), "too short");
 }
 
 TEST(TageConfig, PaperConfigsAreValid)
 {
     for (const auto& cfg : TageConfig::paperConfigs())
-        cfg.validate(); // must not exit
-    SUCCEED();
+        EXPECT_TRUE(cfg.validate().ok()) << cfg.validate().message();
 }
 
 } // namespace

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -47,6 +51,26 @@ openOk(const std::filesystem::path& path)
     return opened.ok() ? opened.take() : nullptr;
 }
 
+/** Write @p records to @p path as trace @p name, which must succeed. */
+void
+writeRecords(const std::filesystem::path& path, const std::string& name,
+             std::vector<BranchRecord> records)
+{
+    VectorTrace src(name, std::move(records));
+    const auto written = writeTraceFile(path.string(), src);
+    ASSERT_TRUE(written.ok()) << written.error().message();
+}
+
+/** @p n taken records at PCs 0..n-1, one instruction each. */
+std::vector<BranchRecord>
+takenRun(int n)
+{
+    std::vector<BranchRecord> records;
+    for (int i = 0; i < n; ++i)
+        records.push_back({static_cast<uint64_t>(i), true, 1});
+    return records;
+}
+
 /** The Err open() reports for @p path, which must fail to open. */
 Err
 openErr(const std::filesystem::path& path)
@@ -86,12 +110,7 @@ TEST_F(TraceIoTest, RoundTripPreservesRecords)
 
 TEST_F(TraceIoTest, ReaderResetRestarts)
 {
-    {
-        TraceWriter w(path_.string(), "t");
-        w.write({0x100, true, 5});
-        w.write({0x200, false, 6});
-        w.close();
-    }
+    writeRecords(path_, "t", {{0x100, true, 5}, {0x200, false, 6}});
     auto r = openOk(path_);
     ASSERT_TRUE(r);
     BranchRecord rec;
@@ -106,13 +125,10 @@ TEST_F(TraceIoTest, ReaderResetRestarts)
 
 TEST_F(TraceIoTest, WriterBackPatchesCount)
 {
-    {
-        TraceWriter w(path_.string(), "n");
-        for (int i = 0; i < 17; ++i)
-            w.write({static_cast<uint64_t>(i), i % 2 == 0, 1});
-        EXPECT_EQ(w.written(), 17u);
-        // Destructor closes and back-patches.
-    }
+    std::vector<BranchRecord> records;
+    for (int i = 0; i < 17; ++i)
+        records.push_back({static_cast<uint64_t>(i), i % 2 == 0, 1});
+    writeRecords(path_, "n", std::move(records));
     auto r = openOk(path_);
     ASSERT_TRUE(r);
     EXPECT_EQ(r->totalRecords(), 17u);
@@ -120,10 +136,7 @@ TEST_F(TraceIoTest, WriterBackPatchesCount)
 
 TEST_F(TraceIoTest, EmptyTraceIsValid)
 {
-    {
-        TraceWriter w(path_.string(), "empty");
-        w.close();
-    }
+    writeRecords(path_, "empty", {});
     auto r = openOk(path_);
     ASSERT_TRUE(r);
     EXPECT_EQ(r->totalRecords(), 0u);
@@ -151,12 +164,7 @@ TEST_F(TraceIoTest, GarbageFileIsCorrupt)
 
 TEST_F(TraceIoTest, TruncatedFileFailsFastAtOpen)
 {
-    {
-        TraceWriter w(path_.string(), "t");
-        for (int i = 0; i < 10; ++i)
-            w.write({static_cast<uint64_t>(i), true, 1});
-        w.close();
-    }
+    writeRecords(path_, "t", takenRun(10));
     // Chop off the last few bytes. The reader must reject the file at
     // open time, not discover it mid-simulation.
     const auto size = std::filesystem::file_size(path_);
@@ -174,11 +182,7 @@ TEST_F(TraceIoTest, TruncatedFileFailsFastAtOpen)
 
 TEST_F(TraceIoTest, OverflowingRecordCountIsRejected)
 {
-    {
-        TraceWriter w(path_.string(), "t");
-        w.write({0x100, true, 1});
-        w.close();
-    }
+    writeRecords(path_, "t", {{0x100, true, 1}});
     // Patch the header's record count (right after magic + version +
     // name length + 1-byte name) to a value whose byte size wraps
     // uint64 — the open-time size check must not be fooled by the
@@ -198,11 +202,7 @@ TEST_F(TraceIoTest, OverflowingRecordCountIsRejected)
 
 TEST_F(TraceIoTest, BadVersionIsRejected)
 {
-    {
-        TraceWriter w(path_.string(), "t");
-        w.write({0x100, true, 1});
-        w.close();
-    }
+    writeRecords(path_, "t", {{0x100, true, 1}});
     // The version field sits right after the 4-byte magic.
     {
         std::fstream f(path_, std::ios::in | std::ios::out |
@@ -223,12 +223,7 @@ TEST_F(TraceIoTest, BadVersionIsRejected)
 
 TEST_F(TraceIoTest, ProbeReportsHeaderOnGoodFile)
 {
-    {
-        TraceWriter w(path_.string(), "probe-me");
-        w.write({0x100, true, 5});
-        w.write({0x104, false, 2});
-        w.close();
-    }
+    writeRecords(path_, "probe-me", {{0x100, true, 5}, {0x104, false, 2}});
     auto probed = probeTrace(path_.string());
     ASSERT_TRUE(probed.ok()) << probed.error().message();
     const TraceFileInfo info = probed.take();
@@ -244,24 +239,45 @@ TEST_F(TraceIoTest, ProbeReportsHeaderOnGoodFile)
               std::string::npos);
 }
 
-TEST_F(TraceIoTest, WriterFailureIsFatalNotSilentTruncation)
+TEST_F(TraceIoTest, FullDiskIsAnIoErrorNamingThePath)
 {
     // /dev/full accepts the open but fails every flushed write with
-    // ENOSPC — exactly the silent-truncation scenario the writer must
-    // turn into a hard error naming the file.
-    if (!std::filesystem::exists("/dev/full"))
+    // ENOSPC: the silent-truncation scenario the writer must turn into
+    // an Err naming the file. /dev/full is not a regular file, so the
+    // cleanup leaves it in place.
+    if (!std::filesystem::is_character_file("/dev/full"))
         GTEST_SKIP() << "/dev/full not available";
 
-    auto write_many = [] {
-        TraceWriter w("/dev/full", "t");
-        // Enough records to overflow any stdio buffer so the failure
-        // surfaces in write() or, at the latest, in close()'s flush.
-        for (int i = 0; i < 200000; ++i)
-            w.write({static_cast<uint64_t>(i), true, 1});
-        w.close();
+    // Enough records to overflow any stdio buffer, so the failure
+    // surfaces in write() or, at the latest, in close()'s flush.
+    SyntheticTrace src = makeTrace("INT-1", 200000);
+    const auto written = writeTraceFile("/dev/full", src);
+    ASSERT_FALSE(written.ok());
+    EXPECT_EQ(written.error().code, ErrCode::Io);
+    EXPECT_EQ(written.error().site, "trace.write");
+    EXPECT_NE(written.error().detail.find("'/dev/full'"), std::string::npos)
+        << written.error().detail;
+    EXPECT_TRUE(std::filesystem::is_character_file("/dev/full"));
+}
+
+TEST_F(TraceIoTest, FailedWriteLeavesNoFile)
+{
+    // A file-size limit makes writes to a regular file fail the way a
+    // full disk does (EFBIG). It is set only inside the death-test
+    // child, which exits 0 when the write failed with Err(Io) and no
+    // file remains.
+    const std::string path = path_.string();
+    const auto write_capped = [&path] {
+        std::signal(SIGXFSZ, SIG_IGN);
+        const rlimit cap{4096, 4096};
+        if (setrlimit(RLIMIT_FSIZE, &cap) != 0)
+            std::exit(2);
+        SyntheticTrace src = makeTrace("INT-1", 100000);
+        const auto written = writeTraceFile(path, src);
+        const bool io = !written.ok() && written.error().code == ErrCode::Io;
+        std::exit(io && !std::filesystem::exists(path) ? 0 : 1);
     };
-    EXPECT_EXIT(write_many(), ::testing::ExitedWithCode(1),
-                "/dev/full");
+    EXPECT_EXIT(write_capped(), ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(TraceIoTest, OpenFactoryReturnsTypedErrors)
@@ -281,12 +297,7 @@ TEST_F(TraceIoTest, OpenFactoryReturnsTypedErrors)
     ASSERT_FALSE(garbage.ok());
     EXPECT_EQ(garbage.error().code, ErrCode::Corrupt);
 
-    {
-        TraceWriter w(path_.string(), "t");
-        for (int i = 0; i < 10; ++i)
-            w.write({static_cast<uint64_t>(i), true, 1});
-        w.close();
-    }
+    writeRecords(path_, "t", takenRun(10));
     std::filesystem::resize_file(
         path_, std::filesystem::file_size(path_) - 5);
     auto truncated = TraceReader::open(path_.string());
@@ -300,12 +311,7 @@ TEST_F(TraceIoTest, OpenFactoryReturnsTypedErrors)
 
 TEST_F(TraceIoTest, OpenFactoryYieldsAWorkingReader)
 {
-    {
-        TraceWriter w(path_.string(), "typed");
-        w.write({0x100, true, 5});
-        w.write({0x104, false, 2});
-        w.close();
-    }
+    writeRecords(path_, "typed", {{0x100, true, 5}, {0x104, false, 2}});
     auto opened = TraceReader::open(path_.string());
     ASSERT_TRUE(opened.ok()) << opened.error().message();
     auto reader = opened.take();
@@ -320,12 +326,7 @@ TEST_F(TraceIoTest, OpenFactoryYieldsAWorkingReader)
 
 TEST_F(TraceIoTest, InjectedReadFaultLatchesLastError)
 {
-    {
-        TraceWriter w(path_.string(), "t");
-        for (int i = 0; i < 10; ++i)
-            w.write({static_cast<uint64_t>(i), true, 1});
-        w.close();
-    }
+    writeRecords(path_, "t", takenRun(10));
     auto opened = TraceReader::open(path_.string());
     ASSERT_TRUE(opened.ok()) << opened.error().message();
     auto reader = opened.take();

@@ -51,10 +51,9 @@ TEST(Profiles, SeedsAreDistinct)
     EXPECT_EQ(seeds.size(), allTraceNames().size());
 }
 
-TEST(Profiles, UnknownNameIsFatal)
+TEST(Profiles, UnknownNamePanics)
 {
-    EXPECT_EXIT(profileByName("no-such-trace"),
-                ::testing::ExitedWithCode(1), "unknown trace profile");
+    EXPECT_DEATH(profileByName("no-such-trace"), "unknown trace profile");
 }
 
 TEST(Profiles, MakeTraceProducesRequestedLength)

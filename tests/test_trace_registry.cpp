@@ -29,6 +29,15 @@
 namespace tagecon {
 namespace {
 
+/** openTraceSource() of a spec the test expects to open. */
+std::unique_ptr<TraceSource>
+openOk(const std::string& spec, uint64_t branches, uint64_t seed_salt = 0)
+{
+    auto opened = openTraceSource(spec, branches, seed_salt);
+    EXPECT_TRUE(opened.ok()) << opened.error().message();
+    return opened.ok() ? opened.take() : nullptr;
+}
+
 class TraceRegistryTest : public ::testing::Test
 {
   protected:
@@ -153,7 +162,7 @@ TEST_F(TraceRegistryTest, ResolveExpandsAliasesSetsAndFileSpecs)
 
 TEST_F(TraceRegistryTest, SyntheticSourceMatchesMakeTrace)
 {
-    auto via_registry = makeTraceSource("SERV-2", 3000, 7);
+    auto via_registry = openOk("SERV-2", 3000, 7);
     SyntheticTrace direct = makeTrace("SERV-2", 3000, 7);
     EXPECT_EQ(via_registry->name(), "SERV-2");
     expectSameRecords(direct, *via_registry);
@@ -170,7 +179,7 @@ TEST_F(TraceRegistryTest, TcbtSourceMatchesInMemoryVectorTrace)
     auto reader = TraceReader::open(path);
     ASSERT_TRUE(reader.ok()) << reader.error().message();
     VectorTrace in_memory = materialize(*reader.value(), 4000);
-    auto via_registry = makeTraceSource("file:" + path, 4000);
+    auto via_registry = openOk("file:" + path, 4000);
     EXPECT_EQ(via_registry->name(), "300.twolf");
     expectSameRecords(in_memory, *via_registry);
 }
@@ -181,7 +190,7 @@ TEST_F(TraceRegistryTest, BranchCountCapsFileReplay)
     const std::string path = file("fp3.tcbt");
     ASSERT_TRUE(writeTraceFile(path, src).ok());
 
-    auto capped = makeTraceSource("file:" + path, 100);
+    auto capped = openOk("file:" + path, 100);
     BranchRecord rec;
     uint64_t n = 0;
     while (capped->next(rec))
@@ -189,7 +198,7 @@ TEST_F(TraceRegistryTest, BranchCountCapsFileReplay)
     EXPECT_EQ(n, 100u);
 
     // A file shorter than the cap replays fully.
-    auto uncapped = makeTraceSource("file:" + path, 999999);
+    auto uncapped = openOk("file:" + path, 999999);
     n = 0;
     while (uncapped->next(rec))
         ++n;
@@ -206,7 +215,7 @@ TEST_F(TraceRegistryTest, AsciiReaderParsesTheInterchangeFormat)
                                        "4197912 1 3\n"
                                        "  # indented comment\n"
                                        "0x400a1c 0 2\n");
-    auto src = makeTraceSource("file:" + path, 0);
+    auto src = openOk("file:" + path, 0);
     EXPECT_EQ(src->name(), "mini");
 
     BranchRecord rec;
@@ -236,7 +245,7 @@ TEST_F(TraceRegistryTest, AsciiMalformedLineLatchesLastError)
     const std::string path = writeText("bad.trace",
                                        "0x10 T\n"
                                        "0x14 maybe\n");
-    auto src = makeTraceSource("file:" + path, 0);
+    auto src = openOk("file:" + path, 0);
     BranchRecord rec;
     ASSERT_TRUE(src->next(rec));
     EXPECT_EQ(src->lastError(), nullptr);
@@ -298,7 +307,7 @@ TEST_F(TraceRegistryTest, GzippedAsciiTraceReadsTransparently)
     gzclose(gz);
 
     EXPECT_TRUE(isGzipFile(path));
-    auto src = makeTraceSource("file:" + path, 0);
+    auto src = openOk("file:" + path, 0);
     EXPECT_EQ(src->name(), "gz");
     BranchRecord rec;
     ASSERT_TRUE(src->next(rec));
@@ -350,13 +359,9 @@ TEST_F(TraceRegistryTest, CommaInFileTraceNameSurvivesToQuotedCsv)
     // Trace names are user-controlled now (filenames, embedded header
     // names) — a comma must not shift CSV columns.
     const std::string path = file("odd.tcbt");
-    {
-        TraceWriter w(path, "mm,3 (variant)");
-        w.write({0x100, true, 4});
-        w.write({0x104, false, 2});
-        w.close();
-    }
-    auto src = makeTraceSource("file:" + path, 0);
+    VectorTrace odd("mm,3 (variant)", {{0x100, true, 4}, {0x104, false, 2}});
+    ASSERT_TRUE(writeTraceFile(path, odd).ok());
+    auto src = openOk("file:" + path, 0);
     EXPECT_EQ(src->name(), "mm,3 (variant)");
 
     TextTable t;

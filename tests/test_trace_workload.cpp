@@ -268,8 +268,7 @@ TEST(SyntheticTrace, ValidationRejectsBadProfiles)
 {
     ProfileParams bad = tinyProfile();
     bad.numFunctions = 0;
-    EXPECT_EXIT(SyntheticTrace(bad, 10), ::testing::ExitedWithCode(1),
-                "numFunctions");
+    EXPECT_DEATH(SyntheticTrace(bad, 10), "numFunctions");
 
     ProfileParams bad2 = tinyProfile();
     bad2.fracAlways = 0.0;
@@ -278,28 +277,24 @@ TEST(SyntheticTrace, ValidationRejectsBadProfiles)
     bad2.fracBiased = 0.0;
     bad2.fracMarkov = 0.0;
     bad2.fracCorrelated = 0.0;
-    EXPECT_EXIT(SyntheticTrace(bad2, 10), ::testing::ExitedWithCode(1),
-                "mixture");
+    EXPECT_DEATH(SyntheticTrace(bad2, 10), "mixture");
 
     ProfileParams bad3 = tinyProfile();
     bad3.loopPeriodMin = 10;
     bad3.loopPeriodMax = 5;
-    EXPECT_EXIT(SyntheticTrace(bad3, 10), ::testing::ExitedWithCode(1),
-                "loopPeriod");
+    EXPECT_DEATH(SyntheticTrace(bad3, 10), "loopPeriod");
 }
 
 TEST(SyntheticTrace, ValidationCapsPatternLengthAndTapCount)
 {
     ProfileParams long_pattern = tinyProfile();
     long_pattern.patternLenMax = BranchBehavior::kMaxPatternLen + 1;
-    EXPECT_EXIT(SyntheticTrace(long_pattern, 10),
-                ::testing::ExitedWithCode(1), "patternLenMax");
+    EXPECT_DEATH(SyntheticTrace(long_pattern, 10), "patternLenMax");
 
     ProfileParams many_taps = tinyProfile();
     many_taps.corrNumTapsMax =
         static_cast<int>(BranchBehavior::kMaxTaps) + 1;
-    EXPECT_EXIT(SyntheticTrace(many_taps, 10),
-                ::testing::ExitedWithCode(1), "corrNumTapsMax");
+    EXPECT_DEATH(SyntheticTrace(many_taps, 10), "corrNumTapsMax");
 
     // Exactly at both caps is a valid profile.
     ProfileParams at_caps = tinyProfile();

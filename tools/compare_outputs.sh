@@ -11,7 +11,12 @@
 #     all five observers in a JSON report;
 #   - tagecon_serve --per-stream --digests --csv over the CI serving
 #     specs, and the deterministic section of one --metrics-out dump;
-#   - the examples, including the trace files make_traces writes.
+#   - the examples, including the trace files make_traces writes;
+#   - an error section: invalid specs and flags on tagecon_sweep,
+#     bench_vs_selfconf and example_quickstart, an unknown --trace on
+#     example_fetch_gating, and tagecon_trace convert to a full disk.
+#     These keep stderr too, so a reworded message, or a fatal() that
+#     became a panic (exit 134), shows as a difference.
 # Every command's output is a pure function of its flags, so two builds
 # whose behavior agrees print the same bytes. Wall-clock sections stay
 # out: the serve prints them only in its text view, and the metrics
@@ -45,6 +50,15 @@ run() {
     shift 2
     local status=0
     "$bin/$tool" "$@" > "$id.out" 2> /dev/null || status=$?
+    echo "# exit $status" >> "$id.out"
+}
+
+# run_err ID TOOL ARGS...: like run, and TOOL's stderr into ID.err.
+run_err() {
+    local id=$1 tool=$2
+    shift 2
+    local status=0
+    "$bin/$tool" "$@" > "$id.out" 2> "$id.err" || status=$?
     echo "# exit $status" >> "$id.out"
 }
 
@@ -106,6 +120,40 @@ catalogue() {
     run example_smt_fetch_policy example_smt_fetch_policy $n
     run example_make_traces example_make_traces --set=cbp1 \
         --branches=2000 --out=traces
+    errors
+}
+
+# Inputs each surface must reject with the same message and exit 1.
+errors() {
+    local n=--branches=2000 i=0 spec
+    for spec in no-such+sfc gshare+sfc tage64k+adaptive gshare:bogus=1 \
+        tage64k+prob+prob3+sfc tage64k:ctr=5,ubits=4+sfc \
+        tage64k:tables=12,maxhist=10+sfc \
+        ogehl:minhist=1,maxhist=2,tables=16+sfc \
+        ltage64k+prob7+adaptive+sfc; do
+        i=$((i + 1))
+        run_err "err_sweep_spec$i" tagecon_sweep --predictors="$spec" \
+            --traces=FP-1 $n
+        run_err "err_selfconf_spec$i" bench_vs_selfconf \
+            --predictors="$spec" $n
+        run_err "err_quickstart_spec$i" example_quickstart \
+            --predictor="$spec" $n
+    done
+    run_err err_sweep_observers tagecon_sweep --predictors=tage16k+sfc \
+        --traces=FP-1 $n --analysis=intervals,intervals
+    run_err err_selfconf_observers bench_vs_selfconf $n \
+        --analysis=intervals,intervals
+    run_err err_sweep_numeric tagecon_sweep --predictors=tage16k+sfc \
+        --traces=FP-1 --branches=1e6
+    run_err err_selfconf_numeric bench_vs_selfconf --branches=1e6
+    run_err err_quickstart_numeric example_quickstart --branches=1e6
+    run_err err_sweep_flag tagecon_sweep --predictors=tage16k+sfc \
+        --traces=FP-1 --branch=2000
+    run_err err_selfconf_flag bench_vs_selfconf --branch=2000
+    run_err err_fetch_gating_trace example_fetch_gating \
+        --trace=no-such-trace $n
+    run_err err_trace_full_disk tagecon_trace convert --from=MM-3 \
+        --out=/dev/full --branches=30000
 }
 
 for side in base head; do

@@ -47,6 +47,16 @@ constexpr const char* kUsage =
     "       tagecon_trace inspect --in=PATH\n"
     "       tagecon_trace head --in=PATH [--count=N]";
 
+/** openTraceSource(), or fatal() with its error. */
+std::unique_ptr<TraceSource>
+openOrFatal(const std::string& spec, uint64_t branches, uint64_t seed = 0)
+{
+    auto opened = openTraceSource(spec, branches, seed);
+    if (!opened.ok())
+        fatal(opened.error().detail);
+    return opened.take();
+}
+
 int
 cmdConvert(const CliArgs& args)
 {
@@ -68,11 +78,9 @@ cmdConvert(const CliArgs& args)
         args.getUint("branches", default_branches);
     const uint64_t seed = args.getUint("seed", 0);
 
-    auto opened = openTraceSource(spec, branches, seed);
-    if (!opened.ok())
-        fatal(opened.error().detail);
-    const auto src = opened.take();
-    // A source that fails mid-stream leaves no output file behind.
+    const auto src = openOrFatal(from, branches, seed);
+    // A failed write, or a source that fails mid-stream, leaves no
+    // output file behind.
     auto written = writeTraceFile(out, *src);
     if (!written.ok())
         fatal(written.error().detail);
@@ -151,7 +159,7 @@ cmdInspect(const CliArgs& args)
                   << "name:    " << cbpAsciiTraceName(path) << "\n";
     }
 
-    const TraceStats s = collectStats(*makeTraceSource("file:" + path, 0));
+    const TraceStats s = collectStats(*openOrFatal("file:" + path, 0));
     const double taken_pct =
         s.records == 0
             ? 0.0
@@ -179,7 +187,7 @@ cmdHead(const CliArgs& args)
         fatal("head needs --in=PATH\n" + std::string(kUsage));
     const uint64_t count = args.getUint("count", 10);
 
-    const auto src = makeTraceSource("file:" + path, count);
+    const auto src = openOrFatal("file:" + path, count);
     BranchRecord rec;
     uint64_t shown = 0;
     std::cout << "# pc taken instructionsBefore\n";
