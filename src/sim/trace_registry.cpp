@@ -46,8 +46,10 @@ detectTraceFileFormat(const std::string& path, TraceFileFormat& out,
 }
 
 /**
- * The one check of a trace spec, for validateTraceSpec() and
- * openTraceSource(); sets @p format for a file spec.
+ * The check of a trace spec that validateTraceSpec() and
+ * openTraceSource() share; sets @p format for a file spec. A .tcbt
+ * header is left to the caller (probeTrace() when validating,
+ * TraceReader::open() when opening), so an open reads it once.
  */
 Err
 checkTraceSpec(const TraceSpec& spec, TraceFileFormat& format)
@@ -63,10 +65,8 @@ checkTraceSpec(const TraceSpec& spec, TraceFileFormat& format)
     std::string err;
     if (!detectTraceFileFormat(spec.key, format, err))
         return Err(ErrCode::NotFound, "trace.open", std::move(err));
-    if (format == TraceFileFormat::Tcbt) {
-        const auto probed = probeTrace(spec.key);
-        return probed.ok() ? Err() : probed.error();
-    }
+    if (format == TraceFileFormat::Tcbt)
+        return {};
     // The ASCII probe reads up to the first data line, catching files
     // that open but carry a foreign format before a sweep starts.
     if (!probeCbpAsciiFile(spec.key, &err))
@@ -130,8 +130,12 @@ parseTraceSpec(const std::string& text, TraceSpec& out,
 bool
 validateTraceSpec(const TraceSpec& spec, std::string* error)
 {
-    TraceFileFormat format;
-    const Err e = checkTraceSpec(spec, format);
+    TraceFileFormat format = TraceFileFormat::Ascii; // unset for a profile
+    Err e = checkTraceSpec(spec, format);
+    if (e.ok() && format == TraceFileFormat::Tcbt) {
+        if (const auto probed = probeTrace(spec.key); !probed.ok())
+            e = probed.error();
+    }
     if (e.failed() && error)
         *error = e.detail;
     return e.ok();

@@ -69,12 +69,11 @@ class GradedTage : public GradedPredictor
     void update(uint64_t pc, const Prediction& p, bool taken) override;
 
     /**
-     * True for every stack: with the adaptive controller attached,
-     * predictMany() still batches between epoch closes and sends only
-     * each epoch-closing element through the scalar path. The loop
-     * part batches.
+     * True unless the adaptive controller is attached: predictMany()
+     * still sends the epoch-closing element through the scalar path.
+     * The loop part batches.
      */
-    bool hasBatchedPredict() const override { return true; }
+    bool hasBatchedPredict() const override;
 
     /**
      * Fused batched step through TagePredictor::predictMany(), one

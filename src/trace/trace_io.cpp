@@ -171,16 +171,13 @@ TraceReader::reset()
 
 namespace {
 
-/** writeTraceFile() up to the removal of a partial file. */
+/** writeTraceFile() into the file it opened, up to the cleanup. */
 Expected<uint64_t>
-writeStream(const std::string& path, TraceSource& src)
+writeStream(std::ofstream& out, const std::string& path, TraceSource& src)
 {
     const auto io = [](std::string detail) {
         return Err(ErrCode::Io, "trace.write", std::move(detail));
     };
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return io("cannot create trace file '" + path + "'");
     const std::string name = src.name();
     out.write(kMagic.data(), static_cast<std::streamsize>(kMagic.size()));
     writeRaw(out, kTraceFormatVersion);
@@ -222,7 +219,13 @@ writeStream(const std::string& path, TraceSource& src)
 Expected<uint64_t>
 writeTraceFile(const std::string& path, TraceSource& src)
 {
-    Expected<uint64_t> written = writeStream(path, src);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        return Err(ErrCode::Io, "trace.write",
+                   "cannot create trace file '" + path + "'");
+    // From here on the file is this call's (created or truncated), so
+    // a failure removes what it wrote.
+    Expected<uint64_t> written = writeStream(out, path, src);
     std::error_code ec;
     if (!written.ok() && std::filesystem::is_regular_file(path, ec))
         std::filesystem::remove(path, ec);

@@ -113,7 +113,8 @@ class TraceReader : public TraceSource
  * close comes back as Err(Io) naming the path; when @p src stops on
  * an error (a malformed ASCII line, a truncated file) that Err does.
  * Either way a partial regular file is removed, so a failure never
- * yields a valid shorter trace (a device such as /dev/full stays).
+ * yields a valid shorter trace (a device such as /dev/full stays); a
+ * file the call cannot open is left as it was.
  */
 Expected<uint64_t> writeTraceFile(const std::string& path,
                                   TraceSource& src);

@@ -330,18 +330,16 @@ TEST(EstimatedPredictor, PredictManyMatchesTheScalarLoop)
         }
     }
     // Batched exactly when the host is: every L-TAGE stack batches,
-    // and so does the adaptive host, whose predictMany() batches
-    // between epoch closes (the divergence loop above holds it to the
-    // scalar path).
+    // the adaptive host still reports scalar.
     EXPECT_TRUE(makePredictor("tage64k+jrs")->hasBatchedPredict());
     EXPECT_TRUE(makePredictor("tage64k+sfc")->hasBatchedPredict());
     for (const char* spec :
          {"ltage16k+sfc", "ltage64k+prob7+sfc", "ltage256k+jrs",
           "ltage64k+blind"})
         EXPECT_TRUE(makePredictor(spec)->hasBatchedPredict()) << spec;
-    EXPECT_TRUE(
+    EXPECT_FALSE(
         makePredictor("tage64k+prob7+adaptive+jrs")->hasBatchedPredict());
-    EXPECT_TRUE(
+    EXPECT_FALSE(
         makePredictor("tage64k+prob7+adaptive+sfc")->hasBatchedPredict());
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
@@ -278,6 +279,32 @@ TEST_F(TraceIoTest, FailedWriteLeavesNoFile)
         std::exit(io && !std::filesystem::exists(path) ? 0 : 1);
     };
     EXPECT_EXIT(write_capped(), ::testing::ExitedWithCode(0), "");
+}
+
+TEST_F(TraceIoTest, FileTheWriterCannotOpenSurvives)
+{
+    // A read-only file the writer cannot open was never truncated, so
+    // the failed write must leave it as it was.
+    if (::geteuid() == 0)
+        GTEST_SKIP() << "root opens a read-only file for writing";
+    {
+        std::ofstream out(path_);
+        out << "keep me\n";
+    }
+    namespace fs = std::filesystem;
+    fs::permissions(path_, fs::perms::owner_read | fs::perms::group_read |
+                               fs::perms::others_read);
+    VectorTrace src("t", takenRun(10));
+    const auto written = writeTraceFile(path_.string(), src);
+    ASSERT_FALSE(written.ok());
+    EXPECT_EQ(written.error().code, ErrCode::Io);
+    EXPECT_NE(written.error().detail.find("cannot create trace file"),
+              std::string::npos)
+        << written.error().detail;
+    std::ifstream in(path_);
+    std::string line;
+    EXPECT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, "keep me");
 }
 
 TEST_F(TraceIoTest, OpenFactoryReturnsTypedErrors)

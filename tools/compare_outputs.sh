@@ -13,8 +13,9 @@
 #     specs, and the deterministic section of one --metrics-out dump;
 #   - the examples, including the trace files make_traces writes;
 #   - an error section: invalid specs and flags on tagecon_sweep,
-#     bench_vs_selfconf and example_quickstart, an unknown --trace on
-#     example_fetch_gating, and tagecon_trace convert to a full disk.
+#     bench_vs_selfconf and example_quickstart, a repeated observer on
+#     bench_figure2, an unknown --trace on example_fetch_gating, and
+#     tagecon_trace convert to a full disk.
 #     These keep stderr too, so a reworded message, or a fatal() that
 #     became a panic (exit 134), shows as a difference.
 # Every command's output is a pure function of its flags, so two builds
@@ -142,6 +143,8 @@ errors() {
     run_err err_sweep_observers tagecon_sweep --predictors=tage16k+sfc \
         --traces=FP-1 $n --analysis=intervals,intervals
     run_err err_selfconf_observers bench_vs_selfconf $n \
+        --analysis=intervals,intervals
+    run_err err_figure2_observers bench_figure2 $n \
         --analysis=intervals,intervals
     run_err err_sweep_numeric tagecon_sweep --predictors=tage16k+sfc \
         --traces=FP-1 --branches=1e6
