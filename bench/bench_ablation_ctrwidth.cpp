@@ -8,7 +8,7 @@
  * slightly negative impact on the overall misprediction rate."
  *
  * The sweep is declarative: one "tage64k:ctr=N" spec per width over
- * each benchmark set, run by the shared parallel runner (--jobs=N) —
+ * both benchmark sets, run by the shared parallel runner (--jobs=N) —
  * the parameterized spec grammar replaces the hand-built TageConfig
  * of the original bench.
  */
@@ -16,32 +16,24 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/sweep.hpp"
-#include "util/table_printer.hpp"
 
 using namespace tagecon;
 
 int
 main(int argc, char** argv)
 {
-    const auto opt = bench::parseOptions(argc, argv, /*structured_output=*/false);
-    bench::printHeader("Ablation: tagged counter width (64Kbit)",
-                       "Seznec, RR-7371 / HPCA 2011, Sec. 6 discussion",
-                       opt, /*show_jobs=*/true);
+    const auto opt = bench::parseOptions(argc, argv);
+    Report r = bench::makeReport(
+        "ablation_ctrwidth", "Ablation: tagged counter width (64Kbit)",
+        "Seznec, RR-7371 / HPCA 2011, Sec. 6 discussion", opt);
 
     const std::vector<int> widths = {2, 3, 4, 5};
     std::vector<std::string> specs;
     for (const int bits : widths)
         specs.push_back("tage64k:ctr=" + std::to_string(bits));
 
-    const auto cbp1 = runSweepRows(
-        SweepPlan::over(specs, traceNames(BenchmarkSet::Cbp1),
-                        opt.branchesPerTrace, opt.seedSalt),
-        {opt.jobs});
-    const auto cbp2 = runSweepRows(
-        SweepPlan::over(specs, traceNames(BenchmarkSet::Cbp2),
-                        opt.branchesPerTrace, opt.seedSalt),
-        {opt.jobs});
+    const auto rows = bench::runGrid(specs, allTraceNames(), opt);
+    const size_t cbp1_traces = traceNames(BenchmarkSet::Cbp1).size();
 
     TextTable t;
     t.addColumn("ctr bits", TextTable::Align::Left);
@@ -51,24 +43,26 @@ main(int argc, char** argv)
     t.addColumn("Stag MPrate MKP (CBP-1)");
 
     for (size_t i = 0; i < widths.size(); ++i) {
-        const SweepRow& r1 = cbp1[i];
-        const SweepRow& r2 = cbp2[i];
+        const auto cbp1 = bench::sliceSet(rows[i], cbp1_traces, true);
+        const auto cbp2 = bench::sliceSet(rows[i], cbp1_traces, false);
         t.addRow({std::to_string(widths[i]),
-                  TextTable::num(r1.meanMpki, 3),
-                  TextTable::num(r2.meanMpki, 3),
+                  TextTable::num(cbp1.meanMpki, 3),
+                  TextTable::num(cbp2.meanMpki, 3),
                   TextTable::frac(
-                      r1.aggregate.pcov(PredictionClass::Stag)),
+                      cbp1.aggregate.pcov(PredictionClass::Stag)),
                   TextTable::num(
-                      r1.aggregate.mprateMkp(PredictionClass::Stag), 1)});
+                      cbp1.aggregate.mprateMkp(PredictionClass::Stag),
+                      1)});
     }
-    if (opt.csv)
-        t.renderCsv(std::cout);
-    else
-        t.render(std::cout);
+    r.addTable(ReportTable{"ctrwidth", "", std::move(t)});
 
-    std::cout << "\nexpected shape: widening beyond 3 bits does not "
-                 "collapse the Stag misprediction rate (unlike the "
-                 "probabilistic automaton) and does not improve overall "
-                 "accuracy.\n";
+    r.addBlank();
+    for (size_t i = 0; i < rows.size(); ++i)
+        bench::addRowAnalysis(r, rows[i],
+                              "ctr" + std::to_string(widths[i]));
+    r.addText("expected shape: widening beyond 3 bits does not collapse "
+              "the Stag misprediction rate (unlike the probabilistic "
+              "automaton) and does not improve overall accuracy.");
+    r.emit(opt.format, std::cout);
     return 0;
 }

@@ -5,36 +5,27 @@
  * provider entries slightly improves accuracy, and that the Wtag class
  * stays ~30%+ mispredicted even with it. The two configurations are
  * the parameterized specs "tage64k:ualt=1" / "tage64k:ualt=0", run as
- * one declarative sweep per benchmark set (--jobs=N).
+ * one declarative grid over both benchmark sets (--jobs=N).
  */
 
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/sweep.hpp"
-#include "util/table_printer.hpp"
 
 using namespace tagecon;
 
 int
 main(int argc, char** argv)
 {
-    const auto opt = bench::parseOptions(argc, argv, /*structured_output=*/false);
-    bench::printHeader("Ablation: USE_ALT_ON_NA on/off (64Kbit)",
-                       "Seznec, RR-7371 / HPCA 2011, Sec. 3.1", opt,
-                       /*show_jobs=*/true);
+    const auto opt = bench::parseOptions(argc, argv);
+    Report r = bench::makeReport(
+        "ablation_usealt", "Ablation: USE_ALT_ON_NA on/off (64Kbit)",
+        "Seznec, RR-7371 / HPCA 2011, Sec. 3.1", opt);
 
     const std::vector<std::string> specs = {"tage64k:ualt=1",
                                             "tage64k:ualt=0"};
-
-    const auto cbp1 = runSweepRows(
-        SweepPlan::over(specs, traceNames(BenchmarkSet::Cbp1),
-                        opt.branchesPerTrace, opt.seedSalt),
-        {opt.jobs});
-    const auto cbp2 = runSweepRows(
-        SweepPlan::over(specs, traceNames(BenchmarkSet::Cbp2),
-                        opt.branchesPerTrace, opt.seedSalt),
-        {opt.jobs});
+    const auto rows = bench::runGrid(specs, allTraceNames(), opt);
+    const size_t cbp1_traces = traceNames(BenchmarkSet::Cbp1).size();
 
     TextTable t;
     t.addColumn("USE_ALT_ON_NA", TextTable::Align::Left);
@@ -44,23 +35,25 @@ main(int argc, char** argv)
     t.addColumn("Wtag MPrate MKP (CBP-2)");
 
     for (size_t i = 0; i < specs.size(); ++i) {
-        const SweepRow& r1 = cbp1[i];
-        const SweepRow& r2 = cbp2[i];
+        const auto cbp1 = bench::sliceSet(rows[i], cbp1_traces, true);
+        const auto cbp2 = bench::sliceSet(rows[i], cbp1_traces, false);
         t.addRow({i == 0 ? "enabled" : "disabled",
-                  TextTable::num(r1.meanMpki, 3),
-                  TextTable::num(r2.meanMpki, 3),
+                  TextTable::num(cbp1.meanMpki, 3),
+                  TextTable::num(cbp2.meanMpki, 3),
                   TextTable::num(
-                      r1.aggregate.mprateMkp(PredictionClass::Wtag), 0),
+                      cbp1.aggregate.mprateMkp(PredictionClass::Wtag), 0),
                   TextTable::num(
-                      r2.aggregate.mprateMkp(PredictionClass::Wtag), 0)});
+                      cbp2.aggregate.mprateMkp(PredictionClass::Wtag),
+                      0)});
     }
-    if (opt.csv)
-        t.renderCsv(std::cout);
-    else
-        t.render(std::cout);
+    r.addTable(ReportTable{"usealt", "", std::move(t)});
 
-    std::cout << "\nexpected shape: disabling USE_ALT_ON_NA slightly "
-                 "degrades overall accuracy; the Wtag class stays in "
-                 "the ~300 MKP range either way.\n";
+    r.addBlank();
+    bench::addRowAnalysis(r, rows[0], "enabled");
+    bench::addRowAnalysis(r, rows[1], "disabled");
+    r.addText("expected shape: disabling USE_ALT_ON_NA slightly degrades "
+              "overall accuracy; the Wtag class stays in the ~300 MKP "
+              "range either way.");
+    r.emit(opt.format, std::cout);
     return 0;
 }

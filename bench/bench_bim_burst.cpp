@@ -12,15 +12,14 @@
  * BIM-provided misprediction, the misprediction rate of BIM
  * predictions at that distance — the decay curve that justifies the
  * paper's window of 8. This bench drives it through a (spec x CBP-1)
- * SweepPlan and prints each spec's cross-trace pooled curve, so the
- * numbers are bit-identical at any --jobs.
+ * grid and prints each spec's cross-trace pooled curve, so the
+ * numbers are bit-identical at any --jobs. Override the lineup with
+ * --predictors=spec1,spec2,...
  */
 
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/reporting.hpp"
-#include "sim/sweep.hpp"
 
 using namespace tagecon;
 
@@ -33,44 +32,39 @@ constexpr uint64_t kMaxDistance = 16;
 int
 main(int argc, char** argv)
 {
-    const auto opt = bench::parseOptions(argc, argv);
-
-    std::vector<std::string> specs = opt.predictors;
-    if (specs.empty())
-        specs = {"tage16k+sfc", "tage256k+sfc"};
-
-    SweepPlan plan;
-    plan.specs = specs;
-    std::string error;
-    if (!SweepPlan::resolveTraceArgs({"cbp1"}, plan.traces, error))
-        fatal(error);
-    plan.branchesPerTrace = opt.branchesPerTrace;
-    plan.seedSalt = opt.seedSalt;
-    plan.analysis = opt.analysis;
-    plan.analysis.burst = true;
-    plan.analysis.burstMaxDistance = kMaxDistance;
-    if (!plan.validate(&error))
-        fatal(error);
-
-    const auto rows = runSweepRows(plan, {.jobs = opt.jobs});
+    auto opt =
+        bench::parseOptions(argc, argv, {"tage16k+sfc", "tage256k+sfc"});
+    // The bench is the burst view; install it with its default window,
+    // but an explicit --analysis=burst:max=N wins.
+    if (!opt.analysis.burst) {
+        opt.analysis.burst = true;
+        opt.analysis.burstMaxDistance = kMaxDistance;
+    }
+    auto rows = bench::runGrid(opt.predictors,
+                               traceNames(BenchmarkSet::Cbp1), opt);
 
     Report report = bench::makeReport(
         "bim_burst",
         "BIM misprediction bursts (basis of medium-conf-bim)",
         "Seznec, RR-7371 / HPCA 2011, Sec. 5.1.2", opt);
 
-    size_t row_idx = 0;
-    for (const auto& r : rows) {
-        if (row_idx > 0)
+    for (size_t i = 0; i < rows.size(); ++i) {
+        if (i > 0)
             report.addBlank();
-        ReportTable rt = burstAnalysisTable(
-            *r.pooledBurst, "burst" + std::to_string(row_idx));
-        rt.heading = r.spec + " (pooled over CBP-1)";
+        ReportTable rt = burstAnalysisTable(*rows[i].pooledBurst,
+                                            "burst" + std::to_string(i));
+        rt.heading = rows[i].spec + " (pooled over CBP-1)";
         report.addTable(std::move(rt));
-        ++row_idx;
     }
 
     report.addBlank();
+    // Further observers report per trace; the burst view is printed
+    // above, pooled, so its per-trace slots are dropped.
+    for (size_t i = 0; i < rows.size(); ++i) {
+        for (auto& rr : rows[i].perTrace)
+            rr.analysis.burst.reset();
+        bench::addRowAnalysis(report, rows[i], "row" + std::to_string(i));
+    }
     report.addText("paper anchor: the first ~8 post-miss BIM "
                    "predictions run at 80-150 MKP on the 16K predictor; "
                    "far-from-miss BIM predictions run at ~9 MKP.");

@@ -13,7 +13,7 @@
 
 #include <iostream>
 
-#include "bench_figures.hpp"
+#include "bench_common.hpp"
 
 using namespace tagecon;
 
@@ -28,8 +28,8 @@ main(int argc, char** argv)
 
     const auto sizes = bench::paperSizes();
     const auto rows =
-        bench::runSetGrid(bench::specsOf(sizes), BenchmarkSet::Cbp1,
-                          opt);
+        bench::runGrid(bench::specsOf(sizes),
+                       traceNames(BenchmarkSet::Cbp1), opt);
 
     for (size_t i = 0; i < rows.size(); ++i) {
         const std::string& label = sizes[i].label;
@@ -38,8 +38,7 @@ main(int argc, char** argv)
             label + " predictor: prediction coverage per class (%) "
                     "[Fig. 2 left]",
             label + " predictor: misprediction contribution (misp/KI) "
-                    "[Fig. 2 right]",
-            opt);
+                    "[Fig. 2 right]");
     }
 
     r.addText("expected shape: SERV traces are BIM-heavy with large "

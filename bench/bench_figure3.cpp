@@ -8,7 +8,7 @@
 
 #include <iostream>
 
-#include "bench_figures.hpp"
+#include "bench_common.hpp"
 
 using namespace tagecon;
 
@@ -23,8 +23,8 @@ main(int argc, char** argv)
 
     const auto sizes = bench::paperSizes();
     const auto rows =
-        bench::runSetGrid(bench::specsOf(sizes), BenchmarkSet::Cbp2,
-                          opt);
+        bench::runGrid(bench::specsOf(sizes),
+                       traceNames(BenchmarkSet::Cbp2), opt);
 
     for (size_t i = 0; i < rows.size(); ++i) {
         const std::string& label = sizes[i].label;
@@ -33,8 +33,7 @@ main(int argc, char** argv)
             label + " predictor: prediction coverage per class (%) "
                     "[Fig. 3 left]",
             label + " predictor: misprediction contribution (misp/KI) "
-                    "[Fig. 3 right]",
-            opt);
+                    "[Fig. 3 right]");
     }
 
     r.addText("expected shape: twolf/gzip/vpr carry large tagged-class "

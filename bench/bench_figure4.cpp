@@ -9,7 +9,7 @@
 
 #include <iostream>
 
-#include "bench_figures.hpp"
+#include "bench_common.hpp"
 
 using namespace tagecon;
 
@@ -23,7 +23,7 @@ main(int argc, char** argv)
         "Seznec, RR-7371 / HPCA 2011, Figure 4", opt);
 
     const auto rows =
-        bench::runSetGrid({"tage64k"}, BenchmarkSet::Cbp2, opt);
+        bench::runGrid({"tage64k"}, traceNames(BenchmarkSet::Cbp2), opt);
     const SweepRow& row = rows.front();
 
     const std::vector<std::string> figure_traces = {
@@ -37,10 +37,7 @@ main(int argc, char** argv)
     r.addTable(
         ReportTable{"class-rates", "", classRateTable(row.aggregate)});
     r.addBlank();
-    if (opt.analysis.enabled()) {
-        for (const auto& rr : row.perTrace)
-            addAnalysisSections(r, rr, toLower(rr.traceName));
-    }
+    bench::addRowAnalysis(r, row, "");
 
     r.addText("expected shape: Wtag > NWtag > NStag >> Stag ~ "
               "average; low-conf-bim ~300+ MKP; high-conf-bim lowest.");

@@ -9,7 +9,7 @@
 
 #include <iostream>
 
-#include "bench_figures.hpp"
+#include "bench_common.hpp"
 
 using namespace tagecon;
 
@@ -19,15 +19,15 @@ void
 addPanel(Report& r, const std::string& label, const std::string& spec,
          BenchmarkSet set, const tagecon::bench::BenchOptions& opt)
 {
-    const auto rows = tagecon::bench::runSetGrid({spec}, set, opt);
+    const auto rows =
+        tagecon::bench::runGrid({spec}, traceNames(set), opt);
     const std::string set_name = benchmarkSetName(set);
     tagecon::bench::addDistributionPanels(
         r, rows.front(), toLower(label + "-" + set_name),
         label + " predictor, " + set_name +
             ": prediction coverage per class (%)",
         label + " predictor, " + set_name +
-            ": misprediction contribution (misp/KI)",
-        opt);
+            ": misprediction contribution (misp/KI)");
 }
 
 } // namespace

@@ -8,7 +8,7 @@
 
 #include <iostream>
 
-#include "bench_figures.hpp"
+#include "bench_common.hpp"
 
 using namespace tagecon;
 
@@ -22,8 +22,8 @@ main(int argc, char** argv)
         "CBP-2",
         "Seznec, RR-7371 / HPCA 2011, Figure 6", opt);
 
-    const auto rows =
-        bench::runSetGrid({"tage64k+prob7"}, BenchmarkSet::Cbp2, opt);
+    const auto rows = bench::runGrid(
+        {"tage64k+prob7"}, traceNames(BenchmarkSet::Cbp2), opt);
     const SweepRow& row = rows.front();
 
     const std::vector<std::string> figure_traces = {
@@ -37,10 +37,7 @@ main(int argc, char** argv)
     r.addTable(
         ReportTable{"class-rates", "", classRateTable(row.aggregate)});
     r.addBlank();
-    if (opt.analysis.enabled()) {
-        for (const auto& rr : row.perTrace)
-            addAnalysisSections(r, rr, toLower(rr.traceName));
-    }
+    bench::addRowAnalysis(r, row, "");
 
     r.addText("expected shape vs Figure 4: MPrate(Stag) collapses "
               "to the 1-5 MKP range; NStag drops toward the 50-100 "

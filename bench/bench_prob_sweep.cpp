@@ -6,7 +6,7 @@
  * coverage and misprediction rate of the high-confidence class, plus
  * the overall accuracy cost of the automaton change.
  *
- * The sweep is one declarative SweepPlan — the baseline automaton
+ * The sweep is one declarative grid — the baseline automaton
  * ("tage16k") plus one "tage16k+probN" spec per probability — over
  * the shared parallel runner (--jobs=N).
  *
@@ -19,19 +19,17 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/sweep.hpp"
-#include "util/table_printer.hpp"
 
 using namespace tagecon;
 
 int
 main(int argc, char** argv)
 {
-    const auto opt = bench::parseOptions(argc, argv, /*structured_output=*/false);
-    bench::printHeader("Sec. 6.2: saturation probability sweep "
-                       "(16Kbit, CBP-1)",
-                       "Seznec, RR-7371 / HPCA 2011, Sec. 6.2", opt,
-                       /*show_jobs=*/true);
+    const auto opt = bench::parseOptions(argc, argv);
+    Report r = bench::makeReport(
+        "prob_sweep",
+        "Sec. 6.2: saturation probability sweep (16Kbit, CBP-1)",
+        "Seznec, RR-7371 / HPCA 2011, Sec. 6.2", opt);
 
     // Row 0 is the baseline automaton; the rest sweep log2(1/p).
     const std::vector<unsigned> log2ps = {0u, 2u, 4u, 7u, 10u};
@@ -39,10 +37,8 @@ main(int argc, char** argv)
     for (const unsigned log2p : log2ps)
         specs.push_back("tage16k+prob" + std::to_string(log2p));
 
-    const SweepPlan plan =
-        SweepPlan::over(specs, traceNames(BenchmarkSet::Cbp1),
-                        opt.branchesPerTrace, opt.seedSalt);
-    const auto rows = runSweepRows(plan, {opt.jobs});
+    const auto rows =
+        bench::runGrid(specs, traceNames(BenchmarkSet::Cbp1), opt);
     const SweepRow& baseline = rows.front();
 
     TextTable t;
@@ -54,25 +50,26 @@ main(int argc, char** argv)
     t.addColumn("delta vs baseline");
 
     for (size_t i = 0; i < log2ps.size(); ++i) {
-        const SweepRow& r = rows[i + 1];
+        const SweepRow& row = rows[i + 1];
         t.addRow({"1/" + std::to_string(1u << log2ps[i]),
-                  TextTable::frac(r.aggregate.pcov(ConfidenceLevel::High)),
+                  TextTable::frac(row.aggregate.pcov(ConfidenceLevel::High)),
                   TextTable::frac(
-                      r.aggregate.mpcov(ConfidenceLevel::High)),
+                      row.aggregate.mpcov(ConfidenceLevel::High)),
                   TextTable::num(
-                      r.aggregate.mprateMkp(ConfidenceLevel::High), 1),
-                  TextTable::num(r.meanMpki, 3),
-                  TextTable::num(r.meanMpki - baseline.meanMpki, 3)});
+                      row.aggregate.mprateMkp(ConfidenceLevel::High), 1),
+                  TextTable::num(row.meanMpki, 3),
+                  TextTable::num(row.meanMpki - baseline.meanMpki, 3)});
     }
-    if (opt.csv)
-        t.renderCsv(std::cout);
-    else
-        t.render(std::cout);
+    r.addTable(ReportTable{"prob_sweep", "", std::move(t)});
 
-    std::cout << "\nbaseline automaton misp/KI: "
-              << TextTable::num(baseline.meanMpki, 3)
-              << "\nexpected shape: smaller p shrinks high-confidence "
-                 "coverage but cleans its misprediction rate; the "
-                 "accuracy cost of any p stays marginal.\n";
+    r.addBlank();
+    for (size_t i = 0; i < rows.size(); ++i)
+        bench::addRowAnalysis(r, rows[i], specs[i]);
+    r.addText("baseline automaton misp/KI: " +
+              TextTable::num(baseline.meanMpki, 3));
+    r.addText("expected shape: smaller p shrinks high-confidence "
+              "coverage but cleans its misprediction rate; the accuracy "
+              "cost of any p stays marginal.");
+    r.emit(opt.format, std::cout);
     return 0;
 }

@@ -14,7 +14,7 @@
 
 #include <iostream>
 
-#include "bench_figures.hpp"
+#include "bench_common.hpp"
 
 using namespace tagecon;
 
@@ -22,8 +22,7 @@ namespace {
 
 void
 addAggregateSections(Report& r, const std::string& label,
-                     const SweepRow& row,
-                     const tagecon::bench::BenchOptions& opt)
+                     const SweepRow& row)
 {
     const ClassStats& s = row.aggregate;
 
@@ -75,12 +74,7 @@ addAggregateSections(Report& r, const std::string& label,
     r.addTable(ReportTable{"tagged-split-" + toLower(label), "",
                            std::move(tag)});
     r.addBlank();
-
-    if (opt.analysis.enabled()) {
-        for (const auto& rr : row.perTrace)
-            addAnalysisSections(
-                r, rr, toLower(label) + "-" + toLower(rr.traceName));
-    }
+    tagecon::bench::addRowAnalysis(r, row, toLower(label));
 }
 
 } // namespace
@@ -95,10 +89,10 @@ main(int argc, char** argv)
 
     const std::vector<bench::SizeSpec> sizes = {{"16K", "tage16k"},
                                                 {"256K", "tage256k"}};
-    const auto rows = bench::runSetGrid(bench::specsOf(sizes),
-                                        BenchmarkSet::Cbp1, opt);
+    const auto rows = bench::runGrid(bench::specsOf(sizes),
+                                     traceNames(BenchmarkSet::Cbp1), opt);
     for (size_t i = 0; i < rows.size(); ++i)
-        addAggregateSections(r, sizes[i].label, rows[i], opt);
+        addAggregateSections(r, sizes[i].label, rows[i]);
 
     r.addText(
         "paper reference (CBP-1): 16K BIM = 50% preds / 35% misses / "

@@ -14,8 +14,8 @@
  *
  * Flags: --streams=N (default 10000), --branches=N per stream
  * (default 2000), --spec=..., --pool=N, --batch=N, --jobs=a,b,c
- * (worker counts to sweep; default "1,0" where 0 = hardware
- * concurrency), --report=text|csv|json, --csv.
+ * (worker counts to sweep, each 0-1024; default "1,0" where 0 =
+ * hardware concurrency), --report=text|csv|json, --csv.
  */
 
 #include <iostream>
@@ -57,13 +57,13 @@ main(int argc, char** argv)
                            error))
         fatal(error);
 
+    // Range-checked as on every other --jobs; 0 = hardware concurrency.
     std::vector<unsigned> job_counts;
-    for (const auto& item : args.getList("jobs", {"1", "0"})) {
-        const unsigned j =
-            static_cast<unsigned>(std::stoul(item));
+    for (const uint64_t j :
+         args.getUintListInRange("jobs", {1, 0}, 0, 1024))
         job_counts.push_back(
-            j != 0 ? j : std::max(1u, std::thread::hardware_concurrency()));
-    }
+            j != 0 ? static_cast<unsigned>(j)
+                   : std::max(1u, std::thread::hardware_concurrency()));
 
     std::vector<std::string> traces;
     if (!SweepPlan::resolveTraceArgs(args.getList("traces", {"cbp1"}),

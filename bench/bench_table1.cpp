@@ -10,7 +10,7 @@
 
 #include <iostream>
 
-#include "bench_figures.hpp"
+#include "bench_common.hpp"
 #include "tage/tage_config.hpp"
 
 using namespace tagecon;
@@ -48,10 +48,9 @@ main(int argc, char** argv)
     t.addRow(minh);
     t.addRow(maxh);
 
+    const auto sizes = bench::paperSizes();
     const auto rows =
-        bench::runTwoSetGrid(bench::specsOf(bench::paperSizes()),
-                             BenchmarkSet::Cbp1, BenchmarkSet::Cbp2,
-                             opt);
+        bench::runGrid(bench::specsOf(sizes), allTraceNames(), opt);
     const size_t cbp1_traces = traceNames(BenchmarkSet::Cbp1).size();
 
     std::vector<std::string> cbp1_row{"CBP-1 misp/KI"};
@@ -69,6 +68,8 @@ main(int argc, char** argv)
     r.addTable(ReportTable{"table1", "", std::move(t)});
 
     r.addBlank();
+    for (size_t i = 0; i < rows.size(); ++i)
+        bench::addRowAnalysis(r, rows[i], toLower(sizes[i].label));
     r.addText("paper reference (Table 1): CBP-1 4.21 / 2.54 / 2.18,"
               " CBP-2 4.61 / 3.87 / 3.47 misp/KI\n"
               "expected shape: misp/KI decreases with size; CBP-2 is"

@@ -10,7 +10,7 @@
 
 #include <iostream>
 
-#include "bench_figures.hpp"
+#include "bench_common.hpp"
 
 using namespace tagecon;
 
@@ -24,8 +24,7 @@ main(int argc, char** argv)
 
     const auto sizes = bench::paperSizes(/*prob7=*/true);
     const auto rows =
-        bench::runTwoSetGrid(bench::specsOf(sizes), BenchmarkSet::Cbp1,
-                             BenchmarkSet::Cbp2, opt);
+        bench::runGrid(bench::specsOf(sizes), allTraceNames(), opt);
     const size_t cbp1_traces = traceNames(BenchmarkSet::Cbp1).size();
 
     TextTable t = threeClassTable();
@@ -43,6 +42,8 @@ main(int argc, char** argv)
     r.addTable(ReportTable{"table2", "", std::move(t)});
 
     r.addBlank();
+    for (size_t i = 0; i < rows.size(); ++i)
+        bench::addRowAnalysis(r, rows[i], toLower(sizes[i].label));
     r.addText("paper reference (Pcov-MPcov (MPrate)):\n"
               "16K  CBP1 0.690-0.128 (7)   0.254-0.455 (72)  "
               "0.056-0.416 (306)\n"

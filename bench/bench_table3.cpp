@@ -10,7 +10,7 @@
 
 #include <iostream>
 
-#include "bench_figures.hpp"
+#include "bench_common.hpp"
 
 using namespace tagecon;
 
@@ -25,8 +25,7 @@ main(int argc, char** argv)
     const auto sizes =
         bench::paperSizes(/*prob7=*/true, /*adaptive=*/true);
     const auto rows =
-        bench::runTwoSetGrid(bench::specsOf(sizes), BenchmarkSet::Cbp1,
-                             BenchmarkSet::Cbp2, opt);
+        bench::runGrid(bench::specsOf(sizes), allTraceNames(), opt);
     const size_t cbp1_traces = traceNames(BenchmarkSet::Cbp1).size();
 
     TextTable t = threeClassTable();
@@ -44,6 +43,8 @@ main(int argc, char** argv)
     r.addTable(ReportTable{"table3", "", std::move(t)});
 
     r.addBlank();
+    for (size_t i = 0; i < rows.size(); ++i)
+        bench::addRowAnalysis(r, rows[i], toLower(sizes[i].label));
     r.addText("paper reference (Pcov-MPcov (MPrate)):\n"
               "16K  CBP1 0.758-0.167 (8)   0.187-0.423 (92)   "
               "0.053-0.409 (311)\n"

@@ -7,9 +7,9 @@
  * TAGE predictor, evaluated with Grunwald's binary metrics
  * (SENS / PVP / SPEC / PVN).
  *
- * The whole experiment is one declarative SweepPlan — rows are
- * registry specs, columns are all 40 traces of both benchmark sets —
- * executed by the shared parallel sweep runner (--jobs=N; results are
+ * The whole experiment is one declarative grid — rows are registry
+ * specs, columns are all 40 traces of both benchmark sets — executed
+ * by the shared parallel sweep runner (--jobs=N; results are
  * bit-identical at any thread count). Override the lineup with
  * --predictors=spec1,spec2,...
  */
@@ -18,40 +18,28 @@
 
 #include "bench_common.hpp"
 #include "core/estimators.hpp"
-#include "sim/sweep.hpp"
-#include "util/table_printer.hpp"
 
 using namespace tagecon;
 
 int
 main(int argc, char** argv)
 {
-    const auto opt = bench::parseOptions(argc, argv, /*structured_output=*/false);
-    bench::printHeader("Storage-free vs JRS confidence (64Kbit TAGE, "
-                       "both benchmark sets)",
-                       "Seznec, RR-7371 / HPCA 2011, Sec. 2.2 context",
-                       opt, /*show_jobs=*/true);
+    const auto opt = bench::parseOptions(
+        argc, argv,
+        {"tage64k+prob7+sfc", "tage64k+prob7+jrs", "tage64k+prob7+jrsg"});
+    Report r = bench::makeReport(
+        "vs_jrs",
+        "Storage-free vs JRS confidence (64Kbit TAGE, both benchmark "
+        "sets)",
+        "Seznec, RR-7371 / HPCA 2011, Sec. 2.2 context", opt);
 
-    std::vector<std::string> specs = opt.predictors;
-    if (specs.empty())
-        specs = {"tage64k+prob7+sfc", "tage64k+prob7+jrs",
-                 "tage64k+prob7+jrsg"};
-
-    const SweepPlan plan = SweepPlan::over(
-        specs, allTraceNames(), opt.branchesPerTrace, opt.seedSalt);
-    const auto rows = runSweepRows(plan, {opt.jobs});
+    const auto rows = bench::runGrid(opt.predictors, allTraceNames(), opt);
 
     TextTable t;
     t.addColumn("estimator", TextTable::Align::Left);
     t.addColumn("extra storage");
-    t.addColumn("high cov");
-    t.addColumn("SENS");
-    t.addColumn("PVP");
-    t.addColumn("SPEC");
-    t.addColumn("PVN");
+    addBinaryMetricColumns(t);
     for (const auto& row : rows) {
-        const auto confusion =
-            BinaryConfidenceMetrics::fromClassStats(row.aggregate);
         // Storage the estimator costs on top of its own host.
         const auto probe = makePredictor(row.spec);
         uint64_t extra_bits = 0;
@@ -59,21 +47,19 @@ main(int argc, char** argv)
                 dynamic_cast<const EstimatedPredictor*>(probe.get()))
             extra_bits = est->estimator().storageBits();
 
-        t.addRow({row.spec,
-                  std::to_string(extra_bits / 1024) + " Kbit",
-                  TextTable::frac(confusion.highCoverage()),
-                  TextTable::frac(confusion.sens()),
-                  TextTable::frac(confusion.pvp()),
-                  TextTable::frac(confusion.spec()),
-                  TextTable::frac(confusion.pvn())});
+        std::vector<std::string> cells = {
+            row.spec, std::to_string(extra_bits / 1024) + " Kbit"};
+        addBinaryMetricCells(cells, row.aggregate);
+        t.addRow(std::move(cells));
     }
-    if (opt.csv)
-        t.renderCsv(std::cout);
-    else
-        t.render(std::cout);
+    r.addTable(ReportTable{"estimators", "", std::move(t)});
 
-    std::cout << "\nexpected shape: the storage-free estimator matches "
-                 "or beats the 16Kbit JRS tables on PVP/SPEC at zero "
-                 "storage cost (the paper's core claim).\n";
+    r.addBlank();
+    for (size_t i = 0; i < rows.size(); ++i)
+        bench::addRowAnalysis(r, rows[i], "row" + std::to_string(i));
+    r.addText("expected shape: the storage-free estimator matches or "
+              "beats the 16Kbit JRS tables on PVP/SPEC at zero storage "
+              "cost (the paper's core claim).");
+    r.emit(opt.format, std::cout);
     return 0;
 }

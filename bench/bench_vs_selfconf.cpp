@@ -13,67 +13,53 @@
  * Each predictor is evaluated with its own confidence scheme on its
  * own predictions (self-confidence is inseparable from its host), so
  * the comparison covers both accuracy and confidence quality. The
- * experiment is one declarative SweepPlan over the shared parallel
- * runner (--jobs=N); override the lineup with
- * --predictors=spec1,spec2,...
+ * experiment is one declarative grid over the shared parallel runner
+ * (--jobs=N); override the lineup with --predictors=spec1,spec2,...
  */
 
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/sweep.hpp"
-#include "util/table_printer.hpp"
 
 using namespace tagecon;
 
 int
 main(int argc, char** argv)
 {
-    const auto opt = bench::parseOptions(argc, argv, /*structured_output=*/false);
-    bench::printHeader("Self-confidence comparison: TAGE storage-free "
-                       "vs O-GEHL vs perceptron",
-                       "Seznec, RR-7371 / HPCA 2011, Sec. 2.2", opt,
-                       /*show_jobs=*/true);
+    const auto opt = bench::parseOptions(
+        argc, argv, {"tage64k+prob7+sfc", "ogehl+self", "perceptron+self"});
+    Report r = bench::makeReport(
+        "vs_selfconf",
+        "Self-confidence comparison: TAGE storage-free vs O-GEHL vs "
+        "perceptron",
+        "Seznec, RR-7371 / HPCA 2011, Sec. 2.2", opt);
 
-    std::vector<std::string> specs = opt.predictors;
-    if (specs.empty())
-        specs = {"tage64k+prob7+sfc", "ogehl+self", "perceptron+self"};
-
-    const SweepPlan plan = SweepPlan::over(
-        specs, allTraceNames(), opt.branchesPerTrace, opt.seedSalt);
-    const auto rows = runSweepRows(plan, {opt.jobs});
+    const auto rows = bench::runGrid(opt.predictors, allTraceNames(), opt);
 
     TextTable t;
     t.addColumn("predictor + confidence", TextTable::Align::Left);
     t.addColumn("storage (Kbit)");
     t.addColumn("misp rate (MKP)");
-    t.addColumn("high cov");
-    t.addColumn("SENS");
-    t.addColumn("PVP");
-    t.addColumn("SPEC");
-    t.addColumn("PVN");
+    addBinaryMetricColumns(t);
     for (const auto& row : rows) {
-        const auto confusion =
-            BinaryConfidenceMetrics::fromClassStats(row.aggregate);
-        t.addRow({row.spec,
-                  TextTable::num(
-                      static_cast<double>(row.storageBits) / 1024.0, 0),
-                  TextTable::num(row.aggregate.totalMkp(), 1),
-                  TextTable::frac(confusion.highCoverage()),
-                  TextTable::frac(confusion.sens()),
-                  TextTable::frac(confusion.pvp()),
-                  TextTable::frac(confusion.spec()),
-                  TextTable::frac(confusion.pvn())});
+        std::vector<std::string> cells = {
+            row.spec,
+            TextTable::num(static_cast<double>(row.storageBits) / 1024.0,
+                           0),
+            TextTable::num(row.aggregate.totalMkp(), 1)};
+        addBinaryMetricCells(cells, row.aggregate);
+        t.addRow(std::move(cells));
     }
-    if (opt.csv)
-        t.renderCsv(std::cout);
-    else
-        t.render(std::cout);
+    r.addTable(ReportTable{"predictors", "", std::move(t)});
 
-    std::cout << "\npaper anchors (Sec. 2.2): O-GEHL self-confidence "
-                 "PVN ~ 1/3, SPEC ~ 1/2.\n"
-                 "expected shape: the TAGE storage-free scheme clearly "
-                 "exceeds the self-confidence SPEC while TAGE is also "
-                 "the most accurate predictor.\n";
+    r.addBlank();
+    for (size_t i = 0; i < rows.size(); ++i)
+        bench::addRowAnalysis(r, rows[i], "row" + std::to_string(i));
+    r.addText("paper anchors (Sec. 2.2): O-GEHL self-confidence PVN ~ "
+              "1/3, SPEC ~ 1/2.");
+    r.addText("expected shape: the TAGE storage-free scheme clearly "
+              "exceeds the self-confidence SPEC while TAGE is also the "
+              "most accurate predictor.");
+    r.emit(opt.format, std::cout);
     return 0;
 }

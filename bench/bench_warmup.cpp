@@ -7,7 +7,7 @@
  * the medium-conf-bim coverage over consecutive intervals of the
  * stream, on a phased trace (SERV-2) and a stationary one (FP-1).
  *
- * Declarative: each panel is a one-cell SweepPlan with the
+ * Declarative: each panel is a one-cell grid with the
  * IntervalObserver attached; the table is rendered from the run's
  * RunAnalysis::intervals — the bench owns no simulation loop.
  *
@@ -17,9 +17,10 @@
  * detector.
  */
 
+#include <algorithm>
 #include <iostream>
 
-#include "bench_figures.hpp"
+#include "bench_common.hpp"
 
 using namespace tagecon;
 
@@ -28,21 +29,11 @@ namespace {
 void
 analyze(Report& r, const std::string& trace_name,
         const std::string& label, const std::string& spec,
-        uint64_t default_interval,
         const tagecon::bench::BenchOptions& opt)
 {
-    SweepPlan plan = SweepPlan::over({spec}, {trace_name},
-                                     opt.branchesPerTrace, opt.seedSalt);
-    plan.analysis = opt.analysis;
-    // The bench needs the interval view; install it with its default
-    // window, but an explicit --analysis=intervals:len=N wins.
-    if (!plan.analysis.intervals) {
-        plan.analysis.intervals = true;
-        plan.analysis.intervalLength = default_interval;
-    }
-    const uint64_t interval = plan.analysis.intervalLength;
-    auto results = runSweep(plan, SweepOptions{opt.jobs, {}});
-    RunResult& rr = results.front();
+    const uint64_t interval = opt.analysis.intervalLength;
+    auto rows = tagecon::bench::runGrid({spec}, {trace_name}, opt);
+    RunResult& rr = rows.front().perTrace.front();
     const IntervalAnalysis& ia = *rr.analysis.intervals;
 
     TextTable t;
@@ -77,10 +68,8 @@ analyze(Report& r, const std::string& trace_name,
     // report through the standard analysis sections; the interval view
     // is already printed above in its historical shape, so its slot is
     // dropped (in place — the run result is not reused afterwards).
-    if (opt.analysis.enabled()) {
-        rr.analysis.intervals.reset();
-        addAnalysisSections(r, rr, toLower(trace_name));
-    }
+    rr.analysis.intervals.reset();
+    tagecon::bench::addRowAnalysis(r, rows.front(), "");
 }
 
 } // namespace
@@ -88,17 +77,22 @@ analyze(Report& r, const std::string& trace_name,
 int
 main(int argc, char** argv)
 {
-    const auto opt = bench::parseOptions(argc, argv);
+    auto opt = bench::parseOptions(argc, argv);
+    // The bench needs the interval view; install it with a tenth of
+    // the trace as its window, but an explicit
+    // --analysis=intervals:len=N wins.
+    if (!opt.analysis.intervals) {
+        opt.analysis.intervals = true;
+        opt.analysis.intervalLength =
+            std::max<uint64_t>(1, opt.branchesPerTrace / 10);
+    }
     Report r = bench::makeReport(
         "warmup",
         "Warming / phase-change analysis of the BIM classes",
         "Seznec, RR-7371 / HPCA 2011, Sec. 5.1", opt);
 
-    const uint64_t interval = opt.branchesPerTrace / 10 == 0
-                                  ? 1
-                                  : opt.branchesPerTrace / 10;
-    analyze(r, "SERV-2", "16K", "tage16k", interval, opt);
-    analyze(r, "FP-1", "256K", "tage256k", interval, opt);
+    analyze(r, "SERV-2", "16K", "tage16k", opt);
+    analyze(r, "FP-1", "256K", "tage256k", opt);
 
     r.addText("expected shape: interval 0 carries the warming spike "
               "(highest BIM MKP); the phased SERV trace keeps "

@@ -31,8 +31,11 @@ main(int argc, char** argv)
     const std::string spec = args.getString("predictor", "tage64k+sfc");
     const uint64_t branches = args.getUint("branches", 1000000);
 
-    const BenchmarkSet set = set_name == "cbp2" ? BenchmarkSet::Cbp2
-                                                : BenchmarkSet::Cbp1;
+    BenchmarkSet set = BenchmarkSet::Cbp1;
+    if (set_name == "cbp2")
+        set = BenchmarkSet::Cbp2;
+    else if (set_name != "cbp1")
+        fatal("--set must be cbp1 or cbp2");
     std::string error;
     auto probe = tryMakePredictor(spec, &error);
     if (!probe)

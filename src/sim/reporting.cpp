@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "core/binary_metrics.hpp"
 #include "util/logging.hpp"
 
 namespace tagecon {
@@ -159,6 +160,23 @@ threeClassTable()
     t.addColumn("medium conf");
     t.addColumn("low conf");
     return t;
+}
+
+void
+addBinaryMetricColumns(TextTable& t)
+{
+    for (const char* name : {"high cov", "SENS", "PVP", "SPEC", "PVN"})
+        t.addColumn(name);
+}
+
+void
+addBinaryMetricCells(std::vector<std::string>& row,
+                     const ClassStats& stats)
+{
+    const auto m = BinaryConfidenceMetrics::fromClassStats(stats);
+    for (const double ratio :
+         {m.highCoverage(), m.sens(), m.pvp(), m.spec(), m.pvn()})
+        row.push_back(TextTable::frac(ratio));
 }
 
 std::string

@@ -88,6 +88,19 @@ std::vector<std::string> threeClassRow(const std::string& label,
 /** Build the Table 2/3 skeleton (header columns). */
 TextTable threeClassTable();
 
+/**
+ * Append the binary confidence columns of Grunwald et al. (Sec. 2.2):
+ * high cov, SENS, PVP, SPEC and PVN.
+ */
+void addBinaryMetricColumns(TextTable& t);
+
+/**
+ * Append the cells of those columns to @p row: each ratio of
+ * BinaryConfidenceMetrics::fromClassStats(@p stats) as a fraction.
+ */
+void addBinaryMetricCells(std::vector<std::string>& row,
+                          const ClassStats& stats);
+
 /** Render a one-line summary of a RunResult (debugging / examples). */
 std::string summarize(const RunResult& result);
 

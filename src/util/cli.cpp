@@ -7,6 +7,34 @@
 
 namespace tagecon {
 
+namespace {
+
+/** @p text as an unsigned value of --@p name, or fatal() naming it. */
+uint64_t
+uintOrFatal(const std::string& name, const std::string& text)
+{
+    uint64_t v = 0;
+    std::string why;
+    if (!parseUint64(text, v, why))
+        fatal("flag --" + name + " expects an unsigned integer, got '" +
+              text + "' (" + why + ")");
+    return v;
+}
+
+/** @p v, or fatal() naming --@p name when outside [min, max]. */
+uint64_t
+inRangeOrFatal(const std::string& name, uint64_t v, uint64_t min,
+               uint64_t max)
+{
+    if (v < min || v > max)
+        fatal("flag --" + name + " expects a value between " +
+              std::to_string(min) + " and " + std::to_string(max) +
+              ", got " + std::to_string(v));
+    return v;
+}
+
+} // namespace
+
 CliArgs::CliArgs(int argc, const char* const* argv)
 {
     for (int i = 1; i < argc; ++i) {
@@ -63,26 +91,28 @@ uint64_t
 CliArgs::getUint(const std::string& name, uint64_t def) const
 {
     const auto it = flags_.find(name);
-    if (it == flags_.end())
-        return def;
-    uint64_t v = 0;
-    std::string why;
-    if (!parseUint64(it->second, v, why))
-        fatal("flag --" + name + " expects an unsigned integer, got '" +
-              it->second + "' (" + why + ")");
-    return v;
+    return it == flags_.end() ? def : uintOrFatal(name, it->second);
 }
 
 uint64_t
 CliArgs::getUintInRange(const std::string& name, uint64_t def,
                         uint64_t min, uint64_t max) const
 {
-    const uint64_t v = getUint(name, def);
-    if (v < min || v > max)
-        fatal("flag --" + name + " expects a value between " +
-              std::to_string(min) + " and " + std::to_string(max) +
-              ", got " + std::to_string(v));
-    return v;
+    return inRangeOrFatal(name, getUint(name, def), min, max);
+}
+
+std::vector<uint64_t>
+CliArgs::getUintListInRange(const std::string& name,
+                            const std::vector<uint64_t>& def,
+                            uint64_t min, uint64_t max) const
+{
+    if (!has(name))
+        return def;
+    std::vector<uint64_t> values;
+    for (const auto& item : getList(name))
+        values.push_back(
+            inRangeOrFatal(name, uintOrFatal(name, item), min, max));
+    return values;
 }
 
 double

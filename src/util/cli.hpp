@@ -48,6 +48,16 @@ class CliArgs
     uint64_t getUintInRange(const std::string& name, uint64_t def,
                             uint64_t min, uint64_t max) const;
 
+    /**
+     * Comma-separated unsigned list of --name, or @p def when absent;
+     * each item is parsed and range-checked as getUintInRange() checks
+     * one value ("--jobs=1,0,4").
+     */
+    std::vector<uint64_t>
+    getUintListInRange(const std::string& name,
+                       const std::vector<uint64_t>& def, uint64_t min,
+                       uint64_t max) const;
+
     /** Double value of --name, or @p def when absent; fatal() on junk. */
     double getDouble(const std::string& name, double def) const;
 

@@ -78,6 +78,46 @@ TEST(Reporting, ThreeClassRowFormat)
     EXPECT_EQ(row[3], "0.050-0.465 (400)");
 }
 
+// The Grunwald columns every comparison table shares: one header per
+// ratio of BinaryConfidenceMetrics::fromClassStats(), each cell that
+// ratio as a fraction, also when every denominator is 0.
+TEST(Reporting, BinaryMetricCellsAreTheFromClassStatsFractions)
+{
+    TextTable t;
+    addBinaryMetricColumns(t);
+    EXPECT_EQ(t.headers(), (std::vector<std::string>{
+                               "high cov", "SENS", "PVP", "SPEC", "PVN"}));
+
+    ClassStats s;
+    for (int i = 0; i < 800; ++i)
+        s.record(PredictionClass::HighConfBim, i < 8, 1);
+    for (int i = 0; i < 150; ++i)
+        s.record(PredictionClass::NStag, i < 15, 1);
+    for (int i = 0; i < 50; ++i)
+        s.record(PredictionClass::Wtag, i < 20, 1);
+
+    for (const ClassStats& stats : {s, ClassStats{}}) {
+        const auto m = BinaryConfidenceMetrics::fromClassStats(stats);
+        std::vector<std::string> row{"label"};
+        addBinaryMetricCells(row, stats);
+        EXPECT_EQ(row, (std::vector<std::string>{
+                           "label", TextTable::frac(m.highCoverage()),
+                           TextTable::frac(m.sens()),
+                           TextTable::frac(m.pvp()),
+                           TextTable::frac(m.spec()),
+                           TextTable::frac(m.pvn())}));
+    }
+
+    // high: 792 right, 8 wrong; low: 165 right, 35 wrong.
+    std::vector<std::string> row;
+    addBinaryMetricCells(row, s);
+    EXPECT_EQ(row, (std::vector<std::string>{"0.800", "0.828", "0.990",
+                                             "0.814", "0.175"}));
+    row.clear();
+    addBinaryMetricCells(row, ClassStats{});
+    EXPECT_EQ(row, std::vector<std::string>(5, "0.000"));
+}
+
 TEST(Reporting, SummarizeMentionsTraceAndConfig)
 {
     const RunResult r =

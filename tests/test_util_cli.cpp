@@ -94,6 +94,34 @@ TEST(Cli, RejectUnknownFlagsNamesTheFlagAndTheKnownList)
     parse({}).rejectUnknownFlags({});
 }
 
+TEST(Cli, UintListParsesEveryItem)
+{
+    const CliArgs a = parse({"--jobs=1,0,,1024"});
+    EXPECT_EQ(a.getUintListInRange("jobs", {7}, 0, 1024),
+              (std::vector<uint64_t>{1, 0, 1024}));
+    EXPECT_EQ(a.getUintListInRange("absent", {1, 0}, 0, 1024),
+              (std::vector<uint64_t>{1, 0}));
+}
+
+TEST(Cli, UintListItemsAreStrictAndRangeChecked)
+{
+    // Each item is parsed like one getUintInRange() value: junk,
+    // trailing garbage and a sign are fatal rather than truncated or
+    // wrapped, and the error names the flag.
+    for (const char* bad :
+         {"--jobs=abc", "--jobs=1x", "--jobs=-1", "--jobs=2,-1"}) {
+        const CliArgs a = parse({bad});
+        EXPECT_EXIT(a.getUintListInRange("jobs", {1}, 0, 1024),
+                    ::testing::ExitedWithCode(1),
+                    "flag --jobs expects an unsigned integer")
+            << bad;
+    }
+    const CliArgs a = parse({"--jobs=1,1025"});
+    EXPECT_EXIT(a.getUintListInRange("jobs", {1}, 0, 1024),
+                ::testing::ExitedWithCode(1),
+                "flag --jobs expects a value between 0 and 1024, got 1025");
+}
+
 TEST(Cli, MalformedIntegerIsFatal)
 {
     const CliArgs a = parse({"--n=abc"});

@@ -6,7 +6,9 @@
 # Runs one fixed catalogue of commands in each build directory and
 # compares what they print, byte for byte:
 #   - every figure, table, ablation and comparison bench at
-#     --branches=20000 (one also with --analysis=histogram,burst);
+#     --branches=20000 (bench_figure2 also with
+#     --analysis=histogram,burst, bench_table1 with
+#     --analysis=histogram);
 #   - tagecon_sweep with --per-trace --csv, with --baseline, and with
 #     all five observers in a JSON report;
 #   - tagecon_serve --per-stream --digests --csv over the CI serving
@@ -14,8 +16,11 @@
 #   - the examples, including the trace files make_traces writes;
 #   - an error section: invalid specs and flags on tagecon_sweep,
 #     bench_vs_selfconf and example_quickstart, a repeated observer on
-#     bench_figure2, an unknown --trace on example_fetch_gating, and
-#     tagecon_trace convert to a full disk.
+#     bench_vs_selfconf and bench_figure2, --predictors on a bench
+#     without a lineup, a malformed --jobs list on bench_serving, an
+#     unknown --set on example_confidence_explorer, an unknown --trace
+#     on example_fetch_gating, tagecon_trace inspect of a missing file
+#     and tagecon_trace convert to a full disk.
 #     These keep stderr too, so a reworded message, or a fatal() that
 #     became a panic (exit 134), shows as a difference.
 # Every command's output is a pure function of its flags, so two builds
@@ -78,6 +83,8 @@ catalogue() {
     done
     run bench_figure2_analysis bench_figure2 $n --jobs=2 \
         --analysis=histogram,burst
+    run bench_table1_analysis bench_table1 $n --jobs=2 \
+        --analysis=histogram
 
     local grid=tage16k+prob7+sfc,tage64k:ctr=4+sfc,ltage16k+sfc
     grid+=,tage64k+prob7+adaptive+sfc,gshare:hist=17+jrs,perceptron+sfc
@@ -157,6 +164,15 @@ errors() {
         --trace=no-such-trace $n
     run_err err_trace_full_disk tagecon_trace convert --from=MM-3 \
         --out=/dev/full --branches=30000
+    run_err err_table1_predictors bench_table1 $n --predictors=gshare
+    # Small sizes: a build without the strict --jobs parse runs "1x".
+    for jobs in abc 1x; do
+        run_err "err_serving_jobs_$jobs" bench_serving --jobs=$jobs \
+            --streams=100 --branches=500
+    done
+    run_err err_explorer_set example_confidence_explorer --set=bogus $n
+    run_err err_trace_inspect_missing tagecon_trace inspect \
+        --in=/nonexistent.tcbt
 }
 
 for side in base head; do

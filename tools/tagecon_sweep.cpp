@@ -81,11 +81,7 @@ addMetricColumns(TextTable& t, bool with_baseline)
         t.addColumn("d-misp/KI");
         t.addColumn("d-MKP");
     }
-    t.addColumn("high cov");
-    t.addColumn("SENS");
-    t.addColumn("PVP");
-    t.addColumn("SPEC");
-    t.addColumn("PVN");
+    addBinaryMetricColumns(t);
     t.addColumn("storage (Kbit)");
 }
 
@@ -93,7 +89,6 @@ std::vector<std::string>
 metricCells(const ClassStats& stats, double mpki, uint64_t storage_bits,
             const double* base_mpki, const double* base_mkp)
 {
-    const auto confusion = BinaryConfidenceMetrics::fromClassStats(stats);
     std::vector<std::string> cells = {
         TextTable::num(mpki, 3), TextTable::num(stats.totalMkp(), 1)};
     if (base_mpki != nullptr) {
@@ -101,14 +96,9 @@ metricCells(const ClassStats& stats, double mpki, uint64_t storage_bits,
         cells.push_back(
             TextTable::num(stats.totalMkp() - *base_mkp, 1));
     }
-    const std::vector<std::string> rest = {
-        TextTable::frac(confusion.highCoverage()),
-        TextTable::frac(confusion.sens()),
-        TextTable::frac(confusion.pvp()),
-        TextTable::frac(confusion.spec()),
-        TextTable::frac(confusion.pvn()),
-        TextTable::num(static_cast<double>(storage_bits) / 1024.0, 1)};
-    cells.insert(cells.end(), rest.begin(), rest.end());
+    addBinaryMetricCells(cells, stats);
+    cells.push_back(
+        TextTable::num(static_cast<double>(storage_bits) / 1024.0, 1));
     return cells;
 }
 

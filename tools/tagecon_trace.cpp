@@ -145,6 +145,14 @@ cmdInspect(const CliArgs& args)
             fatal(probed.error().detail);
         info = probed.take();
     }
+    // Read the whole trace before printing, so a file that fails to
+    // open or read leaves stdout empty.
+    const TraceStats s = collectStats(*openOrFatal("file:" + path, 0));
+    if (is_tcbt && s.records != info.records)
+        fatal("'" + path + "' header promises " +
+              std::to_string(info.records) + " records but " +
+              std::to_string(s.records) + " were read");
+
     std::cout << "file:    " << path << "\n";
     if (is_tcbt) {
         std::cout << "format:  tcbt (binary, version "
@@ -159,7 +167,6 @@ cmdInspect(const CliArgs& args)
                   << "name:    " << cbpAsciiTraceName(path) << "\n";
     }
 
-    const TraceStats s = collectStats(*openOrFatal("file:" + path, 0));
     const double taken_pct =
         s.records == 0
             ? 0.0
@@ -171,10 +178,6 @@ cmdInspect(const CliArgs& args)
               << "instrs:  " << s.instructions
               << " (including the branches)\n"
               << "static:  " << s.uniquePcs << " unique branch PCs\n";
-    if (is_tcbt && s.records != info.records)
-        fatal("'" + path + "' header promises " +
-              std::to_string(info.records) + " records but " +
-              std::to_string(s.records) + " were read");
     return 0;
 }
 
