@@ -17,6 +17,11 @@
  *  - BM_GradedPredictManyLargeArena: the same step on a geometry whose
  *    tagged arena is several MiB (tage256k:logent=17+prob7+sfc),
  *    beyond every paper budget and most caches,
+ *  - BM_SweepColumnShared: tage64k+prob7+sfc and
+ *    tage64k+prob7+adaptive+sfc over one 20000-branch trace through
+ *    runTrace(), /0 as two one-spec columns, /1 as one column whose
+ *    adaptive stack follows the other's lookup rows (a lookup group,
+ *    sim/experiment.hpp); items are branches of either stack,
  *  - BM_TagePredictOnly: the lookup path alone on warmed tables (the
  *    training path has no row of its own: update() trains from the
  *    lookup its paired predict() left in the predictor, so it cannot
@@ -62,6 +67,7 @@
 #include "core/confidence_observer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_trace.hpp"
+#include "sim/experiment.hpp"
 #include "sim/registry.hpp"
 #include "tage/tage_predictor.hpp"
 #include "trace/profiles.hpp"
@@ -189,6 +195,37 @@ void
 BM_GradedPredictManyLargeArena(benchmark::State& state)
 {
     gradedPredictMany(state, kLargeArenaSpecs[state.range(0)]);
+}
+
+void
+BM_SweepColumnShared(benchmark::State& state)
+{
+    constexpr uint64_t kBranches = 20000;
+    static const VectorTrace shared_trace = [] {
+        SyntheticTrace src = makeTrace("INT-1", kBranches);
+        return materialize(src, kBranches);
+    }();
+    VectorTrace trace = shared_trace;
+    const auto plain = makePredictor("tage64k+prob7+sfc");
+    const auto adaptive = makePredictor("tage64k+prob7+adaptive+sfc");
+    GradedPredictor* const column[] = {plain.get(), adaptive.get()};
+    const bool shared = state.range(0) != 0;
+    for (auto _ : state) {
+        for (GradedPredictor* const p : column)
+            p->reset();
+        if (shared) {
+            trace.reset();
+            benchmark::DoNotOptimize(runTrace(trace, column));
+        } else {
+            for (GradedPredictor* const p : column) {
+                trace.reset();
+                benchmark::DoNotOptimize(runTrace(trace, *p));
+            }
+        }
+    }
+    state.SetLabel(shared ? "one shared column" : "two one-spec columns");
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
+                            static_cast<int64_t>(kBranches));
 }
 
 void
@@ -450,6 +487,7 @@ BENCHMARK(BM_TagePredictUpdateBatched)
     ->ArgsProduct({{0, 1, 2}, {16, 64, 512}});
 BENCHMARK(BM_GradedPredictMany)->DenseRange(0, 3);
 BENCHMARK(BM_GradedPredictManyLargeArena)->Arg(0);
+BENCHMARK(BM_SweepColumnShared)->Arg(0)->Arg(1);
 BENCHMARK(BM_TagePredictOnly)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TageAllocationStorm)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_TagePredictUpdateClassify)->Arg(0)->Arg(1)->Arg(2);

@@ -37,6 +37,8 @@
 
 namespace tagecon {
 
+class TagePredictor;
+
 /**
  * One graded prediction: the architectural direction plus the
  * confidence grade attached to it, and an opaque payload slot the
@@ -166,6 +168,14 @@ class GradedPredictor
      * 0 when the predictor has none. Surfaced in RunResult.
      */
     virtual unsigned satLog2Prob() const { return 0; }
+
+    /**
+     * The TAGE predictor this stack steps, or null for every other
+     * family. A sweep column binds the TAGE stacks of one lookup
+     * geometry to one index pass through it (TagePredictor::follow(),
+     * sim/experiment.hpp); nothing else should step it directly.
+     */
+    virtual TagePredictor* tagePredictor() { return nullptr; }
 
     /**
      * Serialize the complete architectural state into @p out so a
@@ -328,6 +338,13 @@ class EstimatedPredictor : public GradedPredictor
     uint64_t allocations() const override { return host_->allocations(); }
 
     unsigned satLog2Prob() const override { return host_->satLog2Prob(); }
+
+    /** The host's TAGE: the estimator never enters a lookup. */
+    TagePredictor*
+    tagePredictor() override
+    {
+        return host_->tagePredictor();
+    }
 
     /** The host's state, then the estimator's. */
     bool

@@ -14,7 +14,9 @@
  * callers: runTrace(), with one predictor, or with several in
  * lockstep when the sweep runs a column of cells over one trace
  * (sim/sweep.hpp), and the serving engine's scheduling turn, with the
- * stream's one predictor.
+ * stream's one predictor. Among several, the TAGE stacks of one lookup
+ * geometry form a lookup group: the first indexes each block, and the
+ * others resolve it from its lookup rows (TagePredictor::follow()).
  */
 
 #ifndef TAGECON_SIM_EXPERIMENT_HPP
@@ -93,6 +95,12 @@ struct DriveSink {
 
     /** Fed each element in stream order; may be empty. */
     std::span<const std::unique_ptr<RunObserver>> observers;
+
+    /**
+     * The sinks right after this one whose TAGE predictors follow
+     * this one's lookup rows (TagePredictor::follow()); 0 when none.
+     */
+    size_t followers = 0;
 };
 
 /**
@@ -102,11 +110,14 @@ struct DriveSink {
  * to the scalar predict/update loop by contract), fold each element
  * into its stats and hand the elements, in order, to its observers —
  * repeated until @p max_branches branches were consumed or the trace
- * ended. Every sink thus sees the records it would see
+ * ended. A sink with followers and its followers step together
+ * instead, one TagePredictor::kBatchBlock block at a time, the leader
+ * first, so each follower resolves a block while the leader's rows
+ * are still in L1. Every sink thus sees the records it would see
  * driven alone, and memory stays at one chunk however many sinks
- * share it. Observers see each element after its chunk has trained,
- * which is equivalent because they see only the stream; their index
- * counts from 0 at this call.
+ * share it. Observers see each element after its chunk (or block) has
+ * trained, which is equivalent because they see only the stream;
+ * their index counts from 0 at this call.
  *
  * Returns the branches consumed. A short count means the trace ended —
  * cleanly or not: the caller checks trace.lastError().
@@ -126,10 +137,20 @@ RunResult runTrace(TraceSource& trace, GradedPredictor& predictor,
                    const AnalysisConfig& analysis = {});
 
 /**
- * Simulate @p trace once for every predictor of @p predictors in
- * lockstep, each with its own pipeline built from @p analysis: result
- * k equals what runTrace(trace, *predictors[k], analysis) returns on
- * its own copy of the trace, and the trace is generated or read once.
+ * Simulate @p trace once for every predictor of @p predictors (distinct
+ * objects) in lockstep, each with its own pipeline built from
+ * @p analysis: result k equals what runTrace(trace, *predictors[k],
+ * analysis) returns on its own copy of the trace, and the trace is
+ * generated or read once.
+ *
+ * The TAGE stacks (GradedPredictor::tagePredictor()) of one lookup
+ * geometry (TageConfig::sameLookupGeometry()) that stand at the same
+ * point of their streams (TagePredictor::canFollow(); fresh
+ * predictors always do) form a lookup group: the first in span order
+ * indexes each block and the others follow its rows for the drive,
+ * then take its histories, so every predictor ends in the state,
+ * snapshot() bytes included, of a solo run. Each follower adds one to
+ * the sweep.cells.following counter.
  */
 std::vector<RunResult>
 runTrace(TraceSource& trace, std::span<GradedPredictor* const> predictors,

@@ -20,13 +20,19 @@
  * and steps a fresh predictor per cell over each chunk in lockstep
  * (runTrace() over several predictors, sim/experiment.hpp), so the
  * paper grid makes each stream once instead of once per spec, and
- * memory stays at one chunk plus the column's predictors.
+ * memory stays at one chunk plus the column's predictors. Within a
+ * column, the TAGE stacks of one lookup geometry form a lookup group
+ * and index each block once: the first in plan order indexes, the
+ * others resolve and train from its lookup rows. Nothing selects
+ * this; a column shares whenever two of its stacks match, and a
+ * one-spec column (runSweepCell()) shares nothing.
  *
  * Determinism: columns share no state (fresh predictors and trace per
  * column, no globals), each synthetic trace derives its seed purely
  * from (profile seed XOR plan.seedSalt) while a file-backed column
  * streams through its own reader handle, a cell's predictor sees
- * exactly the records it would see alone, and results land in a
+ * exactly the records it would see alone and, in a lookup group, the
+ * very lookups it would make alone, and results land in a
  * preallocated slot indexed by cell position — thread count and
  * scheduling cannot change any output bit.
  */
@@ -185,10 +191,11 @@ struct SweepOptions {
 
 /**
  * Run one cell: a column of one, so a fresh trace + fresh predictor
- * through runTrace(). fatal()s with the trace's error when it fails to
- * open or fails mid-stream (a malformed record is named by file and
- * line); a spec SweepPlan::validate() rejects panics. Every cell
- * runSweep() returns equals runSweepCell() of it.
+ * through runTrace(), sharing no lookup. fatal()s with the trace's
+ * error when it fails to open or fails mid-stream (a malformed record
+ * is named by file and line); a spec SweepPlan::validate() rejects
+ * panics. Every cell runSweep() returns equals runSweepCell() of it,
+ * lookup groups included: it is the solo oracle.
  */
 [[nodiscard]] RunResult runSweepCell(const SweepCell& cell);
 
@@ -200,6 +207,9 @@ struct SweepOptions {
  * split. The executed cells are grouped into columns by trace key in
  * plan order, and columns are what the pool schedules: a plan with
  * fewer distinct traces than @p opt.jobs uses one worker per trace.
+ * A column's TAGE stacks of one lookup geometry share one index pass
+ * (see above); sweep.cells.following counts the cells that resolved
+ * from another cell's lookup rows, the same at any @p opt.jobs.
  * Each column opens one trace source (trace.sources.opened counts
  * columns), records one "sweep.column" span whose detail names the
  * trace and its specs, and one sweep.cell.ns sample. A column keeps

@@ -7,7 +7,8 @@
 namespace tagecon {
 
 GradedTage::GradedTage(TageConfig config, GradedTageOptions opt)
-    : predictor_(std::move(config)), observer_(opt.bimWindow)
+    : predictor_(std::move(config)), observer_(opt.bimWindow),
+      rawBatch_(TagePredictor::kBatchBlock)
 {
     if (opt.adaptive) {
         TAGECON_ASSERT(predictor_.config().probabilisticSaturation,
@@ -96,70 +97,72 @@ GradedTage::predictMany(std::span<const uint64_t> pcs,
                         std::span<const uint8_t> taken,
                         std::span<Prediction> out)
 {
-    // The controller feeds back only through the element whose
-    // record() closes an epoch: that element trains with the new
-    // probability. record() counts every element, so that element is
-    // known up front — batch up to it, step it alone through the
-    // scalar path, and carry on batched. Batches are at most one TAGE
-    // block, so the raw scratch stays one block however long the
-    // input, and each block is graded while it is still in L1.
+    // Block by block, so the raw scratch stays one block however long
+    // the input, each block is graded while it is still in L1, and a
+    // lookup group's stacks walk a chunk in the same blocks.
     const size_t n = pcs.size();
-    for (size_t at = 0; at < n;) {
-        size_t len = std::min(n - at, TagePredictor::kBatchBlock);
-        const bool closes =
-            controller_ && controller_->untilEpochEnd() <= len;
-        if (closes)
-            len = static_cast<size_t>(controller_->untilEpochEnd()) - 1;
-        predictBatch(pcs.subspan(at, len), taken.subspan(at, len),
+    for (size_t at = 0; at < n; at += TagePredictor::kBatchBlock) {
+        const size_t len = std::min(n - at, TagePredictor::kBatchBlock);
+        predictBlock(pcs.subspan(at, len), taken.subspan(at, len),
                      out.subspan(at, len));
-        at += len;
-        if (closes) {
-            out[at] = predict(pcs[at]);
-            update(pcs[at], out[at], taken[at] != 0);
-            ++at;
-        }
     }
 }
 
+inline bool
+GradedTage::gradeElement(size_t k, bool taken, Prediction& p)
+{
+    const TagePrediction& raw = rawBatch_[k];
+    p.taken = raw.taken;
+    p.cls = observer_.classify(raw);
+    p.confidence = confidenceLevel(p.cls);
+    p.payload = ++seq_;
+    lastIntrinsicLevel_ = p.confidence;
+    observer_.onResolve(raw, taken);
+    return controller_ && controller_->record(p.confidence, p.taken != taken);
+}
+
 void
-GradedTage::predictBatch(std::span<const uint64_t> pcs,
+GradedTage::predictBlock(std::span<const uint64_t> pcs,
                          std::span<const uint8_t> taken,
                          std::span<Prediction> out)
 {
     const size_t n = pcs.size();
-    if (n == 0)
-        return;
-    if (rawBatch_.size() < n)
-        rawBatch_.resize(n);
-    predictor_.predictMany(
-        pcs, taken, std::span<TagePrediction>(rawBatch_.data(), n));
+    predictor_.lookupBlock(pcs, taken);
+    const std::span<TagePrediction> raw(rawBatch_.data(), n);
 
-    // Neither the burst-window observer nor (inside one epoch) the
-    // controller feeds back into the TAGE tables, so their per-element
-    // steps can run as a second pass in element order — the exact
-    // sequence the scalar loop produces.
-    for (size_t k = 0; k < n; ++k) {
-        const TagePrediction& raw = rawBatch_[k];
-        const bool outcome = taken[k] != 0;
-        Prediction& p = out[k];
-        p.taken = raw.taken;
-        p.cls = observer_.classify(raw);
-        p.confidence = confidenceLevel(p.cls);
-        p.payload = ++seq_;
-        lastIntrinsicLevel_ = p.confidence;
-        observer_.onResolve(raw, outcome);
-        if (controller_) {
-            const bool closed =
-                controller_->record(p.confidence, p.taken != outcome);
-            TAGECON_ASSERT(!closed, "an epoch closed inside a batch");
+    // Neither the burst-window observer nor the controller feeds back
+    // into the TAGE tables, except through the element whose record()
+    // closes an epoch: that element trains with the new probability.
+    // record() counts every element, so that element is known up
+    // front. TAGE resolves and trains the elements before it in one
+    // fused pass, and they are graded after it in element order,
+    // which yields the scalar loop's sequence because grading feeds
+    // nothing back. The closing element is filled, graded and
+    // record()ed, the probability set, and only then trained.
+    for (size_t k = 0; k < n;) {
+        size_t end = n;
+        if (controller_ && controller_->untilEpochEnd() <= n - k)
+            end = k + static_cast<size_t>(controller_->untilEpochEnd()) - 1;
+        predictor_.resolveBlock(k, end, taken, raw);
+        for (; k < end; ++k) {
+            const bool closed = gradeElement(k, taken[k] != 0, out[k]);
+            TAGECON_ASSERT(!closed, "an epoch closed inside a fused run");
         }
+        if (end == n)
+            break;
+        predictor_.fillElement(k, raw[k]);
+        const bool closed = gradeElement(k, taken[k] != 0, out[k]);
+        TAGECON_ASSERT(closed, "the epoch did not close where counted");
+        predictor_.setSatLog2Prob(controller_->log2Prob());
+        predictor_.trainElement(k, raw[k], taken[k] != 0);
+        ++k;
     }
     // The loop table never feeds back into TAGE, which trains on its
     // own lookup, so the loop part steps in element order on its own.
     if (loop_) {
         for (size_t k = 0; k < n; ++k) {
             loop_->predict(pcs[k], out[k]);
-            loop_->train(pcs[k], rawBatch_[k].taken, taken[k] != 0);
+            loop_->train(pcs[k], raw[k].taken, taken[k] != 0);
         }
     }
 }

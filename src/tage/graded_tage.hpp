@@ -69,26 +69,34 @@ class GradedTage : public GradedPredictor
     void update(uint64_t pc, const Prediction& p, bool taken) override;
 
     /**
-     * True unless the adaptive controller is attached: predictMany()
-     * still sends the epoch-closing element through the scalar path.
-     * The loop part batches.
+     * True unless the adaptive controller is attached. predictMany()
+     * batches every element of every stack, the adaptive one
+     * included, so this no longer describes the step: perfbench's
+     * replay reads it to time the adaptive row through the scalar
+     * loop, and its Replay.SweepMatchesRunSweepCell test pins that
+     * reading, so it stays false there until the replay is retired
+     * (see ROADMAP).
      */
     bool hasBatchedPredict() const override;
 
     /**
-     * Fused batched step through TagePredictor::predictMany(), one
-     * TagePredictor::kBatchBlock block at a time, with the
-     * storage-free grading and the controller's record() applied per
-     * element in scalar order. With a controller attached, the
-     * batch is cut before each element whose record() closes an
-     * epoch; that element alone steps through predict()/update(), so
-     * it trains with the new saturation probability exactly as in the
-     * scalar loop, and batching resumes after it. The loop part steps
-     * in a pass of its own after the grading.
+     * Fused batched step, one TagePredictor::kBatchBlock block at a
+     * time: TAGE looks the block up (TagePredictor::lookupBlock(), or
+     * its leader's rows on a follower), resolves and trains it, and
+     * the storage-free grading and the controller's record() follow
+     * per element in scalar order. With a controller attached, the
+     * element whose record() closes an epoch is resolved from the
+     * block's rows on its own: filled, graded, record()ed, the new
+     * saturation probability set, and only then trained, exactly as
+     * in the scalar loop; the fused resolve runs on either side of it.
+     * The loop part steps in a pass of its own after the grading.
      */
     void predictMany(std::span<const uint64_t> pcs,
                      std::span<const uint8_t> taken,
                      std::span<Prediction> out) override;
+
+    /** The TAGE predictor under the grading, for lookup sharing. */
+    TagePredictor* tagePredictor() override { return &predictor_; }
 
     uint64_t storageBits() const override;
     void reset() override;
@@ -157,13 +165,19 @@ class GradedTage : public GradedPredictor
 
   private:
     /**
-     * One batched run of at most one TAGE block that closes no
-     * controller epoch: the fused TAGE step, then grading and record()
-     * per element, then the loop part's pass.
+     * One block of at most TagePredictor::kBatchBlock elements: the
+     * lookup, the resolve and grading around each epoch close, then
+     * the loop part's pass.
      */
-    void predictBatch(std::span<const uint64_t> pcs,
+    void predictBlock(std::span<const uint64_t> pcs,
                       std::span<const uint8_t> taken,
                       std::span<Prediction> out);
+
+    /**
+     * Grade element @p k of the block from rawBatch_[k] into @p p and
+     * record() it with the controller; true when that closed an epoch.
+     */
+    bool gradeElement(size_t k, bool taken, Prediction& p);
 
     /** The flag byte snapshot() writes: one bit per attached part. */
     uint8_t parts() const { return (controller_ ? 1 : 0) | (loop_ ? 2 : 0); }
@@ -184,8 +198,7 @@ class GradedTage : public GradedPredictor
     uint64_t seq_ = 0;
 
     /**
-     * predictMany() scratch, at most one TAGE block; not architectural
-     * state.
+     * predictMany() scratch, one TAGE block; not architectural state.
      */
     std::vector<TagePrediction> rawBatch_;
 };

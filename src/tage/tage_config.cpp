@@ -132,6 +132,15 @@ TageConfig::maxHistoryLength() const
     return m;
 }
 
+bool
+TageConfig::sameLookupGeometry(const TageConfig& other) const
+{
+    return logBimodalEntries == other.logBimodalEntries &&
+           tagged == other.tagged &&
+           pathHistoryBits == other.pathHistoryBits &&
+           instShift == other.instShift;
+}
+
 Err
 TageConfig::validate() const
 {

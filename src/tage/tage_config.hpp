@@ -58,6 +58,8 @@ struct TageTableConfig {
 
     /** Global history length L(i) hashed into index and tag. */
     int historyLength = 5;
+
+    bool operator==(const TageTableConfig&) const = default;
 };
 
 /**
@@ -164,6 +166,16 @@ struct TageConfig {
 
     /** Longest history used by any component. */
     int maxHistoryLength() const;
+
+    /**
+     * True when @p other looks a branch up exactly as this config
+     * does: the same bimodal size, tagged tables (entries, tag width,
+     * history length), path-history width and instShift. Counter
+     * widths, USE_ALT_ON_NA, the automaton and aging never enter a
+     * lookup, so predictors of two such configs fill identical lookup
+     * rows from one stream (TagePredictor::follow()).
+     */
+    bool sameLookupGeometry(const TageConfig& other) const;
 
     /**
      * The one copy of the config checks: Err(BadSpec) naming the first

@@ -134,6 +134,8 @@ TagePredictor::reset()
     allocations_ = 0;
     uResetCountdown_ = config_.uResetPeriod;
     pendingPc_.reset();
+    blockLen_ = 0;
+    leader_ = nullptr;
 }
 
 uint32_t
@@ -187,8 +189,16 @@ TagePredictor::hashRow(int table, size_t rows, const uint32_t* fa,
 TagePrediction
 TagePredictor::predict(uint64_t pc)
 {
+    TAGECON_ASSERT(leader_ == nullptr,
+                   "TagePredictor::predict: a follower's folds are stale; "
+                   "it resolves only its leader's blocks");
     // A block of one: element 0 of every row, hashed one lane wide
-    // from the live fold registers.
+    // from the live fold registers. A follower of this predictor has
+    // no block to resolve until the next lookupBlock().
+    ++indexPasses_;
+    blockPcs_ = nullptr;
+    blockTaken_ = nullptr;
+    blockLen_ = 0;
     const uint64_t shifted = pc >> config_.instShift;
     const uint32_t path = pathHistory_.value();
     const uint32_t lo = static_cast<uint32_t>(shifted);
@@ -205,7 +215,7 @@ TagePredictor::predict(uint64_t pc)
     pendingPc_ = pc;
 
     TagePrediction p;
-    fillFromTables(p, 0);
+    fillFromTables(p, lookupAt_.data(), lookupTag_.data());
     return p;
 }
 
@@ -215,20 +225,19 @@ TagePredictor::lastLookup(int table) const
     TAGECON_ASSERT(table >= 0 && table <= config_.numTaggedTables(),
                    "lookup table id out of range");
     const size_t row = static_cast<size_t>(table) * kBatchBlock;
+    const TagePredictor& src = rows();
     if (table == 0)
-        return Lookup{lookupAt_[0], 0};
-    return Lookup{lookupAt_[row] - meta_[static_cast<size_t>(table)].offset,
-                  static_cast<uint16_t>(lookupTag_[row])};
+        return Lookup{src.lookupAt_[0], 0};
+    return Lookup{
+        src.lookupAt_[row] - meta_[static_cast<size_t>(table)].offset,
+        static_cast<uint16_t>(src.lookupTag_[row])};
 }
 
 inline void
-TagePredictor::fillFromTables(TagePrediction& p, size_t k) const
+TagePredictor::fillFromTables(TagePrediction& p, const uint32_t* at,
+                              const uint32_t* tag) const
 {
     const int m = config_.numTaggedTables();
-    // Element k's column of the rows: table i's entry at [i * kBatchBlock].
-    const uint32_t* const at = lookupAt_.data() + k;
-    const uint32_t* const tag = lookupTag_.data() + k;
-
     const uint8_t bim = bimodal_[at[0]];
     const int bim_bits = config_.bimodalCtrBits;
     p.bimodalTaken = packed::unsignedTaken(bim, bim_bits);
@@ -317,16 +326,17 @@ TagePredictor::updateTaggedCtr(uint32_t at, bool taken)
 }
 
 void
-TagePredictor::allocate(const TagePrediction& p, size_t k, bool taken)
+TagePredictor::allocate(const TagePrediction& p, const uint32_t* rows_at,
+                        const uint32_t* rows_tag, bool taken)
 {
     const int m = config_.numTaggedTables();
     const int start = p.providerTable + 1;
     if (start > m)
         return;
 
-    // Element k's column of the rows, from table start up.
+    // The element's column of the rows, from table start up.
     const auto at = [&](int table) {
-        return lookupAt_[static_cast<size_t>(table) * kBatchBlock + k];
+        return rows_at[static_cast<size_t>(table) * kBatchBlock];
     };
     const int cb = config_.taggedCtrBits;
     bool any_useless = false;
@@ -359,7 +369,7 @@ TagePredictor::allocate(const TagePrediction& p, size_t k, bool taken)
 
     const uint32_t entry = at(chosen);
     tag_[entry] = static_cast<uint16_t>(
-        lookupTag_[static_cast<size_t>(chosen) * kBatchBlock + k]);
+        rows_tag[static_cast<size_t>(chosen) * kBatchBlock]);
     // Weak correct ctr, strong not-useful u.
     ctru_[entry] = packed::ctruPack(taken ? 0 : -1, 0, cb);
     ++allocations_;
@@ -376,13 +386,14 @@ TagePredictor::ageUsefulCounters()
 }
 
 inline void
-TagePredictor::train(const TagePrediction& p, size_t k, bool taken)
+TagePredictor::train(const TagePrediction& p, const uint32_t* rows_at,
+                     const uint32_t* rows_tag, bool taken)
 {
     const bool mispredicted = p.taken != taken;
 
     if (p.providerIsTagged) {
         const uint32_t at =
-            lookupAt_[static_cast<size_t>(p.providerTable) * kBatchBlock + k];
+            rows_at[static_cast<size_t>(p.providerTable) * kBatchBlock];
 
         // Manage USE_ALT_ON_NA: on a weak ("pseudo newly allocated")
         // provider whose direction differs from the alternate, learn
@@ -405,7 +416,7 @@ TagePredictor::train(const TagePrediction& p, size_t k, bool taken)
                 cb);
         }
     } else {
-        uint8_t& bim = bimodal_[lookupAt_[k]];
+        uint8_t& bim = bimodal_[rows_at[0]];
         bim = static_cast<uint8_t>(
             packed::unsignedUpdate(bim, config_.bimodalCtrBits, taken));
     }
@@ -418,7 +429,7 @@ TagePredictor::train(const TagePrediction& p, size_t k, bool taken)
         alloc = false;
     }
     if (alloc)
-        allocate(p, k, taken);
+        allocate(p, rows_at, rows_tag, taken);
 
     ++updates_;
     if (uResetCountdown_ != 0 && --uResetCountdown_ == 0) {
@@ -447,7 +458,7 @@ TagePredictor::update(uint64_t pc, const TagePrediction& p, bool taken)
                    "TagePredictor::update: pc is not the pc of the "
                    "immediately preceding predict()");
     pendingPc_.reset();
-    train(p, 0, taken);
+    train(p, lookupAt_.data(), lookupTag_.data(), taken);
     advanceHistories(pc, taken);
 }
 
@@ -596,7 +607,7 @@ TagePredictor::predictMany(std::span<const uint64_t> pcs,
         // — never on table contents — so the histories can be
         // advanced through the whole block up front, leaving each
         // element exactly the lookup its scalar predict() would make.
-        advanceAndIndexBlock(pcs.subspan(at, len), taken.subspan(at, len));
+        lookupBlock(pcs.subspan(at, len), taken.subspan(at, len));
 
         // Pass 2: resolve in input order — read each element's
         // entries as they stand after elements [0, k) trained, then
@@ -606,11 +617,115 @@ TagePredictor::predictMany(std::span<const uint64_t> pcs,
         // final state are bit-identical to the scalar predict/update
         // loop. (Training touches no history state; that already
         // advanced in pass 1.)
-        for (size_t k = 0; k < len; ++k) {
-            fillFromTables(out[at + k], k);
-            train(out[at + k], k, taken[at + k] != 0);
-        }
+        resolveBlock(0, len, taken.subspan(at, len), out.subspan(at, len));
     }
+}
+
+void
+TagePredictor::lookupBlock(std::span<const uint64_t> pcs,
+                           std::span<const uint8_t> taken)
+{
+    const size_t n = pcs.size();
+    TAGECON_ASSERT(taken.size() >= n, "lookupBlock spans disagree");
+    pendingPc_.reset();
+    if (leader_ == nullptr) {
+        advanceAndIndexBlock(pcs, taken);
+        ++indexPasses_;
+        blockPcs_ = pcs.data();
+        blockTaken_ = taken.data();
+    } else {
+        // The leader's rows hold this block only if the leader indexed
+        // it last and once since this follower's previous block.
+        TAGECON_ASSERT(leader_->indexPasses_ == leaderPasses_ + 1 &&
+                           leader_->blockPcs_ == pcs.data() &&
+                           leader_->blockTaken_ == taken.data() &&
+                           leader_->blockLen_ == n,
+                       "TagePredictor::lookupBlock: a follower must "
+                       "resolve the block its leader indexed last, and "
+                       "every block its leader indexes");
+        ++leaderPasses_;
+    }
+    blockLen_ = n;
+}
+
+void
+TagePredictor::resolveBlock(size_t from, size_t to,
+                            std::span<const uint8_t> taken,
+                            std::span<TagePrediction> out)
+{
+    TAGECON_ASSERT(from <= to && to <= blockLen_ && taken.size() >= to &&
+                       out.size() >= to,
+                   "resolveBlock range outside the block looked up");
+    // Element k's column of the rows: table i's entry at
+    // [i * kBatchBlock + k]. The resolve, its training and the LFSR
+    // draws compile into this one loop.
+    const uint32_t* const at = rows().lookupAt_.data();
+    const uint32_t* const tag = rows().lookupTag_.data();
+    for (size_t k = from; k < to; ++k) {
+        fillFromTables(out[k], at + k, tag + k);
+        train(out[k], at + k, tag + k, taken[k] != 0);
+    }
+}
+
+void
+TagePredictor::fillElement(size_t k, TagePrediction& p) const
+{
+    TAGECON_ASSERT(k < blockLen_, "fillElement outside the block looked up");
+    fillFromTables(p, rows().lookupAt_.data() + k,
+                   rows().lookupTag_.data() + k);
+}
+
+void
+TagePredictor::trainElement(size_t k, const TagePrediction& p, bool taken)
+{
+    TAGECON_ASSERT(k < blockLen_, "trainElement outside the block looked up");
+    train(p, rows().lookupAt_.data() + k, rows().lookupTag_.data() + k,
+          taken);
+}
+
+bool
+TagePredictor::canFollow(const TagePredictor& leader) const
+{
+    return &leader != this && leader_ == nullptr &&
+           leader.leader_ == nullptr &&
+           config_.sameLookupGeometry(leader.config_) &&
+           history_ == leader.history_ &&
+           pathHistory_.value() == leader.pathHistory_.value() &&
+           folds_ == leader.folds_;
+}
+
+void
+TagePredictor::follow(const TagePredictor& leader)
+{
+    TAGECON_ASSERT(config_.sameLookupGeometry(leader.config_),
+                   "TagePredictor::follow: the leader has another "
+                   "lookup geometry");
+    TAGECON_ASSERT(canFollow(leader),
+                   "TagePredictor::follow: a follower follows one other "
+                   "predictor, which follows no one and stands at the "
+                   "same point of the stream");
+    leader_ = &leader;
+    leaderPasses_ = leader.indexPasses_;
+    pendingPc_.reset();
+    blockLen_ = 0;
+}
+
+void
+TagePredictor::stopFollowing()
+{
+    TAGECON_ASSERT(leader_ != nullptr &&
+                       leader_->indexPasses_ == leaderPasses_,
+                   "TagePredictor::stopFollowing: no leader, or one that "
+                   "indexed a block this follower did not resolve");
+    // The leader's histories advanced through every block this
+    // predictor resolved, and through nothing else, so they are this
+    // predictor's own. Vectors of one geometry keep their buffers.
+    history_ = leader_->history_;
+    pathHistory_ = leader_->pathHistory_;
+    folds_ = leader_->folds_;
+    lookupAt_ = leader_->lookupAt_;
+    lookupTag_ = leader_->lookupTag_;
+    leader_ = nullptr;
 }
 
 void
@@ -645,6 +760,9 @@ TagePredictor::bimodalEntry(uint32_t index) const
 void
 TagePredictor::saveState(StateWriter& out) const
 {
+    TAGECON_ASSERT(leader_ == nullptr,
+                   "TagePredictor::saveState: a follower's histories are "
+                   "its leader's until stopFollowing()");
     // Geometry fingerprint: everything loadState() must agree on for
     // the arena sizes and hash functions to line up. The checkpoint
     // layer above additionally matches the canonical spec string; this
@@ -695,8 +813,10 @@ bool
 TagePredictor::loadState(StateReader& in, std::string& error)
 {
     // The lookup rows are not state: a predict() made before the
-    // restore has nothing to pair with after it.
+    // restore has nothing to pair with after it, and a follower's
+    // histories are overwritten with the blob's.
     pendingPc_.reset();
+    leader_ = nullptr;
     const int m = config_.numTaggedTables();
     bool geometry_ok = in.u32() == static_cast<uint32_t>(m);
     for (int i = 0; i < m && geometry_ok; ++i) {

@@ -46,6 +46,13 @@ namespace tagecon {
  * predictMany() fills the rows for a whole block in one table-major
  * pass and resolves each element from them; predict() is a block of
  * one that fills element 0, which the paired update() trains from.
+ *
+ * A lookup depends only on the PCs, the outcomes and the lookup
+ * geometry (TageConfig::sameLookupGeometry()), so predictors of one
+ * geometry stepping one stream fill identical rows. A follower
+ * (follow()) fills none: it resolves and trains each block from its
+ * leader's rows, right after the leader indexed it, and takes the
+ * leader's histories when it stops following.
  */
 class TagePredictor
 {
@@ -84,11 +91,70 @@ class TagePredictor
      * together through the block (one SIMD lane group per table per
      * element) and the hashes then run as uniform vector passes, table
      * by table. Then each element is resolved from its column of the
-     * rows and trained, in input order.
+     * rows and trained, in input order: lookupBlock(), then
+     * resolveBlock() over the whole block.
      */
     void predictMany(std::span<const uint64_t> pcs,
                      std::span<const uint8_t> taken,
                      std::span<TagePrediction> out);
+
+    /**
+     * The index pass of one block of at most kBatchBlock elements:
+     * fill every lookup row for @p pcs and advance the histories
+     * through the outcomes @p taken. On a follower nothing is indexed:
+     * the block must be the one its leader indexed last (the same
+     * spans), and it panics otherwise. Elements [0, pcs.size()) are
+     * then resolved, in order, by resolveBlock() or by fillElement()
+     * and trainElement(). A pending predict() is dropped.
+     */
+    void lookupBlock(std::span<const uint64_t> pcs,
+                     std::span<const uint8_t> taken);
+
+    /**
+     * Resolve elements [@p from, @p to) of the block lookupBlock()
+     * last took, in order: fill out[k] from the tables as they stand
+     * after element k - 1 trained, then train it with taken[k].
+     * @p taken and @p out are indexed like the block.
+     */
+    void resolveBlock(size_t from, size_t to,
+                      std::span<const uint8_t> taken,
+                      std::span<TagePrediction> out);
+
+    /**
+     * resolveBlock() of element @p k in two halves, for a caller that
+     * acts between them (the adaptive controller sets the saturation
+     * probability the element trains with): fill @p p, then train.
+     */
+    void fillElement(size_t k, TagePrediction& p) const;
+    void trainElement(size_t k, const TagePrediction& p, bool taken);
+
+    /**
+     * True when @p leader can lead this predictor (follow()): another
+     * predictor of this lookup geometry, neither of them following,
+     * that stands where this one does in its stream (the same history
+     * ring, path register and folds), so that its lookups are the ones
+     * this predictor would make.
+     */
+    bool canFollow(const TagePredictor& leader) const;
+
+    /**
+     * Resolve from @p leader's lookup rows instead of indexing (see
+     * lookupBlock()); both then step one stream block by block, the
+     * leader first. Panics unless canFollow(@p leader), naming a
+     * leader of another lookup geometry apart. predict() panics while
+     * following, as do saveState() and a lookupBlock() that names any
+     * block but the one the leader indexed last, or misses one.
+     */
+    void follow(const TagePredictor& leader);
+
+    /**
+     * Stop following: take the leader's history ring, path register,
+     * folds and lookup rows, so that from here on this predictor,
+     * saveState() included, equals one that ran the stream alone.
+     * Panics unless it follows a leader that indexed no block it has
+     * not resolved.
+     */
+    void stopFollowing();
 
     /**
      * predictMany() processing-block size, and the width of the lookup
@@ -110,7 +176,8 @@ class TagePredictor
 
     /**
      * Table @p table's part of the lookup the last predict() made (or
-     * of the first element of the last predictMany() block).
+     * of the first element of the last predictMany() block). On a
+     * follower, the lookup of the leader's rows it resolved from.
      */
     Lookup lastLookup(int table) const;
 
@@ -139,7 +206,10 @@ class TagePredictor
     /** Number of update() calls so far. */
     uint64_t updates() const { return updates_; }
 
-    /** Reset all tables, counters and histories to the initial state. */
+    /**
+     * Reset all tables, counters and histories to the initial state;
+     * a follower stops following without taking its leader's state.
+     */
     void reset();
 
     /**
@@ -165,6 +235,8 @@ class TagePredictor
      * history, USE_ALT_ON_NA, the LFSR and all counters — prefixed by
      * a geometry fingerprint, so loadState() on an identical config
      * continues bit-identically to a predictor that never stopped.
+     * Panics on a follower, whose histories are its leader's until
+     * stopFollowing().
      */
     void saveState(StateWriter& out) const;
 
@@ -176,7 +248,7 @@ class TagePredictor
      * differently-configured predictor, or carries a value saveState()
      * never writes (a saturation probability above 15, an aging
      * countdown outside [1, uResetPeriod]), with the reason in
-     * @p error.
+     * @p error. A follower stops following.
      */
     bool loadState(StateReader& in, std::string& error);
 
@@ -224,16 +296,32 @@ class TagePredictor
     };
 
     /**
-     * Fill every field of @p p from the current table state and
-     * element @p k of the lookup rows.
+     * Fill every field of @p p from the current table state and one
+     * element's column of the lookup rows: @p at and @p tag point at
+     * its row-0 entries, table i's at [i * kBatchBlock]. Always
+     * inlined, with train(), into the resolve loop, also at -O2.
      */
-    void fillFromTables(TagePrediction& p, size_t k) const;
+    [[gnu::always_inline]] inline void
+    fillFromTables(TagePrediction& p, const uint32_t* at,
+                   const uint32_t* tag) const;
 
     /**
-     * Training half of update() for element @p k of the lookup rows:
-     * everything except the history advance.
+     * Training half of update() for the element whose column @p at and
+     * @p tag point at: everything except the history advance.
      */
-    void train(const TagePrediction& p, size_t k, bool taken);
+    [[gnu::always_inline]] inline void
+    train(const TagePrediction& p, const uint32_t* at, const uint32_t* tag,
+          bool taken);
+
+    /**
+     * The lookup rows resolve and train read: a follower's leader's,
+     * else this predictor's own.
+     */
+    const TagePredictor&
+    rows() const
+    {
+        return leader_ != nullptr ? *leader_ : *this;
+    }
 
     /** Advance global/path histories and all fold registers. */
     void advanceHistories(uint64_t pc, bool taken);
@@ -273,9 +361,11 @@ class TagePredictor
 
     /**
      * Allocate at most one entry above the provider on misprediction,
-     * among element @p k's entries of the lookup rows.
+     * among the entries of the element whose column @p at and @p tag
+     * point at.
      */
-    void allocate(const TagePrediction& p, size_t k, bool taken);
+    void allocate(const TagePrediction& p, const uint32_t* at,
+                  const uint32_t* tag, bool taken);
 
     /** Graceful periodic aging of all useful counters. */
     void ageUsefulCounters();
@@ -328,6 +418,29 @@ class TagePredictor
 
     /** The pc of the predict() an update() may pair with. */
     std::optional<uint64_t> pendingPc_;
+
+    /**
+     * Elements of the block lookupBlock() last took; 0 after predict()
+     * (the rows then hold a scalar lookup) and after reset().
+     */
+    size_t blockLen_ = 0;
+
+    /**
+     * Leader side: index passes run so far (blocks and predict()s),
+     * and where the spans of the block indexed last start (null after
+     * a predict()), which a follower's lookupBlock() must name. Only
+     * compared, never read through.
+     */
+    uint64_t indexPasses_ = 0;
+    const uint64_t* blockPcs_ = nullptr;
+    const uint8_t* blockTaken_ = nullptr;
+
+    /**
+     * Follower side: the leader, or null, and the leader's
+     * indexPasses_ at the block resolved last (or at follow()).
+     */
+    const TagePredictor* leader_ = nullptr;
+    uint64_t leaderPasses_ = 0;
 
     /**
      * predictMany() scratch: one block's outcome window laid behind

@@ -61,6 +61,21 @@ class GlobalHistory
     size_t capacity() const { return mask_; }
 
     /**
+     * True when both rings hold the same outcome at every distance;
+     * where each head sits is not architectural.
+     */
+    bool
+    operator==(const GlobalHistory& other) const
+    {
+        if (mask_ != other.mask_)
+            return false;
+        for (size_t i = 0; i <= mask_; ++i)
+            if ((*this)[i] != other[i])
+                return false;
+        return true;
+    }
+
+    /**
      * Copy the @p count most recent outcomes to @p dst, oldest first:
      * dst[count - 1 - i] = (*this)[i]. The ring wraps at most once
      * inside the copied range, so this is at most two memcpy()s.
@@ -311,6 +326,8 @@ class FoldedHistoryTriple
 
     /** Current tag-1-fold value (len_c bits). */
     uint32_t c() const { return c_; }
+
+    bool operator==(const FoldedHistoryTriple&) const = default;
 
     /** History length being folded. */
     int origLength() const { return origLength_; }

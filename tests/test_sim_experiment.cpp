@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 #include "sim/registry.hpp"
 #include "sim/sweep.hpp"
@@ -46,6 +51,58 @@ TEST(RunTrace, IsDeterministic)
     for (const auto c : kAllPredictionClasses) {
         EXPECT_EQ(a.stats.predictions(c), b.stats.predictions(c));
         EXPECT_EQ(a.stats.mispredictions(c), b.stats.mispredictions(c));
+    }
+}
+
+std::vector<uint8_t>
+snapshotBytes(const GradedPredictor& p)
+{
+    StateWriter w;
+    std::string error;
+    EXPECT_TRUE(p.snapshot(w, error)) << error;
+    return w.take();
+}
+
+// The multi-predictor runTrace() groups only the TAGE stacks that
+// stand at one point of their streams: a stack warmed on another trace
+// runs alone, the two fresh ones share, and every result and final
+// state is a solo run's.
+TEST(RunTrace, GroupsOnlyStacksAtOneStreamPosition)
+{
+    const std::vector<std::string> specs = {
+        "tage16k+sfc", "tage16k+prob7+sfc", "tage16k+prob3+jrs"};
+    const auto build = [&](size_t k) {
+        auto p = makePredictor(specs[k]);
+        if (k == 1) {
+            SyntheticTrace warm = makeTrace("INT-1", 5000);
+            std::ignore = runTrace(warm, *p);
+        }
+        return p;
+    };
+    std::vector<std::unique_ptr<GradedPredictor>> owned;
+    std::vector<GradedPredictor*> column;
+    for (size_t k = 0; k < specs.size(); ++k) {
+        owned.push_back(build(k));
+        column.push_back(owned.back().get());
+    }
+    obs::resetAllMetrics();
+    obs::setMetricsEnabled(true);
+    SyntheticTrace trace = makeTrace("FP-1", 20000);
+    const std::vector<RunResult> got = runTrace(trace, column);
+    obs::setMetricsEnabled(false);
+    EXPECT_EQ(obs::counter("sweep.cells.following").value(), 1u);
+
+    for (size_t k = 0; k < specs.size(); ++k) {
+        SCOPED_TRACE(specs[k]);
+        const auto solo = build(k);
+        SyntheticTrace alone = makeTrace("FP-1", 20000);
+        const RunResult want = runTrace(alone, *solo);
+        for (const auto c : kAllPredictionClasses) {
+            EXPECT_EQ(got[k].stats.predictions(c), want.stats.predictions(c));
+            EXPECT_EQ(got[k].stats.mispredictions(c),
+                      want.stats.mispredictions(c));
+        }
+        EXPECT_TRUE(snapshotBytes(*column[k]) == snapshotBytes(*solo));
     }
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the sweep subsystem (sim/sweep.hpp): plan validation and
  * cell enumeration, bit-identical results across thread counts, seed
- * salting, row pooling equivalence with a serial fold of cells, and
- * the failure of a cell whose trace file breaks mid-stream.
+ * salting, row pooling equivalence with a serial fold of cells, the
+ * failure of a cell whose trace file breaks mid-stream, and columns
+ * whose TAGE stacks share one index pass per lookup geometry.
  */
 
 #include <gtest/gtest.h>
@@ -432,6 +433,7 @@ struct SweepCounts {
     uint64_t cells = 0;
     uint64_t executed = 0;
     uint64_t hits = 0;
+    uint64_t following = 0;
     uint64_t opened = 0;
     size_t progressCalls = 0;
     std::vector<RunResult> results;
@@ -451,6 +453,7 @@ countedSweep(const SweepPlan& plan, unsigned jobs)
     c.cells = obs::counter("sweep.cells").value();
     c.executed = obs::counter("sweep.cells.executed").value();
     c.hits = obs::counter("sweep.cache.hits").value();
+    c.following = obs::counter("sweep.cells.following").value();
     c.opened = obs::counter("trace.sources.opened").value();
     return c;
 }
@@ -568,6 +571,108 @@ TEST_F(SweepFileTraceTest, ColumnsMatchRunSweepCellAtAnyJobCount)
             }
         }
     }
+}
+
+std::vector<uint8_t>
+snapshotBytes(const GradedPredictor& p)
+{
+    StateWriter w;
+    std::string error;
+    EXPECT_TRUE(p.snapshot(w, error)) << error;
+    return w.take();
+}
+
+// Lookup groups: a column's TAGE stacks of one lookup geometry share
+// one index pass, the first stack leading and the others resolving
+// from its rows. Stacks that differ in the automaton, the counter
+// width, USE_ALT_ON_NA, the estimator and the loop part, and the
+// adaptive stack as a follower (64K) and as a leader (16K), past its
+// 65536-branch epoch, must each equal the cell run alone, with every
+// observer, over a synthetic and a .tcbt trace at any job count; and
+// the multi-predictor runTrace() must leave every predictor in a solo
+// run's snapshot() bytes.
+TEST(SweepLookupGroups, SharedIndexPassMatchesSoloRuns)
+{
+    constexpr uint64_t kBranches = 70000;
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("tagecon_sweep_groups_" +
+          std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+          ".tcbt"))
+            .string();
+    {
+        SyntheticTrace src = makeTrace("INT-3", kBranches);
+        ASSERT_TRUE(writeTraceFile(path, src).ok());
+    }
+    AnalysisConfig every;
+    std::string error;
+    ASSERT_TRUE(parseAnalysisSpecs(
+        {"intervals:len=5000", "histogram", "burst:max=8",
+         "perbranch:top=8", "warmup:len=2000,mkp=40"},
+        every, error))
+        << error;
+
+    // Two groups, with a stack of another family between their
+    // members: 64K (six followers, the adaptive stack last) and 16K
+    // (the adaptive stack leading two).
+    SweepPlan plan = SweepPlan::over(
+        {"tage64k+prob7+sfc", "tage16k+prob7+adaptive+sfc",
+         "gshare:hist=14+jrs", "tage64k+prob3+sfc", "tage64k:ctr=4+sfc",
+         "tage64k:ualt=0+prob3+sfc", "tage16k+prob3+sfc",
+         "tage64k+prob7+jrs", "ltage64k+sfc", "ltage16k+sfc",
+         "tage64k+prob7+adaptive+sfc"},
+        {"SERV-1", "file:" + path}, kBranches, 5);
+    plan.analysis = every;
+    constexpr uint64_t kFollowingPerColumn = 8;
+
+    const std::vector<SweepCell> cells = plan.cells();
+    std::vector<RunResult> alone;
+    for (const SweepCell& cell : cells)
+        alone.push_back(runSweepCell(cell));
+    // The adaptive stacks move p, so a follower trained with a stale
+    // one would show.
+    EXPECT_NE(alone[2 * 1].finalLog2Prob, 7u);
+    EXPECT_NE(alone[2 * 10].finalLog2Prob, 7u);
+
+    for (const unsigned jobs : {1u, 2u, 3u, 7u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        const SweepCounts c = countedSweep(plan, jobs);
+        EXPECT_EQ(c.following, kFollowingPerColumn * plan.traces.size());
+        ASSERT_EQ(c.results.size(), cells.size());
+        for (size_t i = 0; i < cells.size(); ++i) {
+            SCOPED_TRACE(cells[i].spec + " x " + cells[i].trace);
+            expectIdentical(c.results[i], alone[i]);
+            expectStatsIdentical(c.results[i].stats, alone[i].stats);
+            expectAnalysisIdentical(c.results[i].analysis,
+                                    alone[i].analysis);
+        }
+    }
+
+    for (const std::string& trace : plan.traces) {
+        SCOPED_TRACE(trace);
+        std::vector<std::unique_ptr<GradedPredictor>> owned;
+        std::vector<GradedPredictor*> column;
+        for (const std::string& spec : plan.specs) {
+            owned.push_back(makePredictor(spec));
+            column.push_back(owned.back().get());
+        }
+        auto source = openTraceSource(trace, kBranches, plan.seedSalt);
+        ASSERT_TRUE(source.ok());
+        const std::vector<RunResult> grouped =
+            runTrace(*source.value(), column, every);
+        for (size_t k = 0; k < plan.specs.size(); ++k) {
+            SCOPED_TRACE(plan.specs[k]);
+            auto solo = makePredictor(plan.specs[k]);
+            auto solo_source =
+                openTraceSource(trace, kBranches, plan.seedSalt);
+            ASSERT_TRUE(solo_source.ok());
+            const RunResult want = runTrace(*solo_source.value(), *solo, every);
+            expectIdentical(grouped[k], want);
+            expectAnalysisIdentical(grouped[k].analysis, want.analysis);
+            EXPECT_TRUE(snapshotBytes(*column[k]) == snapshotBytes(*solo));
+        }
+    }
+    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -15,15 +15,20 @@
  * end in the pinned state digest and the scalar run's saveState()
  * bytes.
  *
- * The adaptive stack (GradedTage with the Sec. 6.2 controller) batches
- * around each epoch-closing element; it is checked against its own
- * scalar loop, prediction by prediction and in snapshot() bytes.
+ * The adaptive stack (GradedTage with the Sec. 6.2 controller) resolves
+ * each epoch-closing element from the block's rows on its own; it is
+ * checked against its own scalar loop, prediction by prediction and in
+ * snapshot() bytes, alone and as a follower (TagePredictor::follow())
+ * of a plain 64K predictor.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "tage/graded_tage.hpp"
@@ -357,6 +362,41 @@ TEST(AdaptiveBatchedGolden, PredictManyMatchesTheScalarLoop)
                           scalar->controller()->epochs());
                 EXPECT_EQ(batched->satLog2Prob(), scalar->satLog2Prob());
             }
+
+            // As a follower: a plain predictor of its geometry indexes
+            // each block, and the adaptive stack resolves it, epoch
+            // closes included, from the leader's rows.
+            SCOPED_TRACE(std::string(narrow ? "narrow" : "paper") +
+                         " epoch=" + std::to_string(epoch) + " follower");
+            TagePredictor leader(TageConfig::medium64K());
+            auto follower = adaptiveTage(epoch, narrow);
+            follower->tagePredictor()->follow(leader);
+            std::vector<TagePrediction> led(TagePredictor::kBatchBlock);
+            std::vector<Prediction> got(n);
+            for (size_t at = 0; at < n; at += TagePredictor::kBatchBlock) {
+                const size_t len =
+                    std::min(TagePredictor::kBatchBlock, n - at);
+                const std::span<const uint64_t> pcs(s.pcs.data() + at, len);
+                const std::span<const uint8_t> taken(s.taken.data() + at,
+                                                     len);
+                leader.predictMany(pcs, taken,
+                                   std::span<TagePrediction>(led.data(), len));
+                follower->predictMany(
+                    pcs, taken, std::span<Prediction>(got.data() + at, len));
+            }
+            follower->tagePredictor()->stopFollowing();
+            size_t diverged = n;
+            for (size_t i = 0; i < n && diverged == n; ++i) {
+                const Prediction& a = want[i];
+                const Prediction& b = got[i];
+                if (a.taken != b.taken || a.cls != b.cls ||
+                    a.confidence != b.confidence || a.payload != b.payload)
+                    diverged = i;
+            }
+            EXPECT_EQ(diverged, n) << "first diverging prediction";
+            EXPECT_TRUE(snapshotBytes(*follower) == final_state);
+            EXPECT_EQ(follower->controller()->epochs(),
+                      scalar->controller()->epochs());
         }
     }
 }

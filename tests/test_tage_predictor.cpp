@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -393,6 +394,163 @@ TEST(TagePredictor, IntrospectionBoundsChecked)
     EXPECT_DEATH(pred.taggedEntry(1, 1u << 20), "out of range");
     EXPECT_DEATH(pred.bimodalEntry(1u << 20), "out of range");
     EXPECT_DEATH(pred.lastLookup(5), "out of range");
+}
+
+/** A pattern stream over 48 sites, @p n branches. */
+struct BlockStream {
+    std::vector<uint64_t> pcs;
+    std::vector<uint8_t> taken;
+
+    explicit BlockStream(size_t n)
+    {
+        XorShift128Plus rng(31);
+        for (size_t i = 0; i < n; ++i) {
+            const uint64_t site = rng.next() % 48;
+            pcs.push_back(0x7000 + site * 4);
+            taken.push_back(site % 3 == 0 ? (i / 5) % 2 : rng.next() % 2);
+        }
+    }
+
+    std::span<const uint64_t>
+    pcBlock(size_t b) const
+    {
+        return {pcs.data() + b * TagePredictor::kBatchBlock,
+                TagePredictor::kBatchBlock};
+    }
+
+    std::span<const uint8_t>
+    takenBlock(size_t b) const
+    {
+        return {taken.data() + b * TagePredictor::kBatchBlock,
+                TagePredictor::kBatchBlock};
+    }
+};
+
+std::vector<uint8_t>
+stateBytes(const TagePredictor& pred)
+{
+    StateWriter w;
+    pred.saveState(w);
+    return w.take();
+}
+
+TEST(TagePredictor, FollowerOfAnotherLookupGeometryPanics)
+{
+    TagePredictor leader(TageConfig::medium64K());
+    TagePredictor small(TageConfig::small16K());
+    EXPECT_DEATH(small.follow(leader), "another lookup geometry");
+    TageConfig shifted = TageConfig::medium64K();
+    shifted.instShift = 2;
+    TagePredictor shifted_pred(shifted);
+    EXPECT_DEATH(shifted_pred.follow(leader), "another lookup geometry");
+    TageConfig short_path = TageConfig::medium64K();
+    short_path.pathHistoryBits = 8;
+    TagePredictor short_path_pred(short_path);
+    EXPECT_DEATH(short_path_pred.follow(leader), "another lookup geometry");
+
+    // Counter widths, USE_ALT_ON_NA and the automaton never enter a
+    // lookup.
+    TageConfig other = TageConfig::medium64K().withProbabilisticSaturation(3);
+    other.taggedCtrBits = 4;
+    other.useAltOnNa = false;
+    TagePredictor follower(other);
+    EXPECT_TRUE(follower.canFollow(leader));
+    follower.follow(leader);
+    EXPECT_DEATH(follower.follow(leader), "follows one other");
+    EXPECT_DEATH(leader.follow(follower), "follows one other");
+    EXPECT_DEATH(leader.follow(leader), "follows one other");
+
+    // The same geometry one branch further on its stream: its lookups
+    // are not the leader's.
+    TagePredictor ahead(TageConfig::medium64K());
+    const TagePrediction p = ahead.predict(0x7000);
+    ahead.update(0x7000, p, true);
+    EXPECT_FALSE(ahead.canFollow(leader));
+    EXPECT_DEATH(ahead.follow(leader), "same point of the stream");
+}
+
+TEST(TagePredictor, FollowerMustResolveTheBlockItsLeaderIndexedLast)
+{
+    const BlockStream s(4 * TagePredictor::kBatchBlock);
+    TagePredictor leader(TageConfig::medium64K());
+    TagePredictor follower(TageConfig::medium64K().withProbabilisticSaturation());
+    follower.follow(leader);
+    std::vector<TagePrediction> out(TagePredictor::kBatchBlock);
+    const char* const kNotLast = "resolve the block its leader indexed last";
+
+    // Nothing indexed yet, then a block the leader did not index.
+    EXPECT_DEATH(follower.lookupBlock(s.pcBlock(0), s.takenBlock(0)),
+                 kNotLast);
+    leader.predictMany(s.pcBlock(0), s.takenBlock(0), out);
+    EXPECT_DEATH(follower.lookupBlock(s.pcBlock(1), s.takenBlock(1)),
+                 kNotLast);
+    EXPECT_DEATH(follower.lookupBlock(s.pcBlock(0).first(8),
+                                      s.takenBlock(0).first(8)),
+                 kNotLast);
+    follower.predictMany(s.pcBlock(0), s.takenBlock(0), out);
+    // The same block twice.
+    EXPECT_DEATH(follower.lookupBlock(s.pcBlock(0), s.takenBlock(0)),
+                 kNotLast);
+
+    // A block the follower missed, then one it cannot stop after.
+    leader.predictMany(s.pcBlock(1), s.takenBlock(1), out);
+    leader.predictMany(s.pcBlock(2), s.takenBlock(2), out);
+    EXPECT_DEATH(follower.lookupBlock(s.pcBlock(2), s.takenBlock(2)),
+                 kNotLast);
+    EXPECT_DEATH(follower.stopFollowing(), "did not resolve");
+
+    // A follower's own folds are stale: no scalar step, no state.
+    EXPECT_DEATH(follower.predict(0x7000), "stale");
+    StateWriter w;
+    EXPECT_DEATH(follower.saveState(w), "until stopFollowing");
+
+    // A scalar step of the leader leaves no block to follow either.
+    TagePredictor leader2(TageConfig::small16K());
+    TagePredictor follower2(TageConfig::small16K());
+    follower2.follow(leader2);
+    const TagePrediction p = leader2.predict(0x7000);
+    leader2.update(0x7000, p, true);
+    EXPECT_DEATH(follower2.lookupBlock(s.pcBlock(0), s.takenBlock(0)),
+                 kNotLast);
+}
+
+// A follower resolves from its leader's rows: lastLookup() reads the
+// lookup it resolved from, which is the one a solo run makes, and once
+// it stops following it is a solo run, state and rows included.
+TEST(TagePredictor, FollowerLastLookupIsTheRowItResolvedFrom)
+{
+    const size_t blocks = 40;
+    const BlockStream s(blocks * TagePredictor::kBatchBlock);
+    const TageConfig cfg = TageConfig::medium64K().withProbabilisticSaturation(7);
+    TagePredictor solo(cfg);
+    TagePredictor leader(TageConfig::medium64K());
+    TagePredictor follower(cfg);
+    follower.follow(leader);
+    std::vector<TagePrediction> want(TagePredictor::kBatchBlock);
+    std::vector<TagePrediction> got(TagePredictor::kBatchBlock);
+    std::vector<TagePrediction> lead(TagePredictor::kBatchBlock);
+    const int m = cfg.numTaggedTables();
+    for (size_t b = 0; b < blocks; ++b) {
+        solo.predictMany(s.pcBlock(b), s.takenBlock(b), want);
+        leader.predictMany(s.pcBlock(b), s.takenBlock(b), lead);
+        follower.predictMany(s.pcBlock(b), s.takenBlock(b), got);
+        ASSERT_TRUE(want == got) << "block " << b;
+        for (int t = 0; t <= m; ++t) {
+            EXPECT_EQ(follower.lastLookup(t).index, solo.lastLookup(t).index);
+            EXPECT_EQ(follower.lastLookup(t).tag, solo.lastLookup(t).tag);
+        }
+    }
+    follower.stopFollowing();
+    EXPECT_TRUE(stateBytes(follower) == stateBytes(solo));
+    for (int t = 0; t <= m; ++t)
+        EXPECT_EQ(follower.lastLookup(t).index, solo.lastLookup(t).index);
+    // It steps on alone, scalar or batched.
+    const TagePrediction p = follower.predict(0x7004);
+    const TagePrediction q = solo.predict(0x7004);
+    EXPECT_TRUE(p == q);
+    follower.update(0x7004, p, false);
+    solo.update(0x7004, q, false);
+    EXPECT_TRUE(stateBytes(follower) == stateBytes(solo));
 }
 
 /** The predictor works for every paper configuration. */

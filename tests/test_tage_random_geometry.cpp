@@ -36,6 +36,15 @@
  * earlier element of the same block trained, and checks them at both
  * levels. Its digest was harvested from the predictor whose
  * TagePrediction still carried the lookup.
+ *
+ * Wherever a check runs predictMany() against the scalar loop, it also
+ * runs a follower (TagePredictor::follow()) over the same chunks, block
+ * by block behind a leader of the same lookup geometry, and requires
+ * the scalar loop's predictions and final state of it too. At the raw
+ * level the leader differs in everything a lookup ignores; at the
+ * registry level it is a second stack of the same spec. A scalar chunk
+ * stops the follower, steps both alone and binds them again. No
+ * follower run feeds a digest.
  */
 
 #include <gtest/gtest.h>
@@ -302,8 +311,46 @@ firstMismatch(const std::vector<T>& a, const std::vector<T>& b, Eq eq)
 }
 
 /**
+ * A config of @p cfg's lookup geometry that differs from it in every
+ * field a lookup ignores: counter widths, USE_ALT_ON_NA, the automaton
+ * and aging.
+ */
+TageConfig
+otherAutomaton(const TageConfig& cfg)
+{
+    TageConfig other = cfg;
+    other.bimodalCtrBits = cfg.bimodalCtrBits % 8 + 1;
+    other.taggedCtrBits = cfg.taggedCtrBits == 7 ? 2 : cfg.taggedCtrBits + 1;
+    other.usefulBits = 1;
+    other.useAltOnNaBits = cfg.useAltOnNaBits % 6 + 2;
+    other.useAltOnNa = !cfg.useAltOnNa;
+    other.probabilisticSaturation = !cfg.probabilisticSaturation;
+    other.satLog2Prob = (cfg.satLog2Prob + 5) % 16;
+    other.uResetPeriod = cfg.uResetPeriod / 3 + 1;
+    EXPECT_TRUE(other.sameLookupGeometry(cfg));
+    return other;
+}
+
+/**
+ * Step @p leader, then @p follower, over elements [@p at, @p at +
+ * @p len) of @p s one kBatchBlock block at a time — the order a lookup
+ * group steps in — through @p step(predictor, from, len).
+ */
+template <typename P, typename Step>
+void
+stepBehind(P& leader, P& follower, size_t at, size_t len, Step step)
+{
+    for (size_t b = at; b < at + len; b += TagePredictor::kBatchBlock) {
+        const size_t n = std::min(TagePredictor::kBatchBlock, at + len - b);
+        step(leader, b, n);
+        step(follower, b, n);
+    }
+}
+
+/**
  * Raw TagePredictor level: the scalar loop (feeds the digest) against
- * predictMany() over @p chunks, per element and in saveState() bytes.
+ * predictMany() over @p chunks, and against a follower stepped over
+ * them, per element and in saveState() bytes.
  */
 uint64_t
 checkRaw(const TageConfig& cfg, const Stream& s,
@@ -348,6 +395,47 @@ checkRaw(const TageConfig& cfg, const Stream& s,
         << "raw predictMany() diverged from the scalar loop";
     EXPECT_TRUE(saveBytes(batched) == final_state)
         << "raw predictMany() ended in a different state";
+
+    TagePredictor leader(otherAutomaton(cfg));
+    TagePredictor follower(cfg);
+    std::vector<TagePrediction> led(n);
+    std::fill(got.begin(), got.end(), poison);
+    follower.follow(leader);
+    at = 0;
+    for (const Chunk& c : chunks) {
+        if (c.scalar) {
+            follower.stopFollowing();
+            for (size_t i = at; i < at + c.len; ++i) {
+                led[i] = leader.predict(s.pcs[i]);
+                leader.update(s.pcs[i], led[i], s.taken[i] != 0);
+                got[i] = follower.predict(s.pcs[i]);
+                follower.update(s.pcs[i], got[i], s.taken[i] != 0);
+            }
+            follower.follow(leader);
+        } else {
+            stepBehind(leader, follower, at, c.len,
+                       [&](TagePredictor& p, size_t from, size_t len) {
+                           p.predictMany(
+                               std::span<const uint64_t>(
+                                   s.pcs.data() + from, len),
+                               std::span<const uint8_t>(
+                                   s.taken.data() + from, len),
+                               std::span<TagePrediction>(
+                                   (&p == &leader ? led : got).data() +
+                                       from,
+                                   len));
+                       });
+        }
+        at += c.len;
+    }
+    follower.stopFollowing();
+    EXPECT_EQ(firstMismatch(want, got,
+                            [](const TagePrediction& a,
+                               const TagePrediction& b) { return a == b; }),
+              -1)
+        << "a raw follower diverged from the scalar loop";
+    EXPECT_TRUE(saveBytes(follower) == final_state)
+        << "a raw follower ended in a different state";
     return h;
 }
 
@@ -466,6 +554,42 @@ checkGraded(const std::string& spec, const Stream& s,
         << "the run restored at " << cut << " diverged";
     EXPECT_TRUE(snapshotBytes(*second) == final_state)
         << "the run restored at " << cut << " ended elsewhere";
+
+    auto leader = makePredictor(spec);
+    auto follower = makePredictor(spec);
+    TagePredictor* const tage = follower->tagePredictor();
+    EXPECT_NE(tage, nullptr);
+    std::vector<Prediction> led(n);
+    got.assign(n, Prediction{});
+    tage->follow(*leader->tagePredictor());
+    size_t at = 0;
+    for (const Chunk& c : chunks) {
+        if (c.scalar) {
+            tage->stopFollowing();
+            driveGraded(*leader, s, chunks, at, at + c.len, led);
+            driveGraded(*follower, s, chunks, at, at + c.len, got);
+            tage->follow(*leader->tagePredictor());
+        } else {
+            stepBehind(*leader, *follower, at, c.len,
+                       [&](GradedPredictor& p, size_t from, size_t len) {
+                           p.predictMany(
+                               std::span<const uint64_t>(
+                                   s.pcs.data() + from, len),
+                               std::span<const uint8_t>(
+                                   s.taken.data() + from, len),
+                               std::span<Prediction>(
+                                   (&p == leader.get() ? led : got).data() +
+                                       from,
+                                   len));
+                       });
+        }
+        at += c.len;
+    }
+    tage->stopFollowing();
+    EXPECT_EQ(firstMismatch(want, got, samePrediction), -1)
+        << "a follower diverged from the scalar loop";
+    EXPECT_TRUE(snapshotBytes(*follower) == final_state)
+        << "a follower ended in a different snapshot";
     return h;
 }
 
