@@ -80,12 +80,8 @@ parseOptions(int argc, char** argv,
     BenchOptions opt;
     opt.branchesPerTrace = args.getUint("branches", opt.branchesPerTrace);
     opt.seedSalt = args.getUint("seed", 0);
-    if (args.getBool("csv", false))
-        opt.format = ReportFormat::Csv;
     std::string error;
-    if (args.has("report") &&
-        !parseReportFormat(args.getString("report", "text"), opt.format,
-                           error))
+    if (!parseReportFlags(args, opt.format, error))
         fatal(error);
     // 0 keeps its documented "hardware concurrency" meaning here, but
     // the range check stops 2^32-wrapping values from silently
@@ -141,7 +137,8 @@ runGrid(const std::vector<std::string>& specs,
 }
 
 /**
- * Append the analysis sections of every cell of @p row, id'd
+ * Append the analysis sections of every cell of @p row, headed
+ * "<spec> x <trace> [<observer>]" and id'd
  * "<prefix>-<trace>-<observer>" ("<trace>-<observer>" when @p prefix
  * is empty). No-op for a run without observers.
  */
@@ -151,7 +148,8 @@ addRowAnalysis(Report& r, const SweepRow& row, const std::string& prefix)
     for (const auto& rr : row.perTrace) {
         const std::string trace = toLower(rr.traceName);
         addAnalysisSections(r, rr,
-                            prefix.empty() ? trace : prefix + "-" + trace);
+                            prefix.empty() ? trace : prefix + "-" + trace,
+                            row.spec + " x " + rr.traceName);
     }
 }
 

@@ -50,11 +50,7 @@ main(int argc, char** argv)
 
     ReportFormat format = ReportFormat::Text;
     std::string error;
-    if (args.getBool("csv", false))
-        format = ReportFormat::Csv;
-    if (args.has("report") &&
-        !parseReportFormat(args.getString("report", "text"), format,
-                           error))
+    if (!parseReportFlags(args, format, error))
         fatal(error);
 
     // Range-checked as on every other --jobs; 0 = hardware concurrency.

@@ -66,6 +66,9 @@ struct Prediction {
      * unchanged in update(); they must not interpret it.
      */
     uint64_t payload = 0;
+
+    /** Field-wise equality. */
+    bool operator==(const Prediction&) const = default;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "util/cli.hpp"
 #include "util/text.hpp"
 
 namespace tagecon {
@@ -23,6 +24,17 @@ parseReportFormat(const std::string& name, ReportFormat& out,
         return false;
     }
     return true;
+}
+
+bool
+parseReportFlags(const CliArgs& args, ReportFormat& out,
+                 std::string& error)
+{
+    out = args.getBool("csv", false) ? ReportFormat::Csv
+                                     : ReportFormat::Text;
+    return !args.has("report") ||
+           parseReportFormat(args.getString("report", "text"), out,
+                             error);
 }
 
 std::string

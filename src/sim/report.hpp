@@ -38,6 +38,16 @@ enum class ReportFormat { Text, Csv, Json };
 bool parseReportFormat(const std::string& name, ReportFormat& out,
                        std::string& error);
 
+class CliArgs;
+
+/**
+ * The output format @p args ask for: text, unless --csv (an alias for
+ * --report=csv) or --report=FMT says otherwise; --report wins over
+ * --csv. Returns false with the reason in @p error.
+ */
+bool parseReportFlags(const CliArgs& args, ReportFormat& out,
+                      std::string& error);
+
 /** One identified table section of a report. */
 struct ReportTable {
     /** Machine id, unique within the report (JSON key "id"). */

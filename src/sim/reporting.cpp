@@ -341,9 +341,8 @@ addAnalysisSections(Report& r, const RunResult& result,
     if (a.empty())
         return;
 
-    const std::string& shown = label.empty() ? result.traceName : label;
     auto headed = [&](ReportTable rt, const char* observer) {
-        rt.heading = shown + " [" + observer + "]";
+        rt.heading = label + " [" + observer + "]";
         r.addTable(std::move(rt));
         r.addBlank();
     };

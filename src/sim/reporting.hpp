@@ -134,12 +134,12 @@ ReportTable warmupAnalysisTable(const WarmupAnalysis& wa,
 /**
  * Append one table per populated slot of @p result.analysis to @p r,
  * each headed "<label> [<observer>]" and id'd "<id_prefix>-<observer>".
- * @p label defaults to the result's trace name when empty. No-op for
- * runs without analysis.
+ * The label names the cell ("<spec> x <trace>"), so a report's
+ * headings stay unique. No-op for runs without analysis.
  */
 void addAnalysisSections(Report& r, const RunResult& result,
                          const std::string& id_prefix,
-                         const std::string& label = "");
+                         const std::string& label);
 
 } // namespace tagecon
 

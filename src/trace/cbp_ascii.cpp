@@ -2,13 +2,12 @@
 
 #include <array>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "util/failpoint.hpp"
+#include "util/strict_parse.hpp"
 
 #if TAGECON_HAVE_ZLIB
 #include <zlib.h>
@@ -108,42 +107,6 @@ class CbpLineSource
 
 namespace {
 
-/**
- * Parse a trace-field number: decimal, or hex with an 0x prefix.
- * Deliberately NOT strtoull's base-0 autodetection, which would read
- * a zero-padded decimal field ("0123") as octal and silently remap
- * branch PCs.
- */
-bool
-parseTraceNumber(const std::string& text, uint64_t& out,
-                 std::string& why)
-{
-    if (text.empty() || text.front() == '-' || text.front() == '+') {
-        why = "not an unsigned number";
-        return false;
-    }
-    const bool hex = text.size() > 2 && text[0] == '0' &&
-                     (text[1] == 'x' || text[1] == 'X');
-    const char* start = text.c_str() + (hex ? 2 : 0);
-    errno = 0;
-    char* end = nullptr;
-    const uint64_t v = std::strtoull(start, &end, hex ? 16 : 10);
-    if (end == start) {
-        why = "not a number";
-        return false;
-    }
-    if (*end != '\0') {
-        why = std::string("trailing garbage '") + end + "'";
-        return false;
-    }
-    if (errno == ERANGE) {
-        why = "out of range";
-        return false;
-    }
-    out = v;
-    return true;
-}
-
 bool
 isSkippableLine(const std::string& line)
 {
@@ -168,7 +131,7 @@ parseCbpAsciiLine(const std::string& line, BranchRecord& out,
         why = "expected '<pc> <taken> [<instructions>]'";
         return false;
     }
-    if (!parseTraceNumber(pc_text, out.pc, why)) {
+    if (!parseUint64(pc_text, out.pc, why)) {
         why = "bad pc '" + pc_text + "': " + why;
         return false;
     }
@@ -184,7 +147,7 @@ parseCbpAsciiLine(const std::string& line, BranchRecord& out,
     out.instructionsBefore = 0;
     if (is >> instr_text) {
         uint64_t instr = 0;
-        if (!parseTraceNumber(instr_text, instr, why) ||
+        if (!parseUint64(instr_text, instr, why) ||
             instr > UINT32_MAX) {
             why = "bad instruction count '" + instr_text + "'";
             return false;

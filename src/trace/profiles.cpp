@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.hpp"
+#include "util/state_io.hpp"
 
 namespace tagecon {
 
@@ -12,12 +13,7 @@ namespace {
 uint64_t
 nameSeed(const std::string& name)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : name) {
-        h ^= static_cast<uint8_t>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h | 1;
+    return fnv1a64(name) | 1;
 }
 
 // --- Family bases --------------------------------------------------------

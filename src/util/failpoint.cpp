@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "util/mutex.hpp"
+#include "util/state_io.hpp"
 #include "util/strict_parse.hpp"
 
 namespace tagecon {
@@ -53,17 +54,6 @@ splitmix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
-uint64_t
-fnv1a(const std::string& s)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : s) {
-        h ^= static_cast<uint8_t>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 /**
  * Pure trigger decision for one rate-based hit: a seeded hash of
  * (site, key, hit-index) compared against the rate threshold. No
@@ -76,7 +66,7 @@ rateFires(const FailRule& rule, uint64_t key, uint64_t hit_index)
         return false;
     if (rule.rate >= 1.0)
         return true;
-    const uint64_t h = splitmix64(rule.seed ^ fnv1a(rule.site) ^
+    const uint64_t h = splitmix64(rule.seed ^ fnv1a64(rule.site) ^
                                   splitmix64(key) ^ hit_index);
     return static_cast<double>(h) <
            rule.rate * 18446744073709551616.0; // 2^64

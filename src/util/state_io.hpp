@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tagecon {
@@ -31,6 +32,14 @@ namespace tagecon {
 /** FNV-1a 64-bit hash of a byte range (offset basis / prime of the
  *  golden state-hash tests, so digests are comparable across both). */
 uint64_t fnv1a64(const uint8_t* data, size_t size);
+
+/** fnv1a64() of the bytes of @p text. */
+inline uint64_t
+fnv1a64(std::string_view text)
+{
+    return fnv1a64(reinterpret_cast<const uint8_t*>(text.data()),
+                   text.size());
+}
 
 /** Write @p v to @p dst as sizeof(T) little-endian bytes. */
 template <typename T>
@@ -141,14 +150,12 @@ class StateWriter
     size_t size() const { return buf_.size(); }
 
   private:
-    /** @p v as sizeof(T) little-endian bytes, appended in one insert. */
+    /** @p v as sizeof(T) little-endian bytes, stored in place. */
     template <typename T>
     void
     scalar(T v)
     {
-        uint8_t le[sizeof(T)];
-        storeLe(le, v);
-        buf_.insert(buf_.end(), le, le + sizeof(T));
+        storeLe(grow(sizeof(T)), v);
     }
 
     std::vector<uint8_t> buf_;

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace tagecon {
 
@@ -27,25 +28,27 @@ checkShape(const std::string& text, std::string& why)
     return true;
 }
 
-} // namespace
-
+/**
+ * Parse the unsigned magnitude at @p digits, the rest of the string:
+ * decimal, or hex after a 0x/0X prefix. Never octal: strtoull's base
+ * 0 would read a leading zero ("010") as octal and "08" as garbage.
+ */
 bool
-parseUint64(const std::string& text, uint64_t& out, std::string& why)
+parseMagnitude(const char* digits, uint64_t& out, std::string& why)
 {
-    if (!checkShape(text, why))
-        return false;
-    // strtoull accepts a leading '-' and wraps the value; forbid signs.
-    if (text.front() == '-' || text.front() == '+') {
-        why = "sign on unsigned value";
-        return false;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const uint64_t v = std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str()) {
+    const bool hex = digits[0] == '0' &&
+                     (digits[1] == 'x' || digits[1] == 'X') &&
+                     std::isxdigit(static_cast<unsigned char>(digits[2]));
+    // strtoull would skip whitespace and take a sign here: a digit
+    // must come first.
+    if (!hex && !std::isdigit(static_cast<unsigned char>(digits[0]))) {
         why = "not a number";
         return false;
     }
+    const char* start = digits + (hex ? 2 : 0);
+    errno = 0;
+    char* end = nullptr;
+    const uint64_t v = std::strtoull(start, &end, hex ? 16 : 10);
     if (*end != '\0') {
         why = std::string("trailing garbage '") + end + "'";
         return false;
@@ -58,27 +61,39 @@ parseUint64(const std::string& text, uint64_t& out, std::string& why)
     return true;
 }
 
+} // namespace
+
+bool
+parseUint64(const std::string& text, uint64_t& out, std::string& why)
+{
+    if (!checkShape(text, why))
+        return false;
+    // strtoull accepts a leading '-' and wraps the value; forbid signs.
+    if (text.front() == '-' || text.front() == '+') {
+        why = "sign on unsigned value";
+        return false;
+    }
+    return parseMagnitude(text.c_str(), out, why);
+}
+
 bool
 parseInt64(const std::string& text, int64_t& out, std::string& why)
 {
     if (!checkShape(text, why))
         return false;
-    errno = 0;
-    char* end = nullptr;
-    const int64_t v = std::strtoll(text.c_str(), &end, 0);
-    if (end == text.c_str()) {
-        why = "not a number";
+    const bool negative = text.front() == '-';
+    const bool sign = negative || text.front() == '+';
+    uint64_t magnitude = 0;
+    if (!parseMagnitude(text.c_str() + (sign ? 1 : 0), magnitude, why))
         return false;
-    }
-    if (*end != '\0') {
-        why = std::string("trailing garbage '") + end + "'";
-        return false;
-    }
-    if (errno == ERANGE) {
+    const uint64_t limit =
+        uint64_t{std::numeric_limits<int64_t>::max()} + (negative ? 1 : 0);
+    if (magnitude > limit) {
         why = "out of range";
         return false;
     }
-    out = v;
+    out = negative ? static_cast<int64_t>(0 - magnitude)
+                   : static_cast<int64_t>(magnitude);
     return true;
 }
 

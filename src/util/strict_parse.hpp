@@ -17,14 +17,18 @@
 namespace tagecon {
 
 /**
- * Parse @p text as an unsigned 64-bit integer (decimal, or hex with a
- * 0x prefix). On failure returns false and describes the problem in
- * @p why ("trailing garbage", "out of range", ...).
+ * Parse @p text as an unsigned 64-bit integer: decimal, or hex with a
+ * 0x/0X prefix. A leading zero is still decimal ("010" is 10), never
+ * octal. On failure returns false and describes the problem in @p why
+ * ("trailing garbage", "out of range", ...).
  */
 bool parseUint64(const std::string& text, uint64_t& out,
                  std::string& why);
 
-/** Parse @p text as a signed 64-bit integer; see parseUint64(). */
+/**
+ * Parse @p text as a signed 64-bit integer: an optional sign, then a
+ * magnitude as parseUint64() reads it ("-012" is -12).
+ */
 bool parseInt64(const std::string& text, int64_t& out, std::string& why);
 
 /** Parse @p text as a finite double; see parseUint64(). */

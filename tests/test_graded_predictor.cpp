@@ -7,8 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "sim/sweep.hpp"
 #include "tage/graded_tage.hpp"
 #include "tage/tage_predictor.hpp"
+#include "test_support.hpp"
 
 namespace tagecon {
 namespace {
@@ -112,19 +112,6 @@ TEST(GradedTage, ResetRestoresDeterminism)
 class ResetReplay : public ::testing::TestWithParam<const char*>
 {
   protected:
-    /** Both snapshots must hold the same bytes. */
-    static void
-    expectSameState(const GradedPredictor& used,
-                    const GradedPredictor& fresh)
-    {
-        StateWriter wa;
-        StateWriter wb;
-        std::string error;
-        ASSERT_TRUE(used.snapshot(wa, error)) << error;
-        ASSERT_TRUE(fresh.snapshot(wb, error)) << error;
-        EXPECT_EQ(wa.data(), wb.data());
-    }
-
     /**
      * Equal state now, then every prediction of an INT-2 replay and
      * the final state: a register that only early predictions read
@@ -134,19 +121,12 @@ class ResetReplay : public ::testing::TestWithParam<const char*>
     expectReplaysLikeAFreshInstance(GradedPredictor& used,
                                     GradedPredictor& fresh)
     {
-        expectSameState(used, fresh);
-        SyntheticTrace trace = makeTrace("INT-2", 3000);
-        BranchRecord rec;
-        while (trace.next(rec)) {
-            const Prediction a = used.predict(rec.pc);
-            const Prediction b = fresh.predict(rec.pc);
-            ASSERT_EQ(a.taken, b.taken);
-            ASSERT_EQ(a.confidence, b.confidence);
-            ASSERT_EQ(a.cls, b.cls);
-            used.update(rec.pc, a, rec.taken);
-            fresh.update(rec.pc, b, rec.taken);
-        }
-        expectSameState(used, fresh);
+        EXPECT_EQ(snapshotBytes(used), snapshotBytes(fresh));
+        const Stream s = traceStream("INT-2", 3000);
+        EXPECT_EQ(firstMismatch(predictAll(used, s, scalarLoop(s.size())),
+                                predictAll(fresh, s, scalarLoop(s.size()))),
+                  -1);
+        EXPECT_EQ(snapshotBytes(used), snapshotBytes(fresh));
     }
 };
 
@@ -168,17 +148,12 @@ TEST_P(ResetReplay, AfterRestoringAnotherStreamsStateMatchesAFreshInstance)
     auto other = makePredictor(spec);
     SyntheticTrace other_trace = makeTrace("FP-1", 3000);
     std::ignore = runTrace(other_trace, *other);
-    StateWriter parked;
-    std::string error;
-    ASSERT_TRUE(other->snapshot(parked, error)) << error;
 
     auto used = makePredictor(spec);
     auto fresh = makePredictor(spec);
     SyntheticTrace warm = makeTrace("SERV-1", 3000);
     std::ignore = runTrace(warm, *used);
-    StateReader in(parked.data());
-    ASSERT_TRUE(used->restore(in, error)) << error;
-    ASSERT_TRUE(in.exhausted());
+    restoreFrom(*used, *other);
     used->reset();
     expectReplaysLikeAFreshInstance(*used, *fresh);
 }
@@ -227,15 +202,8 @@ TEST(EstimatedPredictor, JrsOverridesIntrinsicGrade)
 // (batch 0) and through predictMany() at several batch sizes.
 TEST(EstimatedPredictor, ClassStaysConsistentWithLevel)
 {
-    SyntheticTrace trace = makeTrace("164.gzip", 5000);
-    std::vector<uint64_t> pcs;
-    std::vector<uint8_t> taken;
-    BranchRecord rec;
-    while (trace.next(rec)) {
-        pcs.push_back(rec.pc);
-        taken.push_back(rec.taken ? 1 : 0);
-    }
-    const size_t n = pcs.size();
+    const Stream s = traceStream("164.gzip", 5000);
+    const size_t n = s.size();
 
     std::vector<std::string> specs = {"tage64k+prob7+adaptive+sfc",
                                       "tage16k+prob7+adaptive+jrs",
@@ -253,21 +221,9 @@ TEST(EstimatedPredictor, ClassStaysConsistentWithLevel)
                                    size_t{333}}) {
             SCOPED_TRACE(spec + " batch=" + std::to_string(batch));
             auto predictor = makePredictor(spec);
-            std::vector<Prediction> out(n);
-            if (batch == 0) {
-                for (size_t i = 0; i < n; ++i) {
-                    out[i] = predictor->predict(pcs[i]);
-                    predictor->update(pcs[i], out[i], taken[i] != 0);
-                }
-            } else {
-                for (size_t at = 0; at < n; at += batch) {
-                    const size_t len = std::min(batch, n - at);
-                    predictor->predictMany(
-                        std::span<const uint64_t>(pcs.data() + at, len),
-                        std::span<const uint8_t>(taken.data() + at, len),
-                        std::span<Prediction>(out.data() + at, len));
-                }
-            }
+            const std::vector<Prediction> out = predictAll(
+                *predictor, s,
+                batch == 0 ? scalarLoop(n) : batches(n, batch));
             size_t inconsistent = n;
             for (size_t i = 0; i < n && inconsistent == n; ++i) {
                 if (confidenceLevel(out[i].cls) != out[i].confidence)
@@ -286,46 +242,22 @@ TEST(EstimatedPredictor, ClassStaysConsistentWithLevel)
 TEST(EstimatedPredictor, PredictManyMatchesTheScalarLoop)
 {
     constexpr size_t kBatchSizes[] = {1, 7, 64, 333, 512};
-    SyntheticTrace trace = makeTrace("INT-2", 70000);
-    std::vector<uint64_t> pcs;
-    std::vector<uint8_t> taken;
-    BranchRecord rec;
-    while (trace.next(rec)) {
-        pcs.push_back(rec.pc);
-        taken.push_back(rec.taken ? 1 : 0);
-    }
-    const size_t n = pcs.size();
+    const Stream s = traceStream("INT-2", 70000);
+    const size_t n = s.size();
     for (const char* spec :
          {"tage64k+jrs", "tage64k+jrsg", "tage64k+blind",
           "tage64k+prob7+adaptive+jrs", "gshare+jrsg", "ltage16k+sfc",
           "ltage64k+prob7+sfc", "ltage64k+jrs"}) {
         auto scalar = makePredictor(spec);
-        std::vector<Prediction> want(n);
-        for (size_t i = 0; i < n; ++i) {
-            want[i] = scalar->predict(pcs[i]);
-            scalar->update(pcs[i], want[i], taken[i] != 0);
-        }
+        const auto want = predictAll(*scalar, s, scalarLoop(n));
         for (const size_t batch : kBatchSizes) {
             SCOPED_TRACE(std::string(spec) +
                          " batch=" + std::to_string(batch));
             auto batched = makePredictor(spec);
-            std::vector<Prediction> got(n);
-            for (size_t at = 0; at < n; at += batch) {
-                const size_t len = std::min(batch, n - at);
-                batched->predictMany(
-                    std::span<const uint64_t>(pcs.data() + at, len),
-                    std::span<const uint8_t>(taken.data() + at, len),
-                    std::span<Prediction>(got.data() + at, len));
-            }
-            size_t diverged = n;
-            for (size_t i = 0; i < n && diverged == n; ++i) {
-                if (want[i].taken != got[i].taken ||
-                    want[i].confidence != got[i].confidence ||
-                    want[i].cls != got[i].cls ||
-                    want[i].payload != got[i].payload)
-                    diverged = i;
-            }
-            EXPECT_EQ(diverged, n) << "first diverging prediction";
+            EXPECT_EQ(firstMismatch(want,
+                                    predictAll(*batched, s, batches(n, batch))),
+                      -1)
+                << "first diverging prediction";
             EXPECT_EQ(batched->satLog2Prob(), scalar->satLog2Prob());
         }
     }

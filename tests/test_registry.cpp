@@ -10,6 +10,7 @@
 #include "sim/experiment.hpp"
 #include "sim/registry.hpp"
 #include "tage/tage_config.hpp"
+#include "tage/tage_predictor.hpp"
 
 namespace tagecon {
 namespace {
@@ -158,10 +159,7 @@ TEST(Registry, SfcIsTheHostItself)
         while (trace.next(rec)) {
             const Prediction a = host->predict(rec.pc);
             const Prediction b = sfc->predict(rec.pc);
-            ASSERT_EQ(a.taken, b.taken);
-            ASSERT_EQ(a.confidence, b.confidence);
-            ASSERT_EQ(a.cls, b.cls);
-            ASSERT_EQ(a.payload, b.payload);
+            ASSERT_EQ(a, b);
             host->update(rec.pc, a, rec.taken);
             sfc->update(rec.pc, b, rec.taken);
         }
@@ -262,6 +260,17 @@ TEST(RegistryParams, ParametersChangeTheBuiltPredictor)
               makePredictor("tage64k")->storageBits());
     EXPECT_LT(makePredictor("tage64k:logent=8")->storageBits(),
               makePredictor("tage64k")->storageBits());
+}
+
+TEST(RegistryParams, LeadingZerosAreDecimalNeverOctal)
+{
+    // "010" is ten, not octal eight: the logent=10 geometry.
+    auto padded = makePredictor("tage64k:logent=010+sfc");
+    auto ten = makePredictor("tage64k:logent=10+sfc");
+    EXPECT_EQ(padded->tagePredictor()->config().tagged,
+              ten->tagePredictor()->config().tagged);
+    EXPECT_EQ(padded->tagePredictor()->config().tagged[0].logEntries, 10);
+    EXPECT_EQ(padded->storageBits(), ten->storageBits());
 }
 
 TEST(RegistryParams, GshareHistoryLongerThanIndexIsHonored)

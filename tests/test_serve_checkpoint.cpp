@@ -3,13 +3,13 @@
  * Checkpoint/restore tests: the golden-anchored guarantee that a
  * restored predictor is bit-identical to one that never stopped.
  *
- * The first suite reuses the golden state-hash harness from
- * test_tage_golden.cpp: it drives the same deterministic branch
- * stream, but snapshots the TAGE predictor halfway and finishes the
- * run on a *restored* copy — the prediction and final-state digests
- * must still equal the pinned golden values, so a checkpoint captures
- * the complete architectural state (tables, folded histories, path
- * hash, USE_ALT_ON_NA, aging counters) to the bit.
+ * The first suite reuses the golden state-hash harness
+ * (test_support.hpp): it drives the same deterministic branch stream,
+ * but snapshots the TAGE predictor halfway and finishes the run on a
+ * *restored* copy — the prediction and final-state digests must still
+ * equal the pinned golden values, so a checkpoint captures the
+ * complete architectural state (tables, folded histories, path hash,
+ * USE_ALT_ON_NA, aging counters) to the bit.
  *
  * The remaining suites cover the blob framing (serve/checkpoint.hpp):
  * registry-level round trips for every family (including the
@@ -28,14 +28,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "serve/checkpoint.hpp"
 #include "sim/registry.hpp"
-#include "sim/trace_registry.hpp"
 #include "tage/loop_predictor.hpp"
 #include "tage/tage_predictor.hpp"
+#include "test_support.hpp"
 #include "util/failpoint.hpp"
 #include "util/global_history.hpp"
 #include "util/random.hpp"
@@ -44,99 +45,6 @@
 namespace tagecon {
 namespace {
 
-/** openTraceSource() of a spec the test expects to open. */
-std::unique_ptr<TraceSource>
-openOk(const std::string& spec, uint64_t branches, uint64_t seed_salt = 0)
-{
-    auto opened = openTraceSource(spec, branches, seed_salt);
-    EXPECT_TRUE(opened.ok()) << opened.error().message();
-    return opened.ok() ? opened.take() : nullptr;
-}
-
-/** FNV-1a 64-bit step (same recipe as test_tage_golden.cpp). */
-uint64_t
-mix(uint64_t h, uint64_t v)
-{
-    h ^= v;
-    h *= 0x100000001b3ULL;
-    return h;
-}
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr int kBranches = 50000;
-
-/**
- * Hash every observable field of one prediction, and the lookup
- * @p pred made for it (read between predict() and update()).
- */
-uint64_t
-mixPrediction(uint64_t h, const TagePrediction& p,
-              const TagePredictor& pred)
-{
-    const int num_tables = pred.config().numTaggedTables();
-    h = mix(h, p.taken);
-    h = mix(h, static_cast<uint64_t>(p.providerTable));
-    h = mix(h, static_cast<uint64_t>(static_cast<int64_t>(p.providerCtr)));
-    h = mix(h, static_cast<uint64_t>(p.providerStrength));
-    h = mix(h, p.providerSaturated);
-    h = mix(h, p.providerWeak);
-    h = mix(h, p.bimodalTaken);
-    h = mix(h, p.bimodalWeak);
-    h = mix(h, p.altTaken);
-    h = mix(h, static_cast<uint64_t>(p.altTable));
-    h = mix(h, p.usedAlt);
-    for (int t = 0; t <= num_tables; ++t)
-        h = mix(h, pred.lastLookup(t).index);
-    for (int t = 1; t <= num_tables; ++t)
-        h = mix(h, pred.lastLookup(t).tag);
-    return h;
-}
-
-/** Hash the full architectural state of the predictor. */
-uint64_t
-stateDigest(const TagePredictor& pred)
-{
-    uint64_t h = kFnvOffset;
-    const TageConfig& cfg = pred.config();
-    for (int t = 1; t <= cfg.numTaggedTables(); ++t) {
-        const uint32_t entries =
-            uint32_t{1} << cfg.tagged[static_cast<size_t>(t - 1)]
-                               .logEntries;
-        for (uint32_t i = 0; i < entries; ++i) {
-            const auto e = pred.taggedEntry(t, i);
-            h = mix(h, static_cast<uint64_t>(
-                           static_cast<int64_t>(e.ctr.value())));
-            h = mix(h, e.tag);
-            h = mix(h, e.u.value());
-        }
-    }
-    const uint32_t bim_entries = uint32_t{1} << cfg.logBimodalEntries;
-    for (uint32_t i = 0; i < bim_entries; ++i)
-        h = mix(h, pred.bimodalEntry(i).value());
-    h = mix(h, static_cast<uint64_t>(
-                   static_cast<int64_t>(pred.useAltOnNa())));
-    h = mix(h, pred.allocations());
-    h = mix(h, pred.updates());
-    return h;
-}
-
-/** One branch of the golden stream of test_tage_golden.cpp. */
-struct GoldenBranch {
-    uint64_t pc;
-    bool taken;
-};
-
-/** Branch @p i of the golden stream, drawn from @p rng. */
-GoldenBranch
-goldenBranch(XorShift128Plus& rng, int i)
-{
-    const uint64_t r = rng.next();
-    const uint64_t pc = 0x4000 + (r % 64) * 4;
-    const bool taken = (pc & 8) ? (i % (3 + (pc & 7)) != 0)
-                                : ((r >> 32) & 1) != 0;
-    return {pc, taken};
-}
-
 /** FNV-1a of serialized state bytes. */
 uint64_t
 wireDigest(const std::vector<uint8_t>& bytes)
@@ -144,132 +52,30 @@ wireDigest(const std::vector<uint8_t>& bytes)
     return fnv1a64(bytes.data(), bytes.size());
 }
 
-/** @p p's snapshot() bytes. */
-std::vector<uint8_t>
-snapshotBytes(const GradedPredictor& p)
-{
-    StateWriter w;
-    std::string error;
-    EXPECT_TRUE(p.snapshot(w, error)) << error;
-    return w.take();
-}
-
-/** What the golden round trip pins. */
-struct GoldenDigests {
-    uint64_t pred = 0;
-    uint64_t state = 0;
-
-    /** FNV-1a of the final saveState() bytes: the wire format. */
-    uint64_t blob = 0;
-};
-
-/**
- * The golden stream of test_tage_golden.cpp, with one twist: halfway
- * through, predictor A is snapshotted and the rest of the run is
- * served by a freshly constructed predictor B restored from the blob.
- * If (and only if) the checkpoint is complete, the combined digests
- * match the uninterrupted golden values.
- */
-GoldenDigests
-runGoldenWithMidStreamRoundTrip(const TageConfig& cfg)
-{
-    TagePredictor a(cfg);
-    TagePredictor b(cfg);
-    TagePredictor* cur = &a;
-    XorShift128Plus rng(0xD1CEB007 + cfg.tagged.size());
-    GoldenDigests out;
-    out.pred = kFnvOffset;
-    for (int i = 0; i < kBranches; ++i) {
-        if (i == kBranches / 2) {
-            StateWriter w;
-            a.saveState(w);
-            const std::vector<uint8_t> blob = w.take();
-            StateReader in(blob);
-            std::string error;
-            EXPECT_TRUE(b.loadState(in, error)) << error;
-            EXPECT_TRUE(in.exhausted());
-            cur = &b;
-        }
-        const GoldenBranch br = goldenBranch(rng, i);
-        const TagePrediction p = cur->predict(br.pc);
-        out.pred = mixPrediction(out.pred, p, *cur);
-        cur->update(br.pc, p, br.taken);
-    }
-    out.state = stateDigest(b);
-    StateWriter w;
-    b.saveState(w);
-    out.blob = wireDigest(w.data());
-    return out;
-}
-
-struct GoldenCase {
-    const char* name;
-    uint64_t predDigest;
-    uint64_t stateDigest;
-    uint64_t blobDigest;
-};
-
-TageConfig
-configFor(const std::string& name)
-{
-    if (name == "16K")
-        return TageConfig::small16K();
-    if (name == "64K")
-        return TageConfig::medium64K();
-    if (name == "256K")
-        return TageConfig::large256K();
-    if (name == "64K-prob7")
-        return TageConfig::medium64K().withProbabilisticSaturation(7);
-    TageConfig cfg = TageConfig::medium64K();
-    cfg.uResetPeriod = 4096;
-    return cfg;
-}
-
 class TageCheckpointGolden
     : public ::testing::TestWithParam<GoldenCase>
 {
 };
 
+// The golden stream, with one twist: halfway through, the predictor is
+// snapshotted and the rest of the run is served by a freshly built one
+// restored from the blob. If (and only if) the checkpoint is complete,
+// the digests are the uninterrupted run's: the prediction and state
+// digests are the very values test_tage_golden pins, not re-harvested
+// for this test.
 TEST_P(TageCheckpointGolden, MidStreamRestoreReproducesGoldenDigests)
 {
     const GoldenCase& g = GetParam();
-    const GoldenDigests got =
-        runGoldenWithMidStreamRoundTrip(configFor(g.name));
-    EXPECT_EQ(got.pred, g.predDigest) << g.name;
-    EXPECT_EQ(got.state, g.stateDigest) << g.name;
-    EXPECT_EQ(got.blob, g.blobDigest)
+    const GoldenRun got = runGolden(g.config(), kGoldenBranches / 2);
+    EXPECT_EQ(got.predDigest, g.predDigest) << g.name;
+    EXPECT_EQ(got.stateDigest, g.stateDigest) << g.name;
+    EXPECT_EQ(wireDigest(got.state), g.blobDigest)
         << g.name << ": saveState() no longer writes the pinned bytes";
 }
 
-// The prediction and state digests are the very same values
-// test_tage_golden.cpp pins for the uninterrupted runs — not
-// re-harvested for this test. The blob digests were harvested from the
-// per-element encoder, before the arenas moved to bulk copies.
-INSTANTIATE_TEST_SUITE_P(
-    PaperConfigs, TageCheckpointGolden,
-    ::testing::Values(
-        GoldenCase{"16K", 7150495434390549119ULL,
-                   8447484763274118460ULL,
-                   5595002478576410022ULL},
-        GoldenCase{"64K", 12562089021334520864ULL,
-                   10966023290916501465ULL,
-                   17962360148400378647ULL},
-        GoldenCase{"256K", 6625890519000511774ULL,
-                   203579634401270635ULL,
-                   16238664834611045821ULL},
-        GoldenCase{"64K-prob7", 12957036419155950676ULL,
-                   716300752043846386ULL,
-                   4074103757994365668ULL},
-        GoldenCase{"64K-fastage", 10233611863893694473ULL,
-                   5617762536944745845ULL,
-                   5744233108234672023ULL}),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-        std::string n = info.param.name;
-        for (auto& c : n)
-            if (c == '-')
-                c = '_';
-        return n;
-    });
+INSTANTIATE_TEST_SUITE_P(PaperConfigs, TageCheckpointGolden,
+                         ::testing::ValuesIn(kGoldenCases),
+                         goldenCaseName);
 
 /**
  * FNV-1a of @p spec's snapshot() bytes after the golden stream, driven
@@ -279,19 +85,16 @@ uint64_t
 gradedBlobDigest(const std::string& spec)
 {
     auto p = makePredictor(canonicalizeSpec(spec));
-    XorShift128Plus rng(0xD1CEB007);
-    for (int i = 0; i < kBranches; ++i) {
-        const GoldenBranch br = goldenBranch(rng, i);
-        const Prediction pr = p->predict(br.pc);
-        p->update(br.pc, pr, br.taken);
-    }
+    const Stream s = goldenStream(kGoldenSeed);
+    std::ignore = predictAll(*p, s, scalarLoop(s.size()));
     return wireDigest(snapshotBytes(*p));
 }
 
 TEST(CheckpointWireBytes, BaselineFamiliesWriteThePinnedBytes)
 {
     // Harvested from the per-element encoder, like the TAGE blob
-    // digests above: bulk copies must write the very same bytes.
+    // digests of kGoldenCases: bulk copies must write the very same
+    // bytes.
     const std::pair<const char*, uint64_t> pinned[] = {
         {"bimodal", 15175067393663170701ULL},
         {"gshare", 4264309872569767088ULL},
@@ -342,9 +145,7 @@ expectLockstepToTheEnd(GradedPredictor& p, GradedPredictor& q,
     while (trace.next(rec)) {
         const Prediction pa = p.predict(rec.pc);
         const Prediction pb = q.predict(rec.pc);
-        ASSERT_EQ(pa.taken, pb.taken);
-        ASSERT_EQ(pa.confidence, pb.confidence);
-        ASSERT_EQ(pa.cls, pb.cls);
+        ASSERT_EQ(pa, pb);
         p.update(rec.pc, pa, rec.taken);
         q.update(rec.pc, pb, rec.taken);
     }
@@ -1006,12 +807,7 @@ TEST(HistoryState, ATruncatedOrResizedRingFailsAndIsCleared)
 TEST(CheckpointRejection, TruncatedHistoryRingLeavesThePredictorReset)
 {
     const auto drive = [](TagePredictor& p, uint64_t seed) {
-        XorShift128Plus rng(seed);
-        for (int i = 0; i < 3000; ++i) {
-            const GoldenBranch br = goldenBranch(rng, i);
-            const TagePrediction q = p.predict(br.pc);
-            p.update(br.pc, q, br.taken);
-        }
+        std::ignore = predictAll(p, goldenStream(seed, 3000), scalarLoop(3000));
     };
     const TageConfig cfg = TageConfig::small16K();
     const size_t m = static_cast<size_t>(cfg.numTaggedTables());
@@ -1046,11 +842,7 @@ TEST(CheckpointRejection, TruncatedHistoryRingLeavesThePredictorReset)
     EXPECT_FALSE(used.loadState(in, error));
     EXPECT_FALSE(in.ok());
     EXPECT_NE(error.find("truncated"), std::string::npos) << error;
-    StateWriter got;
-    StateWriter want;
-    used.saveState(got);
-    TagePredictor(cfg).saveState(want);
-    EXPECT_EQ(got.data(), want.data());
+    EXPECT_EQ(saveBytes(used), saveBytes(TagePredictor(cfg)));
 }
 
 TEST(CheckpointFiles, WriteReadRoundTripAndNaming)

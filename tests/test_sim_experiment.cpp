@@ -17,6 +17,7 @@
 #include "sim/registry.hpp"
 #include "sim/sweep.hpp"
 #include "tage/graded_tage.hpp"
+#include "test_support.hpp"
 #include "trace/profiles.hpp"
 
 namespace tagecon {
@@ -52,15 +53,6 @@ TEST(RunTrace, IsDeterministic)
         EXPECT_EQ(a.stats.predictions(c), b.stats.predictions(c));
         EXPECT_EQ(a.stats.mispredictions(c), b.stats.mispredictions(c));
     }
-}
-
-std::vector<uint8_t>
-snapshotBytes(const GradedPredictor& p)
-{
-    StateWriter w;
-    std::string error;
-    EXPECT_TRUE(p.snapshot(w, error)) << error;
-    return w.take();
 }
 
 // The multi-predictor runTrace() groups only the TAGE stacks that

@@ -20,6 +20,7 @@
 #include "sim/registry.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace_registry.hpp"
+#include "test_support.hpp"
 #include "trace/profiles.hpp"
 #include "trace/trace_io.hpp"
 
@@ -571,15 +572,6 @@ TEST_F(SweepFileTraceTest, ColumnsMatchRunSweepCellAtAnyJobCount)
             }
         }
     }
-}
-
-std::vector<uint8_t>
-snapshotBytes(const GradedPredictor& p)
-{
-    StateWriter w;
-    std::string error;
-    EXPECT_TRUE(p.snapshot(w, error)) << error;
-    return w.take();
 }
 
 // Lookup groups: a column's TAGE stacks of one lookup geometry share

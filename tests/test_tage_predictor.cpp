@@ -17,6 +17,7 @@
 #include "util/random.hpp"
 
 #include "tage/tage_predictor.hpp"
+#include "test_support.hpp"
 
 namespace tagecon {
 namespace {
@@ -224,11 +225,6 @@ TEST(TagePredictor, ResetLeavesTheStateOfAFreshPredictor)
     // PCs make the path register, which takes PC bit 0, fill as well.
     const TageConfig cfg =
         TageConfig::small16K().withProbabilisticSaturation(7);
-    const auto state = [](const TagePredictor& p) {
-        StateWriter w;
-        p.saveState(w);
-        return w.take();
-    };
     TagePredictor used(cfg, 0x42);
     XorShift128Plus rng(9);
     for (int i = 0; i < 3000; ++i) {
@@ -237,9 +233,9 @@ TEST(TagePredictor, ResetLeavesTheStateOfAFreshPredictor)
         used.update(pc, p, rng.nextBool(0.5));
     }
     const TagePredictor fresh(cfg, 0x42);
-    ASSERT_NE(state(used), state(fresh));
+    ASSERT_NE(saveBytes(used), saveBytes(fresh));
     used.reset();
-    EXPECT_EQ(state(used), state(fresh));
+    EXPECT_EQ(saveBytes(used), saveBytes(fresh));
 }
 
 TEST(TagePredictor, UpdatesCounted)
@@ -375,9 +371,7 @@ TEST(TagePredictor, UpdateMustPairWithTheLastPredict)
                  "immediately preceding predict");
 
     // A restore drops a pending predict(), as a reset() does.
-    StateWriter w;
-    pred.saveState(w);
-    const std::vector<uint8_t> blob = w.take();
+    const std::vector<uint8_t> blob = saveBytes(pred);
     const TagePrediction q = pred.predict(0x1000);
     StateReader in(blob);
     std::string error;
@@ -425,14 +419,6 @@ struct BlockStream {
                 TagePredictor::kBatchBlock};
     }
 };
-
-std::vector<uint8_t>
-stateBytes(const TagePredictor& pred)
-{
-    StateWriter w;
-    pred.saveState(w);
-    return w.take();
-}
 
 TEST(TagePredictor, FollowerOfAnotherLookupGeometryPanics)
 {
@@ -541,7 +527,7 @@ TEST(TagePredictor, FollowerLastLookupIsTheRowItResolvedFrom)
         }
     }
     follower.stopFollowing();
-    EXPECT_TRUE(stateBytes(follower) == stateBytes(solo));
+    EXPECT_TRUE(saveBytes(follower) == saveBytes(solo));
     for (int t = 0; t <= m; ++t)
         EXPECT_EQ(follower.lastLookup(t).index, solo.lastLookup(t).index);
     // It steps on alone, scalar or batched.
@@ -550,7 +536,7 @@ TEST(TagePredictor, FollowerLastLookupIsTheRowItResolvedFrom)
     EXPECT_TRUE(p == q);
     follower.update(0x7004, p, false);
     solo.update(0x7004, q, false);
-    EXPECT_TRUE(stateBytes(follower) == stateBytes(solo));
+    EXPECT_TRUE(saveBytes(follower) == saveBytes(solo));
 }
 
 /** The predictor works for every paper configuration. */

@@ -51,8 +51,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -62,22 +60,13 @@
 #include "sim/registry.hpp"
 #include "tage/graded_tage.hpp"
 #include "tage/tage_predictor.hpp"
+#include "test_support.hpp"
 #include "util/random.hpp"
 #include "util/state_io.hpp"
 
 namespace tagecon {
 namespace {
 
-/** FNV-1a 64-bit step (same recipe as test_tage_golden.cpp). */
-uint64_t
-mix(uint64_t h, uint64_t v)
-{
-    h ^= v;
-    h *= 0x100000001b3ULL;
-    return h;
-}
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr int kSpecs = 48;
 constexpr int kLTageSpecs = 32;
 constexpr int kTinySpecs = 24;
@@ -226,11 +215,6 @@ drawLTageSpec(XorShift128Plus& rng)
 }
 
 /** A branch stream with local, periodic and long-range structure. */
-struct Stream {
-    std::vector<uint64_t> pcs;
-    std::vector<uint8_t> taken;
-};
-
 Stream
 drawStream(XorShift128Plus& rng, size_t n)
 {
@@ -261,16 +245,11 @@ drawStream(XorShift128Plus& rng, size_t n)
     return s;
 }
 
-/** One run's chunking: sizes, and whether a chunk steps scalar. */
-struct Chunk {
-    size_t len;
-    bool scalar;
-};
-
-std::vector<Chunk>
+/** A drawn chunking: 1-600 elements a chunk, one chunk in 8 scalar. */
+Chunks
 drawChunks(XorShift128Plus& rng, size_t n)
 {
-    std::vector<Chunk> chunks;
+    Chunks chunks;
     for (size_t at = 0; at < n;) {
         const size_t len =
             std::min<size_t>(1 + rng.nextBelow(600), n - at);
@@ -278,36 +257,6 @@ drawChunks(XorShift128Plus& rng, size_t n)
         at += len;
     }
     return chunks;
-}
-
-std::vector<uint8_t>
-saveBytes(const TagePredictor& p)
-{
-    StateWriter w;
-    p.saveState(w);
-    return w.take();
-}
-
-std::vector<uint8_t>
-snapshotBytes(const GradedPredictor& p)
-{
-    StateWriter w;
-    std::string error;
-    EXPECT_TRUE(p.snapshot(w, error)) << error;
-    return w.take();
-}
-
-/** Index of the first element where @p a and @p b differ, or -1. */
-template <typename T, typename Eq>
-int64_t
-firstMismatch(const std::vector<T>& a, const std::vector<T>& b, Eq eq)
-{
-    if (a.size() != b.size())
-        return static_cast<int64_t>(std::min(a.size(), b.size()));
-    for (size_t i = 0; i < a.size(); ++i)
-        if (!eq(a[i], b[i]))
-            return static_cast<int64_t>(i);
-    return -1;
 }
 
 /**
@@ -332,106 +281,34 @@ otherAutomaton(const TageConfig& cfg)
 }
 
 /**
- * Step @p leader, then @p follower, over elements [@p at, @p at +
- * @p len) of @p s one kBatchBlock block at a time — the order a lookup
- * group steps in — through @p step(predictor, from, len).
- */
-template <typename P, typename Step>
-void
-stepBehind(P& leader, P& follower, size_t at, size_t len, Step step)
-{
-    for (size_t b = at; b < at + len; b += TagePredictor::kBatchBlock) {
-        const size_t n = std::min(TagePredictor::kBatchBlock, at + len - b);
-        step(leader, b, n);
-        step(follower, b, n);
-    }
-}
-
-/**
  * Raw TagePredictor level: the scalar loop (feeds the digest) against
  * predictMany() over @p chunks, and against a follower stepped over
- * them, per element and in saveState() bytes.
+ * them, per element and in saveState() bytes. The follower's leader
+ * differs in everything a lookup ignores.
  */
 uint64_t
-checkRaw(const TageConfig& cfg, const Stream& s,
-         const std::vector<Chunk>& chunks, uint64_t h)
+checkRaw(const TageConfig& cfg, const Stream& s, const Chunks& chunks,
+         uint64_t h)
 {
-    const size_t n = s.pcs.size();
     TagePredictor scalar(cfg);
-    std::vector<TagePrediction> want(n);
-    for (size_t i = 0; i < n; ++i) {
-        want[i] = scalar.predict(s.pcs[i]);
-        h = mixRaw(h, want[i], scalar);
-        scalar.update(s.pcs[i], want[i], s.taken[i] != 0);
-    }
+    const auto want = predictAll(
+        scalar, s, scalarLoop(s.size()),
+        [&h](const TagePrediction& p, const TagePredictor& pred) {
+            h = mixRaw(h, p, pred);
+        });
     const std::vector<uint8_t> final_state = saveBytes(scalar);
     h = mixBytes(h, final_state);
 
-    // predictMany() writes every field: start each output from bytes
-    // no scalar prediction holds.
     TagePredictor batched(cfg);
-    TagePrediction poison;
-    std::memset(static_cast<void*>(&poison), 0x5A, sizeof poison);
-    std::vector<TagePrediction> got(n, poison);
-    size_t at = 0;
-    for (const Chunk& c : chunks) {
-        if (c.scalar) {
-            for (size_t i = at; i < at + c.len; ++i) {
-                got[i] = batched.predict(s.pcs[i]);
-                batched.update(s.pcs[i], got[i], s.taken[i] != 0);
-            }
-        } else {
-            batched.predictMany(
-                std::span<const uint64_t>(s.pcs.data() + at, c.len),
-                std::span<const uint8_t>(s.taken.data() + at, c.len),
-                std::span<TagePrediction>(got.data() + at, c.len));
-        }
-        at += c.len;
-    }
-    EXPECT_EQ(firstMismatch(want, got,
-                            [](const TagePrediction& a,
-                               const TagePrediction& b) { return a == b; }),
-              -1)
+    EXPECT_EQ(firstMismatch(want, predictAll(batched, s, chunks)), -1)
         << "raw predictMany() diverged from the scalar loop";
     EXPECT_TRUE(saveBytes(batched) == final_state)
         << "raw predictMany() ended in a different state";
 
     TagePredictor leader(otherAutomaton(cfg));
     TagePredictor follower(cfg);
-    std::vector<TagePrediction> led(n);
-    std::fill(got.begin(), got.end(), poison);
-    follower.follow(leader);
-    at = 0;
-    for (const Chunk& c : chunks) {
-        if (c.scalar) {
-            follower.stopFollowing();
-            for (size_t i = at; i < at + c.len; ++i) {
-                led[i] = leader.predict(s.pcs[i]);
-                leader.update(s.pcs[i], led[i], s.taken[i] != 0);
-                got[i] = follower.predict(s.pcs[i]);
-                follower.update(s.pcs[i], got[i], s.taken[i] != 0);
-            }
-            follower.follow(leader);
-        } else {
-            stepBehind(leader, follower, at, c.len,
-                       [&](TagePredictor& p, size_t from, size_t len) {
-                           p.predictMany(
-                               std::span<const uint64_t>(
-                                   s.pcs.data() + from, len),
-                               std::span<const uint8_t>(
-                                   s.taken.data() + from, len),
-                               std::span<TagePrediction>(
-                                   (&p == &leader ? led : got).data() +
-                                       from,
-                                   len));
-                       });
-        }
-        at += c.len;
-    }
-    follower.stopFollowing();
-    EXPECT_EQ(firstMismatch(want, got,
-                            [](const TagePrediction& a,
-                               const TagePrediction& b) { return a == b; }),
+    EXPECT_EQ(firstMismatch(want,
+                            predictFollowing(leader, follower, s, chunks)),
               -1)
         << "a raw follower diverged from the scalar loop";
     EXPECT_TRUE(saveBytes(follower) == final_state)
@@ -472,121 +349,46 @@ rereadWindows(const TageConfig& cfg, const Stream& s)
 }
 
 /**
- * Drive @p p over elements [from, to) of @p s through @p chunks
- * (chunks are cut at @p from and @p to), appending the predictions.
- */
-void
-driveGraded(GradedPredictor& p, const Stream& s,
-            const std::vector<Chunk>& chunks, size_t from, size_t to,
-            std::vector<Prediction>& out)
-{
-    out.resize(s.pcs.size());
-    size_t at = 0;
-    for (const Chunk& c : chunks) {
-        const size_t lo = std::max(at, from);
-        const size_t hi = std::min(at + c.len, to);
-        at += c.len;
-        if (lo >= hi)
-            continue;
-        if (c.scalar) {
-            for (size_t i = lo; i < hi; ++i) {
-                out[i] = p.predict(s.pcs[i]);
-                p.update(s.pcs[i], out[i], s.taken[i] != 0);
-            }
-        } else {
-            p.predictMany(
-                std::span<const uint64_t>(s.pcs.data() + lo, hi - lo),
-                std::span<const uint8_t>(s.taken.data() + lo, hi - lo),
-                std::span<Prediction>(out.data() + lo, hi - lo));
-        }
-    }
-}
-
-bool
-samePrediction(const Prediction& a, const Prediction& b)
-{
-    return a.taken == b.taken && a.confidence == b.confidence &&
-           a.cls == b.cls && a.payload == b.payload;
-}
-
-/**
  * Registry level: the scalar loop (feeds the digest, with its final
- * state when @p hash_state) against predictMany() over @p chunks, and
+ * state when @p hash_state) against predictMany() over @p chunks,
  * against a run that is snapshotted at @p cut and finished by a
- * freshly built predictor.
+ * freshly built predictor, and against a follower of a second stack
+ * of the same spec.
  */
 uint64_t
-checkGraded(const std::string& spec, const Stream& s,
-            const std::vector<Chunk>& chunks, size_t cut, uint64_t h,
-            bool hash_state = true)
+checkGraded(const std::string& spec, const Stream& s, const Chunks& chunks,
+            size_t cut, uint64_t h, bool hash_state = true)
 {
-    const size_t n = s.pcs.size();
     auto scalar = makePredictor(spec);
-    std::vector<Prediction> want(n);
-    for (size_t i = 0; i < n; ++i) {
-        want[i] = scalar->predict(s.pcs[i]);
-        scalar->update(s.pcs[i], want[i], s.taken[i] != 0);
-        h = mixGraded(h, want[i]);
-    }
+    const auto want =
+        predictAll(*scalar, s, scalarLoop(s.size()),
+                   [&h](const Prediction& p, const GradedPredictor&) {
+                       h = mixGraded(h, p);
+                   });
     const std::vector<uint8_t> final_state = snapshotBytes(*scalar);
     if (hash_state)
         h = mixBytes(h, final_state);
 
     auto batched = makePredictor(spec);
-    std::vector<Prediction> got;
-    driveGraded(*batched, s, chunks, 0, n, got);
-    EXPECT_EQ(firstMismatch(want, got, samePrediction), -1)
+    EXPECT_EQ(firstMismatch(want, predictAll(*batched, s, chunks)), -1)
         << "predictMany() diverged from the scalar loop";
     EXPECT_TRUE(snapshotBytes(*batched) == final_state)
         << "predictMany() ended in a different snapshot";
 
     auto first = makePredictor(spec);
-    std::vector<Prediction> resumed;
-    driveGraded(*first, s, chunks, 0, cut, resumed);
-    const std::vector<uint8_t> blob = snapshotBytes(*first);
     auto second = makePredictor(spec);
-    StateReader in(blob);
-    std::string error;
-    EXPECT_TRUE(second->restore(in, error)) << error;
-    EXPECT_TRUE(in.exhausted());
-    driveGraded(*second, s, chunks, cut, n, resumed);
-    EXPECT_EQ(firstMismatch(want, resumed, samePrediction), -1)
+    EXPECT_EQ(firstMismatch(want, predictRestoredAt(*first, *second, s,
+                                                    chunks, cut)),
+              -1)
         << "the run restored at " << cut << " diverged";
     EXPECT_TRUE(snapshotBytes(*second) == final_state)
         << "the run restored at " << cut << " ended elsewhere";
 
     auto leader = makePredictor(spec);
     auto follower = makePredictor(spec);
-    TagePredictor* const tage = follower->tagePredictor();
-    EXPECT_NE(tage, nullptr);
-    std::vector<Prediction> led(n);
-    got.assign(n, Prediction{});
-    tage->follow(*leader->tagePredictor());
-    size_t at = 0;
-    for (const Chunk& c : chunks) {
-        if (c.scalar) {
-            tage->stopFollowing();
-            driveGraded(*leader, s, chunks, at, at + c.len, led);
-            driveGraded(*follower, s, chunks, at, at + c.len, got);
-            tage->follow(*leader->tagePredictor());
-        } else {
-            stepBehind(*leader, *follower, at, c.len,
-                       [&](GradedPredictor& p, size_t from, size_t len) {
-                           p.predictMany(
-                               std::span<const uint64_t>(
-                                   s.pcs.data() + from, len),
-                               std::span<const uint8_t>(
-                                   s.taken.data() + from, len),
-                               std::span<Prediction>(
-                                   (&p == leader.get() ? led : got).data() +
-                                       from,
-                                   len));
-                       });
-        }
-        at += c.len;
-    }
-    tage->stopFollowing();
-    EXPECT_EQ(firstMismatch(want, got, samePrediction), -1)
+    EXPECT_EQ(firstMismatch(want,
+                            predictFollowing(*leader, *follower, s, chunks)),
+              -1)
         << "a follower diverged from the scalar loop";
     EXPECT_TRUE(snapshotBytes(*follower) == final_state)
         << "a follower ended in a different snapshot";
@@ -602,7 +404,7 @@ TEST(TageRandomGeometry, BatchedAndRestoredRunsMatchTheScalarLoop)
         SCOPED_TRACE(spec.full);
         const size_t n = 2000 + rng.nextBelow(6000);
         const Stream s = drawStream(rng, n);
-        const std::vector<Chunk> chunks = drawChunks(rng, n);
+        const Chunks chunks = drawChunks(rng, n);
         const size_t cut = rng.nextBelow(n + 1);
         for (const char c : spec.full)
             h = mix(h, static_cast<uint8_t>(c));
@@ -641,7 +443,7 @@ TEST(TageRandomGeometry, ByteGranularPcsMatchTheScalarLoop)
         Stream s = drawStream(rng, n);
         for (uint64_t& pc : s.pcs)
             pc += rng.nextBelow(4);
-        std::vector<Chunk> chunks = drawChunks(rng, n);
+        Chunks chunks = drawChunks(rng, n);
         for (Chunk& c : chunks)
             c.scalar = false;
         std::ignore = checkRaw(cfg, s, chunks, kFnvOffset);
@@ -662,7 +464,7 @@ TEST(TageRandomGeometry, TinyTablesMatchTheScalarLoop)
         SCOPED_TRACE(spec.full);
         const size_t n = 2000 + rng.nextBelow(6000);
         const Stream s = drawStream(rng, n);
-        const std::vector<Chunk> chunks = drawChunks(rng, n);
+        const Chunks chunks = drawChunks(rng, n);
         const size_t cut = rng.nextBelow(n + 1);
         for (const char c : spec.full)
             h = mix(h, static_cast<uint8_t>(c));
@@ -692,7 +494,7 @@ TEST(LTageRandomGeometry, BatchedAndRestoredRunsMatchTheScalarLoop)
         SCOPED_TRACE(spec);
         const size_t n = 2000 + rng.nextBelow(6000);
         const Stream s = drawStream(rng, n);
-        const std::vector<Chunk> chunks = drawChunks(rng, n);
+        const Chunks chunks = drawChunks(rng, n);
         const size_t cut = rng.nextBelow(n + 1);
         for (const char c : spec)
             h = mix(h, static_cast<uint8_t>(c));

@@ -4,7 +4,8 @@
  * the workload generator must replay exactly the records these digests
  * were harvested from.
  *
- * For each profile and each of two seed salts, one FNV-1a digest covers
+ * For each profile and each of two seed salts, one FNV-1a digest (the
+ * step of test_support.hpp) covers
  *
  *  - the built program: numSites() and countSites() of every kind, and
  *  - the first kRecords records: pc, taken, instructionsBefore, plus the
@@ -21,21 +22,11 @@
 #include <cstdint>
 #include <string>
 
+#include "test_support.hpp"
 #include "trace/profiles.hpp"
 
 namespace tagecon {
 namespace {
-
-/** FNV-1a 64-bit step over one word. */
-uint64_t
-mix(uint64_t h, uint64_t v)
-{
-    h ^= v;
-    h *= 0x100000001b3ULL;
-    return h;
-}
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 
 /** Records hashed per profile. */
 constexpr uint64_t kRecords = 20000;

@@ -17,6 +17,7 @@
 
 #include "sim/sweep.hpp"
 #include "sim/trace_registry.hpp"
+#include "test_support.hpp"
 #include "trace/cbp_ascii.hpp"
 #include "trace/profiles.hpp"
 #include "trace/trace_io.hpp"
@@ -28,15 +29,6 @@
 
 namespace tagecon {
 namespace {
-
-/** openTraceSource() of a spec the test expects to open. */
-std::unique_ptr<TraceSource>
-openOk(const std::string& spec, uint64_t branches, uint64_t seed_salt = 0)
-{
-    auto opened = openTraceSource(spec, branches, seed_salt);
-    EXPECT_TRUE(opened.ok()) << opened.error().message();
-    return opened.ok() ? opened.take() : nullptr;
-}
 
 class TraceRegistryTest : public ::testing::Test
 {
@@ -281,6 +273,8 @@ TEST_F(TraceRegistryTest, AsciiLineParserRejectsGarbage)
     EXPECT_FALSE(parseCbpAsciiLine("0x10 T 4 junk", rec, why));
     EXPECT_FALSE(parseCbpAsciiLine("0x10 T 99999999999", rec, why));
     EXPECT_FALSE(parseCbpAsciiLine("-1 T", rec, why));
+    // A sign after the hex prefix would wrap to a huge PC.
+    EXPECT_FALSE(parseCbpAsciiLine("0x-5 T", rec, why));
 }
 
 TEST_F(TraceRegistryTest, AsciiZeroPaddedDecimalIsNotOctal)

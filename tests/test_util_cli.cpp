@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "util/cli.hpp"
+#include "util/strict_parse.hpp"
 
 namespace tagecon {
 namespace {
@@ -56,6 +61,38 @@ TEST(Cli, NegativeAndHexIntegers)
     const CliArgs a = parse({"--neg=-12", "--hex=0x10"});
     EXPECT_EQ(a.getInt("neg", 0), -12);
     EXPECT_EQ(a.getInt("hex", 0), 16);
+}
+
+TEST(Cli, LeadingZerosAreDecimalNeverOctal)
+{
+    const CliArgs a = parse(
+        {"--a=0100", "--b=08", "--c=-012", "--d=0x10", "--e=0X1f"});
+    EXPECT_EQ(a.getUint("a", 0), 100u);
+    EXPECT_EQ(a.getUint("b", 0), 8u);
+    EXPECT_EQ(a.getInt("c", 0), -12);
+    EXPECT_EQ(a.getUint("d", 0), 16u);
+    EXPECT_EQ(a.getInt("e", 0), 31);
+}
+
+TEST(Cli, SignedBoundsAndMalformedSigns)
+{
+    int64_t v = 0;
+    std::string why;
+    ASSERT_TRUE(parseInt64("-9223372036854775808", v, why)) << why;
+    EXPECT_EQ(v, std::numeric_limits<int64_t>::min());
+    ASSERT_TRUE(parseInt64("+9223372036854775807", v, why)) << why;
+    EXPECT_EQ(v, std::numeric_limits<int64_t>::max());
+    ASSERT_TRUE(parseInt64("-0x10", v, why)) << why;
+    EXPECT_EQ(v, -16);
+    EXPECT_FALSE(parseInt64("9223372036854775808", v, why));
+    EXPECT_EQ(why, "out of range");
+    EXPECT_FALSE(parseInt64("-9223372036854775809", v, why));
+    EXPECT_EQ(why, "out of range");
+    for (const char* bad : {"-", "--5", "- 5", "-+5", "0x", "0xg"})
+        EXPECT_FALSE(parseInt64(bad, v, why)) << bad;
+    uint64_t u = 0;
+    EXPECT_FALSE(parseUint64("0x-5", u, why));
+    EXPECT_FALSE(parseUint64("0x 5", u, why));
 }
 
 TEST(Cli, Doubles)

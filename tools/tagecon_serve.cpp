@@ -118,11 +118,7 @@ main(int argc, char** argv)
 
     ReportFormat format = ReportFormat::Text;
     std::string error;
-    if (args.getBool("csv", false))
-        format = ReportFormat::Csv;
-    if (args.has("report") &&
-        !parseReportFormat(args.getString("report", "text"), format,
-                           error))
+    if (!parseReportFlags(args, format, error))
         fatal(error);
 
     std::vector<std::string> traces;

@@ -192,11 +192,7 @@ main(int argc, char** argv)
         obs::startTracing();
 
     ReportFormat format = ReportFormat::Text;
-    if (args.getBool("csv", false))
-        format = ReportFormat::Csv;
-    if (args.has("report") &&
-        !parseReportFormat(args.getString("report", "text"), format,
-                           error))
+    if (!parseReportFlags(args, format, error))
         fatal(error);
 
     Report report("sweep",
